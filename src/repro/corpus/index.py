@@ -41,6 +41,7 @@ pool.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import os
 import threading
@@ -266,6 +267,15 @@ class CorpusIndex:
         read-only (they are shared to avoid re-flattening per consumer).
         """
         return self._doc_tokens
+
+    def document_tokens(self, ordinal: int) -> list[str]:
+        """The cached flat token list of the document at ``ordinal``.
+
+        Shared storage, as with :meth:`token_documents`: treat it as
+        read-only.  Lets a caller read only the documents a posting
+        list names instead of materialising every document.
+        """
+        return self._doc_tokens[ordinal]
 
     def token_frequency(self, token: str) -> int:
         """Occurrences of a single ``token`` (0 when unseen)."""
@@ -710,6 +720,12 @@ class ShardedCorpusIndex:
         return [
             tokens for shard in self._shards for tokens in shard._doc_tokens
         ]
+
+    def document_tokens(self, ordinal: int) -> list[str]:
+        """The token list of the document at global ``ordinal``."""
+        offsets = self.shard_offsets()
+        shard = bisect.bisect_right(offsets, ordinal) - 1
+        return self._shards[shard].document_tokens(ordinal - offsets[shard])
 
     def token_frequency(self, token: str) -> int:
         """Occurrences of a single ``token`` (0 when unseen)."""

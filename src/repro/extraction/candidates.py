@@ -3,19 +3,23 @@
 Produces the :class:`ExtractionContext` every ranking measure consumes:
 candidate phrases (with frequency, document frequency, per-document
 counts, best matching pattern weight) and corpus-level statistics.
+
+The harvest is a fold over documents: each document's phrases are added,
+in corpus order, onto the running aggregate.  Folding a corpus in two
+parts, the second onto the first's aggregate, therefore gives exactly
+the aggregate of folding it whole, iteration order included.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-
 from typing import TYPE_CHECKING
 
-from repro.corpus.corpus import Corpus
 from repro.errors import ExtractionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus.index import CorpusIndex
+    from repro.corpus.document import Document
 from repro.text.ngrams import extract_pattern_phrases
 from repro.text.patterns import TermPatternMatcher
 from repro.text.postag import LexiconTagger
@@ -82,6 +86,26 @@ class ExtractionContext:
         default=None, repr=False, compare=False
     )
 
+    def filtered(self, min_frequency: int) -> "ExtractionContext":
+        """This context without candidates rarer than ``min_frequency``.
+
+        Returns ``self`` when nothing can be filtered; otherwise a new
+        context sharing the kept :class:`CandidateStats` objects and the
+        corpus statistics.
+        """
+        if min_frequency <= 1:
+            return self
+        return ExtractionContext(
+            candidates={
+                tokens: stats
+                for tokens, stats in self.candidates.items()
+                if stats.frequency >= min_frequency
+            },
+            n_documents=self.n_documents,
+            doc_lengths=self.doc_lengths,
+            language=self.language,
+        )
+
     @property
     def avg_doc_length(self) -> float:
         """Mean document length in tokens."""
@@ -120,52 +144,57 @@ class ExtractionContext:
 
 
 def harvest_candidates(
-    corpus: Corpus,
+    corpus: Iterable[Document],
     *,
     tagger: LexiconTagger | None = None,
     matcher: TermPatternMatcher | None = None,
     language: str = "en",
     min_frequency: int = 1,
     stop_words: frozenset[str] | set[str] | None = None,
-    index: "CorpusIndex | None" = None,
+    into: ExtractionContext | None = None,
 ) -> ExtractionContext:
-    """Scan ``corpus`` and build the :class:`ExtractionContext`.
+    """Fold the documents of ``corpus`` into an :class:`ExtractionContext`.
 
     Parameters
     ----------
     corpus:
-        The documents to mine.
+        The documents to mine (a :class:`~repro.corpus.corpus.Corpus` or
+        any document iterable), folded in order.
     tagger:
         POS tagger; defaults to a bare suffix-rule tagger (pass one
         seeded with the generator's POS lexicon for gold tags).
     matcher:
         Pattern inventory; defaults to the language's standard patterns.
     min_frequency:
-        Candidates occurring fewer times are dropped.
+        Candidates occurring fewer times are left out of the returned
+        context (never out of ``into``).
     stop_words:
         Domain stop list (BioTex ships one for general-academic
         vocabulary: "study", "results", ...).  Candidates containing any
         stoplisted word are dropped, as are degenerate candidates that
         repeat a token ("study study").
-    index:
-        Optional prebuilt :class:`~repro.corpus.index.CorpusIndex`; the
-        harvest reads document lengths from it instead of re-flattening
-        every document.  Candidate counting itself stays sentence-bounded
-        (POS patterns never cross sentences).
+    into:
+        An unfiltered aggregate to extend in place; ``corpus`` must hold
+        the documents that follow the ones already folded into it.
+        ``None`` folds from empty, which is the from-scratch harvest.
+        Candidate counting stays sentence-bounded either way (POS
+        patterns never cross sentences).
     """
-    if corpus.n_documents() == 0:
-        raise ExtractionError("cannot extract terms from an empty corpus")
     if min_frequency < 1:
         raise ExtractionError(f"min_frequency must be >= 1, got {min_frequency}")
     tagger = tagger if tagger is not None else LexiconTagger(language=language)
     matcher = matcher if matcher is not None else TermPatternMatcher(language=language)
     stop = frozenset(w.lower() for w in stop_words) if stop_words else frozenset()
 
-    candidates: dict[tuple[str, ...], CandidateStats] = {}
-    doc_lengths = index.doc_lengths() if index is not None else {}
+    context = into
+    if context is None:
+        context = ExtractionContext(
+            candidates={}, n_documents=0, doc_lengths={}, language=language
+        )
+    candidates = context.candidates
     for doc in corpus:
-        if index is None:
-            doc_lengths[doc.doc_id] = doc.n_tokens()
+        context.n_documents += 1
+        context.doc_lengths[doc.doc_id] = doc.n_tokens()
         for sentence in doc.sentences:
             tagged = tagger.tag(sentence)
             for phrase, weight in extract_pattern_phrases(tagged, matcher):
@@ -180,16 +209,8 @@ def harvest_candidates(
                 stats.frequency += 1
                 stats.pattern_weight = max(stats.pattern_weight, weight)
                 stats.per_doc[doc.doc_id] = stats.per_doc.get(doc.doc_id, 0) + 1
-
-    if min_frequency > 1:
-        candidates = {
-            tokens: stats
-            for tokens, stats in candidates.items()
-            if stats.frequency >= min_frequency
-        }
-    return ExtractionContext(
-        candidates=candidates,
-        n_documents=corpus.n_documents(),
-        doc_lengths=doc_lengths,
-        language=language,
-    )
+    if context.n_documents == 0:
+        raise ExtractionError("cannot extract terms from an empty corpus")
+    # The sub-span index covers the candidates of an earlier fold only.
+    context._containers = None
+    return context.filtered(min_frequency)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
 from repro.corpus.corpus import Corpus
 from repro.errors import ExtractionError
@@ -11,9 +10,6 @@ from repro.extraction.candidates import ExtractionContext, harvest_candidates
 from repro.extraction.measures import MEASURE_NAMES, compute_measure
 from repro.text.patterns import TermPatternMatcher
 from repro.text.postag import LexiconTagger
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus.index import CorpusIndex
 
 
 @dataclass(frozen=True)
@@ -25,6 +21,28 @@ class RankedTerm:
     score: float
     frequency: int
     rank: int
+
+
+@dataclass
+class _Harvest:
+    """The fold of the last corpus an extractor harvested.
+
+    ``settings`` is everything besides the documents that shapes the
+    aggregate; ``documents`` holds each folded document's id and
+    sentence token lists, in corpus order; ``rankings`` caches the
+    ranking per (measure, min_frequency, min_length).
+    """
+
+    settings: tuple
+    documents: list[tuple[str, tuple[tuple[str, ...], ...]]]
+    aggregate: ExtractionContext
+    rankings: dict[tuple[str, int, int], list[RankedTerm]] = field(
+        default_factory=dict
+    )
+
+
+def _document_key(doc) -> tuple[str, tuple[tuple[str, ...], ...]]:
+    return doc.doc_id, tuple(map(tuple, doc.sentences))
 
 
 class BioTexExtractor:
@@ -85,22 +103,62 @@ class BioTexExtractor:
         self.min_length = min_length
         self.stop_words = stop_words
         self.context_: ExtractionContext | None = None
+        self._harvest: _Harvest | None = None
 
-    def build_context(
-        self, corpus: Corpus, *, index: "CorpusIndex | None" = None
-    ) -> ExtractionContext:
-        """Harvest candidates from ``corpus`` (kept on ``context_``)."""
-        context = harvest_candidates(
-            corpus,
-            tagger=self.tagger,
-            matcher=self.matcher,
-            language=self.language,
-            min_frequency=self.min_frequency,
-            stop_words=self.stop_words,
-            index=index,
+    def _settings(self) -> tuple:
+        tagger = self.tagger
+        return (
+            tagger,
+            tagger.lexicon_version if tagger is not None else None,
+            self.matcher,
+            frozenset(w.lower() for w in self.stop_words or ()),
+            self.language,
         )
-        self.context_ = context
-        return context
+
+    def build_context(self, corpus: Corpus) -> ExtractionContext:
+        """Harvest candidates from ``corpus`` (kept on ``context_``).
+
+        The harvest is a fold over documents, and the extractor keeps
+        the unfiltered aggregate of the last corpus it harvested.  A
+        corpus that extends that one tags only its new documents; an
+        unchanged corpus reuses the aggregate, and the rankings computed
+        from it.  Anything else (an edited, reordered or removed
+        document, or another tagger lexicon, matcher, stop list or
+        language) folds from empty.  Either way the result equals a
+        from-scratch harvest, iteration order included.  ``context_``
+        is that live aggregate (filtered by ``min_frequency``), so a
+        later call over a grown corpus extends it in place.
+        """
+        if self.min_frequency < 1:
+            raise ExtractionError(
+                f"min_frequency must be >= 1, got {self.min_frequency}"
+            )
+        documents = list(corpus)
+        keys = [_document_key(doc) for doc in documents]
+        settings = self._settings()
+        memo = self._harvest
+        if (
+            memo is None
+            or memo.settings != settings
+            or keys[: len(memo.documents)] != memo.documents
+        ):
+            memo = None
+        folded = len(memo.documents) if memo is not None else 0
+        if memo is None or folded < len(documents):
+            # A fold that raises must not leave a half-extended memo.
+            self._harvest = self.context_ = None
+            aggregate = harvest_candidates(
+                documents[folded:],
+                tagger=self.tagger,
+                matcher=self.matcher,
+                language=self.language,
+                stop_words=self.stop_words,
+                into=memo.aggregate if memo is not None else None,
+            )
+            memo = _Harvest(settings, keys, aggregate)
+        self._harvest = memo
+        self.context_ = memo.aggregate.filtered(self.min_frequency)
+        return self.context_
 
     def extract(
         self,
@@ -108,7 +166,6 @@ class BioTexExtractor:
         *,
         top_k: int | None = None,
         measure: str | None = None,
-        index: "CorpusIndex | None" = None,
     ) -> list[RankedTerm]:
         """Extract and rank candidate terms from ``corpus``.
 
@@ -118,12 +175,19 @@ class BioTexExtractor:
             Keep only the best ``top_k`` candidates (None = all).
         measure:
             Override the instance's ranking measure for this call.
-        index:
-            Optional shared :class:`~repro.corpus.index.CorpusIndex`
-            reused for corpus statistics during harvesting.
         """
         measure = measure if measure is not None else self.measure
-        context = self.build_context(corpus, index=index)
+        if top_k is not None and top_k < 1:
+            raise ExtractionError(f"top_k must be >= 1, got {top_k}")
+        context = self.build_context(corpus)
+        rankings = self._harvest.rankings
+        key = (measure, self.min_frequency, self.min_length)
+        ranking = rankings.get(key)
+        if ranking is None:
+            ranking = rankings[key] = self._rank(context, measure)
+        return ranking[:top_k]
+
+    def _rank(self, context: ExtractionContext, measure: str) -> list[RankedTerm]:
         scores = compute_measure(measure, context)
         eligible = [
             (tokens, score)
@@ -132,10 +196,6 @@ class BioTexExtractor:
         ]
         # Stable, fully deterministic order: score desc, then term text.
         eligible.sort(key=lambda pair: (-pair[1], pair[0]))
-        if top_k is not None:
-            if top_k < 1:
-                raise ExtractionError(f"top_k must be >= 1, got {top_k}")
-            eligible = eligible[:top_k]
         return [
             RankedTerm(
                 term=" ".join(tokens),

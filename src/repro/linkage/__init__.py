@@ -5,6 +5,12 @@ corpus, keeping the candidate term's MeSH neighbourhood; (2) rank that
 neighbourhood — plus the fathers and sons of its members — by the cosine
 similarity between the candidate's context and each position's context;
 propose the top 10.
+
+Only the candidate's own edges of the graph matter, so (1) is answered
+from the corpus postings (:class:`TermNeighborhoods`): the documents
+that mention the candidate are merged and windowed, and no whole-corpus
+graph is built.  The graph-based :func:`mesh_neighborhood` gives
+identical neighbourhoods and stays as the test oracle.
 """
 
 from repro.linkage.context import (
@@ -14,7 +20,7 @@ from repro.linkage.context import (
 )
 from repro.linkage.evaluation import LinkageEvaluation, evaluate_linkage
 from repro.linkage.linker import Proposition, SemanticLinker
-from repro.linkage.neighborhood import mesh_neighborhood
+from repro.linkage.neighborhood import TermNeighborhoods, mesh_neighborhood
 from repro.linkage.relations import RELATION_TYPES, RelationTyper, TypedRelation
 
 __all__ = [
@@ -24,6 +30,7 @@ __all__ = [
     "RelationTyper",
     "SemanticLinker",
     "TermContextIndex",
+    "TermNeighborhoods",
     "TypedRelation",
     "evaluate_linkage",
     "find_occurrence_records",

@@ -5,13 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-import networkx as nx
-
 from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
 from repro.errors import LinkageError
 from repro.linkage.context import TermContextIndex
-from repro.linkage.neighborhood import build_term_graph, mesh_neighborhood
+from repro.linkage.neighborhood import TermNeighborhoods
 from repro.ontology.model import Ontology, normalize_term
 
 
@@ -41,10 +39,15 @@ class Proposition:
 class SemanticLinker:
     """Step IV end-to-end: candidate term in, ranked propositions out.
 
-    The expensive artefacts — the term co-occurrence graph and the shared
-    context-vector index — are built **once** on first use and reused for
-    every subsequent :meth:`propose` call, so positioning the paper's 60
-    evaluation terms costs one corpus pass, not sixty.
+    The shared context-vector index is built **once** on first use and
+    reused for every subsequent :meth:`propose` call, so positioning the
+    paper's 60 evaluation terms costs one retrieval, not sixty.  No
+    co-occurrence graph is built: each candidate's neighbourhood is read
+    from the postings of the documents that mention it
+    (:class:`~repro.linkage.neighborhood.TermNeighborhoods`), and each of
+    those documents is merged at most once per build.  An unanticipated
+    candidate changes the known terms, hence the merge, so it triggers
+    one rebuild of both artefacts.
 
     Parameters
     ----------
@@ -55,18 +58,18 @@ class SemanticLinker:
         candidate term).
     extra_terms:
         Candidate terms that are *not* ontology terms but will be
-        positioned later (lets them join the shared graph/index build).
+        positioned later (lets them join the shared build).
     window:
         Context window for the cosine vectors.
     graph_window:
-        Co-occurrence window for the neighbourhood graph.
+        Co-occurrence window for the neighbourhood.
     top_k:
         Number of propositions returned (the paper proposes 10).
     expand_hierarchy:
         Include fathers/sons of neighbours (IV.2); ablation knob A4.
     index:
         Optional prebuilt :class:`~repro.corpus.index.CorpusIndex`; both
-        shared artefacts (graph and context vectors) are derived from it
+        the neighbourhoods and the context vectors are read from it
         (defaults to the corpus's cached index).
 
     Example
@@ -98,59 +101,54 @@ class SemanticLinker:
         self.top_k = top_k
         self.expand_hierarchy = expand_hierarchy
         self._extra_terms = {normalize_term(t) for t in extra_terms}
-        self._graph: nx.Graph | None = None
+        self._neighborhoods: TermNeighborhoods | None = None
         self._index: TermContextIndex | None = None
 
     # -- shared artefacts ---------------------------------------------------
 
-    def _known_terms(self) -> list[str]:
-        return sorted(set(self.ontology.terms()) | self._extra_terms)
-
     def prepare(self) -> "SemanticLinker":
-        """Build the shared co-occurrence graph and context index now."""
-        terms = self._known_terms()
-        builder_terms = [tuple(t.split()) for t in terms]
-        from repro.text.cooccurrence import CooccurrenceGraphBuilder
-
+        """Build the shared neighbourhood reader and context index now."""
         if not self._index_supplied:
             # Re-fetch on every (re)build: corpus.index() is cached, and a
             # rebuild after corpus.add must see the added documents.
             self._corpus_index = self.corpus.index()
-        builder = CooccurrenceGraphBuilder(
-            window=self.graph_window, stop_language=None, terms=builder_terms
+        self._neighborhoods = TermNeighborhoods(
+            self.ontology,
+            self._corpus_index,
+            extra_terms=self._extra_terms,
+            window=self.graph_window,
         )
-        self._graph = builder.build(self._corpus_index.token_documents())
         self._index = TermContextIndex(
             self.corpus, window=self.window, index=self._corpus_index
         )
-        self._index.build(terms)
+        self._index.build(sorted(set(self.ontology.terms()) | self._extra_terms))
         return self
 
-    def _ensure_prepared(self, candidate: str) -> tuple[nx.Graph, TermContextIndex]:
+    def _ensure_prepared(
+        self, candidate: str
+    ) -> tuple[TermNeighborhoods, TermContextIndex]:
         if candidate not in self._extra_terms and not self.ontology.has_term(
             candidate
         ):
             # Unanticipated candidate: fold it in and rebuild once.
             self._extra_terms.add(candidate)
-            self._graph = None
+            self._neighborhoods = None
             self._index = None
-        if self._graph is None or self._index is None:
+        if self._neighborhoods is None or self._index is None:
             self.prepare()
-        return self._graph, self._index
+        return self._neighborhoods, self._index
 
     # -- the Step IV protocol ---------------------------------------------------
 
     def positions_for(self, candidate: str) -> list[str]:
-        """The candidate-position set (neighbourhood ± hierarchy expansion)."""
+        """The candidate-position set (neighbourhood ± hierarchy expansion).
+
+        Degenerate corpora, where the candidate co-occurs with no
+        ontology term, fall back to every ontology term.
+        """
         key = normalize_term(candidate)
-        graph, __ = self._ensure_prepared(key)
-        positions = mesh_neighborhood(
-            graph, self.ontology, key, expand_hierarchy=self.expand_hierarchy
-        )
-        if positions:
-            return positions
-        # Degenerate corpora: no observed co-occurrence → all terms.
-        return sorted(t for t in self.ontology.terms() if t != key)
+        neighborhoods, __ = self._ensure_prepared(key)
+        return neighborhoods.positions(key, expand_hierarchy=self.expand_hierarchy)
 
     def propose(self, candidate: str) -> list[Proposition]:
         """Ranked ontology positions for ``candidate``.
@@ -182,10 +180,3 @@ class SemanticLinker:
             )
             for rank, (term, score) in enumerate(scored[: self.top_k], start=1)
         ]
-
-
-def build_candidate_graph(
-    corpus: Corpus, ontology: Ontology, candidate: str, *, window: int = 8
-) -> nx.Graph:
-    """One-off term graph for a single candidate (see also ``prepare``)."""
-    return build_term_graph(corpus, ontology, candidate, window=window)

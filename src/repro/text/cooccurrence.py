@@ -1,18 +1,17 @@
-"""Term co-occurrence graphs.
+"""Term co-occurrence: maximal-munch term merging and windowed graphs.
 
-Three stages of the paper lean on a graph induced from the corpus:
+Step IV of the paper builds "a term co-occurrence graph ... selecting
+only the MeSH neighborhood of a candidate term".  The graph is counted
+over each document's tokens with every known multi-word term merged
+into one token, longest match first (:class:`TermMerger`).
 
-* Step II extracts 12 of its 23 polysemy features "from a graph itself
-  induced from the text corpus";
-* Step III's graph representation clusters a term's contexts through
-  graph-derived vectors;
-* Step IV builds "a term co-occurrence graph ... selecting only the MeSH
-  neighborhood of a candidate term".
-
-:class:`CooccurrenceGraphBuilder` turns tokenised documents into a weighted
-undirected :class:`networkx.Graph` whose nodes are tokens (or multi-word
-terms after merging) and whose edge weights count within-window
-co-occurrences.
+:class:`CooccurrenceGraphBuilder` turns such streams into a weighted
+undirected :class:`networkx.Graph` whose nodes are tokens (or merged
+terms) and whose edge weights count within-window co-occurrences.  The
+enrichment workflow no longer builds it: Step IV reads a candidate's
+neighbourhood straight from the postings of the documents that mention
+it (:class:`repro.linkage.neighborhood.TermNeighborhoods`), and the
+whole-corpus graph stays as that path's test oracle.
 """
 
 from __future__ import annotations
@@ -25,43 +24,49 @@ from repro.text.stopwords import stopwords_for
 from repro.utils.validation import check_positive_int
 
 
-def merge_term_tokens(
-    tokens: Sequence[str],
-    terms: Iterable[tuple[str, ...]],
-) -> list[str]:
-    """Greedily merge known multi-word ``terms`` into single tokens.
+class TermMerger:
+    """Maximal-munch merging of known multi-word terms into single tokens.
 
-    ``["corneal", "injuries", "heal"]`` with term ``("corneal",
-    "injuries")`` becomes ``["corneal injuries", "heal"]``.  Longest match
-    wins at each position, mirroring maximal-munch term spotting.
+    The first-token table is built once per term set, so merging many
+    documents against the same terms costs one sort, not one per
+    document.  ``["corneal", "injuries", "heal"]`` with term
+    ``("corneal", "injuries")`` merges to ``["corneal injuries",
+    "heal"]``; the longest match wins at each position and matched
+    tokens are consumed left to right.
     """
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for term in terms:
-        if not term:
-            continue
-        by_first.setdefault(term[0], []).append(term)
-    for candidates in by_first.values():
-        candidates.sort(key=len, reverse=True)
 
-    lower = [t.lower() for t in tokens]
-    merged: list[str] = []
-    i = 0
-    n = len(lower)
-    while i < n:
-        token = lower[i]
-        match: tuple[str, ...] | None = None
-        for candidate in by_first.get(token, ()):
-            span = len(candidate)
-            if i + span <= n and tuple(lower[i : i + span]) == candidate:
-                match = candidate
-                break
-        if match is None:
-            merged.append(token)
-            i += 1
-        else:
-            merged.append(" ".join(match))
-            i += len(match)
-    return merged
+    def __init__(self, terms: Iterable[tuple[str, ...]]) -> None:
+        by_first: dict[str, list[tuple[str, ...]]] = {}
+        for term in terms:
+            if not term:
+                continue
+            by_first.setdefault(term[0], []).append(term)
+        for candidates in by_first.values():
+            candidates.sort(key=len, reverse=True)
+        self._by_first = by_first
+
+    def merge(self, tokens: Sequence[str]) -> list[str]:
+        """``tokens`` lower-cased, with every known term merged."""
+        by_first = self._by_first
+        lower = [t.lower() for t in tokens]
+        merged: list[str] = []
+        i = 0
+        n = len(lower)
+        while i < n:
+            token = lower[i]
+            match: tuple[str, ...] | None = None
+            for candidate in by_first.get(token, ()):
+                span = len(candidate)
+                if i + span <= n and tuple(lower[i : i + span]) == candidate:
+                    match = candidate
+                    break
+            if match is None:
+                merged.append(token)
+                i += 1
+            else:
+                merged.append(" ".join(match))
+                i += len(match)
+        return merged
 
 
 class CooccurrenceGraphBuilder:
@@ -91,13 +96,10 @@ class CooccurrenceGraphBuilder:
         self.stop_language = stop_language
         self.min_weight = min_weight
         self.terms = list(terms) if terms is not None else []
+        self._merger = TermMerger(self.terms)
 
     def _prepare(self, tokens: Sequence[str]) -> list[str]:
-        merged = (
-            merge_term_tokens(tokens, self.terms)
-            if self.terms
-            else [t.lower() for t in tokens]
-        )
+        merged = self._merger.merge(tokens)
         if self.stop_language is None:
             return merged
         stop = stopwords_for(self.stop_language)

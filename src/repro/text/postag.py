@@ -148,18 +148,26 @@ class LexiconTagger:
         self._language = language
         self._stopwords = stopwords_for(language)
         self._default_tag = default_tag
+        self._lexicon_version = 0
 
     @property
     def lexicon_size(self) -> int:
         """Number of words with a known (gold) tag."""
         return len(self._lexicon)
 
+    @property
+    def lexicon_version(self) -> int:
+        """Count of :meth:`update_lexicon` calls; keys memoised tags."""
+        return self._lexicon_version
+
     def update_lexicon(self, entries: Mapping[str, str]) -> None:
         """Merge additional gold ``word → tag`` entries into the lexicon."""
         for word, tag in entries.items():
             if tag not in COARSE_TAGS:
                 raise ValueError(f"unknown tag {tag!r} for word {word!r}")
+        for word, tag in entries.items():
             self._lexicon[word.lower()] = tag
+        self._lexicon_version += 1
 
     def tag_word(self, token: str) -> str:
         """Return the coarse tag of a single ``token``."""

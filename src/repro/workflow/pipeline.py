@@ -265,9 +265,7 @@ class ExtractStage:
         # the batch is full or candidates are exhausted — a fixed
         # over-fetch window under-fills the batch whenever
         # skip_known_terms filters most of it.
-        ranked = self._extractor.extract(
-            ctx.corpus, top_k=None, index=ctx.index
-        )
+        ranked = self._extractor.extract(ctx.corpus, top_k=None)
         consumed = 0
         for candidate in ranked:
             if len(ctx.work) >= cfg.n_candidates:

@@ -99,23 +99,38 @@ class TestLinkerDegenerate:
         with pytest.raises(LinkageError, match="no context"):
             linker.propose("missing term")
 
-    def test_prepare_is_idempotent(self):
+    @staticmethod
+    def count_prepares(linker, monkeypatch):
+        calls = []
+        prepare = linker.prepare
+
+        def counting_prepare():
+            calls.append(1)
+            return prepare()
+
+        monkeypatch.setattr(linker, "prepare", counting_prepare)
+        return calls
+
+    def test_prepare_is_idempotent(self, monkeypatch):
         onto, corpus = self.make_tiny()
         linker = SemanticLinker(onto, corpus)
         linker.prepare()
-        first_graph = linker._graph
+        calls = self.count_prepares(linker, monkeypatch)
         linker.propose("beta term")
-        assert linker._graph is first_graph  # no rebuild for known terms
+        linker.positions_for("alpha term")
+        assert calls == []  # no rebuild for known terms
 
-    def test_unanticipated_candidate_triggers_one_rebuild(self):
+    def test_unanticipated_candidate_triggers_one_rebuild(self, monkeypatch):
         onto, corpus = self.make_tiny()
         corpus.add(Document("d3", [["novel", "thing", "near", "alpha", "term"]]))
         linker = SemanticLinker(onto, corpus)
         linker.prepare()
-        first_graph = linker._graph
+        calls = self.count_prepares(linker, monkeypatch)
         propositions = linker.propose("novel thing")
-        assert linker._graph is not first_graph
+        assert calls == [1]
         assert propositions
+        linker.propose("novel thing")  # now a known extra term
+        assert calls == [1]
 
 
 class TestClusteringDegenerate:

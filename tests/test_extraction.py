@@ -169,6 +169,11 @@ class TestBioTexExtractor:
         with pytest.raises(ExtractionError):
             extractor.extract(make_corpus(), top_k=0)
 
+    def test_bad_min_frequency(self):
+        extractor = BioTexExtractor(tagger=LexiconTagger(LEXICON), min_frequency=0)
+        with pytest.raises(ExtractionError):
+            extractor.extract(make_corpus())
+
     def test_measure_override(self):
         extractor = BioTexExtractor(tagger=LexiconTagger(LEXICON), measure="tf_idf")
         a = extractor.extract(make_corpus(), measure="c_value")

@@ -8,6 +8,7 @@ make ``get`` return None (and ``put`` drop silently), increment
 listening sockets speaking just enough HTTP to misbehave on purpose.
 """
 
+import contextlib
 import socket
 import struct
 import threading
@@ -86,11 +87,14 @@ class FaultyServer:
 
     def close(self) -> None:
         self._closing = True
-        try:
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does, so the join below returns at once.
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
             self._listener.close()
-        except OSError:
-            pass
         self._thread.join(timeout=2.0)
+        assert not self._thread.is_alive(), "fault server thread leaked"
 
 
 def assert_clean_miss(store: RemoteCacheStore, *, errors_at_least=1):

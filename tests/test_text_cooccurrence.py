@@ -4,9 +4,13 @@ import networkx as nx
 
 from repro.text.cooccurrence import (
     CooccurrenceGraphBuilder,
+    TermMerger,
     ego_graph,
-    merge_term_tokens,
 )
+
+
+def merge_term_tokens(tokens, terms):
+    return TermMerger(terms).merge(tokens)
 
 
 class TestMergeTermTokens:
@@ -35,6 +39,11 @@ class TestMergeTermTokens:
 
     def test_empty_term_ignored(self):
         assert merge_term_tokens(["a"], [()]) == ["a"]
+
+    def test_one_merger_serves_many_documents(self):
+        merger = TermMerger([("a", "b"), ("c",)])
+        assert merger.merge(["a", "b", "c"]) == ["a b", "c"]
+        assert merger.merge(["b", "a", "b"]) == ["b", "a b"]
 
 
 class TestCooccurrenceGraphBuilder:
