@@ -1,20 +1,17 @@
-"""Incremental + sharded index benchmark: stream cost vs. rebuild cost.
+"""Incremental index benchmark: stream cost vs. rebuild cost.
 
-Two claims of the incremental/sharded index work are measured here and
-recorded in ``BENCH_incremental_index.json``:
-
-* appending one document through ``add_documents`` is at least an order
-  of magnitude cheaper than the full rebuild ``Corpus.add`` used to
-  force (it is O(new tokens), not O(total tokens));
-* a ``ShardedCorpusIndex`` answers every query byte-identically to the
-  monolithic index, with comparable build and lookup cost (shard builds
-  can additionally fan out over threads).
+The claim of the incremental index work is measured here and recorded
+in ``BENCH_incremental_index.json``: appending one document through
+``add_documents`` is at least an order of magnitude cheaper than the
+full rebuild ``Corpus.add`` used to force (it is O(new tokens), not
+O(total tokens)), and lands on the fresh build's answers and
+fingerprint.
 """
 
 import time
 
 from benchmarks.conftest import emit_bench_json, print_paper_vs_measured, run_once
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.scenarios import make_enrichment_scenario
 
 
@@ -22,8 +19,7 @@ def query_all(index, terms) -> list[int]:
     return [index.term_frequency(term) for term in terms]
 
 
-def run_measurements(n_concepts: int, docs_per_concept: int, seed: int,
-                     n_shards: int):
+def run_measurements(n_concepts: int, docs_per_concept: int, seed: int):
     scenario = make_enrichment_scenario(
         seed=seed,
         n_concepts=n_concepts,
@@ -45,34 +41,15 @@ def run_measurements(n_concepts: int, docs_per_concept: int, seed: int,
     add_seconds = time.perf_counter() - add_at
     assert incremental.fingerprint() == full.fingerprint(), \
         "incremental update must reproduce the fresh build's fingerprint"
-
-    # Sharded: build and query parity against the monolithic index.
-    sharded_at = time.perf_counter()
-    sharded = ShardedCorpusIndex(documents, n_shards=n_shards)
-    sharded_build_seconds = time.perf_counter() - sharded_at
-
-    mono_query_at = time.perf_counter()
-    mono_counts = query_all(full, terms)
-    mono_query_seconds = time.perf_counter() - mono_query_at
-
-    sharded_query_at = time.perf_counter()
-    sharded_counts = query_all(sharded, terms)
-    sharded_query_seconds = time.perf_counter() - sharded_query_at
-
-    assert sharded_counts == mono_counts, "sharded and monolithic disagree"
-    assert sharded.fingerprint() == full.fingerprint()
+    assert query_all(incremental, terms) == query_all(full, terms), \
+        "incremental update must answer like the fresh build"
 
     return {
         "n_documents": len(documents),
         "n_tokens": full.n_tokens(),
         "n_terms": len(terms),
-        "n_shards": n_shards,
         "rebuild_seconds": rebuild_seconds,
         "add_one_doc_seconds": add_seconds,
-        "monolithic_build_seconds": rebuild_seconds,
-        "sharded_build_seconds": sharded_build_seconds,
-        "monolithic_query_seconds": mono_query_seconds,
-        "sharded_query_seconds": sharded_query_seconds,
     }
 
 
@@ -84,24 +61,17 @@ def test_incremental_vs_rebuild(benchmark, scale):
         n_concepts=n_concepts,
         docs_per_concept=6,
         seed=17,
-        n_shards=4,
     )
     speedup = result["rebuild_seconds"] / max(
         result["add_one_doc_seconds"], 1e-9
     )
     print_paper_vs_measured(
-        "Incremental + sharded index "
+        "Incremental index "
         f"({result['n_documents']} docs, {result['n_tokens']:,} tokens)",
         [
             ("full rebuild (s)", "-", f"{result['rebuild_seconds']:.4f}"),
             ("add one doc (s)", "-", f"{result['add_one_doc_seconds']:.4f}"),
             ("add-vs-rebuild speedup", "-", f"{speedup:.0f}x"),
-            ("sharded build (s)", "-",
-             f"{result['sharded_build_seconds']:.4f}"),
-            ("monolithic queries (s)", "-",
-             f"{result['monolithic_query_seconds']:.4f}"),
-            ("sharded queries (s)", "-",
-             f"{result['sharded_query_seconds']:.4f}"),
         ],
     )
     emit_bench_json(

@@ -1,14 +1,11 @@
-"""Corpus-scale benchmark: mmap reopen, worker payloads, numpy Louvain.
+"""Corpus-scale benchmark: mmap reopen and numpy Louvain.
 
-Three claims of the scale work (PR 6) are measured on a synthetic
+Two claims of the scale work are measured on a synthetic
 tiny-document corpus and recorded in ``BENCH_scale.json``:
 
 * reopening a persisted :class:`~repro.corpus.index_store.IndexStore`
   generation via mmap is at least an order of magnitude faster than
   rebuilding the index from the documents;
-* a :class:`~repro.corpus.index_store.MmapCorpusIndex` pickles to a
-  path handle of constant size, so process-pool worker startup no
-  longer scales with corpus size (the in-memory index's pickle does);
 * the numpy-batched Louvain local-move sweep is at least 3x faster
   than the plain-list sweep on a dense graph, with bit-identical
   labels.
@@ -19,7 +16,6 @@ the roadmap called for.
 """
 
 import json
-import pickle
 import tempfile
 import time
 
@@ -66,34 +62,7 @@ def synthetic_documents(n_docs: int, seed: int) -> list[Document]:
     return documents
 
 
-def payload_measurements(documents: list[Document], directory: str) -> dict:
-    """Pickle cost of shipping an index to a process-pool worker."""
-    in_memory = CorpusIndex(documents)
-    store = IndexStore(directory)
-    store.save(in_memory)
-    mapped = store.open(in_memory.fingerprint())
-
-    full_payload = pickle.dumps(in_memory)
-    handle_payload = pickle.dumps(mapped)
-
-    started = time.perf_counter()
-    pickle.loads(full_payload)
-    full_load_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    pickle.loads(handle_payload)  # reopens the mmap generation
-    handle_load_seconds = time.perf_counter() - started
-
-    return {
-        "n_documents": len(documents),
-        "full_pickle_bytes": len(full_payload),
-        "handle_pickle_bytes": len(handle_payload),
-        "full_unpickle_seconds": full_load_seconds,
-        "handle_unpickle_seconds": handle_load_seconds,
-    }
-
-
-def run_index_measurements(n_docs: int, n_shards: int, seed: int) -> dict:
+def run_index_measurements(n_docs: int, seed: int) -> dict:
     documents = synthetic_documents(n_docs, seed=seed)
 
     # What every run used to pay: a from-scratch in-memory build.
@@ -104,37 +73,22 @@ def run_index_measurements(n_docs: int, n_shards: int, seed: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-scale-") as root:
         store = IndexStore(f"{root}/store")
         cold_at = time.perf_counter()
-        built = store.load_or_build(
-            documents,
-            n_shards=n_shards,
-            n_workers=2,
-            build_backend="process",
-        )
+        built = store.load_or_build(documents)
         cold_seconds = time.perf_counter() - cold_at
         assert built.fingerprint() == rebuilt.fingerprint()
 
         # Warm path: fingerprint the documents, mmap-open the arrays.
         reopen_at = time.perf_counter()
-        reopened = store.load_or_build(documents, n_shards=n_shards)
+        reopened = store.load_or_build(documents)
         reopen_seconds = time.perf_counter() - reopen_at
         assert reopened.fingerprint() == rebuilt.fingerprint()
-
-        # Worker payloads at two corpus sizes: the mmap handle must not
-        # grow with the corpus, the in-memory pickle necessarily does.
-        small = payload_measurements(
-            synthetic_documents(n_docs // 4, seed=seed + 1), f"{root}/small"
-        )
-        large = payload_measurements(documents, f"{root}/large")
 
     return {
         "n_documents": n_docs,
         "n_tokens": rebuilt.n_tokens(),
-        "n_shards": n_shards,
         "rebuild_seconds": rebuild_seconds,
         "build_and_persist_seconds": cold_seconds,
         "mmap_reopen_seconds": reopen_seconds,
-        "payload_small": small,
-        "payload_large": large,
     }
 
 
@@ -180,13 +134,11 @@ def test_index_scale(benchmark, scale):
         benchmark,
         run_index_measurements,
         n_docs=n_docs,
-        n_shards=4,
         seed=23,
     )
     reopen_speedup = result["rebuild_seconds"] / max(
         result["mmap_reopen_seconds"], 1e-9
     )
-    small, large = result["payload_small"], result["payload_large"]
     print_paper_vs_measured(
         f"On-disk index at scale ({result['n_documents']:,} docs, "
         f"{result['n_tokens']:,} tokens)",
@@ -197,27 +149,15 @@ def test_index_scale(benchmark, scale):
              f"{result['build_and_persist_seconds']:.3f}"),
             ("mmap reopen (s)", "-", f"{result['mmap_reopen_seconds']:.3f}"),
             ("reopen-vs-rebuild speedup", "-", f"{reopen_speedup:.0f}x"),
-            ("worker payload (mmap)", "-",
-             f"{large['handle_pickle_bytes']:,} B"),
-            ("worker payload (in-memory)", "-",
-             f"{large['full_pickle_bytes']:,} B"),
         ],
     )
     emit_scale_section(
         "index", {**result, "reopen_vs_rebuild_speedup": reopen_speedup}
     )
 
-    # The whole point: a reopen must not cost a rebuild, and the worker
-    # payload must not scale with the corpus.
+    # The whole point: a reopen must not cost a rebuild.
     assert reopen_speedup >= 10.0, (
         f"mmap reopen is only {reopen_speedup:.1f}x faster than a rebuild"
-    )
-    assert large["handle_pickle_bytes"] <= 2 * small["handle_pickle_bytes"], (
-        "mmap worker payload grew with the corpus"
-    )
-    assert large["handle_pickle_bytes"] < 4096
-    assert large["full_pickle_bytes"] >= 2 * small["full_pickle_bytes"], (
-        "expected the in-memory pickle to grow ~4x with the corpus"
     )
 
 

@@ -4,7 +4,7 @@ The paper's enrichment loop is re-run-heavy: the same corpus is
 enriched again and again as the ontology grows.  With
 ``EnrichmentConfig(cache_dir=...)`` the Step II feature vectors are
 persisted in a :class:`~repro.polysemy.cache_store.DiskCacheStore`, so
-a *brand-new* enricher — a separate CLI invocation, a worker process, a
+a *brand-new* enricher — a separate CLI invocation, the service, a
 run tomorrow — starts warm and skips featurisation entirely.
 
 Run: ``PYTHONPATH=src python examples/persistent_cache.py``

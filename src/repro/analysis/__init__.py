@@ -2,11 +2,11 @@
 
 The repo's riskiest invariants — lock discipline in the concurrent
 service modules, degrade-to-miss error accounting at the network
-boundary, encode/decode codec pairing on the wire, config/CLI/README
-drift, and pickle contracts for process-pool workers — are enforced by
-convention only; a regression in any of them passes the type checker
-and usually the unit tests too.  This package closes that gap with a
-small stdlib-``ast`` engine and five project-specific rules:
+boundary, encode/decode codec pairing on the wire, and config/CLI/README
+drift — are enforced by convention only; a regression in any of them
+passes the type checker and usually the unit tests too.  This package
+closes that gap with a small stdlib-``ast`` engine and four
+project-specific rules:
 
 ========  ==========================================================
 RL001     lock discipline: attribute writes reachable from public
@@ -18,9 +18,6 @@ RL003     codec pairing: every ``encode_*`` has a ``decode_*`` in the
           same module and both are exercised by tests
 RL004     config drift: ``EnrichmentConfig`` fields ↔ ``cli.py``
           flags ↔ README mentions stay in lockstep
-RL005     pickle contract: classes shipped to a
-          ``ProcessPoolExecutor`` must not carry thread/lock/pool/
-          socket state without ``__getstate__``/``__reduce__``
 ========  ==========================================================
 
 Findings can be suppressed per line with a justified pragma::

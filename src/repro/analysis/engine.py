@@ -236,14 +236,12 @@ def default_rules() -> list[Rule]:
     from repro.analysis.rules_config import ConfigDriftRule
     from repro.analysis.rules_degrade import DegradeToMissRule
     from repro.analysis.rules_locks import LockDisciplineRule
-    from repro.analysis.rules_pickle import PickleContractRule
 
     return [
         LockDisciplineRule(),
         DegradeToMissRule(),
         CodecPairingRule(),
         ConfigDriftRule(),
-        PickleContractRule(),
     ]
 
 

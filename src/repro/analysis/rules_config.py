@@ -51,7 +51,6 @@ FLAG_ALIASES: dict[str, str] = {
     "candidates": "n_candidates",
     "top_k": "top_k_positions",
     "max_contexts": "max_contexts_per_term",
-    "workers": "n_workers",
 }
 
 #: The pinned (config class, subparser) pairs of this project.

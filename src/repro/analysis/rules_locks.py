@@ -4,10 +4,9 @@ A class that creates a ``threading.Lock``/``RLock`` (or a list of
 them) owns mutable state that more than one thread touches; the whole
 point of the lock is that **every** write to that state happens while
 holding it.  The race regressions that bit the service layer (counter
-writes outside the counter lock, cache invalidation outside the pool
-guard) all had the same shape: an attribute write, lexically outside
-any ``with self._lock:`` block, in a method a caller can reach without
-the lock.
+writes outside the counter lock) all had the same shape: an attribute
+write, lexically outside any ``with self._lock:`` block, in a method a
+caller can reach without the lock.
 
 The rule reconstructs exactly that:
 

@@ -77,12 +77,8 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
         expand_hierarchy=not args.no_expand_hierarchy,
         seed=args.seed,
         skip_known_terms=not args.no_skip_known_terms,
-        batch_size=args.batch_size,
         max_contexts_per_term=args.max_contexts,
-        n_workers=args.workers,
-        worker_backend=args.worker_backend,
         community_backend=args.community_backend,
-        index_shards=args.index_shards,
         index_dir=args.index_dir,
         feature_cache=not args.no_feature_cache,
         cache_dir=args.cache_dir,
@@ -173,12 +169,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     corpus = read_corpus_jsonl(args.corpus)
     store = IndexStore(args.index_dir)
     started = time.perf_counter()
-    index = store.load_or_build(
-        corpus,
-        n_shards=args.shards,
-        n_workers=args.workers,
-        build_backend=args.build_backend,
-    )
+    index = store.load_or_build(corpus)
     elapsed = time.perf_counter() - started
     fingerprint = index.fingerprint()
     stored = store.path_for(fingerprint).is_dir()
@@ -189,7 +180,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
                 ["fingerprint", fingerprint],
                 ["documents", index.n_documents()],
                 ["tokens", index.n_tokens()],
-                ["shards", getattr(index, "n_shards", 1)],
                 ["stored", "yes" if stored else "no (store unwritable)"],
                 ["seconds", f"{elapsed:.3f}"],
             ],
@@ -224,14 +214,13 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
         print()
         print(
             format_table(
-                ["fingerprint", "kind", "docs", "tokens", "shards", "bytes"],
+                ["fingerprint", "kind", "docs", "tokens", "bytes"],
                 [
                     [
                         g["fingerprint"][:12],
                         g["kind"],
                         g.get("n_documents", "-"),
                         g.get("n_tokens", "-"),
-                        g.get("n_shards", "-"),
                         g["bytes"],
                     ]
                     for g in generations
@@ -654,30 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
         "Steps II-IV",
     )
     enrich.add_argument(
-        "--batch-size", type=int, default=8,
-        help="candidates handed to a worker per task in Steps II-III",
-    )
-    enrich.add_argument(
         "--max-contexts", type=int, default=80,
         help="context cap per candidate (stride-subsampled above this)",
-    )
-    enrich.add_argument(
-        "--workers", type=int, default=1,
-        help="workers for the per-candidate Steps II-III",
-    )
-    enrich.add_argument(
-        "--worker-backend", choices=("thread", "process"), default="thread",
-        help="worker pool kind (process escapes the GIL)",
     )
     enrich.add_argument(
         "--community-backend", choices=COMMUNITY_BACKEND_NAMES,
         default=COMMUNITY_BACKEND_NAMES[0],
         help="Step II community detection (louvain = native fast path)",
-    )
-    enrich.add_argument(
-        "--index-shards", type=int, default=1,
-        help="corpus index partitions (>1 builds a sharded index; "
-        "results are identical across shard counts)",
     )
     enrich.add_argument(
         "--index-dir", default=None,
@@ -691,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     enrich.add_argument(
         "--cache-dir", default=None,
         help="persist the feature cache on disk here, shared across "
-        "runs and worker processes (see repro.polysemy.cache_store)",
+        "runs and processes (see repro.polysemy.cache_store)",
     )
     enrich.add_argument(
         "--cache-max-bytes", type=int, default=None,
@@ -748,18 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="corpus JSONL path")
     index_build.add_argument("--index-dir", required=True,
                              help="index store root directory")
-    index_build.add_argument(
-        "--shards", type=int, default=1,
-        help="index partitions (>1 persists a sharded index)",
-    )
-    index_build.add_argument(
-        "--workers", type=int, default=1,
-        help="workers for a sharded build",
-    )
-    index_build.add_argument(
-        "--build-backend", choices=("thread", "process"), default="process",
-        help="shard-build pool kind (process escapes the GIL)",
-    )
     index_build.set_defaults(fn=_cmd_index_build)
     index_inspect = index_sub.add_parser(
         "inspect",

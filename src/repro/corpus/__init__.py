@@ -10,7 +10,7 @@ DESIGN.md §1.
 
 from repro.corpus.document import Document
 from repro.corpus.corpus import Corpus, TermContext
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.corpus.io import read_corpus_jsonl, write_corpus_jsonl
 from repro.corpus.mshwsd import MshWsdEntity, MshWsdSimulator
 from repro.corpus.pubmed import PubMedSimulator
@@ -24,7 +24,6 @@ __all__ = [
     "TermContext",
     "MshWsdEntity",
     "MshWsdSimulator",
-    "ShardedCorpusIndex",
     "PubMedSimulator",
     "Topic",
     "read_corpus_jsonl",

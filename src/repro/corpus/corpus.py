@@ -10,9 +10,7 @@ Retrieval is served by a positional inverted index
 cached, so repeated term lookups cost postings traversal instead of full
 document scans.  :meth:`Corpus.add` patches the cached index in place
 (O(new tokens)) instead of discarding it, so a growing document stream
-never pays a full rebuild; pass ``n_shards`` to :meth:`Corpus.index` to
-partition the build across a
-:class:`~repro.corpus.index.ShardedCorpusIndex`.
+never pays a full rebuild.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro.corpus.document import Document
 from repro.errors import CorpusError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+    from repro.corpus.index import CorpusIndex
     from repro.corpus.index_store import IndexStore
 
 
@@ -64,9 +62,8 @@ class Corpus:
         }
         if len(self._by_id) != len(self._documents):
             raise CorpusError("duplicate document ids in corpus")
-        self._index: "CorpusIndex | ShardedCorpusIndex | None" = None
+        self._index: "CorpusIndex | None" = None
         self._index_store: "IndexStore | None" = None
-        self._index_shards = 1
 
     # -- container basics ----------------------------------------------------
 
@@ -99,7 +96,7 @@ class Corpus:
 
     def adopt_index(
         self,
-        index: "CorpusIndex | ShardedCorpusIndex",
+        index: "CorpusIndex",
         *,
         store: "IndexStore | None" = None,
     ) -> None:
@@ -137,7 +134,6 @@ class Corpus:
             store = store_for_index(index)
         self._index = index
         self._index_store = store
-        self._index_shards = index.n_shards
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -173,57 +169,23 @@ class Corpus:
 
     # -- term occurrence retrieval ------------------------------------------
 
-    def index(
-        self, *, n_shards: int | None = None, n_workers: int = 1
-    ) -> "CorpusIndex | ShardedCorpusIndex":
+    def index(self) -> "CorpusIndex":
         """The corpus's positional index, built lazily and cached.
 
         :meth:`add` extends the cached index in place; mutating a
         :class:`Document` in place is not detected.
-
-        Parameters
-        ----------
-        n_shards:
-            ``None`` (default) reuses whatever index is cached (building
-            a monolithic :class:`~repro.corpus.index.CorpusIndex` on
-            first use).  An explicit count requests a
-            :class:`~repro.corpus.index.ShardedCorpusIndex` with that
-            many partitions (1 = monolithic), rebuilding only when the
-            cached index's shard count differs.
-        n_workers:
-            Threads fanning out the shard builds (only used when a
-            sharded index is actually built).
         """
-        if n_shards is not None and n_shards < 1:
-            raise CorpusError(f"n_shards must be >= 1, got {n_shards}")
-        if self._index is not None and (
-            n_shards is None or self._index.n_shards == n_shards
-        ):
+        if self._index is not None:
             return self._index
-        if self._index_store is not None and (
-            n_shards is None or n_shards == self._index_shards
-        ):
+        if self._index_store is not None:
             # The previous index was adopted from an IndexStore: rebuild
             # through it so the grown corpus's generation is persisted
             # (and this process gets the mmap handle back).
-            self._index = self._index_store.load_or_build(
-                self._documents,
-                n_shards=self._index_shards,
-                n_workers=n_workers,
-            )
+            self._index = self._index_store.load_or_build(self._documents)
             return self._index
-        if n_shards is None:
-            n_shards = 1
-        if n_shards == 1:
-            from repro.corpus.index import CorpusIndex
+        from repro.corpus.index import CorpusIndex
 
-            self._index = CorpusIndex(self)
-        else:
-            from repro.corpus.index import ShardedCorpusIndex
-
-            self._index = ShardedCorpusIndex(
-                self, n_shards=n_shards, n_workers=n_workers
-            )
+        self._index = CorpusIndex(self)
         return self._index
 
     def contexts_for_term(

@@ -1,15 +1,12 @@
 """Memory-mapped on-disk persistence of the positional corpus index.
 
 A :class:`~repro.corpus.index.CorpusIndex` over a PubMed-scale corpus
-is expensive to build (pure-Python postings construction) and expensive
-to *move* (``worker_backend="process"`` pickles the whole index into
-every pool worker).  This module makes the index a build-once artefact,
-the Aber-OWL deployment shape: persist it as flat numpy arrays plus a
-CRC-carrying manifest, then reopen it in O(1) through ``mmap`` as an
-:class:`MmapCorpusIndex` that answers the **full query surface** of
-:class:`CorpusIndex` byte-identically.  Pool workers receive a picklable
-*path handle* instead of the index itself, so worker cold-start no
-longer scales with corpus size.
+is expensive to build (pure-Python postings construction).  This module
+makes the index a build-once artefact, the Aber-OWL deployment shape:
+persist it as flat numpy arrays plus a CRC-carrying manifest, then
+reopen it in O(1) through ``mmap`` as an :class:`MmapCorpusIndex` that
+answers the **full query surface** of :class:`CorpusIndex`
+byte-identically — in a later run, a fresh process, or the service.
 
 Disk layout
 -----------
@@ -30,11 +27,9 @@ invalidate by construction, exactly like
         doc_token_ids.npy         # int32 (N) vocabulary id per token
         doc_token_offsets.npy     # int64 (D+1) doc ranges
 
-A sharded index persists as ``shard-0000/ ... shard-NNNN/`` single-index
-subdirectories behind one top-level manifest (``kind: "sharded"``), so
-:func:`build_sharded_index` can fan the *builds* out over a process pool
-— each worker builds and persists its shard, the parent mmap-opens all
-of them — killing the GIL bound that capped thread-pool shard builds.
+Every generation is ``kind: "single"``.  A generation of any other kind
+(older releases also wrote ``kind: "sharded"`` ones) does not open; a
+build replaces it like any other unreadable generation.
 
 Durability discipline mirrors :class:`DiskCacheStore`: generations are
 written to a temp directory and atomically renamed into place, every
@@ -54,7 +49,6 @@ import shutil
 import tempfile
 import zlib
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -63,7 +57,6 @@ import numpy as np
 from repro.corpus.index import (
     EMPTY_FINGERPRINT,
     CorpusIndex,
-    ShardedCorpusIndex,
     _extend_fingerprint,
 )
 from repro.errors import CorpusError
@@ -210,6 +203,11 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexStoreError(
             f"index store version mismatch at {directory} "
             f"(got {manifest.get('version')!r}, want {STORE_VERSION})"
+        )
+    if manifest.get("kind") != "single":
+        raise IndexStoreError(
+            f"{directory} holds a {manifest.get('kind')!r} index, "
+            "expected a single generation"
         )
     return manifest
 
@@ -364,11 +362,6 @@ class MmapCorpusIndex(CorpusIndex):
     from — the inherited :class:`CorpusIndex` algorithms run unchanged
     over lazy dict/sequence views of the arrays.
 
-    Pickling ships only the generation *path* (plus the manifest-backed
-    counters), so ``worker_backend="process"`` workers reopen the mmap
-    in their own process instead of unpickling postings — worker
-    cold-start no longer scales with the corpus.
-
     The index is immutable: :meth:`add_documents` raises
     :class:`~repro.errors.CorpusError` (grow the corpus through an
     in-memory index, then re-persist).
@@ -377,11 +370,6 @@ class MmapCorpusIndex(CorpusIndex):
     def __init__(self, directory: str | Path, *, verify: bool = True) -> None:
         directory = Path(directory)
         manifest = _read_manifest(directory)
-        if manifest.get("kind") != "single":
-            raise IndexStoreError(
-                f"{directory} holds a {manifest.get('kind')!r} index, "
-                "expected a single shard"
-            )
         _verify_files(directory, manifest, verify_crc=verify)
         self._dir = directory
         self._manifest = manifest
@@ -421,17 +409,6 @@ class MmapCorpusIndex(CorpusIndex):
         ) if (self._dir / "doc_ids.bin").stat().st_size else np.empty(
             0, dtype=np.uint8
         )
-
-    # -- pickling: the path handle is the whole payload --------------------
-
-    def __getstate__(self) -> dict:
-        return {"directory": str(self._dir)}
-
-    def __setstate__(self, state: dict) -> None:
-        # The generation was CRC-verified when the parent opened it and
-        # files are immutable once renamed into place, so worker
-        # reopens skip the CRC pass to keep cold-start O(1).
-        self.__init__(state["directory"], verify=False)
 
     # -- vocabulary plumbing ----------------------------------------------
 
@@ -510,145 +487,6 @@ class MmapCorpusIndex(CorpusIndex):
     def token_documents(self) -> list[list[str]]:
         return [self._doc_tokens[i] for i in range(self.n_documents())]
 
-    def extend_fingerprint(self, fingerprint: str) -> str:
-        for ordinal in range(self.n_documents()):
-            fingerprint = _extend_fingerprint(
-                fingerprint,
-                self._doc_ids[ordinal],
-                self._doc_tokens[ordinal],
-            )
-        return fingerprint
-
-
-# -- sharded persistence ------------------------------------------------------
-
-
-def _save_sharded(index: ShardedCorpusIndex, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    shard_names = []
-    for i, shard in enumerate(index.shards()):
-        name = f"shard-{i:04d}"
-        _save_single(shard, directory / name)
-        shard_names.append(name)
-    _write_sharded_manifest(
-        directory,
-        fingerprint=index.fingerprint(),
-        shard_names=shard_names,
-        n_documents=index.n_documents(),
-        n_tokens=index.n_tokens(),
-    )
-
-
-def _write_sharded_manifest(
-    directory: Path,
-    *,
-    fingerprint: str,
-    shard_names: list[str],
-    n_documents: int,
-    n_tokens: int,
-) -> None:
-    manifest = {
-        "version": STORE_VERSION,
-        "kind": "sharded",
-        "fingerprint": fingerprint,
-        "n_documents": n_documents,
-        "n_tokens": n_tokens,
-        "shards": shard_names,
-    }
-    (directory / _MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _build_and_save_shard(task: tuple[list, str]) -> str:
-    """Pool worker: build one shard in memory, persist it, return its name.
-
-    The built postings never travel back over the pipe — only the shard
-    directory name does; the parent mmap-opens the persisted arrays.
-    """
-    documents, shard_dir = task
-    _save_single(CorpusIndex(documents), Path(shard_dir))
-    return Path(shard_dir).name
-
-
-def _partition(documents: list, n_shards: int) -> list[list]:
-    """The contiguous near-even split :class:`ShardedCorpusIndex` uses."""
-    base, remainder = divmod(len(documents), n_shards)
-    chunks: list[list] = []
-    start = 0
-    for shard in range(n_shards):
-        size = base + (1 if shard < remainder else 0)
-        chunks.append(documents[start : start + size])
-        start += size
-    return chunks
-
-
-def build_sharded_index(
-    documents: "Iterable[Document]",
-    directory: str | Path,
-    *,
-    n_shards: int,
-    n_workers: int = 1,
-    build_backend: str = "process",
-    fingerprint: str | None = None,
-) -> ShardedCorpusIndex:
-    """Build + persist a sharded index, shards fanned over a process pool.
-
-    Each pool worker builds its contiguous document chunk into a
-    :class:`CorpusIndex` and persists it directly into ``directory`` —
-    the built postings are never pickled back — while the parent chains
-    the global fingerprint (pure C-speed hashing) concurrently.  The
-    returned index is a :class:`ShardedCorpusIndex` whose shards are
-    :class:`MmapCorpusIndex` handles over the just-written arrays, so
-    both the parent and any process-pool worker it later pickles the
-    index into share the same mapped pages.
-
-    ``build_backend="thread"`` (or ``n_workers == 1``) keeps the builds
-    in-process — mainly for environments where process pools are
-    unavailable; results are identical either way.
-    """
-    if n_shards < 1:
-        raise CorpusError(f"n_shards must be >= 1, got {n_shards}")
-    if n_workers < 1:
-        raise CorpusError(f"n_workers must be >= 1, got {n_workers}")
-    if build_backend not in ("thread", "process"):
-        raise CorpusError(
-            f"build_backend must be thread|process, got {build_backend!r}"
-        )
-    documents = list(documents)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    chunks = _partition(documents, n_shards)
-    tasks = [
-        (chunk, str(directory / f"shard-{i:04d}"))
-        for i, chunk in enumerate(chunks)
-    ]
-    if build_backend == "process" and n_workers > 1 and len(documents) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_build_and_save_shard, t) for t in tasks]
-            # Hash the global chain while the workers build postings.
-            if fingerprint is None:
-                fingerprint = _fingerprint_documents(documents)
-            shard_names = [future.result() for future in futures]
-    else:
-        shard_names = [_build_and_save_shard(task) for task in tasks]
-        if fingerprint is None:
-            fingerprint = _fingerprint_documents(documents)
-    _write_sharded_manifest(
-        directory,
-        fingerprint=fingerprint,
-        shard_names=shard_names,
-        n_documents=len(documents),
-        n_tokens=sum(doc.n_tokens() for doc in documents),
-    )
-    shards = [
-        MmapCorpusIndex(directory / name, verify=False)
-        for name in shard_names
-    ]
-    return ShardedCorpusIndex.from_shards(
-        shards, fingerprint=fingerprint, n_workers=n_workers
-    )
-
 
 # -- the store ----------------------------------------------------------------
 
@@ -708,7 +546,6 @@ class IndexStore:
                         "kind": manifest["kind"],
                         "n_documents": manifest["n_documents"],
                         "n_tokens": manifest["n_tokens"],
-                        "n_shards": len(manifest.get("shards", [])) or 1,
                     }
                 )
             record["bytes"] = sum(
@@ -724,7 +561,7 @@ class IndexStore:
 
     # -- persisting --------------------------------------------------------
 
-    def save(self, index: CorpusIndex | ShardedCorpusIndex) -> Path:
+    def save(self, index: CorpusIndex) -> Path:
         """Persist a built in-memory index; returns its generation dir.
 
         The write is atomic at the generation level: arrays land in a
@@ -743,10 +580,7 @@ class IndexStore:
             )
         )
         try:
-            if isinstance(index, ShardedCorpusIndex):
-                _save_sharded(index, staging)
-            else:
-                _save_single(index, staging)
+            _save_single(index, staging)
             if final.exists():
                 shutil.rmtree(final)
             os.replace(staging, final)
@@ -757,18 +591,12 @@ class IndexStore:
 
     # -- reopening ---------------------------------------------------------
 
-    def open(
-        self,
-        fingerprint: str,
-        *,
-        n_workers: int = 1,
-        verify: bool = True,
-    ) -> "MmapCorpusIndex | ShardedCorpusIndex":
+    def open(self, fingerprint: str, *, verify: bool = True) -> MmapCorpusIndex:
         """Mmap-reopen the generation for ``fingerprint`` in O(1).
 
         Raises :class:`IndexStoreError` for a missing, truncated,
-        CRC-mismatched, or version-skewed generation — callers either
-        surface it or degrade to a rebuild
+        CRC-mismatched, version-skewed, or non-single generation —
+        callers either surface it or degrade to a rebuild
         (:meth:`load_or_build` does the latter).
         """
         path = self.path_for(fingerprint)
@@ -780,88 +608,34 @@ class IndexStore:
                 f"fingerprint mismatch at {path}: manifest says "
                 f"{manifest.get('fingerprint')!r}"
             )
-        if manifest.get("kind") == "single":
-            return MmapCorpusIndex(path, verify=verify)
-        if manifest.get("kind") != "sharded":
-            raise IndexStoreError(
-                f"unknown index kind {manifest.get('kind')!r} at {path}"
-            )
-        shard_names = manifest.get("shards")
-        if not isinstance(shard_names, list) or not shard_names:
-            raise IndexStoreError(f"malformed shard table at {path}")
-        shards = [
-            MmapCorpusIndex(path / name, verify=verify)
-            for name in shard_names
-        ]
-        index = ShardedCorpusIndex.from_shards(
-            shards, fingerprint=fingerprint, n_workers=n_workers
-        )
-        if index.n_documents() != manifest.get("n_documents"):
-            raise IndexStoreError(f"shard document counts disagree at {path}")
-        return index
+        return MmapCorpusIndex(path, verify=verify)
 
-    def load_or_build(
-        self,
-        documents: "Iterable[Document]",
-        *,
-        n_shards: int = 1,
-        n_workers: int = 1,
-        build_backend: str = "thread",
-    ) -> CorpusIndex | ShardedCorpusIndex:
+    def load_or_build(self, documents: "Iterable[Document]") -> CorpusIndex:
         """Open the store's index for ``documents``, building on a miss.
 
         The document stream is fingerprinted (C-speed hashing, far
         cheaper than a build) and the matching generation mmap-opened.
-        A missing or corrupt generation — truncation, CRC mismatch,
-        version skew, torn manifest — degrades to a clean rebuild that
-        then replaces the generation, mirroring
-        :class:`~repro.polysemy.cache_store.DiskCacheStore`'s
-        corruption-is-a-miss discipline: never a wrong answer.  Sharded
-        rebuilds fan out over a process pool when
-        ``build_backend="process"`` and ``n_workers > 1``.
+        A missing or unreadable generation — truncation, CRC mismatch,
+        version skew, torn manifest, a kind this version does not read —
+        degrades to a clean rebuild that then replaces the generation,
+        mirroring :class:`~repro.polysemy.cache_store.DiskCacheStore`'s
+        corruption-is-a-miss discipline: never a wrong answer.
         """
         documents = list(documents)
         fingerprint = _fingerprint_documents(documents)
         with contextlib.suppress(IndexStoreError):
-            return self.open(fingerprint, n_workers=n_workers)
-        if n_shards > 1:
-            # Shard builds persist straight from the workers; the
-            # returned index already maps the written arrays.
-            staging = Path(
-                tempfile.mkdtemp(
-                    prefix=f".tmp-{fingerprint[:8]}-", dir=self.directory
-                )
-            )
-            try:
-                build_sharded_index(
-                    documents,
-                    staging,
-                    n_shards=n_shards,
-                    n_workers=n_workers,
-                    build_backend=build_backend,
-                    fingerprint=fingerprint,
-                )
-                final = self.path_for(fingerprint)
-                if final.exists():
-                    shutil.rmtree(final)
-                os.replace(staging, final)
-            except BaseException:
-                shutil.rmtree(staging, ignore_errors=True)
-                raise
-            return self.open(fingerprint, n_workers=n_workers, verify=False)
+            return self.open(fingerprint)
         index = CorpusIndex(documents)
         try:
             self.save(index)
-            return self.open(fingerprint, n_workers=n_workers, verify=False)
+            return self.open(fingerprint, verify=False)
         except (OSError, IndexStoreError):
             # A store that cannot be written or immediately re-read
             # must not cost the run; serve the in-memory build.
             return index
 
 
-def store_for_index(
-    index: "CorpusIndex | ShardedCorpusIndex",
-) -> IndexStore | None:
+def store_for_index(index: CorpusIndex) -> IndexStore | None:
     """The :class:`IndexStore` a mmap-backed index was opened from.
 
     Returns ``None`` for in-memory indexes (there is no store to route
@@ -872,11 +646,4 @@ def store_for_index(
     """
     if isinstance(index, MmapCorpusIndex):
         return IndexStore(index.directory.parent)
-    if isinstance(index, ShardedCorpusIndex):
-        shards = index.shards()
-        if shards and all(
-            isinstance(shard, MmapCorpusIndex) for shard in shards
-        ):
-            # Shards live at <store>/<fingerprint>/shard-NNNN.
-            return IndexStore(shards[0].directory.parent.parent)
     return None

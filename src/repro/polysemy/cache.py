@@ -21,8 +21,8 @@ share entries.
 :class:`~repro.polysemy.cache_store.MemoryCacheStore` keeps the
 historical in-process dict, while a
 :class:`~repro.polysemy.cache_store.DiskCacheStore` persists entries on
-disk so separate runs, CLI invocations, and process-pool workers share
-them (see :mod:`repro.polysemy.cache_store`).
+disk so separate runs, CLI invocations, and the service share them
+(see :mod:`repro.polysemy.cache_store`).
 
 The cache is thread-safe and counts hits/misses so the workflow report
 can expose cache effectiveness
@@ -75,8 +75,6 @@ class FeatureCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._worker_store_hits = 0
-        self._worker_store_errors = 0
 
     @property
     def backing_store(self) -> CacheStore:
@@ -149,32 +147,6 @@ class FeatureCache:
             else:
                 self._misses += 1
 
-    def absorb_worker_hits(self, store_hits: int) -> None:
-        """Merge lookups served to pool workers straight from the store.
-
-        ``worker_backend="process"`` workers read a shared store — a
-        :class:`~repro.polysemy.cache_store.DiskCacheStore` or a
-        :class:`~repro.service.client.RemoteCacheStore` — through their
-        *own* handle, so their hit counts never touch this process's
-        store instance; the pipeline ships them back and deposits them
-        here so :attr:`stats` reports the whole run.  They are counted
-        under the backend's ``WORKER_HIT_KEY`` (``disk_hits`` for local
-        stores, ``remote_hits`` for the served one).
-        """
-        with self._lock:
-            self._worker_store_hits += store_hits
-
-    def absorb_worker_errors(self, store_errors: int) -> None:
-        """Merge store failures pool workers hit on their own handles.
-
-        The served backend counts every degraded-to-miss network
-        failure; a worker's counter dies with the worker process unless
-        the pipeline ships it back here, where it joins the parent's
-        ``remote_errors`` in :attr:`stats`.
-        """
-        with self._lock:
-            self._worker_store_errors += store_errors
-
     def store(self, key: CacheKey, vector: np.ndarray) -> None:
         """Memoise ``vector`` under ``key`` (overwrites silently)."""
         with self._lock:
@@ -228,9 +200,6 @@ class FeatureCache:
                 "remote_errors",
             ):
                 stats.setdefault(key, 0)
-            hit_key = getattr(self._store, "WORKER_HIT_KEY", "disk_hits")
-            stats[hit_key] += self._worker_store_hits
-            stats["remote_errors"] += self._worker_store_errors
             return stats
 
     def clear(self) -> None:
@@ -239,5 +208,3 @@ class FeatureCache:
             self._store.clear()
             self._hits = 0
             self._misses = 0
-            self._worker_store_hits = 0
-            self._worker_store_errors = 0

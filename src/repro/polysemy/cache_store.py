@@ -6,9 +6,8 @@ but where those vectors *live* is a storage decision: an in-memory dict
 serves one enricher in one process, while the paper's re-run-heavy
 workflow (the same corpus enriched again and again as the ontology
 grows) wants entries that survive the process and are shared between
-CLI invocations, repeated runs, and ``worker_backend="process"``
-workers.  This module separates the two concerns behind the
-:class:`CacheStore` protocol:
+CLI invocations, repeated runs, and the service.  This module separates
+the two concerns behind the :class:`CacheStore` protocol:
 
 * :class:`MemoryCacheStore` — the historical dict, still the default;
 * :class:`DiskCacheStore` — a durable, cross-process store.
@@ -147,10 +146,6 @@ class MemoryCacheStore:
     :class:`~repro.polysemy.cache.FeatureCache`'s lock.
     """
 
-    #: Where worker store-hits merged back by the pipeline are counted
-    #: (see :meth:`repro.polysemy.cache.FeatureCache.stats`).
-    WORKER_HIT_KEY = "disk_hits"
-
     def __init__(self) -> None:
         self._entries: dict[CacheKey, np.ndarray] = {}
 
@@ -254,9 +249,6 @@ class DiskCacheStore:
     [0.0, 1.0, 2.0]
     """
 
-    #: Worker store-hits merged back by the pipeline land here.
-    WORKER_HIT_KEY = "disk_hits"
-
     def __init__(
         self,
         cache_dir: str | os.PathLike,
@@ -293,22 +285,6 @@ class DiskCacheStore:
         # walk.  Concurrent writers make it drift low, so the cap is
         # best-effort between walks.
         self._size_estimate: int | None = None
-
-    # -- pickling (process workers reopen the same directory) -------------
-
-    def __getstate__(self) -> dict:
-        return {
-            "cache_dir": str(self._dir),
-            "max_bytes": self._max_bytes,
-            "shard_max_bytes": self._shard_max_bytes,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["cache_dir"],
-            max_bytes=state["max_bytes"],
-            shard_max_bytes=state["shard_max_bytes"],
-        )
 
     @property
     def cache_dir(self) -> Path:

@@ -11,7 +11,6 @@ single wire shape shared by the CLI and the service.
 from repro.recommend.annotator import (
     AnnotationResult,
     Annotator,
-    AnyCorpusIndex,
     LabelMatch,
 )
 from repro.recommend.config import RecommendConfig
@@ -41,7 +40,6 @@ __all__ = [
     "AcceptanceScorer",
     "AnnotationResult",
     "Annotator",
-    "AnyCorpusIndex",
     "CoverageScorer",
     "CriterionScorer",
     "DetailScorer",

@@ -5,8 +5,8 @@ Two input shapes, one output shape:
 * **Text** — a token sequence walked once through the registration's
   :class:`~repro.recommend.trie.LabelTrie` (O(tokens x longest label),
   independent of the ontology's label count).
-* **Corpus** — a :class:`~repro.corpus.index.CorpusIndex` (monolithic,
-  sharded, or mmap) queried per label through its postings
+* **Corpus** — a :class:`~repro.corpus.index.CorpusIndex` (in memory
+  or mmap) queried per label through its postings
   (:meth:`~repro.corpus.index.CorpusIndex.phrase_occurrences`), so
   annotating a registered corpus never re-scans documents.
 
@@ -22,13 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.recommend.registry import RegisteredOntology
 from repro.text.tokenizer import tokenize_lower
-
-#: The index shapes the corpus path accepts (anything with the
-#: CorpusIndex query surface works; these are the shipped ones).
-AnyCorpusIndex = CorpusIndex | ShardedCorpusIndex
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ class Annotator:
             occurrences.setdefault(label, []).append((0, start))
         return self._result(len(tokens), occurrences)
 
-    def annotate_index(self, index: AnyCorpusIndex) -> AnnotationResult:
+    def annotate_index(self, index: CorpusIndex) -> AnnotationResult:
         """Annotate an indexed corpus through its postings.
 
         Queries the index once per registered label; at each start

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import ValidationError
-from repro.recommend.annotator import AnnotationResult, Annotator, AnyCorpusIndex
+from repro.corpus.index import CorpusIndex
+from repro.recommend.annotator import AnnotationResult, Annotator
 from repro.recommend.config import RecommendConfig
 from repro.recommend.registry import OntologyRegistry
 from repro.recommend.report import (
@@ -70,7 +71,7 @@ class Recommender:
         text: str,
         *,
         ontologies: Sequence[str] | None = None,
-        acceptance_index: AnyCorpusIndex | None = None,
+        acceptance_index: CorpusIndex | None = None,
         acceptance_source: str | None = None,
     ) -> RecommendationReport:
         """Rank ontologies against raw text.
@@ -99,10 +100,10 @@ class Recommender:
 
     def recommend_index(
         self,
-        index: AnyCorpusIndex,
+        index: CorpusIndex,
         *,
         ontologies: Sequence[str] | None = None,
-        acceptance_index: AnyCorpusIndex | None = None,
+        acceptance_index: CorpusIndex | None = None,
         acceptance_source: str | None = "input",
     ) -> RecommendationReport:
         """Rank ontologies against an indexed corpus.
@@ -144,7 +145,7 @@ class Recommender:
         *,
         input_kind: str,
         n_tokens: int,
-        acceptance_index: AnyCorpusIndex | None,
+        acceptance_index: CorpusIndex | None,
         acceptance_source: str | None,
     ) -> RecommendationReport:
         context = ScoringContext(

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.recommend.annotator import AnnotationResult, AnyCorpusIndex
+from repro.corpus.index import CorpusIndex
+from repro.recommend.annotator import AnnotationResult
 from repro.recommend.config import RecommendConfig
 from repro.recommend.registry import RegisteredOntology
 
@@ -39,7 +40,7 @@ class ScoringContext:
     """Input-level state shared by every scorer call of one request."""
 
     config: RecommendConfig
-    acceptance_index: AnyCorpusIndex | None = None
+    acceptance_index: CorpusIndex | None = None
 
 
 class CriterionScorer:

@@ -27,10 +27,6 @@ Design constraints (they shape everything below):
   the batch routes (a PR 5 deployment) is detected on the first
   unmarked 404 and the store silently falls back to per-key requests —
   callers never need to know which protocol is in use.
-* **Process-pool friendly.**  The store pickles to its URL + timeout
-  (like :class:`DiskCacheStore` pickles to its directory), so
-  ``worker_backend="process"`` workers reopen their own connection and
-  read the service directly.
 
 :class:`ServiceClient` is the JSON-level companion for everything that
 is not a vector: stats, cache layout (``repro cache-info``), and the
@@ -219,10 +215,6 @@ class RemoteCacheStore:
     1
     """
 
-    #: Worker store-hits merged back by the pipeline land on this
-    #: counter (see :meth:`repro.polysemy.cache.FeatureCache.stats`).
-    WORKER_HIT_KEY = "remote_hits"
-
     def __init__(
         self,
         base_url: str,
@@ -243,22 +235,6 @@ class RemoteCacheStore:
         self._counter_lock = threading.Lock()
         self._remote_hits = 0
         self._remote_errors = 0
-
-    # -- pickling (process workers reopen their own connection) -----------
-
-    def __getstate__(self) -> dict:
-        return {
-            "base_url": self._channel.base_url,
-            "timeout": self._channel.timeout,
-            "batch_size": self._batch_size,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["base_url"],
-            timeout=state["timeout"],
-            batch_size=state.get("batch_size", DEFAULT_BATCH_SIZE),
-        )
 
     @property
     def base_url(self) -> str:
@@ -283,8 +259,9 @@ class RemoteCacheStore:
     def error_count(self) -> int:
         """Local failed-operation count — no network round trip.
 
-        The pipeline reads this around worker batches to ship each
-        process-pool worker's failures back to the parent's report.
+        Unlike :meth:`stats`, which also asks the server, this reads
+        only the client-side counter; the load generator samples it
+        around each operation to count degraded-to-miss failures.
         """
         with self._counter_lock:
             return self._remote_errors

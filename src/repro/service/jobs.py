@@ -42,18 +42,14 @@ from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 from repro.workflow.streaming import StreamingEnricher
 
-#: Config fields a job may NOT override: the service owns cache wiring
-#: (every job must share the server's store) and worker plumbing (a
-#: remote client must not control server-side process fan-out; jobs
-#: parallelise across each other via ``job_workers`` instead).
+#: Config fields a job may NOT override: the service owns cache and
+#: index wiring (every job must share the server's stores).
 _LOCKED_CONFIG_FIELDS = frozenset(
     {
         "cache_dir",
         "cache_max_bytes",
         "cache_url",
         "feature_cache",
-        "worker_backend",
-        "n_workers",
         "index_dir",
     }
 )
@@ -245,7 +241,7 @@ class JobManager:
 
         Raises :class:`~repro.errors.ValidationError` for an unknown
         corpus or a rejected override (unknown field, or one of the
-        cache/worker fields the service owns).
+        cache/index fields the service owns).
         """
         job_id, _ = self.submit_detailed(
             corpus, overrides, idempotency_key=idempotency_key

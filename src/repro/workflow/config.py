@@ -42,36 +42,17 @@ class EnrichmentConfig:
         Step IV.2 father/son expansion of the neighbourhood.
     seed:
         Workflow-level RNG seed.
-    batch_size:
-        Candidates handed to a worker per task in Steps II–III.
-    n_workers:
-        Workers for the per-candidate work of Steps II–III
-        (1 = sequential; results are identical either way).
-    worker_backend:
-        ``"thread"`` (default) or ``"process"``.  The per-candidate work
-        is pure-Python-heavy, so a process pool escapes the GIL for real
-        parallelism; results are identical across backends.
     community_backend:
         Community detection used by the Step II graph features:
         ``"louvain"`` (native CSR optimiser, default) or ``"greedy"``
         (networkx fallback — see :mod:`repro.clustering.community`).
-    index_shards:
-        Partitions of the positional corpus index.  1 (default) keeps
-        the monolithic :class:`~repro.corpus.index.CorpusIndex`; N > 1
-        builds a :class:`~repro.corpus.index.ShardedCorpusIndex` whose
-        shard builds fan out over ``n_workers`` threads.  Query results
-        are byte-identical across shard counts.
     index_dir:
         Optional directory backing the corpus index with a persistent
         :class:`~repro.corpus.index_store.IndexStore`: the corpus is
         fingerprinted, a stored generation is reopened via ``mmap`` in
         O(1), and a miss (or any corruption) degrades to a clean build
-        that is then persisted for the next run.  Process-pool workers
-        receive the mmap handle's directory path instead of a pickled
-        index, so worker startup no longer scales with corpus size.
-        With ``index_shards > 1`` and ``worker_backend="process"``,
-        rebuild shard construction fans out over a process pool.
-        Query results are byte-identical with and without the store.
+        that is then persisted for the next run.  Query results are
+        byte-identical with and without the store.
     feature_cache:
         Memoise per-term feature vectors across training runs and
         repeated ``enrich`` calls (keyed by corpus fingerprint, term,
@@ -80,7 +61,7 @@ class EnrichmentConfig:
         Optional directory backing the feature cache with a persistent
         :class:`~repro.polysemy.cache_store.DiskCacheStore`, so entries
         survive the process and are shared between runs, CLI
-        invocations, and ``worker_backend="process"`` workers (see
+        invocations, and the service (see
         :mod:`repro.polysemy.cache_store`).  None (default) keeps the
         in-memory store.  Requires ``feature_cache=True``.
     cache_max_bytes:
@@ -122,11 +103,7 @@ class EnrichmentConfig:
     expand_hierarchy: bool = True
     seed: int = 0
     skip_known_terms: bool = True
-    batch_size: int = 8
-    n_workers: int = 1
-    worker_backend: str = "thread"
     community_backend: str = "louvain"
-    index_shards: int = 1
     index_dir: str | None = None
     feature_cache: bool = True
     cache_dir: str | None = None
@@ -152,18 +129,6 @@ class EnrichmentConfig:
         if self.top_k_positions < 1:
             raise ValidationError(
                 f"top_k_positions must be >= 1, got {self.top_k_positions}"
-            )
-        if self.batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.n_workers < 1:
-            raise ValidationError(
-                f"n_workers must be >= 1, got {self.n_workers}"
-            )
-        if self.index_shards < 1:
-            raise ValidationError(
-                f"index_shards must be >= 1, got {self.index_shards}"
             )
         if self.index_dir is not None and not self.index_dir:
             raise ValidationError("index_dir must be a non-empty path")
@@ -195,11 +160,6 @@ class EnrichmentConfig:
         if self.cache_batch_size < 1:
             raise ValidationError(
                 f"cache_batch_size must be >= 1, got {self.cache_batch_size}"
-            )
-        if self.worker_backend not in ("thread", "process"):
-            raise ValidationError(
-                f"worker_backend must be thread|process, "
-                f"got {self.worker_backend!r}"
             )
         from repro.clustering.community import COMMUNITY_BACKENDS
 

@@ -16,24 +16,11 @@ restructured as a staged batch pipeline:
 
 A :class:`PipelineContext` carries the shared state between stages: the
 corpus's :class:`~repro.corpus.index.CorpusIndex` (built once, reused by
-every stage instead of rescanning documents; ``index_shards > 1``
-partitions it across a
-:class:`~repro.corpus.index.ShardedCorpusIndex` with byte-identical
-query results), the ranked candidates, the
+every stage instead of rescanning documents), the ranked candidates, the
 per-candidate work items, and the growing
 :class:`~repro.workflow.report.EnrichmentReport`.  Per-stage wall times
-are recorded in ``report.timings``.
-
-The per-candidate work of Steps II–III is independent across candidates,
-so :class:`EnrichmentConfig`'s ``n_workers``/``batch_size`` knobs can
-fan it out over a worker pool; the default (``n_workers=1``) runs
-sequentially and every mode produces identical reports.  The
-``worker_backend`` knob picks the pool: ``"thread"`` (shared memory,
-mutates work items in place) or ``"process"`` (a
-``concurrent.futures.ProcessPoolExecutor`` escaping the GIL — the
-per-candidate callables are picklable :class:`_DetectProcessor` /
-:class:`_InduceProcessor` objects shipped once per worker, and the
-mutated work items are shipped back and merged into the originals).
+are recorded in ``report.timings``.  Steps II–III loop over the
+candidates in order, in this process.
 
 Step II featurisation is memoised in a
 :class:`~repro.polysemy.cache.FeatureCache` keyed by (corpus
@@ -42,11 +29,9 @@ fingerprint, term, config fingerprint), so repeated training runs and
 :attr:`EnrichmentReport.cache`.  With ``EnrichmentConfig(cache_dir=...)``
 the cache is backed by a persistent
 :class:`~repro.polysemy.cache_store.DiskCacheStore` shared across runs
-and processes: the parent prefills from the store, process-pool workers
-additionally read the store directly through their own handle (catching
-entries a concurrent run persisted mid-flight), and every *new* vector
-ships back to the parent, which is the store's single writer for the
-stage.  ``EnrichmentConfig(cache_url=...)`` swaps the disk store for a
+and processes: :class:`DetectStage` prefills from the store in one bulk
+lookup and writes every *new* vector back in one bulk store.
+``EnrichmentConfig(cache_url=...)`` swaps the disk store for a
 :class:`~repro.service.client.RemoteCacheStore` talking to a
 ``repro serve`` process, so the very same warm-vector sharing works
 across machines — with every network failure degrading to a cache miss
@@ -56,13 +41,12 @@ across machines — with every network failure degrading to a cache miss
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.errors import CorpusError, LinkageError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.linker import SemanticLinker
@@ -102,11 +86,6 @@ class CandidateWork:
         :class:`~repro.polysemy.cache.FeatureCache` on a hit, computed
         by :class:`DetectStage` otherwise; ``None`` when Step II never
         featurised the candidate).
-    features_from_store:
-        True when a pool worker loaded ``features`` straight from the
-        shared :class:`~repro.polysemy.cache_store.DiskCacheStore`
-        (rather than computing them); the parent counts these as cache
-        hits and skips re-persisting them.
     """
 
     candidate: RankedTerm
@@ -114,7 +93,6 @@ class CandidateWork:
     contexts: list[tuple[str, ...]] | None = None
     doc_frequency: int = 0
     features: np.ndarray | None = None
-    features_from_store: bool = False
 
     @property
     def active(self) -> bool:
@@ -144,110 +122,10 @@ class PipelineContext:
     corpus: Corpus
     ontology: Ontology
     config: EnrichmentConfig
-    index: CorpusIndex | ShardedCorpusIndex
+    index: CorpusIndex
     report: EnrichmentReport = field(default_factory=EnrichmentReport)
     ranked: list[RankedTerm] = field(default_factory=list)
     work: list[CandidateWork] = field(default_factory=list)
-
-
-def _merge_work(target: CandidateWork, source: CandidateWork) -> None:
-    """Copy a worker-mutated clone's results back into the original.
-
-    Process workers operate on pickled copies, so the parent's report
-    rows (already registered in ``ctx.report.terms``) must absorb the
-    clone's field values rather than be replaced.
-    """
-    for report_field in fields(TermReport):
-        setattr(
-            target.report,
-            report_field.name,
-            getattr(source.report, report_field.name),
-        )
-    target.contexts = source.contexts
-    target.doc_frequency = source.doc_frequency
-    target.features = source.features
-    target.features_from_store = source.features_from_store
-
-
-# The per-worker processor shipped once per process via the pool
-# initializer (cheaper than pickling it with every batch — it carries
-# the corpus index).
-_WORKER_PROCESSOR = None
-
-
-def _init_worker_processor(processor) -> None:
-    global _WORKER_PROCESSOR
-    _WORKER_PROCESSOR = processor
-
-
-def _run_worker_batch(
-    batch: list[CandidateWork],
-) -> tuple[list[CandidateWork], int]:
-    """Process one pickled batch in a pool worker; ship it back with the
-    worker store-error delta (a remote store failing inside a worker
-    must still surface in the parent's ``remote_errors``)."""
-    errors_before = _worker_store_errors()
-    for item in batch:
-        _WORKER_PROCESSOR(item)
-    return batch, _worker_store_errors() - errors_before
-
-
-def _worker_store_errors() -> int:
-    """The worker processor's store failure count (0 when storeless)."""
-    counter = getattr(_WORKER_PROCESSOR, "store_error_count", None)
-    return counter() if counter is not None else 0
-
-
-def _for_each_candidate(
-    fn,
-    items: list[CandidateWork],
-    *,
-    n_workers: int,
-    batch_size: int,
-    backend: str = "thread",
-) -> int:
-    """Apply ``fn`` to every work item, optionally over a worker pool.
-
-    Items are independent, so execution order cannot change results;
-    each worker processes ``batch_size`` items per task.  ``backend``
-    picks the pool for ``n_workers > 1``: ``"thread"`` mutates the items
-    in place, ``"process"`` requires ``fn`` and the items to be
-    picklable and merges the returned copies back into the originals.
-
-    Returns the summed worker *store-error* count (process backend
-    only; 0 otherwise) — sequential and thread modes hit the parent's
-    own store handle, which counts its failures itself.
-    """
-    if n_workers <= 1 or len(items) <= 1:
-        for item in items:
-            fn(item)
-        return 0
-    batches = [
-        items[start : start + batch_size]
-        for start in range(0, len(items), batch_size)
-    ]
-    if backend == "process":
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker_processor,
-            initargs=(fn,),
-        ) as pool:
-            done = list(pool.map(_run_worker_batch, batches))
-        worker_errors = 0
-        for batch, (done_batch, batch_errors) in zip(batches, done, strict=True):
-            worker_errors += batch_errors
-            for item, result in zip(batch, done_batch, strict=True):
-                _merge_work(item, result)
-        return worker_errors
-
-    def run_batch(batch: list[CandidateWork]) -> None:
-        for item in batch:
-            fn(item)
-
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        # Drain the iterator so worker exceptions propagate here.
-        list(pool.map(run_batch, batches))
-    return 0
 
 
 class ExtractStage:
@@ -286,111 +164,6 @@ class ExtractStage:
         # keep the historical 3x window unless filling the batch had to
         # reach deeper.
         ctx.ranked = ranked[: max(cfg.n_candidates * 3, consumed)]
-
-
-class _DetectProcessor:
-    """Picklable Step II per-candidate work: materialise + classify.
-
-    Instances carry everything a pool worker needs (the corpus index,
-    the retrieval caps, the feature extractor, and the trained
-    detector), so one pickled copy per worker can process any batch.
-    """
-
-    def __init__(
-        self,
-        *,
-        index: CorpusIndex,
-        min_contexts: int,
-        max_contexts: int,
-        window: int,
-        features: PolysemyFeatureExtractor,
-        detector: PolysemyDetector,
-        trained: bool,
-        cache_store: DiskCacheStore | RemoteCacheStore | None = None,
-        corpus_fingerprint: str = "",
-        config_fingerprint: str = "",
-    ) -> None:
-        self._index = index
-        self._min_contexts = min_contexts
-        self._max_contexts = max_contexts
-        self._window = window
-        self._features = features
-        self._detector = detector
-        self._trained = trained
-        # Only set under the process backend with a disk-backed cache:
-        # each worker reopens the store (it pickles to its directory
-        # path) and reads it directly for candidates the parent's
-        # prefill missed — e.g. entries a concurrent run persisted
-        # after the prefill.  Workers never write; new vectors ship
-        # back with the work item for the parent's single-writer merge.
-        self._cache_store = cache_store
-        self._corpus_fingerprint = corpus_fingerprint
-        self._config_fingerprint = config_fingerprint
-
-    def __call__(self, item: CandidateWork) -> None:
-        self._materialise(item)
-        self._classify(item)
-
-    def store_error_count(self) -> int:
-        """Failed store operations on this worker's own handle.
-
-        Only a remote store fails per-operation; the pool batch runner
-        samples this around each batch so worker-side failures merge
-        into the parent report's ``remote_errors``.
-        """
-        return getattr(self._cache_store, "error_count", 0)
-
-    def _materialise(self, item: CandidateWork) -> None:
-        occurrences = self._index.contexts_for_term(
-            item.candidate.term, window=self._window
-        )
-        item.report.n_contexts = len(occurrences)
-        if len(occurrences) < self._min_contexts:
-            item.report.skipped_reason = (
-                f"only {len(occurrences)} contexts "
-                f"(< {self._min_contexts})"
-            )
-            # A cache-prefilled vector must not survive on a skipped
-            # candidate: contexts is None ⇒ features is None.
-            item.features = None
-            return
-        # Cap very frequent candidates: the per-candidate clustering
-        # and graph features are superlinear in the context count.
-        cap = self._max_contexts
-        if len(occurrences) > cap:
-            step = len(occurrences) / cap
-            occurrences = [occurrences[int(i * step)] for i in range(cap)]
-        # Document frequency over the kept occurrences (they are what the
-        # feature vector sees).
-        item.doc_frequency = len({c.doc_id for c in occurrences})
-        item.contexts = [ctx_.tokens for ctx_ in occurrences]
-
-    def _classify(self, item: CandidateWork) -> None:
-        if item.contexts is None:
-            return
-        if not self._trained:
-            item.report.polysemic = False
-            return
-        if item.features is None and self._cache_store is not None:
-            stored = self._cache_store.get(
-                FeatureCache.key(
-                    self._corpus_fingerprint,
-                    item.candidate.term,
-                    self._config_fingerprint,
-                )
-            )
-            if stored is not None:
-                item.features = stored
-                item.features_from_store = True
-        if item.features is None:
-            item.features = self._features.features_from_contexts(
-                item.candidate.term,
-                item.contexts,
-                doc_frequency=item.doc_frequency,
-            )
-        item.report.polysemic = bool(
-            self._detector.predict_features(item.features[None, :])[0] == 1
-        )
 
 
 def detect_config_fingerprint(
@@ -436,34 +209,11 @@ class DetectStage:
         # then do cache lookups make sense (misses would never be
         # back-filled otherwise).
         cache = self._cache if self._trained else None
-        corpus_fp = config_fp = ""
-        worker_store: DiskCacheStore | RemoteCacheStore | None = None
-        if cache is not None:
-            corpus_fp = ctx.index.fingerprint()
-            config_fp = detect_config_fingerprint(self._features, cfg)
-            if (
-                cfg.worker_backend == "process"
-                and cfg.n_workers > 1
-                and isinstance(
-                    cache.backing_store, (DiskCacheStore, RemoteCacheStore)
-                )
-            ):
-                worker_store = cache.backing_store
-        processor = _DetectProcessor(
-            index=ctx.index,
-            min_contexts=cfg.min_contexts,
-            max_contexts=cfg.max_contexts_per_term,
-            window=cfg.context_window,
-            features=self._features,
-            detector=self._detector,
-            trained=self._trained,
-            cache_store=worker_store,
-            corpus_fingerprint=corpus_fp,
-            config_fingerprint=config_fp,
-        )
         keys: dict[int, tuple[str, str, str]] = {}
         prefilled: set[int] = set()
         if cache is not None:
+            corpus_fp = ctx.index.fingerprint()
+            config_fp = detect_config_fingerprint(self._features, cfg)
             for item in ctx.work:
                 keys[id(item)] = FeatureCache.key(
                     corpus_fp, item.candidate.term, config_fp
@@ -480,53 +230,64 @@ class DetectStage:
                 item.features = found.get(keys[id(item)])
                 if item.features is not None:
                     prefilled.add(id(item))
-        worker_errors = _for_each_candidate(
-            processor,
-            ctx.work,
-            n_workers=cfg.n_workers,
-            batch_size=cfg.batch_size,
-            backend=cfg.worker_backend,
-        )
+        for item in ctx.work:
+            self._materialise(ctx.index, cfg, item)
+            if item.contexts is None:
+                continue
+            if not self._trained:
+                item.report.polysemic = False
+                continue
+            if item.features is None:
+                item.features = self._features.features_from_contexts(
+                    item.candidate.term,
+                    item.contexts,
+                    doc_frequency=item.doc_frequency,
+                )
+            item.report.polysemic = bool(
+                self._detector.predict_features(item.features[None, :])[0]
+                == 1
+            )
         if cache is not None:
-            if worker_errors:
-                cache.absorb_worker_errors(worker_errors)
-            worker_hits = 0
             to_store: list = []
             for item in ctx.work:
                 if item.contexts is None:
                     continue  # skipped before featurisation: no lookup
-                hit = id(item) in prefilled or item.features_from_store
+                hit = id(item) in prefilled
                 cache.record_lookup(hit)
-                if item.features_from_store:
-                    worker_hits += 1
-                elif not hit and item.features is not None:
-                    # Single-writer merge: only the parent persists the
-                    # vectors workers computed.
+                if not hit:
                     to_store.append((keys[id(item)], item.features))
             if to_store:
                 # One store_many → batched uploads on a remote store.
                 cache.store_many(to_store)
-            if worker_hits:
-                # Workers read the store through their own handles, so
-                # their disk-hit counts must be merged back here (the
-                # report would under-count the process pool otherwise).
-                cache.absorb_worker_hits(worker_hits)
 
-
-class _InduceProcessor:
-    """Picklable Step III per-candidate work: sense induction."""
-
-    def __init__(self, inducer: SenseInducer) -> None:
-        self._inducer = inducer
-
-    def __call__(self, item: CandidateWork) -> None:
-        if item.contexts is None:
-            return
-        item.report.senses = self._inducer.induce(
-            item.candidate.term,
-            item.contexts,
-            polysemic=bool(item.report.polysemic),
+    @staticmethod
+    def _materialise(
+        index: CorpusIndex, cfg: EnrichmentConfig, item: CandidateWork
+    ) -> None:
+        """Retrieve ``item``'s capped contexts, or mark it skipped."""
+        occurrences = index.contexts_for_term(
+            item.candidate.term, window=cfg.context_window
         )
+        item.report.n_contexts = len(occurrences)
+        if len(occurrences) < cfg.min_contexts:
+            item.report.skipped_reason = (
+                f"only {len(occurrences)} contexts "
+                f"(< {cfg.min_contexts})"
+            )
+            # A cache-prefilled vector must not survive on a skipped
+            # candidate: contexts is None ⇒ features is None.
+            item.features = None
+            return
+        # Cap very frequent candidates: the per-candidate clustering
+        # and graph features are superlinear in the context count.
+        cap = cfg.max_contexts_per_term
+        if len(occurrences) > cap:
+            step = len(occurrences) / cap
+            occurrences = [occurrences[int(i * step)] for i in range(cap)]
+        # Document frequency over the kept occurrences (they are what the
+        # feature vector sees).
+        item.doc_frequency = len({c.doc_id for c in occurrences})
+        item.contexts = [ctx_.tokens for ctx_ in occurrences]
 
 
 class InduceStage:
@@ -538,14 +299,14 @@ class InduceStage:
         self._inducer = inducer
 
     def run(self, ctx: PipelineContext) -> None:
-        cfg = ctx.config
-        _for_each_candidate(
-            _InduceProcessor(self._inducer),
-            ctx.work,
-            n_workers=cfg.n_workers,
-            batch_size=cfg.batch_size,
-            backend=cfg.worker_backend,
-        )
+        for item in ctx.work:
+            if item.contexts is None:
+                continue
+            item.report.senses = self._inducer.induce(
+                item.candidate.term,
+                item.contexts,
+                polysemic=bool(item.report.polysemic),
+            )
 
 
 class LinkStage:
@@ -746,9 +507,8 @@ class OntologyEnricher:
         With ``EnrichmentConfig(index_dir=...)`` the corpus index
         itself persists in an
         :class:`~repro.corpus.index_store.IndexStore`: the first run
-        builds and saves it, every later run (even in a fresh process)
-        mmap-reopens it in O(1), and ``worker_backend="process"``
-        workers receive a path handle instead of a pickled index.
+        builds and saves it, and every later run (even in a fresh
+        process) mmap-reopens it in O(1).
         """
         timings: dict[str, float] = {}
         cache_before = (
@@ -763,24 +523,14 @@ class OntologyEnricher:
                 from repro.corpus.index_store import IndexStore
 
                 store = IndexStore(cfg.index_dir)
-                index = store.load_or_build(
-                    corpus,
-                    n_shards=cfg.index_shards,
-                    n_workers=cfg.n_workers,
-                    build_backend=cfg.worker_backend,
-                )
+                index = store.load_or_build(corpus)
                 # Cache the mmap handle on the corpus so repeated
                 # enrich calls (and anything else asking the corpus for
                 # its index) reuse the store generation; remembering the
                 # store keeps post-growth rebuilds persisted too.
                 corpus.adopt_index(index, store=store)
             else:
-                index = corpus.index(
-                    n_shards=(
-                        cfg.index_shards if cfg.index_shards > 1 else None
-                    ),
-                    n_workers=cfg.n_workers,
-                )
+                index = corpus.index()
         timings["index"] = time.perf_counter() - started
 
         # Step II needs a trained classifier; label source is the ontology.

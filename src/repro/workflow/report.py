@@ -109,8 +109,8 @@ class EnrichmentReport:
         Feature-cache effectiveness counters (see
         :class:`repro.polysemy.cache.FeatureCache`): ``hits``,
         ``misses``, ``disk_hits`` (lookups served by reading the
-        persistent store, including process-pool workers' direct
-        reads), and ``evictions`` are this ``enrich`` call's delta;
+        persistent store), and ``evictions`` are this ``enrich``
+        call's delta;
         ``entries`` and ``store_bytes`` are the absolute state of the
         backing store after the call.  Empty when the cache is
         disabled.

@@ -171,7 +171,7 @@ class StreamingEnricher:
         :meth:`add_documents`.
     enricher:
         Optional pre-built :class:`OntologyEnricher`; pass one to
-        control configuration (cache dir, index store, workers).  A
+        control configuration (cache dir, index store).  A
         default enricher is built otherwise.
     pos_lexicon:
         Forwarded to the default enricher (ignored when ``enricher`` is

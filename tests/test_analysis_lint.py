@@ -136,27 +136,6 @@ class TestConfigDrift:
         assert "unrelated" not in text  # other subparser ignored
 
 
-class TestPickleContract:
-    def test_pool_module_and_dispatched_classes_are_caught(self):
-        found = by_rule(findings_for("rl005"), "RL005")
-        messages = [f.message for f in found]
-        assert len(found) == 2
-        assert any(
-            m.startswith("Holder is reachable") and "self._lock" in m
-            for m in messages
-        )
-        assert any(
-            m.startswith("Shipped is reachable") and "self._guard" in m
-            for m in messages
-        )
-
-    def test_hooked_stateless_and_undispatched_classes_pass(self):
-        text = render_text(findings_for("rl005"))
-        assert "Safe" not in text  # __getstate__ declares the contract
-        assert "Stateless" not in text  # nothing unpicklable held
-        assert "Bystander" not in text  # never crosses the pipe
-
-
 class TestEngine:
     def test_baseline_roundtrip_grandfathers_findings(self, tmp_path):
         first = findings_for("rl001")

@@ -125,13 +125,9 @@ class TestDiskStoreUnderContention:
             polysemy_histogram={2: 3},
         )
 
-        def enrich_once(worker_backend: str):
+        def enrich_once():
             config = EnrichmentConfig(
-                n_candidates=6,
-                cache_dir=str(tmp_path),
-                n_workers=2,
-                worker_backend=worker_backend,
-                batch_size=2,
+                n_candidates=6, cache_dir=str(tmp_path)
             )
             enricher = OntologyEnricher(
                 scenario.ontology, config=config,
@@ -147,10 +143,7 @@ class TestDiskStoreUnderContention:
             ]
 
         with ThreadPoolExecutor(2) as pool:
-            futures = [
-                pool.submit(enrich_once, backend)
-                for backend in ("thread", "process")
-            ]
+            futures = [pool.submit(enrich_once) for _ in range(2)]
             first, second = (
                 f.result(timeout=RESULT_TIMEOUT * 2) for f in futures
             )

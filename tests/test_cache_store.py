@@ -1,7 +1,5 @@
 """DiskCacheStore behaviour: layout, sharing, eviction, corruption, wiring."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -73,14 +71,6 @@ class TestDiskRoundTrip:
         writer = DiskCacheStore(tmp_path)  # simulates another process
         writer.put(key("term"), vector(2))
         np.testing.assert_array_equal(reader.get(key("term")), vector(2))
-
-    def test_pickle_reopens_the_same_directory(self, tmp_path):
-        store = DiskCacheStore(tmp_path, max_bytes=10_000)
-        store.put(key("term"), vector(3))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.cache_dir == store.cache_dir
-        assert clone.max_bytes == 10_000
-        np.testing.assert_array_equal(clone.get(key("term")), vector(3))
 
     def test_clear_empties_disk_and_counters(self, tmp_path):
         store = DiskCacheStore(tmp_path)
@@ -446,51 +436,6 @@ class TestWorkflowPersistence:
         assert warm.cache["hits"] == cold.cache["misses"]
         assert warm.cache["disk_hits"] == warm.cache["hits"]
         assert self.outcome(warm) == self.outcome(cold)
-
-    def test_warm_process_pool_counters_match_thread(self, scenario, tmp_path):
-        cold = self.run(scenario, tmp_path)
-        threaded = self.run(
-            scenario, tmp_path, n_workers=2, worker_backend="thread"
-        )
-        process = self.run(
-            scenario, tmp_path, n_workers=2, worker_backend="process",
-            batch_size=2,
-        )
-        assert process.cache == threaded.cache
-        assert process.cache["hits"] == cold.cache["misses"]
-        assert process.cache["misses"] == 0
-        assert self.outcome(process) == self.outcome(cold)
-
-    def test_worker_store_hits_are_merged_back(
-        self, scenario, tmp_path, monkeypatch
-    ):
-        # Regression: lookups that pool workers serve straight from the
-        # shared store must flow back into the parent's counters, or
-        # EnrichmentReport.cache under-reports the process pool.  Blind
-        # the parent's prefill (record=False peeks only) so every
-        # detect-stage lookup can only be satisfied inside a worker.
-        self.run(scenario, tmp_path)  # populate the store
-        original = FeatureCache.lookup
-
-        def blinded(self, key, *, record=True):
-            if not record:
-                return None
-            return original(self, key, record=record)
-
-        monkeypatch.setattr(FeatureCache, "lookup", blinded)
-        report = self.run(
-            scenario, tmp_path, n_workers=2, worker_backend="process",
-            batch_size=2,
-        )
-        featurised = [
-            t for t in report.terms if t.skipped_reason is None
-        ]
-        assert featurised
-        # Every featurised candidate was a worker-side store hit: no
-        # misses, and the disk-hit counter includes the workers' reads.
-        assert report.cache["misses"] == 0
-        assert report.cache["hits"] >= len(featurised)
-        assert report.cache["disk_hits"] >= len(featurised)
 
     def test_capped_store_still_produces_identical_reports(
         self, scenario, tmp_path

@@ -116,28 +116,6 @@ class TestEnrich:
         assert code == 0
         assert "Enrichment report" in out
 
-    def test_enrich_with_index_shards_matches_default(
-        self, scenario_dir, capsys
-    ):
-        argv = [
-            "enrich",
-            "--ontology", str(scenario_dir / "ontology.json"),
-            "--corpus", str(scenario_dir / "corpus.jsonl"),
-            "--candidates", "3",
-            "--top-k", "3",
-        ]
-        assert main(argv) == 0
-        baseline = capsys.readouterr().out
-        assert main(argv + ["--index-shards", "4"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == baseline
-
-    def test_index_shards_default(self):
-        args = build_parser().parse_args(
-            ["enrich", "--ontology", "o", "--corpus", "c"]
-        )
-        assert args.index_shards == 1
-
     def test_cache_flags_default_off(self):
         args = build_parser().parse_args(
             ["enrich", "--ontology", "o", "--corpus", "c"]
@@ -207,6 +185,42 @@ class TestServeAndCacheInfoParsers:
         )
         assert args.cache_url == "http://h:1"
         assert args.cache_timeout == 0.5
+
+
+class TestIndexCommands:
+    def test_build_then_inspect(self, scenario_dir, tmp_path, capsys):
+        index_dir = tmp_path / "indexes"
+        argv = [
+            "index", "build",
+            "--corpus", str(scenario_dir / "corpus.jsonl"),
+            "--index-dir", str(index_dir),
+        ]
+        assert main(argv) == 0
+        assert "stored" in capsys.readouterr().out
+        assert main(["index", "inspect", "--index-dir", str(index_dir)]) == 0
+        captured = capsys.readouterr()
+        assert "single" in captured.out
+        assert captured.err == ""
+
+    def test_inspect_flags_a_leftover_sharded_generation(
+        self, tmp_path, capsys
+    ):
+        from repro.corpus.document import Document
+        from repro.corpus.index_store import IndexStore
+        from test_index_store import write_sharded_generation
+
+        store = IndexStore(tmp_path / "indexes")
+        fingerprint = write_sharded_generation(
+            store, [Document("d0", [["wound", "heals"]])]
+        )
+        assert main(
+            ["index", "inspect", "--index-dir", str(store.directory)]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "single" not in captured.out
+        assert fingerprint[:12] in captured.err
+        assert "'sharded'" in captured.err
+        assert "the next build will replace it" in captured.err
 
 
 class TestCacheInfo:

@@ -5,7 +5,10 @@ retrieval code (``Corpus.contexts_for_term``'s greedy document scan and
 ``linkage.context.find_occurrence_records``'s one-pass multi-term scan).
 Randomized corpora over a tiny vocabulary force the hard cases: repeated
 tokens, overlapping occurrences, multi-token needles, and windows clipped
-at document boundaries.
+at document boundaries.  An index extended through ``add_documents``
+must answer every query — and carry the fingerprint — of a fresh build
+over the same documents (:func:`assert_full_parity`, shared with the
+index-store suite).
 """
 
 import random
@@ -14,7 +17,7 @@ import pytest
 
 from repro.corpus.corpus import Corpus, TermContext
 from repro.corpus.document import Document
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.errors import CorpusError
 
 
@@ -78,16 +81,19 @@ def scan_occurrence_records(corpus, terms, *, window=10):
     return needles
 
 
-def random_corpus(rng, *, n_docs=6, vocab=("a", "b", "c", "d")):
+def random_documents(rng, *, n_docs=9, vocab=("a", "b", "c", "d")):
     docs = []
     for i in range(n_docs):
-        n_sentences = rng.randint(1, 4)
         sentences = [
             [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
-            for _ in range(n_sentences)
+            for _ in range(rng.randint(1, 4))
         ]
         docs.append(Document(f"d{i}", sentences))
-    return Corpus(docs)
+    return docs
+
+
+def random_corpus(rng, *, n_docs=6, vocab=("a", "b", "c", "d")):
+    return Corpus(random_documents(rng, n_docs=n_docs, vocab=vocab))
 
 
 def random_terms(rng, *, vocab=("a", "b", "c", "d"), n_terms=8):
@@ -96,6 +102,32 @@ def random_terms(rng, *, vocab=("a", "b", "c", "d"), n_terms=8):
         length = rng.randint(1, 3)
         terms.add(" ".join(rng.choice(vocab) for _ in range(length)))
     return sorted(terms)
+
+
+def assert_full_parity(candidate, reference, terms):
+    """Every query method of ``candidate`` matches ``reference``."""
+    assert candidate.fingerprint() == reference.fingerprint()
+    assert candidate.n_documents() == reference.n_documents()
+    assert candidate.n_tokens() == reference.n_tokens()
+    assert candidate.vocabulary_size() == reference.vocabulary_size()
+    assert candidate.doc_lengths() == reference.doc_lengths()
+    assert candidate.token_documents() == reference.token_documents()
+    for term in terms:
+        assert candidate.phrase_occurrences(term) == \
+            reference.phrase_occurrences(term), term
+        assert candidate.term_frequency(term) == \
+            reference.term_frequency(term), term
+        assert candidate.document_frequency(term) == \
+            reference.document_frequency(term), term
+        for window in (1, 3, 50):
+            assert candidate.contexts_for_term(term, window=window) == \
+                reference.contexts_for_term(term, window=window), (term, window)
+        for token in term.split():
+            assert candidate.token_frequency(token) == \
+                reference.token_frequency(token)
+    for window in (1, 20):
+        assert candidate.occurrence_records(terms, window=window) == \
+            reference.occurrence_records(terms, window=window)
 
 
 # -- randomized parity -------------------------------------------------------
@@ -335,12 +367,82 @@ class TestDocLengthsCache:
         index.add_documents([])
         assert index.doc_lengths() is cached
 
-    def test_sharded_merge_is_cached_and_invalidated(self):
-        docs = [Document(f"d{i}", [["t"] * (i + 1)]) for i in range(5)]
-        sharded = ShardedCorpusIndex(docs, n_shards=2)
-        first = sharded.doc_lengths()
-        assert first == {f"d{i}": i + 1 for i in range(5)}
-        assert sharded.doc_lengths() is first
-        sharded.add_documents([Document("d5", [["t"] * 9])])
-        assert sharded.doc_lengths()["d5"] == 9
-        assert sharded.doc_lengths() is sharded.doc_lengths()
+
+class TestIncrementalParity:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_add_documents_matches_fresh_build(self, seed):
+        rng = random.Random(seed)
+        docs = random_documents(rng)
+        split = rng.randint(0, len(docs))
+        incremental = CorpusIndex(docs[:split])
+        incremental.add_documents(docs[split:])
+        assert_full_parity(incremental, CorpusIndex(docs), random_terms(rng))
+
+    def test_fingerprint_extends_chain_per_document(self):
+        docs = [Document(f"d{i}", [["x", "y"]]) for i in range(4)]
+        grown = CorpusIndex([])
+        for doc in docs:
+            grown.add_documents([doc])
+        assert grown.fingerprint() == CorpusIndex(docs).fingerprint()
+
+    def test_add_documents_changes_fingerprint(self):
+        index = CorpusIndex([Document("d0", [["a"]])])
+        before = index.fingerprint()
+        index.add_documents([Document("d1", [["a"]])])
+        assert index.fingerprint() != before
+
+    def test_duplicate_ids_rejected_before_any_mutation(self):
+        index = CorpusIndex([Document("d0", [["a"]])])
+        fingerprint = index.fingerprint()
+        with pytest.raises(CorpusError, match="duplicate document id"):
+            index.add_documents(
+                [Document("d1", [["b"]]), Document("d0", [["c"]])]
+            )
+        # The batch was rejected atomically: d1 was never applied.
+        assert index.n_documents() == 1
+        assert index.fingerprint() == fingerprint
+        with pytest.raises(CorpusError, match="duplicate document id"):
+            index.add_documents(
+                [Document("dup", [["b"]]), Document("dup", [["c"]])]
+            )
+
+    def test_mixed_case_documents_normalised_on_add(self):
+        index = CorpusIndex([Document("d0", [["corneal", "injury"]])])
+        index.add_documents([Document("d1", [["Corneal", "Injury"]])])
+        assert index.term_frequency("corneal injury") == 2
+        assert index.document_frequency("corneal injury") == 2
+
+
+class TestAllOrNothingAdds:
+    """Regression: a rejected batch must leave no trace whatsoever.
+
+    A document whose tokenisation raises mid-batch must not leave the
+    index partially extended with the fingerprint chain advanced.
+    """
+
+    @staticmethod
+    def snapshot(index, terms):
+        return (
+            index.fingerprint(),
+            index.n_documents(),
+            index.n_tokens(),
+            index.doc_lengths(),
+            {t: index.phrase_occurrences(t) for t in terms},
+        )
+
+    def test_failing_tokenisation_mid_batch_leaves_no_trace(self):
+        rng = random.Random(23)
+        docs = random_documents(rng)
+        terms = random_terms(rng)
+        index = CorpusIndex(docs)
+        before = self.snapshot(index, terms)
+        # tokens() runs caller code; a non-string "token" makes the
+        # build-time lower-casing raise after a good document.
+        with pytest.raises(AttributeError):
+            index.add_documents(
+                [Document("n0", [["fine"]]), Document("n1", [["a", 3]])]
+            )
+        assert self.snapshot(index, terms) == before
+        # The index still works and accepts the valid part afterwards.
+        index.add_documents([Document("n0", [["fine"]])])
+        assert index.term_frequency("fine") == 1

@@ -102,7 +102,7 @@ class TestExamples:
         out = run_example("large_corpus", capsys, n_concepts=15,
                           docs_per_concept=4)
         assert "mmap reopen" in out
-        assert "worker payload" in out
+        assert "1 stored generation(s)" in out
         assert "identical reports: True" in out
 
     def test_cache_service(self, capsys):

@@ -6,8 +6,9 @@ deterministic seed scenario is pinned in
 labels, sense counts, propositions, warnings, and the cold/warm cache
 counters of a disk-backed run.  Both the cold run (empty ``cache_dir``)
 and the warm run (a brand-new enricher reading the store a previous
-process left behind) must reproduce it exactly, under every worker
-backend.
+process left behind) must reproduce it exactly, with the corpus index
+built in memory or persisted in (and mmap-reopened from) an
+``index_dir``.
 
 Regenerate after an *intentional* output change with::
 
@@ -22,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.corpus.corpus import Corpus
+from repro.corpus.index_store import IndexStore, MmapCorpusIndex
 from repro.scenarios import make_enrichment_scenario
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
@@ -93,17 +96,16 @@ def scenario():
     return make_enrichment_scenario(**SCENARIO_KWARGS)
 
 
-def run(scenario, cache_dir, *, n_workers=1, worker_backend="thread"):
+def run(scenario, cache_dir, *, corpus=None, index_dir=None):
     config = EnrichmentConfig(
         cache_dir=str(cache_dir),
-        n_workers=n_workers,
-        worker_backend=worker_backend,
+        index_dir=None if index_dir is None else str(index_dir),
         **CONFIG_KWARGS,
     )
     enricher = OntologyEnricher(
         scenario.ontology, config=config, pos_lexicon=scenario.pos_lexicon
     )
-    return enricher.enrich(scenario.corpus)
+    return enricher.enrich(scenario.corpus if corpus is None else corpus)
 
 
 class TestGoldenEnrichment:
@@ -133,19 +135,31 @@ class TestGoldenEnrichment:
         assert cold.cache["store_bytes"] > 0
         assert warm.cache["store_bytes"] == cold.cache["store_bytes"]
 
-    @pytest.mark.parametrize(
-        "backend,workers", [("thread", 2), ("process", 2)]
-    )
-    def test_worker_backends_reproduce_the_golden_report(
-        self, scenario, tmp_path, backend, workers
-    ):
+    def test_index_dir_reproduces_the_golden_report(self, scenario, tmp_path):
+        """A persisted, then mmap-reopened, index changes nothing."""
         golden = json.loads(GOLDEN_PATH.read_text())
+        index_dir = tmp_path / "indexes"
+        # Fresh Corpus objects: the run adopts the store's index onto
+        # the corpus it enriches, which must not leak into the fixture.
+        cold_corpus = Corpus(list(scenario.corpus))
         cold = run(
-            scenario, tmp_path, n_workers=workers, worker_backend=backend
+            scenario, tmp_path / "cache",
+            corpus=cold_corpus, index_dir=index_dir,
         )
+        store = IndexStore(index_dir)
+        (fingerprint,) = store.fingerprints()
+        assert isinstance(cold_corpus.index(), MmapCorpusIndex)
+        manifest = store.path_for(fingerprint) / "manifest.json"
+        written = manifest.stat().st_mtime_ns
+        warm_corpus = Corpus(list(scenario.corpus))
         warm = run(
-            scenario, tmp_path, n_workers=workers, worker_backend=backend
+            scenario, tmp_path / "cache",
+            corpus=warm_corpus, index_dir=index_dir,
         )
+        # The second run reopened the generation instead of rebuilding.
+        assert isinstance(warm_corpus.index(), MmapCorpusIndex)
+        assert manifest.stat().st_mtime_ns == written
+        assert store.fingerprints() == [fingerprint]
         assert_snapshot_equal(report_snapshot(cold), golden["report"])
         assert_snapshot_equal(report_snapshot(warm), golden["report"])
         assert {

@@ -1,34 +1,33 @@
-"""On-disk corpus index store: mmap parity, corruption, pickling.
+"""On-disk corpus index store: mmap parity, corruption, legacy layouts.
 
 The tentpole contract of :mod:`repro.corpus.index_store`:
 
 * an :class:`MmapCorpusIndex` reopened from a persisted generation is
   byte-identical to the in-memory :class:`CorpusIndex` it came from —
   every query method AND the content fingerprint chain;
-* process-pool workers receive a picklable *path handle* (a few hundred
-  bytes) instead of the postings themselves;
 * any corruption — truncation, flipped bytes, a torn manifest, version
   skew, a missing file — makes :meth:`IndexStore.open` raise and
   :meth:`IndexStore.load_or_build` degrade to a clean rebuild: never a
-  wrong answer.
+  wrong answer;
+* so does a ``kind: "sharded"`` generation older releases wrote: it
+  never opens, and the next build replaces it with a single one.
 """
 
-import pickle
+import json
 import random
 
 import pytest
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import (
     IndexStore,
     IndexStoreError,
     MmapCorpusIndex,
-    build_sharded_index,
 )
 from repro.errors import CorpusError
-from test_index_sharded import (
+from test_corpus_index import (
     assert_full_parity,
     random_documents,
     random_terms,
@@ -42,6 +41,28 @@ def build_store(tmp_path, docs):
     return store, index
 
 
+def write_sharded_generation(store, docs):
+    """Hand-write the ``kind: "sharded"`` layout older releases saved.
+
+    A top-level manifest naming ``shard-NNNN`` subdirectories, keyed by
+    the whole-corpus fingerprint; returns that fingerprint.
+    """
+    fingerprint = CorpusIndex(docs).fingerprint()
+    generation = store.path_for(fingerprint)
+    (generation / "shard-0000").mkdir(parents=True)
+    (generation / "shard-0000" / "manifest.json").write_text("{}\n")
+    manifest = {
+        "version": 1,
+        "kind": "sharded",
+        "fingerprint": fingerprint,
+        "n_documents": len(docs),
+        "n_tokens": sum(doc.n_tokens() for doc in docs),
+        "shards": ["shard-0000"],
+    }
+    (generation / "manifest.json").write_text(json.dumps(manifest))
+    return fingerprint
+
+
 class TestMmapParity:
     @pytest.mark.parametrize("seed", range(6))
     def test_single_generation_full_parity(self, tmp_path, seed):
@@ -52,50 +73,12 @@ class TestMmapParity:
         assert isinstance(opened, MmapCorpusIndex)
         assert_full_parity(opened, reference, random_terms(rng))
 
-    @pytest.mark.parametrize("n_shards", [2, 3, 5])
-    def test_sharded_generation_full_parity(self, tmp_path, n_shards):
-        rng = random.Random(n_shards)
-        docs = random_documents(rng, n_docs=10)
-        reference = CorpusIndex(docs)
-        store = IndexStore(tmp_path / "store")
-        store.save(ShardedCorpusIndex(docs, n_shards=n_shards))
-        opened = store.open(reference.fingerprint())
-        assert isinstance(opened, ShardedCorpusIndex)
-        assert all(
-            isinstance(shard, MmapCorpusIndex) for shard in opened.shards()
-        )
-        assert_full_parity(opened, reference, random_terms(rng))
-
-    def test_process_pool_shard_build_parity(self, tmp_path):
-        rng = random.Random(7)
-        docs = random_documents(rng, n_docs=12)
-        reference = CorpusIndex(docs)
-        built = build_sharded_index(
-            docs,
-            tmp_path / "gen",
-            n_shards=3,
-            n_workers=2,
-            build_backend="process",
-        )
-        assert_full_parity(built, reference, random_terms(rng))
-
     def test_empty_corpus_round_trips(self, tmp_path):
         store, reference = build_store(tmp_path, [])
         opened = store.open(reference.fingerprint())
         assert opened.n_documents() == 0
         assert opened.fingerprint() == reference.fingerprint()
         assert opened.term_frequency("a") == 0
-
-    def test_extend_fingerprint_matches(self, tmp_path):
-        docs = random_documents(random.Random(3))
-        store, reference = build_store(tmp_path, docs)
-        opened = store.open(reference.fingerprint())
-        # Continuing the hash chain through the mmap view must produce
-        # the same value as through the in-memory postings.
-        assert opened.extend_fingerprint("0" * 40) == \
-            reference.extend_fingerprint("0" * 40)
-        assert opened.extend_fingerprint(reference.fingerprint()) == \
-            reference.extend_fingerprint(reference.fingerprint())
 
     def test_mmap_handle_is_read_only(self, tmp_path):
         docs = random_documents(random.Random(0))
@@ -106,29 +89,6 @@ class TestMmapParity:
             opened.add_documents([Document("x", [["a"]])])
         with pytest.raises(CorpusError, match="mmap"):
             store.save(opened)
-
-
-class TestPickling:
-    def test_pickle_is_a_path_handle(self, tmp_path):
-        rng = random.Random(5)
-        docs = random_documents(rng, n_docs=14)
-        store, reference = build_store(tmp_path, docs)
-        opened = store.open(reference.fingerprint())
-        payload = pickle.dumps(opened)
-        assert len(payload) < 4 * len(pickle.dumps(reference))
-        assert len(payload) < 1024
-        clone = pickle.loads(payload)
-        assert_full_parity(clone, reference, random_terms(rng))
-
-    def test_sharded_mmap_pickles(self, tmp_path):
-        rng = random.Random(6)
-        docs = random_documents(rng, n_docs=9)
-        reference = CorpusIndex(docs)
-        store = IndexStore(tmp_path / "store")
-        store.save(ShardedCorpusIndex(docs, n_shards=3))
-        opened = store.open(reference.fingerprint(), n_workers=2)
-        clone = pickle.loads(pickle.dumps(opened))
-        assert_full_parity(clone, reference, random_terms(rng))
 
 
 def _one_array_file(generation):
@@ -212,19 +172,6 @@ class TestCorruption:
         assert_full_parity(
             store.open(reference.fingerprint()), reference, random_terms(rng)
         )
-
-    def test_load_or_build_rebuilds_sharded_after_corruption(self, tmp_path):
-        rng = random.Random(9)
-        docs = random_documents(rng, n_docs=10)
-        reference = CorpusIndex(docs)
-        store = IndexStore(tmp_path / "store")
-        store.save(ShardedCorpusIndex(docs, n_shards=3))
-        target = _one_array_file(store.path_for(reference.fingerprint()))
-        with open(target, "r+b") as fh:
-            fh.truncate(1)
-        rebuilt = store.load_or_build(docs, n_shards=3, n_workers=2)
-        assert isinstance(rebuilt, ShardedCorpusIndex)
-        assert_full_parity(rebuilt, reference, random_terms(rng))
 
     def test_unwritable_store_degrades_to_in_memory(
         self, tmp_path, monkeypatch
@@ -338,14 +285,53 @@ class TestCorpusAdoption:
         assert isinstance(grown, MmapCorpusIndex)
         assert grown.fingerprint() in store.fingerprints()
 
-    def test_sharded_adoption_rebuilds_through_the_store(self, tmp_path):
-        docs = random_documents(random.Random(14))
-        corpus = Corpus(docs)
+
+class TestLegacyShardedGenerations:
+    """Older releases also wrote ``kind: "sharded"`` generations.
+
+    Such a generation must fail closed: it never opens, ``describe``
+    flags it for replacement, and ``load_or_build`` rebuilds a single
+    generation under the same fingerprint in its place.
+    """
+
+    def test_open_refuses_a_sharded_generation(self, tmp_path):
+        docs = random_documents(random.Random(15))
         store = IndexStore(tmp_path / "store")
-        corpus.adopt_index(store.load_or_build(corpus, n_shards=2))
-        corpus.add(Document("late", [["new", "tokens"]]))
-        grown = corpus.index()
-        expected = CorpusIndex(list(corpus))
-        assert grown.n_shards == 2
-        assert grown.fingerprint() == expected.fingerprint()
-        assert expected.fingerprint() in store.fingerprints()
+        fingerprint = write_sharded_generation(store, docs)
+        with pytest.raises(IndexStoreError, match="'sharded'"):
+            store.open(fingerprint)
+
+    def test_load_or_build_replaces_it_with_a_single_generation(
+        self, tmp_path
+    ):
+        rng = random.Random(16)
+        docs = random_documents(rng)
+        store = IndexStore(tmp_path / "store")
+        fingerprint = write_sharded_generation(store, docs)
+        rebuilt = store.load_or_build(docs)
+        assert isinstance(rebuilt, MmapCorpusIndex)
+        assert_full_parity(rebuilt, CorpusIndex(docs), random_terms(rng))
+        generation = store.path_for(fingerprint)
+        assert store.fingerprints() == [fingerprint]
+        assert not (generation / "shard-0000").exists()
+        manifest = json.loads((generation / "manifest.json").read_text())
+        assert manifest["kind"] == "single"
+        assert isinstance(store.open(fingerprint), MmapCorpusIndex)
+
+    def test_describe_flags_it_for_replacement(self, tmp_path):
+        docs = random_documents(random.Random(17))
+        store = IndexStore(tmp_path / "store")
+        write_sharded_generation(store, docs)
+        (generation,) = store.describe()["generations"]
+        assert generation["kind"] == "corrupt"
+        assert "'sharded'" in generation["error"]
+        assert generation["bytes"] > 0
+
+    def test_single_generations_keep_the_version_one_layout(self, tmp_path):
+        # Generations written before sharding was removed must still
+        # reopen, so the single layout and its version stay as they were.
+        docs = random_documents(random.Random(18))
+        store, reference = build_store(tmp_path, docs)
+        generation = store.path_for(reference.fingerprint())
+        manifest = json.loads((generation / "manifest.json").read_text())
+        assert (manifest["version"], manifest["kind"]) == (1, "single")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.corpus.index import CorpusIndex, ShardedCorpusIndex
+from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore, MmapCorpusIndex
 from repro.extraction.extractor import BioTexExtractor
 from repro.linkage.linker import SemanticLinker
@@ -26,14 +26,12 @@ from repro.scenarios import make_enrichment_scenario
 from repro.text.cooccurrence import CooccurrenceGraphBuilder
 from repro.text.postag import LexiconTagger
 
-INDEX_KINDS = ("monolithic", "sharded", "mmap")
+INDEX_KINDS = ("monolithic", "mmap")
 
 
 def make_index(kind, corpus, directory):
     if kind == "monolithic":
         return CorpusIndex(corpus)
-    if kind == "sharded":
-        return ShardedCorpusIndex(corpus, n_shards=3)
     index = IndexStore(directory).load_or_build(corpus)
     assert isinstance(index, MmapCorpusIndex)
     return index

@@ -9,7 +9,6 @@ degrades to misses — never an exception.
 """
 
 import json
-import pickle
 import time
 
 import numpy as np
@@ -240,14 +239,6 @@ class TestRemoteCacheStoreProtocol:
     def test_satisfies_the_cache_store_protocol(self, server):
         assert isinstance(RemoteCacheStore(server.url), CacheStore)
 
-    def test_pickles_to_its_url(self, server):
-        remote = RemoteCacheStore(server.url, timeout=2.5)
-        remote.put(key(), np.arange(4.0))
-        clone = pickle.loads(pickle.dumps(remote))
-        assert clone.base_url == server.url
-        assert clone.timeout == 2.5
-        np.testing.assert_array_equal(clone.get(key()), np.arange(4.0))
-
     def test_bare_host_port_accepted(self, server):
         remote = RemoteCacheStore(f"127.0.0.1:{server.port}")
         remote.put(key(), np.arange(2.0))
@@ -299,13 +290,6 @@ class TestRemoteCacheStoreProtocol:
         assert stats["misses"] == 1
         assert stats["remote_hits"] == 1
         assert stats["remote_errors"] == 0
-        assert stats["disk_hits"] == 0
-
-    def test_worker_hits_merge_onto_the_remote_counter(self, server):
-        cache = FeatureCache(store=RemoteCacheStore(server.url))
-        cache.absorb_worker_hits(7)
-        stats = cache.stats
-        assert stats["remote_hits"] == 7
         assert stats["disk_hits"] == 0
 
 
@@ -374,41 +358,6 @@ class TestServedWorkflow:
         # Degradation changes only the cache economics, never the output.
         assert self.outcome(dead) == self.outcome(cold)
 
-    def test_process_pool_workers_read_the_service(self, scenario, server):
-        cold = self.run(scenario, server.url)
-        process = self.run(
-            scenario, server.url, n_workers=2,
-            worker_backend="process", batch_size=2,
-        )
-        assert process.cache["misses"] == 0
-        assert process.cache["hits"] == cold.cache["misses"]
-        assert process.cache["remote_hits"] == process.cache["hits"]
-        assert self.outcome(process) == self.outcome(cold)
-
-    def test_worker_remote_errors_are_merged_back(self, scenario, tmp_path):
-        live = CacheServiceServer(
-            DiskCacheStore(tmp_path / "short-lived"), port=0
-        )
-        live.start()
-        baseline = self.run(scenario, live.url)
-        live.stop()
-        dead = self.run(
-            scenario, live.url, n_workers=2,
-            worker_backend="process", batch_size=2, cache_timeout=0.5,
-        )
-        sequential = self.run(scenario, live.url, cache_timeout=0.5)
-        assert self.outcome(dead) == self.outcome(baseline)
-        assert self.outcome(sequential) == self.outcome(baseline)
-        # The batching parent pays O(chunks) failures (one degraded
-        # prefill get_many + one degraded store_many); process workers
-        # additionally probe the store per item on their *own* handles,
-        # and those failures must ship back — without the merge the
-        # process run would count no more errors than a sequential one.
-        assert sequential.cache["remote_errors"] > 0
-        assert (
-            dead.cache["remote_errors"] > sequential.cache["remote_errors"]
-        )
-
 
 class TestEnrichmentJobs:
     @pytest.fixture(scope="class")
@@ -463,10 +412,11 @@ class TestEnrichmentJobs:
         with pytest.raises(ServiceError, match="owned by the service"):
             client.submit_job("demo", config={"cache_dir": "/tmp/x"})
         with pytest.raises(ServiceError, match="owned by the service"):
-            # Worker plumbing is locked too: a remote client must not
-            # control server-side process fan-out.
+            client.submit_job("demo", config={"index_dir": "/tmp/x"})
+        # The pipeline has no worker pools: their old knobs are unknown.
+        with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"n_workers": 16})
-        with pytest.raises(ServiceError, match="owned by the service"):
+        with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"worker_backend": "process"})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"frobnicate": 1})

@@ -1,11 +1,10 @@
-"""The staged pipeline: stage wiring, batching determinism, and timings."""
+"""The staged pipeline: stage wiring, determinism, and timings."""
 
 import numpy as np
 import pytest
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.corpus.index import ShardedCorpusIndex
 from repro.errors import ValidationError
 from repro.extraction.extractor import RankedTerm
 from repro.ontology.model import Concept, Ontology
@@ -78,16 +77,6 @@ class TestStagedPipelineParity:
         first = enrich(scenario)
         second = enrich(scenario)
         assert report_fingerprint(first) == report_fingerprint(second)
-
-    def test_workers_do_not_change_the_report(self, scenario):
-        sequential = enrich(scenario)
-        threaded = enrich(scenario, n_workers=4, batch_size=1)
-        assert report_fingerprint(sequential) == report_fingerprint(threaded)
-
-    def test_batch_size_does_not_change_the_report(self, scenario):
-        small = enrich(scenario, n_workers=2, batch_size=1)
-        large = enrich(scenario, n_workers=2, batch_size=64)
-        assert report_fingerprint(small) == report_fingerprint(large)
 
     def test_prebuilt_index_reuse_matches(self, scenario):
         baseline = enrich(scenario)
@@ -227,32 +216,6 @@ class TestTimingsAndConfig:
         with pytest.raises(ValidationError, match="max_contexts_per_term"):
             EnrichmentConfig(min_contexts=5, max_contexts_per_term=4)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"batch_size": 0}, {"n_workers": 0}],
-    )
-    def test_invalid_batching_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
-            EnrichmentConfig(**kwargs)
-
-
-class TestWorkerBackends:
-    def test_process_pool_matches_sequential(self, scenario):
-        sequential = enrich(scenario)
-        process = enrich(
-            scenario, n_workers=2, worker_backend="process", batch_size=2
-        )
-        assert report_fingerprint(sequential) == report_fingerprint(process)
-
-    def test_process_pool_matches_threads(self, scenario):
-        threaded = enrich(scenario, n_workers=2, worker_backend="thread")
-        process = enrich(scenario, n_workers=2, worker_backend="process")
-        assert report_fingerprint(threaded) == report_fingerprint(process)
-
-    def test_invalid_worker_backend_rejected(self):
-        with pytest.raises(ValidationError, match="worker_backend"):
-            EnrichmentConfig(worker_backend="greenlet")
-
 
 class TestCommunityBackendKnob:
     def test_louvain_and_greedy_agree_on_labels(self, scenario):
@@ -306,33 +269,6 @@ class TestFeatureCacheWiring:
         cached = enrich(scenario)
         uncached = enrich(scenario, feature_cache=False)
         assert report_fingerprint(cached) == report_fingerprint(uncached)
-
-
-class TestIndexShardsKnob:
-    def test_sharded_index_does_not_change_the_report(self, scenario):
-        baseline = enrich(scenario)
-        sharded = enrich(scenario, index_shards=3)
-        assert report_fingerprint(baseline) == report_fingerprint(sharded)
-
-    def test_enrich_builds_and_caches_sharded_index(self):
-        scenario = make_enrichment_scenario(
-            seed=3, n_concepts=12, docs_per_concept=3,
-        )
-        config = EnrichmentConfig(
-            n_candidates=3, min_contexts=2, index_shards=2
-        )
-        enricher = OntologyEnricher(
-            scenario.ontology, config=config,
-            pos_lexicon=scenario.pos_lexicon,
-        )
-        enricher.enrich(scenario.corpus)
-        index = scenario.corpus.index()
-        assert isinstance(index, ShardedCorpusIndex)
-        assert index.n_shards == 2
-
-    def test_invalid_index_shards_rejected(self):
-        with pytest.raises(ValidationError, match="index_shards"):
-            EnrichmentConfig(index_shards=0)
 
 
 class TestTrainingFallback:
