@@ -12,9 +12,15 @@ one :class:`CommunityBackend` so they share a single implementation:
   parity fallback (it is the seed implementation the feature tables
   were first produced with).
 
-Backends take a networkx graph and return node communities as a list of
-sets, largest first (ties broken by smallest node insertion order) so
-either backend yields a stable, comparable community list.
+Every backend offers ``communities``: it takes a networkx graph and
+returns node communities as a list of sets, largest first (ties broken
+by smallest node insertion order), so either backend yields a stable,
+comparable community list.  The ``graph`` clustering's kNN graph is a
+networkx graph and goes through that interface.  The Step II context
+graphs are built as :class:`~repro.clustering.louvain.CSRGraph` arrays:
+Louvain reads them directly through ``labels_from_csr``, and only the
+greedy backend, which has no such method, gets a networkx graph rebuilt
+from the CSR arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +36,12 @@ from repro.errors import ClusteringError
 
 @runtime_checkable
 class CommunityBackend(Protocol):
-    """Anything that can partition a graph's nodes into communities."""
+    """Anything that can partition a graph's nodes into communities.
+
+    The protocol's input is a networkx graph.  A backend may also offer
+    ``labels_from_csr(csr, *, seed)`` (as :class:`LouvainBackend` does);
+    callers holding a :class:`CSRGraph` use it to skip networkx.
+    """
 
     name: str
 

@@ -26,15 +26,34 @@ class _Node:
         return self.left is None
 
 
-def _impurity(counts: np.ndarray, criterion: str) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
+def _impurities(class_counts: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of every set of samples whose class counts are given.
+
+    ``class_counts[c]`` holds class ``c``'s count in each set; every set
+    holds at least one sample.  Totals and sums run class by class in
+    class order, which is the order numpy's ``sum`` takes over fewer
+    than 8 terms: with fewer than 8 classes each value is bit-identical
+    to summing that set's counts, squares or entropy terms with
+    ``np.sum``.
+    """
+    total = class_counts[0]
+    for counts in class_counts[1:]:
+        total = total + counts
+    proportions = class_counts / total
     if criterion == "gini":
-        return float(1.0 - (p**2).sum())
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+        squares = proportions**2
+        acc = squares[0]
+        for square in squares[1:]:
+            acc = acc + square
+        return 1.0 - acc
+    terms = np.zeros_like(proportions)
+    positive = proportions > 0
+    p = proportions[positive]
+    terms[positive] = p * np.log2(p)
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return -acc
 
 
 class DecisionTreeClassifier(BaseClassifier):
@@ -94,35 +113,42 @@ class DecisionTreeClassifier(BaseClassifier):
     def _best_split(
         self, X: np.ndarray, y: np.ndarray, features: np.ndarray
     ) -> tuple[int, float, float] | None:
-        """(feature, threshold, impurity decrease) of the best split, if any."""
+        """(feature, threshold, impurity decrease) of the best split, if any.
+
+        Every split position of every candidate feature is scored at
+        once from cumulative class counts.  The best is the first
+        maximum: the lowest position within a feature, then the earliest
+        feature in ``features``.
+        """
         n = X.shape[0]
         k = self.classes_.shape[0]
         parent_counts = np.bincount(y, minlength=k)
-        parent_imp = _impurity(parent_counts, self.criterion)
-        best: tuple[int, float, float] | None = None
-        for feature in features:
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = y[order]
-            left_counts = np.zeros(k)
-            right_counts = parent_counts.astype(np.float64).copy()
-            for i in range(n - 1):
-                left_counts[labels[i]] += 1
-                right_counts[labels[i]] -= 1
-                if values[i] == values[i + 1]:
-                    continue
-                n_left = i + 1
-                n_right = n - n_left
-                gain = parent_imp - (
-                    n_left / n * _impurity(left_counts, self.criterion)
-                    + n_right / n * _impurity(right_counts, self.criterion)
-                )
-                if best is None or gain > best[2]:
-                    threshold = (values[i] + values[i + 1]) / 2.0
-                    best = (int(feature), float(threshold), float(gain))
-        if best is None or best[2] <= 1e-12:
+        parent_imp = _impurities(parent_counts, self.criterion)
+        columns = X[:, features].T
+        order = np.argsort(columns, axis=1, kind="stable")
+        values = np.take_along_axis(columns, order, axis=1)
+        labels = y[order][:, :-1]
+        # left[c, f, i]: samples of class c among the first i + 1 in
+        # feature f's order; positions are splits after sample i.
+        left = np.stack(
+            [np.cumsum(labels == c, axis=1, dtype=np.float64) for c in range(k)]
+        )
+        right = parent_counts[:, None, None] - left
+        n_left = np.arange(1, n)
+        gain = parent_imp - (
+            n_left / n * _impurities(left, self.criterion)
+            + (n - n_left) / n * _impurities(right, self.criterion)
+        )
+        gain[values[:, :-1] == values[:, 1:]] = -np.inf
+        positions = np.argmax(gain, axis=1)
+        feature_gains = gain[np.arange(len(features)), positions]
+        best = int(np.argmax(feature_gains))
+        best_gain = float(feature_gains[best])
+        if best_gain <= 1e-12:
             return None
-        return best
+        i = positions[best]
+        threshold = (values[best, i] + values[best, i + 1]) / 2.0
+        return int(features[best]), float(threshold), best_gain
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
         k = self.classes_.shape[0]

@@ -7,12 +7,19 @@ edges weight within-context co-occurrence.  For a monosemous term this
 graph is one dense community; for a polysemic term it splits into one
 community per sense — community structure, connectivity, and degree
 statistics capture that.
+
+:func:`build_context_graph` builds the graph straight into
+:class:`~repro.clustering.louvain.CSRGraph` arrays from token ids, and
+:func:`graph_features` computes all 12 features on those arrays.
+networkx appears only when the ``greedy`` community backend asks for a
+networkx graph (:meth:`ContextGraph.to_networkx`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -39,38 +46,92 @@ GRAPH_FEATURE_NAMES = (
 )
 
 
+@dataclass(frozen=True)
+class ContextGraph:
+    """A term's context co-occurrence graph: CSR arrays plus word labels.
+
+    ``nodes[i]`` is the word of CSR node ``i``; nodes are numbered by
+    first appearance over the concatenated contexts.  Context graphs
+    have no self-loops.
+    """
+
+    csr: CSRGraph
+    nodes: tuple[str, ...]
+
+    def to_networkx(self) -> nx.Graph:
+        """The same graph as a networkx graph labelled by word.
+
+        Nodes keep first-appearance order and edges carry float
+        ``weight``s; the ``greedy`` community backend reads this form.
+        """
+        graph = nx.Graph()
+        graph.add_nodes_from(self.nodes)
+        csr = self.csr
+        rows = np.repeat(np.arange(csr.n_nodes, dtype=np.int64), np.diff(csr.indptr))
+        upper = rows < csr.indices
+        nodes = self.nodes
+        graph.add_weighted_edges_from(
+            (nodes[u], nodes[v], w)
+            for u, v, w in zip(
+                rows[upper].tolist(),
+                csr.indices[upper].tolist(),
+                csr.weights[upper].tolist(),
+                strict=True,
+            )
+        )
+        return graph
+
+
 def build_context_graph(
     contexts: Sequence[Sequence[str]],
     *,
     window: int = 4,
     min_weight: float = 1.0,
-) -> nx.Graph:
+) -> ContextGraph:
     """Co-occurrence graph over the words of ``contexts``.
 
-    A sliding window of ``window`` tokens inside each context adds edges;
-    edges below ``min_weight`` total are pruned.
+    Inside each context, every token is paired with the next
+    ``window - 1`` tokens; a pair's edge weight counts its occurrences
+    and pairs of equal tokens add nothing.  When ``min_weight`` exceeds
+    1, edges weighing less are pruned together with the nodes they
+    leave isolated.
     """
-    graph = nx.Graph()
-    for context in contexts:
-        tokens = list(context)
-        n = len(tokens)
-        for i, left in enumerate(tokens):
-            graph.add_node(left)
-            for j in range(i + 1, min(i + window, n)):
-                right = tokens[j]
-                if left == right:
-                    continue
-                if graph.has_edge(left, right):
-                    graph[left][right]["weight"] += 1.0
-                else:
-                    graph.add_edge(left, right, weight=1.0)
+    ids: dict[str, int] = {}
+    codes = np.fromiter(
+        (ids.setdefault(token, len(ids)) for ctx in contexts for token in ctx),
+        dtype=np.int64,
+    )
+    n = len(ids)
+    lengths = np.fromiter((len(ctx) for ctx in contexts), dtype=np.int64)
+    # Tokens after each position inside its own context.
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size) - 1
+    keys = []
+    for offset in range(1, window):
+        fits = room[:-offset] >= offset
+        left = codes[:-offset][fits]
+        right = codes[offset:][fits]
+        distinct = left != right
+        left, right = left[distinct], right[distinct]
+        keys.append(np.minimum(left, right) * n + np.maximum(left, right))
+    edge_keys, counts = np.unique(
+        np.concatenate(keys) if keys else np.empty(0, dtype=np.int64),
+        return_counts=True,
+    )
+    rows, cols = np.divmod(edge_keys, n)
+    weights = counts.astype(np.float64)
+    nodes = tuple(ids)
     if min_weight > 1.0:
-        drop = [
-            (u, v) for u, v, w in graph.edges(data="weight") if w < min_weight
-        ]
-        graph.remove_edges_from(drop)
-        graph.remove_nodes_from([n for n in graph if graph.degree(n) == 0])
-    return graph
+        strong = weights >= min_weight
+        rows, cols, weights = rows[strong], cols[strong], weights[strong]
+        kept = np.zeros(n, dtype=bool)
+        kept[rows] = True
+        kept[cols] = True
+        renumber = np.cumsum(kept) - 1
+        rows, cols = renumber[rows], renumber[cols]
+        nodes = tuple(nodes[i] for i in np.flatnonzero(kept).tolist())
+    return ContextGraph(
+        csr=CSRGraph.from_edges(len(nodes), rows, cols, weights), nodes=nodes
+    )
 
 
 def _entropy(values: np.ndarray) -> float:
@@ -133,18 +194,22 @@ def _clustering_and_transitivity(
 
 
 def _community_labels(
-    graph: nx.Graph,
-    csr: CSRGraph,
+    graph: ContextGraph,
     backend: CommunityBackend,
     seed: int | np.random.Generator | None,
 ) -> np.ndarray:
-    """Community label per CSR node from whichever interface is fastest."""
+    """Community label per CSR node from whichever interface is fastest.
+
+    A backend without ``labels_from_csr`` gets the word-labelled
+    networkx graph: networkx's greedy heap breaks ties by comparing node
+    labels, so integer ids would change its communities.
+    """
     labels_from_csr = getattr(backend, "labels_from_csr", None)
     if labels_from_csr is not None:
-        return labels_from_csr(csr, seed=seed)
-    node_index = {node: i for i, node in enumerate(graph.nodes())}
-    labels = np.empty(csr.n_nodes, dtype=np.int64)
-    communities = backend.communities(graph, weight="weight", seed=seed)
+        return labels_from_csr(graph.csr, seed=seed)
+    node_index = {node: i for i, node in enumerate(graph.nodes)}
+    labels = np.empty(graph.csr.n_nodes, dtype=np.int64)
+    communities = backend.communities(graph.to_networkx(), weight="weight", seed=seed)
     for cid, community in enumerate(communities):
         for node in community:
             labels[node_index[node]] = cid
@@ -152,7 +217,7 @@ def _community_labels(
 
 
 def graph_features(
-    graph: nx.Graph,
+    graph: ContextGraph,
     *,
     backend: str | CommunityBackend = "louvain",
     seed: int | np.random.Generator | None = 0,
@@ -160,8 +225,9 @@ def graph_features(
     """The 12-dimensional feature vector of a term's context graph.
 
     Every metric is computed natively on the graph's CSR adjacency
-    (sparse matmul triangles, union-find components, Louvain
-    communities) — networkx is only the input container.
+    (degrees from the row pointers, sparse matmul triangles, union-find
+    components, Louvain communities).  Only the ``"greedy"`` backend
+    sees a networkx graph, rebuilt from the CSR arrays.
 
     Parameters
     ----------
@@ -172,15 +238,20 @@ def graph_features(
     seed:
         Seed for seedable backends (makes ``"louvain"`` deterministic).
     """
-    n_nodes = graph.number_of_nodes()
-    n_edges = graph.number_of_edges()
+    csr = graph.csr
+    n_nodes = csr.n_nodes
     if n_nodes == 0:
         return np.zeros(len(GRAPH_FEATURE_NAMES), dtype=np.float64)
+    # No self-loops: each edge is stored once per direction.
+    n_edges = csr.indices.size // 2
+    degrees = np.diff(csr.indptr).astype(np.float64)
 
-    csr = CSRGraph.from_networkx(graph, weight="weight")
     adjacency = _binary_adjacency(csr)
-    degrees = np.array([d for __, d in graph.degree()], dtype=np.float64)
-    density = nx.density(graph) if n_nodes > 1 else 0.0
+    # networkx's density, operation for operation: 2m / (n (n - 1)).
+    density = 0.0
+    if n_edges > 0 and n_nodes > 1:
+        density = n_edges / (n_nodes * (n_nodes - 1))
+        density *= 2
     mean_degree = float(degrees.mean())
     degree_entropy = _entropy(degrees)
     if n_nodes > 1:
@@ -197,9 +268,7 @@ def graph_features(
     largest_fraction = float(component_sizes.max()) / n_nodes
 
     if n_edges > 0:
-        labels = _community_labels(
-            graph, csr, get_community_backend(backend), seed
-        )
+        labels = _community_labels(graph, get_community_backend(backend), seed)
         n_communities = int(labels.max()) + 1
         modularity = modularity_from_labels(csr, labels)
         community_sizes = np.bincount(labels, minlength=n_communities)
