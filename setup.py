@@ -3,8 +3,8 @@
 The execution environment has no network access and no ``wheel`` package,
 so PEP 660 editable installs (which shell out to ``bdist_wheel``) fail.
 Keeping a classic ``setup.py`` lets ``pip install -e .`` fall back to the
-legacy ``setup.py develop`` code path, which works offline.  All real
-metadata lives in ``pyproject.toml``.
+legacy ``setup.py develop`` code path, which works offline.  The
+package metadata lives here, in the ``setup()`` call below.
 """
 
 from setuptools import find_packages, setup

@@ -8,21 +8,32 @@ The harvest is a fold over documents: each document's phrases are added,
 in corpus order, onto the running aggregate.  Folding a corpus in two
 parts, the second onto the first's aggregate, therefore gives exactly
 the aggregate of folding it whole, iteration order included.
+
+The fold runs on arrays.  Each sentence is tagged once; the fold's
+tokens are then encoded as word ids (lower-cased text) and tag codes,
+every pattern-matching window of each length is found with numpy, and
+the windows are counted with ``np.unique``.  Only the per-candidate
+update of the aggregate is Python.  The result is exactly what the
+per-window loop gives -- :func:`repro.text.ngrams.extract_pattern_phrases`
+on each tagged sentence, counted into the aggregate match by match --
+which ``tests/test_harvest_oracle.py`` keeps as the reference.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import ExtractionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus.document import Document
-from repro.text.ngrams import extract_pattern_phrases
 from repro.text.patterns import TermPatternMatcher
-from repro.text.postag import LexiconTagger
+from repro.text.postag import LexiconTagger, TaggedToken
 
 
 @dataclass
@@ -155,6 +166,16 @@ def harvest_candidates(
 ) -> ExtractionContext:
     """Fold the documents of ``corpus`` into an :class:`ExtractionContext`.
 
+    A candidate is a window of one sentence's tagged tokens, of length
+    ``matcher.min_length .. matcher.max_length``, whose tag sequence is
+    one of ``matcher.patterns``; its words are the tokens' lower-cased
+    text.  Each match adds one to the candidate's frequency and to its
+    count for the match's document id, and raises its pattern weight to
+    the match's pattern weight if that is higher.  New candidates enter
+    the aggregate in the order of their first match (by sentence, then
+    window length, then position), and a candidate's new document ids in
+    document order: the order of matching window by window.
+
     Parameters
     ----------
     corpus:
@@ -179,6 +200,11 @@ def harvest_candidates(
         ``None`` folds from empty, which is the from-scratch harvest.
         Candidate counting stays sentence-bounded either way (POS
         patterns never cross sentences).
+
+    Each sentence is tagged with one ``tagger.tag`` call; the matching
+    and counting run on arrays (see the module docstring), and
+    ``tests/test_harvest_oracle.py`` checks them against the per-window
+    loop.
     """
     if min_frequency < 1:
         raise ExtractionError(f"min_frequency must be >= 1, got {min_frequency}")
@@ -191,26 +217,182 @@ def harvest_candidates(
         context = ExtractionContext(
             candidates={}, n_documents=0, doc_lengths={}, language=language
         )
-    candidates = context.candidates
+    tokens: list[TaggedToken] = []
+    sentence_lengths: list[int] = []
+    sentence_docs: list[int] = []
+    doc_codes: dict[str, int] = {}
     for doc in corpus:
         context.n_documents += 1
         context.doc_lengths[doc.doc_id] = doc.n_tokens()
+        code = doc_codes.setdefault(doc.doc_id, len(doc_codes))
         for sentence in doc.sentences:
             tagged = tagger.tag(sentence)
-            for phrase, weight in extract_pattern_phrases(tagged, matcher):
-                if stop and any(word in stop for word in phrase):
-                    continue
-                if len(set(phrase)) != len(phrase):
-                    continue
-                stats = candidates.get(phrase)
-                if stats is None:
-                    stats = CandidateStats(tokens=phrase)
-                    candidates[phrase] = stats
-                stats.frequency += 1
-                stats.pattern_weight = max(stats.pattern_weight, weight)
-                stats.per_doc[doc.doc_id] = stats.per_doc.get(doc.doc_id, 0) + 1
+            tokens.extend(tagged)
+            sentence_lengths.append(len(tagged))
+            sentence_docs.append(code)
     if context.n_documents == 0:
         raise ExtractionError("cannot extract terms from an empty corpus")
+    _fold_matches(
+        context.candidates,
+        _TaggedFold(tokens, sentence_lengths, sentence_docs, list(doc_codes), stop),
+        matcher,
+    )
     # The sub-span index covers the candidates of an earlier fold only.
     context._containers = None
     return context.filtered(min_frequency)
+
+
+class _TaggedFold:
+    """One fold's tagged tokens as flat arrays.
+
+    ``word[p]`` and ``tag[p]`` are the word id and tag code of token
+    ``p``; ``room[p]`` counts the tokens from ``p`` to the end of its
+    sentence, so a window of length ``L`` may start at ``p`` iff
+    ``room[p] >= L``; ``sentence[p]`` and ``doc[p]`` index the token's
+    sentence and document id.  ``words``, ``doc_ids`` and ``is_stop``
+    map ids back to words, ids back to document ids and word ids to
+    stop-list membership.  Codes are assigned per fold, over whatever
+    tags the tagger returned.
+    """
+
+    def __init__(
+        self,
+        tokens: list[TaggedToken],
+        sentence_lengths: list[int],
+        sentence_docs: list[int],
+        doc_ids: list[str],
+        stop: frozenset[str],
+    ) -> None:
+        texts = list(map(attrgetter("text"), tokens))
+        tags = list(map(attrgetter("tag"), tokens))
+        word_ids: dict[str, int] = {}
+        by_text = dict.fromkeys(texts, 0)
+        for text in by_text:
+            by_text[text] = word_ids.setdefault(text.lower(), len(word_ids))
+        self.words = np.array(list(word_ids), dtype=object)
+        self.tag_codes = {tag: code for code, tag in enumerate(dict.fromkeys(tags))}
+        n = len(tokens)
+        self.word = np.fromiter(map(by_text.__getitem__, texts), np.int64, n)
+        self.tag = np.fromiter(map(self.tag_codes.__getitem__, tags), np.int64, n)
+        lengths = np.asarray(sentence_lengths, dtype=np.int64)
+        self.room = np.repeat(np.cumsum(lengths), lengths) - np.arange(n)
+        self.sentence = np.repeat(np.arange(len(lengths)), lengths)
+        self.doc = np.repeat(np.asarray(sentence_docs, dtype=np.int64), lengths)
+        self.doc_ids = np.array(doc_ids, dtype=object)
+        self.is_stop = np.fromiter(
+            (word in stop for word in self.words), bool, len(self.words)
+        )
+
+
+def _matches(
+    fold: _TaggedFold, length: int, patterns: dict[tuple[int, ...], float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and pattern weights of the kept windows of ``length``.
+
+    A window is kept when its tag codes are one of ``patterns``, none of
+    its words is a stop word and no word repeats inside it.  Starts come
+    out ascending.
+    """
+    starts = np.flatnonzero(fold.room >= length)
+    tags = [fold.tag[starts + j] for j in range(length)]
+    keep = np.zeros(len(starts), dtype=bool)
+    weight = np.zeros(len(starts))
+    for codes, pattern_weight in patterns.items():
+        hit = np.ones(len(starts), dtype=bool)
+        for j, code in enumerate(codes):
+            hit &= tags[j] == code
+        keep |= hit
+        weight[hit] = pattern_weight
+    words = [fold.word[starts + j] for j in range(length)]
+    for j in range(length):
+        keep &= ~fold.is_stop[words[j]]
+        for i in range(j):
+            keep &= words[i] != words[j]
+    return starts[keep], weight[keep]
+
+
+def _fold_matches(
+    candidates: dict[tuple[str, ...], CandidateStats],
+    fold: _TaggedFold,
+    matcher: TermPatternMatcher,
+) -> None:
+    """Add every kept window of ``fold`` onto ``candidates``."""
+    by_length: dict[int, dict[tuple[int, ...], float]] = {}
+    for pattern in matcher.patterns:
+        if not (matcher.min_length <= len(pattern) <= matcher.max_length):
+            continue
+        if not all(tag in fold.tag_codes for tag in pattern.tags):
+            continue  # a tag this fold never saw matches nothing
+        codes = tuple(fold.tag_codes[tag] for tag in pattern.tags)
+        by_length.setdefault(len(pattern), {})[codes] = pattern.weight
+
+    n_docs = len(fold.doc_ids)
+    phrases: list[tuple[str, ...]] = []
+    firsts, lengths, frequencies, weights = [], [], [], []
+    pair_candidates, pair_docs, pair_counts, pair_firsts = [], [], [], []
+    for length, patterns in sorted(by_length.items()):
+        starts, weight = _matches(fold, length, patterns)
+        if not len(starts):
+            continue
+        rows = np.stack([fold.word[starts + j] for j in range(length)], axis=1)
+        # A window's key: the dense id of its first j words among the
+        # distinct ones, times the vocabulary size, plus word j.  Dense
+        # ids stay below the window count, so keys never overflow int64.
+        key = rows[:, 0]
+        for j in range(1, length):
+            prefix = np.unique(key, return_inverse=True)[1].ravel()
+            key = prefix * len(fold.words) + rows[:, j]
+        _, first, inverse, occurrences = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.ravel()
+        best = np.full(len(first), -np.inf)
+        np.maximum.at(best, inverse, weight)
+        offset = len(phrases)
+        phrases.extend(map(tuple, fold.words[rows[first]].tolist()))
+        firsts.append(starts[first])
+        lengths.append(np.full(len(first), length))
+        frequencies.append(occurrences)
+        weights.append(best)
+        # (candidate, document id) pairs: a repeated id sums into one.
+        pairs, pair_first, pair_count = np.unique(
+            inverse * n_docs + fold.doc[starts], return_index=True, return_counts=True
+        )
+        pair_candidates.append(pairs // n_docs + offset)
+        pair_docs.append(pairs % n_docs)
+        pair_counts.append(pair_count)
+        pair_firsts.append(starts[pair_first])
+    if not phrases:
+        return
+
+    first_starts = np.concatenate(firsts)
+    order = np.lexsort(
+        (first_starts, np.concatenate(lengths), fold.sentence[first_starts])
+    )
+    pair_candidate = np.concatenate(pair_candidates)
+    pair_order = np.lexsort((np.concatenate(pair_firsts), pair_candidate))
+    # Candidate i's pairs are docs[bounds[i]:bounds[i + 1]].
+    bounds = np.searchsorted(
+        pair_candidate[pair_order], np.arange(len(phrases) + 1)
+    ).tolist()
+    docs = fold.doc_ids[np.concatenate(pair_docs)[pair_order]].tolist()
+    doc_counts = np.concatenate(pair_counts)[pair_order].tolist()
+    frequency = np.concatenate(frequencies).tolist()
+    pattern_weight = np.concatenate(weights).tolist()
+    for index in order.tolist():
+        phrase = phrases[index]
+        lo, hi = bounds[index], bounds[index + 1]
+        stats = candidates.get(phrase)
+        if stats is None:
+            candidates[phrase] = CandidateStats(
+                tokens=phrase,
+                frequency=frequency[index],
+                pattern_weight=max(0.0, pattern_weight[index]),
+                per_doc=dict(zip(docs[lo:hi], doc_counts[lo:hi], strict=True)),
+            )
+            continue
+        stats.frequency += frequency[index]
+        stats.pattern_weight = max(stats.pattern_weight, pattern_weight[index])
+        per_doc = stats.per_doc
+        for doc_id, count in zip(docs[lo:hi], doc_counts[lo:hi], strict=True):
+            per_doc[doc_id] = per_doc.get(doc_id, 0) + count

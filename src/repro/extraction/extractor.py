@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.corpus.corpus import Corpus
 from repro.errors import ExtractionError
@@ -23,6 +24,37 @@ class RankedTerm:
     rank: int
 
 
+class _Ranking:
+    """One measure's ranking of an aggregate, turned into terms on demand.
+
+    ``rows`` is the whole ranking as ``(tokens, score, frequency)`` rows,
+    best first, with each frequency read when the ranking was made.
+    ``terms`` holds the :class:`RankedTerm` of each row built so far: a
+    prefix of ``rows``, grown to the longest prefix any caller asked for.
+    """
+
+    def __init__(self, rows: list[tuple[tuple[str, ...], float, int]]) -> None:
+        self.rows = rows
+        self.terms: list[RankedTerm] = []
+
+    def head(self, top_k: int | None) -> list[RankedTerm]:
+        """A new list of the best ``top_k`` terms (``None`` = all)."""
+        rows, terms = self.rows, self.terms
+        end = len(rows) if top_k is None else min(top_k, len(rows))
+        for rank in range(len(terms) + 1, end + 1):
+            tokens, score, frequency = rows[rank - 1]
+            terms.append(
+                RankedTerm(
+                    term=" ".join(tokens),
+                    tokens=tokens,
+                    score=score,
+                    frequency=frequency,
+                    rank=rank,
+                )
+            )
+        return terms[:end]
+
+
 @dataclass
 class _Harvest:
     """The fold of the last corpus an extractor harvested.
@@ -36,9 +68,7 @@ class _Harvest:
     settings: tuple
     documents: list[tuple[str, tuple[tuple[str, ...], ...]]]
     aggregate: ExtractionContext
-    rankings: dict[tuple[str, int, int], list[RankedTerm]] = field(
-        default_factory=dict
-    )
+    rankings: dict[tuple[str, int, int], _Ranking] = field(default_factory=dict)
 
 
 def _document_key(doc) -> tuple[str, tuple[tuple[str, ...], ...]]:
@@ -169,6 +199,11 @@ class BioTexExtractor:
     ) -> list[RankedTerm]:
         """Extract and rank candidate terms from ``corpus``.
 
+        The ranking of every candidate is computed once per harvested
+        aggregate and kept as plain rows; :class:`RankedTerm` objects
+        are built on demand, only for the longest prefix asked for so
+        far.  Each call returns a new list.
+
         Parameters
         ----------
         top_k:
@@ -185,24 +220,18 @@ class BioTexExtractor:
         ranking = rankings.get(key)
         if ranking is None:
             ranking = rankings[key] = self._rank(context, measure)
-        return ranking[:top_k]
+        return ranking.head(top_k)
 
-    def _rank(self, context: ExtractionContext, measure: str) -> list[RankedTerm]:
+    def _rank(self, context: ExtractionContext, measure: str) -> _Ranking:
         scores = compute_measure(measure, context)
-        eligible = [
-            (tokens, score)
+        candidates = context.candidates
+        rows = [
+            (tokens, float(score), candidates[tokens].frequency)
             for tokens, score in scores.items()
             if len(tokens) >= self.min_length
         ]
-        # Stable, fully deterministic order: score desc, then term text.
-        eligible.sort(key=lambda pair: (-pair[1], pair[0]))
-        return [
-            RankedTerm(
-                term=" ".join(tokens),
-                tokens=tokens,
-                score=float(score),
-                frequency=context.candidates[tokens].frequency,
-                rank=rank,
-            )
-            for rank, (tokens, score) in enumerate(eligible, start=1)
-        ]
+        # Fully deterministic order: score desc, then term text.  The
+        # second sort is stable, so equal scores keep the token order.
+        rows.sort(key=itemgetter(0))
+        rows.sort(key=itemgetter(1), reverse=True)
+        return _Ranking(rows)

@@ -138,7 +138,9 @@ def tergraph(context: ExtractionContext) -> dict:
     scores = {}
     for tokens in context.candidates:
         ns = neighbors[tokens]
-        mass = sum(1.0 / max(len(neighbors[u]), 1) for u in ns)
+        # A set iterates in string-hash order, which changes per process
+        # (PYTHONHASHSEED); fsum is correctly rounded in any order.
+        mass = math.fsum(1.0 / max(len(neighbors[u]), 1) for u in ns)
         scores[tokens] = math.log2(1.0 + mass / (1.0 + len(ns)))
     return scores
 

@@ -185,12 +185,21 @@ class FeatureCache:
         merged in; the keys are uniform across backends, zero-filled
         where a backend has no such notion.
         """
+        return self._stats(entries=True)
+
+    def counters(self) -> dict[str, int]:
+        """:attr:`stats` without ``entries``, for diffing around a run.
+
+        Counting entries can mean parsing every index a disk store
+        holds, so a snapshot taken only for its counters skips it.
+        """
+        return self._stats(entries=False)
+
+    def _stats(self, *, entries: bool) -> dict[str, int]:
         with self._lock:
-            stats = {
-                "hits": self._hits,
-                "misses": self._misses,
-                "entries": len(self._store),
-            }
+            stats = {"hits": self._hits, "misses": self._misses}
+            if entries:
+                stats["entries"] = len(self._store)
             stats.update(self._store.stats())
             for key in (
                 "disk_hits",

@@ -149,6 +149,8 @@ class LexiconTagger:
         self._stopwords = stopwords_for(language)
         self._default_tag = default_tag
         self._lexicon_version = 0
+        # Raw token -> its TaggedToken, shared by every tag() call.
+        self._tagged: dict[str, TaggedToken] = {}
 
     @property
     def lexicon_size(self) -> int:
@@ -168,6 +170,7 @@ class LexiconTagger:
         for word, tag in entries.items():
             self._lexicon[word.lower()] = tag
         self._lexicon_version += 1
+        self._tagged = {}
 
     def tag_word(self, token: str) -> str:
         """Return the coarse tag of a single ``token``."""
@@ -190,5 +193,17 @@ class LexiconTagger:
         return self._default_tag
 
     def tag(self, tokens: Iterable[str]) -> list[TaggedToken]:
-        """Tag a token sequence."""
-        return [TaggedToken(token, self.tag_word(token)) for token in tokens]
+        """Tag a token sequence.
+
+        Tags depend on the token alone, so each distinct token is tagged
+        once and its (immutable) :class:`TaggedToken` reused until the
+        next :meth:`update_lexicon`.
+        """
+        memo = self._tagged
+        out = []
+        for token in tokens:
+            tagged = memo.get(token)
+            if tagged is None:
+                tagged = memo[token] = TaggedToken(token, self.tag_word(token))
+            out.append(tagged)
+        return out

@@ -138,16 +138,22 @@ class ExtractStage:
 
     def run(self, ctx: PipelineContext) -> None:
         cfg = ctx.config
-        # Rank everything once (scoring already covers every candidate;
-        # top_k only trims the output), then scan down the ranking until
-        # the batch is full or candidates are exhausted — a fixed
-        # over-fetch window under-fills the batch whenever
-        # skip_known_terms filters most of it.
-        ranked = self._extractor.extract(ctx.corpus, top_k=None)
+        # Scan down the ranking until the batch is full or candidates
+        # are exhausted.  The extractor builds terms only for the prefix
+        # asked for, so ask for the 3x window and double it only when
+        # skip_known_terms has filtered all of it: a fixed window would
+        # under-fill the batch whenever the filter drops most of it.
+        window = cfg.n_candidates * 3
+        ranked = self._extractor.extract(ctx.corpus, top_k=window)
         consumed = 0
-        for candidate in ranked:
-            if len(ctx.work) >= cfg.n_candidates:
-                break
+        while len(ctx.work) < cfg.n_candidates:
+            if consumed == len(ranked):
+                if len(ranked) < window:
+                    break  # every candidate scanned
+                window *= 2
+                ranked = self._extractor.extract(ctx.corpus, top_k=window)
+                continue
+            candidate = ranked[consumed]
             consumed += 1
             if cfg.skip_known_terms and ctx.ontology.has_term(candidate.term):
                 continue
@@ -512,7 +518,7 @@ class OntologyEnricher:
         """
         timings: dict[str, float] = {}
         cache_before = (
-            self._feature_cache.stats
+            self._feature_cache.counters()
             if self._feature_cache is not None
             else None
         )

@@ -1,8 +1,15 @@
 """Tests for repro.extraction (candidates, measures, extractor, evaluation)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
@@ -23,6 +30,22 @@ LEXICON = {
     "eye": "NOUN", "disease": "NOUN", "patient": "NOUN", "chronic": "ADJ",
     "heals": "VERB", "observed": "VERB", "treatment": "NOUN",
 }
+
+
+# Prints every tergraph score, bit for bit, of a small generated corpus.
+TERGRAPH_SCORES = """
+import json
+from repro.extraction.extractor import BioTexExtractor
+from repro.extraction.measures import compute_measure
+from repro.scenarios import make_enrichment_scenario
+from repro.text.postag import LexiconTagger
+scenario = make_enrichment_scenario(seed=1, n_concepts=8, docs_per_concept=2)
+context = BioTexExtractor(
+    tagger=LexiconTagger(scenario.pos_lexicon)
+).build_context(scenario.corpus)
+scores = compute_measure("tergraph", context)
+print(json.dumps([[list(t), s.hex()] for t, s in scores.items()]))
+"""
 
 
 def make_corpus():
@@ -142,6 +165,26 @@ class TestMeasures:
     def test_tergraph_finite(self):
         scores = compute_measure("tergraph", make_context())
         assert all(math.isfinite(v) and v >= 0 for v in scores.values())
+
+    def test_tergraph_does_not_depend_on_the_string_hash_seed(self):
+        # tergraph sums over neighbour sets, which iterate in string-hash
+        # order: a new PYTHONHASHSEED per process must not change a bit.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        runs = [
+            json.loads(
+                subprocess.run(
+                    [sys.executable, "-c", TERGRAPH_SCORES],
+                    env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=120,
+                ).stdout
+            )
+            for seed in ("0", "1")
+        ]
+        assert len(runs[0]) > 1000
+        assert runs[0] == runs[1]
 
 
 class TestBioTexExtractor:

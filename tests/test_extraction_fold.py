@@ -3,9 +3,9 @@
 A :class:`BioTexExtractor` keeps the aggregate of the last corpus it
 harvested.  Whatever it folds, skips or restarts, every call must give
 exactly what a fresh extractor gives on the same corpus: the same
-ranking for every measure (okapi and tergraph sum floats in dict and set
-order, so iteration order matters) and the same ``context_``, iteration
-order included.
+ranking for every measure (okapi sums floats in dict order, so
+iteration order matters) and the same ``context_``, iteration order
+included.
 """
 
 import pytest
@@ -179,3 +179,44 @@ class TestHarvestFold:
         assert context_snapshot(extractor.context_) == context_snapshot(
             fresh.context_
         )
+
+
+class TestRankingPrefix:
+    """Terms are built only for the prefix asked for; any prefix must be
+    the head of the whole ranking."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_enrichment_scenario(seed=6, n_concepts=8, docs_per_concept=2)
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    @pytest.mark.parametrize("whole_first", [True, False])
+    def test_prefix_is_the_head_of_the_whole_ranking(
+        self, scenario, measure, whole_first
+    ):
+        corpus = scenario.corpus
+        whole = BioTexExtractor(
+            tagger=LexiconTagger(scenario.pos_lexicon), measure=measure
+        ).extract(corpus)
+        assert len(whole) > 60
+        extractor = BioTexExtractor(
+            tagger=LexiconTagger(scenario.pos_lexicon), measure=measure
+        )
+        if whole_first:
+            assert extractor.extract(corpus) == whole
+        # Shrinking and growing prefixes, past the end of the ranking.
+        for k in (3, 1, 60, len(whole) + 5):
+            top = extractor.extract(corpus, top_k=k)
+            assert top == whole[:k]
+            ranks = [term.rank for term in top]
+            assert ranks == list(range(1, min(k, len(whole)) + 1))
+        if not whole_first:
+            assert extractor.extract(corpus) == whole
+
+    def test_prefix_then_grown_corpus_matches_fresh(self, scenario):
+        documents = list(scenario.corpus)
+        extractor = BioTexExtractor(tagger=LexiconTagger(scenario.pos_lexicon))
+        assert len(extractor.extract(Corpus(documents[:-1]), top_k=3)) == 3
+        grown = Corpus(documents)
+        fresh = BioTexExtractor(tagger=LexiconTagger(scenario.pos_lexicon))
+        assert extractor.extract(grown) == fresh.extract(grown)

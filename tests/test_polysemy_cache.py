@@ -5,6 +5,7 @@ import pytest
 
 from repro.corpus.corpus import Corpus, Document
 from repro.polysemy.cache import FeatureCache
+from repro.polysemy.cache_store import MemoryCacheStore
 from repro.polysemy.dataset import build_polysemy_dataset
 from repro.polysemy.features import PolysemyFeatureExtractor
 from repro.scenarios import make_enrichment_scenario
@@ -22,6 +23,28 @@ class TestFeatureCache:
         assert stats["disk_hits"] == 0 and stats["evictions"] == 0
         assert stats["store_bytes"] == np.arange(3.0).nbytes
         assert len(cache) == 1
+
+    def test_counters_are_stats_without_counting_entries(self):
+        class CountingStore(MemoryCacheStore):
+            """Counts ``len()`` calls: a disk store parses indexes for it."""
+
+            lens = 0
+
+            def __len__(self):
+                self.lens += 1
+                return super().__len__()
+
+        store = CountingStore()
+        cache = FeatureCache(store)
+        key = FeatureCache.key("corpus", "term", "config")
+        cache.lookup(key)
+        cache.store(key, np.arange(3.0))
+        cache.lookup(key)
+        counters = cache.counters()
+        assert store.lens == 0
+        stats = cache.stats
+        assert store.lens == 1
+        assert counters == {k: v for k, v in stats.items() if k != "entries"}
 
     def test_distinct_key_components_do_not_collide(self):
         cache = FeatureCache()

@@ -47,6 +47,28 @@ class TestLexiconTagger:
         assert tagger.tag_word("qqq") == "ADJ"
         assert tagger.lexicon_size == 1
 
+    def test_update_lexicon_retags_a_word_tagged_before(self):
+        tagger = LexiconTagger({"cornea": "NOUN"})
+        assert tagger.tag(["Cornea", "qqq"]) == [
+            TaggedToken("Cornea", "NOUN"),
+            TaggedToken("qqq", "NOUN"),
+        ]
+        tagger.update_lexicon({"CORNEA": "ADJ", "qqq": "VERB"})
+        assert tagger.tag(["Cornea", "qqq"]) == [
+            TaggedToken("Cornea", "ADJ"),
+            TaggedToken("qqq", "VERB"),
+        ]
+
+    def test_repeated_tagging_matches_a_fresh_tagger(self):
+        lexicon = {"cornea": "NOUN", "heal": "VERB"}
+        sentence = ["The", "cornea", "CORNEA", "Cornea", "heals", "Heal", "the", "2015"]
+        tagger = LexiconTagger(lexicon)
+        first = tagger.tag(sentence)
+        again = tagger.tag(list(reversed(sentence)))
+        assert first == LexiconTagger(lexicon).tag(sentence)
+        assert again == LexiconTagger(lexicon).tag(list(reversed(sentence)))
+        assert [token.text for token in first] == sentence
+
     def test_invalid_tag_rejected(self):
         with pytest.raises(ValueError):
             LexiconTagger({"w": "NOPE"})

@@ -317,12 +317,15 @@ class TestTrainingFallback:
 
 
 class _StubExtractor:
-    """Deterministic ranking of ``n_total`` synthetic terms."""
+    """Deterministic ranking of ``n_total`` synthetic terms; records the
+    ``top_k`` of every call."""
 
     def __init__(self, n_total: int = 30) -> None:
         self.n_total = n_total
+        self.requests: list[int | None] = []
 
     def extract(self, corpus, *, top_k=None, index=None):
+        self.requests.append(top_k)
         count = self.n_total if top_k is None else min(top_k, self.n_total)
         return [
             RankedTerm(
@@ -367,6 +370,8 @@ class TestExtractBatchFilling:
         assert [item.candidate.term for item in ctx.work] == [
             f"term {i}" for i in range(14, 19)
         ]
+        # The 3x window ran out, so the stage asked for twice as many.
+        assert extractor.requests == [15, 30]
 
     def test_exhausted_candidates_stop_cleanly(self):
         extractor, ctx = self.make_ctx(known_count=28)  # only 2 unknown
@@ -380,6 +385,14 @@ class TestExtractBatchFilling:
         ExtractStage(extractor).run(ctx)
         assert len(ctx.work) == 5
         assert len(ctx.ranked) == 15  # the historical 3x window
+
+    def test_batch_that_fills_early_asks_only_for_the_window(self):
+        extractor, ctx = self.make_ctx(known_count=3)
+        ExtractStage(extractor).run(ctx)
+        assert [item.candidate.term for item in ctx.work] == [
+            f"term {i}" for i in range(3, 8)
+        ]
+        assert extractor.requests == [15]
 
     def test_ranked_covers_the_consumed_prefix_when_filtering_deep(self):
         extractor, ctx = self.make_ctx(known_count=14)
