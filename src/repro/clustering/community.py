@@ -18,19 +18,20 @@ by smallest node insertion order), so either backend yields a stable,
 comparable community list.  The ``graph`` clustering's kNN graph is a
 networkx graph and goes through that interface.  The Step II context
 graphs are built as :class:`~repro.clustering.louvain.CSRGraph` arrays:
-Louvain reads them directly through ``labels_from_csr``, and only the
-greedy backend, which has no such method, gets a networkx graph rebuilt
-from the CSR arrays.
+Louvain reads one through ``labels_from_csr`` and a whole batch through
+``labels_many``, and only the greedy backend, which has neither method,
+gets a networkx graph per context graph, rebuilt from the CSR arrays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
 import networkx as nx
 import numpy as np
 
-from repro.clustering.louvain import CSRGraph, louvain_labels
+from repro.clustering.louvain import CSRGraph, louvain_labels, louvain_labels_many
 from repro.errors import ClusteringError
 
 
@@ -39,8 +40,9 @@ class CommunityBackend(Protocol):
     """Anything that can partition a graph's nodes into communities.
 
     The protocol's input is a networkx graph.  A backend may also offer
-    ``labels_from_csr(csr, *, seed)`` (as :class:`LouvainBackend` does);
-    callers holding a :class:`CSRGraph` use it to skip networkx.
+    ``labels_from_csr(csr, *, seed)`` and ``labels_many(graphs, *, seed)``
+    (as :class:`LouvainBackend` does); callers holding
+    :class:`CSRGraph` arrays use them to skip networkx.
     """
 
     name: str
@@ -121,11 +123,25 @@ class LouvainBackend:
     ) -> np.ndarray:
         """Community label per CSR node — the zero-conversion fast path.
 
-        Callers that already hold a :class:`CSRGraph` (the Step II graph
-        features) use this to skip the networkx round-trip; backends
-        without this method only offer the ``communities`` interface.
+        Callers that already hold a :class:`CSRGraph` use this to skip
+        the networkx round-trip; backends without this method only offer
+        the ``communities`` interface.  A batch of one of
+        :meth:`labels_many`.
         """
         return louvain_labels(csr, seed=seed, resolution=self.resolution)
+
+    def labels_many(
+        self,
+        graphs: Sequence[CSRGraph],
+        *,
+        seed: int | np.random.Generator | None = 0,
+    ) -> list[np.ndarray]:
+        """Community labels of every graph, each as :meth:`labels_from_csr`.
+
+        The Step II graph features partition a whole batch of context
+        graphs here (see :func:`~repro.clustering.louvain.louvain_labels_many`).
+        """
+        return louvain_labels_many(graphs, seed=seed, resolution=self.resolution)
 
 
 #: Registry of named community-detection backends.

@@ -68,16 +68,16 @@ def build_entity_polysemy_dataset(
     data set the authors' features were developed against.
     """
     extractor = extractor if extractor is not None else PolysemyFeatureExtractor()
-    rows, labels, terms = [], [], []
-    for entity in entities:
-        vector = extractor.features_from_contexts(entity.term, entity.contexts)
-        rows.append(vector)
-        labels.append(1 if entity.true_k >= 2 else 0)
-        terms.append(entity.term)
-    if not rows or len(set(labels)) < 2:
+    entities = list(entities)
+    X = extractor.featurise(
+        [(entity.term, entity.contexts, None) for entity in entities]
+    )
+    labels = [1 if entity.true_k >= 2 else 0 for entity in entities]
+    terms = [entity.term for entity in entities]
+    if not entities or len(set(labels)) < 2:
         raise CorpusError("need entities of both classes (true_k == 1 and >= 2)")
     return PolysemyDataset(
-        X=np.vstack(rows),
+        X=X,
         y=np.asarray(labels, dtype=np.int64),
         terms=tuple(terms),
         feature_names=extractor.feature_names,
@@ -183,32 +183,32 @@ def build_polysemy_dataset(
             for term in eligible
             if FeatureCache.key(corpus_fp, term, config_fp) in found
         }
-    computed: list[tuple[tuple[str, str, str], np.ndarray]] = []
+    # Every miss is featurised in one batch, in ``eligible`` order.
+    misses = [term for term in eligible if term not in cached]
+    items = []
+    for term in misses:
+        occurrences = records[term]
+        doc_frequency = len({doc_id for doc_id, __ in occurrences})
+        if len(occurrences) > max_contexts:
+            # Evenly spaced deterministic subsample across the corpus.
+            step = len(occurrences) / max_contexts
+            occurrences = [occurrences[int(i * step)] for i in range(max_contexts)]
+        contexts = [window_tokens for __, window_tokens in occurrences]
+        items.append((term, contexts, doc_frequency))
+    vectors = dict(zip(misses, extractor.featurise(items), strict=True))
+    if cache is not None and misses:
+        cache.store_many(
+            [
+                (FeatureCache.key(corpus_fp, term, config_fp), vectors[term])
+                for term in misses
+            ]
+        )
     for term in eligible:
-        occurrences = records.get(term, [])
-        vector = cached.get(term)
-        if vector is None:
-            doc_frequency = len({doc_id for doc_id, __ in occurrences})
-            if len(occurrences) > max_contexts:
-                # Evenly spaced deterministic subsample across the corpus.
-                step = len(occurrences) / max_contexts
-                occurrences = [
-                    occurrences[int(i * step)] for i in range(max_contexts)
-                ]
-            contexts = [window_tokens for __, window_tokens in occurrences]
-            vector = extractor.features_from_contexts(
-                term, contexts, doc_frequency=doc_frequency
-            )
-            if cache is not None:
-                computed.append(
-                    (FeatureCache.key(corpus_fp, term, config_fp), vector)
-                )
+        vector = cached[term] if term in cached else vectors[term]
         if ontology.is_polysemic(term):
             polysemic_rows.append((term, vector))
         else:
             monosemous_rows.append((term, vector))
-    if cache is not None and computed:
-        cache.store_many(computed)
 
     if not polysemic_rows or not monosemous_rows:
         raise CorpusError(

@@ -5,19 +5,29 @@ discriminative core: a polysemic term's contexts come from several topics,
 so they agree less with each other (TF-IDF cosine statistics) and split
 cleanly into two balanced groups (bisection features — the ISIM gain of a
 2-way spherical k-means over the one-cluster solution).
+
+:func:`direct_feature_rows` featurises a whole
+:class:`~repro.polysemy.batch.ContextBatch`: the vocabulary counts come
+from each term's raw token ids, and every term's TF-IDF rows from
+segmented (context, rank) counts over a chunk of terms, with the
+weighting and normalisation ``TfidfVectorizer`` applies, float for float.
+Each term's rows are then densified into the matrix
+``TfidfVectorizer(stop_language=None).fit_transform(contexts).toarray()``
+would give, and the cosines and the bisection run on it.
+:func:`direct_features` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.clustering.kmeans import spherical_kmeans
 from repro.clustering.model import ClusterStats
-from repro.text.vectorize import TfidfVectorizer
+from repro.polysemy import batch as batching
+from repro.polysemy.batch import ContextBatch, chunks
 
 #: Feature names in vector order.
 DIRECT_FEATURE_NAMES = (
@@ -35,22 +45,85 @@ DIRECT_FEATURE_NAMES = (
 )
 
 
-def _context_matrix(contexts: Sequence[Sequence[str]]) -> np.ndarray:
-    """TF-IDF rows (unit norm) for the contexts; IDF damps background words."""
-    vectorizer = TfidfVectorizer(stop_language=None)
-    return vectorizer.fit_transform([list(c) for c in contexts]).toarray()
+def _tfidf_matrices(
+    batch: ContextBatch, first: int, last: int, n_ranks: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Dense unit-row TF-IDF matrix of each term of ``first:last``.
+
+    Yields ``(term, matrix)`` for the terms with at least two contexts;
+    ``n_ranks`` bounds the batch's word ranks.
+    The floats are ``TfidfVectorizer``'s: smoothed idf from the term's
+    own context count, ``count * idf`` per (context, word), row norms
+    from ``np.add.reduceat`` over each non-empty row in column order
+    (scipy's CSR ``sum(axis=1)``), then ``(1 / norm) * value``; rows of
+    empty contexts keep norm 1.
+    """
+    n_contexts = batch.n_contexts[first:last]
+    c0 = int(batch.context_offsets[first])
+    c1 = int(batch.context_offsets[last])
+    t0 = int(batch.token_offsets[first])
+    t1 = int(batch.token_offsets[last])
+    node_base = np.repeat(
+        batch.node_offsets[first:last], np.diff(batch.token_offsets[first : last + 1])
+    )
+    token_rank = batch.ranks[batch.nodes[t0:t1] + node_base]
+    token_row = np.repeat(
+        np.arange(c1 - c0, dtype=np.int64), batch.context_lengths[c0:c1]
+    )
+    pairs, counts = np.unique(token_row * n_ranks + token_rank, return_counts=True)
+    pair_row, pair_rank = np.divmod(pairs, n_ranks)
+    row_term = np.repeat(np.arange(last - first, dtype=np.int64), n_contexts)
+    pair_term = row_term[pair_row]
+    vocabulary, column, document_frequency = np.unique(
+        pair_term * n_ranks + pair_rank, return_inverse=True, return_counts=True
+    )
+    idf = (
+        np.log(
+            (1.0 + n_contexts[pair_term]) / (1.0 + document_frequency[column])
+        )
+        + 1.0
+    )
+    data = counts.astype(np.float64) * idf
+    norms = np.zeros(c1 - c0, dtype=np.float64)
+    if data.size:
+        starts = np.flatnonzero(np.r_[True, pair_row[1:] != pair_row[:-1]])
+        norms[pair_row[starts]] = np.sqrt(np.add.reduceat(data * data, starts))
+    norms[norms == 0.0] = 1.0
+    values = (1.0 / norms)[pair_row] * data
+    row_offsets = np.zeros(last - first + 1, dtype=np.int64)
+    np.cumsum(n_contexts, out=row_offsets[1:])
+    pair_offsets = np.searchsorted(pair_row, row_offsets)
+    column_offsets = np.searchsorted(
+        vocabulary // n_ranks, np.arange(last - first + 1, dtype=np.int64)
+    )
+    for t, n in enumerate(n_contexts.tolist()):
+        if n < 2:
+            continue
+        p0, p1 = pair_offsets[t], pair_offsets[t + 1]
+        matrix = np.zeros(
+            (n, int(column_offsets[t + 1] - column_offsets[t])), dtype=np.float64
+        )
+        matrix[
+            pair_row[p0:p1] - row_offsets[t], column[p0:p1] - column_offsets[t]
+        ] = values[p0:p1]
+        yield first + t, matrix
 
 
 def _cosine_and_bisection(
-    contexts: Sequence[Sequence[str]],
+    matrix: np.ndarray,
 ) -> tuple[float, float, float, float, float]:
-    """(mean cos, std cos, isim gain, isim ratio, balance-weighted gain)."""
-    n = len(contexts)
-    matrix = _context_matrix(contexts)
+    """(mean cos, std cos, isim gain, isim ratio, balance-weighted gain).
+
+    ``matrix`` holds a term's unit TF-IDF rows, at least two of them;
+    below four rows there is no bisection.
+    """
+    n = matrix.shape[0]
     sims = matrix @ matrix.T
     upper = sims[np.triu_indices(n, k=1)]
     mean_cos = float(upper.mean())
     std_cos = float(upper.std())
+    if n < 4:
+        return mean_cos, std_cos, 0.0, 1.0, 0.0
 
     one_cluster = ClusterStats.from_labels(matrix, np.zeros(n, dtype=np.int64))
     s1 = one_cluster.mean_isim()
@@ -64,6 +137,61 @@ def _cosine_and_bisection(
     return mean_cos, std_cos, gain, ratio, balance * gain
 
 
+def direct_feature_rows(
+    terms: Sequence[str],
+    batch: ContextBatch,
+    doc_frequencies: Sequence[int | None],
+) -> np.ndarray:
+    """The (n_terms, 11) direct feature rows of a batch of terms.
+
+    Parameters
+    ----------
+    terms:
+        The candidate term strings, aligned with ``batch``.
+    batch:
+        Their encoded occurrence contexts (term itself excluded).
+    doc_frequencies:
+        Number of distinct documents each term occurs in; ``None``
+        defaults to the term's context count.
+    """
+    rows = np.empty((batch.n_terms, len(DIRECT_FEATURE_NAMES)), dtype=np.float64)
+    n_ranks = int(batch.ranks.max()) + 1 if batch.ranks.size else 1
+    for first, last in chunks(np.diff(batch.token_offsets), batching.CHUNK_TOKENS):
+        cosine_bits = {
+            t: _cosine_and_bisection(matrix)
+            for t, matrix in _tfidf_matrices(batch, first, last, n_ranks)
+        }
+        for t in range(first, last):
+            term = terms[t]
+            n_contexts = int(batch.n_contexts[t])
+            frequency = n_contexts  # one context per occurrence by construction
+            doc_frequency = doc_frequencies[t]
+            if doc_frequency is None:
+                doc_frequency = n_contexts
+            vocab_size = int(batch.node_offsets[t + 1] - batch.node_offsets[t])
+            # Raw ids number tokens by first appearance: the Counter order.
+            lo, hi = batch.token_offsets[t], batch.token_offsets[t + 1]
+            counts = np.bincount(batch.nodes[lo:hi], minlength=vocab_size)
+            if vocab_size:
+                probs = counts.astype(np.float64)
+                probs /= probs.sum()
+                entropy = float(-(probs * np.log2(probs)).sum())
+                max_entropy = math.log2(vocab_size) if vocab_size > 1 else 1.0
+                entropy /= max_entropy
+            else:
+                entropy = 0.0
+            rows[t] = (
+                float(len(term.split())),
+                float(len(term)),
+                math.log1p(frequency),
+                math.log1p(doc_frequency),
+                math.log1p(vocab_size),
+                entropy,
+                *cosine_bits.get(t, (1.0, 0.0, 0.0, 1.0, 0.0)),
+            )
+    return rows
+
+
 def direct_features(
     term: str,
     contexts: Sequence[Sequence[str]],
@@ -71,6 +199,8 @@ def direct_features(
     doc_frequency: int | None = None,
 ) -> np.ndarray:
     """The 11-dimensional direct feature vector for ``term``.
+
+    A batch of one of :func:`direct_feature_rows`.
 
     Parameters
     ----------
@@ -82,43 +212,6 @@ def direct_features(
         Number of distinct documents the term occurs in; defaults to the
         context count when the caller has no document structure.
     """
-    tokens = term.split()
-    n_contexts = len(contexts)
-    frequency = n_contexts  # one context per occurrence by construction
-    if doc_frequency is None:
-        doc_frequency = n_contexts
-
-    words = [w for ctx in contexts for w in ctx]
-    counts = Counter(words)
-    vocab_size = len(counts)
-    if counts:
-        probs = np.array(list(counts.values()), dtype=np.float64)
-        probs /= probs.sum()
-        entropy = float(-(probs * np.log2(probs)).sum())
-        max_entropy = math.log2(vocab_size) if vocab_size > 1 else 1.0
-        entropy /= max_entropy
-    else:
-        entropy = 0.0
-
-    if n_contexts >= 4:
-        cosine_bits = _cosine_and_bisection(contexts)
-    elif n_contexts >= 2:
-        matrix = _context_matrix(contexts)
-        sims = matrix @ matrix.T
-        upper = sims[np.triu_indices(n_contexts, k=1)]
-        cosine_bits = (float(upper.mean()), float(upper.std()), 0.0, 1.0, 0.0)
-    else:
-        cosine_bits = (1.0, 0.0, 0.0, 1.0, 0.0)
-
-    return np.array(
-        [
-            float(len(tokens)),
-            float(len(term)),
-            math.log1p(frequency),
-            math.log1p(doc_frequency),
-            math.log1p(vocab_size),
-            entropy,
-            *cosine_bits,
-        ],
-        dtype=np.float64,
-    )
+    return direct_feature_rows(
+        [term], ContextBatch.encode([contexts]), [doc_frequency]
+    )[0]

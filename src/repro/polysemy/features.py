@@ -1,20 +1,76 @@
-"""Assembly of the full 23-dimensional polysemy feature vector."""
+"""Assembly of the full 23-dimensional polysemy feature vector.
+
+:meth:`PolysemyFeatureExtractor.featurise` is Step II's one featuriser:
+it takes a batch of ``(term, contexts, doc_frequency)`` items and returns
+one row per item.  Every Step II caller goes through it: training
+(:func:`~repro.polysemy.dataset.build_polysemy_dataset` featurises all
+its cache misses in one call), detection (``DetectStage`` featurises all
+its candidates in one call), the entity data sets, and
+:meth:`~PolysemyFeatureExtractor.features_from_contexts`, a batch of one.
+
+Inside a batch, the contexts are encoded once
+(:class:`~repro.polysemy.batch.ContextBatch`).  The direct half
+(:func:`~repro.polysemy.direct_features.direct_feature_rows`) takes
+TF-IDF rows from segmented id counts; the graph half builds every
+context graph into one CSR batch
+(:func:`~repro.polysemy.graph_features.build_context_graphs`) and
+computes its structural features a chunk of graphs at a time.  Louvain
+communities run level 0 through one of three bit-identical sweeps (see
+:mod:`repro.clustering.louvain`):
+
+* the **wavefront** moves one node of every graph per step, and runs
+  when a batch holds at least ``WAVEFRONT_MIN_GRAPHS`` (64) graphs with
+  edges, as a cold training batch does;
+* the **list sweep** runs each graph on its own below that, as for a
+  single term or a small detection batch, and for every upper level;
+* the **numpy sweep** runs each graph on its own when it is wide and
+  dense, which Step II's context graphs never are.
+
+The direct and graph halves run one after the other, so their
+intermediate arrays are never alive together.  Every vector is the same
+bytes the per-term code produced, so cached and golden vectors stay
+valid.
+
+``direct_features``, ``build_context_graph`` and ``graph_features`` are
+re-exported here as one-item entry points.
+"""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
 from repro.errors import CorpusError
-from repro.polysemy.direct_features import DIRECT_FEATURE_NAMES, direct_features
+from repro.polysemy.batch import ContextBatch
+from repro.polysemy.direct_features import (
+    DIRECT_FEATURE_NAMES,
+    direct_feature_rows,
+    direct_features,
+)
 from repro.polysemy.graph_features import (
     GRAPH_FEATURE_NAMES,
     build_context_graph,
+    build_context_graphs,
+    graph_feature_rows,
     graph_features,
 )
+
+__all__ = [
+    "ALL_FEATURE_NAMES",
+    "FeatureItem",
+    "PolysemyFeatureExtractor",
+    "build_context_graph",
+    "direct_features",
+    "graph_features",
+]
+
+#: One item to featurise: the term, its contexts (token sequences, term
+#: excluded) and the number of documents it occurs in (``None`` counts
+#: one document per context).
+FeatureItem = tuple[str, Sequence[Sequence[str]], int | None]
 
 #: All 23 feature names: 11 direct then 12 graph, matching the paper's split.
 ALL_FEATURE_NAMES = DIRECT_FEATURE_NAMES + GRAPH_FEATURE_NAMES
@@ -93,6 +149,34 @@ class PolysemyFeatureExtractor:
         """Dimensionality of the emitted vectors."""
         return len(self.feature_names)
 
+    def featurise(self, items: Iterable[FeatureItem]) -> np.ndarray:
+        """Feature rows, shape ``(n_items, n_features)``, for a batch.
+
+        Each row is byte-identical to what featurising its item alone
+        gives; batching only shares the encoding and the per-call
+        overhead (see the module docstring).
+        """
+        items = list(items)
+        out = np.empty((len(items), self.n_features), dtype=np.float64)
+        if not items:
+            return out
+        batch = ContextBatch.encode([contexts for __, contexts, __ in items])
+        column = 0
+        if self.feature_set in ("all", "direct"):
+            column = len(DIRECT_FEATURE_NAMES)
+            out[:, :column] = direct_feature_rows(
+                [term for term, __, __ in items],
+                batch,
+                [doc_frequency for __, __, doc_frequency in items],
+            )
+        if self.feature_set in ("all", "graph"):
+            graphs = build_context_graphs(batch, window=self.graph_window)
+            del batch  # the graphs keep only the node words
+            out[:, column:] = graph_feature_rows(
+                graphs, backend=self.community_backend, seed=self.community_seed
+            )
+        return out
+
     def features_from_contexts(
         self,
         term: str,
@@ -100,22 +184,8 @@ class PolysemyFeatureExtractor:
         *,
         doc_frequency: int | None = None,
     ) -> np.ndarray:
-        """Feature vector from pre-retrieved ``contexts``."""
-        parts = []
-        if self.feature_set in ("all", "direct"):
-            parts.append(
-                direct_features(term, contexts, doc_frequency=doc_frequency)
-            )
-        if self.feature_set in ("all", "graph"):
-            graph = build_context_graph(contexts, window=self.graph_window)
-            parts.append(
-                graph_features(
-                    graph,
-                    backend=self.community_backend,
-                    seed=self.community_seed,
-                )
-            )
-        return np.concatenate(parts)
+        """Feature vector from pre-retrieved ``contexts`` (a batch of one)."""
+        return self.featurise([(term, contexts, doc_frequency)])[0]
 
     def features_from_corpus(
         self,
@@ -139,6 +209,4 @@ class PolysemyFeatureExtractor:
             raise CorpusError(f"term {term!r} has no context in the corpus")
         contexts = [ctx.tokens for ctx in occurrences]
         doc_frequency = len({ctx.doc_id for ctx in occurrences})
-        return self.features_from_contexts(
-            term, contexts, doc_frequency=doc_frequency
-        )
+        return self.featurise([(term, contexts, doc_frequency)])[0]

@@ -8,11 +8,30 @@ graph is one dense community; for a polysemic term it splits into one
 community per sense — community structure, connectivity, and degree
 statistics capture that.
 
-:func:`build_context_graph` builds the graph straight into
-:class:`~repro.clustering.louvain.CSRGraph` arrays from token ids, and
-:func:`graph_features` computes all 12 features on those arrays.
-networkx appears only when the ``greedy`` community backend asks for a
-networkx graph (:meth:`ContextGraph.to_networkx`).
+:func:`build_context_graphs` builds every context graph of a
+:class:`~repro.polysemy.batch.ContextBatch` into one
+:class:`~repro.clustering.louvain.CSRGraphBatch`, and
+:func:`graph_feature_rows` computes the 12 features of all of them:
+
+* the structural counts (degrees, triangles through ``(A @ A) ∘ A``,
+  connected components) come from block-diagonal binary adjacency, a
+  chunk of graphs at a time, and are exact integers;
+* every float reduction whose result depends on summation order (the
+  mean clustering coefficient, the entropies and the modularity) runs
+  per graph on that graph's own slice, with the call the single-graph
+  code used, so each vector is the same bytes;
+* Louvain communities come from
+  :func:`~repro.clustering.louvain.louvain_labels_many`.  Its level 0
+  runs as one wavefront across the batch when at least
+  ``WAVEFRONT_MIN_GRAPHS`` (64) graphs have edges, as in a cold
+  training batch, and as the per-graph list sweep below that (a single
+  term, a small detection batch); upper levels always take the list
+  sweep, graph by graph.  The numpy sweep is for wide, dense graphs,
+  which context graphs are not.
+
+:func:`build_context_graph` and :func:`graph_features` are batches of
+one.  networkx appears only when the ``greedy`` community backend asks
+for a networkx graph (:meth:`ContextGraph.to_networkx`).
 """
 
 from __future__ import annotations
@@ -27,7 +46,9 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from repro.clustering.community import CommunityBackend, get_community_backend
-from repro.clustering.louvain import CSRGraph, modularity_from_labels
+from repro.clustering.louvain import CSRGraph, CSRGraphBatch, modularity_from_labels
+from repro.polysemy import batch as batching
+from repro.polysemy.batch import ContextBatch, chunks
 
 #: Feature names in vector order.
 GRAPH_FEATURE_NAMES = (
@@ -44,6 +65,12 @@ GRAPH_FEATURE_NAMES = (
     "modularity",
     "community_size_entropy",
 )
+
+#: Stored entries per chunk of block-diagonal adjacency for the
+#: structural features.  ``A @ A`` of a context graph is nearly dense, so
+#: its memory grows with the chunk: on the L rung's 341 graphs, 8,192
+#: entries peaked at 1.4 MB and 65,536 at 10.6 MB, for the same time.
+STRUCTURE_CHUNK_ENTRIES = 8_192
 
 
 @dataclass(frozen=True)
@@ -82,6 +109,109 @@ class ContextGraph:
         return graph
 
 
+@dataclass(frozen=True, eq=False)
+class ContextGraphs(Sequence):
+    """The context graphs of a batch of terms.
+
+    ``csr`` holds every graph's arrays once; ``nodes`` holds the word of
+    every node, graph by graph, in ``csr.node_offsets`` order.  Indexing
+    yields a :class:`ContextGraph` over views of those arrays.
+    """
+
+    csr: CSRGraphBatch
+    nodes: Sequence
+
+    def __len__(self) -> int:
+        return len(self.csr)
+
+    def __getitem__(self, g: int):
+        g = range(len(self))[g]
+        offsets = self.csr.node_offsets
+        first, last = int(offsets[g]), int(offsets[g + 1])
+        return ContextGraph(csr=self.csr[g], nodes=tuple(self.nodes[first:last]))
+
+
+def _chunk_edges(
+    batch: ContextBatch, first: int, last: int, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique undirected edges of terms ``first:last`` and their counts.
+
+    Nodes are numbered from the chunk's first node, and an edge
+    ``(u, v)`` with ``u < v`` is the key ``u * n + v`` over the chunk's
+    ``n`` nodes, so the keys sort graph by graph.
+    """
+    n0 = int(batch.node_offsets[first])
+    n_nodes = int(batch.node_offsets[last]) - n0
+    t0 = int(batch.token_offsets[first])
+    t1 = int(batch.token_offsets[last])
+    c0 = int(batch.context_offsets[first])
+    c1 = int(batch.context_offsets[last])
+    codes = batch.nodes[t0:t1] + np.repeat(
+        batch.node_offsets[first:last] - n0,
+        np.diff(batch.token_offsets[first : last + 1]),
+    )
+    lengths = batch.context_lengths[c0:c1]
+    # Tokens after each position inside its own context.
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size) - 1
+    keys = []
+    for offset in range(1, window):
+        fits = room[:-offset] >= offset
+        left = codes[:-offset][fits]
+        right = codes[offset:][fits]
+        distinct = left != right
+        left, right = left[distinct], right[distinct]
+        keys.append(np.minimum(left, right) * n_nodes + np.maximum(left, right))
+    return np.unique(
+        np.concatenate(keys) if keys else np.empty(0, dtype=np.int64),
+        return_counts=True,
+    )
+
+
+def build_context_graphs(batch: ContextBatch, *, window: int = 4) -> ContextGraphs:
+    """Every term's context graph, as :func:`build_context_graph` builds it.
+
+    Nodes keep each term's first-appearance numbering.  The window pairs
+    are counted a chunk of terms at a time, and each chunk's unique
+    edges fill its part of one preallocated batch CSR (int32 column
+    ids, float64 weights), so no graph is ever held twice.
+    """
+    node_offsets = batch.node_offsets
+    spans = chunks(np.diff(batch.token_offsets), batching.CHUNK_TOKENS)
+    # Counting the edges first and recounting them to fill the arrays
+    # costs one more pass over the pairs (a few ms per hundred terms)
+    # but never holds the edge lists beside the finished arrays.
+    n_entries = sum(
+        2 * _chunk_edges(batch, first, last, window)[0].size
+        for first, last in spans
+    )
+    indptr = np.zeros(int(node_offsets[-1]) + 1, dtype=np.int64)
+    indices = np.empty(n_entries, dtype=np.int32)
+    weights = np.empty(n_entries, dtype=np.float64)
+    at = 0
+    for first, last in spans:
+        keys, counts = _chunk_edges(batch, first, last, window)
+        n0 = int(node_offsets[first])
+        n_nodes = int(node_offsets[last]) - n0
+        rows, cols = np.divmod(keys, n_nodes)
+        src = np.concatenate([rows, cols])
+        dst = np.concatenate([cols, rows])
+        order = np.argsort(src * n_nodes + dst)
+        dst = dst[order]
+        node_base = np.repeat(
+            node_offsets[first:last] - n0, np.diff(node_offsets[first : last + 1])
+        )
+        size = dst.size
+        indices[at : at + size] = dst - node_base[dst]
+        weights[at : at + size] = np.concatenate([counts, counts])[order]
+        indptr[n0 + 1 : n0 + n_nodes + 1] = np.bincount(src, minlength=n_nodes)
+        at += size
+    np.cumsum(indptr, out=indptr)
+    csr = CSRGraphBatch(
+        indptr=indptr, indices=indices, weights=weights, node_offsets=node_offsets
+    )
+    return ContextGraphs(csr=csr, nodes=batch.words)
+
+
 def build_context_graph(
     contexts: Sequence[Sequence[str]],
     *,
@@ -94,32 +224,17 @@ def build_context_graph(
     ``window - 1`` tokens; a pair's edge weight counts its occurrences
     and pairs of equal tokens add nothing.  When ``min_weight`` exceeds
     1, edges weighing less are pruned together with the nodes they
-    leave isolated.
+    leave isolated.  A batch of one of :func:`build_context_graphs`.
     """
-    ids: dict[str, int] = {}
-    codes = np.fromiter(
-        (ids.setdefault(token, len(ids)) for ctx in contexts for token in ctx),
-        dtype=np.int64,
-    )
-    n = len(ids)
-    lengths = np.fromiter((len(ctx) for ctx in contexts), dtype=np.int64)
-    # Tokens after each position inside its own context.
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size) - 1
-    keys = []
-    for offset in range(1, window):
-        fits = room[:-offset] >= offset
-        left = codes[:-offset][fits]
-        right = codes[offset:][fits]
-        distinct = left != right
-        left, right = left[distinct], right[distinct]
-        keys.append(np.minimum(left, right) * n + np.maximum(left, right))
-    edge_keys, counts = np.unique(
-        np.concatenate(keys) if keys else np.empty(0, dtype=np.int64),
-        return_counts=True,
-    )
-    rows, cols = np.divmod(edge_keys, n)
-    weights = counts.astype(np.float64)
-    nodes = tuple(ids)
+    graph = build_context_graphs(ContextBatch.encode([contexts]), window=window)[0]
+    csr = graph.csr
+    n = csr.n_nodes
+    all_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    upper = all_rows < csr.indices
+    rows = all_rows[upper]
+    cols = csr.indices[upper].astype(np.int64)
+    weights = csr.weights[upper]
+    nodes = graph.nodes
     if min_weight > 1.0:
         strong = weights >= min_weight
         rows, cols, weights = rows[strong], cols[strong], weights[strong]
@@ -145,37 +260,34 @@ def _entropy(values: np.ndarray) -> float:
     return entropy / max_entropy if max_entropy > 0 else 0.0
 
 
-def _binary_adjacency(csr: CSRGraph) -> sparse.csr_matrix:
-    """Unweighted scipy adjacency of ``csr``, self-loops dropped.
+def _structure(
+    csr: CSRGraphBatch, first: int, last: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node clustering terms and per-graph components of ``first:last``.
 
-    Triangle counts and connectivity follow the networkx convention of
-    ignoring self-loops and edge weights.
+    One block-diagonal binary adjacency (self-loops dropped, weights
+    ignored, as networkx counts triangles) covers the chunk.  Returns
+    the chunk's per-node clustering coefficients, doubled triangle
+    counts and degree pairs ``d (d - 1)``, all exact, plus each graph's
+    component count and largest component size.
     """
-    n = csr.n_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    keep = rows != csr.indices
-    return sparse.csr_matrix(
-        (
-            np.ones(int(keep.sum()), dtype=np.float64),
-            (rows[keep], csr.indices[keep]),
-        ),
-        shape=(n, n),
+    n0 = int(csr.node_offsets[first])
+    sizes = np.diff(csr.node_offsets[first : last + 1])
+    n_nodes = int(sizes.sum())
+    indptr = csr.indptr[n0 : n0 + n_nodes + 1]
+    rows = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(indptr))
+    node_base = np.repeat(csr.node_offsets[first:last] - n0, sizes)
+    cols = csr.indices[int(indptr[0]) : int(indptr[-1])] + node_base[rows]
+    keep = rows != cols
+    # Integer counts, exact in any order: int32 entries halve the memory
+    # of ``A @ A`` against float64.
+    adjacency = sparse.csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int32), (rows[keep], cols[keep])),
+        shape=(n_nodes, n_nodes),
     )
-
-
-def _clustering_and_transitivity(
-    adjacency: sparse.csr_matrix,
-) -> tuple[float, float]:
-    """(average clustering coefficient, transitivity) of a binary graph.
-
-    ``(A @ A) ∘ A`` row sums give each node's doubled triangle count —
-    the same quantity networkx's ``_triangles_and_degree_iter`` yields —
-    so both metrics come from one sparse matmul instead of a
-    per-node Python neighbourhood scan.
-    """
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    degrees = np.asarray(adjacency.sum(axis=1), dtype=np.float64).ravel()
     double_triangles = np.asarray(
-        (adjacency @ adjacency).multiply(adjacency).sum(axis=1)
+        (adjacency @ adjacency).multiply(adjacency).sum(axis=1), dtype=np.float64
     ).ravel()
     pairs = degrees * (degrees - 1.0)
     coefficients = np.divide(
@@ -184,13 +296,16 @@ def _clustering_and_transitivity(
         out=np.zeros_like(double_triangles),
         where=pairs > 0,
     )
-    avg_clustering = float(coefficients.mean())
-    total_pairs = float(pairs.sum())
-    total_triangles = float(double_triangles.sum())
-    transitivity = (
-        total_triangles / total_pairs if total_triangles > 0 else 0.0
+    n_components, component = _csgraph_components(adjacency, directed=False)
+    graph_of_node = np.repeat(np.arange(last - first, dtype=np.int64), sizes)
+    graph_of_component = np.zeros(n_components, dtype=np.int64)
+    graph_of_component[component] = graph_of_node
+    components = np.bincount(graph_of_component, minlength=last - first)
+    largest = np.zeros(last - first, dtype=np.int64)
+    np.maximum.at(
+        largest, graph_of_component, np.bincount(component, minlength=n_components)
     )
-    return avg_clustering, transitivity
+    return coefficients, double_triangles, pairs, np.stack([components, largest])
 
 
 def _community_labels(
@@ -216,18 +331,38 @@ def _community_labels(
     return labels
 
 
-def graph_features(
-    graph: ContextGraph,
+def _all_community_labels(
+    graphs: ContextGraphs,
+    backend: CommunityBackend,
+    seed: int | np.random.Generator | None,
+) -> dict[int, np.ndarray]:
+    """Community labels of every graph with edges, by graph index.
+
+    A backend with ``labels_many`` (Louvain) partitions the whole batch
+    in one call; any other backend runs graph by graph, in order, so a
+    shared generator seed is consumed as separate calls would.
+    """
+    sizes = np.diff(graphs.csr.indptr[graphs.csr.node_offsets])
+    with_edges = np.flatnonzero(sizes >= 2).tolist()
+    labels_many = getattr(backend, "labels_many", None)
+    if labels_many is None:
+        return {g: _community_labels(graphs[g], backend, seed) for g in with_edges}
+    if np.count_nonzero(sizes) == len(with_edges):
+        # Graphs without edges have no entries and stay out of Louvain,
+        # so the batch goes in as it is, with no copy.
+        labels = labels_many(graphs.csr, seed=seed)
+        return {g: labels[g] for g in with_edges}
+    labels = labels_many([graphs.csr[g] for g in with_edges], seed=seed)
+    return dict(zip(with_edges, labels, strict=True))
+
+
+def graph_feature_rows(
+    graphs: ContextGraphs,
     *,
     backend: str | CommunityBackend = "louvain",
     seed: int | np.random.Generator | None = 0,
 ) -> np.ndarray:
-    """The 12-dimensional feature vector of a term's context graph.
-
-    Every metric is computed natively on the graph's CSR adjacency
-    (degrees from the row pointers, sparse matmul triangles, union-find
-    components, Louvain communities).  Only the ``"greedy"`` backend
-    sees a networkx graph, rebuilt from the CSR arrays.
+    """The (n_graphs, 12) feature rows of a batch of context graphs.
 
     Parameters
     ----------
@@ -238,60 +373,89 @@ def graph_features(
     seed:
         Seed for seedable backends (makes ``"louvain"`` deterministic).
     """
-    csr = graph.csr
-    n_nodes = csr.n_nodes
-    if n_nodes == 0:
-        return np.zeros(len(GRAPH_FEATURE_NAMES), dtype=np.float64)
-    # No self-loops: each edge is stored once per direction.
-    n_edges = csr.indices.size // 2
-    degrees = np.diff(csr.indptr).astype(np.float64)
-
-    adjacency = _binary_adjacency(csr)
-    # networkx's density, operation for operation: 2m / (n (n - 1)).
-    density = 0.0
-    if n_edges > 0 and n_nodes > 1:
-        density = n_edges / (n_nodes * (n_nodes - 1))
-        density *= 2
-    mean_degree = float(degrees.mean())
-    degree_entropy = _entropy(degrees)
-    if n_nodes > 1:
-        avg_clustering, transitivity = _clustering_and_transitivity(adjacency)
-    else:
-        avg_clustering, transitivity = 0.0, 0.0
-    if n_nodes <= 2:
+    csr = graphs.csr
+    n_graphs = len(graphs)
+    node_offsets = csr.node_offsets
+    rows = np.zeros((n_graphs, len(GRAPH_FEATURE_NAMES)), dtype=np.float64)
+    entries = np.diff(csr.indptr[node_offsets])
+    structure = {}
+    for first, last in chunks(entries, STRUCTURE_CHUNK_ENTRIES):
+        coefficients, triangles, pairs, components = _structure(csr, first, last)
+        n0 = int(node_offsets[first])
+        for g in range(first, last):
+            a, b = int(node_offsets[g]) - n0, int(node_offsets[g + 1]) - n0
+            structure[g] = (
+                float(coefficients[a:b].mean()) if b - a > 1 else 0.0,
+                float(triangles[a:b].sum()),
+                float(pairs[a:b].sum()),
+                int(components[0, g - first]),
+                int(components[1, g - first]),
+            )
+    communities = _all_community_labels(graphs, get_community_backend(backend), seed)
+    for g in range(n_graphs):
+        a, b = int(node_offsets[g]), int(node_offsets[g + 1])
+        n_nodes = b - a
+        if n_nodes == 0:
+            continue
+        # No self-loops: each edge is stored once per direction.
+        n_edges = int(entries[g]) // 2
+        avg_clustering, total_triangles, total_pairs, n_components, largest = (
+            structure[g]
+        )
+        # networkx's density, operation for operation: 2m / (n (n - 1)).
+        density = 0.0
+        if n_edges > 0 and n_nodes > 1:
+            density = n_edges / (n_nodes * (n_nodes - 1))
+            density *= 2
         transitivity = 0.0
-
-    n_components, component_labels = _csgraph_components(
-        adjacency, directed=False
-    )
-    component_sizes = np.bincount(component_labels, minlength=n_components)
-    largest_fraction = float(component_sizes.max()) / n_nodes
-
-    if n_edges > 0:
-        labels = _community_labels(graph, get_community_backend(backend), seed)
-        n_communities = int(labels.max()) + 1
-        modularity = modularity_from_labels(csr, labels)
-        community_sizes = np.bincount(labels, minlength=n_communities)
-        community_entropy = _entropy(community_sizes.astype(np.float64))
-    else:
-        n_communities = n_components
-        modularity = 0.0
-        community_entropy = 0.0
-
-    return np.array(
-        [
+        if n_nodes > 2 and total_triangles > 0:
+            transitivity = total_triangles / total_pairs
+        degrees = np.diff(csr.indptr[a : b + 1]).astype(np.float64)
+        if g in communities:
+            labels = communities[g]
+            n_communities = int(labels.max()) + 1
+            modularity = modularity_from_labels(csr[g], labels)
+            community_sizes = np.bincount(labels, minlength=n_communities)
+            community_entropy = _entropy(community_sizes.astype(np.float64))
+        else:
+            n_communities = n_components
+            modularity = 0.0
+            community_entropy = 0.0
+        rows[g] = (
             math.log1p(n_nodes),
             math.log1p(n_edges),
             density,
-            mean_degree,
-            degree_entropy,
+            float(degrees.mean()),
+            _entropy(degrees),
             avg_clustering,
             transitivity,
             float(n_components),
-            largest_fraction,
+            float(largest) / n_nodes,
             float(n_communities),
             float(modularity),
             community_entropy,
-        ],
-        dtype=np.float64,
+        )
+    return rows
+
+
+def graph_features(
+    graph: ContextGraph,
+    *,
+    backend: str | CommunityBackend = "louvain",
+    seed: int | np.random.Generator | None = 0,
+) -> np.ndarray:
+    """The 12-dimensional feature vector of a term's context graph.
+
+    A batch of one of :func:`graph_feature_rows`; see there for the
+    parameters.
+    """
+    csr = graph.csr
+    batch = CSRGraphBatch(
+        indptr=csr.indptr,
+        indices=csr.indices,
+        weights=csr.weights,
+        node_offsets=np.array([0, csr.n_nodes], dtype=np.int64),
     )
+    return graph_feature_rows(
+        ContextGraphs(csr=batch, nodes=graph.nodes), backend=backend, seed=seed
+    )[0]

@@ -6,9 +6,9 @@ restructured as a staged batch pipeline:
 * :class:`ExtractStage` — Step I: rank candidate terms and select the
   batch to examine;
 * :class:`DetectStage` — Step II: materialise each candidate's contexts
-  through the shared positional index, featurise, and classify
-  polysemic/monosemous (training the detector on ontology labels first
-  when needed);
+  through the shared positional index, featurise them all in one batch,
+  and classify polysemic/monosemous (training the detector on ontology
+  labels first when needed);
 * :class:`InduceStage` — Step III: cluster each candidate's contexts
   into its induced sense(s);
 * :class:`LinkStage` — Step IV: build the shared linkage artefacts once
@@ -19,8 +19,9 @@ corpus's :class:`~repro.corpus.index.CorpusIndex` (built once, reused by
 every stage instead of rescanning documents), the ranked candidates, the
 per-candidate work items, and the growing
 :class:`~repro.workflow.report.EnrichmentReport`.  Per-stage wall times
-are recorded in ``report.timings``.  Steps II–III loop over the
-candidates in order, in this process.
+are recorded in ``report.timings``.  Step II featurises the candidates
+as one batch, then Steps II–III loop over them in order, in this
+process.
 
 Step II featurisation is memoised in a
 :class:`~repro.polysemy.cache.FeatureCache` keyed by (corpus
@@ -192,7 +193,7 @@ def detect_config_fingerprint(
 
 
 class DetectStage:
-    """Step II: materialise contexts and classify polysemy per candidate."""
+    """Step II: materialise contexts, featurise in one batch, classify each."""
 
     name = "detect"
 
@@ -238,17 +239,27 @@ class DetectStage:
                     prefilled.add(id(item))
         for item in ctx.work:
             self._materialise(ctx.index, cfg, item)
+        if self._trained:
+            # Every candidate not served by the prefill, in one batch.
+            misses = [
+                item
+                for item in ctx.work
+                if item.contexts is not None and item.features is None
+            ]
+            rows = self._features.featurise(
+                [
+                    (item.candidate.term, item.contexts, item.doc_frequency)
+                    for item in misses
+                ]
+            )
+            for item, row in zip(misses, rows, strict=True):
+                item.features = row
+        for item in ctx.work:
             if item.contexts is None:
                 continue
             if not self._trained:
                 item.report.polysemic = False
                 continue
-            if item.features is None:
-                item.features = self._features.features_from_contexts(
-                    item.candidate.term,
-                    item.contexts,
-                    doc_frequency=item.doc_frequency,
-                )
             item.report.polysemic = bool(
                 self._detector.predict_features(item.features[None, :])[0]
                 == 1

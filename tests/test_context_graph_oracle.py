@@ -24,6 +24,8 @@ from repro.polysemy.graph_features import (
     graph_features,
 )
 
+from per_term_featuriser import _binary_adjacency, _clustering_and_transitivity
+
 
 def networkx_context_graph(contexts, *, window=4, min_weight=1.0):
     """The networkx context-graph builder, token by token."""
@@ -57,11 +59,11 @@ def networkx_graph_features(graph, *, backend="louvain", seed=0):
     if n_nodes == 0:
         return np.zeros(12, dtype=np.float64)
     csr = CSRGraph.from_networkx(graph, weight="weight")
-    adjacency = gf._binary_adjacency(csr)
+    adjacency = _binary_adjacency(csr)
     degrees = np.array([d for __, d in graph.degree()], dtype=np.float64)
     density = nx.density(graph) if n_nodes > 1 else 0.0
     if n_nodes > 1:
-        avg_clustering, transitivity = gf._clustering_and_transitivity(
+        avg_clustering, transitivity = _clustering_and_transitivity(
             adjacency
         )
     else:

@@ -1,0 +1,150 @@
+"""Louvain's three local-move sweeps against each other.
+
+The list sweep is the oracle.  The numpy sweep must give the same labels
+on every graph, and ``louvain_labels_many`` the same labels as one
+``louvain_labels`` call per graph, with the level-0 wavefront forced on
+and off.  The graphs carry small integer weights, so gains tie; isolated
+nodes, weighted self-loops and disconnected parts; and ``min_gain`` 0.3
+makes candidates inside the acceptance window common, which is where
+``argmax`` and the sequential scan part ways.
+"""
+
+from contextlib import contextmanager
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.clustering import louvain
+from repro.clustering.louvain import (
+    CSRGraph,
+    CSRGraphBatch,
+    louvain_labels,
+    louvain_labels_many,
+)
+
+
+@contextmanager
+def wavefront(threshold):
+    """Run with ``WAVEFRONT_MIN_GRAPHS`` set to ``threshold``."""
+    saved = louvain.WAVEFRONT_MIN_GRAPHS
+    louvain.WAVEFRONT_MIN_GRAPHS = threshold
+    try:
+        yield
+    finally:
+        louvain.WAVEFRONT_MIN_GRAPHS = saved
+
+
+@st.composite
+def graphs(draw):
+    """A CSR graph of 0-40 nodes: weights 1-3, 1-3 disconnected parts.
+
+    Edges are drawn per node pair at a drawn density, so graphs range
+    from mostly isolated nodes to dense blocks; self-loops, when drawn,
+    are weighted like any edge.
+    """
+    n = draw(st.integers(min_value=0, max_value=40))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    n_parts = draw(st.integers(min_value=1, max_value=3))
+    loops = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    part = rng.integers(0, n_parts, size=n)
+    rows, cols = np.triu_indices(n, k=0 if loops else 1)
+    keep = (part[rows] == part[cols]) & (rng.random(rows.size) < density)
+    weights = rng.integers(1, 4, size=int(keep.sum())).astype(np.float64)
+    return CSRGraph.from_edges(n, rows[keep], cols[keep], weights)
+
+
+SETTINGS = st.fixed_dictionaries(
+    {
+        "resolution": st.sampled_from([1.0, 0.5]),
+        "min_gain": st.sampled_from([1e-12, 0.3]),
+    }
+)
+
+
+class TestSweepsAgree:
+    @given(
+        graph=graphs(),
+        seed=st.integers(min_value=0, max_value=3),
+        options=SETTINGS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_sweep_matches_list_sweep(self, graph, seed, options):
+        want = louvain_labels(graph, seed=seed, vectorize=False, **options)
+        got = louvain_labels(graph, seed=seed, vectorize=True, **options)
+        assert np.array_equal(got, want)
+
+    @given(
+        batch=st.lists(graphs(), max_size=6),
+        seed=st.integers(min_value=0, max_value=3),
+        options=SETTINGS,
+        threshold=st.sampled_from([1, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_many_matches_per_graph_calls(self, batch, seed, options, threshold):
+        want = [
+            louvain_labels(graph, seed=seed, vectorize=False, **options)
+            for graph in batch
+        ]
+        with wavefront(threshold):
+            got = louvain_labels_many(batch, seed=seed, **options)
+            packed = louvain_labels_many(
+                CSRGraphBatch.from_graphs(batch), seed=seed, **options
+            )
+        assert len(got) == len(packed) == len(batch)
+        for labels, same, expected in zip(got, packed, want, strict=True):
+            assert np.array_equal(labels, expected)
+            assert np.array_equal(same, expected)
+
+    @given(
+        batch=st.lists(graphs(), max_size=6),
+        seed=st.integers(min_value=0, max_value=3),
+        options=SETTINGS,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shared_generator_is_consumed_graph_by_graph(
+        self, batch, seed, options
+    ):
+        rng = np.random.default_rng(seed)
+        want = [louvain_labels(graph, seed=rng, **options) for graph in batch]
+        with wavefront(1):
+            got = louvain_labels_many(
+                batch, seed=np.random.default_rng(seed), **options
+            )
+        for labels, expected in zip(got, want, strict=True):
+            assert np.array_equal(labels, expected)
+
+
+class TestBatchContainer:
+    def test_views_share_the_batch_arrays(self):
+        graph = CSRGraph.from_edges(
+            3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        )
+        batch = CSRGraphBatch.from_graphs([graph, graph])
+        second = batch[1]
+        assert np.shares_memory(second.weights, batch.weights)
+        assert np.array_equal(second.indptr, graph.indptr)
+        assert np.array_equal(second.indices, graph.indices)
+        assert [g.n_nodes for g in batch] == [3, 3]
+
+    def test_wavefront_covers_a_large_batch(self):
+        # Enough graphs with edges to take the wavefront at the default
+        # threshold, including edgeless and empty graphs between them.
+        rng = np.random.default_rng(7)
+        batch = []
+        for k in range(louvain.WAVEFRONT_MIN_GRAPHS + 6):
+            n = int(rng.integers(0, 25))
+            if k % 9 == 0 or n < 2:
+                batch.append(
+                    CSRGraph.from_edges(n, np.empty(0), np.empty(0), np.empty(0))
+                )
+                continue
+            rows = rng.integers(0, n, size=2 * n)
+            cols = rng.integers(0, n, size=2 * n)
+            keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+            weights = rng.integers(1, 4, size=keys.size).astype(np.float64)
+            batch.append(CSRGraph.from_edges(n, keys // n, keys % n, weights))
+        want = [louvain_labels(graph, seed=2, vectorize=False) for graph in batch]
+        got = louvain_labels_many(CSRGraphBatch.from_graphs(batch), seed=2)
+        for labels, expected in zip(got, want, strict=True):
+            assert np.array_equal(labels, expected)
