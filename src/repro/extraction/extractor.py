@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+
+import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.errors import ExtractionError
@@ -27,22 +28,42 @@ class RankedTerm:
 class _Ranking:
     """One measure's ranking of an aggregate, turned into terms on demand.
 
-    ``rows`` is the whole ranking as ``(tokens, score, frequency)`` rows,
-    best first, with each frequency read when the ranking was made.
-    ``terms`` holds the :class:`RankedTerm` of each row built so far: a
-    prefix of ``rows``, grown to the longest prefix any caller asked for.
+    ``order`` holds the ranked candidates' indices into ``tokens`` (the
+    candidate keys when the ranking was made), best first; ``scores``
+    and ``frequencies`` are their scores and frequencies in that order,
+    copied when the ranking was made, since a later fold bumps the
+    columns in place.  ``terms`` holds the :class:`RankedTerm` of each
+    rank built so far: a prefix of the ranking, grown to the longest
+    prefix any caller asked for.
     """
 
-    def __init__(self, rows: list[tuple[tuple[str, ...], float, int]]) -> None:
-        self.rows = rows
+    def __init__(
+        self,
+        tokens: list[tuple[str, ...]],
+        order: np.ndarray,
+        scores: np.ndarray,
+        frequencies: np.ndarray,
+    ) -> None:
+        self.tokens = tokens
+        self.order = order
+        self.scores = scores
+        self.frequencies = frequencies
         self.terms: list[RankedTerm] = []
 
     def head(self, top_k: int | None) -> list[RankedTerm]:
         """A new list of the best ``top_k`` terms (``None`` = all)."""
-        rows, terms = self.rows, self.terms
-        end = len(rows) if top_k is None else min(top_k, len(rows))
-        for rank in range(len(terms) + 1, end + 1):
-            tokens, score, frequency = rows[rank - 1]
+        terms = self.terms
+        size = len(self.order)
+        end = size if top_k is None else min(top_k, size)
+        start = min(len(terms), end)
+        for rank, index, score, frequency in zip(
+            range(start + 1, end + 1),
+            self.order[start:end].tolist(),
+            self.scores[start:end].tolist(),
+            self.frequencies[start:end].tolist(),
+            strict=True,
+        ):
+            tokens = self.tokens[index]
             terms.append(
                 RankedTerm(
                     term=" ".join(tokens),
@@ -200,9 +221,9 @@ class BioTexExtractor:
         """Extract and rank candidate terms from ``corpus``.
 
         The ranking of every candidate is computed once per harvested
-        aggregate and kept as plain rows; :class:`RankedTerm` objects
-        are built on demand, only for the longest prefix asked for so
-        far.  Each call returns a new list.
+        aggregate, as one numpy sort over the measure's score column;
+        :class:`RankedTerm` objects are built on demand, only for the
+        longest prefix asked for so far.  Each call returns a new list.
 
         Parameters
         ----------
@@ -224,14 +245,16 @@ class BioTexExtractor:
 
     def _rank(self, context: ExtractionContext, measure: str) -> _Ranking:
         scores = compute_measure(measure, context)
-        candidates = context.candidates
-        rows = [
-            (tokens, float(score), candidates[tokens].frequency)
-            for tokens, score in scores.items()
-            if len(tokens) >= self.min_length
-        ]
-        # Fully deterministic order: score desc, then term text.  The
-        # second sort is stable, so equal scores keep the token order.
-        rows.sort(key=itemgetter(0))
-        rows.sort(key=itemgetter(1), reverse=True)
-        return _Ranking(rows)
+        columns = context.columns()
+        kept = np.flatnonzero(columns.length >= self.min_length)
+        # Fully deterministic order: score desc, then the token tuple,
+        # compared word by word in sorted word order; -1 pads a shorter
+        # tuple, so a prefix sorts before its extensions.  -0.0 and 0.0
+        # tie, as equal floats do.
+        ids = columns.ids[kept]
+        words = np.where(ids >= 0, columns.word_ranks()[ids], -1)
+        keys = [words[:, j] for j in reversed(range(words.shape[1]))]
+        order = kept[np.lexsort([*keys, -scores[kept]])]
+        return _Ranking(
+            list(context.candidates), order, scores[order], columns.frequency[order]
+        )

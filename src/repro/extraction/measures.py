@@ -1,8 +1,9 @@
 """Term-ranking measures and their registry.
 
 Every measure maps an :class:`~repro.extraction.candidates.ExtractionContext`
-to ``{candidate tokens: score}``; higher is always better.  The inventory
-follows the paper's companion IRJ-2016 paper [4]:
+to a score column: a float64 array with one score per candidate, in
+candidate order (``context.candidates``); higher is always better.  The
+inventory follows the paper's companion IRJ-2016 paper [4]:
 
 ============  ===============================================================
 name          definition
@@ -16,102 +17,143 @@ f_ocapi       harmonic fusion of Okapi and C-value
 lidf_value    pattern probability × idf × C-value (the paper's flagship)
 tergraph      graph-based termhood over the candidate co-occurrence graph
 ============  ===============================================================
+
+The measures are numpy expressions over the context's
+:class:`~repro.extraction.candidates.CandidateColumns`, float for float
+what the per-candidate Python arithmetic gives: idf and ``log2(len + 1)``
+come from ``math`` through tables with one entry per distinct value,
+C-value's nested sums stay integers, each operation keeps the order of
+the scalar expression, and Okapi adds each candidate's BM25 terms in
+``per_doc`` order.  ``tests/dict_measures.py`` keeps the per-candidate
+measures as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from itertools import chain
+
+import numpy as np
 
 from repro.errors import ExtractionError
-from repro.extraction.candidates import ExtractionContext
+from repro.extraction.candidates import CandidateColumns, ExtractionContext
 from repro.text.vectorize import idf_weight
-
-Scores = "dict[tuple[str, ...], float]"
 
 # BM25 constants (standard Robertson parameters).
 _BM25_K1 = 1.2
 _BM25_B = 0.75
 
 
-def c_value(context: ExtractionContext) -> dict:
+def _table(values: np.ndarray, fn: Callable[[int], float]) -> np.ndarray:
+    """``fn`` of each of ``values``, called once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    table = np.array([fn(value) for value in distinct.tolist()], dtype=np.float64)
+    return table[inverse.ravel()]
+
+
+def _idf(context: ExtractionContext, columns: CandidateColumns) -> np.ndarray:
+    n_documents = context.n_documents
+    return _table(columns.doc_frequency, lambda df: idf_weight(n_documents, df))
+
+
+def _positive(scores: np.ndarray) -> np.ndarray:
+    """``max(score, 0.0)`` per score: 0.0 where the score is negative."""
+    return np.where(scores < 0.0, 0.0, scores)
+
+
+def _c_value(columns: CandidateColumns) -> np.ndarray:
+    sums, counts = columns.nested_sums()
+    frequency = columns.frequency.astype(np.float64)
+    nested = counts > 0
+    frequency[nested] -= sums[nested] / counts[nested]
+    return _table(columns.length, lambda length: math.log2(length + 1)) * frequency
+
+
+def c_value(context: ExtractionContext) -> np.ndarray:
     """C-value: length-weighted frequency with nested-term correction.
 
     ``C(t) = log2(|t|+1) · f(t)`` for maximal candidates; when t is nested
     inside longer candidates T_t, the average frequency of those longer
     candidates is subtracted from f(t) first.
     """
-    scores = {}
-    for tokens, stats in context.candidates.items():
-        longer = context.nested_in(tokens)
-        frequency = float(stats.frequency)
-        if longer:
-            frequency -= sum(o.frequency for o in longer) / len(longer)
-        scores[tokens] = math.log2(stats.length + 1) * frequency
-    return scores
+    return _c_value(context.columns())
 
 
-def tf_idf(context: ExtractionContext) -> dict:
+def tf_idf(context: ExtractionContext) -> np.ndarray:
     """Corpus term frequency × smoothed inverse document frequency."""
-    return {
-        tokens: stats.frequency
-        * idf_weight(context.n_documents, stats.doc_frequency)
-        for tokens, stats in context.candidates.items()
-    }
+    columns = context.columns()
+    return columns.frequency * _idf(context, columns)
 
 
-def okapi(context: ExtractionContext) -> dict:
-    """Okapi BM25 mass of each candidate summed over its documents."""
+def okapi(context: ExtractionContext) -> np.ndarray:
+    """Okapi BM25 mass of each candidate summed over its documents.
+
+    Each candidate's terms are added from 0.0 in ``per_doc`` order: the
+    sum runs position by position across all candidates at once.
+    """
     avgdl = max(context.avg_doc_length, 1e-9)
-    scores = {}
-    for tokens, stats in context.candidates.items():
-        idf = idf_weight(context.n_documents, stats.doc_frequency)
-        total = 0.0
-        for doc_id, tf in stats.per_doc.items():
-            dl = context.doc_lengths.get(doc_id, avgdl)
-            denom = tf + _BM25_K1 * (1.0 - _BM25_B + _BM25_B * dl / avgdl)
-            total += idf * tf * (_BM25_K1 + 1.0) / denom
-        scores[tokens] = total
-    return scores
+    columns = context.columns()
+    per_doc = [stats.per_doc for stats in context.candidates.values()]
+    n_terms = int(columns.doc_frequency.sum())
+    tf = np.fromiter(chain.from_iterable(map(dict.values, per_doc)), np.int64, n_terms)
+    lengths = context.doc_lengths
+    dl = np.fromiter(
+        (lengths.get(doc_id, avgdl) for doc_id in chain.from_iterable(per_doc)),
+        np.float64,
+        n_terms,
+    )
+    candidate = np.repeat(np.arange(len(columns)), columns.doc_frequency)
+    idf = _idf(context, columns)[candidate]
+    denom = tf + _BM25_K1 * (1.0 - _BM25_B + _BM25_B * dl / avgdl)
+    terms = idf * tf * (_BM25_K1 + 1.0) / denom
+    firsts = np.cumsum(columns.doc_frequency) - columns.doc_frequency
+    position = np.arange(n_terms) - firsts[candidate]
+    by_position = np.argsort(position, kind="stable")
+    bounds = np.searchsorted(
+        position[by_position], np.arange(int(position.max(initial=-1)) + 2)
+    )
+    totals = np.zeros(len(columns), dtype=np.float64)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist(), strict=True):
+        at = by_position[lo:hi]
+        totals[candidate[at]] += terms[at]
+    return totals
 
 
-def _harmonic_fusion(a: dict, b: dict) -> dict:
-    out = {}
-    for tokens in a:
-        x, y = a[tokens], b[tokens]
-        # Scores can be negative after nested correction; harmonic fusion
-        # is only meaningful on the positive part.
-        x, y = max(x, 0.0), max(y, 0.0)
-        out[tokens] = 2.0 * x * y / (x + y) if x + y > 0 else 0.0
+def _harmonic_fusion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Scores can be negative after nested correction; harmonic fusion
+    # is only meaningful on the positive part.
+    x, y = _positive(a), _positive(b)
+    total = x + y
+    out = np.zeros(len(total), dtype=np.float64)
+    fused = total > 0
+    out[fused] = 2.0 * x[fused] * y[fused] / total[fused]
     return out
 
 
-def f_tfidf_c(context: ExtractionContext) -> dict:
+def f_tfidf_c(context: ExtractionContext) -> np.ndarray:
     """Harmonic-mean fusion of TF-IDF and C-value."""
     return _harmonic_fusion(tf_idf(context), c_value(context))
 
 
-def f_ocapi(context: ExtractionContext) -> dict:
+def f_ocapi(context: ExtractionContext) -> np.ndarray:
     """Harmonic-mean fusion of Okapi BM25 and C-value."""
     return _harmonic_fusion(okapi(context), c_value(context))
 
 
-def lidf_value(context: ExtractionContext) -> dict:
+def lidf_value(context: ExtractionContext) -> np.ndarray:
     """LIDF-value: pattern probability × idf × C-value.
 
     The linguistic component is the candidate's POS-pattern weight (the
     rank-derived probability of :mod:`repro.text.patterns`), which is what
     lets LIDF-value promote well-formed rare terms over frequent noise.
     """
-    cval = c_value(context)
-    scores = {}
-    for tokens, stats in context.candidates.items():
-        idf = idf_weight(context.n_documents, stats.doc_frequency)
-        scores[tokens] = stats.pattern_weight * idf * max(cval[tokens], 0.0)
-    return scores
+    columns = context.columns()
+    weight = columns.pattern_weight * _idf(context, columns)
+    return weight * _positive(_c_value(columns))
 
 
-def tergraph(context: ExtractionContext) -> dict:
+def tergraph(context: ExtractionContext) -> np.ndarray:
     """TeRGraph-style termhood over the candidate co-occurrence graph.
 
     Candidates co-occur when they appear in the same document.  Following
@@ -135,17 +177,17 @@ def tergraph(context: ExtractionContext) -> dict:
                 if a != b:
                     neighbors[a].add(b)
                     neighbors[b].add(a)
-    scores = {}
+    scores = []
     for tokens in context.candidates:
         ns = neighbors[tokens]
         # A set iterates in string-hash order, which changes per process
         # (PYTHONHASHSEED); fsum is correctly rounded in any order.
         mass = math.fsum(1.0 / max(len(neighbors[u]), 1) for u in ns)
-        scores[tokens] = math.log2(1.0 + mass / (1.0 + len(ns)))
-    return scores
+        scores.append(math.log2(1.0 + mass / (1.0 + len(ns))))
+    return np.array(scores, dtype=np.float64)
 
 
-_REGISTRY: dict[str, Callable[[ExtractionContext], dict]] = {
+_REGISTRY: dict[str, Callable[[ExtractionContext], np.ndarray]] = {
     "c_value": c_value,
     "tf_idf": tf_idf,
     "okapi": okapi,
@@ -159,8 +201,11 @@ _REGISTRY: dict[str, Callable[[ExtractionContext], dict]] = {
 MEASURE_NAMES = ("lidf_value", "c_value", "tf_idf", "okapi", "f_tfidf_c", "f_ocapi", "tergraph")
 
 
-def compute_measure(name: str, context: ExtractionContext) -> dict:
-    """Compute measure ``name`` over ``context`` (see :data:`MEASURE_NAMES`)."""
+def compute_measure(name: str, context: ExtractionContext) -> np.ndarray:
+    """Measure ``name``'s score column over ``context`` (see :data:`MEASURE_NAMES`).
+
+    Score ``i`` belongs to the ``i``-th candidate of ``context.candidates``.
+    """
     try:
         fn = _REGISTRY[name]
     except KeyError:

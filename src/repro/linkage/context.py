@@ -10,11 +10,23 @@ Occurrence retrieval is served by the corpus's shared positional index
 delegates to :meth:`CorpusIndex.occurrence_records`, which locates every
 occurrence of *many* terms through their postings (longest match wins at
 any single start position) instead of rescanning the documents.
+
+The space is built with numpy from segmented (term, word) counts,
+through :func:`repro.text.vectorize.unit_tfidf`, and equals
+``TfidfVectorizer(stop_language=None).fit_transform(documents).toarray()``
+over the term documents byte for byte (``tests/test_context_index_oracle.py``
+keeps that route as the reference).  It is held as CSR between builds
+and a row is densified to the full sorted vocabulary when read, so every
+cosine is the same dense dot as before.  A build whose corpus
+fingerprint, window and term list equal the last build's reuses the
+space without retrieving anything: the enricher keeps one index across
+runs, so a warm re-run of an unchanged corpus pays nothing here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +34,7 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
 from repro.errors import LinkageError
 from repro.ontology.model import normalize_term
-from repro.text.vectorize import TfidfVectorizer
+from repro.text.vectorize import unit_tfidf
 
 
 def find_occurrence_records(
@@ -83,7 +95,8 @@ class TermContextIndex:
     ``build(terms)`` retrieves contexts through the positional index and
     fits the TF-IDF space; ``vector(term)`` then returns the unit-norm
     aggregate context vector, and ``cosine(a, b)`` the similarity of two
-    terms.
+    terms.  :meth:`attach` points a kept index at the current corpus;
+    its next build reuses the space if nothing it depends on changed.
     """
 
     def __init__(
@@ -96,26 +109,82 @@ class TermContextIndex:
         self.corpus = corpus
         self.window = window
         self._corpus_index = index
-        self._rows: dict[str, np.ndarray] | None = None
+        self._built: tuple[str, int, tuple[str, ...]] | None = None
+        self._rows: dict[str, int] | None = None
         self._n_contexts: dict[str, int] = {}
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.zeros(0, dtype=np.int64)
+        self._data = np.zeros(0, dtype=np.float64)
+        self._n_words = 0
 
-    def build(self, terms: Sequence[str]) -> "TermContextIndex":
-        """Retrieve contexts for ``terms`` and fit the shared space."""
-        occurrences = find_occurrences(
-            self.corpus, terms, window=self.window, index=self._corpus_index
-        )
-        documents: list[list[str]] = []
-        keys: list[str] = []
-        for term, contexts in occurrences.items():
-            keys.append(term)
-            self._n_contexts[term] = len(contexts)
-            documents.append([token for ctx in contexts for token in ctx])
-        vectorizer = TfidfVectorizer(stop_language=None)
-        matrix = vectorizer.fit_transform(documents).toarray()
-        self._rows = {key: matrix[i] for i, key in enumerate(keys)}
+    def attach(
+        self, corpus: Corpus, *, window: int, index: CorpusIndex | None = None
+    ) -> "TermContextIndex":
+        """Read contexts from ``corpus`` (through ``index``) from now on.
+
+        The built space stays; the next :meth:`build` reuses it only if
+        the corpus fingerprint, the window and the term list are those
+        of the last build.
+        """
+        self.corpus = corpus
+        self.window = window
+        self._corpus_index = index
         return self
 
-    def _require_built(self) -> dict[str, np.ndarray]:
+    def build(self, terms: Sequence[str]) -> "TermContextIndex":
+        """Retrieve contexts for ``terms`` and fit the shared space.
+
+        Returns at once when the corpus fingerprint, the window and the
+        exact term list equal those of the last build.  The key is the
+        fingerprint, not the index object: a grown index may be a new
+        object over the same documents.
+        """
+        index = (
+            self._corpus_index
+            if self._corpus_index is not None
+            else self.corpus.index()
+        )
+        key = (index.fingerprint(), self.window, tuple(terms))
+        if key == self._built:
+            return self
+        self._built = None
+        records = find_occurrence_records(
+            self.corpus, key[2], window=self.window, index=index
+        )
+        windows = [window for entries in records.values() for __, window in entries]
+        tokens = list(chain.from_iterable(windows))
+        vocabulary = sorted(set(tokens))
+        word_ids = dict(zip(vocabulary, range(len(vocabulary))))
+        n_words = max(len(vocabulary), 1)
+        n_terms = len(records)
+        token_term = np.repeat(
+            np.repeat(
+                np.arange(n_terms, dtype=np.int64),
+                [len(entries) for entries in records.values()],
+            ),
+            np.fromiter(map(len, windows), np.int64, len(windows)),
+        )
+        token_word = np.fromiter(
+            map(word_ids.__getitem__, tokens), np.int64, len(tokens)
+        )
+        pairs, counts = np.unique(token_term * n_words + token_word, return_counts=True)
+        rows, columns = np.divmod(pairs, n_words)
+        self._data = unit_tfidf(
+            rows,
+            counts,
+            n_terms,
+            np.bincount(columns, minlength=len(vocabulary))[columns],
+            n_terms,
+        )
+        self._indices = columns
+        self._indptr = np.searchsorted(rows, np.arange(n_terms + 1))
+        self._n_words = len(vocabulary)
+        self._rows = {term: row for row, term in enumerate(records)}
+        self._n_contexts = {term: len(entries) for term, entries in records.items()}
+        self._built = key
+        return self
+
+    def _require_built(self) -> dict[str, int]:
         if self._rows is None:
             raise LinkageError("TermContextIndex.build() must run first")
         return self._rows
@@ -126,12 +195,18 @@ class TermContextIndex:
         return self._n_contexts.get(normalize_term(term), 0)
 
     def vector(self, term: str) -> np.ndarray:
-        """Unit-norm aggregate context vector of ``term``."""
+        """Unit-norm aggregate context vector of ``term``.
+
+        A new dense array over the full sorted vocabulary.
+        """
         rows = self._require_built()
         key = normalize_term(term)
         if key not in rows:
             raise LinkageError(f"term {term!r} was not indexed")
-        return rows[key]
+        lo, hi = self._indptr[rows[key]], self._indptr[rows[key] + 1]
+        vector = np.zeros(self._n_words, dtype=np.float64)
+        vector[self._indices[lo:hi]] = self._data[lo:hi]
+        return vector
 
     def cosine(self, term_a: str, term_b: str) -> float:
         """Cosine similarity between two indexed terms' contexts."""

@@ -71,6 +71,12 @@ class SemanticLinker:
         Optional prebuilt :class:`~repro.corpus.index.CorpusIndex`; both
         the neighbourhoods and the context vectors are read from it
         (defaults to the corpus's cached index).
+    context_index:
+        Optional :class:`~repro.linkage.context.TermContextIndex` to
+        build the context vectors into, kept by the caller across
+        linkers: it reuses its space while the corpus fingerprint, the
+        window and the term list stay unchanged.  By default each build
+        makes a new one.
 
     Example
     -------
@@ -89,6 +95,7 @@ class SemanticLinker:
         top_k: int = 10,
         expand_hierarchy: bool = True,
         index: CorpusIndex | None = None,
+        context_index: TermContextIndex | None = None,
     ) -> None:
         if top_k < 1:
             raise LinkageError(f"top_k must be >= 1, got {top_k}")
@@ -103,6 +110,7 @@ class SemanticLinker:
         self._extra_terms = {normalize_term(t) for t in extra_terms}
         self._neighborhoods: TermNeighborhoods | None = None
         self._index: TermContextIndex | None = None
+        self._kept_index = context_index
 
     # -- shared artefacts ---------------------------------------------------
 
@@ -118,10 +126,12 @@ class SemanticLinker:
             extra_terms=self._extra_terms,
             window=self.graph_window,
         )
-        self._index = TermContextIndex(
+        index = self._kept_index
+        if index is None:
+            index = TermContextIndex(self.corpus)
+        self._index = index.attach(
             self.corpus, window=self.window, index=self._corpus_index
-        )
-        self._index.build(sorted(set(self.ontology.terms()) | self._extra_terms))
+        ).build(sorted(set(self.ontology.terms()) | self._extra_terms))
         return self
 
     def _ensure_prepared(
@@ -165,11 +175,12 @@ class SemanticLinker:
         positions = self.positions_for(key)
         if not positions:
             raise LinkageError(f"no candidate positions for {candidate!r}")
+        vector = index.vector(key)
         scored = []
         for position in positions:
             if position == key or index.n_contexts(position) == 0:
                 continue
-            scored.append((position, index.cosine(key, position)))
+            scored.append((position, float(vector @ index.vector(position))))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return [
             Proposition(

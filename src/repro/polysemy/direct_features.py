@@ -28,6 +28,7 @@ from repro.clustering.kmeans import spherical_kmeans
 from repro.clustering.model import ClusterStats
 from repro.polysemy import batch as batching
 from repro.polysemy.batch import ContextBatch, chunks
+from repro.text.vectorize import unit_tfidf
 
 #: Feature names in vector order.
 DIRECT_FEATURE_NAMES = (
@@ -52,11 +53,9 @@ def _tfidf_matrices(
 
     Yields ``(term, matrix)`` for the terms with at least two contexts;
     ``n_ranks`` bounds the batch's word ranks.
-    The floats are ``TfidfVectorizer``'s: smoothed idf from the term's
-    own context count, ``count * idf`` per (context, word), row norms
-    from ``np.add.reduceat`` over each non-empty row in column order
-    (scipy's CSR ``sum(axis=1)``), then ``(1 / norm) * value``; rows of
-    empty contexts keep norm 1.
+    The floats are ``TfidfVectorizer``'s, from
+    :func:`~repro.text.vectorize.unit_tfidf` over the (context, word)
+    counts, with each term's idf taken over its own contexts.
     """
     n_contexts = batch.n_contexts[first:last]
     c0 = int(batch.context_offsets[first])
@@ -77,19 +76,13 @@ def _tfidf_matrices(
     vocabulary, column, document_frequency = np.unique(
         pair_term * n_ranks + pair_rank, return_inverse=True, return_counts=True
     )
-    idf = (
-        np.log(
-            (1.0 + n_contexts[pair_term]) / (1.0 + document_frequency[column])
-        )
-        + 1.0
+    values = unit_tfidf(
+        pair_row,
+        counts,
+        n_contexts[pair_term],
+        document_frequency[column],
+        c1 - c0,
     )
-    data = counts.astype(np.float64) * idf
-    norms = np.zeros(c1 - c0, dtype=np.float64)
-    if data.size:
-        starts = np.flatnonzero(np.r_[True, pair_row[1:] != pair_row[:-1]])
-        norms[pair_row[starts]] = np.sqrt(np.add.reduceat(data * data, starts))
-    norms[norms == 0.0] = 1.0
-    values = (1.0 / norms)[pair_row] * data
     row_offsets = np.zeros(last - first + 1, dtype=np.int64)
     np.cumsum(n_contexts, out=row_offsets[1:])
     pair_offsets = np.searchsorted(pair_row, row_offsets)

@@ -132,7 +132,10 @@ class JobManager:
         their Step II vectors land where every other client reads.
     job_workers:
         Concurrent enrichment jobs (default 1: jobs queue behind each
-        other, matching the store's single-writer discipline).
+        other, matching the store's single-writer discipline).  Jobs
+        and deltas on one scenario still run one at a time, under the
+        scenario's lock, so a job sees the corpus wholly before or
+        wholly after each delta.
     index_dir:
         Optional :class:`~repro.corpus.index_store.IndexStore` root:
         registered corpora's indexes persist there, so the first job
@@ -193,9 +196,10 @@ class JobManager:
         self._loaded: dict[str, tuple[Ontology, Corpus]] = {}
         self._ids = itertools.count(1)
         #: Streaming state per scenario: the enricher that owns the
-        #: growing corpus, a lock serialising its deltas (the pool may
-        #: run several workers, but one scenario's corpus must grow one
-        #: batch at a time), and the bounded diff history.
+        #: growing corpus, a lock serialising its deltas and full jobs
+        #: (the pool may run several workers, but one scenario's corpus
+        #: must grow one batch at a time, and never under a running
+        #: job), and the bounded diff history.
         self.registry = registry if registry is not None else OntologyRegistry()
         #: Scenario name -> CorpusIndex for /recommend corpus inputs,
         #: built on first use from the shared loaded corpus.
@@ -744,7 +748,9 @@ class JobManager:
             ontology, corpus = self._load(job.corpus)
             config = self._config(job.overrides)
             enricher = OntologyEnricher(ontology, config=config)
-            report = enricher.enrich(corpus)
+            # Deltas grow this shared corpus under the same lock.
+            with self._scenario_lock(job.corpus):
+                report = enricher.enrich(corpus)
             with self._lock:
                 job.report = report.to_dict()
                 job.status = "done"

@@ -50,6 +50,7 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
 from repro.errors import CorpusError, LinkageError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
+from repro.linkage.context import TermContextIndex
 from repro.linkage.linker import SemanticLinker
 from repro.ontology.model import Ontology
 from repro.polysemy.cache import FeatureCache
@@ -327,9 +328,18 @@ class InduceStage:
 
 
 class LinkStage:
-    """Step IV: shared-artefact build plus per-candidate propositions."""
+    """Step IV: shared-artefact build plus per-candidate propositions.
+
+    ``context_index`` is the enricher's kept
+    :class:`~repro.linkage.context.TermContextIndex`, handed to each
+    run's linker so that an unchanged corpus and term list reuse the
+    context space (``None`` builds a new one).
+    """
 
     name = "link"
+
+    def __init__(self, context_index: TermContextIndex | None = None) -> None:
+        self._context_index = context_index
 
     def run(self, ctx: PipelineContext) -> None:
         cfg = ctx.config
@@ -343,6 +353,7 @@ class LinkStage:
             top_k=cfg.top_k_positions,
             expand_hierarchy=cfg.expand_hierarchy,
             index=ctx.index,
+            context_index=self._context_index,
         )
         for item in ctx.work:
             if item.contexts is None:
@@ -441,6 +452,8 @@ class OntologyEnricher:
             seed=cfg.seed,
         )
         self._detector_trained = False
+        # Step IV's context space, kept across runs (made by the first).
+        self._context_index: TermContextIndex | None = None
 
     # -- introspection (the streaming delta path builds on these) ----------
 
@@ -505,7 +518,7 @@ class OntologyEnricher:
                 cache=self._feature_cache,
             ),
             InduceStage(self._inducer),
-            LinkStage(),
+            LinkStage(self._context_index),
         ]
 
     def enrich(
@@ -549,6 +562,9 @@ class OntologyEnricher:
             else:
                 index = corpus.index()
         timings["index"] = time.perf_counter() - started
+        if self._context_index is None:
+            # Each run's linker attaches it to that run's corpus.
+            self._context_index = TermContextIndex(corpus)
 
         # Step II needs a trained classifier; label source is the ontology.
         train_started = time.perf_counter()

@@ -56,7 +56,6 @@ def loop_harvest(
                 stats.per_doc[doc.doc_id] = stats.per_doc.get(doc.doc_id, 0) + 1
     if context.n_documents == 0:
         raise ExtractionError("cannot extract terms from an empty corpus")
-    context._containers = None
     return context.filtered(min_frequency)
 
 

@@ -9,11 +9,14 @@ degrades to misses — never an exception.
 """
 
 import json
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.corpus.corpus import Corpus
+from repro.corpus.document import Document
 from repro.corpus.io import write_corpus_jsonl
 from repro.errors import ValidationError
 from repro.ontology.io import write_ontology_json
@@ -34,7 +37,7 @@ from repro.service.wire import (
     encode_vector_batch,
 )
 from repro.workflow.config import EnrichmentConfig
-from repro.workflow.pipeline import OntologyEnricher
+from repro.workflow.pipeline import LinkStage, OntologyEnricher
 
 
 def key(term="heart attack", corpus="corpus-fp", config="config-fp"):
@@ -530,6 +533,70 @@ class TestEnrichmentJobs:
         client.wait_for_job(second, timeout=180)
         listing = client._json("GET", "/jobs")["jobs"]
         assert [job["job"] for job in listing[:2]] == [second, first]
+
+
+class TestJobsRacingDeltas:
+    def test_each_job_sees_the_corpus_before_or_after_a_delta(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = make_enrichment_scenario(seed=0, n_concepts=12, docs_per_concept=3)
+        write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
+        write_corpus_jsonl(scenario.corpus, tmp_path / "corpus.jsonl")
+        # The arrival repeats a document's text, so the report changes.
+        arrival = Document("late-1", list(scenario.corpus)[0].sentences)
+        overrides = {"n_candidates": 4}
+
+        def comparable(report):
+            return {k: v for k, v in report.items() if k not in ("timings", "cache")}
+
+        def cold(documents):
+            config = EnrichmentConfig(feature_cache=True, **overrides)
+            enricher = OntologyEnricher(scenario.ontology, config=config)
+            return comparable(enricher.enrich(Corpus(documents)).to_dict())
+
+        before = cold(list(scenario.corpus))
+        after = cold([*scenario.corpus, arrival])
+        assert before != after
+
+        # The first job to reach Step IV waits there until the corpus
+        # grows (or 2 s pass): a delta that could grow it mid-job would.
+        reached, grown = threading.Event(), threading.Event()
+        link, add = LinkStage.run, Corpus.add
+
+        def held_link(stage, ctx):
+            if not reached.is_set():
+                reached.set()
+                grown.wait(timeout=2.0)
+            return link(stage, ctx)
+
+        def add_and_signal(corpus, document):
+            add(corpus, document)
+            if document.doc_id == arrival.doc_id:
+                grown.set()
+
+        monkeypatch.setattr(LinkStage, "run", held_link)
+        monkeypatch.setattr(Corpus, "add", add_and_signal)
+        manager = JobManager(
+            {"demo": (tmp_path / "ontology.json", tmp_path / "corpus.jsonl")},
+            job_workers=2,
+        )
+        try:
+            jobs = [manager.submit("demo", overrides)]
+            assert reached.wait(timeout=120)
+            delta, __ = manager.submit_documents(
+                "demo", [{"doc_id": arrival.doc_id, "sentences": arrival.sentences}]
+            )
+            jobs.append(manager.submit("demo", overrides))
+            documents = [
+                TestDirectoryWatcher.wait_done(manager, job_id, timeout=300)
+                for job_id in [*jobs, delta]
+            ]
+        finally:
+            manager.shutdown(wait=True)
+        assert [document["status"] for document in documents] == ["done"] * 3
+        reports = [comparable(document["report"]) for document in documents[:2]]
+        assert reports[0] == before
+        assert reports[1] in (before, after)
 
 
 class TestStreamingDeltas:
