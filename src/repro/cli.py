@@ -27,7 +27,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.clustering.community import COMMUNITY_BACKEND_NAMES
 from repro.corpus.io import read_corpus_jsonl, write_corpus_jsonl
 from repro.extraction.measures import MEASURE_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
@@ -78,7 +77,6 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
         seed=args.seed,
         skip_known_terms=not args.no_skip_known_terms,
         max_contexts_per_term=args.max_contexts,
-        community_backend=args.community_backend,
         index_dir=args.index_dir,
         feature_cache=not args.no_feature_cache,
         cache_dir=args.cache_dir,
@@ -645,11 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     enrich.add_argument(
         "--max-contexts", type=int, default=80,
         help="context cap per candidate (stride-subsampled above this)",
-    )
-    enrich.add_argument(
-        "--community-backend", choices=COMMUNITY_BACKEND_NAMES,
-        default=COMMUNITY_BACKEND_NAMES[0],
-        help="Step II community detection (louvain = native fast path)",
     )
     enrich.add_argument(
         "--index-dir", default=None,

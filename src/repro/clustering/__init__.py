@@ -15,14 +15,6 @@ CLUTO is a closed binary, so this subpackage re-implements:
 from repro.clustering.agglomerative import agglomerative_cluster
 from repro.clustering.algorithms import ALGORITHM_NAMES, cluster
 from repro.clustering.bisecting import repeated_bisection
-from repro.clustering.community import (
-    COMMUNITY_BACKEND_NAMES,
-    COMMUNITY_BACKENDS,
-    CommunityBackend,
-    GreedyModularityBackend,
-    LouvainBackend,
-    get_community_backend,
-)
 from repro.clustering.criterion import criterion_value
 from repro.clustering.external import (
     EXTERNAL_INDEXES,
@@ -53,16 +45,11 @@ from repro.clustering.similarity import (
 
 __all__ = [
     "ALGORITHM_NAMES",
-    "COMMUNITY_BACKENDS",
-    "COMMUNITY_BACKEND_NAMES",
     "CSRGraph",
     "ClusterSolution",
     "ClusterStats",
-    "CommunityBackend",
     "EXTERNAL_INDEXES",
-    "GreedyModularityBackend",
     "INDEX_DIRECTIONS",
-    "LouvainBackend",
     "PAPER_INDEXES",
     "adjusted_rand_index",
     "agglomerative_cluster",
@@ -71,7 +58,6 @@ __all__ = [
     "compute_index",
     "cosine_similarity_matrix",
     "criterion_value",
-    "get_community_backend",
     "graph_cluster",
     "index_names",
     "louvain_labels",

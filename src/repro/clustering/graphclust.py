@@ -1,46 +1,52 @@
 """Graph-partitioning clustering: CLUTO's ``graph`` method.
 
 Builds the object nearest-neighbour similarity graph and partitions it:
-communities are found by modularity maximisation (the shared
-:mod:`repro.clustering.community` backend, native Louvain by default),
-then adjusted to exactly k clusters — extra communities are merged by
-highest inter-community average similarity, missing ones are created by
+communities are found by modularity maximisation (native Louvain,
+called through :mod:`repro.clustering.community`), then adjusted to
+exactly k clusters — extra communities are merged by highest
+inter-community average similarity, missing ones are created by
 bisecting the loosest cluster.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.clustering.community import CommunityBackend, get_community_backend
+from repro.clustering import community
 from repro.clustering.kmeans import spherical_kmeans
+from repro.clustering.louvain import CSRGraph
 from repro.clustering.model import ClusterSolution, relabel_contiguous
 from repro.clustering.similarity import cosine_similarity_matrix
 from repro.errors import ClusteringError
 from repro.utils.rng import ensure_rng
 
 
-def build_knn_graph(sims: np.ndarray, n_neighbors: int) -> nx.Graph:
-    """Symmetric kNN graph from a similarity matrix (edges keep weights)."""
+def build_knn_graph(sims: np.ndarray, n_neighbors: int) -> CSRGraph:
+    """Symmetric kNN graph from a similarity matrix (edges keep weights).
+
+    Each row walks its neighbours from most to least similar, skipping
+    itself, until ``n_neighbors`` edges or a similarity ``<= 0``; a
+    weight is floored at ``1e-12``.  An edge both endpoints pick keeps
+    the weight the later row wrote.
+    """
     n = sims.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
+    edges: dict[tuple[int, int], float] = {}
     order = np.argsort(-sims, axis=1)
     for i in range(n):
         added = 0
-        for j in order[i]:
-            j = int(j)
+        for j in order[i].tolist():
             if j == i:
                 continue
             weight = float(sims[i, j])
             if weight <= 0.0:
                 break
-            graph.add_edge(i, j, weight=max(weight, 1e-12))
+            edges[min(i, j), max(i, j)] = max(weight, 1e-12)
             added += 1
             if added >= n_neighbors:
                 break
-    return graph
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    weights = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    return CSRGraph.from_edges(n, pairs[:, 0], pairs[:, 1], weights)
 
 
 def _mean_inter_similarity(
@@ -55,7 +61,6 @@ def graph_cluster(
     *,
     n_neighbors: int = 10,
     seed: int | np.random.Generator | None = None,
-    backend: str | CommunityBackend = "louvain",
 ) -> ClusterSolution:
     """Cluster rows of ``matrix`` into ``k`` groups via graph partitioning.
 
@@ -68,11 +73,8 @@ def graph_cluster(
     n_neighbors:
         Nearest-neighbour count of the similarity graph.
     seed:
-        RNG seed (community detection when the backend is seedable, and
-        splitting clusters to reach k).
-    backend:
-        Community-detection backend (``"louvain"`` native default,
-        ``"greedy"`` networkx fallback).
+        RNG seed (Louvain's visit orders, and splitting clusters to
+        reach k).
     """
     sims = cosine_similarity_matrix(matrix)
     n = sims.shape[0]
@@ -81,14 +83,8 @@ def graph_cluster(
     rng = ensure_rng(seed)
 
     graph = build_knn_graph(sims, n_neighbors=min(n_neighbors, n - 1))
-    communities = get_community_backend(backend).communities(
-        graph, weight="weight", seed=rng
-    )
-    labels = np.zeros(n, dtype=np.int64)
-    for cid, community in enumerate(communities):
-        for node in community:
-            labels[node] = cid
-    labels, n_found = relabel_contiguous(labels)
+    labels = community.louvain_labels(graph, seed=rng)
+    n_found = int(labels.max()) + 1
 
     # Merge down: repeatedly fuse the most similar pair of clusters.
     while n_found > k:

@@ -150,20 +150,6 @@ class CSRGraph:
         np.cumsum(indptr, out=indptr)
         return cls(indptr=indptr, indices=dst, weights=w)
 
-    @classmethod
-    def from_networkx(cls, graph, weight: str = "weight") -> "CSRGraph":
-        """Build from a networkx graph, with nodes in ``graph.nodes`` order."""
-        index = {node: i for i, node in enumerate(graph.nodes())}
-        n_edges = graph.number_of_edges()
-        rows = np.empty(n_edges, dtype=np.int64)
-        cols = np.empty(n_edges, dtype=np.int64)
-        weights = np.empty(n_edges, dtype=np.float64)
-        for k, (u, v, w) in enumerate(graph.edges(data=weight, default=1.0)):
-            rows[k] = index[u]
-            cols[k] = index[v]
-            weights[k] = float(w)
-        return cls.from_edges(len(index), rows, cols, weights)
-
 
 @dataclass(frozen=True, eq=False)
 class CSRGraphBatch(Sequence):

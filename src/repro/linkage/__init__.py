@@ -9,8 +9,8 @@ propose the top 10.
 Only the candidate's own edges of the graph matter, so (1) is answered
 from the corpus postings (:class:`TermNeighborhoods`): the documents
 that mention the candidate are merged and windowed, and no whole-corpus
-graph is built.  The graph-based :func:`mesh_neighborhood` gives
-identical neighbourhoods and stays as the test oracle.
+graph is built.  The whole-corpus graph gives identical neighbourhoods
+and is built only by the tests, as the oracle.
 """
 
 from repro.linkage.context import (
@@ -20,7 +20,7 @@ from repro.linkage.context import (
 )
 from repro.linkage.evaluation import LinkageEvaluation, evaluate_linkage
 from repro.linkage.linker import Proposition, SemanticLinker
-from repro.linkage.neighborhood import TermNeighborhoods, mesh_neighborhood
+from repro.linkage.neighborhood import TermNeighborhoods
 from repro.linkage.relations import RELATION_TYPES, RelationTyper, TypedRelation
 
 __all__ = [
@@ -35,5 +35,4 @@ __all__ = [
     "evaluate_linkage",
     "find_occurrence_records",
     "find_occurrences",
-    "mesh_neighborhood",
 ]

@@ -12,44 +12,21 @@ building the graph: the documents whose postings contain the candidate's
 phrase are merged (maximal munch over every known term, exactly as the
 graph builder merges them) and the tokens within the co-occurrence
 window of each merged occurrence are the candidate's neighbours.  The
-whole-corpus graph (:func:`build_term_graph` with the graph-based
-:func:`mesh_neighborhood`) stays as that path's test oracle.
+whole-corpus graph of
+:class:`~repro.text.cooccurrence.CooccurrenceGraphBuilder` stays as that
+path's test oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-import networkx as nx
-
 from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
 from repro.errors import LinkageError
 from repro.ontology.model import Ontology, normalize_term
-from repro.text.cooccurrence import CooccurrenceGraphBuilder, TermMerger
+from repro.text.cooccurrence import TermMerger
 from repro.utils.validation import check_positive_int
-
-
-def build_term_graph(
-    corpus: Corpus,
-    ontology: Ontology,
-    candidate: str,
-    *,
-    window: int = 8,
-    stop_language: str | None = None,
-) -> nx.Graph:
-    """Term co-occurrence graph over ontology terms plus the candidate.
-
-    Multi-word ontology terms (and the candidate) are merged into single
-    graph nodes before windowed counting.
-    """
-    term_tuples = [tuple(t.split()) for t in ontology.terms()]
-    term_tuples.append(tuple(normalize_term(candidate).split()))
-    builder = CooccurrenceGraphBuilder(
-        window=window, stop_language=stop_language, terms=term_tuples
-    )
-    # The cached index supplies each document's flattened tokens.
-    return builder.build(corpus.index().token_documents())
 
 
 def _positions(
@@ -75,43 +52,12 @@ def _positions(
     return sorted(positions)
 
 
-def mesh_neighborhood(
-    graph: nx.Graph,
-    ontology: Ontology,
-    candidate: str,
-    *,
-    expand_hierarchy: bool = True,
-) -> list[str]:
-    """Ontology terms in the candidate's co-occurrence neighbourhood.
-
-    Parameters
-    ----------
-    graph:
-        A term co-occurrence graph (see :func:`build_term_graph`).
-    ontology:
-        The target ontology.
-    candidate:
-        The candidate term (must not itself count as a position).
-    expand_hierarchy:
-        Also include every term of the fathers/sons of the concepts the
-        direct neighbours name (the paper's IV.2 expansion).
-
-    Returns
-    -------
-    Sorted list of normalised position terms.  Empty when the candidate
-    never co-occurs with an ontology term.
-    """
-    key = normalize_term(candidate)
-    if key not in graph:
-        return []
-    return _positions(ontology, key, graph.neighbors(key), expand_hierarchy)
-
-
 class TermNeighborhoods:
     """Candidate neighbourhoods read from the postings, no graph built.
 
-    Answers what :func:`mesh_neighborhood` reads off the whole-corpus
-    co-occurrence graph, with identical results.  A candidate's
+    Answers what the whole-corpus co-occurrence graph of
+    :class:`~repro.text.cooccurrence.CooccurrenceGraphBuilder` gives as
+    the candidate's neighbours, with identical results.  A candidate's
     neighbours are the tokens within ``window - 1`` positions of its
     occurrences in the maximal-munch merged token stream, and only the
     documents whose postings contain the candidate's phrase are read.

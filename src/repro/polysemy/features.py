@@ -93,13 +93,9 @@ class PolysemyFeatureExtractor:
     feature_set:
         ``"all"`` (23), ``"direct"`` (11), or ``"graph"`` (12) — the A3
         ablation knob.
-    community_backend:
-        Community-detection backend for the graph features
-        (``"louvain"`` native default, ``"greedy"`` networkx fallback —
-        see :mod:`repro.clustering.community`).
     community_seed:
-        Seed for seedable community backends (fixed by default so
-        repeated extraction is deterministic).
+        Seed of the Louvain communities behind the graph features
+        (fixed by default so repeated extraction is deterministic).
     """
 
     def __init__(
@@ -108,7 +104,6 @@ class PolysemyFeatureExtractor:
         window: int = 10,
         graph_window: int = 4,
         feature_set: str = "all",
-        community_backend: str = "louvain",
         community_seed: int = 0,
     ) -> None:
         if feature_set not in ("all", "direct", "graph"):
@@ -118,7 +113,6 @@ class PolysemyFeatureExtractor:
         self.window = window
         self.graph_window = graph_window
         self.feature_set = feature_set
-        self.community_backend = community_backend
         self.community_seed = community_seed
 
     def fingerprint(self) -> str:
@@ -128,10 +122,13 @@ class PolysemyFeatureExtractor:
         (:mod:`repro.polysemy.cache`): two extractors with equal
         fingerprints produce identical vectors from identical contexts.
         """
+        # Louvain is the only community detector now, but the key keeps
+        # the segment that named it: dropping it would change every key
+        # and orphan every persisted disk and remote cache entry.
         return (
             f"window={self.window};graph_window={self.graph_window};"
             f"feature_set={self.feature_set};"
-            f"community_backend={self.community_backend};"
+            "community_backend=louvain;"
             f"community_seed={self.community_seed}"
         )
 
@@ -171,10 +168,8 @@ class PolysemyFeatureExtractor:
             )
         if self.feature_set in ("all", "graph"):
             graphs = build_context_graphs(batch, window=self.graph_window)
-            del batch  # the graphs keep only the node words
-            out[:, column:] = graph_feature_rows(
-                graphs, backend=self.community_backend, seed=self.community_seed
-            )
+            del batch  # free the encoding before the graph features run
+            out[:, column:] = graph_feature_rows(graphs, seed=self.community_seed)
         return out
 
     def features_from_contexts(

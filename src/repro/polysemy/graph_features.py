@@ -30,8 +30,7 @@ statistics capture that.
   which context graphs are not.
 
 :func:`build_context_graph` and :func:`graph_features` are batches of
-one.  networkx appears only when the ``greedy`` community backend asks
-for a networkx graph (:meth:`ContextGraph.to_networkx`).
+one.
 """
 
 from __future__ import annotations
@@ -40,12 +39,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
-from repro.clustering.community import CommunityBackend, get_community_backend
+from repro.clustering import community
 from repro.clustering.louvain import CSRGraph, CSRGraphBatch, modularity_from_labels
 from repro.polysemy import batch as batching
 from repro.polysemy.batch import ContextBatch, chunks
@@ -85,51 +83,6 @@ class ContextGraph:
     csr: CSRGraph
     nodes: tuple[str, ...]
 
-    def to_networkx(self) -> nx.Graph:
-        """The same graph as a networkx graph labelled by word.
-
-        Nodes keep first-appearance order and edges carry float
-        ``weight``s; the ``greedy`` community backend reads this form.
-        """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
-        csr = self.csr
-        rows = np.repeat(np.arange(csr.n_nodes, dtype=np.int64), np.diff(csr.indptr))
-        upper = rows < csr.indices
-        nodes = self.nodes
-        graph.add_weighted_edges_from(
-            (nodes[u], nodes[v], w)
-            for u, v, w in zip(
-                rows[upper].tolist(),
-                csr.indices[upper].tolist(),
-                csr.weights[upper].tolist(),
-                strict=True,
-            )
-        )
-        return graph
-
-
-@dataclass(frozen=True, eq=False)
-class ContextGraphs(Sequence):
-    """The context graphs of a batch of terms.
-
-    ``csr`` holds every graph's arrays once; ``nodes`` holds the word of
-    every node, graph by graph, in ``csr.node_offsets`` order.  Indexing
-    yields a :class:`ContextGraph` over views of those arrays.
-    """
-
-    csr: CSRGraphBatch
-    nodes: Sequence
-
-    def __len__(self) -> int:
-        return len(self.csr)
-
-    def __getitem__(self, g: int):
-        g = range(len(self))[g]
-        offsets = self.csr.node_offsets
-        first, last = int(offsets[g]), int(offsets[g + 1])
-        return ContextGraph(csr=self.csr[g], nodes=tuple(self.nodes[first:last]))
-
 
 def _chunk_edges(
     batch: ContextBatch, first: int, last: int, window: int
@@ -167,13 +120,14 @@ def _chunk_edges(
     )
 
 
-def build_context_graphs(batch: ContextBatch, *, window: int = 4) -> ContextGraphs:
+def build_context_graphs(batch: ContextBatch, *, window: int = 4) -> CSRGraphBatch:
     """Every term's context graph, as :func:`build_context_graph` builds it.
 
-    Nodes keep each term's first-appearance numbering.  The window pairs
-    are counted a chunk of terms at a time, and each chunk's unique
-    edges fill its part of one preallocated batch CSR (int32 column
-    ids, float64 weights), so no graph is ever held twice.
+    Nodes keep each term's first-appearance numbering: node ``i`` of
+    graph ``g`` is ``batch.words[batch.node_offsets[g] + i]``.  The
+    window pairs are counted a chunk of terms at a time, and each
+    chunk's unique edges fill its part of one preallocated batch CSR
+    (int32 column ids, float64 weights), so no graph is ever held twice.
     """
     node_offsets = batch.node_offsets
     spans = chunks(np.diff(batch.token_offsets), batching.CHUNK_TOKENS)
@@ -206,10 +160,9 @@ def build_context_graphs(batch: ContextBatch, *, window: int = 4) -> ContextGrap
         indptr[n0 + 1 : n0 + n_nodes + 1] = np.bincount(src, minlength=n_nodes)
         at += size
     np.cumsum(indptr, out=indptr)
-    csr = CSRGraphBatch(
+    return CSRGraphBatch(
         indptr=indptr, indices=indices, weights=weights, node_offsets=node_offsets
     )
-    return ContextGraphs(csr=csr, nodes=batch.words)
 
 
 def build_context_graph(
@@ -226,15 +179,15 @@ def build_context_graph(
     1, edges weighing less are pruned together with the nodes they
     leave isolated.  A batch of one of :func:`build_context_graphs`.
     """
-    graph = build_context_graphs(ContextBatch.encode([contexts]), window=window)[0]
-    csr = graph.csr
+    batch = ContextBatch.encode([contexts])
+    csr = build_context_graphs(batch, window=window)[0]
     n = csr.n_nodes
     all_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
     upper = all_rows < csr.indices
     rows = all_rows[upper]
     cols = csr.indices[upper].astype(np.int64)
     weights = csr.weights[upper]
-    nodes = graph.nodes
+    nodes = tuple(batch.words)
     if min_weight > 1.0:
         strong = weights >= min_weight
         rows, cols, weights = rows[strong], cols[strong], weights[strong]
@@ -308,73 +261,32 @@ def _structure(
     return coefficients, double_triangles, pairs, np.stack([components, largest])
 
 
-def _community_labels(
-    graph: ContextGraph,
-    backend: CommunityBackend,
-    seed: int | np.random.Generator | None,
-) -> np.ndarray:
-    """Community label per CSR node from whichever interface is fastest.
-
-    A backend without ``labels_from_csr`` gets the word-labelled
-    networkx graph: networkx's greedy heap breaks ties by comparing node
-    labels, so integer ids would change its communities.
-    """
-    labels_from_csr = getattr(backend, "labels_from_csr", None)
-    if labels_from_csr is not None:
-        return labels_from_csr(graph.csr, seed=seed)
-    node_index = {node: i for i, node in enumerate(graph.nodes)}
-    labels = np.empty(graph.csr.n_nodes, dtype=np.int64)
-    communities = backend.communities(graph.to_networkx(), weight="weight", seed=seed)
-    for cid, community in enumerate(communities):
-        for node in community:
-            labels[node_index[node]] = cid
-    return labels
-
-
 def _all_community_labels(
-    graphs: ContextGraphs,
-    backend: CommunityBackend,
-    seed: int | np.random.Generator | None,
+    graphs: CSRGraphBatch, seed: int | np.random.Generator | None
 ) -> dict[int, np.ndarray]:
-    """Community labels of every graph with edges, by graph index.
-
-    A backend with ``labels_many`` (Louvain) partitions the whole batch
-    in one call; any other backend runs graph by graph, in order, so a
-    shared generator seed is consumed as separate calls would.
-    """
-    sizes = np.diff(graphs.csr.indptr[graphs.csr.node_offsets])
+    """Louvain labels of every graph with edges, by graph index."""
+    sizes = np.diff(graphs.indptr[graphs.node_offsets])
     with_edges = np.flatnonzero(sizes >= 2).tolist()
-    labels_many = getattr(backend, "labels_many", None)
-    if labels_many is None:
-        return {g: _community_labels(graphs[g], backend, seed) for g in with_edges}
     if np.count_nonzero(sizes) == len(with_edges):
         # Graphs without edges have no entries and stay out of Louvain,
         # so the batch goes in as it is, with no copy.
-        labels = labels_many(graphs.csr, seed=seed)
+        labels = community.louvain_labels_many(graphs, seed=seed)
         return {g: labels[g] for g in with_edges}
-    labels = labels_many([graphs.csr[g] for g in with_edges], seed=seed)
+    labels = community.louvain_labels_many([graphs[g] for g in with_edges], seed=seed)
     return dict(zip(with_edges, labels, strict=True))
 
 
 def graph_feature_rows(
-    graphs: ContextGraphs,
+    csr: CSRGraphBatch,
     *,
-    backend: str | CommunityBackend = "louvain",
     seed: int | np.random.Generator | None = 0,
 ) -> np.ndarray:
     """The (n_graphs, 12) feature rows of a batch of context graphs.
 
-    Parameters
-    ----------
-    backend:
-        Community-detection backend for the three community features
-        (see :mod:`repro.clustering.community`); ``"louvain"`` is the
-        fast native default, ``"greedy"`` the networkx parity fallback.
-    seed:
-        Seed for seedable backends (makes ``"louvain"`` deterministic).
+    ``seed`` seeds Louvain's visit orders for the three community
+    features, so a fixed seed makes them deterministic.
     """
-    csr = graphs.csr
-    n_graphs = len(graphs)
+    n_graphs = len(csr)
     node_offsets = csr.node_offsets
     rows = np.zeros((n_graphs, len(GRAPH_FEATURE_NAMES)), dtype=np.float64)
     entries = np.diff(csr.indptr[node_offsets])
@@ -391,7 +303,7 @@ def graph_feature_rows(
                 int(components[0, g - first]),
                 int(components[1, g - first]),
             )
-    communities = _all_community_labels(graphs, get_community_backend(backend), seed)
+    communities = _all_community_labels(csr, seed)
     for g in range(n_graphs):
         a, b = int(node_offsets[g]), int(node_offsets[g + 1])
         n_nodes = b - a
@@ -441,13 +353,11 @@ def graph_feature_rows(
 def graph_features(
     graph: ContextGraph,
     *,
-    backend: str | CommunityBackend = "louvain",
     seed: int | np.random.Generator | None = 0,
 ) -> np.ndarray:
     """The 12-dimensional feature vector of a term's context graph.
 
-    A batch of one of :func:`graph_feature_rows`; see there for the
-    parameters.
+    A batch of one of :func:`graph_feature_rows`; see there for ``seed``.
     """
     csr = graph.csr
     batch = CSRGraphBatch(
@@ -456,6 +366,4 @@ def graph_features(
         weights=csr.weights,
         node_offsets=np.array([0, csr.n_nodes], dtype=np.int64),
     )
-    return graph_feature_rows(
-        ContextGraphs(csr=batch, nodes=graph.nodes), backend=backend, seed=seed
-    )[0]
+    return graph_feature_rows(batch, seed=seed)[0]

@@ -2,7 +2,7 @@
 
 This subpackage stands in for the NLP toolchain (TreeTagger, sklearn
 vectorisers, BioTex's preprocessing) the paper builds on.  Everything is
-pure Python + numpy/scipy/networkx, deterministic, and language-aware for
+pure Python + numpy/scipy, deterministic, and language-aware for
 English, French, and Spanish — the three languages the paper targets.
 """
 

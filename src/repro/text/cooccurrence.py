@@ -6,7 +6,7 @@ over each document's tokens with every known multi-word term merged
 into one token, longest match first (:class:`TermMerger`).
 
 :class:`CooccurrenceGraphBuilder` turns such streams into a weighted
-undirected :class:`networkx.Graph` whose nodes are tokens (or merged
+undirected graph, held as plain dicts, whose nodes are tokens (or merged
 terms) and whose edge weights count within-window co-occurrences.  The
 enrichment workflow no longer builds it: Step IV reads a candidate's
 neighbourhood straight from the postings of the documents that mention
@@ -17,8 +17,6 @@ whole-corpus graph stays as that path's test oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-
-import networkx as nx
 
 from repro.text.stopwords import stopwords_for
 from repro.utils.validation import check_positive_int
@@ -105,43 +103,34 @@ class CooccurrenceGraphBuilder:
         stop = stopwords_for(self.stop_language)
         return [t for t in merged if t not in stop]
 
-    def build(self, documents: Iterable[Sequence[str]]) -> nx.Graph:
-        """Accumulate co-occurrence counts over ``documents`` into a graph."""
-        graph = nx.Graph()
+    def build(
+        self, documents: Iterable[Sequence[str]]
+    ) -> tuple[dict[str, int], dict[str, dict[str, float]]]:
+        """Accumulate co-occurrence counts over ``documents``.
+
+        Returns ``(counts, neighbours)``: ``counts[token]`` is how often
+        the token occurs, and ``neighbours[token][other]`` the weight of
+        their edge, stored under both endpoints.  Every token is a key
+        of ``neighbours``, with an empty dict when it has no edge left
+        after ``min_weight`` pruning.
+        """
+        counts: dict[str, int] = {}
+        neighbours: dict[str, dict[str, float]] = {}
         for tokens in documents:
             prepared = self._prepare(tokens)
             n = len(prepared)
             for i, left in enumerate(prepared):
-                # add_edge may have created the node without attributes, so
-                # the count attribute cannot be assumed to exist yet.
-                if not graph.has_node(left):
-                    graph.add_node(left)
-                graph.nodes[left]["count"] = graph.nodes[left].get("count", 0) + 1
+                counts[left] = counts.get(left, 0) + 1
+                near = neighbours.setdefault(left, {})
                 for j in range(i + 1, min(i + self.window, n)):
                     right = prepared[j]
                     if left == right:
                         continue
-                    if graph.has_edge(left, right):
-                        graph[left][right]["weight"] += 1.0
-                    else:
-                        graph.add_edge(left, right, weight=1.0)
+                    weight = near.get(right, 0.0) + 1.0
+                    near[right] = weight
+                    neighbours.setdefault(right, {})[left] = weight
         if self.min_weight > 1.0:
-            to_drop = [
-                (u, v)
-                for u, v, w in graph.edges(data="weight")
-                if w < self.min_weight
-            ]
-            graph.remove_edges_from(to_drop)
-        return graph
-
-
-def ego_graph(graph: nx.Graph, node: str, radius: int = 1) -> nx.Graph:
-    """The subgraph within ``radius`` hops of ``node`` (copy).
-
-    Convenience wrapper that returns an empty graph when ``node`` is
-    absent instead of raising, because candidate terms may have no
-    observed context at small corpus scales.
-    """
-    if node not in graph:
-        return nx.Graph()
-    return nx.ego_graph(graph, node, radius=radius).copy()
+            for near in neighbours.values():
+                for other in [o for o, w in near.items() if w < self.min_weight]:
+                    del near[other]
+        return counts, neighbours

@@ -42,10 +42,6 @@ class EnrichmentConfig:
         Step IV.2 father/son expansion of the neighbourhood.
     seed:
         Workflow-level RNG seed.
-    community_backend:
-        Community detection used by the Step II graph features:
-        ``"louvain"`` (native CSR optimiser, default) or ``"greedy"``
-        (networkx fallback — see :mod:`repro.clustering.community`).
     index_dir:
         Optional directory backing the corpus index with a persistent
         :class:`~repro.corpus.index_store.IndexStore`: the corpus is
@@ -103,7 +99,6 @@ class EnrichmentConfig:
     expand_hierarchy: bool = True
     seed: int = 0
     skip_known_terms: bool = True
-    community_backend: str = "louvain"
     index_dir: str | None = None
     feature_cache: bool = True
     cache_dir: str | None = None
@@ -160,11 +155,4 @@ class EnrichmentConfig:
         if self.cache_batch_size < 1:
             raise ValidationError(
                 f"cache_batch_size must be >= 1, got {self.cache_batch_size}"
-            )
-        from repro.clustering.community import COMMUNITY_BACKENDS
-
-        if self.community_backend not in COMMUNITY_BACKENDS:
-            raise ValidationError(
-                f"community_backend must be one of "
-                f"{sorted(COMMUNITY_BACKENDS)}, got {self.community_backend!r}"
             )

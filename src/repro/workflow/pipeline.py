@@ -418,7 +418,6 @@ class OntologyEnricher:
         )
         self._feature_extractor = PolysemyFeatureExtractor(
             window=cfg.context_window,
-            community_backend=cfg.community_backend,
             community_seed=cfg.seed,
         )
         if cfg.feature_cache:

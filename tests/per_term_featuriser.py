@@ -17,14 +17,12 @@ from collections import Counter
 import numpy as np
 from scipy import sparse
 
-from repro.clustering.community import get_community_backend
 from repro.clustering.kmeans import spherical_kmeans
-from repro.clustering.louvain import CSRGraph, modularity_from_labels
+from repro.clustering.louvain import CSRGraph, louvain_labels, modularity_from_labels
 from repro.clustering.model import ClusterStats
 from repro.polysemy.graph_features import (
     GRAPH_FEATURE_NAMES,
     ContextGraph,
-    _community_labels,
     _csgraph_components,
     _entropy,
 )
@@ -165,7 +163,7 @@ def _clustering_and_transitivity(adjacency):
     return avg_clustering, transitivity
 
 
-def graph_features(graph, *, backend="louvain", seed=0):
+def graph_features(graph, *, seed=0):
     """The 12 graph features of one context graph."""
     csr = graph.csr
     n_nodes = csr.n_nodes
@@ -193,7 +191,7 @@ def graph_features(graph, *, backend="louvain", seed=0):
     largest_fraction = float(component_sizes.max()) / n_nodes
 
     if n_edges > 0:
-        labels = _community_labels(graph, get_community_backend(backend), seed)
+        labels = louvain_labels(csr, seed=seed)
         n_communities = int(labels.max()) + 1
         modularity = modularity_from_labels(csr, labels)
         community_sizes = np.bincount(labels, minlength=n_communities)
@@ -229,11 +227,5 @@ def features_from_contexts(extractor, term, contexts, *, doc_frequency=None):
         parts.append(direct_features(term, contexts, doc_frequency=doc_frequency))
     if extractor.feature_set in ("all", "graph"):
         graph = build_context_graph(contexts, window=extractor.graph_window)
-        parts.append(
-            graph_features(
-                graph,
-                backend=extractor.community_backend,
-                seed=extractor.community_seed,
-            )
-        )
+        parts.append(graph_features(graph, seed=extractor.community_seed))
     return np.concatenate(parts)

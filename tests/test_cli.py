@@ -116,6 +116,21 @@ class TestEnrich:
         assert code == 0
         assert "Enrichment report" in out
 
+    def test_community_backend_flag_is_gone(self, capsys):
+        # Louvain is the only community detector, so the flag that
+        # chose one is an argparse error now.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "enrich", "--ontology", "o", "--corpus", "c",
+                    "--community-backend", "greedy",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --community-backend" in (
+            capsys.readouterr().err
+        )
+
     def test_cache_flags_default_off(self):
         args = build_parser().parse_args(
             ["enrich", "--ontology", "o", "--corpus", "c"]

@@ -1,22 +1,24 @@
-"""The community-detection subsystem: CSR graphs, Louvain, backends."""
+"""Community detection: CSR graphs, Louvain and modularity.
+
+networkx is the reference here: graphs are drawn with it, and Louvain's
+modularity is checked against its greedy optimiser and its modularity.
+"""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.clustering.community import (
-    COMMUNITY_BACKEND_NAMES,
-    COMMUNITY_BACKENDS,
-    GreedyModularityBackend,
-    LouvainBackend,
-    get_community_backend,
-)
+from repro.clustering import community
+from repro.clustering.graphclust import graph_cluster
 from repro.clustering.louvain import (
     CSRGraph,
     louvain_labels,
     modularity_from_labels,
 )
 from repro.errors import ClusteringError
+from repro.polysemy.features import PolysemyFeatureExtractor
+
+from graph_oracles import csr_from_networkx
 
 
 def random_weighted_graph(seed, n=None, p=None):
@@ -45,7 +47,7 @@ def two_cliques_graph(size=6, bridge_weight=0.5):
 class TestCSRGraph:
     def test_from_networkx_matches_weighted_degree(self):
         graph = random_weighted_graph(seed=1)
-        csr = CSRGraph.from_networkx(graph)
+        csr = csr_from_networkx(graph)
         nx_degrees = np.array(
             [d for __, d in graph.degree(weight="weight")], dtype=np.float64
         )
@@ -59,7 +61,7 @@ class TestCSRGraph:
         graph = nx.Graph()
         graph.add_edge(0, 0, weight=3.0)
         graph.add_edge(0, 1, weight=1.0)
-        csr = CSRGraph.from_networkx(graph)
+        csr = csr_from_networkx(graph)
         nx_degrees = np.array(
             [d for __, d in graph.degree(weight="weight")], dtype=np.float64
         )
@@ -87,7 +89,7 @@ class TestLouvainLabels:
     def test_labels_are_contiguous_and_cover_all_nodes(self):
         for seed in range(5):
             graph = random_weighted_graph(seed=seed)
-            csr = CSRGraph.from_networkx(graph)
+            csr = csr_from_networkx(graph)
             labels = louvain_labels(csr, seed=seed)
             assert labels.shape == (graph.number_of_nodes(),)
             observed = sorted(set(int(v) for v in labels))
@@ -96,14 +98,14 @@ class TestLouvainLabels:
     def test_deterministic_under_fixed_seed(self):
         for seed in range(5):
             graph = random_weighted_graph(seed=100 + seed)
-            csr = CSRGraph.from_networkx(graph)
+            csr = csr_from_networkx(graph)
             first = louvain_labels(csr, seed=3)
             second = louvain_labels(csr, seed=3)
             np.testing.assert_array_equal(first, second)
 
     def test_splits_two_cliques(self):
         graph = two_cliques_graph()
-        csr = CSRGraph.from_networkx(graph)
+        csr = csr_from_networkx(graph)
         labels = louvain_labels(csr, seed=0)
         nodes = list(graph.nodes())
         left = {labels[i] for i, n in enumerate(nodes) if n.startswith("l")}
@@ -117,7 +119,7 @@ class TestLouvainLabels:
             graph = random_weighted_graph(seed=200 + seed)
             if graph.number_of_edges() == 0:
                 continue
-            csr = CSRGraph.from_networkx(graph)
+            csr = csr_from_networkx(graph)
             labels = louvain_labels(csr, seed=0)
             q_louvain = modularity_from_labels(csr, labels)
             greedy = nx.algorithms.community.greedy_modularity_communities(
@@ -136,7 +138,7 @@ class TestModularityFromLabels:
             graph = random_weighted_graph(seed=300 + seed)
             if graph.number_of_edges() == 0:
                 continue
-            csr = CSRGraph.from_networkx(graph)
+            csr = csr_from_networkx(graph)
             n = graph.number_of_nodes()
             labels = rng.integers(0, max(2, n // 3), size=n)
             nodes = list(graph.nodes())
@@ -159,78 +161,25 @@ class TestModularityFromLabels:
             modularity_from_labels(csr, np.array([0, 1]))
 
 
-class TestBackends:
-    def test_registry_names(self):
-        assert set(COMMUNITY_BACKEND_NAMES) == set(COMMUNITY_BACKENDS)
-        assert COMMUNITY_BACKEND_NAMES[0] == "louvain"
+class TestCommunitySeam:
+    def test_consumers_call_louvain_through_the_seam(self, monkeypatch):
+        # A harness substitutes the seam's functions (the benchmark's
+        # tracer times Louvain so); both consumers must look them up.
+        calls = []
 
-    def test_get_backend_resolves_names_and_instances(self):
-        assert get_community_backend("louvain").name == "louvain"
-        assert get_community_backend("greedy").name == "greedy"
-        backend = LouvainBackend(resolution=1.5)
-        assert get_community_backend(backend) is backend
+        def spy(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
 
-    def test_get_backend_rejects_unknown(self):
-        with pytest.raises(ClusteringError):
-            get_community_backend("metis")
-        with pytest.raises(ClusteringError):
-            get_community_backend(42)
+            return wrapper
 
-    @pytest.mark.parametrize("name", COMMUNITY_BACKEND_NAMES)
-    def test_communities_partition_the_nodes(self, name):
-        graph = random_weighted_graph(seed=11)
-        communities = get_community_backend(name).communities(graph, seed=0)
-        seen = set()
-        for community in communities:
-            assert not (community & seen)
-            seen |= community
-        assert seen == set(graph.nodes())
-
-    @pytest.mark.parametrize("name", COMMUNITY_BACKEND_NAMES)
-    def test_communities_sorted_largest_first(self, name):
-        graph = two_cliques_graph(size=5)
-        graph.add_edge("x0", "x1", weight=2.0)  # a third, tiny community
-        communities = get_community_backend(name).communities(graph, seed=0)
-        sizes = [len(c) for c in communities]
-        assert sizes == sorted(sizes, reverse=True)
-
-    @pytest.mark.parametrize("name", COMMUNITY_BACKEND_NAMES)
-    def test_empty_graph_yields_no_communities(self, name):
-        assert get_community_backend(name).communities(nx.Graph(), seed=0) == []
-
-    def test_backends_agree_on_clear_structure(self):
-        graph = two_cliques_graph()
-        partitions = []
-        for name in COMMUNITY_BACKEND_NAMES:
-            communities = get_community_backend(name).communities(
-                graph, seed=0
+        for name in ("louvain_labels", "louvain_labels_many"):
+            monkeypatch.setattr(
+                community, name, spy(name, getattr(community, name))
             )
-            partitions.append(sorted(tuple(sorted(c)) for c in communities))
-        assert partitions[0] == partitions[1]
-
-    def test_louvain_csr_fast_path_matches_communities(self):
-        graph = random_weighted_graph(seed=21)
-        backend = LouvainBackend()
-        via_nx = backend.communities(graph, seed=4)
-        csr = CSRGraph.from_networkx(graph)
-        labels = backend.labels_from_csr(csr, seed=4)
-        nodes = list(graph.nodes())
-        groups = {}
-        for node, label in zip(nodes, labels):
-            groups.setdefault(int(label), set()).add(node)
-        assert sorted(map(sorted, groups.values())) == sorted(
-            map(sorted, via_nx)
+        graph_cluster(np.random.default_rng(0).random((12, 4)), 2, seed=0)
+        PolysemyFeatureExtractor(feature_set="graph").features_from_contexts(
+            "t", [("a", "b", "c", "a"), ("c", "d", "e")]
         )
-
-    def test_greedy_backend_matches_networkx(self):
-        graph = random_weighted_graph(seed=31)
-        communities = GreedyModularityBackend().communities(graph, seed=0)
-        reference = [
-            set(c)
-            for c in nx.algorithms.community.greedy_modularity_communities(
-                graph, weight="weight"
-            )
-        ]
-        assert sorted(map(sorted, communities)) == sorted(
-            map(sorted, reference)
-        )
+        assert calls == ["louvain_labels", "louvain_labels_many"]

@@ -70,7 +70,6 @@ ITEM = st.tuples(
 EXTRACTOR = st.builds(
     PolysemyFeatureExtractor,
     feature_set=st.sampled_from(["all", "direct", "graph"]),
-    community_backend=st.sampled_from(["louvain", "greedy"]),
     graph_window=st.integers(min_value=1, max_value=6),
     community_seed=st.integers(min_value=0, max_value=3),
 )

@@ -2,7 +2,7 @@
 
 The oracle is the graph the linker used to build: a
 :class:`CooccurrenceGraphBuilder` over every document with every known
-term merged, read through the graph-based :func:`mesh_neighborhood`,
+term merged, read through the graph-based ``mesh_neighborhood``,
 falling back to all ontology terms when the neighbourhood is empty.
 """
 
@@ -16,15 +16,13 @@ from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore, MmapCorpusIndex
 from repro.extraction.extractor import BioTexExtractor
 from repro.linkage.linker import SemanticLinker
-from repro.linkage.neighborhood import (
-    build_term_graph,
-    candidate_positions,
-    mesh_neighborhood,
-)
+from repro.linkage.neighborhood import candidate_positions
 from repro.ontology.model import Concept, Ontology
 from repro.scenarios import make_enrichment_scenario
 from repro.text.cooccurrence import CooccurrenceGraphBuilder
 from repro.text.postag import LexiconTagger
+
+from graph_oracles import build_term_graph, mesh_neighborhood
 
 INDEX_KINDS = ("monolithic", "mmap")
 
@@ -44,7 +42,7 @@ def oracle(ontology, index, known_terms, *, window, expand_hierarchy):
         stop_language=None,
         terms=[tuple(term.split()) for term in sorted(known_terms)],
     )
-    graph = builder.build(index.token_documents())
+    __, graph = builder.build(index.token_documents())
 
     def positions(term):
         found = mesh_neighborhood(

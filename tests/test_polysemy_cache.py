@@ -88,11 +88,16 @@ class TestFingerprints:
     def test_extractor_fingerprint_pins_every_setting(self):
         base = PolysemyFeatureExtractor()
         assert base.fingerprint() == PolysemyFeatureExtractor().fingerprint()
+        # The literal key: persisted disk and remote cache entries are
+        # stored under it, so it must not drift.
+        assert base.fingerprint() == (
+            "window=10;graph_window=4;feature_set=all;"
+            "community_backend=louvain;community_seed=0"
+        )
         variants = [
             PolysemyFeatureExtractor(window=5),
             PolysemyFeatureExtractor(graph_window=2),
             PolysemyFeatureExtractor(feature_set="direct"),
-            PolysemyFeatureExtractor(community_backend="greedy"),
             PolysemyFeatureExtractor(community_seed=9),
         ]
         fingerprints = {v.fingerprint() for v in variants}

@@ -421,6 +421,9 @@ class TestEnrichmentJobs:
             client.submit_job("demo", config={"n_workers": 16})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"worker_backend": "process"})
+        # Louvain is the only community detector: the knob is gone too.
+        with pytest.raises(ServiceError, match="unknown config field"):
+            client.submit_job("demo", config={"community_backend": "greedy"})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"frobnicate": 1})
         with pytest.raises(ServiceError, match="404"):

@@ -217,19 +217,6 @@ class TestTimingsAndConfig:
             EnrichmentConfig(min_contexts=5, max_contexts_per_term=4)
 
 
-class TestCommunityBackendKnob:
-    def test_louvain_and_greedy_agree_on_labels(self, scenario):
-        louvain = enrich(scenario)
-        greedy = enrich(scenario, community_backend="greedy")
-        assert [t.polysemic for t in louvain.terms] == [
-            t.polysemic for t in greedy.terms
-        ]
-
-    def test_invalid_community_backend_rejected(self):
-        with pytest.raises(ValidationError, match="community_backend"):
-            EnrichmentConfig(community_backend="metis")
-
-
 class TestFeatureCacheWiring:
     def test_report_exposes_cache_counters(self, scenario):
         report = enrich(scenario)
