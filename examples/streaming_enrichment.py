@@ -10,7 +10,9 @@ correctly while the index build cost is never paid twice.
 
 This example enriches a corpus, streams in a batch of new documents,
 and re-enriches: the second run's ``index`` stage shows no rebuild, and
-the report reflects the grown corpus.
+the report reflects the grown corpus.  The enricher sees the corpus
+fingerprint move and refits its detector, so the second report equals
+a fresh enricher's.
 
 Run:  python examples/streaming_enrichment.py
 """

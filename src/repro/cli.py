@@ -58,10 +58,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enrich(args: argparse.Namespace) -> int:
-    ontology = read_ontology_json(args.ontology)
-    corpus = read_corpus_jsonl(args.corpus)
-    config = EnrichmentConfig(
+def _enrich_config(args: argparse.Namespace) -> EnrichmentConfig:
+    return EnrichmentConfig(
         language=args.language,
         extraction_measure=args.extraction_measure,
         n_candidates=args.candidates,
@@ -85,6 +83,19 @@ def _cmd_enrich(args: argparse.Namespace) -> int:
         cache_timeout=args.cache_timeout,
         cache_batch_size=args.cache_batch_size,
     )
+
+
+def _cmd_enrich(args: argparse.Namespace) -> int:
+    from repro.errors import ValidationError
+
+    try:
+        config = _enrich_config(args)
+    except ValidationError as exc:
+        # Checked before any file is read.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    ontology = read_ontology_json(args.ontology)
+    corpus = read_corpus_jsonl(args.corpus)
     enricher = OntologyEnricher(ontology, config=config)
     report = enricher.enrich(corpus)
     print(report.to_table())

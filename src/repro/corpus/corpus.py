@@ -135,6 +135,13 @@ class Corpus:
         self._index = index
         self._index_store = store
 
+    @property
+    def index_store(self) -> "IndexStore | None":
+        """The :class:`~repro.corpus.index_store.IndexStore` remembered
+        by :meth:`adopt_index` (``None`` when the index was never
+        adopted from a store)."""
+        return self._index_store
+
     def __len__(self) -> int:
         return len(self._documents)
 

@@ -39,17 +39,24 @@ class KNeighborsClassifier(BaseClassifier):
         return self
 
     def _distances(self, X: np.ndarray) -> np.ndarray:
+        # One query row per product, shaped as a one-row predict: a
+        # batched matmul rounds differently, and ties between distances
+        # pick the neighbours, so a row's label would otherwise depend
+        # on the rows predicted with it.
+        dots = np.concatenate(
+            [X[i : i + 1] @ self._X.T for i in range(X.shape[0])]
+        )
         if self.metric == "euclidean":
             # ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b  (clipped for stability)
             aa = (X**2).sum(axis=1)[:, None]
             bb = (self._X**2).sum(axis=1)[None, :]
-            d2 = np.clip(aa + bb - 2.0 * (X @ self._X.T), 0.0, None)
+            d2 = np.clip(aa + bb - 2.0 * dots, 0.0, None)
             return np.sqrt(d2)
         norms_q = np.linalg.norm(X, axis=1, keepdims=True)
         norms_t = np.linalg.norm(self._X, axis=1, keepdims=True).T
         norms_q[norms_q == 0] = 1.0
         norms_t[norms_t == 0] = 1.0
-        sims = (X @ self._X.T) / (norms_q * norms_t)
+        sims = dots / (norms_q * norms_t)
         return 1.0 - sims
 
     def predict_proba(self, X) -> np.ndarray:

@@ -45,6 +45,9 @@ from repro.polysemy.cache_store import (
 
 __all__ = ["CacheKey", "FeatureCache"]
 
+#: Backend event counters, zero-filled where a backend has no such notion.
+_EVENT_COUNTERS = ("disk_hits", "evictions", "remote_hits", "remote_errors")
+
 
 class FeatureCache:
     """Memo of per-term feature vectors with hit/miss stats.
@@ -185,31 +188,33 @@ class FeatureCache:
         merged in; the keys are uniform across backends, zero-filled
         where a backend has no such notion.
         """
-        return self._stats(entries=True)
-
-    def counters(self) -> dict[str, int]:
-        """:attr:`stats` without ``entries``, for diffing around a run.
-
-        Counting entries can mean parsing every index a disk store
-        holds, so a snapshot taken only for its counters skips it.
-        """
-        return self._stats(entries=False)
-
-    def _stats(self, *, entries: bool) -> dict[str, int]:
         with self._lock:
-            stats = {"hits": self._hits, "misses": self._misses}
-            if entries:
-                stats["entries"] = len(self._store)
-            stats.update(self._store.stats())
-            for key in (
-                "disk_hits",
-                "evictions",
-                "store_bytes",
-                "remote_hits",
-                "remote_errors",
-            ):
+            stats = {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._store),
+                **self._store.stats(),
+            }
+            for key in (*_EVENT_COUNTERS, "store_bytes"):
                 stats.setdefault(key, 0)
             return stats
+
+    def counters(self) -> dict[str, int]:
+        """:attr:`stats` without the sizes, for diffing around a run.
+
+        ``entries`` and ``store_bytes`` are left out: neither is diffed,
+        and measuring them means scanning a disk store or asking a
+        served one, while these counters live in memory.
+        """
+        with self._lock:
+            counters = {
+                "hits": self._hits,
+                "misses": self._misses,
+                **self._store.counters(),
+            }
+            for key in _EVENT_COUNTERS:
+                counters.setdefault(key, 0)
+            return counters
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

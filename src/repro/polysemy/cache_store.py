@@ -38,7 +38,11 @@ across processes with ``flock`` on the generation's lock file.
 Reads take no lock: the index is re-parsed incrementally when it grows,
 torn trailing lines are skipped until complete, and every blob is
 validated by length and CRC-32 before it is returned — a truncated or
-corrupted entry is a *miss*, never a crash or a wrong vector.
+corrupted entry is a *miss*, never a crash or a wrong vector.  A handle
+keeps a view of every generation it has seen, so a size snapshot
+(``len(store)``, ``store_bytes``) costs one directory scan plus one
+``stat`` per generation while nothing changed, and otherwise parses only
+the index bytes appended since the last one.
 
 ``max_bytes`` caps the whole store, evicted in LRU order: least
 recently *used* generations go first (whole directories; reads and
@@ -110,6 +114,12 @@ PIN_TTL_SECONDS = 900.0
 
 _pin_sequence = itertools.count()
 
+#: Index bytes remembered from just before the parsed offset.  Every
+#: index line is longer, so after a write they are the tail of the
+#: write's own line; a refresh that finds other bytes there knows the
+#: index was cleared and rewritten under a reused inode.
+_TAIL_BYTES = 32
+
 
 @runtime_checkable
 class CacheStore(Protocol):
@@ -132,11 +142,15 @@ class CacheStore(Protocol):
     def clear(self) -> None:
         """Drop every entry and reset the backend counters."""
 
-    def stats(self) -> dict[str, int]:
-        """Backend counters — at least ``{"disk_hits", "evictions",
-        "store_bytes"}``; served backends add ``remote_hits`` /
+    def counters(self) -> dict[str, int]:
+        """Backend event counters — at least ``{"disk_hits",
+        "evictions"}``; served backends add ``remote_hits`` /
         ``remote_errors`` (see
-        :class:`repro.service.client.RemoteCacheStore`)."""
+        :class:`repro.service.client.RemoteCacheStore`).  No sizes, so
+        no filesystem or network access."""
+
+    def stats(self) -> dict[str, int]:
+        """:meth:`counters` plus the absolute ``store_bytes``."""
 
 
 class MemoryCacheStore:
@@ -161,10 +175,12 @@ class MemoryCacheStore:
     def clear(self) -> None:
         self._entries.clear()
 
+    def counters(self) -> dict[str, int]:
+        return {"disk_hits": 0, "evictions": 0}
+
     def stats(self) -> dict[str, int]:
         return {
-            "disk_hits": 0,
-            "evictions": 0,
+            **self.counters(),
             "store_bytes": sum(v.nbytes for v in self._entries.values()),
         }
 
@@ -178,11 +194,26 @@ class _Generation:
     entries: dict[str, tuple] = field(default_factory=dict)
     #: Vectors already decoded in this process (no re-read, no disk_hit).
     memo: dict[str, np.ndarray] = field(default_factory=dict)
-    #: How many bytes of index.jsonl have been parsed so far.
+    #: How many bytes of index.jsonl have been parsed so far, the inode
+    #: they were parsed from (a rewritten index is a new file) and the
+    #: last :data:`_TAIL_BYTES` of them.
     index_offset: int = 0
+    index_ino: int | None = None
+    index_tail: bytes = b""
+    #: Bytes of the whole directory, walked while the index had
+    #: ``bytes_key`` = (inode, size); every write appends to the index
+    #: and shard eviction rewrites it, so an unchanged key means
+    #: unchanged bytes.
+    bytes: int | None = None
+    bytes_key: tuple[int, int] | None = None
     #: Monotonic time of this handle's last LRU recency re-stamp
     #: (0.0 = never; see :data:`TOUCH_INTERVAL_SECONDS`).
     last_touch: float = 0.0
+    #: ``index_path`` as a string, for the per-snapshot ``stat``.
+    index_file: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.index_file = os.path.join(self.path, _INDEX_NAME)
 
     @property
     def index_path(self) -> Path:
@@ -393,10 +424,12 @@ class DiskCacheStore:
                 payload = b"\n" + payload
             with open(generation.index_path, "ab") as fh:
                 fh.write(payload)
+                generation.index_ino = os.fstat(fh.fileno()).st_ino
             # We refreshed under the lock, so everything before our
             # append is parsed (or a torn fragment we just neutralised)
             # and everything we wrote is applied directly below.
             generation.index_offset = index_size + len(payload)
+            generation.index_tail = payload[-_TAIL_BYTES:]
             generation.entries[term] = (
                 shard_no,
                 offset,
@@ -410,16 +443,7 @@ class DiskCacheStore:
             return len(blob) + len(payload)
 
     def __len__(self) -> int:
-        with self._lock:
-            total = 0
-            for child in self._generation_dirs():
-                generation = self._generations.get(child.name)
-                if generation is not None:
-                    self._refresh_index(generation)
-                    total += len(generation.entries)
-                else:
-                    total += len(self._parse_index(child / _INDEX_NAME))
-            return total
+        return self._snapshot()[0]
 
     def clear(self) -> None:
         with self._lock:
@@ -433,13 +457,13 @@ class DiskCacheStore:
             self._evictions = 0
             self._size_estimate = 0
 
+    def counters(self) -> dict[str, int]:
+        with self._lock:
+            return {"disk_hits": self._disk_hits, "evictions": self._evictions}
+
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "disk_hits": self._disk_hits,
-                "evictions": self._evictions,
-                "store_bytes": self._store_bytes(),
-            }
+            return {**self.counters(), "store_bytes": self._snapshot()[1]}
 
     def describe(self) -> dict:
         """The store's on-disk layout (``repro cache-info``'s payload).
@@ -501,6 +525,38 @@ class DiskCacheStore:
             generation = _Generation(path)
             self._generations[name] = generation
         return generation
+
+    def _snapshot(self) -> tuple[int, int]:
+        """``(entries, store_bytes)`` over every generation on disk.
+
+        One ``os.scandir`` of the root and one ``stat`` of each
+        generation's index while nothing changed.  A grown index is
+        parsed from where the last parse stopped; a generation whose
+        index changed has its directory re-walked for bytes.  Views of
+        generations gone from disk are dropped.
+        """
+        with self._lock:
+            try:
+                with os.scandir(self._dir) as listing:
+                    names = [entry.name for entry in listing if entry.is_dir()]
+            except OSError:
+                names = []
+            for name in self._generations.keys() - set(names):
+                del self._generations[name]
+            entries = total = 0
+            for name in names:
+                generation = self._generations.get(name)
+                if generation is None:
+                    generation = _Generation(self._dir / name)
+                    self._generations[name] = generation
+                stat = self._refresh_index(generation)
+                key = None if stat is None else (stat.st_ino, stat.st_size)
+                if generation.bytes is None or key != generation.bytes_key:
+                    generation.bytes = self._dir_bytes(generation.path)
+                    generation.bytes_key = key
+                entries += len(generation.entries)
+                total += generation.bytes
+            return entries, total
 
     def _generation_dirs(self) -> list[Path]:
         if not self._dir.is_dir():
@@ -637,50 +693,67 @@ class DiskCacheStore:
             return {}
         return dict(self._iter_records(data))
 
-    def _refresh_index(self, generation: _Generation) -> None:
+    def _refresh_index(self, generation: _Generation) -> os.stat_result | None:
         """Absorb index lines appended since the last parse.
 
-        The index only ever grows under normal operation; it shrinks
-        when :meth:`clear` or shard eviction rewrote it, which forces a
+        Returns the index's ``stat`` (None when it is missing).  The
+        index only ever grows under normal operation.  Shard eviction
+        replaces it with a new file (another inode); :meth:`clear` and
+        generation eviction delete it, and a rewrite may reuse the inode
+        but not the bytes before the parsed offset.  Either forces a
         from-scratch reload here.
         """
         try:
-            size = generation.index_path.stat().st_size
+            stat = os.stat(generation.index_file)
         except OSError:
             if generation.index_offset:
-                generation.entries.clear()
-                generation.memo.clear()
-                generation.index_offset = 0
                 # The directory was evicted under us: the recency stamp
                 # went with it, so the next use must re-stamp.
-                generation.last_touch = 0.0
-            return
-        if size == generation.index_offset:
-            return
-        if size < generation.index_offset:
-            generation.entries.clear()
-            generation.memo.clear()
-            generation.index_offset = 0
-            generation.last_touch = 0.0
+                self._forget(generation)
+            return None
+        if (
+            stat.st_ino != generation.index_ino
+            or stat.st_size < generation.index_offset
+        ):
+            self._forget(generation)
+            generation.index_ino = stat.st_ino
+        if stat.st_size == generation.index_offset:
+            return stat
+        tail = generation.index_tail
         try:
-            with open(generation.index_path, "rb") as fh:
-                fh.seek(generation.index_offset)
+            with open(generation.index_file, "rb") as fh:
+                fh.seek(generation.index_offset - len(tail))
                 data = fh.read()
         except OSError:
-            return
+            return stat
+        if not data.startswith(tail):
+            self._forget(generation)
+            return self._refresh_index(generation)
+        data = data[len(tail) :]
         # Only consume complete lines; a torn trailing line (a writer
         # mid-append in another process) is retried on the next refresh.
         end = data.rfind(b"\n")
         if end < 0:
-            return
+            return stat
         consumed = data[: end + 1]
         generation.index_offset += len(consumed)
+        generation.index_tail = (tail + consumed)[-_TAIL_BYTES:]
         for term, entry in self._iter_records(consumed):
             if generation.entries.get(term) != entry:
                 # Another writer superseded the entry: decoded bytes in
                 # the memo may be stale, drop them.
                 generation.memo.pop(term, None)
             generation.entries[term] = entry
+        return stat
+
+    @staticmethod
+    def _forget(generation: _Generation) -> None:
+        """Drop a generation view's parsed state (its index is new)."""
+        generation.entries.clear()
+        generation.memo.clear()
+        generation.index_offset = 0
+        generation.index_tail = b""
+        generation.last_touch = 0.0
 
     # -- blob I/O -----------------------------------------------------------
 
@@ -858,4 +931,7 @@ class DiskCacheStore:
         tmp_path.write_bytes(payload)
         os.replace(tmp_path, generation.index_path)
         generation.index_offset = len(payload)
+        generation.index_tail = payload[-_TAIL_BYTES:]
+        with suppress(OSError):
+            generation.index_ino = generation.index_path.stat().st_ino
         return len(payload)

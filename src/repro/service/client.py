@@ -438,25 +438,31 @@ class RemoteCacheStore:
             self._remote_hits = 0
             self._remote_errors = 0
 
-    def stats(self) -> dict[str, int]:
-        """Client-local counters plus the server's absolute store size.
+    def counters(self) -> dict[str, int]:
+        """Client-local counters (no request).
 
         ``remote_hits``/``remote_errors`` are this handle's traffic;
-        ``store_bytes``/``entries`` come from the server (0 when it is
-        unreachable — stats polling never counts as a failure);
         ``disk_hits``/``evictions`` are server-side notions other
         clients share, so they are reported as 0 here to keep the
         report's per-run deltas client-local.
         """
-        remote = self._fetch_json("/stats") or {}
         with self._counter_lock:
             return {
                 "disk_hits": 0,
                 "evictions": 0,
-                "store_bytes": int(remote.get("store_bytes", 0) or 0),
                 "remote_hits": self._remote_hits,
                 "remote_errors": self._remote_errors,
             }
+
+    def stats(self) -> dict[str, int]:
+        """:meth:`counters` plus the server's absolute store size
+        (``store_bytes``; 0 when it is unreachable — stats polling
+        never counts as a failure)."""
+        remote = self._fetch_json("/stats") or {}
+        return {
+            **self.counters(),
+            "store_bytes": int(remote.get("store_bytes", 0) or 0),
+        }
 
     # -- shared JSON plumbing ---------------------------------------------
 

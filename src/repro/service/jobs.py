@@ -12,8 +12,17 @@ the service's one store).  Jobs run on a small worker pool
 (``job_workers``, default 1 so the single-writer discipline of the
 shared :class:`~repro.polysemy.cache_store.DiskCacheStore` matches the
 pipeline's); loaded corpora/ontologies are cached per name, so the
-second job against a corpus skips the parse *and* starts with a warm
-feature cache.
+second job against a corpus skips the parse.
+
+Jobs run on kept enrichers: one
+:class:`~repro.workflow.pipeline.OntologyEnricher` per (scenario,
+config), at most :data:`MAX_KEPT_ENRICHERS` of them, least recently
+used dropped first.  A scenario's streamer runs on its default-config
+entry.  A repeated job on an unchanged corpus therefore reuses the
+fitted detector, the Step III memo and the Step IV context space
+instead of repeating a cold run; each of those is bound to the corpus
+fingerprint it was made from, so a job after a delta reports what a
+fresh enricher would.
 """
 
 from __future__ import annotations
@@ -22,6 +31,8 @@ import itertools
 import json
 import threading
 import time
+import typing
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -66,6 +77,40 @@ DEFAULT_MAX_DELTAS = 256
 #: Longest accepted ``Idempotency-Key`` (these are client-chosen opaque
 #: tokens, typically UUIDs; anything longer is a confused client).
 MAX_IDEMPOTENCY_KEY_LENGTH = 200
+
+#: Enrichers kept for reuse across jobs, keyed by (scenario, config);
+#: past the cap the least recently used is dropped.  Each holds one
+#: scenario's Step I aggregate, fitted detector and Step IV space.
+MAX_KEPT_ENRICHERS = 4
+
+
+def _check_override_types(overrides: dict) -> None:
+    """Reject overrides whose JSON type does not match the field's.
+
+    A string for an int field, ``true`` for an int field or a list for
+    anything would otherwise pass submission and fail the job later
+    (and an unhashable value cannot key a kept enricher).
+    """
+    hints = typing.get_type_hints(EnrichmentConfig)
+    for name, value in overrides.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        if not any(_json_matches(value, kind) for kind in kinds):
+            expected = " or ".join(
+                "null" if kind is type(None) else kind.__name__
+                for kind in kinds
+            )
+            raise ValidationError(
+                f"config field {name!r} must be {expected}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+
+
+def _json_matches(value, kind: type) -> bool:
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
 
 
 class IdempotencyConflictError(ValidationError):
@@ -204,6 +249,12 @@ class JobManager:
         #: Scenario name -> CorpusIndex for /recommend corpus inputs,
         #: built on first use from the shared loaded corpus.
         self._recommend_indexes: dict[str, CorpusIndex] = {}
+        #: (scenario, config) -> kept enricher, least recently used
+        #: first.  Dropping an entry only drops this reference: a
+        #: streamer keeps its enricher.
+        self._enrichers: OrderedDict[
+            tuple[str, EnrichmentConfig], OntologyEnricher
+        ] = OrderedDict()
         self._streamers: dict[str, StreamingEnricher] = {}
         self._scenario_locks: dict[str, threading.Lock] = {}
         self._delta_history: dict[str, list[dict]] = {}
@@ -244,8 +295,10 @@ class JobManager:
         """Queue one enrichment run; returns the (new or replayed) job id.
 
         Raises :class:`~repro.errors.ValidationError` for an unknown
-        corpus or a rejected override (unknown field, or one of the
-        cache/index fields the service owns).
+        corpus or a rejected override: an unknown field, one of the
+        cache/index fields the service owns, a value of the wrong JSON
+        type, or one :class:`~repro.workflow.config.EnrichmentConfig`
+        rejects.
         """
         job_id, _ = self.submit_detailed(
             corpus, overrides, idempotency_key=idempotency_key
@@ -280,6 +333,9 @@ class JobManager:
                 )
             if name not in allowed:
                 raise ValidationError(f"unknown config field {name!r}")
+        # A job that can only fail is a 400 now, not a failed poll.
+        _check_override_types(overrides)
+        self._config(overrides)
         if idempotency_key is not None:
             if not idempotency_key:
                 raise ValidationError("Idempotency-Key must be non-empty")
@@ -628,22 +684,55 @@ class JobManager:
     def _streamer(self, name: str) -> StreamingEnricher:
         """The scenario's streaming enricher (created on first delta).
 
-        The streamer wraps the *shared* loaded corpus, so a full
-        enrichment job submitted after a delta sees the grown corpus —
-        and the shared feature cache keeps it warm.
+        The streamer wraps the *shared* loaded corpus and the scenario's
+        default-config kept enricher, so a full enrichment job submitted
+        after a delta sees the grown corpus, and a default-config job
+        runs on the streamer's own enricher.  Called under the scenario
+        lock.
         """
         with self._lock:
             streamer = self._streamers.get(name)
         if streamer is not None:
             return streamer
         ontology, corpus = self._load(name)
-        enricher = OntologyEnricher(ontology, config=self._config({}))
+        enricher = self._enricher(name, self._config({}))
         streamer = StreamingEnricher(ontology, corpus, enricher=enricher)
         with self._lock:
             # Lost-race duplicates: first one in wins (its corpus object
             # is the shared loaded one either way).
             streamer = self._streamers.setdefault(name, streamer)
         return streamer
+
+    def _enricher(
+        self, name: str, config: EnrichmentConfig
+    ) -> OntologyEnricher:
+        """The kept enricher for ``(name, config)``, built on first use.
+
+        Called under the scenario lock, which every use of the enricher
+        holds too.  A missing default-config entry of a streaming
+        scenario is the streamer's enricher.
+        """
+        key = (name, config)
+        with self._lock:
+            enricher = self._enrichers.get(key)
+            streamer = self._streamers.get(name)
+        if (
+            enricher is None
+            and streamer is not None
+            and streamer.enricher.config == config
+        ):
+            enricher = streamer.enricher
+        if enricher is None:
+            ontology, _ = self._load(name)
+            enricher = OntologyEnricher(
+                ontology, config=config, cache_store=self._store
+            )
+        with self._lock:
+            self._enrichers[key] = enricher
+            self._enrichers.move_to_end(key)
+            while len(self._enrichers) > MAX_KEPT_ENRICHERS:
+                self._enrichers.popitem(last=False)
+        return enricher
 
     def _scenario_lock(self, name: str) -> threading.Lock:
         with self._lock:
@@ -745,12 +834,19 @@ class JobManager:
             job.status = "running"
             job.started_at = time.time()
         try:
-            ontology, corpus = self._load(job.corpus)
+            _, corpus = self._load(job.corpus)
             config = self._config(job.overrides)
-            enricher = OntologyEnricher(ontology, config=config)
-            # Deltas grow this shared corpus under the same lock.
+            # Deltas grow this shared corpus under the same lock, and
+            # kept enrichers are only used under it.
             with self._scenario_lock(job.corpus):
-                report = enricher.enrich(corpus)
+                enricher = self._enricher(job.corpus, config)
+                try:
+                    report = enricher.enrich(corpus)
+                except Exception:
+                    # Never hand a failed run's enricher to a later job.
+                    with self._lock:
+                        self._enrichers.pop((job.corpus, config), None)
+                    raise
             with self._lock:
                 job.report = report.to_dict()
                 job.status = "done"

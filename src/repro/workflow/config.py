@@ -4,12 +4,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.clustering.algorithms import ALGORITHM_NAMES
+from repro.clustering.indexes import index_names
 from repro.errors import ValidationError
+from repro.extraction.measures import MEASURE_NAMES
+from repro.ml import DEFAULT_CLASSIFIERS
+from repro.senses.representation import REPRESENTATION_NAMES
+from repro.text.stopwords import SUPPORTED_LANGUAGES
+from repro.utils.validation import check_in_options
+
+#: Step II classifiers the detector can fit.  Multinomial naive Bayes
+#: needs non-negative counts, and the detector standardises its
+#: features, so it can never fit.
+FITTABLE_CLASSIFIERS = tuple(
+    name for name in DEFAULT_CLASSIFIERS if name != "multinomial_nb"
+)
 
 
 @dataclass(frozen=True)
 class EnrichmentConfig:
     """Knobs of the four workflow steps.
+
+    ``language``, ``extraction_measure``, ``polysemy_classifier`` and
+    the three ``sense_*`` names are checked against their registries on
+    construction, so an unknown name raises
+    :class:`~repro.errors.ValidationError` before any work starts.
 
     Parameters
     ----------
@@ -26,7 +45,8 @@ class EnrichmentConfig:
         Candidates with fewer corpus contexts are skipped (not enough
         signal for polysemy detection or linkage).
     polysemy_classifier:
-        Step II classifier registry name.
+        Step II classifier registry name (one of
+        :data:`FITTABLE_CLASSIFIERS`).
     sense_algorithm / sense_index / sense_representation:
         Step III clustering algorithm, internal index, and context
         representation (paper defaults: rb + f_k + bag-of-words).
@@ -108,6 +128,25 @@ class EnrichmentConfig:
     cache_batch_size: int = 256
 
     def __post_init__(self) -> None:
+        # Named values fail here, not deep inside the first run.
+        check_in_options(self.language, "language", SUPPORTED_LANGUAGES)
+        check_in_options(
+            self.extraction_measure, "extraction_measure", MEASURE_NAMES
+        )
+        check_in_options(
+            self.polysemy_classifier,
+            "polysemy_classifier",
+            FITTABLE_CLASSIFIERS,
+        )
+        check_in_options(
+            self.sense_algorithm, "sense_algorithm", ALGORITHM_NAMES
+        )
+        check_in_options(self.sense_index, "sense_index", index_names())
+        check_in_options(
+            self.sense_representation,
+            "sense_representation",
+            REPRESENTATION_NAMES,
+        )
         if self.n_candidates < 1:
             raise ValidationError(
                 f"n_candidates must be >= 1, got {self.n_candidates}"

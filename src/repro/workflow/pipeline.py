@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex
-from repro.errors import CorpusError, LinkageError
+from repro.errors import CorpusError, LinkageError, ValidationError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.context import TermContextIndex
 from repro.linkage.linker import SemanticLinker
@@ -59,7 +60,7 @@ from repro.service.client import RemoteCacheStore
 from repro.polysemy.dataset import build_polysemy_dataset
 from repro.polysemy.detector import PolysemyDetector
 from repro.polysemy.features import PolysemyFeatureExtractor
-from repro.senses.induction import SenseInducer
+from repro.senses.induction import SenseInducer, SenseInductionResult
 from repro.senses.predictor import SenseCountPredictor
 from repro.text.postag import LexiconTagger
 from repro.workflow.config import EnrichmentConfig
@@ -255,16 +256,18 @@ class DetectStage:
             )
             for item, row in zip(misses, rows, strict=True):
                 item.features = row
-        for item in ctx.work:
-            if item.contexts is None:
-                continue
-            if not self._trained:
+        active = [item for item in ctx.work if item.contexts is not None]
+        if not self._trained:
+            for item in active:
                 item.report.polysemic = False
-                continue
-            item.report.polysemic = bool(
-                self._detector.predict_features(item.features[None, :])[0]
-                == 1
+        elif active:
+            # One batch of verdicts: every classifier labels each row
+            # on its own, so the batch equals per-row prediction.
+            labels = self._detector.predict_features(
+                np.vstack([item.features for item in active])
             )
+            for item, label in zip(active, labels, strict=True):
+                item.report.polysemic = bool(label == 1)
         if cache is not None:
             to_store: list = []
             for item in ctx.work:
@@ -308,23 +311,46 @@ class DetectStage:
         item.contexts = [ctx_.tokens for ctx_ in occurrences]
 
 
+#: A Step III memo key: (term, Step II verdict, the contexts).
+SenseKey = tuple[str, bool, tuple[tuple[str, ...], ...]]
+
+
 class InduceStage:
-    """Step III: induce each candidate's sense(s) from its contexts."""
+    """Step III: induce each candidate's sense(s) from its contexts.
+
+    ``memo`` is the enricher's Step III memo.  Induction is a pure
+    function of (term, contexts, verdict) under the inducer's fixed
+    settings (its RNG is re-seeded on every call), so a candidate whose
+    key the memo holds reuses that result.  After the run the memo holds
+    exactly this run's keys, so it never outgrows one batch.
+    """
 
     name = "induce"
 
-    def __init__(self, inducer: SenseInducer) -> None:
+    def __init__(
+        self,
+        inducer: SenseInducer,
+        memo: dict[SenseKey, SenseInductionResult] | None = None,
+    ) -> None:
         self._inducer = inducer
+        self._memo = memo if memo is not None else {}
 
     def run(self, ctx: PipelineContext) -> None:
+        used: dict[SenseKey, SenseInductionResult] = {}
         for item in ctx.work:
             if item.contexts is None:
                 continue
-            item.report.senses = self._inducer.induce(
-                item.candidate.term,
-                item.contexts,
-                polysemic=bool(item.report.polysemic),
-            )
+            polysemic = bool(item.report.polysemic)
+            key = (item.candidate.term, polysemic, tuple(item.contexts))
+            senses = self._memo.get(key)
+            if senses is None:
+                senses = self._inducer.induce(
+                    item.candidate.term, item.contexts, polysemic=polysemic
+                )
+            used[key] = senses
+            item.report.senses = senses
+        self._memo.clear()
+        self._memo.update(used)
 
 
 class LinkStage:
@@ -376,6 +402,19 @@ class OntologyEnricher:
     pos_lexicon:
         Optional gold ``word → tag`` mapping for the Step I tagger (pass
         the corpus generator's ``lexicon.pos_lexicon`` on synthetic data).
+    cache_store:
+        Optional open :class:`~repro.polysemy.cache_store.DiskCacheStore`
+        to back the feature cache with, in place of a new handle on
+        ``config.cache_dir``: a process running many enrichers over one
+        store (the service) shares one handle, so no enricher re-reads
+        what another wrote.  Its directory and size cap must be the
+        config's ``cache_dir`` and ``cache_max_bytes``.
+
+    An enricher keeps state across :meth:`enrich` calls: the fitted
+    detector (with the corpus fingerprint it was fitted on, so a changed
+    corpus retrains), the Step III memo and the Step IV context space.
+    Each is reused only while its inputs are unchanged, so a reused
+    enricher reports exactly what a fresh one would.
 
     Example
     -------
@@ -395,12 +434,24 @@ class OntologyEnricher:
         *,
         config: EnrichmentConfig | None = None,
         pos_lexicon: dict[str, str] | None = None,
+        cache_store: DiskCacheStore | None = None,
     ) -> None:
         from repro.lexicon import BioLexicon
 
         self.ontology = ontology
         self.config = config if config is not None else EnrichmentConfig()
         cfg = self.config
+        if cache_store is not None and (
+            cfg.cache_dir is None
+            or Path(cfg.cache_dir) != Path(cache_store.cache_dir)
+            or cfg.cache_max_bytes != cache_store.max_bytes
+        ):
+            raise ValidationError(
+                f"cache_store at {cache_store.cache_dir} "
+                f"(max_bytes={cache_store.max_bytes}) does not match "
+                f"cache_dir={cfg.cache_dir!r} "
+                f"(cache_max_bytes={cfg.cache_max_bytes})"
+            )
         tagger = LexiconTagger(pos_lexicon or {}, language=cfg.language)
         # General-academic stop list, as shipped with BioTex: keeps
         # "study results"-style collocations out of the candidate list.
@@ -427,6 +478,8 @@ class OntologyEnricher:
                     timeout=cfg.cache_timeout,
                     batch_size=cfg.cache_batch_size,
                 )
+            elif cache_store is not None:
+                store = cache_store
             elif cfg.cache_dir is not None:
                 store = DiskCacheStore(
                     cfg.cache_dir, max_bytes=cfg.cache_max_bytes
@@ -450,7 +503,10 @@ class OntologyEnricher:
             ),
             seed=cfg.seed,
         )
-        self._detector_trained = False
+        # The corpus fingerprint the detector was fitted on (None while
+        # untrained): a run on any other corpus retrains first.
+        self._trained_on: str | None = None
+        self._senses: dict[SenseKey, SenseInductionResult] = {}
         # Step IV's context space, kept across runs (made by the first).
         self._context_index: TermContextIndex | None = None
 
@@ -469,25 +525,25 @@ class OntologyEnricher:
     @property
     def detector_trained(self) -> bool:
         """Whether Step II currently holds a fitted classifier."""
-        return self._detector_trained
-
-    def invalidate_training(self) -> None:
-        """Force detector re-training on the next :meth:`enrich` call.
-
-        The detector trains on the corpus, so a *grown* corpus must
-        retrain for a delta run to report exactly what a from-scratch
-        run over the same documents would — the training-term vectors
-        still come warm from the feature cache, so invalidation costs a
-        model fit, not a re-featurisation.
-        """
-        self._detector_trained = False
+        return self._trained_on is not None
 
     # -- step II training -------------------------------------------------
 
     def train_polysemy_detector(
         self, corpus: Corpus, *, index: CorpusIndex | None = None
     ) -> None:
-        """Fit Step II on labelled terms of the ontology found in ``corpus``."""
+        """Fit Step II on labelled terms of the ontology found in ``corpus``.
+
+        :meth:`enrich` calls this whenever the corpus fingerprint differs
+        from the one the detector was last fitted on: the detector trains
+        on the corpus, so a grown corpus must retrain for its report to
+        equal a fresh enricher's.  The training vectors come warm from
+        the feature cache, so a retrain costs a fit, not a
+        re-featurisation.
+        """
+        if index is None:
+            index = corpus.index()
+        self._trained_on = None
         dataset = build_polysemy_dataset(
             self.ontology,
             corpus,
@@ -498,7 +554,7 @@ class OntologyEnricher:
             cache=self._feature_cache,
         )
         self._detector.fit(dataset)
-        self._detector_trained = True
+        self._trained_on = index.fingerprint()
 
     # -- the staged workflow --------------------------------------------------
 
@@ -513,10 +569,10 @@ class OntologyEnricher:
             DetectStage(
                 self._detector,
                 self._feature_extractor,
-                trained=self._detector_trained,
+                trained=self.detector_trained,
                 cache=self._feature_cache,
             ),
-            InduceStage(self._inducer),
+            InduceStage(self._inducer, self._senses),
             LinkStage(self._context_index),
         ]
 
@@ -537,7 +593,9 @@ class OntologyEnricher:
         itself persists in an
         :class:`~repro.corpus.index_store.IndexStore`: the first run
         builds and saves it, and every later run (even in a fresh
-        process) mmap-reopens it in O(1).
+        process) mmap-reopens it in O(1).  A corpus that already
+        remembers that store keeps its adopted index, and rebuilds
+        through the store after it grows.
         """
         timings: dict[str, float] = {}
         cache_before = (
@@ -547,19 +605,23 @@ class OntologyEnricher:
         )
         started = time.perf_counter()
         if index is None:
-            cfg = self.config
-            if cfg.index_dir is not None:
+            index_dir = self.config.index_dir
+            remembered = corpus.index_store
+            if index_dir is None or (
+                remembered is not None
+                and remembered.directory == Path(index_dir)
+            ):
+                index = corpus.index()
+            else:
                 from repro.corpus.index_store import IndexStore
 
-                store = IndexStore(cfg.index_dir)
+                store = IndexStore(index_dir)
                 index = store.load_or_build(corpus)
                 # Cache the mmap handle on the corpus so repeated
                 # enrich calls (and anything else asking the corpus for
                 # its index) reuse the store generation; remembering the
                 # store keeps post-growth rebuilds persisted too.
                 corpus.adopt_index(index, store=store)
-            else:
-                index = corpus.index()
         timings["index"] = time.perf_counter() - started
         if self._context_index is None:
             # Each run's linker attaches it to that run's corpus.
@@ -568,14 +630,13 @@ class OntologyEnricher:
         # Step II needs a trained classifier; label source is the ontology.
         train_started = time.perf_counter()
         train_warning: str | None = None
-        if not self._detector_trained:
+        if self._trained_on != index.fingerprint():
             try:
                 self.train_polysemy_detector(corpus, index=index)
             except CorpusError as exc:
                 # Degenerate corpora (no labelled terms of both classes
                 # with enough contexts) fall back to treating every
                 # candidate as monosemous; programming errors propagate.
-                self._detector_trained = False
                 train_warning = (
                     "polysemy detector not trained, treating every "
                     f"candidate as monosemous: {exc}"
@@ -588,7 +649,7 @@ class OntologyEnricher:
             config=self.config,
             index=index,
         )
-        ctx.report.detector_trained = self._detector_trained
+        ctx.report.detector_trained = self.detector_trained
         if train_warning is not None:
             ctx.report.warnings.append(train_warning)
         for stage in self.stages():

@@ -22,8 +22,10 @@ contexts) to turn corpus growth into a delta:
    the training keys
    (:func:`repro.polysemy.dataset.dataset_config_fingerprint`) — so the
    follow-up run only featurises changed terms;
-4. retrain the detector (it is corpus-dependent) and re-run the
-   pipeline, which now hits warm vectors for everything untouched;
+4. re-run the pipeline: the enricher sees the new fingerprint and
+   retrains the detector (it is corpus-dependent), every untouched
+   term's vector comes warm from the cache, and Step III re-induces
+   only the terms whose contexts or verdict changed;
 5. emit a :class:`ReportDiff` describing exactly what moved.
 
 The result composes: ``diff.apply(previous_report)`` reconstructs the
@@ -278,10 +280,9 @@ class StreamingEnricher:
             base_fp, new_fp, [t for t in universe if t not in changed]
         )
 
-        # 3. The detector trains on the corpus, so a grown corpus must
-        #    retrain for delta == from-scratch equality; the training
-        #    vectors themselves come warm from the carry-forward.
-        self.enricher.invalidate_training()
+        # 3. Re-run.  The enricher retrains on the grown corpus (its
+        #    fingerprint moved); the training vectors come warm from the
+        #    carry-forward.
         new_report = self.enricher.enrich(self.corpus)
 
         diff = self._diff(base_report, new_report, base_fp, new_fp)

@@ -1,5 +1,7 @@
 """DiskCacheStore behaviour: layout, sharing, eviction, corruption, wiring."""
 
+from unittest.mock import ANY
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,138 @@ class TestShardingAndEviction:
         survivor = DiskCacheStore(tmp_path)
         assert survivor.get(key("idle 0", corpus="idle-corpus")) is None
         assert survivor.get(key("hot 0", corpus="hot-corpus")) is not None
+
+
+class TestIncrementalSnapshot:
+    """``len()`` and ``store_bytes`` parse only what changed."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Every index parse: full files and appended bytes alike."""
+        calls = []
+        parse_index = DiskCacheStore._parse_index
+        iter_records = DiskCacheStore._iter_records
+
+        def spy_parse_index(store, path):
+            calls.append(path)
+            return parse_index(store, path)
+
+        def spy_iter_records(cls, data):
+            calls.append(data)
+            return iter_records(data)
+
+        monkeypatch.setattr(DiskCacheStore, "_parse_index", spy_parse_index)
+        monkeypatch.setattr(
+            DiskCacheStore, "_iter_records", classmethod(spy_iter_records)
+        )
+        return calls
+
+    @staticmethod
+    def snapshot(store):
+        return len(store), store.stats()["store_bytes"]
+
+    @staticmethod
+    def full_walk(path):
+        """A fresh handle's full walk of every generation."""
+        described = DiskCacheStore(path).describe()
+        return described["entries"], described["store_bytes"]
+
+    def fill(self, store, prefix, n, corpora=("c0", "c1", "c2")):
+        for i in range(n):
+            corpus = corpora[i % len(corpora)]
+            store.put(key(f"{prefix} {i}", corpus=corpus), vector(i))
+
+    def test_unchanged_store_parses_nothing(self, tmp_path, parses):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 6)
+        self.fill(DiskCacheStore(tmp_path), "other", 4, corpora=("c2", "c3"))
+        first = self.snapshot(store)
+        assert first == self.full_walk(tmp_path)
+        del parses[:]
+        assert self.snapshot(store) == first
+        assert parses == []
+
+    def test_own_writes_are_never_reparsed(self, tmp_path, parses):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 3)
+        self.snapshot(store)
+        del parses[:]
+        self.fill(store, "more", 5, corpora=("c0", "c4"))
+        del parses[:]
+        sizes = self.snapshot(store)
+        assert parses == []
+        assert sizes == self.full_walk(tmp_path)
+
+    def test_another_handles_appends_parse_only_the_new_bytes(
+        self, tmp_path, parses
+    ):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 6)
+        self.snapshot(store)
+        other = DiskCacheStore(tmp_path)
+        self.fill(other, "other", 4, corpora=("c1", "c5"))
+        del parses[:]
+        sizes = self.snapshot(store)
+        assert b"".join(parses).count(b"\n") == 4
+        assert sizes == self.full_walk(tmp_path)
+
+    def test_another_handles_evictions(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 12)
+        self.snapshot(store)
+        # Stale generations go first, then the active one's old shards.
+        evicting = DiskCacheStore(tmp_path, max_bytes=3_000, shard_max_bytes=256)
+        self.fill(evicting, "new", 12, corpora=("c9",))
+        assert evicting.stats()["evictions"] > 0
+        assert self.snapshot(store) == self.full_walk(tmp_path)
+
+    def test_another_handles_clear_and_rewrite(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 3)
+        self.snapshot(store)
+        other = DiskCacheStore(tmp_path)
+        other.clear()
+        assert self.snapshot(store) == (0, 0)
+        self.fill(other, "own", 9)
+        self.snapshot(store)
+        # Cleared and rewritten between two snapshots: each new index
+        # (which may reuse the old one's inode) is one line longer than
+        # the three lines parsed from the old one.
+        other.clear()
+        self.fill(other, "rewritten " + "x" * 400, 3)
+        assert self.snapshot(store) == self.full_walk(tmp_path) == (3, ANY)
+
+    def test_another_handles_pins(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 3)
+        self.snapshot(store)
+        other = DiskCacheStore(tmp_path)
+        with other.pin_generation("c0", "config-fp"):
+            with other.pin_generation("never-written", "config-fp"):
+                assert self.snapshot(store) == self.full_walk(tmp_path)
+        assert self.snapshot(store) == self.full_walk(tmp_path)
+
+    def test_counters_touch_no_filesystem(self, tmp_path, monkeypatch):
+        store = DiskCacheStore(tmp_path)
+        cache = FeatureCache(store)
+        cache.store(key("term"), vector(0))
+        cache.lookup(key("term"))
+
+        def no_filesystem(*args, **kwargs):
+            raise AssertionError("counters() touched the filesystem")
+
+        import os
+
+        monkeypatch.setattr(os, "scandir", no_filesystem)
+        monkeypatch.setattr(os, "stat", no_filesystem)
+        assert cache.counters() == {
+            "hits": 1,
+            "misses": 0,
+            "disk_hits": 0,
+            "evictions": 0,
+            "remote_hits": 0,
+            "remote_errors": 0,
+        }
 
 
 class TestGenerationPinning:

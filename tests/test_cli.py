@@ -131,6 +131,20 @@ class TestEnrich:
             capsys.readouterr().err
         )
 
+    def test_unknown_classifier_exits_before_any_work(self, tmp_path, capsys):
+        # The ontology and corpus paths do not exist: reading either
+        # would raise, so exit 2 means the config was checked first.
+        code = main(
+            [
+                "enrich",
+                "--ontology", str(tmp_path / "missing.json"),
+                "--corpus", str(tmp_path / "missing.jsonl"),
+                "--polysemy-classifier", "nope",
+            ]
+        )
+        assert code == 2
+        assert "polysemy_classifier must be one of" in capsys.readouterr().err
+
     def test_cache_flags_default_off(self):
         args = build_parser().parse_args(
             ["enrich", "--ontology", "o", "--corpus", "c"]

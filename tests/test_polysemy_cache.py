@@ -25,14 +25,22 @@ class TestFeatureCache:
         assert len(cache) == 1
 
     def test_counters_are_stats_without_counting_entries(self):
+        # Neither size is measured for counters(): a disk store scans
+        # its directory for len() and stats(), a served one asks the
+        # server.
         class CountingStore(MemoryCacheStore):
-            """Counts ``len()`` calls: a disk store parses indexes for it."""
+            """Counts ``len()`` and ``stats()`` calls."""
 
             lens = 0
+            sizes = 0
 
             def __len__(self):
                 self.lens += 1
                 return super().__len__()
+
+            def stats(self):
+                self.sizes += 1
+                return super().stats()
 
         store = CountingStore()
         cache = FeatureCache(store)
@@ -41,10 +49,12 @@ class TestFeatureCache:
         cache.store(key, np.arange(3.0))
         cache.lookup(key)
         counters = cache.counters()
-        assert store.lens == 0
+        assert (store.lens, store.sizes) == (0, 0)
         stats = cache.stats
-        assert store.lens == 1
-        assert counters == {k: v for k, v in stats.items() if k != "entries"}
+        assert (store.lens, store.sizes) == (1, 1)
+        assert counters == {
+            k: v for k, v in stats.items() if k not in ("entries", "store_bytes")
+        }
 
     def test_distinct_key_components_do_not_collide(self):
         cache = FeatureCache()

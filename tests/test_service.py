@@ -9,6 +9,7 @@ degrades to misses — never an exception.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -22,9 +23,11 @@ from repro.errors import ValidationError
 from repro.ontology.io import write_ontology_json
 from repro.polysemy.cache import FeatureCache
 from repro.polysemy.cache_store import CacheStore, DiskCacheStore
+from repro.polysemy.detector import PolysemyDetector
 from repro.scenarios import make_enrichment_scenario
+from repro.service import jobs as jobs_module
 from repro.service.client import RemoteCacheStore, ServiceClient, ServiceError
-from repro.service.jobs import JobManager
+from repro.service.jobs import MAX_KEPT_ENRICHERS, JobManager
 from repro.service.server import CacheServiceServer
 from repro.service.wire import (
     decode_key,
@@ -426,6 +429,22 @@ class TestEnrichmentJobs:
             client.submit_job("demo", config={"community_backend": "greedy"})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"frobnicate": 1})
+        # Values a job could only fail on (and that could not key a
+        # kept enricher) are rejected at submit, not at run time.
+        for config, message in [
+            ({"n_candidates": 0}, "n_candidates must be >= 1"),
+            ({"n_candidates": "3"}, "'n_candidates' must be int"),
+            ({"n_candidates": True}, "'n_candidates' must be int"),
+            ({"seed": [1, 2]}, "'seed' must be int"),
+            ({"expand_hierarchy": 1}, "'expand_hierarchy' must be bool"),
+            ({"polysemy_classifier": "nope"}, "polysemy_classifier must be"),
+            ({"polysemy_classifier": "multinomial_nb"}, "polysemy_classifier"),
+            ({"sense_algorithm": "nope"}, "sense_algorithm must be"),
+        ]:
+            with pytest.raises(ServiceError, match="400") as error:
+                client.submit_job("demo", config=config)
+            assert message in str(error.value)
+        assert job_server.service.jobs.jobs() == []
         with pytest.raises(ServiceError, match="404"):
             client.job("job-999999")
         # Falsy non-objects must not slip through as "no overrides".
@@ -542,15 +561,21 @@ class TestJobsRacingDeltas:
     def test_each_job_sees_the_corpus_before_or_after_a_delta(
         self, tmp_path, monkeypatch
     ):
+        self.race(tmp_path, monkeypatch, {"n_candidates": 4})
+
+    def test_default_config_jobs_race_on_the_streamers_enricher(
+        self, tmp_path, monkeypatch
+    ):
+        # The delta's streamer is built on the jobs' kept enricher.
+        self.race(tmp_path, monkeypatch, {})
+
+    @staticmethod
+    def race(tmp_path, monkeypatch, overrides):
         scenario = make_enrichment_scenario(seed=0, n_concepts=12, docs_per_concept=3)
         write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
         write_corpus_jsonl(scenario.corpus, tmp_path / "corpus.jsonl")
         # The arrival repeats a document's text, so the report changes.
         arrival = Document("late-1", list(scenario.corpus)[0].sentences)
-        overrides = {"n_candidates": 4}
-
-        def comparable(report):
-            return {k: v for k, v in report.items() if k not in ("timings", "cache")}
 
         def cold(documents):
             config = EnrichmentConfig(feature_cache=True, **overrides)
@@ -600,6 +625,169 @@ class TestJobsRacingDeltas:
         reports = [comparable(document["report"]) for document in documents[:2]]
         assert reports[0] == before
         assert reports[1] in (before, after)
+
+
+class TestKeptEnrichers:
+    """Jobs reuse one enricher per (scenario, config), invisibly."""
+
+    @pytest.fixture()
+    def setup(self, tmp_path, monkeypatch):
+        scenario = make_enrichment_scenario(seed=0, n_concepts=12, docs_per_concept=3)
+        write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
+        write_corpus_jsonl(scenario.corpus, tmp_path / "corpus.jsonl")
+        built, fits = [], []
+
+        def counting_enricher(*args, **kwargs):
+            built.append(kwargs["config"])
+            return OntologyEnricher(*args, **kwargs)
+
+        fit = PolysemyDetector.fit
+
+        def counting_fit(detector, dataset):
+            fits.append(dataset.n_samples)
+            return fit(detector, dataset)
+
+        monkeypatch.setattr(jobs_module, "OntologyEnricher", counting_enricher)
+        monkeypatch.setattr(PolysemyDetector, "fit", counting_fit)
+        store = DiskCacheStore(tmp_path / "cache")
+        manager = JobManager(
+            {"demo": (tmp_path / "ontology.json", tmp_path / "corpus.jsonl")},
+            store=store,
+        )
+        yield manager, scenario, built, fits
+        manager.shutdown(wait=True)
+
+    @staticmethod
+    def run(manager, overrides):
+        document = TestDirectoryWatcher.wait_done(
+            manager, manager.submit("demo", overrides), timeout=300
+        )
+        assert document["status"] == "done", document.get("error")
+        return comparable(document["report"])
+
+    @staticmethod
+    def cold(ontology, documents, **overrides):
+        config = EnrichmentConfig(**overrides)
+        report = OntologyEnricher(ontology, config=config).enrich(Corpus(documents))
+        return comparable(report.to_dict())
+
+    def test_one_config_builds_one_enricher_and_fits_once(self, setup):
+        manager, scenario, built, fits = setup
+        reports = [self.run(manager, {"n_candidates": 4}) for _ in range(3)]
+        assert len(built) == 1 and len(fits) == 1
+        (enricher,) = manager._enrichers.values()
+        assert enricher.feature_cache.backing_store is manager._store
+        expected = self.cold(scenario.ontology, list(scenario.corpus), n_candidates=4)
+        assert reports == [expected] * 3
+
+    def test_job_after_a_delta_equals_a_cold_run_over_the_grown_corpus(
+        self, setup
+    ):
+        manager, scenario, built, __ = setup
+        arrival = Document("late-1", list(scenario.corpus)[0].sentences)
+        self.run(manager, {"n_candidates": 4})
+        delta, __ = manager.submit_documents(
+            "demo", [{"doc_id": arrival.doc_id, "sentences": arrival.sentences}]
+        )
+        assert TestDirectoryWatcher.wait_done(manager, delta)["status"] == "done"
+        grown = [*scenario.corpus, arrival]
+        assert self.run(manager, {"n_candidates": 4}) == self.cold(
+            scenario.ontology, grown, n_candidates=4
+        )
+        assert self.run(manager, {}) == self.cold(scenario.ontology, grown)
+        # The n_candidates=4 enricher and the streamer's one.
+        assert len(built) == 2
+
+    def test_default_config_job_runs_on_the_streamers_enricher(self, setup):
+        manager, scenario, built, __ = setup
+        delta, __ = manager.submit_documents(
+            "demo", [{"doc_id": "late-1", "sentences": [["zzqx", "wwvk"]]}]
+        )
+        assert TestDirectoryWatcher.wait_done(manager, delta)["status"] == "done"
+        assert len(built) == 1
+        self.run(manager, {})
+        assert len(built) == 1
+        streamer = manager._streamers["demo"]
+        assert manager._enrichers[("demo", streamer.enricher.config)] is (
+            streamer.enricher
+        )
+
+    def test_lru_cap_holds(self, setup):
+        manager, __, built, __ = setup
+        sizes = range(2, 3 + MAX_KEPT_ENRICHERS)
+        for size in sizes:
+            self.run(manager, {"n_candidates": size})
+        assert len(built) == len(sizes)
+        assert len(manager._enrichers) == MAX_KEPT_ENRICHERS
+        self.run(manager, {"n_candidates": sizes[-1]})
+        assert len(built) == len(sizes)
+        self.run(manager, {"n_candidates": sizes[0]})  # evicted: rebuilt
+        assert len(built) == len(sizes) + 1
+        assert len(manager._enrichers) == MAX_KEPT_ENRICHERS
+
+    def test_a_failed_job_drops_its_entry(self, setup, monkeypatch):
+        manager, __, built, __ = setup
+        link = LinkStage.run
+        failures = iter([RuntimeError("Step IV broke")])
+
+        def failing_once(stage, ctx):
+            failure = next(failures, None)
+            if failure is not None:
+                raise failure
+            return link(stage, ctx)
+
+        monkeypatch.setattr(LinkStage, "run", failing_once)
+        job = manager.submit("demo", {"n_candidates": 4})
+        document = TestDirectoryWatcher.wait_done(manager, job)
+        assert document["status"] == "failed"
+        assert "Step IV broke" in document["error"]
+        assert manager._enrichers == {}
+        self.run(manager, {"n_candidates": 4})
+        assert len(built) == 2
+
+    def test_concurrent_jobs_and_a_delta_share_enrichers_safely(
+        self, setup, tmp_path
+    ):
+        # More job workers than cores and a short switch interval: a
+        # lost update in the kept-enricher table builds a second
+        # enricher for a key, and an enricher used outside its
+        # scenario lock reports a mix of the two corpora.
+        __, scenario, built, __ = setup
+        manager = JobManager(
+            {"demo": (tmp_path / "ontology.json", tmp_path / "corpus.jsonl")},
+            store=DiskCacheStore(tmp_path / "cache"),
+            job_workers=4,
+        )
+        arrival = Document("late-1", list(scenario.corpus)[0].sentences)
+        configs = [{}, {"n_candidates": 4}, {"n_candidates": 6}]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [(c, manager.submit("demo", c)) for c in configs * 2]
+            delta, __ = manager.submit_documents(
+                "demo", [{"doc_id": arrival.doc_id, "sentences": arrival.sentences}]
+            )
+            jobs += [(c, manager.submit("demo", c)) for c in configs]
+            documents = [
+                (c, TestDirectoryWatcher.wait_done(manager, job, timeout=300))
+                for c, job in jobs
+            ]
+            assert TestDirectoryWatcher.wait_done(manager, delta)["status"] == "done"
+        finally:
+            sys.setswitchinterval(interval)
+            manager.shutdown(wait=True)
+        assert len(built) == len(configs)
+        for config, document in documents:
+            assert document["status"] == "done", document.get("error")
+            assert comparable(document["report"]) in (
+                self.cold(scenario.ontology, list(scenario.corpus), **config),
+                self.cold(scenario.ontology, [*scenario.corpus, arrival], **config),
+            )
+
+
+def comparable(report: dict) -> dict:
+    """A report document minus its run-time measurements."""
+    return {k: v for k, v in report.items() if k not in ("timings", "cache")}
 
 
 class TestStreamingDeltas:

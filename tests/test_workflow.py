@@ -44,6 +44,14 @@ class TestEnrichmentConfig:
             {"n_candidates": 0},
             {"min_contexts": 0},
             {"top_k_positions": 0},
+            {"language": "de"},
+            {"extraction_measure": "nope"},
+            {"polysemy_classifier": "nope"},
+            # Needs non-negative counts; the detector standardises.
+            {"polysemy_classifier": "multinomial_nb"},
+            {"sense_algorithm": "nope"},
+            {"sense_index": "nope"},
+            {"sense_representation": "nope"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
