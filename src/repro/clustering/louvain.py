@@ -344,13 +344,15 @@ def _local_moves_arrays(
       order, adding each weight to its bin exactly like the dict
       sweep's per-key ``+=``, so every partial sum is the same float;
     * the sequential ``> best + min_gain`` candidate scan collapses to
-      ``np.argmax`` whenever the maximum gain is unique and no other
-      candidate falls inside ``[g_max - min_gain, g_max)`` — with
-      that window empty every record accepted before the maximum sits
-      below ``g_max - min_gain``, so the maximum is accepted when
-      reached and nothing after it can displace it; exact ties and
-      window hits (the only places epsilon chains or dict order can
-      change the answer) fall back to the literal sequential scan;
+      ``np.argmax`` whenever the maximum gain is unique and
+      ``g_max > gain + min_gain`` holds for every other candidate — the
+      scan's own float comparison, so every record accepted before the
+      maximum is beaten by it when it is reached, and nothing after it
+      can displace it (testing ``gain < g_max - min_gain`` instead
+      rounds differently when the gap is ``min_gain`` itself); exact
+      ties and window hits (the only places epsilon chains or dict
+      order can change the answer) fall back to the literal sequential
+      scan;
     * community totals live in a float64 array mutated by the same
       scalar ``-=``/``+=`` as the list sweep (IEEE-identical).
 
@@ -409,7 +411,7 @@ def _local_moves_arrays(
                 # (an exact tie, where dict order breaks it, or a
                 # window hit, where epsilon chains can matter) replays
                 # the literal scan in first-appearance order.
-                near = int(np.count_nonzero(gains >= g_max - min_gain))
+                near = int(np.count_nonzero(gains + min_gain >= g_max))
                 if near == 1:
                     best_comm = int(np.argmax(gains))
                     best_gain = g_max
@@ -513,9 +515,10 @@ def _wavefront_local_moves(
       entries (their strength stays in ``k_i``);
     * a node moves only when its best other gain beats the incumbent's
       by more than ``min_gain``; ``argmax`` stands in for the sequential
-      scan only when exactly one candidate lies within ``min_gain`` of
-      the best gain, and any other node replays the literal scan over
-      its neighbour communities in first-appearance order.
+      scan only when the best gain beats every other candidate's gain
+      plus ``min_gain`` (the scan's own comparison), and any other node
+      replays the literal scan over its neighbour communities in
+      first-appearance order.
 
     Returns one ``(labels, improved)`` pair per graph, labels numbered
     graph-locally as the list sweep numbers them.
@@ -590,7 +593,7 @@ def _wavefront_local_moves(
             g_max[of[bounds]] = np.maximum.reduceat(gains, bounds)
             move = g_max > best_gain + min_gain
             if move.any():
-                near = gains >= (g_max - min_gain)[of]
+                near = gains + min_gain >= g_max[of]
                 n_near = np.bincount(of[near], minlength=position.size)
                 pick = near & (move & (n_near == 1))[of]
                 best[of[pick]] = candidates[pick]

@@ -34,6 +34,11 @@ detected.
 :class:`~repro.corpus.index_store.MmapCorpusIndex` is the one other
 index class: the same query surface served read-only from a persisted
 generation of an :class:`~repro.corpus.index_store.IndexStore`.
+
+:class:`KeptOccurrenceRecords` keeps one term list's
+:meth:`~CorpusIndex.occurrence_records` as the corpus grows: a corpus
+that extends the kept one along the fingerprint chain is read only
+through its new documents, whichever index object serves it.
 """
 
 from __future__ import annotations
@@ -79,6 +84,21 @@ def _extend_fingerprint(
     digest.update("\x1f".join(tokens).encode("utf-8"))
     digest.update(b"\x01")
     return digest.hexdigest()
+
+
+def fingerprint_documents(
+    documents: "Iterable[Document]", fingerprint: str = EMPTY_FINGERPRINT
+) -> str:
+    """Chain ``documents`` onto ``fingerprint`` as an index build would.
+
+    From the default seed this is the fingerprint a fresh
+    :class:`CorpusIndex` over ``documents`` computes (C-speed hashing,
+    far cheaper than a build).
+    """
+    for doc in documents:
+        tokens = [token.lower() for token in doc.tokens()]
+        fingerprint = _extend_fingerprint(fingerprint, doc.doc_id, tokens)
+    return fingerprint
 
 
 class CorpusIndex:
@@ -380,3 +400,114 @@ class CorpusIndex:
             )
         return records
 
+
+def _needles(terms: Iterable[str]) -> dict[str, tuple[str, ...]]:
+    """``{key: tokens}`` of a term list, as :meth:`occurrence_records` keys it."""
+    needles: dict[str, tuple[str, ...]] = {}
+    for term in terms:
+        tokens = _as_needle(term)
+        if tokens:
+            needles[" ".join(tokens)] = tokens
+    return needles
+
+
+class KeptOccurrenceRecords:
+    """A term list's :meth:`CorpusIndex.occurrence_records`, kept as it grows.
+
+    The records of one document depend only on that document and the
+    term list: windows clip at document boundaries, the longest match is
+    decided per start position, and records come in document order.  So
+    the records over a grown corpus are the old records followed by the
+    new documents' records.  And at one start position every matching
+    term shares its first token, so a term's records depend only on the
+    list terms that share its first token.
+
+    :meth:`update` brings the records to an index, reading as little as
+    those two facts allow.  ``records`` always equals
+    ``index.occurrence_records(terms, window=window)`` for the index and
+    term list of the last update.
+
+    Example
+    -------
+    >>> from repro.corpus.corpus import Corpus
+    >>> from repro.corpus.document import Document
+    >>> corpus = Corpus([Document("a", [["corneal", "injury", "heals"]])])
+    >>> kept = KeptOccurrenceRecords(window=2)
+    >>> sorted(kept.update(corpus, corpus.index(), ["corneal injury"]))
+    ['corneal injury']
+    >>> corpus.add(Document("b", [["old", "corneal", "injury"]]))
+    >>> sorted(kept.update(corpus, corpus.index(), ["corneal injury"]))
+    ['corneal injury']
+    >>> kept.records["corneal injury"]
+    [('a', ('heals',)), ('b', ('old',))]
+    """
+
+    def __init__(self, *, window: int = 10) -> None:
+        self.window = window
+        self.records: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        self._terms: tuple[str, ...] | None = None
+        self._needles: dict[str, tuple[str, ...]] = {}
+        # The chain point the records cover: None before the first update.
+        self._fingerprint: str | None = None
+        self._n_documents = 0
+
+    def update(
+        self,
+        corpus: "Sequence[Document]",
+        index: CorpusIndex,
+        terms: Iterable[str],
+    ) -> set[str]:
+        """Bring the records to ``index`` and ``terms``; return the changed keys.
+
+        ``corpus`` holds ``index``'s documents in order.  When the chain
+        from the kept fingerprint through the documents past the kept
+        point reaches ``index.fingerprint()``, only those documents are
+        read.  When the term list changed, only the first-token groups
+        the change touches are looked up again, over ``index``.  Any
+        other index (the first one included) is read whole.
+
+        Returns the keys whose records changed; keys the term list lost
+        are gone from :attr:`records`.
+        """
+        terms = tuple(terms)
+        needles = self._needles if terms == self._terms else _needles(terms)
+        added = self._added_documents(corpus, index)
+        if added is None:
+            self.records = index.occurrence_records(terms, window=self.window)
+            changed = set(self.records)
+        else:
+            touched = {
+                (needles.get(key) or self._needles[key])[0]
+                for key in needles.keys() ^ self._needles.keys()
+            }
+            regrouped = [key for key in needles if needles[key][0] in touched]
+            fresh: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+            if regrouped:
+                fresh = index.occurrence_records(regrouped, window=self.window)
+            if added:
+                appended = CorpusIndex(added).occurrence_records(
+                    [key for key in needles if needles[key][0] not in touched],
+                    window=self.window,
+                )
+                for key, entries in appended.items():
+                    if entries:
+                        fresh[key] = self.records[key] + entries
+            self.records = {
+                key: fresh[key] if key in fresh else self.records[key]
+                for key in needles
+            }
+            changed = set(fresh)
+        self._terms, self._needles = terms, needles
+        self._fingerprint = index.fingerprint()
+        self._n_documents = index.n_documents()
+        return changed
+
+    def _added_documents(
+        self, corpus: "Sequence[Document]", index: CorpusIndex
+    ) -> "list[Document] | None":
+        """The documents past the kept point, if they chain to ``index``."""
+        if self._fingerprint is None or len(corpus) < self._n_documents:
+            return None
+        added = [corpus[i] for i in range(self._n_documents, len(corpus))]
+        chained = fingerprint_documents(added, self._fingerprint)
+        return added if chained == index.fingerprint() else None

@@ -54,11 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.corpus.index import (
-    EMPTY_FINGERPRINT,
-    CorpusIndex,
-    _extend_fingerprint,
-)
+from repro.corpus.index import CorpusIndex, fingerprint_documents
 from repro.errors import CorpusError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,15 +97,6 @@ def _crc32_of(path: Path) -> int:
             if not chunk:
                 return crc
             crc = zlib.crc32(chunk, crc)
-
-
-def _fingerprint_documents(documents: "Iterable[Document]") -> str:
-    """The corpus fingerprint a fresh :class:`CorpusIndex` would compute."""
-    fingerprint = EMPTY_FINGERPRINT
-    for doc in documents:
-        tokens = [token.lower() for token in doc.tokens()]
-        fingerprint = _extend_fingerprint(fingerprint, doc.doc_id, tokens)
-    return fingerprint
 
 
 # -- persisting a built index ------------------------------------------------
@@ -622,7 +609,7 @@ class IndexStore:
         corruption-is-a-miss discipline: never a wrong answer.
         """
         documents = list(documents)
-        fingerprint = _fingerprint_documents(documents)
+        fingerprint = fingerprint_documents(documents)
         with contextlib.suppress(IndexStoreError):
             return self.open(fingerprint)
         index = CorpusIndex(documents)

@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex
+from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
 from repro.errors import LinkageError
 from repro.ontology.model import normalize_term
 from repro.text.vectorize import unit_tfidf
@@ -110,8 +110,15 @@ class TermContextIndex:
         self.window = window
         self._corpus_index = index
         self._built: tuple[str, int, tuple[str, ...]] | None = None
+        self._records: KeptOccurrenceRecords | None = None
+        # Each term's row of (term, word) counts: the word ids in word
+        # order, and their counts.  Word ids index ``_words``, which
+        # only grows while the rows are kept.
+        self._counts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._words: list[str] = []
+        self._word_ids: dict[str, int] = {}
+        self._rank = np.zeros(0, dtype=np.int64)
         self._rows: dict[str, int] | None = None
-        self._n_contexts: dict[str, int] = {}
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.zeros(0, dtype=np.int64)
         self._data = np.zeros(0, dtype=np.float64)
@@ -135,9 +142,13 @@ class TermContextIndex:
         """Retrieve contexts for ``terms`` and fit the shared space.
 
         Returns at once when the corpus fingerprint, the window and the
-        exact term list equal those of the last build.  The key is the
-        fingerprint, not the index object: a grown index may be a new
-        object over the same documents.
+        exact term list equal those of the last build.  Otherwise the
+        kept records follow the corpus along its fingerprint chain
+        (:class:`~repro.corpus.index.KeptOccurrenceRecords`), only the
+        terms whose records changed are recounted, and document
+        frequency, idf and row norms are derived again from the count
+        rows.  The key is the fingerprint, not the index object: a grown
+        index may be a new object over the same documents.
         """
         index = (
             self._corpus_index
@@ -148,41 +159,103 @@ class TermContextIndex:
         if key == self._built:
             return self
         self._built = None
-        records = find_occurrence_records(
-            self.corpus, key[2], window=self.window, index=index
-        )
-        windows = [window for entries in records.values() for __, window in entries]
+        if self._records is None or self._records.window != self.window:
+            self._records = KeptOccurrenceRecords(window=self.window)
+        changed = self._records.update(self.corpus, index, key[2])
+        records = self._records.records
+        kept = {
+            term: self._counts[term]
+            for term in records
+            if term in self._counts and term not in changed
+        }
+        if not kept:
+            # Nothing to keep: start the word list afresh too.
+            self._words, self._word_ids = [], {}
+        self._counts = kept
+        self._count(records, [term for term in records if term not in kept])
+        self._assemble(list(records))
+        self._built = key
+        return self
+
+    def _count(
+        self,
+        records: dict[str, list[tuple[str, tuple[str, ...]]]],
+        terms: list[str],
+    ) -> None:
+        """Count the (term, word) pairs of ``terms``' windows into rows."""
+        windows = [window for term in terms for __, window in records[term]]
         tokens = list(chain.from_iterable(windows))
-        vocabulary = sorted(set(tokens))
-        word_ids = dict(zip(vocabulary, range(len(vocabulary))))
-        n_words = max(len(vocabulary), 1)
-        n_terms = len(records)
+        new_words = sorted(set(tokens).difference(self._word_ids))
+        if new_words or not self._words:
+            first = len(self._words)
+            self._word_ids.update(zip(new_words, range(first, first + len(new_words))))
+            self._words += new_words
+            # Each word id's place in word order.  Adding words never
+            # reorders the old ones, so kept rows stay in word order.
+            self._rank = np.arange(len(self._words), dtype=np.int64)
+            if first:
+                # The new words are sorted but interleave with the old.
+                order = sorted(range(len(self._words)), key=self._words.__getitem__)
+                self._rank[order] = np.arange(len(self._words))
+        if not terms:
+            return
+        n_words = max(len(self._words), 1)
         token_term = np.repeat(
             np.repeat(
-                np.arange(n_terms, dtype=np.int64),
-                [len(entries) for entries in records.values()],
+                np.arange(len(terms), dtype=np.int64),
+                [len(records[term]) for term in terms],
             ),
             np.fromiter(map(len, windows), np.int64, len(windows)),
         )
         token_word = np.fromiter(
-            map(word_ids.__getitem__, tokens), np.int64, len(tokens)
+            map(self._word_ids.__getitem__, tokens), np.int64, len(tokens)
         )
-        pairs, counts = np.unique(token_term * n_words + token_word, return_counts=True)
-        rows, columns = np.divmod(pairs, n_words)
+        # Sorting by (term, rank) leaves each row in word order.
+        pairs, counts = np.unique(
+            token_term * n_words + self._rank[token_word], return_counts=True
+        )
+        rows = pairs // n_words
+        ids = np.empty(len(self._words), dtype=np.int64)
+        ids[self._rank] = np.arange(len(self._words))
+        ids = ids[pairs % n_words]
+        bounds = np.searchsorted(rows, np.arange(len(terms) + 1))
+        for i, term in enumerate(terms):
+            lo, hi = bounds[i], bounds[i + 1]
+            self._counts[term] = (ids[lo:hi], counts[lo:hi])
+
+    def _assemble(self, terms: list[str]) -> None:
+        """Derive the unit TF-IDF rows of ``terms`` from their counts.
+
+        Columns are the sorted words that occur in some row, so the
+        space equals a build from scratch byte for byte.
+        """
+        n_terms = len(terms)
+        lengths = np.fromiter(
+            (len(self._counts[term][0]) for term in terms), np.int64, n_terms
+        )
+        ids = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [self._counts[term][0] for term in terms]
+        )
+        counts = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [self._counts[term][1] for term in terms]
+        )
+        ranks = self._rank[ids]
+        live = np.zeros(len(self._words), dtype=bool)
+        live[ranks] = True
+        columns = (np.cumsum(live) - 1)[ranks]
+        n_words = int(live.sum())
+        rows = np.repeat(np.arange(n_terms, dtype=np.int64), lengths)
         self._data = unit_tfidf(
             rows,
             counts,
             n_terms,
-            np.bincount(columns, minlength=len(vocabulary))[columns],
+            np.bincount(columns, minlength=n_words)[columns],
             n_terms,
         )
         self._indices = columns
-        self._indptr = np.searchsorted(rows, np.arange(n_terms + 1))
-        self._n_words = len(vocabulary)
-        self._rows = {term: row for row, term in enumerate(records)}
-        self._n_contexts = {term: len(entries) for term, entries in records.items()}
-        self._built = key
-        return self
+        self._indptr = np.concatenate(([0], np.cumsum(lengths)))
+        self._n_words = n_words
+        self._rows = {term: row for row, term in enumerate(terms)}
 
     def _require_built(self) -> dict[str, int]:
         if self._rows is None:
@@ -192,7 +265,8 @@ class TermContextIndex:
     def n_contexts(self, term: str) -> int:
         """Number of occurrences found for ``term``."""
         self._require_built()
-        return self._n_contexts.get(normalize_term(term), 0)
+        assert self._records is not None
+        return len(self._records.records.get(normalize_term(term), ()))
 
     def vector(self, term: str) -> np.ndarray:
         """Unit-norm aggregate context vector of ``term``.

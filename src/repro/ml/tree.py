@@ -147,7 +147,12 @@ class DecisionTreeClassifier(BaseClassifier):
         if best_gain <= 1e-12:
             return None
         i = positions[best]
-        threshold = (values[best, i] + values[best, i + 1]) / 2.0
+        low, high = values[best, i], values[best, i + 1]
+        threshold = (low + high) / 2.0
+        if threshold >= high:
+            # Adjacent floats: the midpoint rounds up to ``high`` and
+            # would send every sample left; ``low`` splits them.
+            threshold = low
         return int(features[best]), float(threshold), best_gain
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:

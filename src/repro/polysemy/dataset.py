@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex
+from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
 from repro.errors import CorpusError, ValidationError
 from repro.ontology.model import Ontology
 from repro.polysemy.cache import FeatureCache
@@ -110,6 +110,7 @@ def build_polysemy_dataset(
     seed: int | np.random.Generator | None = None,
     index: CorpusIndex | None = None,
     cache: FeatureCache | None = None,
+    records: KeptOccurrenceRecords | None = None,
 ) -> PolysemyDataset:
     """Featurise every usable ontology term into a labelled dataset.
 
@@ -140,6 +141,12 @@ def build_polysemy_dataset(
         Optional :class:`~repro.polysemy.cache.FeatureCache`; repeated
         builds over the same corpus/extractor configuration then skip
         featurisation entirely (ablations, repeated training runs).
+    records:
+        Optional :class:`~repro.corpus.index.KeptOccurrenceRecords` at
+        the extractor's window, kept by the caller across builds: it is
+        brought to ``index`` and the ontology's terms, so a grown corpus
+        reads only its new documents.  By default every build retrieves
+        the records of the whole index.
     """
     extractor = extractor if extractor is not None else PolysemyFeatureExtractor()
     rng = np.random.default_rng(seed if not isinstance(seed, np.random.Generator) else None)
@@ -148,9 +155,15 @@ def build_polysemy_dataset(
 
     # One postings pass for every ontology term (per-term scans are O(n²)).
     index = index if index is not None else corpus.index()
-    records = index.occurrence_records(
-        ontology.terms(), window=extractor.window
-    )
+    if records is None:
+        records = KeptOccurrenceRecords(window=extractor.window)
+    elif records.window != extractor.window:
+        raise ValidationError(
+            f"kept records have window {records.window}, "
+            f"the extractor {extractor.window}"
+        )
+    records.update(corpus, index, ontology.terms())
+    occurrences_of = records.records
     polysemic_rows: list[tuple[str, np.ndarray]] = []
     monosemous_rows: list[tuple[str, np.ndarray]] = []
     if max_contexts < min_contexts:
@@ -171,7 +184,7 @@ def build_polysemy_dataset(
     eligible = [
         term
         for term in ontology.terms()
-        if len(records.get(term, [])) >= min_contexts
+        if len(occurrences_of.get(term, ())) >= min_contexts
     ]
     cached: dict[str, np.ndarray] = {}
     if cache is not None:
@@ -187,7 +200,7 @@ def build_polysemy_dataset(
     misses = [term for term in eligible if term not in cached]
     items = []
     for term in misses:
-        occurrences = records[term]
+        occurrences = occurrences_of[term]
         doc_frequency = len({doc_id for doc_id, __ in occurrences})
         if len(occurrences) > max_contexts:
             # Evenly spaced deterministic subsample across the corpus.

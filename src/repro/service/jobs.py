@@ -201,8 +201,9 @@ class JobManager:
         (``repro serve --ontology NAME=PATH``): the candidate
         ontologies of ``POST /recommend``.  Recommendation against a
         registered *corpus* queries that corpus's
-        :class:`~repro.corpus.index.CorpusIndex`, built lazily once per
-        scenario and shared with every later recommendation.
+        :class:`~repro.corpus.index.CorpusIndex`, built lazily per
+        scenario, shared with later recommendations and built again
+        once deltas have grown the corpus.
     """
 
     def __init__(
@@ -247,7 +248,8 @@ class JobManager:
         #: job), and the bounded diff history.
         self.registry = registry if registry is not None else OntologyRegistry()
         #: Scenario name -> CorpusIndex for /recommend corpus inputs,
-        #: built on first use from the shared loaded corpus.
+        #: built from the shared loaded corpus on first use and again
+        #: after it grows.
         self._recommend_indexes: dict[str, CorpusIndex] = {}
         #: (scenario, config) -> kept enricher, least recently used
         #: first.  Dropping an entry only drops this reference: a
@@ -620,22 +622,32 @@ class JobManager:
         return RecommendConfig(**overrides)
 
     def _recommend_index(self, name: str) -> CorpusIndex:
-        """The scenario's corpus index, built once and shared."""
+        """The scenario's corpus index, shared until the corpus grows.
+
+        Deltas only append to the shared corpus, so an index covering
+        as many documents as the corpus holds is current.  A grown
+        corpus is copied under the scenario lock, which deltas hold
+        while they grow it, so the copy is never half a delta; the new
+        index is built from that copy.
+        """
         if name not in self._corpora:
             raise ValidationError(
                 f"unknown corpus {name!r}; registered: {self.corpora()}"
             )
+        _, corpus = self._load(name)
         with self._lock:
             index = self._recommend_indexes.get(name)
-        if index is not None:
+        if index is not None and index.n_documents() == len(corpus):
             return index
-        _, corpus = self._load(name)
-        index = CorpusIndex(corpus)
+        with self._scenario_lock(name):
+            documents = list(corpus)
+        index = CorpusIndex(documents)
         with self._lock:
-            # Lost-race duplicates: first one in wins (both were built
-            # from the same loaded corpus).
-            index = self._recommend_indexes.setdefault(name, index)
-        return index
+            # Of two builds racing, keep the one over more documents.
+            known = self._recommend_indexes.get(name)
+            if known is None or known.n_documents() < index.n_documents():
+                self._recommend_indexes[name] = index
+            return self._recommend_indexes[name]
 
     @staticmethod
     def _parse_documents(documents) -> list[Document]:

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex
+from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
 from repro.errors import CorpusError, LinkageError, ValidationError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.context import TermContextIndex
@@ -57,7 +57,7 @@ from repro.ontology.model import Ontology
 from repro.polysemy.cache import FeatureCache
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.service.client import RemoteCacheStore
-from repro.polysemy.dataset import build_polysemy_dataset
+from repro.polysemy.dataset import PolysemyDataset, build_polysemy_dataset
 from repro.polysemy.detector import PolysemyDetector
 from repro.polysemy.features import PolysemyFeatureExtractor
 from repro.senses.induction import SenseInducer, SenseInductionResult
@@ -311,6 +311,19 @@ class DetectStage:
         item.contexts = [ctx_.tokens for ctx_ in occurrences]
 
 
+def _same_dataset(a: PolysemyDataset, b: PolysemyDataset | None) -> bool:
+    """Whether two training sets are byte-identical (terms included)."""
+    return (
+        b is not None
+        and a.terms == b.terms
+        and a.X.shape == b.X.shape
+        and a.X.dtype == b.X.dtype
+        and a.X.tobytes() == b.X.tobytes()
+        and a.y.dtype == b.y.dtype
+        and a.y.tobytes() == b.y.tobytes()
+    )
+
+
 #: A Step III memo key: (term, Step II verdict, the contexts).
 SenseKey = tuple[str, bool, tuple[tuple[str, ...], ...]]
 
@@ -506,6 +519,12 @@ class OntologyEnricher:
         # The corpus fingerprint the detector was fitted on (None while
         # untrained): a run on any other corpus retrains first.
         self._trained_on: str | None = None
+        # The ontology terms' occurrence records, kept along the corpus
+        # fingerprint chain, and the training set of the last fit.
+        self._training_records = KeptOccurrenceRecords(
+            window=self._feature_extractor.window
+        )
+        self._fitted_on: PolysemyDataset | None = None
         self._senses: dict[SenseKey, SenseInductionResult] = {}
         # Step IV's context space, kept across runs (made by the first).
         self._context_index: TermContextIndex | None = None
@@ -537,9 +556,12 @@ class OntologyEnricher:
         :meth:`enrich` calls this whenever the corpus fingerprint differs
         from the one the detector was last fitted on: the detector trains
         on the corpus, so a grown corpus must retrain for its report to
-        equal a fresh enricher's.  The training vectors come warm from
-        the feature cache, so a retrain costs a fit, not a
-        re-featurisation.
+        equal a fresh enricher's.  The ontology terms' occurrence records
+        are kept along the corpus fingerprint chain, so a grown corpus
+        reads only its new documents, and the training vectors come warm
+        from the feature cache.  When the training set is byte-identical
+        to the last fitted one, the seeded fit would be too, so it is
+        skipped.
         """
         if index is None:
             index = corpus.index()
@@ -552,8 +574,12 @@ class OntologyEnricher:
             seed=self.config.seed,
             index=index,
             cache=self._feature_cache,
+            records=self._training_records,
         )
-        self._detector.fit(dataset)
+        if not _same_dataset(dataset, self._fitted_on):
+            self._fitted_on = None
+            self._detector.fit(dataset)
+            self._fitted_on = dataset
         self._trained_on = index.fingerprint()
 
     # -- the staged workflow --------------------------------------------------

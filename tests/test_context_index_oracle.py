@@ -7,7 +7,8 @@ the route it replaced: one document per term from
 :func:`~repro.linkage.context.find_occurrences`, fitted by
 ``TfidfVectorizer(stop_language=None)`` and densified.  Every row and
 cosine must equal the oracle's bytes, a repeated build must retrieve
-nothing, and after any change a reused index must equal a fresh build.
+nothing, a grown corpus must be read through its new documents only,
+and after any change a reused index must equal a fresh build.
 """
 
 from unittest import mock
@@ -134,5 +135,8 @@ class TestContextIndexOracle:
             corpus.add(doc)
         with counting_retrievals() as retrievals:
             index.build(term_list)
-        assert retrievals.call_count == 1
+        # One retrieval, over an index of the added documents only.
+        assert [call.args[0].n_documents() for call in retrievals.call_args_list] == [
+            len(added)
+        ]
         assert_matches_oracle(index, corpus, term_list, window + 1)

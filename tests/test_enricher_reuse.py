@@ -95,6 +95,36 @@ class TestTrainingBoundToCorpus:
         assert first.detector_trained and second.detector_trained
         assert comparable(first) == comparable(second)
 
+    def test_unchanged_training_set_skips_the_refit(self, scenario, monkeypatch):
+        # A padding document touches no term, so the training set is
+        # byte-identical and the seeded fit would be too; an abstract
+        # mentioning ontology terms changes it and refits once.
+        fits = []
+        original = PolysemyDetector.fit
+
+        def counting(detector, dataset):
+            fits.append(dataset.n_samples)
+            return original(detector, dataset)
+
+        monkeypatch.setattr(PolysemyDetector, "fit", counting)
+        documents = list(scenario.corpus)
+        streamer = StreamingEnricher(
+            scenario.ontology, Corpus(documents), pos_lexicon=scenario.pos_lexicon
+        )
+        streamer.baseline()
+        padding = Document("pad-1", [["zzqx", "wwvk", "ggph", "zzqx"]])
+        mention = Document("late-1", documents[9].sentences)
+        for arrival, refits in ((padding, 0), (mention, 1)):
+            del fits[:]
+            diff = streamer.add_documents([arrival])
+            assert len(fits) == refits
+            assert bool(diff.changed_terms) == bool(refits)
+            documents.append(arrival)
+            fresh = OntologyEnricher(
+                scenario.ontology, pos_lexicon=scenario.pos_lexicon
+            ).enrich(Corpus(documents))
+            assert comparable(streamer.report) == comparable(fresh)
+
     def test_invalidate_training_is_gone(self):
         assert not hasattr(OntologyEnricher, "invalidate_training")
 

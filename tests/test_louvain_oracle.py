@@ -12,7 +12,7 @@ makes candidates inside the acceptance window common, which is where
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.clustering import louvain
 from repro.clustering.louvain import (
@@ -54,6 +54,17 @@ def graphs(draw):
     return CSRGraph.from_edges(n, rows[keep], cols[keep], weights)
 
 
+# A gain exactly ``min_gain`` below the best one: ``gain < best - 0.3``
+# and ``best > gain + 0.3`` round differently there, so an ``argmax``
+# taken on the first test moved a node the sequential scan kept.
+GAP_GRAPH = CSRGraph.from_edges(
+    15,
+    np.array([0, 0, 0, 5, 6, 7, 13]),
+    np.array([5, 6, 10, 6, 11, 13, 14]),
+    np.array([1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 3.0]),
+)
+GAP_OPTIONS = {"resolution": 1.0, "min_gain": 0.3}
+
 SETTINGS = st.fixed_dictionaries(
     {
         "resolution": st.sampled_from([1.0, 0.5]),
@@ -68,6 +79,7 @@ class TestSweepsAgree:
         seed=st.integers(min_value=0, max_value=3),
         options=SETTINGS,
     )
+    @example(graph=GAP_GRAPH, seed=1, options=GAP_OPTIONS)
     @settings(max_examples=200, deadline=None)
     def test_numpy_sweep_matches_list_sweep(self, graph, seed, options):
         want = louvain_labels(graph, seed=seed, vectorize=False, **options)
@@ -80,6 +92,7 @@ class TestSweepsAgree:
         options=SETTINGS,
         threshold=st.sampled_from([1, 64]),
     )
+    @example(batch=[GAP_GRAPH] * 2, seed=1, options=GAP_OPTIONS, threshold=1)
     @settings(max_examples=200, deadline=None)
     def test_many_matches_per_graph_calls(self, batch, seed, options, threshold):
         want = [

@@ -161,6 +161,24 @@ class TestTreeSpecifics:
         with pytest.raises(ValidationError):
             DecisionTreeClassifier(min_samples_split=1)
 
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_split_between_adjacent_floats(self, max_depth):
+        # Their midpoint rounds up to the larger value, which as a
+        # threshold sends both values left: unbounded, the tree then
+        # recursed until RecursionError, and bounded it grew an empty
+        # leaf whose probabilities were NaN.
+        from repro.ml.tree import DecisionTreeClassifier
+
+        a = 1.0 + 2.0**-52
+        b = float(np.nextafter(a, 2.0))
+        assert (a + b) / 2.0 == b
+        X = np.array([[a], [a], [b], [b]])
+        y = np.array([0, 0, 1, 1])
+        tree = DecisionTreeClassifier(max_depth=max_depth, seed=0).fit(X, y)
+        assert tree.depth() == 1
+        assert np.array_equal(tree.predict_proba(X), np.eye(2)[y])
+        assert np.array_equal(tree.predict(X), y)
+
 
 class TestForestSpecifics:
     def test_more_trees_not_worse_on_test(self):

@@ -1157,3 +1157,41 @@ class TestRecommendRoute:
         client = ServiceClient(server.url)
         with pytest.raises(ServiceError, match="no ontologies registered"):
             client.recommend(text="x", mode="sync")
+
+
+class TestRecommendAfterDeltas:
+    """``POST /recommend {"corpus": NAME}`` follows the scenario's deltas."""
+
+    def test_recommendation_sees_the_grown_corpus(self, tmp_path):
+        from repro.corpus.index import CorpusIndex
+        from repro.ontology.snapshot import snapshot_before
+        from repro.recommend import OntologyRegistry, Recommender
+
+        scenario = make_enrichment_scenario(seed=0, n_concepts=12, docs_per_concept=4)
+        documents = list(scenario.corpus)
+        held = documents[-6:]
+        write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
+        write_corpus_jsonl(Corpus(documents[:-6]), tmp_path / "corpus.jsonl")
+        registry = OntologyRegistry()
+        registry.register("full", scenario.ontology)
+        registry.register("before", snapshot_before(scenario.ontology, 2009))
+        manager = JobManager(
+            {"demo": (tmp_path / "ontology.json", tmp_path / "corpus.jsonl")},
+            store=DiskCacheStore(tmp_path / "cache"),
+            registry=registry,
+        )
+        try:
+            before = manager.run_recommend({"corpus": "demo"})
+            delta, __ = manager.submit_documents(
+                "demo",
+                [{"doc_id": doc.doc_id, "sentences": doc.sentences} for doc in held],
+            )
+            done = TestDirectoryWatcher.wait_done(manager, delta, timeout=300)
+            assert done["status"] == "done", done.get("error")
+            after = manager.run_recommend({"corpus": "demo"})
+        finally:
+            manager.shutdown(wait=True)
+        recommender = Recommender(registry)
+        expected = recommender.recommend_index(CorpusIndex(documents)).to_dict()
+        assert after == json.loads(json.dumps(expected))
+        assert after != before
