@@ -50,7 +50,7 @@ def run_measurements(n_concepts: int, docs_per_concept: int, seed: int,
         delta_seconds.append(diff.timings["delta_total"])
         warm_hits += diff.cache.get("hits", 0)
         recomputed += diff.n_recomputed
-    assert warm_hits > 0, "deltas never hit the carried-forward cache"
+    assert warm_hits > 0, "deltas never hit the warm cache"
     assert recomputed == 0, "padding documents must not perturb any term"
 
     # Reference: what each of those updates would cost from scratch.

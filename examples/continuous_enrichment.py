@@ -5,9 +5,8 @@ in O(new tokens).  This example closes the loop on the *pipeline*:
 :class:`~repro.workflow.streaming.StreamingEnricher` keeps the baseline
 report, and each call to ``add_documents`` runs a **delta
 re-enrichment** — only terms whose postings actually changed are
-re-featurised (the per-document fingerprint chain identifies them);
-every other Step II vector is carried forward into the new corpus
-fingerprint and served warm, as the diff's own cache counters prove.
+re-featurised; every other term keeps its windows, hence its Step II
+cache key, and is served warm, as the diff's own cache counters prove.
 
 Each delta emits a :class:`~repro.workflow.streaming.ReportDiff` (terms
 added / dropped / re-scored, with fingerprint provenance) that composes
@@ -52,7 +51,7 @@ def main(n_concepts: int = 25, docs_per_concept: int = 5) -> None:
           f"{len(baseline.terms)} report rows")
 
     # A quiet arrival: its tokens touch no known term, so no vector is
-    # recomputed — the whole delta is served from the carried cache.
+    # recomputed — the whole delta is served from the warm cache.
     quiet = streamer.add_documents(
         [Document("arrival-quiet", [["zzqx", "wwvk", "ggph", "zzqx"]])]
     )

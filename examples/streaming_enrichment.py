@@ -5,8 +5,9 @@ arriving after the first enrichment run.  ``Corpus.add`` patches the
 cached positional index in place (O(new tokens) via
 :meth:`~repro.corpus.index.CorpusIndex.add_documents`) instead of
 discarding it, and the index fingerprint advances exactly as a fresh
-build would compute it — so the Step II feature cache invalidates
-correctly while the index build cost is never paid twice.
+build would compute it, so the index build cost is never paid twice.
+Step II cache keys derive from each term's own windows, so only the
+terms the new documents mention are featurised again.
 
 This example enriches a corpus, streams in a batch of new documents,
 and re-enriches: the second run's ``index`` stage shows no rebuild, and
@@ -67,7 +68,7 @@ def main(n_concepts: int = 25, docs_per_concept: int = 5) -> None:
     print_run("re-enrich", second, corpus.index())
     if second.cache:
         print(f"    feature cache after the stream: {second.cache} "
-              "(the advanced fingerprint keys out the old corpus's entries)")
+              "(misses are the terms whose windows the stream changed)")
     assert patched, "corpus.add must extend the cached index, not drop it"
 
 

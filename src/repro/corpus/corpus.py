@@ -70,7 +70,10 @@ class Corpus:
     def add(self, document: Document) -> None:
         """Append ``document`` (ids must stay unique).
 
-        A cached index is patched in place
+        A document no index accepts (see
+        :func:`~repro.corpus.index.check_document`) raises
+        :class:`~repro.errors.CorpusError` before it is appended.  A
+        cached index is patched in place
         (:meth:`~repro.corpus.index.CorpusIndex.add_documents`) rather
         than discarded, so adding a document costs O(its tokens), not a
         full index rebuild.  A read-only cached index (an adopted
@@ -81,8 +84,11 @@ class Corpus:
         routed back through the store so the grown corpus's generation
         is persisted, not rebuilt in RAM on every restart.
         """
+        from repro.corpus.index import check_document
+
         if document.doc_id in self._by_id:
             raise CorpusError(f"duplicate document id {document.doc_id!r}")
+        check_document(document)
         self._documents.append(document)
         self._by_id[document.doc_id] = document
         if self._index is not None:

@@ -76,14 +76,29 @@ def _extend_fingerprint(
     corpus — while any added, removed, reordered, or edited document
     still changes the final value.  A fresh build and an incrementally
     extended index over the same documents produce identical chains.
+
+    A link reads the id up to a NUL and the tokens between U+001F
+    separators, so it is injective only for ids without a NUL and
+    tokens that are non-empty and free of U+001F.  Any other document
+    raises :class:`~repro.errors.CorpusError`: it could share a
+    fingerprint (and so a stored index generation) with another corpus.
     """
-    digest = hashlib.sha1()
-    digest.update(fingerprint.encode("ascii"))
-    digest.update(doc_id.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update("\x1f".join(tokens).encode("utf-8"))
-    digest.update(b"\x01")
-    return digest.hexdigest()
+    joined = "\x1f".join(tokens)
+    if "\x00" in doc_id:
+        raise CorpusError(f"document id {doc_id!r} contains a NUL character")
+    if tokens and ("" in tokens or joined.count("\x1f") != len(tokens) - 1):
+        raise CorpusError(
+            f"document {doc_id!r} has an empty token or a token "
+            "containing U+001F"
+        )
+    link = f"{fingerprint}{doc_id}\x00{joined}\x01"
+    return hashlib.sha1(link.encode("utf-8")).hexdigest()
+
+
+def check_document(document: "Document") -> None:
+    """Raise :class:`~repro.errors.CorpusError` for a document no index
+    accepts (see :func:`_extend_fingerprint`), before anything changes."""
+    _extend_fingerprint(EMPTY_FINGERPRINT, document.doc_id, document.tokens())
 
 
 def fingerprint_documents(
@@ -140,13 +155,15 @@ class CorpusIndex:
         indistinguishable from a fresh build over the full document
         sequence (identical query answers and :meth:`fingerprint`).
         The batch is all-or-nothing: document ids must stay unique, and
-        a duplicate — or a document whose tokenisation fails — raises
+        a duplicate, a document the fingerprint chain rejects (see
+        :func:`check_document`) or one whose tokenisation fails raises
         :class:`~repro.errors.CorpusError` (or the tokeniser's error)
         before any document of the batch is applied, leaving postings
         and fingerprint untouched.
         """
         batch_ids = set()
         prepared: list[tuple[str, list[str]]] = []
+        fingerprint = self._fingerprint
         for doc in documents:
             if doc.doc_id in self._ordinals or doc.doc_id in batch_ids:
                 raise CorpusError(
@@ -159,9 +176,11 @@ class CorpusIndex:
             # here, before any mutation: ``doc.tokens()`` runs caller
             # code, and an exception from it mid-batch must not leave
             # the index half-extended with its fingerprint advanced.
-            prepared.append(
-                (doc.doc_id, [token.lower() for token in doc.tokens()])
-            )
+            # The chain is extended here too, so a rejected document
+            # raises before any mutation.
+            tokens = [token.lower() for token in doc.tokens()]
+            fingerprint = _extend_fingerprint(fingerprint, doc.doc_id, tokens)
+            prepared.append((doc.doc_id, tokens))
         for doc_id, tokens in prepared:
             ordinal = len(self._doc_ids)
             self._ordinals[doc_id] = ordinal
@@ -172,9 +191,7 @@ class CorpusIndex:
                     (ordinal, position)
                 )
             self._n_tokens += len(tokens)
-            self._fingerprint = _extend_fingerprint(
-                self._fingerprint, doc_id, tokens
-            )
+        self._fingerprint = fingerprint
         if prepared:
             # Lazily rebuilt on the next doc_lengths() call.
             self._doc_lengths = None
@@ -187,11 +204,12 @@ class CorpusIndex:
         Two indexes over byte-identical corpora share a fingerprint —
         whether built fresh, extended through :meth:`add_documents`, or
         reopened from an index store; any added, removed,
-        reordered, or edited document changes it.  Used as the corpus
-        component of feature-cache keys (:mod:`repro.polysemy.cache`),
-        so an incremental update invalidates cache entries exactly like
-        a rebuild.  Maintained as a per-document hash chain, so it is
-        extended in O(new tokens) as documents are added.
+        reordered, or edited document changes it.  It names the stored
+        index generation and binds every corpus-dependent artefact an
+        enricher keeps (the fitted detector, kept occurrence records,
+        the Step IV context space).  Maintained as a per-document hash
+        chain, so it is extended in O(new tokens) as documents are
+        added.
         """
         return self._fingerprint
 
@@ -425,7 +443,10 @@ class KeptOccurrenceRecords:
     :meth:`update` brings the records to an index, reading as little as
     those two facts allow.  ``records`` always equals
     ``index.occurrence_records(terms, window=window)`` for the index and
-    term list of the last update.
+    term list of the last update.  ``memo`` holds what a caller derives
+    from one key's records (Step II training keeps each term's context
+    digest there): :meth:`update` drops the entry of every key whose
+    records changed or left.
 
     Example
     -------
@@ -445,6 +466,7 @@ class KeptOccurrenceRecords:
     def __init__(self, *, window: int = 10) -> None:
         self.window = window
         self.records: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        self.memo: dict[str, object] = {}
         self._terms: tuple[str, ...] | None = None
         self._needles: dict[str, tuple[str, ...]] = {}
         # The chain point the records cover: None before the first update.
@@ -475,6 +497,7 @@ class KeptOccurrenceRecords:
         if added is None:
             self.records = index.occurrence_records(terms, window=self.window)
             changed = set(self.records)
+            self.memo.clear()
         else:
             touched = {
                 (needles.get(key) or self._needles[key])[0]
@@ -497,6 +520,11 @@ class KeptOccurrenceRecords:
                 for key in needles
             }
             changed = set(fresh)
+            self.memo = {
+                key: value
+                for key, value in self.memo.items()
+                if key in needles and key not in changed
+            }
         self._terms, self._needles = terms, needles
         self._fingerprint = index.fingerprint()
         self._n_documents = index.n_documents()

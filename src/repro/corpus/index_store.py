@@ -11,8 +11,7 @@ byte-identically — in a later run, a fresh process, or the service.
 Disk layout
 -----------
 One *generation* directory per corpus fingerprint (so corpus changes
-invalidate by construction, exactly like
-:class:`~repro.polysemy.cache_store.DiskCacheStore` generations)::
+invalidate by construction)::
 
     index_dir/
       <fingerprint>/              # the 40-hex corpus fingerprint

@@ -1,20 +1,22 @@
 """Caching of per-term polysemy feature vectors.
 
-Step II featurises hundreds of terms per training run, and ablations or
-repeated ``enrich`` calls featurise the very same terms again.  The
-vectors are pure functions of (corpus contents, term, feature
-configuration), so :class:`FeatureCache` memoises them under the key
+Step II featurises hundreds of terms per training run, and ablations,
+repeated ``enrich`` calls and streaming deltas featurise the very same
+terms again.  A vector is a pure function of what
+:meth:`~repro.polysemy.features.PolysemyFeatureExtractor.featurise`
+reads for its term, so :class:`FeatureCache` memoises it under the key
 
-    ``(corpus fingerprint, term, config fingerprint)``
+    ``(context digest, term, spec digest)``
 
-where the corpus fingerprint comes from
-:meth:`repro.corpus.index.CorpusIndex.fingerprint` (a content hash, so
-any corpus change invalidates every entry) and the config fingerprint
-must encode everything that shapes the vector: the extractor settings
-(:meth:`repro.polysemy.features.PolysemyFeatureExtractor.fingerprint`)
-plus the caller's context-retrieval caps.  Callers that retrieve
-contexts differently (different window or per-term cap) therefore never
-share entries.
+where the context digest (:func:`context_digest`) hashes the term's
+capped context windows and its document frequency, and the spec digest
+(:attr:`~repro.polysemy.features.PolysemyFeatureExtractor.spec_digest`)
+hashes the extractor's fields.  Nothing corpus-wide enters the key: a
+corpus that grows keeps every key of a term whose windows did not
+change, and a term whose windows did change gets a new key.  Training
+(:func:`~repro.polysemy.dataset.build_polysemy_dataset`) and detection
+(``DetectStage``) build their keys the same way, so identical windows
+and document frequency give one entry whichever path stored it.
 
 *Where* the vectors live is delegated to a pluggable
 :class:`~repro.polysemy.cache_store.CacheStore` backend: the default
@@ -33,7 +35,10 @@ into :attr:`stats`.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import threading
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,10 +48,37 @@ from repro.polysemy.cache_store import (
     MemoryCacheStore,
 )
 
-__all__ = ["CacheKey", "FeatureCache"]
+__all__ = ["CacheKey", "FeatureCache", "context_digest"]
 
 #: Backend event counters, zero-filled where a backend has no such notion.
 _EVENT_COUNTERS = ("disk_hits", "evictions", "remote_hits", "remote_errors")
+
+
+def context_digest(
+    contexts: Sequence[Sequence[str]], doc_frequency: int | None
+) -> str:
+    """Digest of one term's featuriser input besides the term itself.
+
+    Hashes the context windows, in order, and the document frequency
+    (``None`` is kept apart from every count).  The encoding is framed,
+    so it is injective: a header of fixed-width integers (the window
+    count, the document frequency, each window's token count and each
+    token's length) precedes the tokens' concatenated text.  Moving a
+    token or window boundary changes the header, where a separator join
+    would let a token that contains the separator collide.
+    """
+    tokens = [token for window in contexts for token in window]
+    header = [
+        len(contexts),
+        -1 if doc_frequency is None else doc_frequency,
+        *map(len, contexts),
+        *map(len, tokens),
+    ]
+    digest = hashlib.blake2b(
+        struct.pack(f"<{len(header)}q", *header), digest_size=20
+    )
+    digest.update("".join(tokens).encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
 
 
 class FeatureCache:
@@ -61,7 +93,8 @@ class FeatureCache:
     Example
     -------
     >>> cache = FeatureCache()
-    >>> key = FeatureCache.key("corpus-fp", "heart attack", "w=10")
+    >>> digest = context_digest([("acute", "pain")], 1)
+    >>> key = FeatureCache.key(digest, "heart attack", "spec")
     >>> cache.lookup(key) is None
     True
     >>> cache.store(key, np.zeros(3))
@@ -85,33 +118,24 @@ class FeatureCache:
         return self._store
 
     @staticmethod
-    def key(
-        corpus_fingerprint: str, term: str, config_fingerprint: str
-    ) -> CacheKey:
-        """Assemble the canonical cache key."""
-        return (corpus_fingerprint, term, config_fingerprint)
+    def key(context_digest: str, term: str, spec_digest: str) -> CacheKey:
+        """Assemble the canonical cache key (see the module docs)."""
+        return (context_digest, term, spec_digest)
 
-    def lookup(self, key: CacheKey, *, record: bool = True) -> np.ndarray | None:
+    def lookup(self, key: CacheKey) -> np.ndarray | None:
         """The cached vector for ``key`` (counted as a hit or a miss).
 
         The returned array is shared storage — treat it as read-only.
-        Pass ``record=False`` to peek without touching the counters —
-        for callers that probe before knowing whether they will
-        featurise at all (they call :meth:`record_lookup` later for the
-        keys that mattered).
         """
         with self._lock:
             vector = self._store.get(key)
-            if record:
-                if vector is None:
-                    self._misses += 1
-                else:
-                    self._hits += 1
+            if vector is None:
+                self._misses += 1
+            else:
+                self._hits += 1
             return vector
 
-    def lookup_many(
-        self, keys: list[CacheKey], *, record: bool = True
-    ) -> dict[CacheKey, np.ndarray]:
+    def lookup_many(self, keys: list[CacheKey]) -> dict[CacheKey, np.ndarray]:
         """Found vectors for ``keys`` (absent keys simply missing).
 
         The batched counterpart of :meth:`lookup`: a backend with a
@@ -120,8 +144,7 @@ class FeatureCache:
         into O(batches) HTTP round trips instead of O(keys)) is called
         once; any other backend is probed per key under the one lock.
         Counting matches ``len(keys)`` sequential lookups exactly: one
-        hit or miss per *requested occurrence* (duplicates included),
-        and ``record=False`` defers counting just like :meth:`lookup`.
+        hit or miss per *requested occurrence* (duplicates included).
         """
         with self._lock:
             bulk = getattr(self._store, "get_many", None)
@@ -134,21 +157,12 @@ class FeatureCache:
                         vector = self._store.get(key)
                         if vector is not None:
                             found[key] = vector
-            if record:
-                for key in keys:
-                    if key in found:
-                        self._hits += 1
-                    else:
-                        self._misses += 1
+            for key in keys:
+                if key in found:
+                    self._hits += 1
+                else:
+                    self._misses += 1
             return found
-
-    def record_lookup(self, found: bool) -> None:
-        """Count one deferred lookup (see ``lookup(record=False)``)."""
-        with self._lock:
-            if found:
-                self._hits += 1
-            else:
-                self._misses += 1
 
     def store(self, key: CacheKey, vector: np.ndarray) -> None:
         """Memoise ``vector`` under ``key`` (overwrites silently)."""

@@ -1,39 +1,44 @@
 """Pluggable backing stores for the feature cache (memory and disk).
 
 :class:`~repro.polysemy.cache.FeatureCache` memoises Step II feature
-vectors under ``(corpus fingerprint, term, config fingerprint)`` keys,
-but where those vectors *live* is a storage decision: an in-memory dict
-serves one enricher in one process, while the paper's re-run-heavy
-workflow (the same corpus enriched again and again as the ontology
-grows) wants entries that survive the process and are shared between
-CLI invocations, repeated runs, and the service.  This module separates
-the two concerns behind the :class:`CacheStore` protocol:
+vectors under ``(context digest, term, spec digest)`` keys, but where
+those vectors *live* is a storage decision: an in-memory dict serves one
+enricher in one process, while the paper's re-run-heavy workflow (the
+same corpus enriched again and again as the ontology grows, and again
+as abstracts arrive) wants entries that survive the process and are
+shared between CLI invocations, repeated runs, and the service.  This
+module separates the two concerns behind the :class:`CacheStore`
+protocol:
 
 * :class:`MemoryCacheStore` — the historical dict, still the default;
 * :class:`DiskCacheStore` — a durable, cross-process store.
 
 Disk layout
 -----------
-One *generation* directory per ``(corpus fingerprint, config
-fingerprint)`` pair, named by a hash of the two fingerprints::
+One *generation* directory per spec digest (the extractor settings),
+named by a hash of it::
 
     cache_dir/
-      <generation>/          # sha256(corpus_fp + config_fp)[:20]
+      <generation>/          # sha256(spec digest)[:24]
         .lock                # flock target serialising writers
         .last_used           # mtime stamp for LRU generation eviction
-        .pin-<pid>-<n>       # transient eviction shield (pin_generation)
         index.jsonl          # one JSON line per entry (last write wins)
         shard-000000.bin     # packed vector bytes, appended in order
         shard-000001.bin     # rotated once a shard passes shard_max_bytes
 
-Keying generations by fingerprint means corpus or configuration changes
-invalidate *by construction* — a new fingerprint simply reads and writes
-a different directory, and stale generations age out via the LRU
-eviction below.  Within a generation, a vector is stored by appending
-its raw bytes to the newest shard file and appending one index line
-(``term``, shard number, byte offset/length, dtype, shape, CRC-32).
+Within a generation, a vector is stored by appending its raw bytes to
+the newest shard file and appending one index line (``term``,
+``context`` digest, shard number, byte offset/length, dtype, shape,
+CRC-32); a line without a context digest is malformed and skipped.
 Appends are cheap, never rewrite existing bytes, and are serialised
 across processes with ``flock`` on the generation's lock file.
+
+Keys derive from a vector's own inputs, so invalidation is by
+construction: a term whose windows changed reads and writes a new
+entry, other settings read and write another generation, and a corpus
+that grows keeps every other entry live.  Generations of the older
+corpus-keyed layout (20-character names whose lines carry no context
+digest) are never opened again and age out by LRU.
 
 Reads take no lock: the index is re-parsed incrementally when it grows,
 torn trailing lines are skipped until complete, and every blob is
@@ -44,21 +49,18 @@ keeps a view of every generation it has seen, so a size snapshot
 ``stat`` per generation while nothing changed, and otherwise parses only
 the index bytes appended since the last one.
 
-``max_bytes`` caps the whole store, evicted in LRU order: least
+``max_bytes`` caps the whole store, evicted in two steps.  Least
 recently *used* generations go first (whole directories; reads and
 writes refresh a generation's recency stamp, re-stamped at most every
 :data:`TOUCH_INTERVAL_SECONDS` so a long-lived daemon's hot generation
-never ages into a victim), then the oldest shard files of the surviving
-generation (their index entries are dropped atomically via
-rewrite-and-rename); the newest shard is never evicted.  The generation
-being written is never an eviction victim, and
-:meth:`DiskCacheStore.pin_generation` extends the same immunity to a
-generation that is only being *read* — e.g. the previous corpus
-generation a streaming delta is migrating warm vectors out of — across
-threads and processes via on-disk pin markers.  Writers are resilient
-to the cross-process
-eviction race — a generation directory another store dropped mid-write
-is recreated and the write retried.  Counters (``disk_hits``,
+never ages into a victim); the generation being written is never a
+victim.  Then the oldest shard files of that generation go (their index
+entries are dropped atomically via rewrite-and-rename); the newest
+shard is never evicted.  Entries are written once, so an old shard can
+hold vectors still in use: dropping it costs clean misses that the next
+run stores again.  Writers are resilient to the cross-process eviction
+race — a generation directory another store dropped mid-write is
+recreated and the write retried.  Counters (``disk_hits``,
 ``evictions``, ``store_bytes``) surface through
 :meth:`DiskCacheStore.stats` and, via the cache, in
 :attr:`repro.workflow.report.EnrichmentReport.cache`.
@@ -67,7 +69,6 @@ is recreated and the write retried.  Counters (``disk_hits``,
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import shutil
@@ -88,7 +89,7 @@ try:  # pragma: no cover - always present on the POSIX CI/dev targets
 except ImportError:  # pragma: no cover - Windows fallback: no inter-process lock
     fcntl = None
 
-#: A fully-qualified cache key: (corpus fp, term, config fp).
+#: A fully-qualified cache key: (context digest, term, spec digest).
 CacheKey = tuple[str, str, str]
 
 #: Default rotation size of one shard file (4 MiB).
@@ -97,7 +98,6 @@ DEFAULT_SHARD_MAX_BYTES = 4 << 20
 _INDEX_NAME = "index.jsonl"
 _LOCK_NAME = ".lock"
 _STAMP_NAME = ".last_used"
-_PIN_PREFIX = ".pin-"
 
 #: Seconds between LRU re-stamps of a generation a handle keeps using.
 #: A long-lived process (the streaming daemon) reads its hot generation
@@ -106,13 +106,6 @@ _PIN_PREFIX = ".pin-"
 #: one write per lookup.  An interval keeps the stamp at most this
 #: stale — far fresher than any generation worth evicting.
 TOUCH_INTERVAL_SECONDS = 60.0
-
-#: Age beyond which an on-disk pin marker is treated as leaked by a
-#: crashed process and ignored (then removed).  Pins are short-lived —
-#: held across one delta migration — so a marker this old is garbage.
-PIN_TTL_SECONDS = 900.0
-
-_pin_sequence = itertools.count()
 
 #: Index bytes remembered from just before the parsed offset.  Every
 #: index line is longer, so after a write they are the tail of the
@@ -190,10 +183,11 @@ class _Generation:
     """In-process view of one on-disk generation directory."""
 
     path: Path
-    #: term -> (shard, offset, length, dtype str, shape, crc32)
-    entries: dict[str, tuple] = field(default_factory=dict)
+    #: (term, context digest) -> (shard, offset, length, dtype str,
+    #: shape, crc32)
+    entries: dict[tuple[str, str], tuple] = field(default_factory=dict)
     #: Vectors already decoded in this process (no re-read, no disk_hit).
-    memo: dict[str, np.ndarray] = field(default_factory=dict)
+    memo: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     #: How many bytes of index.jsonl have been parsed so far, the inode
     #: they were parsed from (a rewritten index is a new file) and the
     #: last :data:`_TAIL_BYTES` of them.
@@ -242,12 +236,10 @@ def _flocked(path: Path):
         os.close(fd)
 
 
-def _generation_name(corpus_fingerprint: str, config_fingerprint: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(corpus_fingerprint.encode("utf-8"))
-    digest.update(b"\n")
-    digest.update(config_fingerprint.encode("utf-8"))
-    return digest.hexdigest()[:20]
+def _generation_name(spec_digest: str) -> str:
+    # 24 characters, where the corpus-keyed layout used 20, so no
+    # generation of that layout is ever opened again.
+    return hashlib.sha256(spec_digest.encode("utf-8")).hexdigest()[:24]
 
 
 class DiskCacheStore:
@@ -272,7 +264,7 @@ class DiskCacheStore:
     -------
     >>> import tempfile
     >>> store = DiskCacheStore(tempfile.mkdtemp())
-    >>> key = ("corpus-fp", "heart attack", "w=10")
+    >>> key = ("context-digest", "heart attack", "spec-digest")
     >>> store.get(key) is None
     True
     >>> store.put(key, np.arange(3.0))
@@ -307,8 +299,6 @@ class DiskCacheStore:
         self._shard_max_bytes = shard_max_bytes
         self._lock = threading.RLock()
         self._generations: dict[str, _Generation] = {}
-        #: generation name -> live pin count held through this handle.
-        self._pin_counts: dict[str, int] = {}
         self._disk_hits = 0
         self._evictions = 0
         # Running size estimate so the eviction check is O(1) per put;
@@ -330,12 +320,13 @@ class DiskCacheStore:
     # -- CacheStore protocol ----------------------------------------------
 
     def get(self, key: CacheKey) -> np.ndarray | None:
-        corpus_fp, term, config_fp = key
+        context, term, spec = key
+        entry_key = (term, context)
         with self._lock:
-            generation = self._generation(corpus_fp, config_fp, create=False)
+            generation = self._generation(spec, create=False)
             if generation is None:
                 return None
-            vector = generation.memo.get(term)
+            vector = generation.memo.get(entry_key)
             if vector is not None:
                 # Memo hits keep the generation alive too: a long-lived
                 # daemon serves almost everything from the memo, and
@@ -344,24 +335,24 @@ class DiskCacheStore:
                 self._touch(generation)
                 return vector
             self._refresh_index(generation)
-            entry = generation.entries.get(term)
+            entry = generation.entries.get(entry_key)
             if entry is None:
                 return None
             vector = self._read_entry(generation, entry)
             if vector is None:
                 # Truncated/corrupt/evicted payload: a miss, never a
                 # wrong vector.  Drop the dangling index entry locally.
-                generation.entries.pop(term, None)
+                generation.entries.pop(entry_key, None)
                 return None
             self._disk_hits += 1
-            generation.memo[term] = vector
+            generation.memo[entry_key] = vector
             # Reads keep a generation alive too: refresh the LRU stamp
             # so warm read-only runs are not the first eviction victims.
             self._touch(generation)
             return vector
 
     def put(self, key: CacheKey, vector: np.ndarray) -> None:
-        corpus_fp, term, config_fp = key
+        context, term, spec = key
         vector = np.asarray(vector)
         if not vector.flags["C_CONTIGUOUS"]:
             # ascontiguousarray would promote 0-d to 1-d, but 0-d is
@@ -369,10 +360,12 @@ class DiskCacheStore:
             vector = np.ascontiguousarray(vector)
         blob = vector.tobytes()
         with self._lock:
-            generation = self._generation(corpus_fp, config_fp, create=True)
+            generation = self._generation(spec, create=True)
             for attempt in (0, 1):
                 try:
-                    written = self._write_entry(generation, term, vector, blob)
+                    written = self._write_entry(
+                        generation, term, context, vector, blob
+                    )
                     break
                 except FileNotFoundError:
                     # Another store's eviction dropped our generation
@@ -387,8 +380,8 @@ class DiskCacheStore:
             self._maybe_evict(generation)
 
     def _write_entry(
-        self, generation: _Generation, term: str, vector: np.ndarray,
-        blob: bytes,
+        self, generation: _Generation, term: str, context: str,
+        vector: np.ndarray, blob: bytes,
     ) -> int:
         """Append one entry under the generation's flock; bytes added."""
         with _flocked(generation.lock_path):
@@ -398,6 +391,7 @@ class DiskCacheStore:
             shard_no, offset = self._append_blob(generation, blob)
             record = {
                 "term": term,
+                "context": context,
                 "shard": shard_no,
                 "offset": offset,
                 "length": len(blob),
@@ -430,7 +424,7 @@ class DiskCacheStore:
             # and everything we wrote is applied directly below.
             generation.index_offset = index_size + len(payload)
             generation.index_tail = payload[-_TAIL_BYTES:]
-            generation.entries[term] = (
+            generation.entries[term, context] = (
                 shard_no,
                 offset,
                 len(blob),
@@ -438,7 +432,7 @@ class DiskCacheStore:
                 tuple(vector.shape),
                 record["crc"],
             )
-            generation.memo[term] = vector
+            generation.memo[term, context] = vector
             self._touch(generation)
             return len(blob) + len(payload)
 
@@ -487,7 +481,6 @@ class DiskCacheStore:
                         "shards": len(shard_files),
                         "bytes": self._dir_bytes(child),
                         "last_used": self._last_used(child),
-                        "pinned": self._is_pinned(child),
                     }
                 )
             return {
@@ -503,7 +496,6 @@ class DiskCacheStore:
                     for g in sorted(
                         generations, key=lambda g: g["last_used"]
                     )
-                    if not g["pinned"]
                 ],
                 "disk_hits": self._disk_hits,
                 "evictions": self._evictions,
@@ -511,10 +503,8 @@ class DiskCacheStore:
 
     # -- generation bookkeeping -------------------------------------------
 
-    def _generation(
-        self, corpus_fp: str, config_fp: str, *, create: bool
-    ) -> _Generation | None:
-        name = _generation_name(corpus_fp, config_fp)
+    def _generation(self, spec: str, *, create: bool) -> _Generation | None:
+        name = _generation_name(spec)
         generation = self._generations.get(name)
         if generation is None:
             path = self._dir / name
@@ -563,69 +553,7 @@ class DiskCacheStore:
             return []
         return sorted(child for child in self._dir.iterdir() if child.is_dir())
 
-    # -- pinning ------------------------------------------------------------
-
-    @contextmanager
-    def pin_generation(self, corpus_fingerprint: str, config_fingerprint: str):
-        """Context manager: shield one generation from LRU eviction.
-
-        While held, the pinned generation is never chosen as a
-        whole-generation eviction victim — by this handle *or* by any
-        other process sharing the directory (the pin leaves an on-disk
-        ``.pin-*`` marker other stores honour).  Streaming deltas use
-        this to keep the *previous* corpus generation alive while warm
-        vectors are migrated out of it, even though every write during
-        the migration lands in (and stamps) the new generation.
-
-        Pins nest and are reference-counted per generation.  A marker
-        left behind by a crashed process expires after
-        :data:`PIN_TTL_SECONDS` and is swept on the next eviction scan.
-        """
-        name = _generation_name(corpus_fingerprint, config_fingerprint)
-        with self._lock:
-            generation = self._generation(
-                corpus_fingerprint, config_fingerprint, create=True
-            )
-            self._pin_counts[name] = self._pin_counts.get(name, 0) + 1
-            marker = generation.path / (
-                f"{_PIN_PREFIX}{os.getpid()}-{next(_pin_sequence)}"
-            )
-            try:
-                marker.write_bytes(b"")
-            except OSError:
-                marker = None  # unwritable store: in-process pin only
-        try:
-            yield
-        finally:
-            with self._lock:
-                remaining = self._pin_counts.get(name, 0) - 1
-                if remaining > 0:
-                    self._pin_counts[name] = remaining
-                else:
-                    self._pin_counts.pop(name, None)
-                if marker is not None:
-                    with suppress(OSError):
-                        marker.unlink(missing_ok=True)
-
-    def _is_pinned(self, path: Path) -> bool:
-        """Whether a generation directory is pin-protected right now."""
-        if self._pin_counts.get(path.name):
-            return True
-        now = time.time()
-        pinned = False
-        for marker in path.glob(f"{_PIN_PREFIX}*"):
-            try:
-                age = now - marker.stat().st_mtime
-            except OSError:
-                continue  # racing unpin: marker already gone
-            if age < PIN_TTL_SECONDS:
-                pinned = True
-            else:
-                # Leaked by a crashed pinner; sweep it so the
-                # generation rejoins the eviction pool.
-                with suppress(OSError):
-                    marker.unlink(missing_ok=True)
-        return pinned
+    # -- recency ----------------------------------------------------------
 
     def _touch(self, generation: _Generation) -> None:
         """Refresh the LRU recency stamp.
@@ -651,10 +579,13 @@ class DiskCacheStore:
     # -- index parsing ------------------------------------------------------
 
     @staticmethod
-    def _decode_record(record: dict) -> tuple[str, tuple] | None:
-        """Validate one parsed index line into ``(term, entry)``."""
+    def _decode_record(
+        record: dict,
+    ) -> tuple[tuple[str, str], tuple] | None:
+        """Validate one parsed index line into ``((term, context), entry)``."""
         try:
             term = record["term"]
+            context = record["context"]
             entry = (
                 int(record["shard"]),
                 int(record["offset"]),
@@ -665,15 +596,15 @@ class DiskCacheStore:
             )
         except (KeyError, TypeError, ValueError):
             return None
-        if not isinstance(term, str):
+        if not isinstance(term, str) or not isinstance(context, str):
             return None
-        return term, entry
+        return (term, context), entry
 
     @classmethod
     def _iter_records(cls, data: bytes):
-        """Yield ``(term, entry)`` from index bytes, skipping malformed
-        lines (corruption tolerance) — the one parser both the full
-        and the incremental index readers share."""
+        """Yield ``((term, context), entry)`` from index bytes, skipping
+        malformed lines (corruption tolerance) — the one parser both the
+        full and the incremental index readers share."""
         for raw in data.split(b"\n"):
             if not raw:
                 continue
@@ -685,7 +616,7 @@ class DiskCacheStore:
             if decoded is not None:
                 yield decoded
 
-    def _parse_index(self, index_path: Path) -> dict[str, tuple]:
+    def _parse_index(self, index_path: Path) -> dict[tuple[str, str], tuple]:
         """Full parse of an index file (malformed lines skipped)."""
         try:
             data = index_path.read_bytes()
@@ -738,12 +669,12 @@ class DiskCacheStore:
         consumed = data[: end + 1]
         generation.index_offset += len(consumed)
         generation.index_tail = (tail + consumed)[-_TAIL_BYTES:]
-        for term, entry in self._iter_records(consumed):
-            if generation.entries.get(term) != entry:
+        for entry_key, entry in self._iter_records(consumed):
+            if generation.entries.get(entry_key) != entry:
                 # Another writer superseded the entry: decoded bytes in
                 # the memo may be stale, drop them.
-                generation.memo.pop(term, None)
-            generation.entries[term] = entry
+                generation.memo.pop(entry_key, None)
+            generation.entries[entry_key] = entry
         return stat
 
     @staticmethod
@@ -855,15 +786,9 @@ class DiskCacheStore:
             return
         # 1. Whole stale generations, least recently used first (reads
         #    and writes both refresh the stamp).  The active generation
-        #    (the one just written) is never a victim, and neither is a
-        #    pinned one (a migration source another handle or process
-        #    is still draining — see :meth:`pin_generation`).
+        #    (the one just written) is never a victim.
         victims = sorted(
-            (
-                d
-                for d in self._generation_dirs()
-                if d != active.path and not self._is_pinned(d)
-            ),
+            (d for d in self._generation_dirs() if d != active.path),
             key=self._last_used,
         )
         for victim in victims:
@@ -878,21 +803,23 @@ class DiskCacheStore:
             self._size_estimate = total
             return
         # 2. Oldest shards of the active generation (append order is
-        #    write-recency order, so this is LRU-by-write).  The newest
-        #    shard always survives, keeping the cap best-effort.
+        #    write-recency order, so this is LRU-by-write; entries are
+        #    written once, so an old shard may still hold vectors in
+        #    use, and dropping it costs clean misses).  The newest shard
+        #    always survives, keeping the cap best-effort.
         with _flocked(active.lock_path):
             self._refresh_index(active)
             numbers = self._shard_numbers(active)
             while len(numbers) > 1 and total > self._max_bytes:
                 shard_no = numbers.pop(0)
                 dropped = [
-                    term
-                    for term, entry in active.entries.items()
+                    entry_key
+                    for entry_key, entry in active.entries.items()
                     if entry[0] == shard_no
                 ]
-                for term in dropped:
-                    del active.entries[term]
-                    active.memo.pop(term, None)
+                for entry_key in dropped:
+                    del active.entries[entry_key]
+                    active.memo.pop(entry_key, None)
                 self._evictions += len(dropped)
                 shard_file = active.shard_path(shard_no)
                 with suppress(OSError):
@@ -909,12 +836,13 @@ class DiskCacheStore:
         """Atomically replace the index with the surviving entries;
         returns its new size in bytes."""
         lines = []
-        for term, entry in generation.entries.items():
+        for (term, context), entry in generation.entries.items():
             shard_no, offset, length, dtype_str, shape, crc = entry
             lines.append(
                 json.dumps(
                     {
                         "term": term,
+                        "context": context,
                         "shard": shard_no,
                         "offset": offset,
                         "length": length,

@@ -15,8 +15,8 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
 from repro.errors import CorpusError, ValidationError
 from repro.ontology.model import Ontology
-from repro.polysemy.cache import FeatureCache
-from repro.polysemy.features import PolysemyFeatureExtractor
+from repro.polysemy.cache import CacheKey, FeatureCache, context_digest
+from repro.polysemy.features import FeatureItem, PolysemyFeatureExtractor
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,6 @@ def build_entity_polysemy_dataset(
     )
 
 
-def dataset_config_fingerprint(
-    extractor: PolysemyFeatureExtractor, *, max_contexts: int = 60
-) -> str:
-    """The cache-key config fingerprint of :func:`build_polysemy_dataset`.
-
-    One definition for the training-time key format, shared with the
-    streaming delta path (:mod:`repro.workflow.streaming`) that migrates
-    warm training vectors across corpus fingerprints — the two must
-    never drift apart or deltas silently re-featurise every training
-    term.  Pins everything that shapes a vector: the extractor settings
-    plus the builder's own retrieval cap.
-    """
-    return f"{extractor.fingerprint()};dataset_max_contexts={max_contexts}"
-
-
 def build_polysemy_dataset(
     ontology: Ontology,
     corpus: Corpus,
@@ -138,15 +123,17 @@ def build_polysemy_dataset(
         retrieve occurrences through (defaults to the corpus's cached
         index).
     cache:
-        Optional :class:`~repro.polysemy.cache.FeatureCache`; repeated
-        builds over the same corpus/extractor configuration then skip
-        featurisation entirely (ablations, repeated training runs).
+        Optional :class:`~repro.polysemy.cache.FeatureCache`, keyed by
+        each term's capped windows and document frequency: repeated
+        builds (ablations, repeated training runs, a grown corpus)
+        featurise only the terms whose windows are new.
     records:
         Optional :class:`~repro.corpus.index.KeptOccurrenceRecords` at
         the extractor's window, kept by the caller across builds: it is
         brought to ``index`` and the ontology's terms, so a grown corpus
-        reads only its new documents.  By default every build retrieves
-        the records of the whole index.
+        reads only its new documents, and each term's context digest
+        is kept in its ``memo`` until the term's records change.  By
+        default every build retrieves the records of the whole index.
     """
     extractor = extractor if extractor is not None else PolysemyFeatureExtractor()
     rng = np.random.default_rng(seed if not isinstance(seed, np.random.Generator) else None)
@@ -171,12 +158,6 @@ def build_polysemy_dataset(
             f"max_contexts ({max_contexts}) must be >= min_contexts "
             f"({min_contexts})"
         )
-    config_fp = (
-        dataset_config_fingerprint(extractor, max_contexts=max_contexts)
-        if cache is not None
-        else ""
-    )
-    corpus_fp = index.fingerprint() if cache is not None else ""
     # Two passes so a remote-backed cache answers every eligible term's
     # lookup in one batched call (O(batches) HTTP round trips), not one
     # request per term.  Counting is identical to per-term lookups:
@@ -186,20 +167,8 @@ def build_polysemy_dataset(
         for term in ontology.terms()
         if len(occurrences_of.get(term, ())) >= min_contexts
     ]
-    cached: dict[str, np.ndarray] = {}
-    if cache is not None:
-        found = cache.lookup_many(
-            [FeatureCache.key(corpus_fp, term, config_fp) for term in eligible]
-        )
-        cached = {
-            term: found[FeatureCache.key(corpus_fp, term, config_fp)]
-            for term in eligible
-            if FeatureCache.key(corpus_fp, term, config_fp) in found
-        }
-    # Every miss is featurised in one batch, in ``eligible`` order.
-    misses = [term for term in eligible if term not in cached]
-    items = []
-    for term in misses:
+
+    def item(term: str) -> FeatureItem:
         occurrences = occurrences_of[term]
         doc_frequency = len({doc_id for doc_id, __ in occurrences})
         if len(occurrences) > max_contexts:
@@ -207,15 +176,33 @@ def build_polysemy_dataset(
             step = len(occurrences) / max_contexts
             occurrences = [occurrences[int(i * step)] for i in range(max_contexts)]
         contexts = [window_tokens for __, window_tokens in occurrences]
-        items.append((term, contexts, doc_frequency))
-    vectors = dict(zip(misses, extractor.featurise(items), strict=True))
+        return term, contexts, doc_frequency
+
+    items: dict[str, FeatureItem] = {}
+    keys: dict[str, CacheKey] = {}
+    cached: dict[str, np.ndarray] = {}
+    if cache is not None:
+        # A term's context digest is kept until its records change (the
+        # cap is part of what it covers), so a grown corpus hashes the
+        # windows of its changed terms only.
+        for term in eligible:
+            kept = records.memo.get(term)
+            if kept is None or kept[0] != max_contexts:
+                items[term] = item(term)
+                __, contexts, doc_frequency = items[term]
+                kept = (max_contexts, context_digest(contexts, doc_frequency))
+                records.memo[term] = kept
+            keys[term] = FeatureCache.key(kept[1], term, extractor.spec_digest)
+        found = cache.lookup_many(list(keys.values()))
+        cached = {term: found[key] for term, key in keys.items() if key in found}
+    # Every miss is featurised in one batch, in ``eligible`` order.
+    misses = [term for term in eligible if term not in cached]
+    rows = extractor.featurise(
+        [items[term] if term in items else item(term) for term in misses]
+    )
+    vectors = dict(zip(misses, rows, strict=True))
     if cache is not None and misses:
-        cache.store_many(
-            [
-                (FeatureCache.key(corpus_fp, term, config_fp), vectors[term])
-                for term in misses
-            ]
-        )
+        cache.store_many([(keys[term], vectors[term]) for term in misses])
     for term in eligible:
         vector = cached[term] if term in cached else vectors[term]
         if ontology.is_polysemic(term):

@@ -37,7 +37,11 @@ re-exported here as one-item entry points.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +83,13 @@ assert len(DIRECT_FEATURE_NAMES) == 11, "the paper specifies 11 direct features"
 assert len(GRAPH_FEATURE_NAMES) == 12, "the paper specifies 12 graph features"
 
 
+@dataclass(frozen=True, kw_only=True)
 class PolysemyFeatureExtractor:
     """Extract the paper's 23 features for candidate terms.
+
+    The extractor is a frozen dataclass: its fields are every setting
+    that shapes a vector, and :attr:`spec_digest` hashes them for the
+    feature-cache keys (:mod:`repro.polysemy.cache`).
 
     Parameters
     ----------
@@ -98,39 +107,28 @@ class PolysemyFeatureExtractor:
         (fixed by default so repeated extraction is deterministic).
     """
 
-    def __init__(
-        self,
-        *,
-        window: int = 10,
-        graph_window: int = 4,
-        feature_set: str = "all",
-        community_seed: int = 0,
-    ) -> None:
-        if feature_set not in ("all", "direct", "graph"):
+    window: int = 10
+    graph_window: int = 4
+    feature_set: str = "all"
+    community_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.feature_set not in ("all", "direct", "graph"):
             raise ValueError(
-                f"feature_set must be all|direct|graph, got {feature_set!r}"
+                f"feature_set must be all|direct|graph, got {self.feature_set!r}"
             )
-        self.window = window
-        self.graph_window = graph_window
-        self.feature_set = feature_set
-        self.community_seed = community_seed
 
-    def fingerprint(self) -> str:
-        """Stable string encoding of every vector-shaping setting.
+    @cached_property
+    def spec_digest(self) -> str:
+        """Digest of every field's name and value.
 
-        The config component of feature-cache keys
-        (:mod:`repro.polysemy.cache`): two extractors with equal
-        fingerprints produce identical vectors from identical contexts.
+        The spec component of feature-cache keys: two extractors with
+        equal digests produce identical vectors from identical items.
+        It is derived from the fields themselves, so a field added to
+        the class changes it with no key string to edit.
         """
-        # Louvain is the only community detector now, but the key keeps
-        # the segment that named it: dropping it would change every key
-        # and orphan every persisted disk and remote cache entry.
-        return (
-            f"window={self.window};graph_window={self.graph_window};"
-            f"feature_set={self.feature_set};"
-            "community_backend=louvain;"
-            f"community_seed={self.community_seed}"
-        )
+        spec = [[f.name, getattr(self, f.name)] for f in fields(self)]
+        return hashlib.sha256(json.dumps(spec).encode("utf-8")).hexdigest()[:32]
 
     @property
     def feature_names(self) -> tuple[str, ...]:

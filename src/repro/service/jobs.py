@@ -40,10 +40,10 @@ from pathlib import Path
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
 from repro.corpus.io import read_corpus_jsonl
-from repro.errors import ValidationError
+from repro.errors import CorpusError, ValidationError
 from repro.ontology.io import read_ontology_json
 from repro.ontology.model import Ontology
-from repro.corpus.index import CorpusIndex
+from repro.corpus.index import CorpusIndex, check_document
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.recommend.config import RecommendConfig
 from repro.recommend.engine import Recommender
@@ -691,6 +691,10 @@ class JobManager:
                 raise ValidationError(
                     f'document {doc_id!r} needs "sentences" or "text"'
                 )
+            try:
+                check_document(parsed[-1])
+            except CorpusError as exc:
+                raise ValidationError(str(exc)) from None
         return parsed
 
     def _streamer(self, name: str) -> StreamingEnricher:

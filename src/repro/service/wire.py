@@ -11,8 +11,11 @@ The service speaks two payload kinds:
   :class:`~repro.polysemy.cache_store.DiskCacheStore` shard record so
   nothing is re-encoded on the hot path (no JSON/base64 blow-up).
 
-Cache keys (corpus fingerprint, term, config fingerprint) travel as
-URL-encoded query parameters, so any unicode term round-trips.
+Cache keys (context digest, term, spec digest; see
+:mod:`repro.polysemy.cache`) travel as URL-encoded query parameters, so
+any unicode term round-trips.  The parameters keep their historical
+names: ``corpus`` carries the context digest and ``config`` the spec
+digest.
 
 Decoding is defensive in the same way disk reads are: a missing header,
 a shape/length mismatch, or a CRC failure makes :func:`decode_vector`
@@ -116,10 +119,8 @@ def decode_vector(
 
 def encode_key(key: CacheKey) -> str:
     """URL query string addressing one cache entry."""
-    corpus_fp, term, config_fp = key
-    return urlencode(
-        {"corpus": corpus_fp, "term": term, "config": config_fp}
-    )
+    context, term, spec = key
+    return urlencode({"corpus": context, "term": term, "config": spec})
 
 
 def decode_key(query: str) -> CacheKey | None:

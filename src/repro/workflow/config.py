@@ -70,9 +70,11 @@ class EnrichmentConfig:
         that is then persisted for the next run.  Query results are
         byte-identical with and without the store.
     feature_cache:
-        Memoise per-term feature vectors across training runs and
-        repeated ``enrich`` calls (keyed by corpus fingerprint, term,
-        and feature configuration; see :mod:`repro.polysemy.cache`).
+        Memoise per-term feature vectors across training runs, repeated
+        ``enrich`` calls and corpus growth (keyed by a digest of the
+        term's capped windows and document frequency, the term, and a
+        digest of the extractor settings; see
+        :mod:`repro.polysemy.cache`).
     cache_dir:
         Optional directory backing the feature cache with a persistent
         :class:`~repro.polysemy.cache_store.DiskCacheStore`, so entries
@@ -82,8 +84,11 @@ class EnrichmentConfig:
         in-memory store.  Requires ``feature_cache=True``.
     cache_max_bytes:
         Optional size cap on the on-disk store; exceeding it evicts
-        least-recently-used entries (stale fingerprint generations
-        first, then the oldest shard files).  Requires ``cache_dir``.
+        least-recently-used entries: generations of other extractor
+        settings first, then the oldest shard files of the one being
+        written.  Entries are written once, so such a shard can hold
+        vectors still in use, which the next run computes and stores
+        again.  Requires ``cache_dir``.
     cache_url:
         Optional base URL of a ``repro serve`` cache service (e.g.
         ``http://cache-host:8750``) backing the feature cache with a

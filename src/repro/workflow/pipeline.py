@@ -24,14 +24,15 @@ as one batch, then Steps II–III loop over them in order, in this
 process.
 
 Step II featurisation is memoised in a
-:class:`~repro.polysemy.cache.FeatureCache` keyed by (corpus
-fingerprint, term, config fingerprint), so repeated training runs and
-``enrich`` calls skip recomputation; hit/miss counters surface in
-:attr:`EnrichmentReport.cache`.  With ``EnrichmentConfig(cache_dir=...)``
-the cache is backed by a persistent
+:class:`~repro.polysemy.cache.FeatureCache` keyed by (context digest,
+term, spec digest): a vector's key is derived from what the featuriser
+reads, so repeated training runs, repeated ``enrich`` calls and runs on
+a grown corpus featurise only terms whose windows are new; hit/miss
+counters surface in :attr:`EnrichmentReport.cache`.  With
+``EnrichmentConfig(cache_dir=...)`` the cache is backed by a persistent
 :class:`~repro.polysemy.cache_store.DiskCacheStore` shared across runs
-and processes: :class:`DetectStage` prefills from the store in one bulk
-lookup and writes every *new* vector back in one bulk store.
+and processes: :class:`DetectStage` looks its candidates up in the store
+in one bulk lookup and writes every *new* vector back in one bulk store.
 ``EnrichmentConfig(cache_url=...)`` swaps the disk store for a
 :class:`~repro.service.client.RemoteCacheStore` talking to a
 ``repro serve`` process, so the very same warm-vector sharing works
@@ -54,7 +55,7 @@ from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.context import TermContextIndex
 from repro.linkage.linker import SemanticLinker
 from repro.ontology.model import Ontology
-from repro.polysemy.cache import FeatureCache
+from repro.polysemy.cache import CacheKey, FeatureCache, context_digest
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.service.client import RemoteCacheStore
 from repro.polysemy.dataset import PolysemyDataset, build_polysemy_dataset
@@ -85,10 +86,10 @@ class CandidateWork:
     doc_frequency:
         Distinct documents the candidate occurs in.
     features:
-        The Step II feature vector (pre-filled from the
-        :class:`~repro.polysemy.cache.FeatureCache` on a hit, computed
-        by :class:`DetectStage` otherwise; ``None`` when Step II never
-        featurised the candidate).
+        The Step II feature vector (looked up in the
+        :class:`~repro.polysemy.cache.FeatureCache` under its contexts'
+        key, computed by :class:`DetectStage` on a miss; ``None`` when
+        Step II never featurised the candidate).
     """
 
     candidate: RankedTerm
@@ -175,25 +176,6 @@ class ExtractStage:
         ctx.ranked = ranked[: max(cfg.n_candidates * 3, consumed)]
 
 
-def detect_config_fingerprint(
-    feature_extractor: PolysemyFeatureExtractor, config: EnrichmentConfig
-) -> str:
-    """The cache-key config fingerprint of :class:`DetectStage`.
-
-    One definition for the Step II key format, shared with the streaming
-    delta path (:mod:`repro.workflow.streaming`) that migrates warm
-    vectors across corpus fingerprints — the two must never drift apart
-    or deltas silently re-featurise every candidate.  Pins everything
-    that shapes the vector: the extractor settings plus the stage's own
-    retrieval caps.
-    """
-    return (
-        f"{feature_extractor.fingerprint()};"
-        f"detect_window={config.context_window};"
-        f"detect_cap={config.max_contexts_per_term}"
-    )
-
-
 class DetectStage:
     """Step II: materialise contexts, featurise in one batch, classify each."""
 
@@ -214,72 +196,61 @@ class DetectStage:
 
     def run(self, ctx: PipelineContext) -> None:
         cfg = ctx.config
-        # Featurisation only happens with a trained detector, so only
-        # then do cache lookups make sense (misses would never be
-        # back-filled otherwise).
-        cache = self._cache if self._trained else None
-        keys: dict[int, tuple[str, str, str]] = {}
-        prefilled: set[int] = set()
-        if cache is not None:
-            corpus_fp = ctx.index.fingerprint()
-            config_fp = detect_config_fingerprint(self._features, cfg)
-            for item in ctx.work:
-                keys[id(item)] = FeatureCache.key(
-                    corpus_fp, item.candidate.term, config_fp
-                )
-            # Peek without counting — whether a probe was a real hit or
-            # miss is only known after materialisation (skipped
-            # candidates are never featurised).  One lookup_many, so a
-            # remote store answers the whole prefill in O(batches) HTTP
-            # round trips rather than one per candidate.
-            found = cache.lookup_many(
-                [keys[id(item)] for item in ctx.work], record=False
-            )
-            for item in ctx.work:
-                item.features = found.get(keys[id(item)])
-                if item.features is not None:
-                    prefilled.add(id(item))
         for item in ctx.work:
             self._materialise(ctx.index, cfg, item)
-        if self._trained:
-            # Every candidate not served by the prefill, in one batch.
-            misses = [
-                item
-                for item in ctx.work
-                if item.contexts is not None and item.features is None
-            ]
-            rows = self._features.featurise(
-                [
-                    (item.candidate.term, item.contexts, item.doc_frequency)
-                    for item in misses
-                ]
-            )
-            for item, row in zip(misses, rows, strict=True):
-                item.features = row
         active = [item for item in ctx.work if item.contexts is not None]
         if not self._trained:
             for item in active:
                 item.report.polysemic = False
-        elif active:
-            # One batch of verdicts: every classifier labels each row
-            # on its own, so the batch equals per-row prediction.
-            labels = self._detector.predict_features(
-                np.vstack([item.features for item in active])
-            )
-            for item, label in zip(active, labels, strict=True):
-                item.report.polysemic = bool(label == 1)
-        if cache is not None:
-            to_store: list = []
-            for item in ctx.work:
-                if item.contexts is None:
-                    continue  # skipped before featurisation: no lookup
-                hit = id(item) in prefilled
-                cache.record_lookup(hit)
-                if not hit:
-                    to_store.append((keys[id(item)], item.features))
-            if to_store:
-                # One store_many → batched uploads on a remote store.
-                cache.store_many(to_store)
+            return
+        if not active:
+            return
+        self._featurise(active)
+        # One batch of verdicts: every classifier labels each row on its
+        # own, so the batch equals per-row prediction.
+        labels = self._detector.predict_features(
+            np.vstack([item.features for item in active])
+        )
+        for item, label in zip(active, labels, strict=True):
+            item.report.polysemic = bool(label == 1)
+
+    def _featurise(self, active: list[CandidateWork]) -> None:
+        """Fill each candidate's vector: from the cache, else one batch.
+
+        Keys are looked up after materialisation, so a skipped
+        candidate is never looked up.  One ``lookup_many`` and one
+        ``store_many``, so a remote store answers in O(batches) HTTP
+        round trips rather than one per candidate.
+        """
+        keys: list[CacheKey] = []
+        if self._cache is not None:
+            spec = self._features.spec_digest
+            keys = [
+                FeatureCache.key(
+                    context_digest(item.contexts, item.doc_frequency),
+                    item.candidate.term,
+                    spec,
+                )
+                for item in active
+            ]
+            found = self._cache.lookup_many(keys)
+            for item, key in zip(active, keys, strict=True):
+                item.features = found.get(key)
+        misses = [i for i, item in enumerate(active) if item.features is None]
+        rows = self._features.featurise(
+            [
+                (
+                    active[i].candidate.term,
+                    active[i].contexts,
+                    active[i].doc_frequency,
+                )
+                for i in misses
+            ]
+        )
+        for i, row in zip(misses, rows, strict=True):
+            active[i].features = row
+        if self._cache is not None and misses:
+            self._cache.store_many([(keys[i], active[i].features) for i in misses])
 
     @staticmethod
     def _materialise(
@@ -295,9 +266,6 @@ class DetectStage:
                 f"only {len(occurrences)} contexts "
                 f"(< {cfg.min_contexts})"
             )
-            # A cache-prefilled vector must not survive on a skipped
-            # candidate: contexts is None ⇒ features is None.
-            item.features = None
             return
         # Cap very frequent candidates: the per-candidate clustering
         # and graph features are superlinear in the context count.
@@ -538,7 +506,7 @@ class OntologyEnricher:
 
     @property
     def feature_extractor(self) -> PolysemyFeatureExtractor:
-        """The Step II feature extractor (fingerprints cache keys)."""
+        """The Step II feature extractor (its spec digest keys the cache)."""
         return self._feature_extractor
 
     @property

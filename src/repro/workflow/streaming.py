@@ -1,32 +1,23 @@
 """Continuous enrichment: delta re-runs for a growing corpus.
 
-The batch workflow (:mod:`repro.workflow.pipeline`) treats every corpus
-as immutable: a new corpus fingerprint means a cold feature cache and a
-full re-featurisation.  But the paper's enrichment loop is naturally
-*incremental* — documents keep arriving (new abstracts, new clinical
-notes) and each batch perturbs only the terms it actually mentions.
-
-:class:`StreamingEnricher` exploits the per-document fingerprint chain
-(:meth:`repro.corpus.index.CorpusIndex.fingerprint`) and the locality of
-the Step II features (a term's vector depends only on its *own* corpus
-contexts) to turn corpus growth into a delta:
+The paper's enrichment loop is naturally *incremental* — documents keep
+arriving (new abstracts, new clinical notes) and each batch perturbs
+only the terms it actually mentions.  :class:`StreamingEnricher` turns
+corpus growth into a delta:
 
 1. index the arriving documents alone and mark every known term they
-   mention as *changed* — all other terms keep byte-identical postings,
-   hence byte-identical feature vectors;
+   mention as *changed* (the diff's ``changed_terms``);
 2. grow the corpus (the cached index is patched in place, or rebuilt
    through its remembered :class:`~repro.corpus.index_store.IndexStore`);
-3. carry the unchanged terms' cached vectors forward under the grown
-   corpus fingerprint — for *both* cache-key families, the detection
-   keys (:func:`repro.workflow.pipeline.detect_config_fingerprint`) and
-   the training keys
-   (:func:`repro.polysemy.dataset.dataset_config_fingerprint`) — so the
-   follow-up run only featurises changed terms;
-4. re-run the pipeline: the enricher sees the new fingerprint and
-   retrains the detector (it is corpus-dependent), every untouched
-   term's vector comes warm from the cache, and Step III re-induces
-   only the terms whose contexts or verdict changed;
-5. emit a :class:`ReportDiff` describing exactly what moved.
+3. re-run the pipeline: the enricher sees the new corpus fingerprint
+   and retrains the detector (it is corpus-dependent), and everything
+   else it keeps follows the corpus along its fingerprint chain.  Step
+   II vectors are keyed by their own inputs (a term's capped windows
+   and document frequency, see :mod:`repro.polysemy.cache`), so every
+   term the documents do not mention keeps its key and comes warm from
+   the cache, and only changed terms are featurised.  Step III
+   re-induces only the terms whose contexts or verdict changed;
+4. emit a :class:`ReportDiff` describing exactly what moved.
 
 The result composes: ``diff.apply(previous_report)`` reconstructs the
 full report a from-scratch run over the grown corpus would produce.
@@ -35,19 +26,13 @@ full report a from-scratch run over the grown corpus would produce.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
+from repro.corpus.index import CorpusIndex, check_document
 from repro.errors import CorpusError, ValidationError
-from repro.polysemy.cache import FeatureCache
-from repro.polysemy.cache_store import DiskCacheStore
-from repro.polysemy.dataset import dataset_config_fingerprint
-from repro.workflow.pipeline import (
-    OntologyEnricher,
-    detect_config_fingerprint,
-)
+from repro.workflow.pipeline import OntologyEnricher
 from repro.workflow.report import EnrichmentReport, TermReport
 
 __all__ = ["ReportDiff", "StreamingEnricher"]
@@ -67,8 +52,8 @@ class ReportDiff:
         Ids of the documents this delta added.
     changed_terms:
         Known terms (prior candidates plus ontology terms) whose corpus
-        postings changed — exactly the terms whose feature vectors were
-        recomputed; everything else came warm from the cache.
+        postings changed — the only known terms whose feature vectors
+        can be recomputed; everything else comes warm from the cache.
     added:
         Candidate rows that exist only in the new report.
     dropped:
@@ -84,7 +69,7 @@ class ReportDiff:
         The delta run's report metadata (see
         :class:`~repro.workflow.report.EnrichmentReport`); ``timings``
         additionally carries ``delta_total``, the wall-clock seconds of
-        the whole delta including cache carry-forward.
+        the whole delta (validation, change probe, growth and re-run).
     """
 
     base_fingerprint: str
@@ -103,7 +88,12 @@ class ReportDiff:
 
     @property
     def n_recomputed(self) -> int:
-        """Terms whose feature vectors were recomputed by this delta."""
+        """Known terms this delta changed (``len(changed_terms)``).
+
+        Their vectors are featurised again unless the cache already
+        holds one for the same windows (``cache["misses"]`` counts
+        those that were).
+        """
         return len(self.changed_terms)
 
     def apply(self, base: EnrichmentReport) -> EnrichmentReport:
@@ -234,14 +224,16 @@ class StreamingEnricher:
 
         Only terms whose postings actually changed — the known terms
         the arriving documents mention, plus genuinely new candidates —
-        are re-featurised; every other term's vector is carried forward
-        to the grown corpus fingerprint and served from the warm cache.
-        The emitted :class:`ReportDiff` composes onto the previous
-        report (``diff.apply(previous)``) to yield exactly what a
-        from-scratch run over the grown corpus would report.
+        are re-featurised; every other term keeps its windows, hence
+        its cache key, and is served from the warm cache.  The emitted
+        :class:`ReportDiff` composes onto the previous report
+        (``diff.apply(previous)``) to yield exactly what a from-scratch
+        run over the grown corpus would report.
 
         Validation is all-or-nothing: duplicate ids (within the batch
-        or against the corpus) raise before anything mutates.
+        or against the corpus) and documents no index accepts (see
+        :func:`~repro.corpus.index.check_document`) raise before
+        anything mutates.
         """
         started = time.perf_counter()
         if not documents:
@@ -257,6 +249,7 @@ class StreamingEnricher:
                 raise CorpusError(
                     f"duplicate document id {doc.doc_id!r} already in corpus"
                 )
+            check_document(doc)
 
         base_report = self.baseline()
         base_fp = self.fingerprint
@@ -273,23 +266,15 @@ class StreamingEnricher:
             self.corpus.add(doc)
         new_fp = self.fingerprint
 
-        # 2. Carry unchanged terms' vectors to the new fingerprint
-        #    before re-running, so the run starts warm (and its cache
-        #    counters — snapshotted inside ``enrich`` — prove it).
-        carried = self._carry_cache_forward(
-            base_fp, new_fp, [t for t in universe if t not in changed]
-        )
-
-        # 3. Re-run.  The enricher retrains on the grown corpus (its
-        #    fingerprint moved); the training vectors come warm from the
-        #    carry-forward.
+        # 2. Re-run.  The enricher retrains on the grown corpus (its
+        #    fingerprint moved); unchanged terms keep their cache keys,
+        #    so their vectors come warm.
         new_report = self.enricher.enrich(self.corpus)
 
         diff = self._diff(base_report, new_report, base_fp, new_fp)
         diff.documents = [doc.doc_id for doc in documents]
         diff.changed_terms = sorted(changed)
         diff.timings["delta_total"] = time.perf_counter() - started
-        diff.timings["carry_forward"] = carried
         self.report = new_report
         self.deltas.append(diff)
         return diff
@@ -307,58 +292,11 @@ class StreamingEnricher:
         self, documents: list[Document], universe: list[str]
     ) -> set[str]:
         """Known terms whose postings the delta documents perturb."""
-        from repro.corpus.index import CorpusIndex
-
         delta_index = CorpusIndex(documents)
         records = delta_index.occurrence_records(
             universe, window=self.enricher.feature_extractor.window
         )
         return {term for term in universe if records.get(term)}
-
-    def _carry_cache_forward(
-        self, base_fp: str, new_fp: str, unchanged_terms: list[str]
-    ) -> float:
-        """Re-key unchanged terms' vectors under the grown fingerprint.
-
-        Both key families move: the detection keys *and* the training
-        keys (the detector re-fits on the grown corpus and must find
-        its vectors warm too).  While reading, the source generations
-        are pinned against eviction (a disk store near its size cap
-        would otherwise evict the old generation as the new one grows
-        mid-migration).  Returns the wall-clock seconds spent.
-        """
-        started = time.perf_counter()
-        cache = self.enricher.feature_cache
-        if cache is None or not unchanged_terms:
-            return time.perf_counter() - started
-        extractor = self.enricher.feature_extractor
-        config_fps = [
-            detect_config_fingerprint(extractor, self.enricher.config),
-            dataset_config_fingerprint(extractor),
-        ]
-        with ExitStack() as stack:
-            store = cache.backing_store
-            if isinstance(store, DiskCacheStore):
-                for config_fp in config_fps:
-                    stack.enter_context(
-                        store.pin_generation(base_fp, config_fp)
-                    )
-            old_keys = [
-                FeatureCache.key(base_fp, term, config_fp)
-                for config_fp in config_fps
-                for term in unchanged_terms
-            ]
-            # record=False: migration reads are plumbing, not workflow
-            # lookups — the report's hit/miss delta must reflect the
-            # re-run only.
-            found = cache.lookup_many(old_keys, record=False)
-            cache.store_many(
-                [
-                    ((new_fp, term, config_fp), vector)
-                    for (__, term, config_fp), vector in found.items()
-                ]
-            )
-        return time.perf_counter() - started
 
     @staticmethod
     def _diff(

@@ -1,5 +1,7 @@
 """DiskCacheStore behaviour: layout, sharing, eviction, corruption, wiring."""
 
+import json
+import zlib
 from unittest.mock import ANY
 
 import numpy as np
@@ -17,8 +19,8 @@ from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 
 
-def key(term: str, corpus: str = "corpus-fp", config: str = "config-fp"):
-    return FeatureCache.key(corpus, term, config)
+def key(term: str, context: str = "context-digest", spec: str = "spec-digest"):
+    return FeatureCache.key(context, term, spec)
 
 
 def vector(seed: int, n: int = 23) -> np.ndarray:
@@ -90,19 +92,49 @@ class TestDiskRoundTrip:
 class TestFingerprintGenerations:
     def test_fingerprints_never_collide(self, tmp_path):
         store = DiskCacheStore(tmp_path)
-        store.put(key("t", corpus="c1", config="f1"), vector(0))
-        assert store.get(key("t", corpus="c2", config="f1")) is None
-        assert store.get(key("t", corpus="c1", config="f2")) is None
-        assert store.get(key("t2", corpus="c1", config="f1")) is None
-        assert store.get(key("t", corpus="c1", config="f1")) is not None
+        store.put(key("t", context="c1", spec="f1"), vector(0))
+        assert store.get(key("t", context="c2", spec="f1")) is None
+        assert store.get(key("t", context="c1", spec="f2")) is None
+        assert store.get(key("t2", context="c1", spec="f1")) is None
+        assert store.get(key("t", context="c1", spec="f1")) is not None
 
-    def test_each_fingerprint_pair_gets_its_own_directory(self, tmp_path):
+    def test_each_spec_digest_gets_its_own_directory(self, tmp_path):
         store = DiskCacheStore(tmp_path)
-        store.put(key("t", corpus="c1"), vector(0))
-        store.put(key("t", corpus="c2"), vector(1))
-        generations = [p for p in tmp_path.iterdir() if p.is_dir()]
+        store.put(key("t", context="c1"), vector(0))
+        store.put(key("t", context="c2"), vector(1))
+        store.put(key("t", spec="other-spec"), vector(2))
+        generations = sorted(p for p in tmp_path.iterdir() if p.is_dir())
         assert len(generations) == 2
-        assert len(store) == 2
+        assert len(store) == 3
+        reopened = DiskCacheStore(tmp_path)
+        np.testing.assert_array_equal(
+            reopened.get(key("t", context="c2")), vector(1)
+        )
+
+    def test_corpus_keyed_generation_is_never_opened(self, tmp_path):
+        # A generation of the older layout: a 20-character name and
+        # index lines without a context digest.
+        old = tmp_path / "0123456789abcdef0123"
+        old.mkdir()
+        blob = vector(0).tobytes()
+        (old / "shard-000000.bin").write_bytes(blob)
+        (old / "index.jsonl").write_text(
+            json.dumps(
+                {
+                    "term": "t", "shard": 0, "offset": 0,
+                    "length": len(blob), "dtype": "<f8", "shape": [23],
+                    "crc": zlib.crc32(blob),
+                }
+            )
+            + "\n"
+        )
+        store = DiskCacheStore(tmp_path, max_bytes=2_000)
+        assert store.get(key("t")) is None
+        assert len(store) == 0
+        # Under a cap it is the first eviction victim.
+        for i in range(8):
+            store.put(key(f"new {i}"), vector(i))
+        assert not old.exists()
 
 
 class TestShardingAndEviction:
@@ -134,38 +166,38 @@ class TestShardingAndEviction:
     def test_stale_generations_evicted_before_active_entries(self, tmp_path):
         store = DiskCacheStore(tmp_path, max_bytes=6_000)
         for i in range(12):
-            store.put(key(f"old {i}", corpus="old-corpus"), vector(i))
+            store.put(key(f"old {i}", spec="old-spec"), vector(i))
         old_count = len(store)
         assert old_count == 12
         # Writing a new generation past the cap drops the stale one
         # wholesale, not the entries just written.
         for i in range(12):
-            store.put(key(f"new {i}", corpus="new-corpus"), vector(100 + i))
-        assert store.get(key("new 11", corpus="new-corpus")) is not None
-        assert store.get(key("old 0", corpus="old-corpus")) is None
+            store.put(key(f"new {i}", spec="new-spec"), vector(100 + i))
+        assert store.get(key("new 11", spec="new-spec")) is not None
+        assert store.get(key("old 0", spec="old-spec")) is None
         assert store.stats()["evictions"] >= old_count
 
     def test_reads_keep_a_generation_alive(self, tmp_path):
         import time
 
-        store = DiskCacheStore(tmp_path, max_bytes=6_000)
+        store = DiskCacheStore(tmp_path, max_bytes=7_000)
         for i in range(8):
-            store.put(key(f"read {i}", corpus="read-corpus"), vector(i))
+            store.put(key(f"read {i}", spec="read-spec"), vector(i))
         time.sleep(0.02)
         for i in range(8):
-            store.put(key(f"idle {i}", corpus="idle-corpus"), vector(50 + i))
+            store.put(key(f"idle {i}", spec="idle-spec"), vector(50 + i))
         time.sleep(0.02)
         # A warm, read-only run touches the first generation: LRU is
         # by *use*, so the unread one must be the eviction victim.
-        reader = DiskCacheStore(tmp_path, max_bytes=6_000)
-        assert reader.get(key("read 0", corpus="read-corpus")) is not None
+        reader = DiskCacheStore(tmp_path, max_bytes=7_000)
+        assert reader.get(key("read 0", spec="read-spec")) is not None
         time.sleep(0.02)
-        writer = DiskCacheStore(tmp_path, max_bytes=6_000)
+        writer = DiskCacheStore(tmp_path, max_bytes=7_000)
         for i in range(12):
-            writer.put(key(f"new {i}", corpus="new-corpus"), vector(100 + i))
+            writer.put(key(f"new {i}", spec="new-spec"), vector(100 + i))
         survivor = DiskCacheStore(tmp_path)
-        assert survivor.get(key("idle 0", corpus="idle-corpus")) is None
-        assert survivor.get(key("read 0", corpus="read-corpus")) is not None
+        assert survivor.get(key("idle 0", spec="idle-spec")) is None
+        assert survivor.get(key("read 0", spec="read-spec")) is not None
 
     def test_eviction_survives_a_reopen(self, tmp_path):
         store = DiskCacheStore(tmp_path, max_bytes=2_000, shard_max_bytes=256)
@@ -180,20 +212,20 @@ class TestShardingAndEviction:
     def test_rapid_generation_turnover_never_evicts_the_current(
         self, tmp_path
     ):
-        # Daemon churn: the corpus fingerprint advances on every delta,
-        # so generations turn over rapidly under a tight cap.  The
+        # Settings churn (say, an ablation sweep over the extractor):
+        # generations turn over rapidly under a tight cap.  The
         # generation currently being written must never be the victim —
         # only older generations drain.
         store = DiskCacheStore(tmp_path, max_bytes=4_000)
-        for delta in range(10):
-            corpus = f"delta-{delta}"
+        for setting in range(10):
+            spec = f"setting-{setting}"
             for i in range(6):
-                store.put(key(f"t{i}", corpus=corpus), vector(i))
-                assert store.get(key("t0", corpus=corpus)) is not None
-            for i in range(6):  # the whole current delta stays warm
-                assert store.get(key(f"t{i}", corpus=corpus)) is not None
+                store.put(key(f"t{i}", spec=spec), vector(i))
+                assert store.get(key("t0", spec=spec)) is not None
+            for i in range(6):  # the whole current setting stays warm
+                assert store.get(key(f"t{i}", spec=spec)) is not None
         assert store.stats()["evictions"] > 0
-        assert store.get(key("t0", corpus="delta-0")) is None
+        assert store.get(key("t0", spec="setting-0")) is None
 
     def test_long_lived_handle_restamps_its_hot_generation(
         self, tmp_path, monkeypatch
@@ -207,24 +239,24 @@ class TestShardingAndEviction:
         # then only *read* it for hours aged into the first LRU victim.
         # Reads must re-stamp once the touch interval elapses.
         monkeypatch.setattr(cache_store, "TOUCH_INTERVAL_SECONDS", 0.0)
-        daemon = DiskCacheStore(tmp_path, max_bytes=6_000)
+        daemon = DiskCacheStore(tmp_path, max_bytes=7_000)
         for i in range(8):
-            daemon.put(key(f"hot {i}", corpus="hot-corpus"), vector(i))
+            daemon.put(key(f"hot {i}", spec="hot-spec"), vector(i))
         time.sleep(0.02)
-        other = DiskCacheStore(tmp_path, max_bytes=6_000)
+        other = DiskCacheStore(tmp_path, max_bytes=7_000)
         for i in range(8):
-            other.put(key(f"idle {i}", corpus="idle-corpus"), vector(50 + i))
+            other.put(key(f"idle {i}", spec="idle-spec"), vector(50 + i))
         time.sleep(0.02)
         # Long after its writes, the daemon handle reads its hot
         # generation again: that read must refresh the stamp.
-        assert daemon.get(key("hot 0", corpus="hot-corpus")) is not None
+        assert daemon.get(key("hot 0", spec="hot-spec")) is not None
         time.sleep(0.02)
-        writer = DiskCacheStore(tmp_path, max_bytes=6_000)
+        writer = DiskCacheStore(tmp_path, max_bytes=7_000)
         for i in range(12):
-            writer.put(key(f"new {i}", corpus="new-corpus"), vector(100 + i))
+            writer.put(key(f"new {i}", spec="new-spec"), vector(100 + i))
         survivor = DiskCacheStore(tmp_path)
-        assert survivor.get(key("idle 0", corpus="idle-corpus")) is None
-        assert survivor.get(key("hot 0", corpus="hot-corpus")) is not None
+        assert survivor.get(key("idle 0", spec="idle-spec")) is None
+        assert survivor.get(key("hot 0", spec="hot-spec")) is not None
 
 
 class TestIncrementalSnapshot:
@@ -261,15 +293,15 @@ class TestIncrementalSnapshot:
         described = DiskCacheStore(path).describe()
         return described["entries"], described["store_bytes"]
 
-    def fill(self, store, prefix, n, corpora=("c0", "c1", "c2")):
+    def fill(self, store, prefix, n, specs=("s0", "s1", "s2")):
         for i in range(n):
-            corpus = corpora[i % len(corpora)]
-            store.put(key(f"{prefix} {i}", corpus=corpus), vector(i))
+            spec = specs[i % len(specs)]
+            store.put(key(f"{prefix} {i}", spec=spec), vector(i))
 
     def test_unchanged_store_parses_nothing(self, tmp_path, parses):
         store = DiskCacheStore(tmp_path)
         self.fill(store, "own", 6)
-        self.fill(DiskCacheStore(tmp_path), "other", 4, corpora=("c2", "c3"))
+        self.fill(DiskCacheStore(tmp_path), "other", 4, specs=("s2", "s3"))
         first = self.snapshot(store)
         assert first == self.full_walk(tmp_path)
         del parses[:]
@@ -281,7 +313,7 @@ class TestIncrementalSnapshot:
         self.fill(store, "own", 3)
         self.snapshot(store)
         del parses[:]
-        self.fill(store, "more", 5, corpora=("c0", "c4"))
+        self.fill(store, "more", 5, specs=("s0", "s4"))
         del parses[:]
         sizes = self.snapshot(store)
         assert parses == []
@@ -294,7 +326,7 @@ class TestIncrementalSnapshot:
         self.fill(store, "own", 6)
         self.snapshot(store)
         other = DiskCacheStore(tmp_path)
-        self.fill(other, "other", 4, corpora=("c1", "c5"))
+        self.fill(other, "other", 4, specs=("s1", "s5"))
         del parses[:]
         sizes = self.snapshot(store)
         assert b"".join(parses).count(b"\n") == 4
@@ -306,7 +338,7 @@ class TestIncrementalSnapshot:
         self.snapshot(store)
         # Stale generations go first, then the active one's old shards.
         evicting = DiskCacheStore(tmp_path, max_bytes=3_000, shard_max_bytes=256)
-        self.fill(evicting, "new", 12, corpora=("c9",))
+        self.fill(evicting, "new", 12, specs=("s9",))
         assert evicting.stats()["evictions"] > 0
         assert self.snapshot(store) == self.full_walk(tmp_path)
 
@@ -325,16 +357,6 @@ class TestIncrementalSnapshot:
         other.clear()
         self.fill(other, "rewritten " + "x" * 400, 3)
         assert self.snapshot(store) == self.full_walk(tmp_path) == (3, ANY)
-
-    def test_another_handles_pins(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        self.fill(store, "own", 3)
-        self.snapshot(store)
-        other = DiskCacheStore(tmp_path)
-        with other.pin_generation("c0", "config-fp"):
-            with other.pin_generation("never-written", "config-fp"):
-                assert self.snapshot(store) == self.full_walk(tmp_path)
-        assert self.snapshot(store) == self.full_walk(tmp_path)
 
     def test_counters_touch_no_filesystem(self, tmp_path, monkeypatch):
         store = DiskCacheStore(tmp_path)
@@ -357,76 +379,6 @@ class TestIncrementalSnapshot:
             "remote_hits": 0,
             "remote_errors": 0,
         }
-
-
-class TestGenerationPinning:
-    def test_pinned_generation_survives_cross_handle_eviction(
-        self, tmp_path
-    ):
-        import time
-
-        owner = DiskCacheStore(tmp_path, max_bytes=6_000)
-        for i in range(8):
-            owner.put(key(f"old {i}", corpus="old-corpus"), vector(i))
-        with owner.pin_generation("old-corpus", "config-fp"):
-            time.sleep(0.02)
-            # A *different* handle (another thread/process would look
-            # identical) writes two younger generations past the cap;
-            # it honours the on-disk pin marker.
-            writer = DiskCacheStore(tmp_path, max_bytes=6_000)
-            for i in range(8):
-                writer.put(
-                    key(f"mid {i}", corpus="mid-corpus"), vector(40 + i)
-                )
-            time.sleep(0.02)
-            for i in range(12):
-                writer.put(
-                    key(f"new {i}", corpus="new-corpus"), vector(100 + i)
-                )
-            assert writer.stats()["evictions"] > 0
-            assert (
-                writer.get(key("old 0", corpus="old-corpus")) is not None
-            )
-            assert writer.get(key("mid 0", corpus="mid-corpus")) is None
-
-    def test_leaked_pin_marker_expires_and_is_swept(self, tmp_path):
-        import os
-        import time
-
-        from repro.polysemy.cache_store import PIN_TTL_SECONDS
-
-        store = DiskCacheStore(tmp_path, max_bytes=4_000)
-        for i in range(8):
-            store.put(key(f"old {i}", corpus="old-corpus"), vector(i))
-        generation = next(p for p in tmp_path.iterdir() if p.is_dir())
-        marker = generation / ".pin-99999-0"
-        marker.write_bytes(b"")
-        expired = time.time() - (PIN_TTL_SECONDS + 1)
-        os.utime(marker, (expired, expired))
-        time.sleep(0.02)
-        for i in range(12):
-            store.put(key(f"new {i}", corpus="new-corpus"), vector(100 + i))
-        # The crashed pinner's stale marker did not immortalise the
-        # generation — it was evicted and the marker swept with it.
-        assert store.get(key("old 0", corpus="old-corpus")) is None
-        assert not marker.exists()
-
-    def test_pins_nest_and_release(self, tmp_path):
-        store = DiskCacheStore(tmp_path)
-        store.put(key("a", corpus="one"), vector(1))
-        store.put(key("b", corpus="two"), vector(2))
-        with store.pin_generation("one", "config-fp"):
-            with store.pin_generation("one", "config-fp"):
-                info = store.describe()
-                pinned = [
-                    g["name"] for g in info["generations"] if g["pinned"]
-                ]
-                assert len(pinned) == 1
-                assert pinned[0] not in info["eviction_order"]
-            assert any(g["pinned"] for g in store.describe()["generations"])
-        info = store.describe()
-        assert not any(g["pinned"] for g in info["generations"])
-        assert len(info["eviction_order"]) == 2
 
 
 class TestCorruptionTolerance:
@@ -469,6 +421,18 @@ class TestCorruptionTolerance:
         np.testing.assert_array_equal(reopened.get(key("first")), vector(0))
         np.testing.assert_array_equal(reopened.get(key("second")), vector(1))
         assert len(reopened) == 2
+
+    def test_index_line_without_context_digest_is_skipped(self, tmp_path):
+        self.put_two(tmp_path)
+        index = self.generation_dir(tmp_path) / "index.jsonl"
+        first, second = index.read_bytes().splitlines(keepends=True)
+        record = json.loads(second)
+        del record["context"]
+        index.write_bytes(first + json.dumps(record).encode() + b"\n")
+        reopened = DiskCacheStore(tmp_path)
+        np.testing.assert_array_equal(reopened.get(key("first")), vector(0))
+        assert reopened.get(key("second")) is None
+        assert len(reopened) == 1
 
     def test_torn_trailing_index_line_is_ignored(self, tmp_path):
         self.put_two(tmp_path)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
+from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore
 from repro.errors import ValidationError
 from repro.polysemy.cache_store import DiskCacheStore
@@ -76,6 +77,35 @@ class TestTrainingBoundToCorpus:
             scenario.ontology, pos_lexicon=scenario.pos_lexicon
         ).enrich(Corpus(documents))
         assert comparable(reused) == comparable(fresh)
+
+    def test_grown_corpus_featurises_only_the_mentioned_terms(self, scenario):
+        # Step II keys derive from a term's own windows, so a kept
+        # enricher run again after corpus.add misses only on the terms
+        # the added document mentions (once for training, once for
+        # detection at most), not on every term.
+        documents = list(scenario.corpus)
+        corpus = Corpus(documents)
+        enricher = OntologyEnricher(
+            scenario.ontology, pos_lexicon=scenario.pos_lexicon
+        )
+        first = enricher.enrich(corpus)
+        arrival = Document("late-1", documents[9].sentences)
+        universe = {row.term for row in first.terms} | set(
+            scenario.ontology.terms()
+        )
+        records = CorpusIndex([arrival]).occurrence_records(
+            universe, window=enricher.feature_extractor.window
+        )
+        mentioned = [term for term in universe if records.get(term)]
+        assert mentioned
+        corpus.add(arrival)
+        grown = enricher.enrich(corpus)
+        assert 0 < grown.cache["misses"] <= 2 * len(mentioned)
+        assert grown.cache["hits"] > 0
+        fresh = OntologyEnricher(
+            scenario.ontology, pos_lexicon=scenario.pos_lexicon
+        ).enrich(Corpus([*documents, arrival]))
+        assert comparable(grown) == comparable(fresh)
 
     def test_unchanged_corpus_fits_once(self, scenario, monkeypatch):
         fits = []

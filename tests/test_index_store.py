@@ -335,3 +335,67 @@ class TestLegacyShardedGenerations:
         generation = store.path_for(reference.fingerprint())
         manifest = json.loads((generation / "manifest.json").read_text())
         assert (manifest["version"], manifest["kind"]) == (1, "single")
+
+
+#: Pairs whose fingerprint links used to be equal: a link reads the id
+#: up to a NUL and the tokens between U+001F separators, so the second
+#: document of each pair spelled the first one's link.
+AMBIGUOUS_PAIRS = {
+    "token-separator": (
+        Document("d1", [["corneal", "injury", "heals"]]),
+        Document("d1", [["corneal\x1finjury", "heals"]]),
+    ),
+    "id-separator": (
+        Document("d1", [["corneal\x00injury"]]),
+        Document("d1\x00corneal", [["injury"]]),
+    ),
+}
+
+#: Every shape of document the chain rejects.
+AMBIGUOUS = {
+    **{name: pair[1] for name, pair in AMBIGUOUS_PAIRS.items()},
+    "empty-token": Document("d2", [["corneal", ""]]),
+    "only-token-empty": Document("d2", [[""]]),
+}
+
+
+class TestAmbiguousDocuments:
+    """Documents the fingerprint chain cannot tell apart are rejected."""
+
+    @pytest.mark.parametrize("name", sorted(AMBIGUOUS_PAIRS))
+    def test_store_never_reopens_another_corpus(self, tmp_path, name):
+        valid, ambiguous = AMBIGUOUS_PAIRS[name]
+        store = IndexStore(tmp_path / "store")
+        assert store.load_or_build([valid]).n_documents() == 1
+        with pytest.raises(CorpusError):
+            store.load_or_build([ambiguous])
+        with pytest.raises(CorpusError):
+            CorpusIndex([ambiguous])
+
+    @pytest.mark.parametrize("name", sorted(AMBIGUOUS))
+    def test_corpus_add_rejects_before_appending(self, name):
+        corpus = Corpus([Document("a", [["wound", "heals"]])])
+        index = corpus.index()
+        fingerprint = index.fingerprint()
+        with pytest.raises(CorpusError):
+            corpus.add(AMBIGUOUS[name])
+        assert len(corpus) == 1
+        assert corpus.index() is index
+        assert index.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("name", sorted(AMBIGUOUS))
+    def test_add_documents_stays_all_or_nothing(self, name):
+        index = CorpusIndex([Document("a", [["wound", "heals"]])])
+        fingerprint = index.fingerprint()
+        with pytest.raises(CorpusError):
+            index.add_documents(
+                [Document("b", [["corneal", "injury"]]), AMBIGUOUS[name]]
+            )
+        assert index.n_documents() == 1
+        assert index.fingerprint() == fingerprint
+        assert index.term_frequency("corneal injury") == 0
+
+    def test_documents_without_tokens_are_accepted(self):
+        index = CorpusIndex([Document("e1", []), Document("e2", [[]])])
+        assert index.n_documents() == 2
+        assert index.n_tokens() == 0

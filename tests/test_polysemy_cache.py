@@ -1,14 +1,26 @@
 """Feature-cache behaviour: keys, counters, and dataset-build reuse."""
 
+from dataclasses import field, fields, make_dataclass, replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.clustering.algorithms import ALGORITHM_NAMES
+from repro.clustering.indexes import index_names
 from repro.corpus.corpus import Corpus, Document
-from repro.polysemy.cache import FeatureCache
+from repro.extraction.measures import MEASURE_NAMES
+from repro.ontology.model import Ontology
+from repro.polysemy.cache import FeatureCache, context_digest
 from repro.polysemy.cache_store import MemoryCacheStore
 from repro.polysemy.dataset import build_polysemy_dataset
 from repro.polysemy.features import PolysemyFeatureExtractor
 from repro.scenarios import make_enrichment_scenario
+from repro.senses.representation import REPRESENTATION_NAMES
+from repro.text.stopwords import SUPPORTED_LANGUAGES
+from repro.workflow.config import FITTABLE_CLASSIFIERS, EnrichmentConfig
+from repro.workflow.pipeline import OntologyEnricher
 
 
 class TestFeatureCache:
@@ -95,24 +107,197 @@ class TestFingerprints:
             corpus_a.index().fingerprint() != corpus_b.index().fingerprint()
         )
 
-    def test_extractor_fingerprint_pins_every_setting(self):
-        base = PolysemyFeatureExtractor()
-        assert base.fingerprint() == PolysemyFeatureExtractor().fingerprint()
-        # The literal key: persisted disk and remote cache entries are
-        # stored under it, so it must not drift.
-        assert base.fingerprint() == (
-            "window=10;graph_window=4;feature_set=all;"
-            "community_backend=louvain;community_seed=0"
+
+
+#: A strategy of valid values per extractor field.
+EXTRACTOR_VALUES = {
+    "window": st.integers(1, 30),
+    "graph_window": st.integers(1, 10),
+    "feature_set": st.sampled_from(["all", "direct", "graph"]),
+    "community_seed": st.integers(0, 2**31),
+}
+
+#: The config fields the enricher passes to its extractor.
+EXTRACTOR_CONFIG_FIELDS = {"context_window", "seed"}
+
+#: A strategy of valid values per other config field, plus the
+#: companion fields its validation requires (``cache_dir`` is filled in
+#: by the test).
+OTHER_CONFIG_VALUES = {
+    "language": st.sampled_from(SUPPORTED_LANGUAGES).map(
+        lambda v: {"language": v}
+    ),
+    "extraction_measure": st.sampled_from(MEASURE_NAMES).map(
+        lambda v: {"extraction_measure": v}
+    ),
+    "n_candidates": st.integers(1, 100).map(lambda v: {"n_candidates": v}),
+    "min_term_length": st.integers(1, 4).map(lambda v: {"min_term_length": v}),
+    "min_contexts": st.integers(1, 80).map(lambda v: {"min_contexts": v}),
+    "polysemy_classifier": st.sampled_from(FITTABLE_CLASSIFIERS).map(
+        lambda v: {"polysemy_classifier": v}
+    ),
+    "sense_algorithm": st.sampled_from(ALGORITHM_NAMES).map(
+        lambda v: {"sense_algorithm": v}
+    ),
+    "sense_index": st.sampled_from(index_names()).map(
+        lambda v: {"sense_index": v}
+    ),
+    "sense_representation": st.sampled_from(REPRESENTATION_NAMES).map(
+        lambda v: {"sense_representation": v}
+    ),
+    "max_contexts_per_term": st.integers(4, 200).map(
+        lambda v: {"max_contexts_per_term": v}
+    ),
+    "top_k_positions": st.integers(1, 50).map(lambda v: {"top_k_positions": v}),
+    "expand_hierarchy": st.booleans().map(lambda v: {"expand_hierarchy": v}),
+    "skip_known_terms": st.booleans().map(lambda v: {"skip_known_terms": v}),
+    "index_dir": st.just({"index_dir": "index"}),
+    "feature_cache": st.booleans().map(lambda v: {"feature_cache": v}),
+    "cache_dir": st.just({"cache_dir": "cache"}),
+    "cache_max_bytes": st.integers(1, 1 << 30).map(
+        lambda v: {"cache_dir": "cache", "cache_max_bytes": v}
+    ),
+    "cache_url": st.just({"cache_url": "http://127.0.0.1:9"}),
+    "cache_timeout": st.floats(0.01, 60).map(lambda v: {"cache_timeout": v}),
+    "cache_batch_size": st.integers(1, 1024).map(
+        lambda v: {"cache_batch_size": v}
+    ),
+}
+
+
+@st.composite
+def extractors(draw):
+    return PolysemyFeatureExtractor(
+        **{name: draw(values) for name, values in EXTRACTOR_VALUES.items()}
+    )
+
+
+def layout(text, cuts):
+    """Windows of tokens cut out of ``text``: each ``(position, kind)``
+    cut ends a token there, and a ``"w"`` cut ends its window too."""
+    windows, tokens, start = [], [], 0
+    for position, kind in cuts:
+        tokens.append(text[start:position])
+        start = position
+        if kind == "w":
+            windows.append(tokens)
+            tokens = []
+    tokens.append(text[start:])
+    windows.append(tokens)
+    return windows
+
+
+@st.composite
+def regrouped_windows(draw):
+    """A window list and a variant of it that differs only in where one
+    token or window boundary falls: the same text, one cut moved.
+    Separator-like characters are common, so a move across one is."""
+    text = draw(st.text(alphabet="a\x00\x1e\x1f ", max_size=8))
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, len(text)), st.sampled_from("tw")),
+                min_size=1,
+                max_size=6,
+            )
         )
-        variants = [
-            PolysemyFeatureExtractor(window=5),
-            PolysemyFeatureExtractor(graph_window=2),
-            PolysemyFeatureExtractor(feature_set="direct"),
-            PolysemyFeatureExtractor(community_seed=9),
-        ]
-        fingerprints = {v.fingerprint() for v in variants}
-        assert base.fingerprint() not in fingerprints
-        assert len(fingerprints) == len(variants)
+    )
+    i = draw(st.integers(0, len(cuts) - 1))
+    position, kind = cuts[i]
+    moved = draw(st.integers(0, len(text)).filter(lambda p: p != position))
+    variant = sorted(cuts[:i] + [(moved, kind)] + cuts[i + 1 :])
+    return layout(text, cuts), layout(text, variant)
+
+
+class TestKeyDigests:
+    """The two derived key components: the spec and the context digest."""
+
+    def test_every_extractor_field_has_values(self):
+        assert set(EXTRACTOR_VALUES) == {
+            f.name for f in fields(PolysemyFeatureExtractor)
+        }
+
+    @settings(max_examples=60)
+    @given(data=st.data(), base=extractors())
+    def test_changing_any_extractor_field_changes_the_spec_digest(
+        self, data, base
+    ):
+        assert replace(base).spec_digest == base.spec_digest
+        name = data.draw(st.sampled_from(sorted(EXTRACTOR_VALUES)))
+        value = data.draw(
+            EXTRACTOR_VALUES[name].filter(lambda v: v != getattr(base, name))
+        )
+        assert replace(base, **{name: value}).spec_digest != base.spec_digest
+
+    def test_an_added_field_changes_the_spec_digest(self):
+        extended = make_dataclass(
+            "Extended",
+            [("extra", int, field(default=0))],
+            bases=(PolysemyFeatureExtractor,),
+            frozen=True,
+            kw_only=True,
+        )
+        assert extended().spec_digest != PolysemyFeatureExtractor().spec_digest
+
+    def test_every_config_field_is_classified(self):
+        assert set(OTHER_CONFIG_VALUES) | EXTRACTOR_CONFIG_FIELDS == {
+            f.name for f in fields(EnrichmentConfig)
+        }
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("spec-digest")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        window=st.integers(1, 30),
+        seed=st.integers(0, 2**31),
+    )
+    def test_only_extractor_config_fields_move_the_enricher_spec(
+        self, root, data, window, seed
+    ):
+        def spec(**overrides):
+            for name in ("index_dir", "cache_dir"):
+                if name in overrides:
+                    overrides[name] = str(root / overrides[name])
+            config = EnrichmentConfig(
+                **{"context_window": window, "seed": seed, **overrides}
+            )
+            enricher = OntologyEnricher(Ontology(), config=config)
+            return enricher.feature_extractor.spec_digest
+
+        base = spec()
+        name = data.draw(st.sampled_from(sorted(OTHER_CONFIG_VALUES)))
+        assert spec(**data.draw(OTHER_CONFIG_VALUES[name])) == base
+        assert spec(context_window=window + 1) != base
+        assert spec(seed=seed + 1) != base
+
+    @settings(max_examples=300)
+    @given(pair=regrouped_windows(), doc_frequency=st.integers(0, 5))
+    @example(pair=([["a\x1f", "b"]], [["a", "\x1fb"]]), doc_frequency=1)
+    @example(pair=([["a\x1e"], ["b"]], [["a"], ["\x1eb"]]), doc_frequency=1)
+    def test_moving_a_token_or_window_boundary_changes_the_context_digest(
+        self, pair, doc_frequency
+    ):
+        windows, variant = pair
+        flat = "".join(token for window in windows for token in window)
+        assert "".join(token for window in variant for token in window) == flat
+        assert variant != windows
+        assert context_digest(variant, doc_frequency) != context_digest(
+            windows, doc_frequency
+        )
+        same = [tuple(window) for window in windows]
+        assert context_digest(same, doc_frequency) == context_digest(
+            windows, doc_frequency
+        )
+
+    def test_document_frequency_is_part_of_the_context_digest(self):
+        windows = [("acute", "pain"), ("chest",)]
+        digests = {
+            context_digest(windows, frequency) for frequency in (None, 0, 1, 2)
+        }
+        assert len(digests) == 4
 
 
 class TestDatasetBuildReuse:
@@ -151,8 +336,9 @@ class TestDatasetBuildReuse:
         np.testing.assert_array_equal(cached.y, plain.y)
 
     def test_retrieval_cap_isolates_entries(self, scenario):
-        # Different max_contexts shape different vectors, so the second
-        # build must not reuse the first build's entries.
+        # A different max_contexts gives the capped terms other windows,
+        # hence other keys, so the second build must not reuse the
+        # first build's entries for them.
         cache = FeatureCache()
         build_polysemy_dataset(
             scenario.ontology, scenario.corpus,

@@ -311,8 +311,8 @@ class TestDocumentStreamInvariants:
     The continuous-enrichment path leans on this: N single-document
     ``add_documents`` calls must land on the exact index (and the exact
     fingerprint chain) one cold build over all N+seed documents
-    produces.  Any drift here would silently poison the streaming cache
-    carry-forward.
+    produces.  Any drift here would silently poison what is kept along
+    the chain: kept occurrence records and stored index generations.
     """
 
     @staticmethod

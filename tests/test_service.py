@@ -899,6 +899,20 @@ class TestStreamingDeltas:
                 idempotency_key="delta-1",
             )
 
+    def test_documents_no_index_accepts_are_400(self, delta_server):
+        # A NUL in the id, or an empty or U+001F-carrying token, could
+        # give the grown corpus another corpus's fingerprint.
+        __, client, ___ = delta_server
+        before = len(client.deltas("demo"))
+        for document in (
+            {"doc_id": "d1\x00corneal", "sentences": [["injury"]]},
+            {"doc_id": "d1", "sentences": [["corneal\x1finjury", "heals"]]},
+            {"doc_id": "d1", "sentences": [["corneal", ""]]},
+        ):
+            with pytest.raises(ServiceError, match="HTTP 400"):
+                client.post_documents("demo", [document])
+        assert len(client.deltas("demo")) == before
+
     def test_duplicate_document_fails_the_job_not_the_server(
         self, delta_server
     ):

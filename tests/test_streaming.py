@@ -13,6 +13,7 @@ import pytest
 
 from repro.corpus.document import Document
 from repro.errors import CorpusError, ValidationError
+from repro.polysemy.cache_store import DiskCacheStore
 from repro.scenarios import make_enrichment_scenario
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
@@ -161,22 +162,36 @@ class TestDeltaValidation:
         assert len(streamer.deltas) == before_deltas
 
 
-class TestDiskBackedCarryForward:
+class TestDiskBackedDeltas:
     def test_disk_cache_stays_warm_across_a_delta(self, tmp_path):
-        """Both key families migrate on a DiskCacheStore-backed run."""
+        """A quiet delta writes nothing; a loud one only its misses."""
         scenario = fresh_scenario()
+        cache_dir = tmp_path / "cache"
         enricher = OntologyEnricher(
             scenario.ontology,
-            config=EnrichmentConfig(cache_dir=str(tmp_path / "cache")),
+            config=EnrichmentConfig(cache_dir=str(cache_dir)),
             pos_lexicon=scenario.pos_lexicon,
         )
         streamer = StreamingEnricher(
             scenario.ontology, scenario.corpus, enricher=enricher
         )
         streamer.baseline()
-        diff = streamer.add_documents([unrelated_document()])
-        assert diff.cache["misses"] == 0
-        assert diff.cache["hits"] > 0
+
+        def layout():
+            info = DiskCacheStore(cache_dir).describe()
+            return info["entries"], info["n_generations"]
+
+        entries, generations = layout()
+        quiet = streamer.add_documents([unrelated_document()])
+        assert quiet.cache["misses"] == 0
+        assert quiet.cache["hits"] > 0
+        assert layout() == (entries, generations)
+        target = sorted(scenario.ontology.terms())[0]
+        loud = streamer.add_documents([mentioning_document(target)])
+        assert loud.cache["misses"] > 0
+        grown, after = layout()
+        assert entries < grown <= entries + loud.cache["misses"]
+        assert after == generations
 
 
 class TestReportDiffUnit:

@@ -9,6 +9,7 @@ from repro.errors import ValidationError
 from repro.extraction.extractor import RankedTerm
 from repro.ontology.model import Concept, Ontology
 from repro.polysemy.cache import FeatureCache
+from repro.polysemy.cache_store import MemoryCacheStore
 from repro.scenarios import make_enrichment_scenario
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import (
@@ -391,21 +392,18 @@ class TestSkippedCandidateFeatureInvariant:
     def test_cache_prefilled_features_cleared_on_skip(self):
         # Regression: a cache-prefilled vector used to survive on work
         # items skipped during materialisation, violating the invariant
-        # contexts is None => features is None.
+        # contexts is None => features is None.  The stage looks keys
+        # up only for candidates it kept, so a store that holds a
+        # vector under every key must leave a skipped one empty.
+        class HoldsEveryKey(MemoryCacheStore):
+            def get(self, key):
+                return np.zeros(3)
+
         corpus = Corpus([Document("d", [["rare", "pair", "x", "y"]])])
         index = corpus.index()
         config = EnrichmentConfig(n_candidates=1, min_contexts=4)
         enricher = OntologyEnricher(Ontology(), config=config)
-        cache = FeatureCache()
-        config_fp = (
-            f"{enricher._feature_extractor.fingerprint()};"
-            f"detect_window={config.context_window};"
-            f"detect_cap={config.max_contexts_per_term}"
-        )
-        cache.store(
-            FeatureCache.key(index.fingerprint(), "rare pair", config_fp),
-            np.zeros(3),
-        )
+        cache = FeatureCache(HoldsEveryKey())
         item = CandidateWork(
             candidate=RankedTerm(
                 term="rare pair", tokens=("rare", "pair"),
@@ -428,6 +426,7 @@ class TestSkippedCandidateFeatureInvariant:
             trained=True,
             cache=cache,
         ).run(ctx)
+        assert (cache.stats["hits"], cache.stats["misses"]) == (0, 0)
         assert item.report.skipped_reason is not None
         assert item.contexts is None
         assert item.features is None
