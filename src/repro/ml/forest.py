@@ -6,12 +6,37 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.ml.base import BaseClassifier
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import TreeArrays, check_tree_params, grow_trees
 from repro.utils.rng import ensure_rng, spawn_rng
+
+
+def bootstrap_samples(
+    y: np.ndarray, n_estimators: int, seed: int | np.random.Generator | None
+) -> tuple[np.ndarray, list[np.random.Generator]]:
+    """Each tree's bootstrap rows and the RNG of its feature draws.
+
+    Tree ``t`` draws from its own child of ``seed``'s RNG: ``len(y)``
+    rows with replacement, again until they hold two classes, then the
+    seed of its feature-draw RNG.
+    """
+    n = y.shape[0]
+    samples = np.empty((n_estimators, n), np.intp)
+    rngs = []
+    for t, tree_rng in enumerate(spawn_rng(ensure_rng(seed), n_estimators)):
+        idx = tree_rng.integers(0, n, size=n)
+        while not np.any(y[idx] != y[idx[0]]):
+            idx = tree_rng.integers(0, n, size=n)
+        samples[t] = idx
+        rngs.append(ensure_rng(int(tree_rng.integers(0, 2**31 - 1))))
+    return samples, rngs
 
 
 class RandomForestClassifier(BaseClassifier):
     """Bootstrap-aggregated decision trees (probability averaging).
+
+    All trees grow at once (:func:`repro.ml.tree.grow_trees`), each the
+    tree a lone :class:`~repro.ml.tree.DecisionTreeClassifier` grows on
+    its bootstrap with its seed.
 
     Parameters
     ----------
@@ -36,6 +61,7 @@ class RandomForestClassifier(BaseClassifier):
     ) -> None:
         if n_estimators < 1:
             raise ValidationError(f"n_estimators must be >= 1, got {n_estimators}")
+        check_tree_params(max_depth, min_samples_split, criterion, max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -43,39 +69,27 @@ class RandomForestClassifier(BaseClassifier):
         self.max_features = max_features
         self.seed = seed
         self.classes_ = None
-        self.estimators_: list[DecisionTreeClassifier] = []
+        self.trees_: TreeArrays | None = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         """Fit ``n_estimators`` trees on bootstrap resamples of (X, y)."""
         X, y = self._check_X_y(X, y)
-        self._encode_labels(y)  # sets classes_
-        rng = ensure_rng(self.seed)
-        tree_rngs = spawn_rng(rng, self.n_estimators)
-        n = X.shape[0]
-        self.estimators_ = []
-        for tree_rng in tree_rngs:
-            idx = tree_rng.integers(0, n, size=n)
-            while np.unique(y[idx]).shape[0] < 2:
-                idx = tree_rng.integers(0, n, size=n)
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                criterion=self.criterion,
-                max_features=self.max_features,
-                seed=int(tree_rng.integers(0, 2**31 - 1)),
-            )
-            tree.fit(X[idx], y[idx])
-            self.estimators_.append(tree)
+        encoded = self._encode_labels(y)
+        samples, rngs = bootstrap_samples(encoded, self.n_estimators, self.seed)
+        self.trees_ = grow_trees(
+            X,
+            encoded,
+            self.classes_.shape[0],
+            samples,
+            rngs,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            criterion=self.criterion,
+            max_features=self.max_features,
+        )
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         """Average of tree probabilities, aligned to forest ``classes_``."""
         self._require_fitted()
-        X = self._check_X(X)
-        out = np.zeros((X.shape[0], self.classes_.shape[0]))
-        class_pos = {label: i for i, label in enumerate(self.classes_.tolist())}
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            for j, label in enumerate(tree.classes_.tolist()):
-                out[:, class_pos[label]] += proba[:, j]
-        return out / len(self.estimators_)
+        return self.trees_.predict_proba(self._check_X(X))

@@ -461,8 +461,10 @@ class ServiceMetrics:
         )
         self.delta_terms = self.registry.counter(
             "repro_delta_terms_recomputed_total",
-            "Terms re-featurised by streaming deltas, by corpus (terms "
-            "with unchanged postings come warm from the cache instead).",
+            "Changed terms of streaming deltas, by corpus: known terms whose "
+            "postings a delta changed (changed_terms). Only these can miss "
+            "the Step II cache; a delta report's cache misses count the "
+            "vectors actually featurised.",
             ("corpus",),
         )
         self.recommend_seconds = self.registry.histogram(

@@ -161,6 +161,20 @@ class TestTreeSpecifics:
         with pytest.raises(ValidationError):
             DecisionTreeClassifier(min_samples_split=1)
 
+    def test_deep_chain_needs_no_recursion(self):
+        # Alternating labels on one sorted feature: every split peels a
+        # single row off the end, so the tree is a chain as deep as the
+        # data.  The grower's explicit stacks and depth() must not
+        # recurse (a recursive grower raised RecursionError here).
+        from repro.ml.tree import DecisionTreeClassifier
+
+        X = np.arange(2200.0)[:, None]
+        y = np.arange(2200) % 2
+        tree = DecisionTreeClassifier(seed=0).fit(X, y)
+        assert tree.depth() == 2199
+        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(tree.predict_proba(X), np.eye(2)[y])
+
     @pytest.mark.parametrize("max_depth", [None, 3])
     def test_split_between_adjacent_floats(self, max_depth):
         # Their midpoint rounds up to the larger value, which as a
@@ -197,6 +211,49 @@ class TestForestSpecifics:
 
         with pytest.raises(ValidationError):
             RandomForestClassifier(n_estimators=0)
+
+
+class TestTreeParamsCheckedAtConstruction:
+    @pytest.mark.parametrize("name", ["tree", "forest"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"criterion": "nope"},
+            {"max_depth": 0},
+            {"min_samples_split": 1},
+            {"max_features": "log2"},
+            {"max_features": 0},
+            {"max_features": -1},
+            {"max_features": 2.5},
+            {"max_features": True},
+        ],
+        ids=lambda params: "-".join(f"{k}={v!r}" for k, v in params.items()),
+    )
+    def test_rejected_before_fit(self, name, params):
+        from repro.ml.forest import RandomForestClassifier
+        from repro.ml.tree import DecisionTreeClassifier
+
+        model = {"tree": DecisionTreeClassifier, "forest": RandomForestClassifier}
+        with pytest.raises(ValidationError):
+            model[name](**params)
+
+    def test_unreached_split_no_longer_hides_a_bad_max_features(self):
+        # Four rows never reach a split under min_samples_split=5, so a
+        # check made only while splitting let this fit succeed.
+        from repro.ml.tree import DecisionTreeClassifier
+
+        with pytest.raises(ValidationError):
+            DecisionTreeClassifier(max_features="log2", min_samples_split=5)
+
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 1, 3, 100])
+    def test_valid_max_features_fit(self, max_features):
+        from repro.ml.forest import RandomForestClassifier
+
+        X, y = gaussian_blobs(seed=15)
+        model = RandomForestClassifier(
+            n_estimators=5, max_features=max_features, seed=0
+        ).fit(X, y)
+        assert float((model.predict(X) == y).mean()) > 0.9
 
 
 class TestKnnSpecifics:

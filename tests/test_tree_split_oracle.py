@@ -1,9 +1,11 @@
-"""The vectorised CART split search against the per-sample loop.
+"""The lockstep CART grower against the per-tree oracle's per-sample loop.
 
 The oracle scans each candidate feature's sorted samples one at a time,
 moving one sample's class count from the right side to the left and
-scoring the split after it.  Trees and forests grown with either search
-must predict byte-identical probabilities at the same depths.
+scoring the split after it.  It runs inside the per-tree recursive
+grower kept in ``tests/per_tree_forest.py``.  Trees and forests grown
+by ``repro.ml.tree``'s batched lockstep search must predict
+byte-identical probabilities at the same depths.
 """
 
 from unittest import mock
@@ -12,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from per_tree_forest import OracleForest, OracleTree
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, grow_trees
 
 
 def impurity(counts, criterion):
@@ -74,18 +77,18 @@ def make_data(seed, n, d, k, column_kind):
     return X, y
 
 
-def fit_both(make, X, y):
-    fast = make().fit(X, y)
-    with mock.patch.object(
-        DecisionTreeClassifier, "_best_split", loop_best_split
-    ):
-        slow = make().fit(X, y)
+def fit_both(make_fast, make_slow, X, y):
+    fast = make_fast().fit(X, y)
+    with mock.patch.object(OracleTree, "_best_split", loop_best_split):
+        slow = make_slow().fit(X, y)
     return fast, slow
 
 
 def depths(model):
     if isinstance(model, RandomForestClassifier):
-        return [tree.depth() for tree in model.estimators_]
+        return model.trees_.depths()
+    if isinstance(model, OracleForest):
+        return model.depths()
     return [model.depth()]
 
 
@@ -101,6 +104,16 @@ MODEL_PARAMS = dict(
 )
 
 
+class _FixedDraws:
+    """A stand-in RNG whose every feature draw is the same list."""
+
+    def __init__(self, features):
+        self.features = np.asarray(features)
+
+    def choice(self, d, size, replace):
+        return self.features[:size]
+
+
 class TestSplitSearchMatchesLoop:
     @given(**MODEL_PARAMS)
     @settings(max_examples=30, deadline=None)
@@ -109,16 +122,17 @@ class TestSplitSearchMatchesLoop:
         max_features, max_depth,
     ):
         X, y = make_data(seed, n, d, k, column_kind)
-
-        def make():
-            return DecisionTreeClassifier(
-                criterion=criterion,
-                max_features=max_features,
-                max_depth=max_depth,
-                seed=seed,
-            )
-
-        fast, slow = fit_both(make, X, y)
+        params = dict(
+            criterion=criterion,
+            max_features=max_features,
+            max_depth=max_depth,
+            seed=seed,
+        )
+        fast, slow = fit_both(
+            lambda: DecisionTreeClassifier(**params),
+            lambda: OracleTree(**params),
+            X, y,
+        )
         probe = np.vstack([X, make_data(seed + 1, n, d, k, column_kind)[0]])
         assert fast.predict_proba(probe).tobytes() == (
             slow.predict_proba(probe).tobytes()
@@ -132,17 +146,18 @@ class TestSplitSearchMatchesLoop:
         max_features, max_depth,
     ):
         X, y = make_data(seed, n, d, k, column_kind)
-
-        def make():
-            return RandomForestClassifier(
-                n_estimators=50,
-                criterion=criterion,
-                max_features=max_features,
-                max_depth=max_depth,
-                seed=seed,
-            )
-
-        fast, slow = fit_both(make, X, y)
+        params = dict(
+            n_estimators=50,
+            criterion=criterion,
+            max_features=max_features,
+            max_depth=max_depth,
+            seed=seed,
+        )
+        fast, slow = fit_both(
+            lambda: RandomForestClassifier(**params),
+            lambda: OracleForest(**params),
+            X, y,
+        )
         probe = np.vstack([X, make_data(seed + 1, n, d, k, column_kind)[0]])
         assert fast.predict_proba(probe).tobytes() == (
             slow.predict_proba(probe).tobytes()
@@ -163,8 +178,20 @@ class TestSplitSearchMatchesLoop:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0],
                       [4.0, 4.0], [5.0, 5.0]])
         y = np.array([0, 0, 1, 1, 0, 0])
-        tree = DecisionTreeClassifier().fit(X, y)
+        oracle = OracleTree().fit(X, y)
         features = np.array([1, 0])
-        fast = tree._best_split(X, y, features)
-        assert fast == loop_best_split(tree, X, y, features)
+        fast = oracle._best_split(X, y, features)
+        assert fast == loop_best_split(oracle, X, y, features)
         assert fast[:2] == (1, 1.5)
+        # The lockstep search breaks the tie the same way, whichever
+        # order the features are drawn in.
+        X3 = np.hstack([X, np.zeros((6, 1))])
+        for drawn in ([1, 0], [0, 1]):
+            trees = grow_trees(
+                X3, y, 2, np.arange(6)[None, :], [_FixedDraws(drawn)],
+                max_depth=None, min_samples_split=2, criterion="gini",
+                max_features=2,
+            )
+            assert (int(trees.feature[0]), float(trees.threshold[0])) == (
+                drawn[0], 1.5
+            )
