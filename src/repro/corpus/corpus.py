@@ -8,9 +8,10 @@ sense induction, and semantic linkage agree on what a context is.
 Retrieval is served by a positional inverted index
 (:class:`repro.corpus.index.CorpusIndex`) built lazily on first use and
 cached, so repeated term lookups cost postings traversal instead of full
-document scans.  :meth:`Corpus.add` patches the cached index in place
-(O(new tokens)) instead of discarding it, so a growing document stream
-never pays a full rebuild.
+document scans.  :meth:`Corpus.add` grows the cached index in place
+(O(new tokens)) instead of discarding it — an index adopted from an
+on-disk store included — so a growing document stream never pays a
+full rebuild.
 """
 
 from __future__ import annotations
@@ -73,16 +74,11 @@ class Corpus:
         A document no index accepts (see
         :func:`~repro.corpus.index.check_document`) raises
         :class:`~repro.errors.CorpusError` before it is appended.  A
-        cached index is patched in place
-        (:meth:`~repro.corpus.index.CorpusIndex.add_documents`) rather
-        than discarded, so adding a document costs O(its tokens), not a
-        full index rebuild.  A read-only cached index (an adopted
-        mmap-backed one — see :meth:`adopt_index`) is dropped instead,
-        to be rebuilt lazily on the next :meth:`index` call — and when
-        the dropped index came out of an
-        :class:`~repro.corpus.index_store.IndexStore`, that rebuild is
-        routed back through the store so the grown corpus's generation
-        is persisted, not rebuilt in RAM on every restart.
+        cached index — built here or adopted from an
+        :class:`~repro.corpus.index_store.IndexStore` — is grown in
+        place (:meth:`~repro.corpus.index.CorpusIndex.add_documents`),
+        so adding a document costs O(its tokens), not a rebuild, and
+        writes nothing to a store.
         """
         from repro.corpus.index import check_document
 
@@ -92,13 +88,7 @@ class Corpus:
         self._documents.append(document)
         self._by_id[document.doc_id] = document
         if self._index is not None:
-            try:
-                self._index.add_documents([document])
-            except CorpusError:
-                # Read-only (mmap-backed) indexes cannot be patched;
-                # correctness over reuse: forget it and rebuild lazily
-                # (through the remembered store when there is one).
-                self._index = None
+            self._index.add_documents([document])
 
     def adopt_index(
         self,
@@ -115,13 +105,10 @@ class Corpus:
         count and ids are checked (cheap), mismatches raise
         :class:`~repro.errors.CorpusError`.
 
-        ``store`` names the :class:`IndexStore` the index came from;
-        when omitted it is recovered from a mmap-backed index's own
-        directory.  A remembered store routes the rebuild after a
-        post-adoption :meth:`add` back through
-        :meth:`~repro.corpus.index_store.IndexStore.load_or_build`, so
-        the grown corpus's index generation is persisted instead of
-        being rebuilt in RAM on every process start.
+        ``store`` names the :class:`IndexStore` the index came from, so
+        that an enricher given the same store keeps this index — grown
+        by every later :meth:`add` — instead of fingerprinting the
+        corpus again.
         """
         if index.n_documents() != len(self._documents):
             raise CorpusError(
@@ -134,17 +121,13 @@ class Corpus:
                 raise CorpusError(
                     f"adopted index is missing document {doc.doc_id!r}"
                 )
-        if store is None:
-            from repro.corpus.index_store import store_for_index
-
-            store = store_for_index(index)
         self._index = index
         self._index_store = store
 
     @property
     def index_store(self) -> "IndexStore | None":
-        """The :class:`~repro.corpus.index_store.IndexStore` remembered
-        by :meth:`adopt_index` (``None`` when the index was never
+        """The :class:`~repro.corpus.index_store.IndexStore` named by
+        :meth:`adopt_index` (``None`` when the index was never
         adopted from a store)."""
         return self._index_store
 
@@ -185,20 +168,14 @@ class Corpus:
     def index(self) -> "CorpusIndex":
         """The corpus's positional index, built lazily and cached.
 
-        :meth:`add` extends the cached index in place; mutating a
-        :class:`Document` in place is not detected.
+        :meth:`add` grows the cached index in place, whether it was
+        built here or adopted; mutating a :class:`Document` in place is
+        not detected.
         """
-        if self._index is not None:
-            return self._index
-        if self._index_store is not None:
-            # The previous index was adopted from an IndexStore: rebuild
-            # through it so the grown corpus's generation is persisted
-            # (and this process gets the mmap handle back).
-            self._index = self._index_store.load_or_build(self._documents)
-            return self._index
-        from repro.corpus.index import CorpusIndex
+        if self._index is None:
+            from repro.corpus.index import CorpusIndex
 
-        self._index = CorpusIndex(self)
+            self._index = CorpusIndex(self)
         return self._index
 
     def contexts_for_term(

@@ -3,8 +3,15 @@
 Steps I–IV repeatedly ask "where does term *t* occur and what surrounds
 it?".  The naive answer — rescan every document per term — makes the
 workflow O(candidates × corpus).  :class:`CorpusIndex` is built once per
-corpus (token → postings of ``(document, position)``) and answers every
-occurrence question from the postings:
+corpus and answers every occurrence question from a few array columns:
+
+* the document ids, and int64 document offsets into an int32 column of
+  token ids (the corpus, token by token);
+* the vocabulary, a list of tokens plus a token → id dict;
+* CSR postings: per-token offsets into int32 document ordinals and
+  positions, each token's run in (document, position) order.
+
+Its queries:
 
 * :meth:`phrase_occurrences` — every (overlapping) start position of a
   token phrase, located through the phrase's rarest token;
@@ -17,23 +24,21 @@ occurrence question from the postings:
 * :meth:`term_frequency` / :meth:`document_frequency` — counting without
   window materialisation.
 
-The index also caches each document's flattened token list, so the many
-consumers that iterate ``doc.tokens()`` (graph builders, vectorisers,
-extraction) can share :meth:`token_documents` instead of re-flattening.
 Tokens are normalised (lower-cased) at build time, so postings always
 match the lower-cased needles every lookup uses — a document constructed
 with mixed-case sentences is findable instead of silently invisible.
 
-The index reflects the corpus at its build point and grows with it:
-:meth:`add_documents` extends the postings, document tables, and content
-fingerprint in O(new tokens) instead of a full rebuild, and
-:meth:`repro.corpus.corpus.Corpus.add` patches the corpus's cached index
-through it.  Mutating a :class:`Document` in place is still not
-detected.
-
-:class:`~repro.corpus.index_store.MmapCorpusIndex` is the one other
-index class: the same query surface served read-only from a persisted
-generation of an :class:`~repro.corpus.index_store.IndexStore`.
+An index built here and one opened from an
+:class:`~repro.corpus.index_store.IndexStore` generation
+(:class:`~repro.corpus.index_store.MmapCorpusIndex`) run the same query
+code over the same columns; the arrays only live in RAM or in an
+``np.memmap``.  Either grows with its corpus: :meth:`add_documents`
+appends to the column and inserts the new postings at the end of their
+tokens' runs, in O(new tokens) plus one copy of each array, and
+publishes the new state with one attribute assignment.  So
+:meth:`snapshot` is O(1), and a snapshot keeps answering over the
+state it was taken at however the index grows.  Mutating a
+:class:`Document` in place is still not detected.
 
 :class:`KeptOccurrenceRecords` keeps one term list's
 :meth:`~CorpusIndex.occurrence_records` as the corpus grows: a corpus
@@ -44,8 +49,11 @@ through its new documents, whichever index object serves it.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro.errors import CorpusError
 
@@ -63,6 +71,16 @@ def _as_needle(term: str | Sequence[str]) -> tuple[str, ...]:
     if isinstance(term, str):
         return tuple(term.lower().split())
     return tuple(t.lower() for t in term)
+
+
+def _needles(terms: Iterable[str]) -> dict[str, tuple[str, ...]]:
+    """``{key: tokens}`` of a term list, as :meth:`occurrence_records` keys it."""
+    needles: dict[str, tuple[str, ...]] = {}
+    for term in terms:
+        tokens = _as_needle(term)
+        if tokens:
+            needles[" ".join(tokens)] = tokens
+    return needles
 
 
 def _extend_fingerprint(
@@ -116,6 +134,205 @@ def fingerprint_documents(
     return fingerprint
 
 
+class Strings:
+    """An append-only table of distinct strings: ``items[i]`` has id ``i``.
+
+    The vocabulary and the document ids of an index are such tables.
+    An index and its snapshots share them, each reading only the ids
+    below its own count, so growth appends in place.  A table opened
+    from a store generation decodes its utf-8 ``blob`` (``offsets``
+    bound each string) on first use.
+    """
+
+    def __init__(
+        self,
+        items: Iterable[str] = (),
+        *,
+        blob: "np.ndarray | None" = None,
+        offsets: "np.ndarray | None" = None,
+    ) -> None:
+        self._blob, self._offsets = blob, offsets
+        self._items: list[str] | None = None if blob is not None else list(items)
+        self._ids: dict[str, int] | None = None
+        self._array: np.ndarray | None = None
+        # Lazy decoding and appends take turns; lookups need no lock.
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        items = self._items
+        return len(self._offsets) - 1 if items is None else len(items)
+
+    def items(self) -> list[str]:
+        """Every string, by id."""
+        if self._items is None:
+            with self._lock:
+                if self._items is None:
+                    blob, bounds = bytes(self._blob), self._offsets.tolist()
+                    self._items = [
+                        blob[start:end].decode("utf-8")
+                        for start, end in zip(bounds, bounds[1:])
+                    ]
+        return self._items
+
+    def ids(self) -> dict[str, int]:
+        """``string -> id`` over every string."""
+        if self._ids is None:
+            items = self.items()
+            with self._lock:
+                if self._ids is None:
+                    self._ids = {item: i for i, item in enumerate(items)}
+        return self._ids
+
+    def array(self, n: int) -> np.ndarray:
+        """An object array of (at least) the first ``n`` strings."""
+        array = self._array
+        if array is None or len(array) < n:
+            items = self.items()
+            with self._lock:
+                array = self._array = np.array(items, dtype=object)
+        return array
+
+    def extend(self, new: list[str]) -> None:
+        """Append ``new`` (strings not in the table yet)."""
+        ids = self.ids()
+        with self._lock:
+            items = self._items
+            ids.update(zip(new, range(len(items), len(items) + len(new))))
+            items.extend(new)
+
+    def prefix(self, n: int) -> "Strings":
+        """A table of the first ``n`` strings only."""
+        return Strings(self.items()[:n])
+
+
+class Columns(NamedTuple):
+    """One immutable state of a :class:`CorpusIndex`.
+
+    ``D`` documents of ``N`` tokens over a vocabulary of ``V`` tokens;
+    the two tables may hold more strings than this state reads (a later
+    state appended them).
+    """
+
+    fingerprint: str
+    doc_ids: Strings
+    doc_offsets: np.ndarray  # int64 (D + 1): document d is tokens[o[d]:o[d + 1]]
+    token_ids: np.ndarray  # int32 (N): vocabulary id per token
+    vocabulary: Strings
+    postings_offsets: np.ndarray  # int64 (V + 1): token t's postings run
+    postings_docs: np.ndarray  # int32 (N): document ordinal per posting
+    postings_positions: np.ndarray  # int32 (N): position in its document
+
+
+def _empty_columns() -> Columns:
+    return Columns(
+        fingerprint=EMPTY_FINGERPRINT,
+        doc_ids=Strings(),
+        doc_offsets=np.zeros(1, dtype=np.int64),
+        token_ids=np.empty(0, dtype=np.int32),
+        vocabulary=Strings(),
+        postings_offsets=np.zeros(1, dtype=np.int64),
+        postings_docs=np.empty(0, dtype=np.int32),
+        postings_positions=np.empty(0, dtype=np.int32),
+    )
+
+
+def _grow(
+    columns: Columns, prepared: list[tuple[str, list[str]]], fingerprint: str
+) -> Columns:
+    """``columns`` with the checked documents of ``prepared`` appended."""
+    n_docs = len(columns.doc_offsets) - 1
+    n_vocab = len(columns.postings_offsets) - 1
+    n_tokens = len(columns.token_ids)
+    doc_ids, vocabulary = columns.doc_ids, columns.vocabulary
+    # Another state grew these tables past this one: branch off a copy.
+    if len(doc_ids) != n_docs:
+        doc_ids = doc_ids.prefix(n_docs)
+    if len(vocabulary) != n_vocab:
+        vocabulary = vocabulary.prefix(n_vocab)
+    doc_ids.extend([doc_id for doc_id, __ in prepared])
+    tokens = [token for __, doc_tokens in prepared for token in doc_tokens]
+    ids = vocabulary.ids()
+    vocabulary.extend([token for token in dict.fromkeys(tokens) if token not in ids])
+    new_ids = np.fromiter(
+        map(ids.__getitem__, tokens), dtype=np.int32, count=len(tokens)
+    )
+    lengths = np.array([len(doc_tokens) for __, doc_tokens in prepared], dtype=np.int64)
+    ends = np.cumsum(lengths)
+    doc_offsets = np.concatenate([columns.doc_offsets, n_tokens + ends])
+
+    # The new postings, grouped by token in (document, position) order,
+    # go at the end of their token's run; new tokens' runs go last.
+    order = np.argsort(new_ids, kind="stable")
+    docs = np.repeat(np.arange(n_docs, n_docs + len(prepared), dtype=np.int32), lengths)
+    positions = np.arange(len(tokens), dtype=np.int64) - np.repeat(ends - lengths, lengths)
+    run_ends = np.concatenate(
+        [columns.postings_offsets[1:], np.full(len(vocabulary) - n_vocab, n_tokens)]
+    )
+    at = run_ends[new_ids[order]]
+    counts = np.bincount(new_ids, minlength=len(vocabulary))
+    counts[:n_vocab] += np.diff(columns.postings_offsets)
+    postings_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=postings_offsets[1:])
+    return Columns(
+        fingerprint=fingerprint,
+        doc_ids=doc_ids,
+        doc_offsets=doc_offsets,
+        token_ids=np.concatenate([columns.token_ids, new_ids]),
+        vocabulary=vocabulary,
+        postings_offsets=postings_offsets,
+        postings_docs=np.insert(columns.postings_docs, at, docs[order]),
+        postings_positions=np.insert(
+            columns.postings_positions, at, positions[order].astype(np.int32)
+        ),
+    )
+
+
+def _non_overlapping(
+    docs: np.ndarray, starts: np.ndarray, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy left-to-right matches: none overlaps the one before."""
+    close = (docs[1:] == docs[:-1]) & (starts[1:] - starts[:-1] < span)
+    if not close.any():
+        return docs, starts
+    keep = []
+    last_doc, last_end = -1, 0
+    for i, (doc, start) in enumerate(zip(docs.tolist(), starts.tolist())):
+        if doc == last_doc and start < last_end:
+            continue
+        last_doc, last_end = doc, start + span
+        keep.append(i)
+    return docs[keep], starts[keep]
+
+
+def _windows(
+    columns: Columns,
+    docs: np.ndarray,
+    starts: np.ndarray,
+    spans: np.ndarray | int,
+    window: int,
+) -> list[tuple[str, ...]]:
+    """Window tokens around each occurrence, the occurrence excluded.
+
+    Windows clip at document boundaries.  Every window's ids are
+    gathered and decoded at once, then sliced per occurrence.
+    """
+    at = columns.doc_offsets[docs] + starts
+    left = np.minimum(starts, window)
+    right = np.minimum(columns.doc_offsets[docs + 1] - at - spans, window)
+    segment_starts = np.stack([at - left, at + spans], axis=1).ravel()
+    segment_lengths = np.stack([left, right], axis=1).ravel()
+    bounds = np.zeros(len(segment_lengths) + 1, dtype=np.int64)
+    np.cumsum(segment_lengths, out=bounds[1:])
+    gather = np.repeat(segment_starts - bounds[:-1], segment_lengths)
+    gather += np.arange(bounds[-1])
+    n_vocab = len(columns.postings_offsets) - 1
+    words = tuple(
+        columns.vocabulary.array(n_vocab)[columns.token_ids[gather]].tolist()
+    )
+    edges = bounds[::2].tolist()
+    return [words[start:end] for start, end in zip(edges, edges[1:])]
+
+
 class CorpusIndex:
     """Positional inverted index over a corpus (any Document iterable).
 
@@ -136,65 +353,62 @@ class CorpusIndex:
     """
 
     def __init__(self, documents: "Iterable[Document]" = ()) -> None:
-        self._doc_ids: list[str] = []
-        self._doc_tokens: list[list[str]] = []
-        self._postings: dict[str, list[tuple[int, int]]] = {}
-        self._ordinals: dict[str, int] = {}
-        self._n_tokens = 0
-        self._fingerprint = EMPTY_FINGERPRINT
-        self._doc_lengths: dict[str, int] | None = None
+        self._state = _empty_columns()
+        #: (state, doc_lengths of that state), filled on first use.
+        self._lengths: tuple[Columns, dict[str, int]] | None = None
         self.add_documents(documents)
 
-    # -- incremental growth --------------------------------------------------
+    # -- growth ---------------------------------------------------------------
 
     def add_documents(self, documents: "Iterable[Document]") -> None:
         """Extend the index with ``documents`` in O(their tokens).
 
-        Postings, document tables, and the content fingerprint are
-        patched in place — no rebuild — and the result is
-        indistinguishable from a fresh build over the full document
-        sequence (identical query answers and :meth:`fingerprint`).
-        The batch is all-or-nothing: document ids must stay unique, and
-        a duplicate, a document the fingerprint chain rejects (see
-        :func:`check_document`) or one whose tokenisation fails raises
-        :class:`~repro.errors.CorpusError` (or the tokeniser's error)
-        before any document of the batch is applied, leaving postings
-        and fingerprint untouched.
+        The result is indistinguishable from a fresh build over the
+        full document sequence (identical query answers and
+        :meth:`fingerprint`); snapshots taken before keep answering as
+        before.  The batch is all-or-nothing: document ids must stay
+        unique, and a duplicate, a document the fingerprint chain
+        rejects (see :func:`check_document`) or one whose tokenisation
+        fails raises :class:`~repro.errors.CorpusError` (or the
+        tokeniser's error) before any document of the batch is applied,
+        leaving the index and its fingerprint untouched.
         """
+        columns = self._state
+        n_docs = len(columns.doc_offsets) - 1
+        known = columns.doc_ids.ids()
         batch_ids = set()
         prepared: list[tuple[str, list[str]]] = []
-        fingerprint = self._fingerprint
+        fingerprint = columns.fingerprint
         for doc in documents:
-            if doc.doc_id in self._ordinals or doc.doc_id in batch_ids:
-                raise CorpusError(
-                    f"duplicate document id {doc.doc_id!r}"
-                )
+            if known.get(doc.doc_id, n_docs) < n_docs or doc.doc_id in batch_ids:
+                raise CorpusError(f"duplicate document id {doc.doc_id!r}")
             batch_ids.add(doc.doc_id)
             # Normalise at build time: every lookup lower-cases its
             # needle, so postings must be lower-cased too or mixed-case
-            # documents silently return zero occurrences.  Tokenise
-            # here, before any mutation: ``doc.tokens()`` runs caller
-            # code, and an exception from it mid-batch must not leave
-            # the index half-extended with its fingerprint advanced.
-            # The chain is extended here too, so a rejected document
-            # raises before any mutation.
+            # documents silently return zero occurrences.  Tokenise and
+            # chain the fingerprint here, before any mutation:
+            # ``doc.tokens()`` runs caller code, and a failure or a
+            # rejected document mid-batch must leave no trace.
             tokens = [token.lower() for token in doc.tokens()]
             fingerprint = _extend_fingerprint(fingerprint, doc.doc_id, tokens)
             prepared.append((doc.doc_id, tokens))
-        for doc_id, tokens in prepared:
-            ordinal = len(self._doc_ids)
-            self._ordinals[doc_id] = ordinal
-            self._doc_ids.append(doc_id)
-            self._doc_tokens.append(tokens)
-            for position, token in enumerate(tokens):
-                self._postings.setdefault(token, []).append(
-                    (ordinal, position)
-                )
-            self._n_tokens += len(tokens)
-        self._fingerprint = fingerprint
         if prepared:
-            # Lazily rebuilt on the next doc_lengths() call.
-            self._doc_lengths = None
+            self._state = _grow(columns, prepared, fingerprint)
+
+    def columns(self) -> Columns:
+        """The current state: every column, as one immutable tuple."""
+        return self._state
+
+    def snapshot(self) -> "CorpusIndex":
+        """An index over the current state, in O(1).
+
+        Later growth of this index never changes the snapshot's
+        answers, so a reader can hold one while another thread grows
+        the corpus.
+        """
+        snapshot = CorpusIndex()
+        snapshot._state = self._state
+        return snapshot
 
     # -- corpus-level statistics --------------------------------------------
 
@@ -211,56 +425,57 @@ class CorpusIndex:
         chain, so it is extended in O(new tokens) as documents are
         added.
         """
-        return self._fingerprint
+        return self._state.fingerprint
 
     def n_documents(self) -> int:
         """Number of indexed documents."""
-        return len(self._doc_ids)
+        return len(self._state.doc_offsets) - 1
 
     def n_tokens(self) -> int:
         """Total token count over all indexed documents."""
-        return self._n_tokens
+        return len(self._state.token_ids)
 
     def vocabulary_size(self) -> int:
         """Number of distinct tokens."""
-        return len(self._postings)
+        return len(self._state.postings_offsets) - 1
 
     def doc_lengths(self) -> dict[str, int]:
         """``doc_id → token count`` over all indexed documents.
 
-        The mapping is computed once and cached (invalidated by
-        :meth:`add_documents`), so repeat consumers — every extraction
-        build reads it — are allocation-free.  As with
-        :meth:`token_documents`, the returned dict is the index's own
-        storage: treat it as read-only.
+        The mapping is computed once per state and cached (growth
+        starts a new one), so repeat consumers — every extraction
+        build reads it — are allocation-free.  The returned dict is
+        shared: treat it as read-only.
         """
-        if self._doc_lengths is None:
-            self._doc_lengths = {
-                doc_id: len(tokens)
-                for doc_id, tokens in zip(self._doc_ids, self._doc_tokens, strict=True)
-            }
-        return self._doc_lengths
-
-    def token_documents(self) -> list[list[str]]:
-        """The cached flat token list of every document, in corpus order.
-
-        The returned lists are the index's own storage — treat them as
-        read-only (they are shared to avoid re-flattening per consumer).
-        """
-        return self._doc_tokens
+        columns = self._state
+        cached = self._lengths
+        if cached is None or cached[0] is not columns:
+            lengths = np.diff(columns.doc_offsets).tolist()
+            cached = self._lengths = (
+                columns,
+                dict(zip(columns.doc_ids.items(), lengths)),
+            )
+        return cached[1]
 
     def document_tokens(self, ordinal: int) -> list[str]:
-        """The cached flat token list of the document at ``ordinal``.
+        """The tokens of the document at ``ordinal``, decoded.
 
-        Shared storage, as with :meth:`token_documents`: treat it as
-        read-only.  Lets a caller read only the documents a posting
-        list names instead of materialising every document.
+        Lets a caller read only the documents a posting list names
+        instead of materialising every document.
         """
-        return self._doc_tokens[ordinal]
+        columns = self._state
+        start, end = columns.doc_offsets[ordinal : ordinal + 2].tolist()
+        vocabulary = columns.vocabulary.array(len(columns.postings_offsets) - 1)
+        return vocabulary[columns.token_ids[start:end]].tolist()
 
     def token_frequency(self, token: str) -> int:
         """Occurrences of a single ``token`` (0 when unseen)."""
-        return len(self._postings.get(token.lower(), ()))
+        columns = self._state
+        token_id = _token_id(columns, token.lower())
+        if token_id is None:
+            return 0
+        offsets = columns.postings_offsets
+        return int(offsets[token_id + 1] - offsets[token_id])
 
     # -- phrase lookup -------------------------------------------------------
 
@@ -273,45 +488,8 @@ class CorpusIndex:
         proportional to that token's posting list, not the corpus.
         Results are sorted ascending by (ordinal, start).
         """
-        needle = _as_needle(term)
-        if not needle:
-            raise CorpusError("term must contain at least one token")
-        return self._occurrences(needle)
-
-    def _occurrences(self, needle: tuple[str, ...]) -> list[tuple[int, int]]:
-        anchor_offset = 0
-        anchor_postings: list[tuple[int, int]] | None = None
-        for offset, token in enumerate(needle):
-            postings = self._postings.get(token)
-            if postings is None:
-                return []
-            if anchor_postings is None or len(postings) < len(anchor_postings):
-                anchor_offset, anchor_postings = offset, postings
-        assert anchor_postings is not None
-        span = len(needle)
-        if span == 1:
-            # Copy: callers must not be able to mutate the postings.
-            return list(anchor_postings)
-        out: list[tuple[int, int]] = []
-        for ordinal, position in anchor_postings:
-            start = position - anchor_offset
-            if start < 0:
-                continue
-            tokens = self._doc_tokens[ordinal]
-            if start + span > len(tokens):
-                continue
-            if tuple(tokens[start : start + span]) == needle:
-                out.append((ordinal, start))
-        return out
-
-    def _window(
-        self, ordinal: int, start: int, span: int, window: int
-    ) -> tuple[str, ...]:
-        """Window tokens around an occurrence, the occurrence excluded."""
-        tokens = self._doc_tokens[ordinal]
-        left = tokens[max(0, start - window) : start]
-        right = tokens[start + span : start + span + window]
-        return tuple(left + right)
+        docs, starts = _occurrences(self._state, _checked_needle(term))
+        return list(zip(docs.tolist(), starts.tolist()))
 
     # -- the legacy single-term retrieval -----------------------------------
 
@@ -328,49 +506,30 @@ class CorpusIndex:
         consumed greedily left to right (an occurrence may not overlap
         the previous one), and windows clip at document boundaries.
         """
-        needle = _as_needle(term)
-        if not needle:
-            raise CorpusError("term must contain at least one token")
+        needle = _checked_needle(term)
         if window < 1:
             raise CorpusError(f"window must be >= 1, got {window}")
-        span = len(needle)
-        contexts: list[TermContext] = []
-        last_doc, last_end = -1, 0
-        for ordinal, start in sorted(self._occurrences(needle)):
-            if ordinal == last_doc and start < last_end:
-                continue  # overlaps the previous (greedy) match
-            last_doc, last_end = ordinal, start + span
-            contexts.append(
-                TermContext(
-                    doc_id=self._doc_ids[ordinal],
-                    tokens=self._window(ordinal, start, span, window),
-                    position=start,
-                )
-            )
-        return contexts
+        columns = self._state
+        docs, starts = _non_overlapping(
+            *_occurrences(columns, needle), len(needle)
+        )
+        windows = _windows(columns, docs, starts, len(needle), window)
+        doc_ids = columns.doc_ids.items()
+        return [
+            TermContext(doc_id=doc_ids[doc], tokens=tokens, position=start)
+            for doc, start, tokens in zip(docs.tolist(), starts.tolist(), windows)
+        ]
 
     def term_frequency(self, term: str | Sequence[str]) -> int:
         """Number of (non-overlapping) occurrences of ``term``."""
-        needle = _as_needle(term)
-        if not needle:
-            raise CorpusError("term must contain at least one token")
-        if len(needle) == 1:
-            return len(self._postings.get(needle[0], ()))
-        count = 0
-        last_doc, last_end = -1, 0
-        for ordinal, start in sorted(self._occurrences(needle)):
-            if ordinal == last_doc and start < last_end:
-                continue
-            last_doc, last_end = ordinal, start + len(needle)
-            count += 1
-        return count
+        needle = _checked_needle(term)
+        docs, __ = _non_overlapping(*_occurrences(self._state, needle), len(needle))
+        return len(docs)
 
     def document_frequency(self, term: str | Sequence[str]) -> int:
         """Number of documents containing ``term`` at least once."""
-        needle = _as_needle(term)
-        if not needle:
-            raise CorpusError("term must contain at least one token")
-        return len({ordinal for ordinal, __ in self._occurrences(needle)})
+        docs, __ = _occurrences(self._state, _checked_needle(term))
+        return int(np.count_nonzero(np.diff(docs))) + 1 if len(docs) else 0
 
     # -- the multi-term retrieval -------------------------------------------
 
@@ -388,45 +547,83 @@ class CorpusIndex:
         start position only the longest matching term records an
         occurrence.
         """
-        needles: dict[str, tuple[str, ...]] = {}
-        for term in terms:
-            tokens = _as_needle(term)
-            if not tokens:
-                continue
-            needles[" ".join(tokens)] = tokens
-
-        # Longest match wins at each start position.  Two distinct keys
-        # cannot tie: equal-length matches at one position are the same
-        # token sequence, hence the same key.
-        best: dict[tuple[int, int], tuple[int, str]] = {}
-        for key, needle in needles.items():
-            span = len(needle)
-            for occurrence in self._occurrences(needle):
-                incumbent = best.get(occurrence)
-                if incumbent is None or span > incumbent[0]:
-                    best[occurrence] = (span, key)
-
+        columns = self._state
+        needles = _needles(terms)
         records: dict[str, list[tuple[str, tuple[str, ...]]]] = {
             key: [] for key in needles
         }
-        for (ordinal, start), (span, key) in sorted(best.items()):
-            records[key].append(
-                (
-                    self._doc_ids[ordinal],
-                    self._window(ordinal, start, span, window),
-                )
-            )
+        found = []
+        for k, needle in enumerate(needles.values()):
+            docs, starts = _occurrences(columns, needle)
+            if len(docs):
+                found.append((docs, starts, len(needle), k))
+        if not found:
+            return records
+        docs = np.concatenate([f[0] for f in found])
+        starts = np.concatenate([f[1] for f in found])
+        spans = np.concatenate([np.full(len(f[0]), f[2]) for f in found])
+        keys = np.concatenate([np.full(len(f[0]), f[3]) for f in found])
+        # Longest match wins at each start position.  Two distinct keys
+        # cannot tie: equal-length matches at one position are the same
+        # token sequence, hence the same key.
+        at = columns.doc_offsets[docs] + starts
+        order = np.lexsort((-spans, at))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = at[order[1:]] != at[order[:-1]]
+        order = order[first]
+        docs, starts, spans = docs[order], starts[order], spans[order]
+        windows = _windows(columns, docs, starts, spans, window)
+        doc_ids = columns.doc_ids.items()
+        lists = list(records.values())
+        for doc, k, tokens in zip(docs.tolist(), keys[order].tolist(), windows):
+            lists[k].append((doc_ids[doc], tokens))
         return records
 
 
-def _needles(terms: Iterable[str]) -> dict[str, tuple[str, ...]]:
-    """``{key: tokens}`` of a term list, as :meth:`occurrence_records` keys it."""
-    needles: dict[str, tuple[str, ...]] = {}
-    for term in terms:
-        tokens = _as_needle(term)
-        if tokens:
-            needles[" ".join(tokens)] = tokens
-    return needles
+def _checked_needle(term: str | Sequence[str]) -> tuple[str, ...]:
+    needle = _as_needle(term)
+    if not needle:
+        raise CorpusError("term must contain at least one token")
+    return needle
+
+
+def _token_id(columns: Columns, token: str) -> int | None:
+    """``token``'s vocabulary id in ``columns``; None when unseen."""
+    token_id = columns.vocabulary.ids().get(token)
+    if token_id is None or token_id >= len(columns.postings_offsets) - 1:
+        return None
+    return token_id
+
+
+def _occurrences(
+    columns: Columns, needle: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(doc ordinals, start positions) of every occurrence, in order."""
+    offsets = columns.postings_offsets
+    needle_ids = []
+    anchor_offset, anchor_id, anchor_count = 0, 0, 0
+    for offset, token in enumerate(needle):
+        token_id = _token_id(columns, token)
+        if token_id is None:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, empty
+        needle_ids.append(token_id)
+        count = int(offsets[token_id + 1] - offsets[token_id])
+        if offset == 0 or count < anchor_count:
+            anchor_offset, anchor_id, anchor_count = offset, token_id, count
+    run = slice(offsets[anchor_id], offsets[anchor_id + 1])
+    docs = columns.postings_docs[run]
+    starts = columns.postings_positions[run] - anchor_offset
+    if len(needle) == 1:
+        return docs, starts
+    at = columns.doc_offsets[docs] + starts
+    keep = (starts >= 0) & (at + len(needle) <= columns.doc_offsets[docs + 1])
+    docs, starts, at = docs[keep], starts[keep], at[keep]
+    match = np.ones(len(at), dtype=bool)
+    for offset, token_id in enumerate(needle_ids):
+        if offset != anchor_offset:
+            match &= columns.token_ids[at + offset] == token_id
+    return docs[match], starts[match]
 
 
 class KeptOccurrenceRecords:

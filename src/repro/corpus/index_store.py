@@ -1,12 +1,16 @@
 """Memory-mapped on-disk persistence of the positional corpus index.
 
 A :class:`~repro.corpus.index.CorpusIndex` over a PubMed-scale corpus
-is expensive to build (pure-Python postings construction).  This module
-makes the index a build-once artefact, the Aber-OWL deployment shape:
-persist it as flat numpy arrays plus a CRC-carrying manifest, then
-reopen it in O(1) through ``mmap`` as an :class:`MmapCorpusIndex` that
-answers the **full query surface** of :class:`CorpusIndex`
-byte-identically — in a later run, a fresh process, or the service.
+costs a full pass over every token to build.  This module makes the
+index a build-once artefact, the Aber-OWL deployment shape: persist its
+columns as flat numpy arrays plus a CRC-carrying manifest, then reopen
+them in O(1) through ``mmap`` as an :class:`MmapCorpusIndex` — in a
+later run, a fresh process, or the service.  That is the same index
+class over the same columns; only where the arrays live differs, so
+every query answers byte-identically, and an opened index grows in
+memory like a built one.  Growth never writes to the store: a grown
+corpus persists only when :meth:`IndexStore.load_or_build` (or
+:meth:`IndexStore.save`) is given it.
 
 Disk layout
 -----------
@@ -53,7 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.corpus.index import CorpusIndex, fingerprint_documents
+from repro.corpus.index import Columns, CorpusIndex, Strings, fingerprint_documents
 from repro.errors import CorpusError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,12 +82,6 @@ _ARRAY_FILES = (
     "doc_token_offsets.npy",
 )
 
-#: Decoded per-document token lists kept hot per mmap handle (strings
-#: are shared with the decoded vocabulary, so the cache costs list
-#: overhead only).
-_DOC_CACHE_SIZE = 4096
-
-
 class IndexStoreError(CorpusError):
     """A stored index could not be read back (missing/corrupt/stale)."""
 
@@ -98,68 +96,61 @@ def _crc32_of(path: Path) -> int:
             crc = zlib.crc32(chunk, crc)
 
 
-# -- persisting a built index ------------------------------------------------
+# -- persisting an index ----------------------------------------------------
+
+
+def _blob(strings: list[str]) -> tuple[bytes, np.ndarray]:
+    """``strings`` utf-8 concatenated, and the int64 offsets bounding each."""
+    encoded = [string.encode("utf-8") for string in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)),
+        out=offsets[1:],
+    )
+    return b"".join(encoded), offsets
 
 
 def _save_single(index: CorpusIndex, directory: Path) -> None:
-    """Write one in-memory :class:`CorpusIndex` as a generation dir."""
+    """Write ``index``'s columns as a generation dir.
+
+    The layout orders the vocabulary: a token's id is its rank in the
+    sorted vocabulary, and the postings runs follow in that order.
+    """
     directory.mkdir(parents=True, exist_ok=True)
-    vocabulary = sorted(index._postings)
-    token_ids = {token: i for i, token in enumerate(vocabulary)}
+    columns = index.columns()
+    n_vocab = len(columns.postings_offsets) - 1
+    n_docs = len(columns.doc_offsets) - 1
+    vocabulary = columns.vocabulary.items()[:n_vocab]
+    by_rank = np.array(
+        sorted(range(n_vocab), key=vocabulary.__getitem__), dtype=np.int64
+    )
+    rank = np.empty(n_vocab, dtype=np.int32)
+    rank[by_rank] = np.arange(n_vocab, dtype=np.int32)
+    counts = np.diff(columns.postings_offsets)[by_rank]
+    postings_offsets = np.zeros(n_vocab + 1, dtype=np.int64)
+    np.cumsum(counts, out=postings_offsets[1:])
+    runs = np.repeat(columns.postings_offsets[by_rank] - postings_offsets[:-1], counts)
+    runs += np.arange(len(runs))
+    token_blob, token_offsets = _blob([vocabulary[i] for i in by_rank.tolist()])
+    doc_id_blob, doc_id_offsets = _blob(columns.doc_ids.items()[:n_docs])
 
-    token_blob = bytearray()
-    token_offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-    for i, token in enumerate(vocabulary):
-        token_blob.extend(token.encode("utf-8"))
-        token_offsets[i + 1] = len(token_blob)
-
-    postings_offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
-    total_postings = sum(len(index._postings[t]) for t in vocabulary)
-    postings_docs = np.empty(total_postings, dtype=np.int32)
-    postings_positions = np.empty(total_postings, dtype=np.int32)
-    cursor = 0
-    for i, token in enumerate(vocabulary):
-        postings = index._postings[token]
-        end = cursor + len(postings)
-        if postings:
-            arr = np.asarray(postings, dtype=np.int64)
-            postings_docs[cursor:end] = arr[:, 0]
-            postings_positions[cursor:end] = arr[:, 1]
-        postings_offsets[i + 1] = end
-        cursor = end
-
-    doc_id_blob = bytearray()
-    doc_id_offsets = np.zeros(index.n_documents() + 1, dtype=np.int64)
-    for i, doc_id in enumerate(index._doc_ids):
-        doc_id_blob.extend(doc_id.encode("utf-8"))
-        doc_id_offsets[i + 1] = len(doc_id_blob)
-
-    doc_token_offsets = np.zeros(index.n_documents() + 1, dtype=np.int64)
-    doc_token_ids = np.empty(index.n_tokens(), dtype=np.int32)
-    cursor = 0
-    for i, tokens in enumerate(index._doc_tokens):
-        for token in tokens:
-            doc_token_ids[cursor] = token_ids[token]
-            cursor += 1
-        doc_token_offsets[i + 1] = cursor
-
-    (directory / "tokens.bin").write_bytes(bytes(token_blob))
-    (directory / "doc_ids.bin").write_bytes(bytes(doc_id_blob))
+    (directory / "tokens.bin").write_bytes(token_blob)
+    (directory / "doc_ids.bin").write_bytes(doc_id_blob)
     np.save(directory / "token_offsets.npy", token_offsets)
     np.save(directory / "postings_offsets.npy", postings_offsets)
-    np.save(directory / "postings_docs.npy", postings_docs)
-    np.save(directory / "postings_positions.npy", postings_positions)
+    np.save(directory / "postings_docs.npy", columns.postings_docs[runs])
+    np.save(directory / "postings_positions.npy", columns.postings_positions[runs])
     np.save(directory / "doc_id_offsets.npy", doc_id_offsets)
-    np.save(directory / "doc_token_ids.npy", doc_token_ids)
-    np.save(directory / "doc_token_offsets.npy", doc_token_offsets)
+    np.save(directory / "doc_token_ids.npy", rank[columns.token_ids])
+    np.save(directory / "doc_token_offsets.npy", columns.doc_offsets)
 
     manifest = {
         "version": STORE_VERSION,
         "kind": "single",
-        "fingerprint": index.fingerprint(),
-        "n_documents": index.n_documents(),
-        "n_tokens": index.n_tokens(),
-        "vocabulary_size": index.vocabulary_size(),
+        "fingerprint": columns.fingerprint,
+        "n_documents": n_docs,
+        "n_tokens": len(columns.token_ids),
+        "vocabulary_size": n_vocab,
         "files": {
             name: {
                 "bytes": (directory / name).stat().st_size,
@@ -220,258 +211,59 @@ def _verify_files(directory: Path, manifest: dict, *, verify_crc: bool) -> None:
 # -- the mmap-backed read path ----------------------------------------------
 
 
-class _MmapPostings:
-    """Dict-like postings view over the mmapped arrays.
+def _map_columns(directory: Path, manifest: dict) -> Columns:
+    """The columns of a verified generation, memory-mapped."""
 
-    Implements exactly the mapping surface :class:`CorpusIndex`'s query
-    methods use (``get`` returning a ``[(ordinal, position), ...]``
-    list, ``len`` for the vocabulary size, iteration over token
-    strings), so the inherited algorithms run unchanged.
-    """
+    def load(name: str) -> np.ndarray:
+        return np.load(directory / name, mmap_mode="r")
 
-    def __init__(self, owner: "MmapCorpusIndex") -> None:
-        self._owner = owner
+    def strings(blob_name: str, offsets_name: str) -> Strings:
+        path = directory / blob_name
+        blob = np.memmap(path, dtype=np.uint8, mode="r") if path.stat().st_size else b""
+        return Strings(blob=blob, offsets=load(offsets_name))
 
-    def get(self, token: str, default=None):
-        token_id = self._owner._token_id(token)
-        if token_id is None:
-            return default
-        start, end = self._owner._postings_range(token_id)
-        if start == end:
-            return default if default is not None else []
-        return list(
-            zip(
-                self._owner._postings_docs[start:end].tolist(),
-                self._owner._postings_positions[start:end].tolist(),
-                strict=True,
-            )
-        )
-
-    def __contains__(self, token: str) -> bool:
-        return self._owner._token_id(token) is not None
-
-    def __len__(self) -> int:
-        return self._owner.vocabulary_size()
-
-    def __iter__(self):
-        return iter(self._owner._vocabulary())
-
-
-class _MmapDocTokens:
-    """Sequence view: ``[ordinal] -> list[str]`` decoded lazily.
-
-    Decoded documents are kept in a small LRU so repeated window
-    extraction around hot documents does not re-decode; the token
-    strings themselves are shared with the decoded vocabulary.
-    """
-
-    def __init__(self, owner: "MmapCorpusIndex") -> None:
-        self._owner = owner
-        self._cache: dict[int, list[str]] = {}
-
-    def __getitem__(self, ordinal: int) -> list[str]:
-        cached = self._cache.get(ordinal)
-        if cached is not None:
-            return cached
-        owner = self._owner
-        start = int(owner._doc_token_offsets[ordinal])
-        end = int(owner._doc_token_offsets[ordinal + 1])
-        vocabulary = owner._vocabulary()
-        tokens = [
-            vocabulary[i]
-            for i in owner._doc_token_ids[start:end].tolist()
-        ]
-        if len(self._cache) >= _DOC_CACHE_SIZE:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[ordinal] = tokens
-        return tokens
-
-    def __len__(self) -> int:
-        return self._owner.n_documents()
-
-    def __iter__(self):
-        for ordinal in range(len(self)):
-            yield self[ordinal]
-
-
-class _MmapDocIds:
-    """Sequence view: ``[ordinal] -> doc_id`` decoded per access."""
-
-    def __init__(self, owner: "MmapCorpusIndex") -> None:
-        self._owner = owner
-
-    def __getitem__(self, ordinal: int) -> str:
-        owner = self._owner
-        start = int(owner._doc_id_offsets[ordinal])
-        end = int(owner._doc_id_offsets[ordinal + 1])
-        return bytes(owner._doc_id_blob[start:end]).decode("utf-8")
-
-    def __len__(self) -> int:
-        return self._owner.n_documents()
-
-    def __iter__(self):
-        for ordinal in range(len(self)):
-            yield self[ordinal]
-
-
-class _MmapOrdinals:
-    """``doc_id in index._ordinals`` support, built lazily on first use."""
-
-    def __init__(self, owner: "MmapCorpusIndex") -> None:
-        self._owner = owner
-        self._mapping: dict[str, int] | None = None
-
-    def _resolve(self) -> dict[str, int]:
-        if self._mapping is None:
-            self._mapping = {
-                doc_id: ordinal
-                for ordinal, doc_id in enumerate(self._owner._doc_ids)
-            }
-        return self._mapping
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._resolve()
-
-    def __getitem__(self, doc_id: str) -> int:
-        return self._resolve()[doc_id]
-
-    def __len__(self) -> int:
-        return self._owner.n_documents()
+    return Columns(
+        fingerprint=str(manifest["fingerprint"]),
+        doc_ids=strings("doc_ids.bin", "doc_id_offsets.npy"),
+        doc_offsets=load("doc_token_offsets.npy"),
+        token_ids=load("doc_token_ids.npy"),
+        vocabulary=strings("tokens.bin", "token_offsets.npy"),
+        postings_offsets=load("postings_offsets.npy"),
+        postings_docs=load("postings_docs.npy"),
+        postings_positions=load("postings_positions.npy"),
+    )
 
 
 class MmapCorpusIndex(CorpusIndex):
-    """A read-only :class:`CorpusIndex` served straight off the store.
+    """A :class:`CorpusIndex` whose columns map one store generation.
 
-    Opening costs O(1): the numpy arrays are memory-mapped, nothing is
-    decoded until a query touches it.  Every query method answers
-    byte-identically to the in-memory index the generation was saved
-    from — the inherited :class:`CorpusIndex` algorithms run unchanged
-    over lazy dict/sequence views of the arrays.
-
-    The index is immutable: :meth:`add_documents` raises
-    :class:`~repro.errors.CorpusError` (grow the corpus through an
-    in-memory index, then re-persist).
+    Opening costs O(1): the arrays are memory-mapped, and the vocabulary
+    and document ids decode on first use.  Queries run the inherited
+    code over the mapped columns, so every answer is byte-identical to
+    the index the generation was saved from.  It grows like any index:
+    growth builds the new columns in RAM and leaves the generation's
+    files as they were; :attr:`directory` keeps naming the generation
+    the index was opened from.
     """
+
+    # perfbench's tracer wraps ``MmapCorpusIndex.add_documents`` through
+    # this class's own namespace; the alias keeps that name resolvable,
+    # and its calls are wrapped once, not twice.
+    add_documents = CorpusIndex.add_documents
 
     def __init__(self, directory: str | Path, *, verify: bool = True) -> None:
         directory = Path(directory)
         manifest = _read_manifest(directory)
         _verify_files(directory, manifest, verify_crc=verify)
-        self._dir = directory
-        self._manifest = manifest
+        super().__init__()
         try:
-            self._open_arrays()
+            self._state = _map_columns(directory, manifest)
         except (OSError, ValueError) as exc:
             raise IndexStoreError(
                 f"cannot map index arrays at {directory}: {exc}"
             ) from None
-        self._fingerprint = str(manifest["fingerprint"])
-        self._n_tokens = int(manifest["n_tokens"])
-        self._postings = _MmapPostings(self)
-        self._doc_tokens = _MmapDocTokens(self)
-        self._doc_ids = _MmapDocIds(self)
-        self._ordinals = _MmapOrdinals(self)
-        self._vocab_cache: list[str] | None = None
-        self._doc_lengths: dict[str, int] | None = None
-
-    def _open_arrays(self) -> None:
-        load = lambda name: np.load(  # noqa: E731 - local shorthand
-            self._dir / name, mmap_mode="r"
-        )
-        self._token_offsets = load("token_offsets.npy")
-        self._postings_offsets = load("postings_offsets.npy")
-        self._postings_docs = load("postings_docs.npy")
-        self._postings_positions = load("postings_positions.npy")
-        self._doc_id_offsets = load("doc_id_offsets.npy")
-        self._doc_token_ids = load("doc_token_ids.npy")
-        self._doc_token_offsets = load("doc_token_offsets.npy")
-        self._token_blob = np.memmap(
-            self._dir / "tokens.bin", dtype=np.uint8, mode="r"
-        ) if (self._dir / "tokens.bin").stat().st_size else np.empty(
-            0, dtype=np.uint8
-        )
-        self._doc_id_blob = np.memmap(
-            self._dir / "doc_ids.bin", dtype=np.uint8, mode="r"
-        ) if (self._dir / "doc_ids.bin").stat().st_size else np.empty(
-            0, dtype=np.uint8
-        )
-
-    # -- vocabulary plumbing ----------------------------------------------
-
-    def _vocabulary(self) -> list[str]:
-        """The sorted vocabulary, decoded once per handle on first use."""
-        if self._vocab_cache is None:
-            blob = bytes(self._token_blob)
-            offsets = self._token_offsets.tolist()
-            self._vocab_cache = [
-                blob[offsets[i] : offsets[i + 1]].decode("utf-8")
-                for i in range(len(offsets) - 1)
-            ]
-        return self._vocab_cache
-
-    def _token_id(self, token: str) -> int | None:
-        """Binary search of the sorted vocabulary; None when unseen."""
-        if self._vocab_cache is not None:
-            # Once the vocabulary is decoded, bisect the string list.
-            import bisect
-
-            i = bisect.bisect_left(self._vocab_cache, token)
-            if i < len(self._vocab_cache) and self._vocab_cache[i] == token:
-                return i
-            return None
-        needle = token.encode("utf-8")
-        offsets = self._token_offsets
-        lo, hi = 0, len(offsets) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            start, end = int(offsets[mid]), int(offsets[mid + 1])
-            candidate = bytes(self._token_blob[start:end])
-            if candidate < needle:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo >= len(offsets) - 1:
-            return None
-        start, end = int(offsets[lo]), int(offsets[lo + 1])
-        if bytes(self._token_blob[start:end]) != needle:
-            return None
-        return lo
-
-    def _postings_range(self, token_id: int) -> tuple[int, int]:
-        return (
-            int(self._postings_offsets[token_id]),
-            int(self._postings_offsets[token_id + 1]),
-        )
-
-    # -- overrides where the inherited implementation assumes lists --------
-
-    @property
-    def directory(self) -> Path:
-        """The generation directory this handle maps."""
-        return self._dir
-
-    def add_documents(self, documents: "Iterable[Document]") -> None:
-        if not list(documents):  # an empty add is a no-op, as in-memory
-            return
-        raise CorpusError(
-            "mmap-backed corpus index is read-only; rebuild and re-persist "
-            "through IndexStore.load_or_build to grow it"
-        )
-
-    def n_documents(self) -> int:
-        return int(self._manifest["n_documents"])
-
-    def vocabulary_size(self) -> int:
-        return int(self._manifest["vocabulary_size"])
-
-    def doc_lengths(self) -> dict[str, int]:
-        if self._doc_lengths is None:
-            lengths = np.diff(self._doc_token_offsets).tolist()
-            self._doc_lengths = dict(zip(iter(self._doc_ids), lengths, strict=True))
-        return self._doc_lengths
-
-    def token_documents(self) -> list[list[str]]:
-        return [self._doc_tokens[i] for i in range(self.n_documents())]
+        #: The generation directory this index was opened from.
+        self.directory = directory
 
 
 # -- the store ----------------------------------------------------------------
@@ -548,17 +340,12 @@ class IndexStore:
     # -- persisting --------------------------------------------------------
 
     def save(self, index: CorpusIndex) -> Path:
-        """Persist a built in-memory index; returns its generation dir.
+        """Persist ``index`` (built, opened or grown); returns its generation dir.
 
         The write is atomic at the generation level: arrays land in a
         temp sibling first and are renamed into place, replacing any
         previous (possibly corrupt) generation of the same fingerprint.
         """
-        if isinstance(index, MmapCorpusIndex):
-            raise CorpusError(
-                "refusing to re-persist an mmap handle; save the in-memory "
-                "index it came from"
-            )
         final = self.path_for(index.fingerprint())
         staging = Path(
             tempfile.mkdtemp(
@@ -619,17 +406,3 @@ class IndexStore:
             # A store that cannot be written or immediately re-read
             # must not cost the run; serve the in-memory build.
             return index
-
-
-def store_for_index(index: CorpusIndex) -> IndexStore | None:
-    """The :class:`IndexStore` a mmap-backed index was opened from.
-
-    Returns ``None`` for in-memory indexes (there is no store to route
-    rebuilds through).  :meth:`repro.corpus.corpus.Corpus.adopt_index`
-    uses this so that growing a corpus past its read-only mmap index
-    rebuilds *through the store* — persisting the new generation — rather
-    than silently degrading to an unpersisted in-RAM rebuild.
-    """
-    if isinstance(index, MmapCorpusIndex):
-        return IndexStore(index.directory.parent)
-    return None

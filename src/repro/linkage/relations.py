@@ -116,12 +116,11 @@ def collect_pattern_votes(
     occurrences_b: dict[int, list[int]] = {}
     for ordinal, start in index.phrase_occurrences(b):
         occurrences_b.setdefault(ordinal, []).append(start)
-    documents = index.token_documents()
     for ordinal, positions_a in occurrences_a.items():
         positions_b = occurrences_b.get(ordinal)
         if positions_b is None:
             continue
-        tokens = documents[ordinal]
+        tokens = index.document_tokens(ordinal)
         for i in positions_a:
             for j in positions_b:
                 if j > i and j - (i + len(a)) <= max_gap:

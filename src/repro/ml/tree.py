@@ -412,7 +412,11 @@ def _split_nodes(
     feature = features.ravel()[pair]
     low = X[samples.ravel()[slot[i]], feature]
     high = X[samples.ravel()[slot[i + 1]], feature]
-    threshold = (low + high) / 2.0
+    with np.errstate(over="ignore"):
+        threshold = (low + high) / 2.0
+    # Below about -9e307 (or above 9e307) the sum overflows; halving
+    # first cannot, and every finite midpoint stays as it was.
+    threshold = np.where(np.isfinite(threshold), threshold, low / 2.0 + high / 2.0)
     # Adjacent floats: the midpoint rounds up to ``high`` and would send
     # every sample left; ``low`` splits them.
     threshold = np.where(threshold >= high, low, threshold)

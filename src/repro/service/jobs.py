@@ -44,6 +44,7 @@ from repro.errors import CorpusError, ValidationError
 from repro.ontology.io import read_ontology_json
 from repro.ontology.model import Ontology
 from repro.corpus.index import CorpusIndex, check_document
+from repro.corpus.index_store import IndexStore
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.recommend.config import RecommendConfig
 from repro.recommend.engine import Recommender
@@ -183,11 +184,12 @@ class JobManager:
         wholly after each delta.
     index_dir:
         Optional :class:`~repro.corpus.index_store.IndexStore` root:
-        registered corpora's indexes persist there, so the first job
-        against a corpus builds (and saves) its index and every later
-        job — and every restart of the service — mmap-reopens it in
-        O(1).  Like the cache wiring, the field is service-owned and
-        cannot be overridden per job.
+        registered corpora's indexes persist there, so the first use
+        of a scenario builds (and saves) its index and every restart
+        of the service mmap-reopens it in O(1).  Deltas grow the
+        opened index in memory and write no generation.  Like the
+        cache wiring, the field is service-owned and cannot be
+        overridden per job.
     max_finished_jobs:
         Finished/failed job documents retained for polling; submitting
         past the cap drops the oldest finished ones (queued and running
@@ -200,10 +202,9 @@ class JobManager:
         Optional :class:`~repro.recommend.registry.OntologyRegistry`
         (``repro serve --ontology NAME=PATH``): the candidate
         ontologies of ``POST /recommend``.  Recommendation against a
-        registered *corpus* queries that corpus's
-        :class:`~repro.corpus.index.CorpusIndex`, built lazily per
-        scenario, shared with later recommendations and built again
-        once deltas have grown the corpus.
+        registered *corpus* queries an O(1)
+        :meth:`~repro.corpus.index.CorpusIndex.snapshot` of the
+        scenario's own index, taken after its last whole delta.
     """
 
     def __init__(
@@ -247,10 +248,10 @@ class JobManager:
         #: must grow one batch at a time, and never under a running
         #: job), and the bounded diff history.
         self.registry = registry if registry is not None else OntologyRegistry()
-        #: Scenario name -> CorpusIndex for /recommend corpus inputs,
-        #: built from the shared loaded corpus on first use and again
-        #: after it grows.
-        self._recommend_indexes: dict[str, CorpusIndex] = {}
+        #: Scenario name -> snapshot of its corpus index for /recommend,
+        #: taken at load and after every delta: a recommendation sees
+        #: whole deltas only, and never waits for one.
+        self._snapshots: dict[str, CorpusIndex] = {}
         #: (scenario, config) -> kept enricher, least recently used
         #: first.  Dropping an entry only drops this reference: a
         #: streamer keeps its enricher.
@@ -481,14 +482,14 @@ class JobManager:
         recommender = Recommender(self.registry, config)
         ontologies = payload.get("ontologies")
         if payload.get("corpus") is not None:
-            index = self._recommend_index(str(payload["corpus"]))
+            index = self._snapshot(str(payload["corpus"]))
             report = recommender.recommend_index(
                 index, ontologies=ontologies
             )
         else:
             acceptance = payload.get("acceptance_corpus")
             acceptance_index = (
-                self._recommend_index(str(acceptance))
+                self._snapshot(str(acceptance))
                 if acceptance is not None
                 else None
             )
@@ -621,33 +622,15 @@ class JobManager:
                 )
         return RecommendConfig(**overrides)
 
-    def _recommend_index(self, name: str) -> CorpusIndex:
-        """The scenario's corpus index, shared until the corpus grows.
-
-        Deltas only append to the shared corpus, so an index covering
-        as many documents as the corpus holds is current.  A grown
-        corpus is copied under the scenario lock, which deltas hold
-        while they grow it, so the copy is never half a delta; the new
-        index is built from that copy.
-        """
+    def _snapshot(self, name: str) -> CorpusIndex:
+        """The scenario's corpus index as of its last whole delta (O(1))."""
         if name not in self._corpora:
             raise ValidationError(
                 f"unknown corpus {name!r}; registered: {self.corpora()}"
             )
-        _, corpus = self._load(name)
+        self._load(name)
         with self._lock:
-            index = self._recommend_indexes.get(name)
-        if index is not None and index.n_documents() == len(corpus):
-            return index
-        with self._scenario_lock(name):
-            documents = list(corpus)
-        index = CorpusIndex(documents)
-        with self._lock:
-            # Of two builds racing, keep the one over more documents.
-            known = self._recommend_indexes.get(name)
-            if known is None or known.n_documents() < index.n_documents():
-                self._recommend_indexes[name] = index
-            return self._recommend_indexes[name]
+            return self._snapshots[name]
 
     @staticmethod
     def _parse_documents(documents) -> list[Document]:
@@ -761,7 +744,12 @@ class JobManager:
         try:
             with self._scenario_lock(job.corpus):
                 streamer = self._streamer(job.corpus)
-                diff = streamer.add_documents(documents)
+                try:
+                    diff = streamer.add_documents(documents)
+                finally:
+                    snapshot = streamer.corpus.index().snapshot()
+                    with self._lock:
+                        self._snapshots[job.corpus] = snapshot
                 document = diff.to_dict()
                 with self._lock:
                     seq = self._delta_seq.get(job.corpus, 0) + 1
@@ -821,19 +809,29 @@ class JobManager:
     # -- internals ---------------------------------------------------------
 
     def _load(self, name: str) -> tuple[Ontology, Corpus]:
+        """The scenario's (ontology, corpus), read on first use.
+
+        The corpus's index is built, or opened through the service's
+        store, before the pair is published.  Of two racing first
+        loads the first one stored wins, and both callers use it:
+        deltas grow this one corpus, so every job must read it.
+        """
         with self._lock:
             loaded = self._loaded.get(name)
         if loaded is not None:
             return loaded
         ontology_path, corpus_path = self._corpora[name]
-        loaded = (
-            read_ontology_json(ontology_path),
-            read_corpus_jsonl(corpus_path),
-        )
+        ontology = read_ontology_json(ontology_path)
+        corpus = read_corpus_jsonl(corpus_path)
+        if self._index_dir is None:
+            corpus.index()
+        else:
+            store = IndexStore(self._index_dir)
+            corpus.adopt_index(store.load_or_build(corpus), store=store)
         with self._lock:
-            # Lost-race duplicates are harmless: both loads are
-            # identical, last one wins.
-            self._loaded[name] = loaded
+            loaded = self._loaded.setdefault(name, (ontology, corpus))
+            if loaded[1] is corpus:
+                self._snapshots[name] = corpus.index().snapshot()
         return loaded
 
     def _config(self, overrides: dict) -> EnrichmentConfig:

@@ -67,8 +67,10 @@ class EnrichmentConfig:
         :class:`~repro.corpus.index_store.IndexStore`: the corpus is
         fingerprinted, a stored generation is reopened via ``mmap`` in
         O(1), and a miss (or any corruption) degrades to a clean build
-        that is then persisted for the next run.  Query results are
-        byte-identical with and without the store.
+        that is then persisted for the next run.  The corpus keeps the
+        opened index and grows it in memory as documents are added;
+        the store keeps the generation it was opened from.  Query
+        results are byte-identical with and without the store.
     feature_cache:
         Memoise per-term feature vectors across training runs, repeated
         ``enrich`` calls and corpus growth (keyed by a digest of the

@@ -588,8 +588,10 @@ class OntologyEnricher:
         :class:`~repro.corpus.index_store.IndexStore`: the first run
         builds and saves it, and every later run (even in a fresh
         process) mmap-reopens it in O(1).  A corpus that already
-        remembers that store keeps its adopted index, and rebuilds
-        through the store after it grows.
+        remembers that store keeps its adopted index, which
+        :meth:`~repro.corpus.corpus.Corpus.add` grows in memory: a
+        grown corpus is neither fingerprinted again nor written to
+        the store.
         """
         timings: dict[str, float] = {}
         cache_before = (
@@ -611,10 +613,9 @@ class OntologyEnricher:
 
                 store = IndexStore(index_dir)
                 index = store.load_or_build(corpus)
-                # Cache the mmap handle on the corpus so repeated
+                # Cache the opened index on the corpus so repeated
                 # enrich calls (and anything else asking the corpus for
-                # its index) reuse the store generation; remembering the
-                # store keeps post-growth rebuilds persisted too.
+                # its index) reuse it, grown along with the corpus.
                 corpus.adopt_index(index, store=store)
         timings["index"] = time.perf_counter() - started
         if self._context_index is None:

@@ -7,8 +7,10 @@ corpus growth into a delta:
 
 1. index the arriving documents alone and mark every known term they
    mention as *changed* (the diff's ``changed_terms``);
-2. grow the corpus (the cached index is patched in place, or rebuilt
-   through its remembered :class:`~repro.corpus.index_store.IndexStore`);
+2. grow the corpus: its cached index grows in place, in memory, even
+   one opened from an :class:`~repro.corpus.index_store.IndexStore`
+   (the delta writes no index generation and fingerprints nothing
+   again);
 3. re-run the pipeline: the enricher sees the new corpus fingerprint
    and retrains the detector (it is corpus-dependent), and everything
    else it keeps follows the corpus along its fingerprint chain.  Step

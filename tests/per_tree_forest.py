@@ -98,7 +98,11 @@ class OracleTree(BaseClassifier):
             return None
         i = positions[best]
         low, high = values[best, i], values[best, i + 1]
-        threshold = (low + high) / 2.0
+        with np.errstate(over="ignore"):
+            threshold = (low + high) / 2.0
+        if not np.isfinite(threshold):
+            # The sum overflowed; halving first cannot.
+            threshold = low / 2.0 + high / 2.0
         if threshold >= high:
             # Adjacent floats: the midpoint rounds up to ``high`` and
             # would send every sample left; ``low`` splits them.

@@ -319,7 +319,7 @@ class TestAdoptedIndexReuse:
         assert len(opened) == 1
         assert comparable(second) == comparable(first)
 
-    def test_growth_still_persists_through_the_store(self, scenario, tmp_path):
+    def test_growth_grows_the_opened_index(self, scenario, tmp_path, monkeypatch):
         documents = list(scenario.corpus)
         corpus = Corpus(documents[:-1])
         config = EnrichmentConfig(index_dir=str(tmp_path / "index"))
@@ -327,12 +327,19 @@ class TestAdoptedIndexReuse:
             scenario.ontology, config=config, pos_lexicon=scenario.pos_lexicon
         )
         enricher.enrich(corpus)
+        opened = corpus.index()
         store = IndexStore(tmp_path / "index")
-        assert len(store.fingerprints()) == 1
+        generations = store.fingerprints()
+        assert len(generations) == 1
+
+        def refuse(store, documents):
+            raise AssertionError("a grown corpus went back to the store")
+
+        monkeypatch.setattr(IndexStore, "load_or_build", refuse)
         corpus.add(documents[-1])
         grown = enricher.enrich(corpus)
-        assert len(store.fingerprints()) == 2
-        assert corpus.index().fingerprint() in store.fingerprints()
+        assert corpus.index() is opened
+        assert store.fingerprints() == generations
         fresh = OntologyEnricher(
             scenario.ontology, pos_lexicon=scenario.pos_lexicon
         ).enrich(Corpus(documents))

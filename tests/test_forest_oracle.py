@@ -21,6 +21,8 @@ from repro.ml.tree import DecisionTreeClassifier, _presort
 #: Adjacent floats: their midpoint rounds up to the larger one.
 ADJACENT_LOW = 1.0 + 2.0**-52
 ADJACENT_HIGH = float(np.nextafter(ADJACENT_LOW, 2.0))
+#: Values whose pairwise sums overflow to -inf.
+HUGE_VALUES = [-1.7e308, -1.6e308, -1.5e308]
 
 
 def make_data(seed, n, d, k, column_kind, rare):
@@ -40,8 +42,12 @@ def make_data(seed, n, d, k, column_kind, rare):
     elif column_kind == "adjacent":
         values = [ADJACENT_LOW, ADJACENT_HIGH, np.nextafter(ADJACENT_HIGH, 2.0)]
         X = rng.choice(values, size=(n, d))
+    elif column_kind == "huge":
+        X = rng.choice(HUGE_VALUES, size=(n, d))
     # Shift the labels with the first feature so splits carry signal.
-    y = (rng.integers(0, k, size=n) + (X[:, 0] > np.median(X[:, 0]))) % k
+    with np.errstate(over="ignore"):
+        median = np.median(X[:, 0])
+    y = (rng.integers(0, k, size=n) + (X[:, 0] > median)) % k
     if rare:
         y[y == k - 1] = 0
         y[0] = k - 1
@@ -100,6 +106,11 @@ ADJACENT = dict(
     max_features=None, max_depth=None,
 )
 
+HUGE = dict(
+    seed=5, n=12, d=2, k=2, column_kind="huge", rare=False,
+    max_features=None, max_depth=None,
+)
+
 
 def assert_same_forest(fast, slow, probe):
     assert fast.trees_.n_trees == len(slow.estimators_)
@@ -113,6 +124,7 @@ class TestLockstepMatchesPerTreeOracle:
     @given(**MODEL_PARAMS)
     @example(criterion="gini", **ADJACENT)
     @example(criterion="entropy", **ADJACENT)
+    @example(criterion="gini", **HUGE)
     @settings(max_examples=25, deadline=None)
     def test_forests(
         self, seed, n, d, k, column_kind, rare, criterion, max_features, max_depth
@@ -132,6 +144,7 @@ class TestLockstepMatchesPerTreeOracle:
     @given(**MODEL_PARAMS)
     @example(criterion="gini", **ADJACENT)
     @example(criterion="entropy", **ADJACENT)
+    @example(criterion="gini", **HUGE)
     @settings(max_examples=40, deadline=None)
     def test_trees(
         self, seed, n, d, k, column_kind, rare, criterion, max_features, max_depth

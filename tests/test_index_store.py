@@ -4,7 +4,8 @@ The tentpole contract of :mod:`repro.corpus.index_store`:
 
 * an :class:`MmapCorpusIndex` reopened from a persisted generation is
   byte-identical to the in-memory :class:`CorpusIndex` it came from —
-  every query method AND the content fingerprint chain;
+  every query method AND the content fingerprint chain — and grows
+  like it, in memory, leaving the generation untouched;
 * any corruption — truncation, flipped bytes, a torn manifest, version
   skew, a missing file — makes :meth:`IndexStore.open` raise and
   :meth:`IndexStore.load_or_build` degrade to a clean rebuild: never a
@@ -80,15 +81,24 @@ class TestMmapParity:
         assert opened.fingerprint() == reference.fingerprint()
         assert opened.term_frequency("a") == 0
 
-    def test_mmap_handle_is_read_only(self, tmp_path):
-        docs = random_documents(random.Random(0))
-        store, reference = build_store(tmp_path, docs)
+    def test_opened_index_grows_in_memory(self, tmp_path):
+        rng = random.Random(0)
+        docs = random_documents(rng, n_docs=12)
+        store, reference = build_store(tmp_path, docs[:7])
+        generation = store.path_for(reference.fingerprint())
+        files = {p.name: p.read_bytes() for p in generation.iterdir()}
         opened = store.open(reference.fingerprint())
-        opened.add_documents([])  # no-op is allowed
-        with pytest.raises(CorpusError, match="read-only"):
-            opened.add_documents([Document("x", [["a"]])])
-        with pytest.raises(CorpusError, match="mmap"):
-            store.save(opened)
+        opened.add_documents([])  # an empty add changes nothing
+        assert opened.fingerprint() == reference.fingerprint()
+        opened.add_documents(docs[7:])
+        terms = random_terms(rng)
+        assert_full_parity(opened, CorpusIndex(docs), terms)
+        # Growth wrote nothing: the generation is byte for byte as saved.
+        assert {p.name: p.read_bytes() for p in generation.iterdir()} == files
+        assert store.fingerprints() == [reference.fingerprint()]
+        # A grown index persists like any other, and reopens equal.
+        store.save(opened)
+        assert_full_parity(store.open(opened.fingerprint()), opened, terms)
 
 
 def _one_array_file(generation):
@@ -252,38 +262,31 @@ class TestCorpusAdoption:
         with pytest.raises(CorpusError, match="documents"):
             Corpus(docs[:-1]).adopt_index(opened)
 
-    def test_add_after_adoption_rebuilds_through_the_store(self, tmp_path):
-        # Regression: growing past an adopted read-only mmap index used
-        # to silently drop it and rebuild in RAM — the new generation
-        # was never persisted, so a daemon with --index-dir paid the
-        # full rebuild again on every restart.  The rebuild must route
-        # through IndexStore.load_or_build instead.
+    def test_add_after_adoption_grows_the_adopted_index(self, tmp_path):
+        # Growing a corpus past its adopted store-opened index grows that
+        # very index in memory: no rebuild, no new generation.
         docs = random_documents(random.Random(12))
         corpus = Corpus(docs)
         store = IndexStore(tmp_path / "store")
-        corpus.adopt_index(store.load_or_build(corpus))
+        opened = store.load_or_build(corpus)
+        corpus.adopt_index(opened, store=store)
+        before = store.fingerprints()
         corpus.add(Document("late", [["new", "tokens"]]))
-        fresh = corpus.index()
-        expected = CorpusIndex(list(corpus))
-        assert fresh.n_documents() == len(docs) + 1
-        assert fresh.fingerprint() == expected.fingerprint()
-        # The grown corpus's generation was persisted and served mmap.
-        assert isinstance(fresh, MmapCorpusIndex)
-        assert expected.fingerprint() in store.fingerprints()
-        # And the cached handle is reused, not rebuilt per query.
-        assert corpus.index() is fresh
+        assert corpus.index() is opened
+        assert_full_parity(
+            opened, CorpusIndex(list(corpus)), random_terms(random.Random(12))
+        )
+        assert store.fingerprints() == before
 
-    def test_adoption_recovers_the_store_from_the_mmap_handle(self, tmp_path):
-        # adopt_index without an explicit store= argument must still
-        # find the store a mmap handle came from (its own directory).
+    def test_adoption_remembers_the_given_store(self, tmp_path):
         docs = random_documents(random.Random(13))
-        corpus = Corpus(docs)
         store = IndexStore(tmp_path / "store")
-        corpus.adopt_index(store.open(store.save(CorpusIndex(docs)).name))
-        corpus.add(Document("late", [["new", "tokens"]]))
-        grown = corpus.index()
-        assert isinstance(grown, MmapCorpusIndex)
-        assert grown.fingerprint() in store.fingerprints()
+        opened = store.open(store.save(CorpusIndex(docs)).name)
+        corpus = Corpus(docs)
+        corpus.adopt_index(opened)
+        assert corpus.index_store is None
+        corpus.adopt_index(opened, store=store)
+        assert corpus.index_store is store
 
 
 class TestLegacyShardedGenerations:

@@ -2,7 +2,8 @@
 
 :class:`~repro.corpus.index.KeptOccurrenceRecords` rests on two facts
 about :meth:`CorpusIndex.occurrence_records`, checked here over the
-in-memory and the mmap-backed index alike:
+in-memory index, the mmap-backed one, and one opened from a store over
+a prefix of the documents, then grown by the rest, alike:
 
 * the records over a corpus are the records of its first ``k``
   documents followed by those of the rest, term by term, for every
@@ -53,7 +54,7 @@ terms = st.lists(
     max_size=10,
 )
 windows = st.integers(min_value=1, max_value=12)
-KINDS = ["memory", "mmap"]
+KINDS = ["memory", "mmap", "grown"]
 
 
 def documents(batch, first):
@@ -62,12 +63,26 @@ def documents(batch, first):
 
 @contextmanager
 def indexer(kind):
-    """A function from documents to an index of ``kind``."""
+    """A function from documents to an index of ``kind``.
+
+    ``grown`` opens a store generation over the first half of the
+    documents and grows it by the rest.
+    """
     if kind == "memory":
         yield CorpusIndex
         return
     with tempfile.TemporaryDirectory() as root:
-        yield IndexStore(Path(root)).load_or_build
+        store = IndexStore(Path(root))
+        if kind == "mmap":
+            yield store.load_or_build
+            return
+
+        def grown(docs):
+            index = store.load_or_build(docs[: len(docs) // 2])
+            index.add_documents(docs[len(docs) // 2 :])
+            return index
+
+        yield grown
 
 
 def first_token(term):

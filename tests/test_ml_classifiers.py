@@ -194,7 +194,31 @@ class TestTreeSpecifics:
         assert np.array_equal(tree.predict(X), y)
 
 
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_split_whose_midpoint_sum_overflows(self, max_depth):
+        # (low + high) / 2 is -inf here: training sent the lower rows
+        # left while prediction sent every row right.
+        from repro.ml.tree import DecisionTreeClassifier
+
+        X = np.array([[-1.7e308], [-1.7e308], [-1.6e308], [-1.6e308]])
+        y = np.array([0, 0, 1, 1])
+        tree = DecisionTreeClassifier(max_depth=max_depth, seed=0).fit(X, y)
+        assert tree.depth() == 1
+        assert np.isfinite(tree.trees_.threshold).all()
+        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(tree.predict_proba(X), np.eye(2)[y])
+
+
 class TestForestSpecifics:
+    def test_split_whose_midpoint_sum_overflows(self):
+        from repro.ml.forest import RandomForestClassifier
+
+        X = np.array([[-1.7e308], [-1.7e308], [-1.6e308], [-1.6e308]] * 3)
+        y = np.array([0, 0, 1, 1] * 3)
+        forest = RandomForestClassifier(n_estimators=10, seed=0).fit(X, y)
+        assert np.isfinite(forest.trees_.threshold).all()
+        assert np.array_equal(forest.predict(X), y)
+
     def test_more_trees_not_worse_on_test(self):
         from repro.ml.forest import RandomForestClassifier
 

@@ -24,25 +24,30 @@ from repro.text.postag import LexiconTagger
 
 from graph_oracles import build_term_graph, mesh_neighborhood
 
-INDEX_KINDS = ("monolithic", "mmap")
+INDEX_KINDS = ("monolithic", "mmap", "grown")
 
 
 def make_index(kind, corpus, directory):
+    """An index of ``kind`` over ``corpus``; ``grown`` opens a store
+    generation over the first half of the documents, then grows it."""
     if kind == "monolithic":
         return CorpusIndex(corpus)
-    index = IndexStore(directory).load_or_build(corpus)
+    documents = list(corpus)
+    split = len(documents) if kind == "mmap" else len(documents) // 2
+    index = IndexStore(directory).load_or_build(documents[:split])
     assert isinstance(index, MmapCorpusIndex)
+    index.add_documents(documents[split:])
     return index
 
 
-def oracle(ontology, index, known_terms, *, window, expand_hierarchy):
+def oracle(ontology, corpus, known_terms, *, window, expand_hierarchy):
     """term -> positions, read off the whole-corpus co-occurrence graph."""
     builder = CooccurrenceGraphBuilder(
         window=window,
         stop_language=None,
         terms=[tuple(term.split()) for term in sorted(known_terms)],
     )
-    __, graph = builder.build(index.token_documents())
+    __, graph = builder.build(corpus.token_documents())
 
     def positions(term):
         found = mesh_neighborhood(
@@ -100,7 +105,7 @@ class TestPostingsNeighborhoodsMatchGraph:
             known = set(ontology.terms()) | set(declared)
             expected = oracle(
                 ontology,
-                index,
+                corpus,
                 known,
                 window=window,
                 expand_hierarchy=expand_hierarchy,
@@ -114,7 +119,7 @@ class TestPostingsNeighborhoodsMatchGraph:
                 known |= set(late)
                 expected = oracle(
                     ontology,
-                    index,
+                    corpus,
                     known,
                     window=window,
                     expand_hierarchy=expand_hierarchy,
@@ -168,7 +173,7 @@ class TestPostingsNeighborhoodsMatchGraph:
         linker = SemanticLinker(ontology, corpus)
         expected = oracle(
             ontology,
-            corpus.index(),
+            corpus,
             set(ontology.terms()),
             window=linker.graph_window,
             expand_hierarchy=True,

@@ -627,6 +627,58 @@ class TestJobsRacingDeltas:
         assert reports[1] in (before, after)
 
 
+class TestFirstLoadRace:
+    def test_jobs_and_deltas_share_the_first_loaded_corpus(
+        self, tmp_path, monkeypatch
+    ):
+        # Regression: a job and a delta on a scenario's first use each
+        # loaded it, and the later store won, so the streamer grew one
+        # corpus while every job read the other one, for good.  Here the
+        # job's load finishes only after the delta, so it stores last.
+        scenario = make_enrichment_scenario(seed=0, n_concepts=12, docs_per_concept=3)
+        write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
+        write_corpus_jsonl(scenario.corpus, tmp_path / "corpus.jsonl")
+        arrival = Document("late-1", list(scenario.corpus)[0].sentences)
+        config = EnrichmentConfig(feature_cache=True)
+        grown = comparable(
+            OntologyEnricher(scenario.ontology, config=config)
+            .enrich(Corpus([*scenario.corpus, arrival]))
+            .to_dict()
+        )
+        entered, release = threading.Event(), threading.Event()
+        read = jobs_module.read_corpus_jsonl
+
+        def held_read(path):
+            corpus = read(path)
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=120)
+            return corpus
+
+        monkeypatch.setattr(jobs_module, "read_corpus_jsonl", held_read)
+        manager = JobManager(
+            {"demo": (tmp_path / "ontology.json", tmp_path / "corpus.jsonl")},
+            job_workers=2,
+        )
+        wait_done = TestDirectoryWatcher.wait_done
+        try:
+            job = manager.submit("demo")
+            assert entered.wait(timeout=60)
+            delta, __ = manager.submit_documents(
+                "demo", [{"doc_id": arrival.doc_id, "sentences": arrival.sentences}]
+            )
+            assert wait_done(manager, delta, timeout=300)["status"] == "done"
+            release.set()
+            later = manager.submit("demo")
+            documents = [wait_done(manager, job_id, timeout=300) for job_id in (job, later)]
+        finally:
+            release.set()
+            manager.shutdown(wait=True)
+        assert [document["status"] for document in documents] == ["done"] * 2
+        for document in documents:
+            assert comparable(document["report"]) == grown
+
+
 class TestKeptEnrichers:
     """Jobs reuse one enricher per (scenario, config), invisibly."""
 
@@ -1209,3 +1261,45 @@ class TestRecommendAfterDeltas:
         expected = recommender.recommend_index(CorpusIndex(documents)).to_dict()
         assert after == json.loads(json.dumps(expected))
         assert after != before
+
+    def test_recommendation_does_not_wait_for_a_running_job(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.recommend import OntologyRegistry
+
+        scenario = make_enrichment_scenario(seed=0, n_concepts=12, docs_per_concept=3)
+        write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
+        write_corpus_jsonl(scenario.corpus, tmp_path / "corpus.jsonl")
+        registry = OntologyRegistry()
+        registry.register("full", scenario.ontology)
+        # The job waits in Step IV, holding the scenario, until released.
+        reached, release = threading.Event(), threading.Event()
+        link = LinkStage.run
+
+        def held_link(stage, ctx):
+            reached.set()
+            release.wait(timeout=120)
+            return link(stage, ctx)
+
+        monkeypatch.setattr(LinkStage, "run", held_link)
+        manager = JobManager(
+            {"demo": (tmp_path / "ontology.json", tmp_path / "corpus.jsonl")},
+            registry=registry,
+        )
+        answered = []
+        try:
+            job = manager.submit("demo")
+            assert reached.wait(timeout=120)
+            recommend = threading.Thread(
+                target=lambda: answered.append(
+                    manager.run_recommend({"corpus": "demo"})
+                )
+            )
+            recommend.start()
+            recommend.join(timeout=60)
+            assert answered, "the recommendation waited for the job"
+            assert manager.job(job)["status"] == "running"
+        finally:
+            release.set()
+            manager.shutdown(wait=True)
+        assert answered[0]["ranking"]

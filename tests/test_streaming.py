@@ -194,6 +194,44 @@ class TestDiskBackedDeltas:
         assert after == generations
 
 
+class TestIndexDirDeltas:
+    def test_deltas_write_no_index_generation(self, tmp_path, monkeypatch):
+        """Deltas grow the store-opened index in memory: no generation
+        is written and nothing goes back through the store."""
+        from repro.corpus.corpus import Corpus
+        from repro.corpus.index_store import IndexStore, MmapCorpusIndex
+
+        scenario = fresh_scenario()
+        documents = list(scenario.corpus)
+        index_dir = tmp_path / "index"
+        enricher = OntologyEnricher(
+            scenario.ontology,
+            config=EnrichmentConfig(index_dir=str(index_dir)),
+            pos_lexicon=scenario.pos_lexicon,
+        )
+        streamer = StreamingEnricher(
+            scenario.ontology, Corpus(documents[:-3]), enricher=enricher
+        )
+        streamer.baseline()
+        opened = streamer.corpus.index()
+        assert isinstance(opened, MmapCorpusIndex)
+        generations = IndexStore(index_dir).fingerprints()
+        assert len(generations) == 1
+
+        def refuse(store, documents):
+            raise AssertionError("a delta went back to the index store")
+
+        monkeypatch.setattr(IndexStore, "load_or_build", refuse)
+        for document in documents[-3:]:
+            streamer.add_documents([document])
+        assert streamer.corpus.index() is opened
+        assert IndexStore(index_dir).fingerprints() == generations
+        fresh = OntologyEnricher(
+            scenario.ontology, pos_lexicon=scenario.pos_lexicon
+        ).enrich(Corpus(documents))
+        assert structural(streamer.report) == structural(fresh)
+
+
 class TestReportDiffUnit:
     def make_row(self, term, score=1.0, rank=1):
         return TermReport(term=term, extraction_score=score, extraction_rank=rank)
