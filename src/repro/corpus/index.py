@@ -134,6 +134,27 @@ def fingerprint_documents(
     return fingerprint
 
 
+def documents_after(
+    corpus: "Sequence[Document]",
+    index: "CorpusIndex",
+    fingerprint: str | None,
+    n_documents: int,
+) -> "list[Document] | None":
+    """The documents of ``corpus`` past its first ``n_documents``, if
+    they chain ``fingerprint`` to ``index.fingerprint()``.
+
+    ``corpus`` holds ``index``'s documents in order.  ``None`` when
+    they do not, or when ``fingerprint`` is ``None`` (nothing kept): a
+    caller keeping state derived from the first ``n_documents`` then
+    starts over, and otherwise reads only the returned documents.
+    """
+    if fingerprint is None or len(corpus) < n_documents:
+        return None
+    added = [corpus[i] for i in range(n_documents, len(corpus))]
+    chained = fingerprint_documents(added, fingerprint)
+    return added if chained == index.fingerprint() else None
+
+
 class Strings:
     """An append-only table of distinct strings: ``items[i]`` has id ``i``.
 
@@ -690,7 +711,7 @@ class KeptOccurrenceRecords:
         """
         terms = tuple(terms)
         needles = self._needles if terms == self._terms else _needles(terms)
-        added = self._added_documents(corpus, index)
+        added = documents_after(corpus, index, self._fingerprint, self._n_documents)
         if added is None:
             self.records = index.occurrence_records(terms, window=self.window)
             changed = set(self.records)
@@ -726,13 +747,3 @@ class KeptOccurrenceRecords:
         self._fingerprint = index.fingerprint()
         self._n_documents = index.n_documents()
         return changed
-
-    def _added_documents(
-        self, corpus: "Sequence[Document]", index: CorpusIndex
-    ) -> "list[Document] | None":
-        """The documents past the kept point, if they chain to ``index``."""
-        if self._fingerprint is None or len(corpus) < self._n_documents:
-            return None
-        added = [corpus[i] for i in range(self._n_documents, len(corpus))]
-        chained = fingerprint_documents(added, self._fingerprint)
-        return added if chained == index.fingerprint() else None

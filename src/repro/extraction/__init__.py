@@ -8,14 +8,13 @@ LIDF-value, and the graph-based TeRGraph.  This subpackage implements all
 of them over the :mod:`repro.text` substrate.
 """
 
-from repro.extraction.candidates import CandidateStats, ExtractionContext, harvest_candidates
+from repro.extraction.candidates import ExtractionContext, harvest_candidates
 from repro.extraction.evaluation import precision_at_k, reference_terms_from_ontology
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.extraction.measures import MEASURE_NAMES, compute_measure
 
 __all__ = [
     "BioTexExtractor",
-    "CandidateStats",
     "ExtractionContext",
     "MEASURE_NAMES",
     "RankedTerm",

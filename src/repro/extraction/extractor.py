@@ -8,7 +8,11 @@ import numpy as np
 
 from repro.corpus.corpus import Corpus
 from repro.errors import ExtractionError
-from repro.extraction.candidates import ExtractionContext, harvest_candidates
+from repro.extraction.candidates import (
+    CandidateColumns,
+    ExtractionContext,
+    harvest_candidates,
+)
 from repro.extraction.measures import MEASURE_NAMES, compute_measure
 from repro.text.patterns import TermPatternMatcher
 from repro.text.postag import LexiconTagger
@@ -26,44 +30,48 @@ class RankedTerm:
 
 
 class _Ranking:
-    """One measure's ranking of an aggregate, turned into terms on demand.
+    """One measure's ranking of an aggregate, ordered on demand.
 
-    ``order`` holds the ranked candidates' indices into ``tokens`` (the
-    candidate keys when the ranking was made), best first; ``scores``
-    and ``frequencies`` are their scores and frequencies in that order,
-    copied when the ranking was made, since a later fold bumps the
-    columns in place.  ``terms`` holds the :class:`RankedTerm` of each
-    rank built so far: a prefix of the ranking, grown to the longest
-    prefix any caller asked for.
+    ``rows`` are the ranked candidates' rows of ``columns``;
+    ``scores`` and ``frequencies`` are theirs, copied when the ranking
+    was made, since a later fold bumps the columns in place.  ``order``
+    holds positions into ``rows``, best first: the rows that score at
+    least the ``k``-th best score for the longest prefix ``k`` asked
+    for so far, fully ordered, so that it is a prefix of the whole
+    ranking.  ``terms`` holds the :class:`RankedTerm` of each rank built
+    so far.
     """
 
     def __init__(
         self,
-        tokens: list[tuple[str, ...]],
-        order: np.ndarray,
+        columns: CandidateColumns,
+        rows: np.ndarray,
         scores: np.ndarray,
         frequencies: np.ndarray,
     ) -> None:
-        self.tokens = tokens
-        self.order = order
+        self.columns = columns
+        self.rows = rows
         self.scores = scores
         self.frequencies = frequencies
+        self.order = np.zeros(0, dtype=np.int64)
         self.terms: list[RankedTerm] = []
 
     def head(self, top_k: int | None) -> list[RankedTerm]:
         """A new list of the best ``top_k`` terms (``None`` = all)."""
-        terms = self.terms
-        size = len(self.order)
+        size = len(self.rows)
         end = size if top_k is None else min(top_k, size)
+        if len(self.order) < end:
+            self.order = self._prefix(end)
+        terms = self.terms
         start = min(len(terms), end)
-        for rank, index, score, frequency in zip(
+        at = self.order[start:end]
+        for rank, tokens, score, frequency in zip(
             range(start + 1, end + 1),
-            self.order[start:end].tolist(),
-            self.scores[start:end].tolist(),
-            self.frequencies[start:end].tolist(),
+            self.columns.tokens(self.rows[at]),
+            self.scores[at].tolist(),
+            self.frequencies[at].tolist(),
             strict=True,
         ):
-            tokens = self.tokens[index]
             terms.append(
                 RankedTerm(
                     term=" ".join(tokens),
@@ -75,25 +83,62 @@ class _Ranking:
             )
         return terms[:end]
 
+    def _prefix(self, k: int) -> np.ndarray:
+        """Every position scoring at least the ``k``-th best score, ordered.
+
+        Score descending, then the token tuple, compared word by word in
+        sorted word order; -1 pads a shorter tuple, so a prefix sorts
+        before its extensions.  -0.0 and 0.0 tie, as equal floats do.
+        """
+        negated = -self.scores
+        if k < len(negated):
+            kth = np.partition(negated, k - 1)[k - 1]
+            at = np.flatnonzero(negated <= kth)
+        else:
+            at = np.arange(len(negated))
+        ids = self.columns.ids[self.rows[at]]
+        present = ids >= 0
+        used, inverse = np.unique(ids[present], return_inverse=True)
+        words = [self.columns.words[i] for i in used.tolist()]
+        ranks = np.empty(len(used), dtype=np.int64)
+        ranks[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+        word_ranks = np.full(ids.shape, -1, dtype=np.int64)
+        word_ranks[present] = ranks[inverse.ravel()]
+        keys = [word_ranks[:, j] for j in reversed(range(ids.shape[1]))]
+        return at[np.lexsort([*keys, negated[at]])]
+
 
 @dataclass
 class _Harvest:
     """The fold of the last corpus an extractor harvested.
 
     ``settings`` is everything besides the documents that shapes the
-    aggregate; ``documents`` holds each folded document's id and
-    sentence token lists, in corpus order; ``rankings`` caches the
-    ranking per (measure, min_frequency, min_length).
+    aggregate; ``documents`` holds each folded document's id and a copy
+    of its sentence token lists, in corpus order; ``rankings`` caches
+    the ranking per (measure, min_frequency, min_length).
     """
 
     settings: tuple
-    documents: list[tuple[str, tuple[tuple[str, ...], ...]]]
+    documents: list[tuple[str, list[list[str]]]]
     aggregate: ExtractionContext
     rankings: dict[tuple[str, int, int], _Ranking] = field(default_factory=dict)
 
+    def extended_by(self, documents: list) -> bool:
+        """Whether ``documents`` start with the folded ones, unchanged.
 
-def _document_key(doc) -> tuple[str, tuple[tuple[str, ...], ...]]:
-    return doc.doc_id, tuple(map(tuple, doc.sentences))
+        Sentences are compared token by token, not through the corpus
+        fingerprint: that lower-cases and flattens the tokens, and a
+        case edit or a re-split changes the tagging.  (Sentences held
+        in other containers than lists compare unequal: a refold.)
+        """
+        return len(documents) >= len(self.documents) and all(
+            doc.doc_id == doc_id and doc.sentences == sentences
+            for doc, (doc_id, sentences) in zip(documents, self.documents)
+        )
+
+
+def _copy(sentences) -> list[list[str]]:
+    return [list(sentence) for sentence in sentences]
 
 
 class BioTexExtractor:
@@ -185,14 +230,9 @@ class BioTexExtractor:
                 f"min_frequency must be >= 1, got {self.min_frequency}"
             )
         documents = list(corpus)
-        keys = [_document_key(doc) for doc in documents]
         settings = self._settings()
         memo = self._harvest
-        if (
-            memo is None
-            or memo.settings != settings
-            or keys[: len(memo.documents)] != memo.documents
-        ):
+        if memo is None or memo.settings != settings or not memo.extended_by(documents):
             memo = None
         folded = len(memo.documents) if memo is not None else 0
         if memo is None or folded < len(documents):
@@ -206,7 +246,9 @@ class BioTexExtractor:
                 stop_words=self.stop_words,
                 into=memo.aggregate if memo is not None else None,
             )
-            memo = _Harvest(settings, keys, aggregate)
+            added = [(doc.doc_id, _copy(doc.sentences)) for doc in documents[folded:]]
+            kept = memo.documents if memo is not None else []
+            memo = _Harvest(settings, kept + added, aggregate)
         self._harvest = memo
         self.context_ = memo.aggregate.filtered(self.min_frequency)
         return self.context_
@@ -220,10 +262,12 @@ class BioTexExtractor:
     ) -> list[RankedTerm]:
         """Extract and rank candidate terms from ``corpus``.
 
-        The ranking of every candidate is computed once per harvested
-        aggregate, as one numpy sort over the measure's score column;
-        :class:`RankedTerm` objects are built on demand, only for the
-        longest prefix asked for so far.  Each call returns a new list.
+        Every candidate is scored once per harvested aggregate, as one
+        numpy pass over the kept columns; only the prefix asked for is
+        ordered (``np.partition`` finds the ``top_k``-th best score, and
+        the rows scoring at least that are sorted), and
+        :class:`RankedTerm` objects are built only for the longest
+        prefix asked for so far.  Each call returns a new list.
 
         Parameters
         ----------
@@ -247,14 +291,4 @@ class BioTexExtractor:
         scores = compute_measure(measure, context)
         columns = context.columns()
         kept = np.flatnonzero(columns.length >= self.min_length)
-        # Fully deterministic order: score desc, then the token tuple,
-        # compared word by word in sorted word order; -1 pads a shorter
-        # tuple, so a prefix sorts before its extensions.  -0.0 and 0.0
-        # tie, as equal floats do.
-        ids = columns.ids[kept]
-        words = np.where(ids >= 0, columns.word_ranks()[ids], -1)
-        keys = [words[:, j] for j in reversed(range(words.shape[1]))]
-        order = kept[np.lexsort([*keys, -scores[kept]])]
-        return _Ranking(
-            list(context.candidates), order, scores[order], columns.frequency[order]
-        )
+        return _Ranking(columns, kept, scores[kept], columns.frequency[kept])

@@ -2,7 +2,7 @@
 
 Every measure maps an :class:`~repro.extraction.candidates.ExtractionContext`
 to a score column: a float64 array with one score per candidate, in
-candidate order (``context.candidates``); higher is always better.  The
+row order of ``context.columns()``; higher is always better.  The
 inventory follows the paper's companion IRJ-2016 paper [4]:
 
 ============  ===============================================================
@@ -22,17 +22,17 @@ The measures are numpy expressions over the context's
 :class:`~repro.extraction.candidates.CandidateColumns`, float for float
 what the per-candidate Python arithmetic gives: idf and ``log2(len + 1)``
 come from ``math`` through tables with one entry per distinct value,
-C-value's nested sums stay integers, each operation keeps the order of
-the scalar expression, and Okapi adds each candidate's BM25 terms in
-``per_doc`` order.  ``tests/dict_measures.py`` keeps the per-candidate
-measures as the reference.
+C-value reads the nested sums the fold keeps (integers), each operation
+keeps the order of the scalar expression, and Okapi adds each
+candidate's BM25 terms in the order of its (candidate, document, count)
+triplets.  ``tests/dict_measures.py`` keeps the per-candidate measures
+as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import chain
 
 import numpy as np
 
@@ -46,10 +46,13 @@ _BM25_B = 0.75
 
 
 def _table(values: np.ndarray, fn: Callable[[int], float]) -> np.ndarray:
-    """``fn`` of each of ``values``, called once per distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    table = np.array([fn(value) for value in distinct.tolist()], dtype=np.float64)
-    return table[inverse.ravel()]
+    """``fn`` of each of ``values`` (non-negative ints), called once per
+    distinct value."""
+    counts = np.bincount(values)
+    table = np.zeros(len(counts), dtype=np.float64)
+    distinct = np.flatnonzero(counts)
+    table[distinct] = [fn(value) for value in distinct.tolist()]
+    return table[values]
 
 
 def _idf(context: ExtractionContext, columns: CandidateColumns) -> np.ndarray:
@@ -63,10 +66,10 @@ def _positive(scores: np.ndarray) -> np.ndarray:
 
 
 def _c_value(columns: CandidateColumns) -> np.ndarray:
-    sums, counts = columns.nested_sums()
+    sums, counts = columns.nested_sums, columns.nested_counts
     frequency = columns.frequency.astype(np.float64)
-    nested = counts > 0
-    frequency[nested] -= sums[nested] / counts[nested]
+    mean = sums / np.maximum(counts, 1)
+    np.subtract(frequency, mean, out=frequency, where=counts > 0)
     return _table(columns.length, lambda length: math.log2(length + 1)) * frequency
 
 
@@ -89,35 +92,23 @@ def tf_idf(context: ExtractionContext) -> np.ndarray:
 def okapi(context: ExtractionContext) -> np.ndarray:
     """Okapi BM25 mass of each candidate summed over its documents.
 
-    Each candidate's terms are added from 0.0 in ``per_doc`` order: the
-    sum runs position by position across all candidates at once.
+    Each candidate's terms are added from 0.0 in the order of its
+    triplets: ``np.bincount`` adds its weights one by one, in order.
     """
     avgdl = max(context.avg_doc_length, 1e-9)
     columns = context.columns()
-    per_doc = [stats.per_doc for stats in context.candidates.values()]
-    n_terms = int(columns.doc_frequency.sum())
-    tf = np.fromiter(chain.from_iterable(map(dict.values, per_doc)), np.int64, n_terms)
     lengths = context.doc_lengths
-    dl = np.fromiter(
-        (lengths.get(doc_id, avgdl) for doc_id in chain.from_iterable(per_doc)),
-        np.float64,
-        n_terms,
+    doc_length = np.array(
+        [lengths.get(doc_id, avgdl) for doc_id in columns.doc_ids], dtype=np.float64
     )
-    candidate = np.repeat(np.arange(len(columns)), columns.doc_frequency)
+    candidate = columns.triplet_row
+    tf = columns.triplet_count
+    dl = doc_length[columns.triplet_doc]
     idf = _idf(context, columns)[candidate]
     denom = tf + _BM25_K1 * (1.0 - _BM25_B + _BM25_B * dl / avgdl)
     terms = idf * tf * (_BM25_K1 + 1.0) / denom
-    firsts = np.cumsum(columns.doc_frequency) - columns.doc_frequency
-    position = np.arange(n_terms) - firsts[candidate]
-    by_position = np.argsort(position, kind="stable")
-    bounds = np.searchsorted(
-        position[by_position], np.arange(int(position.max(initial=-1)) + 2)
-    )
-    totals = np.zeros(len(columns), dtype=np.float64)
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist(), strict=True):
-        at = by_position[lo:hi]
-        totals[candidate[at]] += terms[at]
-    return totals
+    totals = np.bincount(candidate, weights=terms, minlength=len(columns))
+    return totals.astype(np.float64, copy=False)  # int64 when there is none
 
 
 def _harmonic_fusion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,14 +154,14 @@ def tergraph(context: ExtractionContext) -> np.ndarray:
     candidates are demoted.  (Adapted from the IRJ-2016 description; the
     original operates on a web-scale co-occurrence graph.)
     """
-    # Build document → candidates inverted index, then neighbour sets.
-    by_doc: dict[str, list[tuple[str, ...]]] = {}
-    for tokens, stats in context.candidates.items():
-        for doc_id in stats.per_doc:
-            by_doc.setdefault(doc_id, []).append(tokens)
-    neighbors: dict[tuple[str, ...], set[tuple[str, ...]]] = {
-        tokens: set() for tokens in context.candidates
-    }
+    columns = context.columns()
+    # Document -> candidates inverted index, then neighbour sets.
+    by_doc: dict[int, list[int]] = {}
+    for row, doc in zip(
+        columns.triplet_row.tolist(), columns.triplet_doc.tolist(), strict=True
+    ):
+        by_doc.setdefault(doc, []).append(row)
+    neighbors: list[set[int]] = [set() for _ in range(len(columns))]
     for members in by_doc.values():
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
@@ -178,10 +169,9 @@ def tergraph(context: ExtractionContext) -> np.ndarray:
                     neighbors[a].add(b)
                     neighbors[b].add(a)
     scores = []
-    for tokens in context.candidates:
-        ns = neighbors[tokens]
-        # A set iterates in string-hash order, which changes per process
-        # (PYTHONHASHSEED); fsum is correctly rounded in any order.
+    for ns in neighbors:
+        # fsum is correctly rounded in any order, so the sum does not
+        # depend on how a set iterates.
         mass = math.fsum(1.0 / max(len(neighbors[u]), 1) for u in ns)
         scores.append(math.log2(1.0 + mass / (1.0 + len(ns))))
     return np.array(scores, dtype=np.float64)
@@ -204,7 +194,7 @@ MEASURE_NAMES = ("lidf_value", "c_value", "tf_idf", "okapi", "f_tfidf_c", "f_oca
 def compute_measure(name: str, context: ExtractionContext) -> np.ndarray:
     """Measure ``name``'s score column over ``context`` (see :data:`MEASURE_NAMES`).
 
-    Score ``i`` belongs to the ``i``-th candidate of ``context.candidates``.
+    Score ``i`` belongs to row ``i`` of ``context.columns()``.
     """
     try:
         fn = _REGISTRY[name]

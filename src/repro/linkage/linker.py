@@ -45,9 +45,9 @@ class SemanticLinker:
     co-occurrence graph is built: each candidate's neighbourhood is read
     from the postings of the documents that mention it
     (:class:`~repro.linkage.neighborhood.TermNeighborhoods`), and each of
-    those documents is merged at most once per build.  An unanticipated
-    candidate changes the known terms, hence the merge, so it triggers
-    one rebuild of both artefacts.
+    those documents is merged at most once.  An unanticipated candidate
+    changes the known terms, hence the merge, so it triggers one
+    rebuild of both artefacts.
 
     Parameters
     ----------
@@ -77,6 +77,12 @@ class SemanticLinker:
         linkers: it reuses its space while the corpus fingerprint, the
         window and the term list stay unchanged.  By default each build
         makes a new one.
+    neighborhoods:
+        Optional :class:`~repro.linkage.neighborhood.TermNeighborhoods`
+        to read the neighbourhoods through, kept by the caller across
+        linkers: it keeps its merged documents and neighbour sets while
+        they stay valid (see :meth:`TermNeighborhoods.update`).  By
+        default each build makes a new one.
 
     Example
     -------
@@ -96,6 +102,7 @@ class SemanticLinker:
         expand_hierarchy: bool = True,
         index: CorpusIndex | None = None,
         context_index: TermContextIndex | None = None,
+        neighborhoods: TermNeighborhoods | None = None,
     ) -> None:
         if top_k < 1:
             raise LinkageError(f"top_k must be >= 1, got {top_k}")
@@ -111,6 +118,7 @@ class SemanticLinker:
         self._neighborhoods: TermNeighborhoods | None = None
         self._index: TermContextIndex | None = None
         self._kept_index = context_index
+        self._kept_neighborhoods = neighborhoods
 
     # -- shared artefacts ---------------------------------------------------
 
@@ -120,12 +128,21 @@ class SemanticLinker:
             # Re-fetch on every (re)build: corpus.index() is cached, and a
             # rebuild after corpus.add must see the added documents.
             self._corpus_index = self.corpus.index()
-        self._neighborhoods = TermNeighborhoods(
-            self.ontology,
-            self._corpus_index,
-            extra_terms=self._extra_terms,
-            window=self.graph_window,
-        )
+        if self._kept_neighborhoods is None:
+            self._neighborhoods = TermNeighborhoods(
+                self.ontology,
+                self._corpus_index,
+                extra_terms=self._extra_terms,
+                window=self.graph_window,
+            )
+        else:
+            self._neighborhoods = self._kept_neighborhoods.update(
+                self.ontology,
+                self.corpus,
+                self._corpus_index,
+                extra_terms=self._extra_terms,
+                window=self.graph_window,
+            )
         index = self._kept_index
         if index is None:
             index = TermContextIndex(self.corpus)

@@ -19,14 +19,18 @@ path's test oracle.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex
+from repro.corpus.index import CorpusIndex, documents_after
 from repro.errors import LinkageError
 from repro.ontology.model import Ontology, normalize_term
 from repro.text.cooccurrence import TermMerger
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.corpus.document import Document
 
 
 def _positions(
@@ -52,6 +56,10 @@ def _positions(
     return sorted(positions)
 
 
+def _known_terms(ontology: Ontology, extra_terms: Iterable[str]) -> frozenset[str]:
+    return frozenset(ontology.terms()).union(normalize_term(t) for t in extra_terms)
+
+
 class TermNeighborhoods:
     """Candidate neighbourhoods read from the postings, no graph built.
 
@@ -61,9 +69,17 @@ class TermNeighborhoods:
     neighbours are the tokens within ``window - 1`` positions of its
     occurrences in the maximal-munch merged token stream, and only the
     documents whose postings contain the candidate's phrase are read.
-    Each document is merged at most once per instance, so a candidate
-    found in every document costs one merge pass over the corpus, and
-    later candidates reuse the merged documents.
+    Each document is merged at most once, so a candidate found in every
+    document costs one merge pass over the corpus, and later candidates
+    reuse the merged documents; each candidate's neighbour set is kept
+    too.
+
+    An instance can be kept across corpus states: :meth:`update` points
+    it at a grown corpus or another term list and keeps what stays
+    valid.  A merged document depends only on its tokens and the known
+    terms, and maximal munch is decided per start token, so a
+    document's merge changes only if it holds the first token of a term
+    that joined or left the known terms.
 
     Parameters
     ----------
@@ -90,10 +106,68 @@ class TermNeighborhoods:
         self.ontology = ontology
         self.window = check_positive_int(window, "window")
         self._index = index
-        terms = set(ontology.terms())
-        terms.update(normalize_term(term) for term in extra_terms)
-        self._merger = TermMerger(tuple(term.split()) for term in terms)
+        self._terms = _known_terms(ontology, extra_terms)
+        self._merger = TermMerger(tuple(term.split()) for term in self._terms)
         self._merged: dict[int, list[str]] = {}
+        self._neighbors: dict[str, set[str] | None] = {}
+        # The corpus state the merged documents cover.
+        self._fingerprint = index.fingerprint()
+        self._n_documents = index.n_documents()
+
+    def update(
+        self,
+        ontology: Ontology,
+        corpus: "Sequence[Document]",
+        index: CorpusIndex,
+        *,
+        extra_terms: Iterable[str] = (),
+        window: int = 8,
+    ) -> "TermNeighborhoods":
+        """Read ``index`` (over ``corpus``, in order) from now on.
+
+        Keeps every merged document while the corpus extends the kept
+        one along its fingerprint chain, merging again only the
+        documents that hold the first token of a term that joined or
+        left the known terms.  Kept neighbour sets survive growth,
+        except those of the terms the new documents mention; a changed
+        term list or window drops them all.
+        """
+        window = check_positive_int(window, "window")
+        terms = _known_terms(ontology, extra_terms)
+        added = documents_after(corpus, index, self._fingerprint, self._n_documents)
+        if added is None:
+            self._merged, self._neighbors = {}, {}
+        elif terms != self._terms:
+            firsts = {
+                first for term in terms ^ self._terms for first in term.split()[:1]
+            }
+            stale = {
+                ordinal
+                for first in firsts
+                for ordinal, __ in index.phrase_occurrences([first])
+            }
+            self._merged = {
+                ordinal: merged
+                for ordinal, merged in self._merged.items()
+                if ordinal not in stale
+            }
+            self._neighbors = {}
+        if terms != self._terms:
+            self._terms = terms
+            self._merger = TermMerger(tuple(term.split()) for term in terms)
+        if window != self.window:
+            self.window, self._neighbors = window, {}
+        self.ontology = ontology
+        self._index = index
+        self._fingerprint = index.fingerprint()
+        self._n_documents = index.n_documents()
+        if added and self._neighbors:
+            mentioned: set[str] = set()
+            for ordinal in range(self._n_documents - len(added), self._n_documents):
+                mentioned.update(self._merged_document(ordinal))
+            for key in mentioned.intersection(self._neighbors):
+                del self._neighbors[key]
+        return self
 
     def _merged_document(self, ordinal: int) -> list[str]:
         merged = self._merged.get(ordinal)
@@ -108,9 +182,17 @@ class TermNeighborhoods:
         ``None`` matches a candidate that is no node of the graph, an
         empty set one that occurs but has no neighbour.
         """
-        key = normalize_term(candidate)
-        if not key:
-            return None
+        near = self._kept_neighbors(normalize_term(candidate))
+        return None if near is None else set(near)
+
+    def _kept_neighbors(self, key: str) -> set[str] | None:
+        if key in self._neighbors:
+            return self._neighbors[key]
+        near = self._find_neighbors(key) if key else None
+        self._neighbors[key] = near
+        return near
+
+    def _find_neighbors(self, key: str) -> set[str] | None:
         reach = self.window - 1
         found = False
         near: set[str] = set()
@@ -147,7 +229,7 @@ class TermNeighborhoods:
         :class:`LinkageError`.
         """
         key = normalize_term(candidate)
-        neighbors = self.neighbors(key)
+        neighbors = self._kept_neighbors(key)
         if neighbors is not None:
             positions = _positions(self.ontology, key, neighbors, expand_hierarchy)
             if positions:

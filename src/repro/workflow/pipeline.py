@@ -54,6 +54,7 @@ from repro.errors import CorpusError, LinkageError, ValidationError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.context import TermContextIndex
 from repro.linkage.linker import SemanticLinker
+from repro.linkage.neighborhood import TermNeighborhoods
 from repro.ontology.model import Ontology
 from repro.polysemy.cache import CacheKey, FeatureCache, context_digest
 from repro.polysemy.cache_store import DiskCacheStore
@@ -337,16 +338,23 @@ class InduceStage:
 class LinkStage:
     """Step IV: shared-artefact build plus per-candidate propositions.
 
-    ``context_index`` is the enricher's kept
-    :class:`~repro.linkage.context.TermContextIndex`, handed to each
-    run's linker so that an unchanged corpus and term list reuse the
-    context space (``None`` builds a new one).
+    ``context_index`` and ``neighborhoods`` are the enricher's kept
+    :class:`~repro.linkage.context.TermContextIndex` and
+    :class:`~repro.linkage.neighborhood.TermNeighborhoods`, handed to
+    each run's linker so that an unchanged corpus and term list reuse
+    the context space, the merged documents and the neighbour sets
+    (``None`` builds new ones).
     """
 
     name = "link"
 
-    def __init__(self, context_index: TermContextIndex | None = None) -> None:
+    def __init__(
+        self,
+        context_index: TermContextIndex | None = None,
+        neighborhoods: TermNeighborhoods | None = None,
+    ) -> None:
         self._context_index = context_index
+        self._neighborhoods = neighborhoods
 
     def run(self, ctx: PipelineContext) -> None:
         cfg = ctx.config
@@ -361,6 +369,7 @@ class LinkStage:
             expand_hierarchy=cfg.expand_hierarchy,
             index=ctx.index,
             context_index=self._context_index,
+            neighborhoods=self._neighborhoods,
         )
         for item in ctx.work:
             if item.contexts is None:
@@ -494,8 +503,10 @@ class OntologyEnricher:
         )
         self._fitted_on: PolysemyDataset | None = None
         self._senses: dict[SenseKey, SenseInductionResult] = {}
-        # Step IV's context space, kept across runs (made by the first).
+        # Step IV's context space and neighbourhoods, kept across runs
+        # (made by the first).
         self._context_index: TermContextIndex | None = None
+        self._neighborhoods: TermNeighborhoods | None = None
 
     # -- introspection (the streaming delta path builds on these) ----------
 
@@ -567,7 +578,7 @@ class OntologyEnricher:
                 cache=self._feature_cache,
             ),
             InduceStage(self._inducer, self._senses),
-            LinkStage(self._context_index),
+            LinkStage(self._context_index, self._neighborhoods),
         ]
 
     def enrich(
@@ -619,8 +630,9 @@ class OntologyEnricher:
                 corpus.adopt_index(index, store=store)
         timings["index"] = time.perf_counter() - started
         if self._context_index is None:
-            # Each run's linker attaches it to that run's corpus.
+            # Each run's linker attaches them to that run's corpus.
             self._context_index = TermContextIndex(corpus)
+            self._neighborhoods = TermNeighborhoods(self.ontology, index)
 
         # Step II needs a trained classifier; label source is the ontology.
         train_started = time.perf_counter()

@@ -1,16 +1,28 @@
-"""Step I's per-candidate measures and two-sort ranking: the oracle.
+"""Step I's per-candidate measures, nested sums and rankings: the oracle.
 
-:mod:`repro.extraction.measures` scores numpy columns and
-:class:`~repro.extraction.extractor.BioTexExtractor` ranks them with one
-lexsort.  Below are the per-candidate Python measures they replaced,
-reading only the :class:`~repro.extraction.candidates.CandidateStats`
-dict, and the ranking's two stable sorts.  Each measure maps a context
-to ``{candidate tokens: score}``; ``tests/test_measure_oracle.py``
-requires the columns to equal them bit for bit.
+:mod:`repro.extraction.measures` scores numpy columns, the harvest fold
+keeps C-value's nested sums, and
+:class:`~repro.extraction.extractor.BioTexExtractor` orders only the
+prefix asked for.  Below are what they replaced:
+
+- the per-candidate Python measures, reading a dict of per-candidate
+  records (``test_harvest_oracle.OracleContext``, or a column store
+  read through ``test_harvest_oracle.oracle_context``); each maps a
+  context to ``{candidate tokens: score}``;
+- the ranking's two stable sorts (:func:`ranking`);
+- the whole-aggregate nested sums (:func:`nested_sums`) and the
+  whole-aggregate lexsort ranking (:func:`lexsort_ranking`) that the
+  column store computed on every ranking before the fold kept its sums
+  and the extractor ordered only a prefix.
+
+``tests/test_measure_oracle.py`` requires the columns to equal them bit
+for bit.
 """
 
 import math
 from operator import itemgetter
+
+import numpy as np
 
 from repro.text.vectorize import idf_weight
 
@@ -143,3 +155,71 @@ def ranking(context, measure, *, min_length=1, top_k=None):
     rows.sort(key=itemgetter(0))
     rows.sort(key=itemgetter(1), reverse=True)
     return rows if top_k is None else rows[:top_k]
+
+
+def _row_keys(rows, n_words):
+    """One int64 key per row of word ids, equal iff the rows are equal
+    (dense prefix ids, valid within one call)."""
+    key = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        prefix = np.unique(key, return_inverse=True)[1].ravel()
+        key = prefix * n_words + rows[:, j]
+    return key
+
+
+def nested_sums(columns):
+    """Per row, the sum and count of its containers' frequencies.
+
+    A row's containers are the rows that strictly contain it as a
+    contiguous sub-sequence.  Each sub-span of each longer row is looked
+    up, per (length, offset), among the sorted keys of the rows of that
+    length, over the whole of ``columns``.
+    """
+    n = len(columns)
+    sums = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for span in range(1, int(columns.length.max(initial=0))):
+        nested = np.flatnonzero(columns.length == span)
+        longer = np.flatnonzero(columns.length > span)
+        if not len(nested) or not len(longer):
+            continue
+        containers = [
+            longer[columns.length[longer] >= offset + span]
+            for offset in range(columns.ids.shape[1] - span + 1)
+        ]
+        keys = _row_keys(
+            np.concatenate(
+                [columns.ids[nested, :span]]
+                + [
+                    columns.ids[rows, offset : offset + span]
+                    for offset, rows in enumerate(containers)
+                ]
+            ),
+            len(columns.words),
+        )
+        order = np.argsort(keys[: len(nested)])
+        nested_keys = keys[: len(nested)][order]
+        span_keys = keys[len(nested) :]
+        at = np.minimum(np.searchsorted(nested_keys, span_keys), len(nested) - 1)
+        hit = nested_keys[at] == span_keys
+        container = np.concatenate(containers)[hit]
+        row = nested[order[at[hit]]]
+        np.add.at(sums, row, columns.frequency[container])
+        np.add.at(counts, row, 1)
+    return sums, counts
+
+
+def lexsort_ranking(columns, scores, *, min_length=1):
+    """Every row of at least ``min_length`` words, best first, by one
+    lexsort over the whole aggregate: score descending, then the token
+    tuple in sorted word order (-1 pads a shorter tuple)."""
+    kept = np.flatnonzero(columns.length >= min_length)
+    words = columns.words
+    word_ranks = np.empty(len(words), dtype=np.int64)
+    word_ranks[sorted(range(len(words)), key=words.__getitem__)] = np.arange(
+        len(words)
+    )
+    ids = columns.ids[kept]
+    ranks = np.where(ids >= 0, word_ranks[ids], -1)
+    keys = [ranks[:, j] for j in reversed(range(ranks.shape[1]))]
+    return kept[np.lexsort([*keys, -scores[kept]])]

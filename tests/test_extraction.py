@@ -18,6 +18,8 @@ from repro.extraction.measures import MEASURE_NAMES, compute_measure
 from repro.ontology.model import Concept, Ontology
 from repro.text.postag import LexiconTagger
 
+from test_harvest_oracle import candidate_records
+
 LEXICON = {
     "corneal": "ADJ", "injury": "NOUN", "wound": "NOUN", "healing": "NOUN",
     "eye": "NOUN", "disease": "NOUN", "patient": "NOUN", "chronic": "ADJ",
@@ -47,15 +49,14 @@ def make_context(min_frequency=1):
 
 class TestHarvestCandidates:
     def test_pattern_filtered_candidates_found(self):
-        context = make_context()
-        assert ("corneal", "injury") in context.candidates
-        assert ("wound", "healing") in context.candidates
+        candidates = candidate_records(make_context())
+        assert ("corneal", "injury") in candidates
+        assert ("wound", "healing") in candidates
         # verbs break the noun-phrase patterns
-        assert ("injury", "heals") not in context.candidates
+        assert ("injury", "heals") not in candidates
 
     def test_counts(self):
-        context = make_context()
-        ci = context.candidates[("corneal", "injury")]
+        ci = candidate_records(make_context())[("corneal", "injury")]
         assert ci.frequency == 2
         assert ci.doc_frequency == 2
         assert ci.per_doc == {"d1": 1, "d2": 1}
@@ -66,15 +67,18 @@ class TestHarvestCandidates:
         assert context.avg_doc_length == pytest.approx((6 + 6 + 3) / 3)
 
     def test_min_frequency_filter(self):
-        context = make_context(min_frequency=2)
-        assert ("corneal", "injury") in context.candidates
-        assert ("chronic", "eye") not in context.candidates
+        candidates = candidate_records(make_context(min_frequency=2))
+        assert ("corneal", "injury") in candidates
+        assert ("chronic", "eye") not in candidates
 
     def test_nested_in(self):
-        context = make_context()
-        containing = context.nested_in(("injury",))
-        texts = {c.text() for c in containing}
-        assert "corneal injury" in texts
+        # "injury" is nested in "corneal injury" (frequency 2), "injury
+        # treatment" (1) and "corneal injury treatment" (1): the fold
+        # keeps their count and frequency sum on its row.
+        columns = make_context().columns()
+        row = columns.tokens(range(len(columns))).index(("injury",))
+        assert columns.nested_counts[row] == 3
+        assert columns.nested_sums[row] == 4
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ExtractionError):
@@ -85,14 +89,17 @@ class TestHarvestCandidates:
             harvest_candidates(make_corpus(), min_frequency=0)
 
     def test_pattern_weight_recorded(self):
-        context = make_context()
-        assert context.candidates[("corneal", "injury")].pattern_weight > 0
+        candidates = candidate_records(make_context())
+        assert candidates[("corneal", "injury")].pattern_weight > 0
 
 
 def measure_scores(name, context):
-    """``{candidate tokens: score}``: the score column in candidate order."""
+    """``{candidate tokens: score}``: the score column in row order."""
     scores = compute_measure(name, context)
-    return dict(zip(context.candidates, scores.tolist(), strict=True))
+    columns = context.columns()
+    return dict(
+        zip(columns.tokens(range(len(columns))), scores.tolist(), strict=True)
+    )
 
 
 class TestMeasures:
@@ -100,7 +107,7 @@ class TestMeasures:
         context = make_context()
         for name in MEASURE_NAMES:
             scores = compute_measure(name, context)
-            assert scores.shape == (len(context.candidates),), name
+            assert scores.shape == (len(context.columns()),), name
 
     def test_unknown_measure(self):
         with pytest.raises(ExtractionError, match="unknown measure"):

@@ -3,9 +3,9 @@
 A :class:`BioTexExtractor` keeps the aggregate of the last corpus it
 harvested.  Whatever it folds, skips or restarts, every call must give
 exactly what a fresh extractor gives on the same corpus: the same
-ranking for every measure (okapi sums floats in dict order, so
-iteration order matters) and the same ``context_``, iteration order
-included.
+ranking for every measure (okapi sums floats in triplet order, so
+iteration order matters) and the same ``context_``, candidate and
+per-document orders included.
 """
 
 import pytest
@@ -18,6 +18,8 @@ from repro.extraction.measures import MEASURE_NAMES
 from repro.lexicon import BioLexicon
 from repro.scenarios import make_enrichment_scenario
 from repro.text.postag import LexiconTagger
+
+from test_harvest_oracle import context_snapshot
 
 STOP_WORDS = frozenset(
     BioLexicon.filler_nouns() + BioLexicon.core_verbs() + BioLexicon.core_adverbs()
@@ -35,19 +37,6 @@ class CountingTagger(LexiconTagger):
         return super().tag(tokens)
 
 
-def context_snapshot(context):
-    """Everything a context holds, with dict orders made explicit."""
-    return (
-        context.n_documents,
-        list(context.doc_lengths.items()),
-        context.language,
-        [
-            (tokens, stats.frequency, stats.pattern_weight, list(stats.per_doc.items()))
-            for tokens, stats in context.candidates.items()
-        ],
-    )
-
-
 def assert_matches_fresh(extractor, documents, lexicon):
     corpus = Corpus(documents)
     fresh = BioTexExtractor(
@@ -60,10 +49,7 @@ def assert_matches_fresh(extractor, documents, lexicon):
             corpus, measure=measure
         ), measure
     assert context_snapshot(extractor.context_) == context_snapshot(fresh.context_)
-    assert all(
-        stats.frequency >= extractor.min_frequency
-        for stats in extractor.context_.candidates.values()
-    )
+    assert (extractor.context_.columns().frequency >= extractor.min_frequency).all()
 
 
 def n_sentences(documents):
@@ -182,8 +168,9 @@ class TestHarvestFold:
 
 
 class TestRankingPrefix:
-    """Terms are built only for the prefix asked for; any prefix must be
-    the head of the whole ranking."""
+    """Only the prefix asked for is ordered and turned into terms; any
+    prefix must be the head of the whole ranking, also where the k-th
+    score ties with the next."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -199,18 +186,44 @@ class TestRankingPrefix:
             tagger=LexiconTagger(scenario.pos_lexicon), measure=measure
         ).extract(corpus)
         assert len(whole) > 60
+        # The first k whose k-th score equals the next one: the rows
+        # tied at the boundary must all be ordered before any is cut.
+        tie = next(
+            k
+            for k in range(1, len(whole))
+            if whole[k - 1].score == whole[k].score
+        )
         extractor = BioTexExtractor(
             tagger=LexiconTagger(scenario.pos_lexicon), measure=measure
         )
         if whole_first:
             assert extractor.extract(corpus) == whole
         # Shrinking and growing prefixes, past the end of the ranking.
-        for k in (3, 1, 60, len(whole) + 5):
+        for k in (3, 1, tie, tie + 1, 60, len(whole) + 5):
             top = extractor.extract(corpus, top_k=k)
             assert top == whole[:k]
             ranks = [term.rank for term in top]
             assert ranks == list(range(1, min(k, len(whole)) + 1))
         if not whole_first:
+            assert extractor.extract(corpus) == whole
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    def test_tied_prefix_asked_first(self, scenario, measure):
+        # A fresh ranking whose first prefix ends inside a tie group.
+        corpus = scenario.corpus
+        whole = BioTexExtractor(
+            tagger=LexiconTagger(scenario.pos_lexicon), measure=measure
+        ).extract(corpus)
+        tie = next(
+            k
+            for k in range(1, len(whole))
+            if whole[k - 1].score == whole[k].score
+        )
+        for k in (tie, tie + 1):
+            extractor = BioTexExtractor(
+                tagger=LexiconTagger(scenario.pos_lexicon), measure=measure
+            )
+            assert extractor.extract(corpus, top_k=k) == whole[:k]
             assert extractor.extract(corpus) == whole
 
     def test_prefix_then_grown_corpus_matches_fresh(self, scenario):

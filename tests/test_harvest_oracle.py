@@ -1,27 +1,125 @@
 """Step I harvest against its per-window loop oracle.
 
-:func:`harvest_candidates` folds a corpus on arrays.  The loop below is
-the harvest it replaced: every matching window of every tagged
-sentence, from :func:`extract_pattern_phrases`, counted into the
-aggregate one match at a time.  The two must agree on everything a
-context holds, dict orders included, for any tagger, matcher, stop list
-and split of the corpus into folds.
+:func:`harvest_candidates` folds a corpus on arrays into a column
+store.  The loop below is the harvest it replaced: every matching
+window of every tagged sentence, from :func:`extract_pattern_phrases`,
+counted into a dict of per-candidate records one match at a time.  The
+two must agree on everything a context holds, candidate and per-document
+orders included, for any tagger, matcher, stop list and split of the
+corpus into folds.
 """
+
+from dataclasses import dataclass, field
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.corpus.document import Document
 from repro.errors import ExtractionError
-from repro.extraction.candidates import (
-    CandidateStats,
-    ExtractionContext,
-    harvest_candidates,
-)
+from repro.extraction.candidates import harvest_candidates
 from repro.text.ngrams import extract_pattern_phrases
 from repro.text.patterns import TermPattern, TermPatternMatcher
 from repro.text.postag import LexiconTagger, TaggedToken
 
-from test_extraction_fold import context_snapshot
+
+@dataclass
+class OracleCandidate:
+    """The loop harvest's counters for one candidate term."""
+
+    tokens: tuple[str, ...]
+    frequency: int = 0
+    pattern_weight: float = 0.0
+    per_doc: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def doc_frequency(self):
+        return len(self.per_doc)
+
+    @property
+    def length(self):
+        return len(self.tokens)
+
+
+@dataclass
+class OracleContext:
+    """The loop harvest's aggregate: token tuple -> record, in entry order."""
+
+    candidates: dict
+    n_documents: int
+    doc_lengths: dict
+    language: str = "en"
+
+    @property
+    def avg_doc_length(self):
+        if not self.doc_lengths:
+            return 0.0
+        return sum(self.doc_lengths.values()) / len(self.doc_lengths)
+
+    def filtered(self, min_frequency):
+        if min_frequency <= 1:
+            return self
+        return OracleContext(
+            {
+                tokens: record
+                for tokens, record in self.candidates.items()
+                if record.frequency >= min_frequency
+            },
+            self.n_documents,
+            self.doc_lengths,
+            self.language,
+        )
+
+
+def candidate_records(context):
+    """An :class:`~repro.extraction.candidates.ExtractionContext`'s
+    candidates as oracle records, read off its columns and triplets."""
+    columns = context.columns()
+    records = [
+        OracleCandidate(tokens, frequency, weight)
+        for tokens, frequency, weight in zip(
+            columns.tokens(range(len(columns))),
+            columns.frequency.tolist(),
+            columns.pattern_weight.tolist(),
+            strict=True,
+        )
+    ]
+    for row, doc, count in zip(
+        columns.triplet_row.tolist(),
+        columns.triplet_doc.tolist(),
+        columns.triplet_count.tolist(),
+        strict=True,
+    ):
+        per_doc = records[row].per_doc
+        doc_id = columns.doc_ids[doc]
+        assert doc_id not in per_doc, "a (candidate, document) triplet repeats"
+        per_doc[doc_id] = count
+    assert columns.doc_frequency.tolist() == [r.doc_frequency for r in records]
+    return {record.tokens: record for record in records}
+
+
+def oracle_context(context):
+    """``context`` (a column store) as an :class:`OracleContext`."""
+    if isinstance(context, OracleContext):
+        return context
+    return OracleContext(
+        candidate_records(context),
+        context.n_documents,
+        context.doc_lengths,
+        context.language,
+    )
+
+
+def context_snapshot(context):
+    """Everything a context holds, with dict orders made explicit."""
+    context = oracle_context(context)
+    return (
+        context.n_documents,
+        list(context.doc_lengths.items()),
+        context.language,
+        [
+            (tokens, stats.frequency, stats.pattern_weight, list(stats.per_doc.items()))
+            for tokens, stats in context.candidates.items()
+        ],
+    )
 
 
 def loop_harvest(
@@ -33,7 +131,7 @@ def loop_harvest(
     stop = frozenset(w.lower() for w in stop_words) if stop_words else frozenset()
     context = into
     if context is None:
-        context = ExtractionContext(
+        context = OracleContext(
             candidates={}, n_documents=0, doc_lengths={}, language=language
         )
     candidates = context.candidates
@@ -49,7 +147,7 @@ def loop_harvest(
                     continue
                 stats = candidates.get(phrase)
                 if stats is None:
-                    stats = CandidateStats(tokens=phrase)
+                    stats = OracleCandidate(tokens=phrase)
                     candidates[phrase] = stats
                 stats.frequency += 1
                 stats.pattern_weight = max(stats.pattern_weight, weight)

@@ -1,12 +1,14 @@
-"""Step I's column measures and lexsort ranking against the dict oracle.
+"""Step I's column measures and prefix ranking against the dict oracle.
 
-The measures score the aggregate's numpy columns, which the harvest fold
-keeps, and the extractor ranks the score column with one lexsort.
-``tests/dict_measures.py`` keeps the per-candidate measures and the
-two-sort ranking they replaced.  After every fold of a corpus split in
-1-3 parts, the columns must hold what the dict holds, every measure's
-column must equal the oracle's scores bit for bit, and ``extract`` must
-return the oracle's ranking.
+The measures score the aggregate's numpy columns and the nested sums the
+harvest fold keeps, and the extractor orders only the prefix asked for.
+``tests/dict_measures.py`` keeps the per-candidate measures, the
+two-sort ranking, and the whole-aggregate nested sums and lexsort
+ranking they replaced.  After every fold of a corpus split in 1-3
+parts, the kept nested sums and counts must equal the whole-aggregate
+ones (for the live aggregate and for the filtered context), every
+measure's column must equal the oracle's scores bit for bit, and
+``extract`` must return the oracles' ranking.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from test_harvest_oracle import (
     TAGS,
     VOCABULARY,
     PositionalTagger,
+    oracle_context,
     sentences,
 )
 
@@ -68,21 +71,21 @@ def matchers(draw):
     )
 
 
-def assert_columns_hold_the_dict(context):
-    columns = context.columns()
-    stats = list(context.candidates.values())
-    assert columns.length.tolist() == [s.length for s in stats]
-    assert columns.frequency.tolist() == [s.frequency for s in stats]
-    assert columns.doc_frequency.tolist() == [s.doc_frequency for s in stats]
-    assert [w.hex() for w in columns.pattern_weight.tolist()] == [
-        s.pattern_weight.hex() for s in stats
-    ]
-    words = [
-        tuple(columns.words[i] for i in row if i >= 0) for row in columns.ids.tolist()
-    ]
-    assert words == list(context.candidates)
-    for row, candidate in zip(columns.ids.tolist(), stats, strict=True):
-        assert row[candidate.length :] == [-1] * (len(row) - candidate.length)
+def assert_columns_are_consistent(columns):
+    """Lengths, padding and triplets agree with each other."""
+    ids = columns.ids.tolist()
+    assert columns.length.tolist() == [sum(i >= 0 for i in row) for row in ids]
+    for row, length in zip(ids, columns.length.tolist(), strict=True):
+        assert row[length:] == [-1] * (len(row) - length)
+    assert np.bincount(columns.triplet_row, minlength=len(columns)).tolist() == (
+        columns.doc_frequency.tolist()
+    )
+
+
+def assert_kept_sums_match(columns):
+    sums, counts = dict_measures.nested_sums(columns)
+    assert columns.nested_sums.tolist() == sums.tolist()
+    assert columns.nested_counts.tolist() == counts.tolist()
 
 
 def ranked_rows(terms):
@@ -181,19 +184,35 @@ class TestMeasureOracle:
                 context = extractor.build_context(corpus)
             except ExtractionError:
                 continue  # nothing folded yet
-            assert_columns_hold_the_dict(context)
+            # The fold keeps the nested sums of the whole aggregate; a
+            # filtered context's copy covers its own rows only.
+            assert_kept_sums_match(extractor._harvest.aggregate.columns())
+            columns = context.columns()
+            assert_columns_are_consistent(columns)
+            assert_kept_sums_match(columns)
+            tokens = columns.tokens(range(len(columns)))
+            oracle_view = oracle_context(context)
+            assert list(oracle_view.candidates) == tokens
             for measure in MEASURE_NAMES:
                 column = compute_measure(measure, context)
                 assert column.dtype == np.float64
-                oracle = dict_measures.MEASURES[measure](context)
+                oracle = dict_measures.MEASURES[measure](oracle_view)
                 assert [s.hex() for s in column.tolist()] == [
-                    oracle[tokens].hex() for tokens in context.candidates
+                    oracle[t].hex() for t in tokens
                 ], measure
             for measure in MEASURE_NAMES:
+                whole = dict_measures.lexsort_ranking(
+                    columns, compute_measure(measure, context), min_length=min_length
+                )
                 for top_k in (None, 1, 3):
                     expected = dict_measures.ranking(
-                        context, measure, min_length=min_length, top_k=top_k
+                        oracle_view, measure, min_length=min_length, top_k=top_k
                     )
-                    assert ranked_rows(
-                        extractor.extract(corpus, top_k=top_k, measure=measure)
-                    ) == oracle_rows(expected), (measure, top_k)
+                    ranked = extractor.extract(corpus, top_k=top_k, measure=measure)
+                    assert ranked_rows(ranked) == oracle_rows(expected), (
+                        measure,
+                        top_k,
+                    )
+                    assert [t.tokens for t in ranked] == columns.tokens(
+                        whole[:top_k]
+                    ), (measure, top_k)

@@ -12,6 +12,8 @@ from repro.text.stemming import stem
 from repro.text.stopwords import stopwords_for
 from repro.text.tokenizer import tokenize_lower
 
+from test_harvest_oracle import candidate_records
+
 
 class TestFrenchPipeline:
     LEXICON = {
@@ -47,8 +49,9 @@ class TestFrenchPipeline:
         )
         tagger = LexiconTagger(self.LEXICON, language="fr")
         context = harvest_candidates(corpus, tagger=tagger, language="fr")
-        assert ("maladie", "oculaire") in context.candidates
-        assert context.candidates[("maladie", "oculaire")].frequency == 2
+        candidates = candidate_records(context)
+        assert ("maladie", "oculaire") in candidates
+        assert candidates[("maladie", "oculaire")].frequency == 2
 
 
 class TestSpanishPipeline:
@@ -70,7 +73,7 @@ class TestSpanishPipeline:
         )
         tagger = LexiconTagger(self.LEXICON, language="es")
         context = harvest_candidates(corpus, tagger=tagger, language="es")
-        for tokens in context.candidates:
+        for tokens in candidate_records(context):
             assert "la" not in tokens
 
 

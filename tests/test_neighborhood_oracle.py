@@ -16,10 +16,10 @@ from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore, MmapCorpusIndex
 from repro.extraction.extractor import BioTexExtractor
 from repro.linkage.linker import SemanticLinker
-from repro.linkage.neighborhood import candidate_positions
+from repro.linkage.neighborhood import TermNeighborhoods, candidate_positions
 from repro.ontology.model import Concept, Ontology
 from repro.scenarios import make_enrichment_scenario
-from repro.text.cooccurrence import CooccurrenceGraphBuilder
+from repro.text.cooccurrence import CooccurrenceGraphBuilder, TermMerger
 from repro.text.postag import LexiconTagger
 
 from graph_oracles import build_term_graph, mesh_neighborhood
@@ -181,3 +181,116 @@ class TestPostingsNeighborhoodsMatchGraph:
         assert expected("beta term") == ["alpha term"]
         for term in ontology.terms():
             assert linker.positions_for(term) == expected(term), term
+
+
+class TestKeptNeighborhoods:
+    """One :class:`TermNeighborhoods` kept across corpus growth and term
+    list changes answers what the graph oracle gives at every state."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**4),
+        window=st.sampled_from([1, 2, 8]),
+        expand_hierarchy=st.booleans(),
+        kind=st.sampled_from(INDEX_KINDS),
+        first=st.integers(min_value=1, max_value=12),
+        declared=st.lists(
+            st.integers(min_value=0, max_value=12), min_size=3, max_size=3
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_kept_instance_matches_graph_oracle(
+        self, seed, window, expand_hierarchy, kind, first, declared
+    ):
+        scenario = make_enrichment_scenario(
+            seed=seed, n_concepts=8, docs_per_concept=2
+        )
+        ontology, documents = scenario.ontology, list(scenario.corpus)
+        extractor = BioTexExtractor(tagger=LexiconTagger(scenario.pos_lexicon))
+        unknown = [
+            t.term
+            for t in extractor.extract(scenario.corpus, top_k=40)
+            if not ontology.has_term(t.term)
+        ] + nested_subterms(ontology)
+        first = min(first, len(documents) - 1)
+        # (documents, declared candidates): growth with the same terms,
+        # a term list change alone, then both at once.
+        states = [
+            (first, unknown[: declared[0]]),
+            (first + 1, unknown[: declared[0]]),
+            (first + 1, unknown[declared[1] :]),
+            (len(documents), unknown[declared[2] : declared[2] + 6]),
+        ]
+        kept = None
+        for n_documents, extra in states:
+            corpus = Corpus(documents[:n_documents])
+            with tempfile.TemporaryDirectory() as directory:
+                index = make_index(kind, corpus, directory)
+                if kept is None:
+                    kept = TermNeighborhoods(
+                        ontology, index, extra_terms=extra, window=window
+                    )
+                else:
+                    kept.update(
+                        ontology, corpus, index, extra_terms=extra, window=window
+                    )
+                known = set(ontology.terms()) | set(extra)
+                expected = oracle(
+                    ontology,
+                    corpus,
+                    known,
+                    window=window,
+                    expand_hierarchy=expand_hierarchy,
+                )
+                for term in sorted(known):
+                    assert kept.positions(
+                        term, expand_hierarchy=expand_hierarchy
+                    ) == expected(term), (n_documents, term)
+
+    def test_merges_only_what_changed(self, monkeypatch):
+        scenario = make_enrichment_scenario(seed=3, n_concepts=8, docs_per_concept=2)
+        ontology, documents = scenario.ontology, list(scenario.corpus)
+        merged = []
+        merge = TermMerger.merge
+
+        def counting_merge(self, tokens):
+            merged.append(tuple(tokens))
+            return merge(self, tokens)
+
+        monkeypatch.setattr(TermMerger, "merge", counting_merge)
+        corpus = Corpus(documents[:-1])
+        kept = TermNeighborhoods(ontology, corpus.index())
+        terms = sorted(ontology.terms())
+
+        def positions():
+            return [kept.positions(term) for term in terms]
+
+        positions()
+        assert merged
+        # An unchanged corpus and term list merge nothing.
+        merged.clear()
+        kept.update(ontology, corpus, corpus.index())
+        positions()
+        assert merged == []
+        # Growth merges the new document only.
+        corpus.add(documents[-1])
+        kept.update(ontology, corpus, corpus.index())
+        positions()
+        assert merged == [tuple(corpus.index().document_tokens(len(documents) - 1))]
+        # A new known term re-merges only documents holding its first token.
+        merged.clear()
+        extra = "zzqx " + terms[0]
+        corpus.add(Document("extra", [extra.split(), terms[1].split()]))
+        kept.update(ontology, corpus, corpus.index(), extra_terms=[extra])
+        positions()
+        holding = {
+            tuple(corpus.index().document_tokens(ordinal))
+            for ordinal, __ in corpus.index().phrase_occurrences(["zzqx"])
+        }
+        assert set(merged) <= holding
+        assert kept.positions(terms[1]) == oracle(
+            ontology,
+            corpus,
+            set(terms) | {extra},
+            window=kept.window,
+            expand_hierarchy=True,
+        )(terms[1])
