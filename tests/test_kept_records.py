@@ -236,7 +236,7 @@ class TestDeltaReadsOnlyTheDelta:
             retrievals.append((index.n_documents(), term_list))
             return original(index, term_list, window=window)
 
-        kept = streamer.enricher._context_index._records
+        kept = streamer.enricher._link.context_index._records
         before = list(kept.records)
         with mock.patch.object(CorpusIndex, "occurrence_records", counting):
             diff = streamer.add_documents([arrival])
