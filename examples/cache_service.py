@@ -7,11 +7,10 @@ jobs, then
 
 1. runs a **cold** pipeline against ``cache_url`` (every Step II vector
    is computed and pushed to the service),
-2. runs a **warm** pipeline twice from brand-new enrichers — once over
-   the per-vector protocol (``cache_batch_size=1``) and once over the
-   batched ``/vectors/batch`` protocol — counting the HTTP round trips
-   each one costs server-side (the ``/stats`` ``requests`` delta;
-   ``/stats`` polls themselves are uncounted),
+2. runs a **warm** pipeline from a brand-new enricher, counting the
+   HTTP round trips it costs server-side (the ``/stats`` ``requests``
+   delta; ``/stats`` polls themselves are uncounted): every lookup
+   travels in ``/vectors/batch`` frames of up to 256 keys,
 3. submits the same enrichment as a **server-side job** twice with one
    ``Idempotency-Key`` (the second submit replays the first job),
 4. scrapes ``GET /metrics`` and shows the traffic it recorded,
@@ -42,10 +41,9 @@ from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 
 
-def enrich_with_fresh_enricher(scenario, cache_url: str, batch_size: int = 256):
+def enrich_with_fresh_enricher(scenario, cache_url: str):
     config = EnrichmentConfig(
-        n_candidates=8, cache_url=cache_url, cache_timeout=0.5,
-        cache_batch_size=batch_size, seed=0
+        n_candidates=8, cache_url=cache_url, cache_timeout=0.5, seed=0
     )
     enricher = OntologyEnricher(
         scenario.ontology, config=config, pos_lexicon=scenario.pos_lexicon
@@ -83,29 +81,18 @@ def main(n_concepts: int = 30, docs_per_concept: int = 5) -> None:
         f"{cold.cache['misses']} misses pushed to the service"
     )
 
-    # Warm twice: the per-vector protocol pays one HTTP round trip per
-    # vector, the batch protocol coalesces them into whole-batch frames.
-    before = round_trips()
-    single, _ = enrich_with_fresh_enricher(
-        scenario, server.url, batch_size=1
-    )
-    single_requests = round_trips() - before
+    # Warm: the vectors come back in whole frames, a round trip per
+    # lookup batch rather than per vector.
     before = round_trips()
     warm, warm_seconds = enrich_with_fresh_enricher(scenario, server.url)
     warm_requests = round_trips() - before
     print(
         f"warm run : {warm_seconds:.2f}s — "
-        f"{warm.cache['remote_hits']} vectors served over HTTP, "
-        f"{warm.cache['misses']} misses "
+        f"{warm.cache['remote_hits']} vectors served over HTTP in "
+        f"{warm_requests} round trips, {warm.cache['misses']} misses "
         f"({cold_seconds / max(warm_seconds, 1e-9):.1f}x faster)"
     )
-    print(
-        f"round trips: {single_requests} per-vector vs "
-        f"{warm_requests} batched "
-        f"({single_requests / max(warm_requests, 1):.0f}x fewer)"
-    )
     assert warm.cache["remote_hits"] > 0 and warm.cache["misses"] == 0
-    assert warm_requests < single_requests
 
     # The service also *runs* enrichment: submit, poll, fetch — and a
     # resubmission carrying the same Idempotency-Key replays the first
@@ -140,7 +127,7 @@ def main(n_concepts: int = 30, docs_per_concept: int = 5) -> None:
     rows = lambda report: json.dumps(  # noqa: E731
         [t.to_dict() for t in report.terms], sort_keys=True
     )
-    assert rows(cold) == rows(warm) == rows(single)
+    assert rows(cold) == rows(warm)
 
     server.stop()
     dead, dead_seconds = enrich_with_fresh_enricher(scenario, server.url)

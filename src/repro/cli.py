@@ -81,7 +81,6 @@ def _enrich_config(args: argparse.Namespace) -> EnrichmentConfig:
         cache_max_bytes=args.cache_max_bytes,
         cache_url=args.cache_url,
         cache_timeout=args.cache_timeout,
-        cache_batch_size=args.cache_batch_size,
     )
 
 
@@ -683,11 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     enrich.add_argument(
         "--cache-timeout", type=float, default=5.0,
         help="per-request network timeout (seconds) for --cache-url",
-    )
-    enrich.add_argument(
-        "--cache-batch-size", type=int, default=256,
-        help="vectors per /vectors/batch round trip against --cache-url "
-        "(1 = the per-vector protocol)",
     )
     enrich.add_argument(
         "--timings", action="store_true",

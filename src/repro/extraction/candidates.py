@@ -411,17 +411,22 @@ class ExtractionContext:
         default_factory=CandidateColumns, repr=False, compare=False
     )
     _rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _taken: CandidateColumns | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def columns(self) -> CandidateColumns:
         """The candidates as columns.
 
         For the live aggregate these are its own columns, which a later
-        fold updates in place; a filtered context gets a copy of the rows
-        it kept.
+        fold updates in place; a filtered context takes a copy of the
+        rows it kept on the first call and keeps it.
         """
         if self._rows is None:
             return self._columns
-        return self._columns.take(self._rows)
+        if self._taken is None:
+            self._taken = self._columns.take(self._rows)
+        return self._taken
 
     def filtered(self, min_frequency: int) -> "ExtractionContext":
         """This context without candidates rarer than ``min_frequency``.

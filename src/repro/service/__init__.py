@@ -10,8 +10,8 @@ of pipeline runs on any machine share its warm Step II vectors through
 Public surface:
 
 * :class:`RemoteCacheStore` — the ``CacheStore`` protocol over HTTP
-  (every network failure degrades to a clean cache miss), with
-  batched ``get_many``/``put_many`` over ``/vectors/batch``;
+  (every network failure degrades to a clean cache miss), whose
+  every lookup and store is a ``/vectors/batch`` frame;
 * :class:`ServiceClient` — strict JSON client (stats, cache layout,
   job lifecycle, conditional stats, ``/metrics`` scrape);
 * :class:`CacheServiceServer` / :func:`serve` — the server;
@@ -21,8 +21,8 @@ Public surface:
   Prometheus-style instruments behind ``GET /metrics``;
 * :func:`run_load` / :class:`LoadReport` — the many-client load
   generator (``repro loadbench``);
-* the wire-format helpers of :mod:`repro.service.wire`, including the
-  ``RBK1``/``RBV1`` batch frame codec.
+* the wire-format helpers of :mod:`repro.service.wire`: the key
+  codec and the ``RBK1``/``RBV1`` frame codec.
 
 Exports resolve lazily (PEP 562): the *client* side imports no
 workflow code, so ``repro.workflow.pipeline`` can depend on
@@ -51,8 +51,6 @@ _EXPORTS = {
     "ServiceMetrics": "repro.service.metrics",
     "LoadReport": "repro.service.loadgen",
     "run_load": "repro.service.loadgen",
-    "encode_vector": "repro.service.wire",
-    "decode_vector": "repro.service.wire",
     "encode_key": "repro.service.wire",
     "decode_key": "repro.service.wire",
     "encode_key_batch": "repro.service.wire",

@@ -19,14 +19,14 @@ Design constraints (they shape everything below):
   per store (guarded by a lock), re-established transparently when the
   server closes it; a stale keep-alive connection gets one silent
   retry on a fresh connection before the operation counts as failed.
-* **Batched round trips.**  :meth:`RemoteCacheStore.get_many` /
-  :meth:`~RemoteCacheStore.put_many` coalesce N keys into
-  ``ceil(N / batch_size)`` framed ``/vectors/batch`` requests (see the
-  batch codec in :mod:`repro.service.wire`), so a warm pipeline run
-  costs O(batches) round trips instead of O(terms).  A server without
-  the batch routes (a PR 5 deployment) is detected on the first
-  unmarked 404 and the store silently falls back to per-key requests —
-  callers never need to know which protocol is in use.
+* **One vector route.**  Every lookup and store is a framed
+  ``/vectors/batch`` request of at most :data:`DEFAULT_BATCH_SIZE` keys
+  (see :mod:`repro.service.wire`): :meth:`RemoteCacheStore.get_many` /
+  :meth:`~RemoteCacheStore.put_many` cost ``ceil(N / 256)`` round trips,
+  so a warm pipeline run costs O(batches) round trips instead of
+  O(terms), and ``get``/``put`` are batches of one.  Any answer but a
+  200 counts as one failure, so a misrouted ``cache_url`` surfaces in
+  ``remote_errors`` instead of masquerading as a cold cache.
 
 :class:`ServiceClient` is the JSON-level companion for everything that
 is not a vector: stats, cache layout (``repro cache-info``), and the
@@ -48,23 +48,15 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.polysemy.cache_store import CacheKey
 from repro.service.wire import (
-    HEADER_CRC,
-    HEADER_DTYPE,
-    HEADER_MISS,
-    HEADER_SHAPE,
-    MAX_BATCH_ITEMS,
-    decode_vector,
     decode_vector_batch,
-    encode_key,
     encode_key_batch,
-    encode_vector,
     encode_vector_batch,
 )
 
 #: Default per-request network timeout (seconds).
 DEFAULT_TIMEOUT = 5.0
 
-#: Default keys per batched round trip.  Large enough that a warm
+#: Keys per ``/vectors/batch`` round trip.  Large enough that a warm
 #: pipeline run is a handful of requests, small enough that one frame
 #: stays well under the server's body cap even for wide vectors.
 DEFAULT_BATCH_SIZE = 256
@@ -199,12 +191,6 @@ class RemoteCacheStore:
         Per-request network timeout in seconds.  Keep it small: the
         worst case is paid per candidate on an unresponsive server,
         and a timeout is just a miss.
-    batch_size:
-        Keys per batched ``/vectors/batch`` round trip (see
-        :meth:`get_many` / :meth:`put_many`).  ``1`` disables batching
-        entirely — every lookup is a single-vector request, byte for
-        byte the PR 5 protocol (kept as an explicit compatibility and
-        benchmarking mode).
 
     Example
     -------
@@ -220,18 +206,8 @@ class RemoteCacheStore:
         base_url: str,
         *,
         timeout: float = DEFAULT_TIMEOUT,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if not 1 <= batch_size <= MAX_BATCH_ITEMS:
-            raise ValidationError(
-                f"batch_size must be in [1, {MAX_BATCH_ITEMS}], "
-                f"got {batch_size}"
-            )
         self._channel = _HttpChannel(base_url, timeout)
-        self._batch_size = batch_size
-        # None = untested; False = server answered an unmarked 404 on
-        # the batch route (a pre-batch deployment) → per-key fallback.
-        self._batch_supported: bool | None = None if batch_size > 1 else False
         self._counter_lock = threading.Lock()
         self._remote_hits = 0
         self._remote_errors = 0
@@ -245,11 +221,6 @@ class RemoteCacheStore:
     def timeout(self) -> float:
         """The per-request network timeout (seconds)."""
         return self._channel.timeout
-
-    @property
-    def batch_size(self) -> int:
-        """Keys coalesced per batched round trip (1 = per-key mode)."""
-        return self._batch_size
 
     def close(self) -> None:
         """Drop the persistent connection (reopened on next use)."""
@@ -273,112 +244,52 @@ class RemoteCacheStore:
     # -- CacheStore protocol ----------------------------------------------
 
     def get(self, key: CacheKey) -> np.ndarray | None:
-        result = self._channel.request(
-            "GET", "/cache/vector?" + encode_key(key)
-        )
-        if result is None:
-            self._error()
-            return None
-        status, headers, body = result
-        if status == 404 and headers.get(HEADER_MISS.lower()) == "1":
-            return None  # an honest miss from the service, not a failure
-        if status != 200:
-            # Including unmarked 404s: those come from the wrong server
-            # or a wrong path prefix, and counting them as plain misses
-            # would hide the misconfiguration behind a cold cache.
-            self._error()
-            return None
-        vector = decode_vector(
-            headers.get(HEADER_DTYPE.lower()),
-            headers.get(HEADER_SHAPE.lower()),
-            headers.get(HEADER_CRC.lower()),
-            body,
-        )
-        if vector is None:
-            self._error()
-            return None
-        with self._counter_lock:
-            self._remote_hits += 1
-        return vector
+        return self.get_many([key]).get(key)
 
     def put(self, key: CacheKey, vector: np.ndarray) -> None:
-        headers, body = encode_vector(np.asarray(vector))
-        result = self._channel.request(
-            "PUT",
-            "/cache/vector?" + encode_key(key),
-            body=body,
-            headers=headers,
+        self.put_many([(key, vector)])
+
+    def _send_frame(
+        self, method: str, frame: bytes
+    ) -> tuple[int, dict[str, str], bytes] | None:
+        return self._channel.request(
+            method,
+            "/vectors/batch",
+            body=frame,
+            headers={"Content-Type": "application/octet-stream"},
         )
-        if result is None or result[0] not in (200, 204):
-            self._error()
-
-    # -- batched round trips ----------------------------------------------
-
-    def _batch_unsupported(self, result) -> bool:
-        """True when the response says "no such route" (old server).
-
-        An *unmarked* 404 from the batch route means the server predates
-        the batch protocol (the modern server marks its real responses);
-        remember that and fall back to per-key requests transparently —
-        unlike the single-vector route, where an unmarked 404 is a
-        misrouted URL, here it is an expected deployment state.
-        """
-        if result is None or result[0] != 404:
-            return False
-        _, headers, _ = result
-        return headers.get(HEADER_MISS.lower()) != "1"
 
     def get_many(
         self, keys: list[CacheKey]
     ) -> dict[CacheKey, np.ndarray]:
         """Fetch many keys in O(batches) round trips; absent keys omitted.
 
-        Every batch that fails — network fault, malformed frame, an
-        unexpected status — counts **one** failure and degrades all of
-        its keys to clean misses; a server without the batch route
-        flips the store into per-key mode for its lifetime.
+        Every request that fails — network fault, an answer other than
+        200, a malformed frame — counts **one** failure and degrades
+        all of its keys to clean misses.
         """
         found: dict[CacheKey, np.ndarray] = {}
-        batch_hits = 0
-        pending = list(keys)
-        if self._batch_supported is not False:
-            remaining: list[CacheKey] = []
-            for start in range(0, len(pending), self._batch_size):
-                chunk = pending[start : start + self._batch_size]
-                result = self._channel.request(
-                    "POST",
-                    "/vectors/batch",
-                    body=encode_key_batch(chunk),
-                    headers={"Content-Type": "application/octet-stream"},
-                )
-                if self._batch_unsupported(result):
-                    with self._counter_lock:
-                        self._batch_supported = False
-                    remaining.extend(pending[start:])
-                    break
-                if result is None or result[0] != 200:
-                    self._error()
-                    continue
-                entries = decode_vector_batch(result[2])
-                if entries is None:
-                    self._error()
-                    continue
-                with self._counter_lock:
-                    self._batch_supported = True
-                for key, vector in entries:
-                    if vector is not None:
-                        found[key] = vector
-                        batch_hits += 1
-            else:
-                remaining = []
-            pending = remaining
-        if batch_hits:
+        hits = 0
+        for start in range(0, len(keys), DEFAULT_BATCH_SIZE):
+            result = self._send_frame(
+                "POST",
+                encode_key_batch(keys[start : start + DEFAULT_BATCH_SIZE]),
+            )
+            entries = (
+                decode_vector_batch(result[2])
+                if result is not None and result[0] == 200
+                else None
+            )
+            if entries is None:
+                self._error()
+                continue
+            for key, vector in entries:
+                if vector is not None:
+                    found[key] = vector
+                    hits += 1
+        if hits:
             with self._counter_lock:
-                self._remote_hits += batch_hits
-        for key in pending:  # per-key fallback (old server / batch_size=1)
-            vector = self.get(key)  # counts its own hits/errors
-            if vector is not None:
-                found[key] = vector
+                self._remote_hits += hits
         return found
 
     def put_many(
@@ -386,37 +297,19 @@ class RemoteCacheStore:
     ) -> None:
         """Store many vectors in O(batches) round trips.
 
-        Failure semantics mirror :meth:`put`: a failed batch drops its
-        writes silently and counts one failure.
+        A request that fails drops its writes silently and counts one
+        failure.
         """
-        pending = list(entries)
-        if self._batch_supported is not False:
-            remaining: list[tuple[CacheKey, np.ndarray]] = []
-            for start in range(0, len(pending), self._batch_size):
-                chunk = pending[start : start + self._batch_size]
-                result = self._channel.request(
-                    "PUT",
-                    "/vectors/batch",
-                    body=encode_vector_batch(
-                        [(key, np.asarray(vec)) for key, vec in chunk]
-                    ),
-                    headers={"Content-Type": "application/octet-stream"},
-                )
-                if self._batch_unsupported(result):
-                    with self._counter_lock:
-                        self._batch_supported = False
-                    remaining.extend(pending[start:])
-                    break
-                if result is None or result[0] not in (200, 204):
-                    self._error()
-                    continue
-                with self._counter_lock:
-                    self._batch_supported = True
-            else:
-                remaining = []
-            pending = remaining
-        for key, vector in pending:  # per-key fallback
-            self.put(key, vector)
+        for start in range(0, len(entries), DEFAULT_BATCH_SIZE):
+            chunk = entries[start : start + DEFAULT_BATCH_SIZE]
+            result = self._send_frame(
+                "PUT",
+                encode_vector_batch(
+                    [(key, np.asarray(vector)) for key, vector in chunk]
+                ),
+            )
+            if result is None or result[0] != 200:
+                self._error()
 
     def __len__(self) -> int:
         stats = self._fetch_json("/stats")

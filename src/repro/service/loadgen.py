@@ -8,20 +8,22 @@ service with N client threads, each owning its *own*
 connection per client, like real tenants), issuing a deterministic
 seeded mix of operations:
 
-* ``get`` / ``put`` — the single-vector routes,
-* ``batch_get`` / ``batch_put`` — the framed ``/vectors/batch`` routes,
+* ``batch_get`` / ``batch_put`` — ``batch_size``-key lookups and
+  stores on the ``/vectors/batch`` route,
 * ``stats`` — a conditional GET (so the 304 path is exercised under
   concurrency),
 * optionally ``job`` — idempotent job submissions against a registered
   corpus.
 
 Every operation's wall time lands in a per-op latency list; the report
-(:class:`LoadReport`) carries sustained request/s, per-op p50/p99, and
-a failure count assembled from caught
+(:class:`LoadReport`) carries the operations issued, sustained
+request/s, per-op p50/p99, and a failure count assembled from caught
 :class:`~repro.service.client.ServiceError`\\ s plus each store's
-degraded-to-miss ``error_count``.  CI's ``service-load-smoke`` job
-asserts the failure count is zero and that ``/metrics`` saw the
-traffic; ``benchmarks/bench_service_load.py`` turns the report into
+degraded-to-miss ``error_count``.  Any other exception in a client is
+a fault of the harness, not of the service: :func:`run_load` raises it
+once every client has finished.  CI's ``service-load-smoke`` job runs
+``repro loadbench``, asserts the failure count is zero and that
+``/metrics`` saw the traffic, and keeps the report as
 ``BENCH_service_load.json``.
 
 Determinism: thread interleaving is real (that is the point), but each
@@ -32,8 +34,8 @@ so two runs issue the identical request multiset.
 from __future__ import annotations
 
 import random
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +50,9 @@ from repro.service.client import (
 __all__ = ["LoadReport", "OpStats", "run_load", "DEFAULT_MIX"]
 
 #: Relative op weights of the default traffic mix: read-heavy (the
-#: realistic shape for a warm shared cache) with a steady trickle of
-#: batches and stats polls.
+#: realistic shape for a warm shared cache), two lookups per store,
+#: with a steady trickle of stats polls.
 DEFAULT_MIX: dict[str, float] = {
-    "get": 4.0,
-    "put": 2.0,
     "batch_get": 2.0,
     "batch_put": 1.0,
     "stats": 1.0,
@@ -159,11 +159,7 @@ class _ClientWorker:
         return np.full(_VECTOR_DIM, float(slot), dtype=np.float64)
 
     def run(self) -> None:
-        store = RemoteCacheStore(
-            self._base_url,
-            timeout=self._timeout,
-            batch_size=self._batch_size,
-        )
+        store = RemoteCacheStore(self._base_url, timeout=self._timeout)
         client = ServiceClient(self._base_url, timeout=self._timeout)
         errors_before = store.error_count
         try:
@@ -188,11 +184,7 @@ class _ClientWorker:
         self, op: str, store: RemoteCacheStore, client: ServiceClient
     ) -> None:
         slot = self._rng.randrange(64)
-        if op == "get":
-            store.get(self._key(slot))
-        elif op == "put":
-            store.put(self._key(slot), self._vector(slot))
-        elif op == "batch_get":
+        if op == "batch_get":
             store.get_many(
                 [self._key((slot + i) % 64) for i in range(self._batch_size)]
             )
@@ -236,7 +228,9 @@ def run_load(
     :data:`DEFAULT_MIX`); pass ``job_corpus`` to add idempotent ``job``
     submissions to the mix (weight 1 unless the mix names it).  The
     call blocks until every client finishes and returns the assembled
-    :class:`LoadReport`.
+    :class:`LoadReport`; an exception other than
+    :class:`~repro.service.client.ServiceError` in any client is
+    raised here once all of them have finished.
     """
     if clients < 1:
         raise ValidationError(f"clients must be >= 1, got {clients}")
@@ -244,12 +238,14 @@ def run_load(
         raise ValidationError(
             f"ops_per_client must be >= 1, got {ops_per_client}"
         )
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     mix = dict(mix if mix is not None else DEFAULT_MIX)
     if job_corpus is not None:
         mix.setdefault("job", 1.0)
     elif "job" in mix:
         raise ValidationError('op "job" in the mix requires job_corpus')
-    known = {"get", "put", "batch_get", "batch_put", "stats", "job"}
+    known = {"batch_get", "batch_put", "stats", "job"}
     unknown = sorted(set(mix) - known)
     if unknown:
         raise ValidationError(
@@ -271,18 +267,12 @@ def run_load(
         )
         for index in range(clients)
     ]
-    threads = [
-        threading.Thread(
-            target=worker.run, name=f"loadgen-{index}", daemon=True
-        )
-        for index, worker in enumerate(workers)
-    ]
     started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with ThreadPoolExecutor(clients, thread_name_prefix="loadgen") as pool:
+        runs = [pool.submit(worker.run) for worker in workers]
     duration = time.perf_counter() - started
+    for run in runs:
+        run.result()  # re-raises a client's unexpected exception
 
     merged: dict[str, list[float]] = {}
     failures = 0
@@ -302,7 +292,7 @@ def run_load(
             mean_seconds=sum(values) / len(values),
         )
     everything.sort()
-    total = clients * ops_per_client
+    total = len(everything)
     return LoadReport(
         clients=clients,
         requests=total,

@@ -434,8 +434,8 @@ class ServiceMetrics:
         )
         self.cache_ops = self.registry.counter(
             "repro_cache_requests_total",
-            "Vector cache operations by op (get/put/batch_get/batch_put) "
-            "and outcome (hit/miss/stored/error).",
+            "Vector cache operations by op (batch_get/batch_put), counted "
+            "per key, and outcome (hit/miss/stored/error).",
             ("op", "outcome"),
         )
         self.batch_vectors = self.registry.counter(

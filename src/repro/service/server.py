@@ -16,10 +16,8 @@ Routes
 ``GET  /stats``              store counters (``ETag``/304 aware)
 ``GET  /metrics``            Prometheus text exposition
 ``GET  /cache/info``         generation/shard layout (``repro cache-info``)
-``GET  /cache/vector?...``   one vector, binary (404 = miss)
-``PUT  /cache/vector?...``   store one vector, binary body
-``POST /vectors/batch``      batched lookup (key frame in, vector frame out)
-``PUT  /vectors/batch``      batched store (vector frame in)
+``POST /vectors/batch``      lookup (key frame in, vector frame out)
+``PUT  /vectors/batch``      store (vector frame in)
 ``POST /cache/clear``        drop every entry
 ``GET  /corpora``            corpus names registered for jobs
 ``POST /jobs``               submit a job (202 + id; ``Idempotency-Key``
@@ -38,14 +36,13 @@ Routes
                              ``Idempotency-Key`` honoured)
 ===========================  ==========================================
 
-Vector payloads use the raw-binary wire format of
-:mod:`repro.service.wire` (batch routes carry its ``RBK1``/``RBV1``
-frames); everything else is JSON.  Concurrency: the threading server
-handles each connection on its own thread, and :class:`DiskCacheStore`
-serialises writers internally (thread lock + cross-process flock), so N
-concurrent clients behave exactly like N concurrent pipeline processes
-on one cache directory — a layout the store's concurrency suite already
-hammers.
+Vectors travel only on ``/vectors/batch``, in the ``RBK1``/``RBV1``
+frames of :mod:`repro.service.wire`; everything else is JSON.
+Concurrency: the threading server handles each connection on its own
+thread, and :class:`DiskCacheStore` serialises writers internally
+(thread lock + cross-process flock), so N concurrent clients behave
+exactly like N concurrent pipeline processes on one cache directory — a
+layout the store's concurrency suite already hammers.
 
 Observability: every request lands in the
 :class:`~repro.service.metrics.ServiceMetrics` instruments behind
@@ -83,15 +80,8 @@ from repro.service.metrics import (
     ServiceMetrics,
 )
 from repro.service.wire import (
-    HEADER_CRC,
-    HEADER_DTYPE,
-    HEADER_MISS,
-    HEADER_SHAPE,
-    decode_key,
     decode_key_batch,
-    decode_vector,
     decode_vector_batch,
-    encode_vector,
     encode_vector_batch,
 )
 
@@ -115,7 +105,6 @@ _METRIC_ROUTES = frozenset(
         "/stats",
         "/metrics",
         "/cache/info",
-        "/cache/vector",
         "/cache/clear",
         "/vectors/batch",
         "/corpora",
@@ -189,16 +178,15 @@ class CacheService:
     def count_request(self, *, get=0, put=0, hit=0) -> None:
         """Bump the traffic counters: one request, N vector ops.
 
-        The single-vector routes pass booleans (one op per request);
-        the batch routes pass per-key totals — ``requests`` then counts
-        *round trips*, which is exactly what the batching bench
-        measures server-side.
+        The vector routes pass per-key totals, so ``requests`` counts
+        *round trips* (what a warm run's bound in the served-workflow
+        tests measures) and ``vector_*`` count keys.
         """
         with self._lock:
             self._requests += 1
-            self._vector_gets += int(get)
-            self._vector_puts += int(put)
-            self._vector_hits += int(hit)
+            self._vector_gets += get
+            self._vector_puts += put
+            self._vector_hits += hit
             self._stats_version += 1
 
     def stats(self) -> dict:
@@ -435,8 +423,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         elif route == "/cache/info":
             self.service.count_request()
             self._send_json(200, self.service.store.describe())
-        elif route == "/cache/vector":
-            self._get_vector(parsed.query)
         elif route == "/corpora":
             self.service.count_request()
             self._send_json(200, {"corpora": self.service.jobs.corpora()})
@@ -456,15 +442,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._send_error_json(404, f"unknown route {route!r}")
 
     def _route_put(self) -> None:
-        parsed = urlsplit(self.path)
-        route = parsed.path.rstrip("/")
-        if route == "/cache/vector":
-            self._put_vector(parsed.query)
-        elif route == "/vectors/batch":
+        route = urlsplit(self.path).path.rstrip("/")
+        if route == "/vectors/batch":
             self._put_vector_batch()
         else:
             self._drain_body()
-            self._send_error_json(404, f"unknown route {parsed.path!r}")
+            self._send_error_json(404, f"unknown route {route!r}")
 
     def _route_post(self) -> None:
         route = urlsplit(self.path).path.rstrip("/")
@@ -503,78 +486,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     # -- vector endpoints -----------------------------------------------------
 
-    def _get_vector(self, query: str) -> None:
-        key = decode_key(query)
-        if key is None:
-            self.service.count_request(get=True)
-            self.service.metrics.count_cache_op("get", "error")
-            self._send_error_json(
-                400, "corpus, term, and config query params required"
-            )
-            return
-        vector = self.service.store.get(key)
-        self.service.count_request(get=True, hit=vector is not None)
-        self.service.metrics.count_cache_op(
-            "get", "hit" if vector is not None else "miss"
-        )
-        if vector is None:
-            # The miss marker distinguishes "this service, entry absent"
-            # from any other 404 (misrouted URL), which clients count as
-            # a failure.
-            body = json.dumps({"error": "miss"}).encode("utf-8")
-            self._send(
-                404,
-                body,
-                headers={
-                    "Content-Type": "application/json",
-                    HEADER_MISS: "1",
-                },
-            )
-            return
-        headers, body = encode_vector(vector)
-        headers["Content-Type"] = "application/octet-stream"
-        self._send(200, body, headers=headers)
-
-    def _put_vector(self, query: str) -> None:
-        self.service.count_request(put=True)
-        # Read the body before any validation verdict: an error response
-        # with the body left unread would desynchronise keep-alive.
-        body = self._read_body()
-        key = decode_key(query)
-        if key is None:
-            self._send_error_json(
-                400, "corpus, term, and config query params required"
-            )
-            return
-        if body is None:
-            self._send_error_json(400, "bad Content-Length")
-            return
-        vector = decode_vector(
-            self.headers.get(HEADER_DTYPE),
-            self.headers.get(HEADER_SHAPE),
-            self.headers.get(HEADER_CRC),
-            body,
-        )
-        if vector is None:
-            self.service.metrics.count_cache_op("put", "error")
-            self._send_error_json(
-                400, "malformed vector payload (dtype/shape/crc headers)"
-            )
-            return
-        self.service.store.put(key, vector)
-        self.service.metrics.count_cache_op("put", "stored")
-        self._send(204, b"", headers={})
-
-    # -- batch endpoints ------------------------------------------------------
-
     def _get_vector_batch(self) -> None:
         """``POST /vectors/batch``: key frame in, vector frame out.
 
         Every requested key gets exactly one response entry, in request
-        order; a miss travels in-band as a present-flag-0 entry (the
-        batch counterpart of the single route's marked 404).  Duplicate
-        keys in one frame are answered from a per-request memo, so the
-        store is probed once per distinct key.
+        order; a miss travels in-band as a present-flag-0 entry.
+        Duplicate keys in one frame are answered from a per-request
+        memo, so the store is probed once per distinct key.
         """
         metrics = self.service.metrics
         body = self._read_body()
@@ -611,10 +529,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         """``PUT /vectors/batch``: vector frame in, ``{"stored": n}`` out.
 
         Present entries are stored in frame order (duplicates: last one
-        wins, matching N sequential single-vector PUTs); miss-flagged
-        entries are skipped.  A malformed frame stores *nothing* — the
-        decoder is all-or-nothing, so a torn upload can never
-        half-apply.
+        wins, as sequential stores would); miss-flagged entries are
+        skipped.  A malformed frame stores *nothing* — the decoder is
+        all-or-nothing, so a torn upload can never half-apply.
         """
         metrics = self.service.metrics
         body = self._read_body()

@@ -4,48 +4,40 @@ The service speaks two payload kinds:
 
 * **JSON** for everything structural (stats, job submission/status,
   cache layout) — small, human-debuggable with ``curl``;
-* **raw binary** for the feature vectors themselves — a vector travels
-  as its C-contiguous buffer bytes in the HTTP body, described by three
-  response/request headers (:data:`HEADER_DTYPE`, :data:`HEADER_SHAPE`,
-  :data:`HEADER_CRC`), exactly mirroring the
+* **binary frames** for the feature vectors themselves, on the one
+  vector route, ``/vectors/batch``.  A vector travels as its
+  C-contiguous buffer bytes with its dtype, shape and CRC-32 beside it
+  in the frame, mirroring the
   :class:`~repro.polysemy.cache_store.DiskCacheStore` shard record so
   nothing is re-encoded on the hot path (no JSON/base64 blow-up).
 
-Cache keys (context digest, term, spec digest; see
-:mod:`repro.polysemy.cache`) travel as URL-encoded query parameters, so
-any unicode term round-trips.  The parameters keep their historical
-names: ``corpus`` carries the context digest and ``config`` the spec
-digest.
-
-Decoding is defensive in the same way disk reads are: a missing header,
-a shape/length mismatch, or a CRC failure makes :func:`decode_vector`
-return ``None`` — the caller treats it as a clean miss, never a crash
-or a wrong vector.
-
-Batch framing
--------------
-The per-vector round trip above is fine for one vector; a warm pipeline
-run needs *hundreds*, and paying a full HTTP request per vector is what
-made PR 5's path O(terms) round trips.  The batch codec packs N keyed
-vectors into **one** HTTP body:
+Frames
+------
+A warm pipeline run needs *hundreds* of vectors, so a frame packs N
+keyed vectors into **one** HTTP body:
 
 * a **key frame** (:func:`encode_key_batch`) is the lookup request —
   ``RBK1 | u32 count | (u32 keylen | keybytes)*`` where each key is its
   URL-encoded :func:`encode_key` string, so arbitrary unicode terms
-  reuse the proven single-vector escaping;
+  round-trip;
 * a **vector frame** (:func:`encode_vector_batch`) carries the answers
-  (and batch PUT payloads) — ``RBV1 | u32 count`` then per entry the
-  key, a present/miss flag, and for present entries dtype, shape, raw
-  vector bytes, and a CRC-32.  A miss entry is the in-band equivalent
-  of the single-vector route's marked 404.
+  (and PUT payloads) — ``RBV1 | u32 count`` then per entry the key, a
+  present/miss flag, and for present entries dtype, shape, raw vector
+  bytes, and a CRC-32.  A miss travels in-band as a flag-0 entry.
 
-Batch decoding is all-or-nothing: both frames travel as one TCP body,
-so a CRC or structural failure anywhere means the body cannot be
-trusted — the decoder returns ``None`` and the caller degrades every
-key in the batch to a clean miss (one counted failure, never a crash
-or a half-applied batch).  :data:`MAX_BATCH_ITEMS` bounds the entry
-count on both sides so an oversized frame is rejected before any
-allocation is sized from attacker-controlled lengths.
+Cache keys (context digest, term, spec digest; see
+:mod:`repro.polysemy.cache`) are encoded as URL query strings.  The
+parameters keep their historical names: ``corpus`` carries the context
+digest and ``config`` the spec digest.
+
+Decoding is all-or-nothing, as defensive as disk reads: both frames
+travel as one TCP body, so a CRC or structural failure anywhere means
+the body cannot be trusted — the decoder returns ``None`` and the
+caller degrades every key in the frame to a clean miss (one counted
+failure, never a crash, a wrong vector or a half-applied batch).
+:data:`MAX_BATCH_ITEMS` bounds the entry count on both sides so an
+oversized frame is rejected before any allocation is sized from
+attacker-controlled lengths.
 """
 
 from __future__ import annotations
@@ -58,67 +50,9 @@ import numpy as np
 
 from repro.polysemy.cache_store import CacheKey
 
-#: numpy dtype string (e.g. ``<f8``) of the body bytes.
-HEADER_DTYPE = "X-Repro-Dtype"
-#: Comma-separated vector shape (empty string for a 0-d array).
-HEADER_SHAPE = "X-Repro-Shape"
-#: CRC-32 of the body bytes, decimal.
-HEADER_CRC = "X-Repro-Crc"
-#: Marks a vector 404 as an *honest* cache miss from this service.  A
-#: 404 without it came from something else (wrong path prefix, wrong
-#: server, a proxy) — the client counts that as a failure, so a
-#: misconfigured ``cache_url`` surfaces in ``remote_errors`` instead of
-#: masquerading as an eternally cold cache.
-HEADER_MISS = "X-Repro-Miss"
-
-
-def encode_vector(vector: np.ndarray) -> tuple[dict[str, str], bytes]:
-    """``(headers, body)`` describing ``vector`` on the wire."""
-    vector = np.asarray(vector)
-    if not vector.flags["C_CONTIGUOUS"]:
-        vector = np.ascontiguousarray(vector)
-    body = vector.tobytes()
-    headers = {
-        HEADER_DTYPE: vector.dtype.str,
-        HEADER_SHAPE: ",".join(str(n) for n in vector.shape),
-        HEADER_CRC: str(zlib.crc32(body)),
-    }
-    return headers, body
-
-
-def decode_vector(
-    dtype_str: str | None,
-    shape_str: str | None,
-    crc_str: str | None,
-    body: bytes,
-) -> np.ndarray | None:
-    """The vector the headers + body describe, or None when malformed.
-
-    Every failure mode — absent headers, unknown dtype, a length that
-    does not match the declared shape, a CRC mismatch — returns None
-    so transport corruption degrades to a cache miss.
-    """
-    if dtype_str is None or shape_str is None or crc_str is None:
-        return None
-    try:
-        dtype = np.dtype(dtype_str)
-        shape = tuple(
-            int(n) for n in shape_str.split(",") if n != ""
-        )
-        crc = int(crc_str)
-    except (TypeError, ValueError):
-        return None
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    if expected != len(body) or zlib.crc32(body) != crc:
-        return None
-    try:
-        return np.frombuffer(body, dtype=dtype).reshape(shape)
-    except ValueError:
-        return None
-
 
 def encode_key(key: CacheKey) -> str:
-    """URL query string addressing one cache entry."""
+    """URL query string naming one cache entry (a frame's key bytes)."""
     context, term, spec = key
     return urlencode({"corpus": context, "term": term, "config": spec})
 
@@ -136,11 +70,11 @@ def decode_key(query: str) -> CacheKey | None:
         return None
 
 
-# -- batch framing ----------------------------------------------------------
+# -- framing ----------------------------------------------------------------
 
 #: Magic prefix of a key frame (batch lookup request body).
 KEY_BATCH_MAGIC = b"RBK1"
-#: Magic prefix of a vector frame (batch response / batch PUT body).
+#: Magic prefix of a vector frame (lookup response / PUT body).
 VECTOR_BATCH_MAGIC = b"RBV1"
 #: Hard cap on entries per frame, enforced by encoder and decoder alike
 #: (a confused or hostile client cannot make the server size anything
@@ -222,8 +156,7 @@ def encode_vector_batch(
 ) -> bytes:
     """One vector frame: ``(key, vector-or-None)`` per entry, in order.
 
-    ``None`` marks an in-band miss (the batch response counterpart of
-    the single-vector route's marked 404).
+    ``None`` marks an in-band miss.
     """
     if len(entries) > MAX_BATCH_ITEMS:
         raise ValueError(

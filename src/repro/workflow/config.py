@@ -103,12 +103,6 @@ class EnrichmentConfig:
     cache_timeout:
         Per-request network timeout (seconds) of the cache service
         client.  Requires ``cache_url``.
-    cache_batch_size:
-        Vectors coalesced per ``/vectors/batch`` round trip by the
-        cache service client, so a warm remote run costs O(batches)
-        HTTP requests instead of O(terms).  ``1`` disables batching
-        (the per-vector protocol every server speaks).  Only meaningful
-        with ``cache_url``.
     """
 
     language: str = "en"
@@ -132,7 +126,6 @@ class EnrichmentConfig:
     cache_max_bytes: int | None = None
     cache_url: str | None = None
     cache_timeout: float = 5.0
-    cache_batch_size: int = 256
 
     def __post_init__(self) -> None:
         # Named values fail here, not deep inside the first run.
@@ -197,8 +190,4 @@ class EnrichmentConfig:
         if self.cache_timeout <= 0:
             raise ValidationError(
                 f"cache_timeout must be > 0, got {self.cache_timeout}"
-            )
-        if self.cache_batch_size < 1:
-            raise ValidationError(
-                f"cache_batch_size must be >= 1, got {self.cache_batch_size}"
             )

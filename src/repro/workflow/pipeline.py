@@ -463,11 +463,7 @@ class OntologyEnricher:
         )
         if cfg.feature_cache:
             if cfg.cache_url is not None:
-                store = RemoteCacheStore(
-                    cfg.cache_url,
-                    timeout=cfg.cache_timeout,
-                    batch_size=cfg.cache_batch_size,
-                )
+                store = RemoteCacheStore(cfg.cache_url, timeout=cfg.cache_timeout)
             elif cache_store is not None:
                 store = cache_store
             elif cfg.cache_dir is not None:

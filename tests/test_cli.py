@@ -131,6 +131,21 @@ class TestEnrich:
             capsys.readouterr().err
         )
 
+    def test_cache_batch_size_flag_is_gone(self, capsys):
+        # Every vector request is a /vectors/batch frame of at most 256
+        # keys, so the flag that sized the frames is an argparse error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "enrich", "--ontology", "o", "--corpus", "c",
+                    "--cache-batch-size", "1",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache-batch-size" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_classifier_exits_before_any_work(self, tmp_path, capsys):
         # The ontology and corpus paths do not exist: reading either
         # would raise, so exit 2 means the config was checked first.

@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
+from repro.extraction.candidates import CandidateColumns
 from repro.extraction.extractor import BioTexExtractor
 from repro.extraction.measures import MEASURE_NAMES
 from repro.lexicon import BioLexicon
 from repro.scenarios import make_enrichment_scenario
 from repro.text.postag import LexiconTagger
 
-from test_harvest_oracle import context_snapshot
+import dict_measures
+from test_harvest_oracle import context_snapshot, oracle_context
 
 STOP_WORDS = frozenset(
     BioLexicon.filler_nouns() + BioLexicon.core_verbs() + BioLexicon.core_adverbs()
@@ -233,3 +235,71 @@ class TestRankingPrefix:
         grown = Corpus(documents)
         fresh = BioTexExtractor(tagger=LexiconTagger(scenario.pos_lexicon))
         assert extractor.extract(grown) == fresh.extract(grown)
+
+
+class TestFilteredContextColumns:
+    """A filtered context (``min_frequency`` >= 2, as the Table 2
+    experiments run the extractor) takes the copy of the rows it kept
+    once, on its first ``columns()`` call, and keeps it."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return make_enrichment_scenario(seed=7, n_concepts=8, docs_per_concept=2)
+
+    def extractor(self, scenario, **kwargs):
+        return BioTexExtractor(
+            tagger=LexiconTagger(scenario.pos_lexicon),
+            stop_words=STOP_WORDS,
+            **kwargs,
+        )
+
+    def test_one_copy_per_filtered_context(self, scenario, monkeypatch):
+        taken = []
+        take = CandidateColumns.take
+        monkeypatch.setattr(
+            CandidateColumns,
+            "take",
+            lambda self, rows: taken.append(len(rows)) or take(self, rows),
+        )
+        extractor = self.extractor(scenario, min_frequency=2)
+        context = extractor.build_context(scenario.corpus)
+        assert context.columns() is context.columns()
+        assert len(taken) == 1
+        # A fusion measure scores two measures over the columns, then
+        # ranks them: one ranking, no further copy.
+        extractor.extract(scenario.corpus, measure="f_ocapi")
+        assert len(taken) == 2  # the extract's own (new) context
+        # The live aggregate is its own columns: nothing is copied.
+        live = self.extractor(scenario).build_context(scenario.corpus)
+        assert live.columns() is live.columns()
+        assert len(taken) == 2
+
+    def test_a_later_fold_is_seen_by_the_next_context(self, scenario):
+        documents = list(scenario.corpus)
+        extractor = self.extractor(scenario, min_frequency=2)
+        half = extractor.build_context(Corpus(documents[: len(documents) // 2]))
+        before = len(half.columns())
+        grown = extractor.build_context(Corpus(documents))
+        fresh = self.extractor(scenario, min_frequency=2)
+        assert context_snapshot(grown) == context_snapshot(
+            fresh.build_context(Corpus(documents))
+        )
+        assert len(grown.columns()) > before
+        assert len(half.columns()) == before  # the kept copy
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    def test_rankings_at_min_frequency_2_match_the_dict_oracle(
+        self, scenario, measure
+    ):
+        extractor = self.extractor(scenario, min_frequency=2)
+        ranked = extractor.extract(scenario.corpus, measure=measure)
+        expected = dict_measures.ranking(
+            oracle_context(extractor.context_),
+            measure,
+            min_length=extractor.min_length,
+        )
+        assert len(ranked) > 10
+        assert [(t.tokens, t.score.hex(), t.frequency) for t in ranked] == [
+            (tokens, score.hex(), frequency)
+            for tokens, score, frequency in expected
+        ]

@@ -159,9 +159,6 @@ OTHER_CONFIG_VALUES = {
     ),
     "cache_url": st.just({"cache_url": "http://127.0.0.1:9"}),
     "cache_timeout": st.floats(0.01, 60).map(lambda v: {"cache_timeout": v}),
-    "cache_batch_size": st.integers(1, 1024).map(
-        lambda v: {"cache_batch_size": v}
-    ),
 }
 
 

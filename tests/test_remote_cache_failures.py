@@ -5,7 +5,9 @@ must never block on — or crash because of — the cache service.  Server
 down, a mid-response disconnect, a malformed payload, and a timeout all
 make ``get`` return None (and ``put`` drop silently), increment
 ``remote_errors``, and raise nothing.  Fault injection uses raw
-listening sockets speaking just enough HTTP to misbehave on purpose.
+listening sockets speaking just enough HTTP to misbehave on purpose;
+every request they see is on ``/vectors/batch``, and what they answer
+is a vector frame that would be a hit but for the fault.
 """
 
 import contextlib
@@ -17,12 +19,12 @@ import numpy as np
 import pytest
 
 from repro.polysemy.cache import FeatureCache
+from repro.service import client as client_module
 from repro.service.client import RemoteCacheStore
 from repro.service.wire import (
     KEY_BATCH_MAGIC,
     MAX_BATCH_ITEMS,
     VECTOR_BATCH_MAGIC,
-    encode_vector,
     encode_vector_batch,
 )
 
@@ -37,18 +39,27 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
+def ok_head(length: int) -> bytes:
+    """A 200 response head promising ``length`` body bytes."""
+    return (
+        "HTTP/1.1 200 OK\r\n"
+        "Content-Type: application/octet-stream\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode()
+
+
 class FaultyServer:
     """A one-connection-at-a-time server with a scripted response.
 
-    ``respond(connection, request_head)`` decides the fault (the head
-    lets path-sensitive scripts answer the batch route and its per-key
-    fallback differently); the server accepts connections until closed,
-    so clients that retry on a fresh connection still hit the same
-    behaviour.
+    ``respond(connection)`` decides the fault; the server accepts
+    connections until closed, so clients that retry on a fresh
+    connection still hit the same behaviour.  ``request_lines`` records
+    what each connection asked for.
     """
 
     def __init__(self, respond) -> None:
         self._respond = respond
+        self.request_lines: list[bytes] = []
         self._listener = socket.socket()
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", 0))
@@ -76,7 +87,8 @@ class FaultyServer:
                     if not chunk:
                         break
                     data += chunk
-                self._respond(connection, data)
+                self.request_lines.append(data.split(b"\r\n", 1)[0])
+                self._respond(connection)
             except OSError:
                 pass
             finally:
@@ -107,6 +119,21 @@ def assert_clean_miss(store: RemoteCacheStore, *, errors_at_least=1):
     return stats
 
 
+def assert_batch_route_only(server: FaultyServer):
+    """Every vector request the fault server saw (anything but a stats
+    poll) was a frame on the one route."""
+    lines = [
+        line for line in server.request_lines
+        if not line.startswith(b"GET /stats ")
+    ]
+    assert lines
+    for line in lines:
+        assert line.split(b" ")[:2] in (
+            [b"POST", b"/vectors/batch"],
+            [b"PUT", b"/vectors/batch"],
+        ), line
+
+
 class TestServerDown:
     def test_connection_refused_counts_errors_per_operation(self):
         port = free_port()  # bound then released: nothing listens here
@@ -131,34 +158,29 @@ class TestServerDown:
 
 class TestMidResponseDisconnect:
     def test_truncated_body_is_a_miss(self):
-        headers, body = encode_vector(np.arange(32.0))
+        frame = encode_vector_batch([(key(), np.arange(32.0))])
 
-        def respond(connection, request_head):
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                f"X-Repro-Dtype: {headers['X-Repro-Dtype']}\r\n"
-                f"X-Repro-Shape: {headers['X-Repro-Shape']}\r\n"
-                f"X-Repro-Crc: {headers['X-Repro-Crc']}\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n"
-            )
-            # Promise the full vector, deliver a fragment, vanish.
-            connection.sendall(head.encode() + body[: len(body) // 3])
+        def respond(connection):
+            # Promise the full frame, deliver a fragment, vanish.
+            connection.sendall(ok_head(len(frame)) + frame[: len(frame) // 3])
 
         server = FaultyServer(respond)
         try:
             store = RemoteCacheStore(server.url, timeout=1.0)
             assert_clean_miss(store)
+            assert_batch_route_only(server)
         finally:
             server.close()
 
     def test_disconnect_before_any_response(self):
-        def respond(connection, request_head):
+        def respond(connection):
             pass  # close immediately after reading the request
 
         server = FaultyServer(respond)
         try:
             store = RemoteCacheStore(server.url, timeout=1.0)
             assert_clean_miss(store)
+            assert_batch_route_only(server)
         finally:
             server.close()
 
@@ -166,35 +188,30 @@ class TestMidResponseDisconnect:
 class TestMalformedPayload:
     @staticmethod
     def _serve_response(raw: bytes):
-        def respond(connection, request_head):
+        def respond(connection):
             connection.sendall(raw)
 
         return FaultyServer(respond)
 
-    def test_wrong_crc_is_a_miss(self):
-        headers, body = encode_vector(np.arange(8.0))
-        raw = (
-            "HTTP/1.1 200 OK\r\n"
-            f"X-Repro-Dtype: {headers['X-Repro-Dtype']}\r\n"
-            f"X-Repro-Shape: {headers['X-Repro-Shape']}\r\n"
-            "X-Repro-Crc: 1\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode() + body
-        server = self._serve_response(raw)
+    def test_intact_frame_is_a_hit(self):
+        # The control for the faults below: unharmed, the scripted
+        # answer is read as a hit.
+        frame = encode_vector_batch([(key(), np.arange(8.0))])
+        server = self._serve_response(ok_head(len(frame)) + frame)
         try:
-            assert_clean_miss(RemoteCacheStore(server.url, timeout=1.0))
+            store = RemoteCacheStore(server.url, timeout=1.0)
+            np.testing.assert_array_equal(store.get(key()), np.arange(8.0))
+            assert store.stats()["remote_errors"] == 0
         finally:
             server.close()
 
-    def test_missing_vector_headers_is_a_miss(self):
-        body = b"\x00" * 24
-        raw = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode() + body
-        server = self._serve_response(raw)
+    def test_wrong_crc_is_a_miss(self):
+        frame = encode_vector_batch([(key(), np.arange(8.0))])
+        corrupt = frame[:-1] + bytes([frame[-1] ^ 1])  # the CRC's last byte
+        server = self._serve_response(ok_head(len(corrupt)) + corrupt)
         try:
             assert_clean_miss(RemoteCacheStore(server.url, timeout=1.0))
+            assert_batch_route_only(server)
         finally:
             server.close()
 
@@ -202,6 +219,7 @@ class TestMalformedPayload:
         server = self._serve_response(b"NOT HTTP AT ALL\r\n\r\n")
         try:
             assert_clean_miss(RemoteCacheStore(server.url, timeout=1.0))
+            assert_batch_route_only(server)
         finally:
             server.close()
 
@@ -210,7 +228,7 @@ class TestTimeout:
     def test_stalled_server_is_a_miss_within_the_timeout(self):
         stall = threading.Event()
 
-        def respond(connection, request_head):
+        def respond(connection):
             stall.wait(5.0)  # hold the response hostage past the timeout
 
         server = FaultyServer(respond)
@@ -218,6 +236,7 @@ class TestTimeout:
             store = RemoteCacheStore(server.url, timeout=0.3)
             assert store.get(key()) is None
             assert store.stats()["remote_errors"] == 1
+            assert_batch_route_only(server)
         finally:
             stall.set()
             server.close()
@@ -240,30 +259,27 @@ def assert_batch_clean_miss(store, *, keys_requested=6, errors_at_least=1):
 
 
 class TestBatchRouteFaults:
-    """The batch protocol under fire: every fault degrades to per-key
-    clean misses and bumps ``remote_errors`` — one count per failed
-    round trip, never a crash or a half-applied batch."""
+    """Multi-key frames under fire: every fault degrades all of a
+    frame's keys to clean misses and bumps ``remote_errors`` — one count
+    per failed round trip, never a crash or a half-applied batch."""
 
-    def test_mid_batch_disconnect_is_clean_misses(self):
+    def test_mid_batch_disconnect_is_clean_misses(self, monkeypatch):
+        monkeypatch.setattr(client_module, "DEFAULT_BATCH_SIZE", 4)
         frame = encode_vector_batch(
             [(k, np.arange(8.0)) for k in batch_keys()]
         )
 
-        def respond(connection, request_head):
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: application/octet-stream\r\n"
-                f"Content-Length: {len(frame)}\r\n\r\n"
-            )
+        def respond(connection):
             # Promise a full vector frame, deliver a third, vanish.
-            connection.sendall(head.encode() + frame[: len(frame) // 3])
+            connection.sendall(ok_head(len(frame)) + frame[: len(frame) // 3])
 
         server = FaultyServer(respond)
         try:
-            store = RemoteCacheStore(server.url, timeout=1.0, batch_size=4)
-            # 6 keys in chunks of 4: one failed round trip per chunk.
+            store = RemoteCacheStore(server.url, timeout=1.0)
+            # 6 keys in frames of 4: one failed round trip per frame.
             stats = assert_batch_clean_miss(store, errors_at_least=2)
-            assert stats["remote_errors"] == 4  # 2 get chunks + 2 put
+            assert stats["remote_errors"] == 4  # 2 get frames + 2 put
+            assert_batch_route_only(server)
         finally:
             server.close()
 
@@ -275,16 +291,12 @@ class TestBatchRouteFaults:
         )
         torn = frame[: len(frame) - 7]
 
-        def respond(connection, request_head):
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                f"Content-Length: {len(torn)}\r\n\r\n"
-            )
-            connection.sendall(head.encode() + torn)
+        def respond(connection):
+            connection.sendall(ok_head(len(torn)) + torn)
 
         server = FaultyServer(respond)
         try:
-            store = RemoteCacheStore(server.url, timeout=1.0, batch_size=8)
+            store = RemoteCacheStore(server.url, timeout=1.0)
             assert_batch_clean_miss(store)
         finally:
             server.close()
@@ -296,16 +308,12 @@ class TestBatchRouteFaults:
             "<I", MAX_BATCH_ITEMS + 1
         )
 
-        def respond(connection, request_head):
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                f"Content-Length: {len(bogus)}\r\n\r\n"
-            )
-            connection.sendall(head.encode() + bogus)
+        def respond(connection):
+            connection.sendall(ok_head(len(bogus)) + bogus)
 
         server = FaultyServer(respond)
         try:
-            store = RemoteCacheStore(server.url, timeout=1.0, batch_size=4)
+            store = RemoteCacheStore(server.url, timeout=1.0)
             assert_batch_clean_miss(store)
         finally:
             server.close()
@@ -351,7 +359,7 @@ class TestBatchRouteFaults:
         server = CacheServiceServer(DiskCacheStore(tmp_path), port=0)
         server.start()
         try:
-            store = RemoteCacheStore(server.url, timeout=5.0, batch_size=8)
+            store = RemoteCacheStore(server.url, timeout=5.0)
             duplicated = key("dup")
             store.put_many(
                 [
@@ -376,63 +384,42 @@ class TestBatchRouteFaults:
             [(key("dup"), np.zeros(2)), (key("dup"), np.ones(2))]
         )
 
-        def respond(connection, request_head):
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                f"Content-Length: {len(frame)}\r\n\r\n"
-            )
-            connection.sendall(head.encode() + frame)
+        def respond(connection):
+            connection.sendall(ok_head(len(frame)) + frame)
 
         server = FaultyServer(respond)
         try:
-            store = RemoteCacheStore(server.url, timeout=1.0, batch_size=8)
+            store = RemoteCacheStore(server.url, timeout=1.0)
             found = store.get_many([key("dup")])
             np.testing.assert_array_equal(found[key("dup")], np.ones(2))
             assert store.stats()["remote_errors"] == 0
         finally:
             server.close()
 
-    def test_pre_batch_server_flips_to_per_key_fallback(self):
-        """An unmarked 404 on the batch route means an old deployment:
-        the store falls back to per-key requests — transparently, and
-        without counting the probe as a failure."""
-        batch_probes = []
+    def test_a_404_is_one_error_per_frame_and_no_other_route(self):
+        """The route is the only one: an unmarked 404 (a misrouted URL,
+        a server of another kind) counts one failure per frame, and the
+        store tries no other path."""
+        payload = b'{"error": "not found"}'
 
-        def respond(connection, request_head):
-            request_line = request_head.split(b"\r\n", 1)[0]
-            if b"/vectors/batch" in request_line:
-                batch_probes.append(request_line)
-                payload = b'{"error": "not found"}'
-                head = (
-                    "HTTP/1.1 404 Not Found\r\n"  # no X-Repro-Miss
+        def respond(connection):
+            connection.sendall(
+                (
+                    "HTTP/1.1 404 Not Found\r\n"
                     "Content-Type: application/json\r\n"
                     f"Content-Length: {len(payload)}\r\n\r\n"
-                )
-                connection.sendall(head.encode() + payload)
-            elif b"PUT /cache/vector" in request_line:
-                connection.sendall(
-                    b"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n"
-                )
-            else:  # per-key GET: an honest marked miss
-                payload = b'{"error": "miss"}'
-                head = (
-                    "HTTP/1.1 404 Not Found\r\n"
-                    "X-Repro-Miss: 1\r\n"
-                    f"Content-Length: {len(payload)}\r\n\r\n"
-                )
-                connection.sendall(head.encode() + payload)
+                ).encode()
+                + payload
+            )
 
         server = FaultyServer(respond)
         try:
-            store = RemoteCacheStore(server.url, timeout=1.0, batch_size=4)
-            assert store.get_many(batch_keys(3)) == {}
-            store.put_many([(k, np.arange(2.0)) for k in batch_keys(3)])
-            # Old-server probes are a deployment state, not a failure.
-            assert store.stats()["remote_errors"] == 0
-            # The flip is remembered: later bulk calls go straight to
-            # per-key requests without re-probing the batch route.
+            store = RemoteCacheStore(server.url, timeout=1.0)
+            stats = assert_batch_clean_miss(store, keys_requested=3)
+            assert stats["remote_errors"] == 2
             assert store.get_many(batch_keys(2)) == {}
-            assert len(batch_probes) == 1
+            assert store.stats()["remote_errors"] == 3
+            assert_batch_route_only(server)
         finally:
             server.close()
 

@@ -9,6 +9,8 @@ degrades to misses — never an exception.
 """
 
 import json
+import math
+import struct
 import sys
 import threading
 import time
@@ -26,17 +28,22 @@ from repro.polysemy.cache_store import CacheStore, DiskCacheStore
 from repro.polysemy.detector import PolysemyDetector
 from repro.scenarios import make_enrichment_scenario
 from repro.service import jobs as jobs_module
-from repro.service.client import RemoteCacheStore, ServiceClient, ServiceError
+from repro.service.client import (
+    DEFAULT_BATCH_SIZE,
+    RemoteCacheStore,
+    ServiceClient,
+    ServiceError,
+)
 from repro.service.jobs import MAX_KEPT_ENRICHERS, JobManager
 from repro.service.server import CacheServiceServer
 from repro.service.wire import (
+    KEY_BATCH_MAGIC,
+    VECTOR_BATCH_MAGIC,
     decode_key,
     decode_key_batch,
-    decode_vector,
     decode_vector_batch,
     encode_key,
     encode_key_batch,
-    encode_vector,
     encode_vector_batch,
 )
 from repro.workflow.config import EnrichmentConfig
@@ -69,30 +76,44 @@ class TestWireFormat:
         ],
     )
     def test_vector_roundtrip(self, vector):
-        headers, body = encode_vector(vector)
-        decoded = decode_vector(
-            headers["X-Repro-Dtype"],
-            headers["X-Repro-Shape"],
-            headers["X-Repro-Crc"],
-            body,
+        # Any dtype and shape, 0-d and empty included, crosses a frame.
+        [(decoded_key, decoded)] = decode_vector_batch(
+            encode_vector_batch([(key(), vector)])
         )
+        assert decoded_key == key()
         np.testing.assert_array_equal(decoded, vector)
         assert decoded.dtype == vector.dtype
         assert decoded.shape == vector.shape
 
     def test_decode_rejects_corruption(self):
-        headers, body = encode_vector(np.arange(4.0))
-        dtype = headers["X-Repro-Dtype"]
-        shape = headers["X-Repro-Shape"]
-        crc = headers["X-Repro-Crc"]
-        assert decode_vector(None, shape, crc, body) is None
-        assert decode_vector(dtype, None, crc, body) is None
-        assert decode_vector(dtype, shape, None, body) is None
-        assert decode_vector(dtype, "7", crc, body) is None  # wrong length
-        assert decode_vector(dtype, shape, "1", body) is None  # wrong crc
-        assert decode_vector(dtype, shape, crc, body[:-3]) is None  # torn
-        assert decode_vector("not-a-dtype", shape, crc, body) is None
-        assert decode_vector(dtype, "a,b", crc, body) is None
+        """Every field describing an entry is checked: a dtype numpy
+        cannot parse, a shape the body does not fill, a CRC the body
+        does not match, a key missing a component."""
+        frame = encode_vector_batch([(key(), np.arange(4.0))])
+        described = b"<f8" + bytes([1]) + struct.pack("<I", 4)
+        assert frame.count(described) == 1
+        for lie in (
+            b"<z8" + described[3:],  # unknown dtype
+            described[:-4] + struct.pack("<I", 5),  # shape vs length
+            described[:-4] + struct.pack("<I", 3),
+        ):
+            assert decode_vector_batch(frame.replace(described, lie)) is None
+        assert decode_vector_batch(frame[:-1] + bytes([frame[-1] ^ 1])) is None
+        assert decode_vector_batch(frame[:-3]) is None  # torn
+
+        def one_key(raw):
+            return struct.pack("<II", 1, len(raw)) + raw
+
+        complete = encode_key(key()).encode("utf-8")
+        assert decode_key_batch(KEY_BATCH_MAGIC + one_key(complete))
+        incomplete = b"corpus=a&term=b"
+        assert decode_key_batch(KEY_BATCH_MAGIC + one_key(incomplete)) is None
+        miss = b"\x00"
+        assert decode_vector_batch(VECTOR_BATCH_MAGIC + one_key(complete) + miss)
+        assert (
+            decode_vector_batch(VECTOR_BATCH_MAGIC + one_key(incomplete) + miss)
+            is None
+        )
 
     def test_key_roundtrip_survives_unicode_and_separators(self):
         original = ("fp/with?odd&chars", "véso-constriction du cœur", "w=10;&x")
@@ -192,21 +213,32 @@ class TestServerRoutes:
         with pytest.raises(ServiceError, match="404"):
             client._json("POST", "/nope")
 
+    def test_per_vector_routes_are_gone(self, server):
+        """Vectors travel only in /vectors/batch frames: the per-vector
+        routes answer the generic unknown-route 404."""
+        remote = RemoteCacheStore(server.url)
+        path = "/cache/vector?" + encode_key(key())
+        for method, body in (("GET", None), ("PUT", b"\x00" * 32)):
+            status, _, payload = remote._channel.request(
+                method, path, body=body
+            )
+            assert status == 404
+            assert b"unknown route" in payload
+        assert len(remote) == 0
+
     def test_error_responses_keep_the_connection_usable(self, server):
         """Error paths must drain request bodies: an undrained PUT body
         would desynchronise the keep-alive stream and poison every
         later request on the same connection."""
         remote = RemoteCacheStore(server.url)
-        headers, body = encode_vector(np.arange(16.0))
-        # PUT with a body but no key params → 400, body drained.
+        body = encode_vector_batch([(key(), np.arange(16.0))])
+        # PUT of a torn frame → 400, body drained.
         result = remote._channel.request(
-            "PUT", "/cache/vector", body=body, headers=headers
+            "PUT", "/vectors/batch", body=body[:-5]
         )
         assert result[0] == 400
         # PUT with a body to an unknown route → 404, body drained.
-        result = remote._channel.request(
-            "PUT", "/nope", body=body, headers=headers
-        )
+        result = remote._channel.request("PUT", "/nope", body=body)
         assert result[0] == 404
         # POST with a body to an unknown route → 404, body drained.
         result = remote._channel.request(
@@ -221,21 +253,22 @@ class TestServerRoutes:
         assert remote.stats()["remote_errors"] == 0
 
     def test_bad_vector_requests_400(self, server):
-        client = ServiceClient(server.url)
-        with pytest.raises(ServiceError, match="400"):
-            client._json("GET", "/cache/vector?corpus=a")  # incomplete key
         remote = RemoteCacheStore(server.url)
-        # A PUT whose CRC does not match its body is rejected server-side
-        # and the client records the failure without raising.
+        # A lookup frame naming an incomplete key is rejected.
+        raw = b"corpus=a"
+        result = remote._channel.request(
+            "POST",
+            "/vectors/batch",
+            body=KEY_BATCH_MAGIC + struct.pack("<II", 1, len(raw)) + raw,
+        )
+        assert result[0] == 400
+        # A store frame whose CRC does not match its body is rejected
+        # server-side, and stores nothing.
+        frame = encode_vector_batch([(key(), np.arange(2.0))])
         result = remote._channel.request(
             "PUT",
-            "/cache/vector?" + encode_key(key()),
-            body=b"\x00" * 16,
-            headers={
-                "X-Repro-Dtype": "<f8",
-                "X-Repro-Shape": "2",
-                "X-Repro-Crc": "12345",
-            },
+            "/vectors/batch",
+            body=frame[:-1] + bytes([frame[-1] ^ 1]),
         )
         assert result[0] == 400
         assert len(remote) == 0
@@ -268,6 +301,10 @@ class TestRemoteCacheStoreProtocol:
         misrouted = RemoteCacheStore(server.url + "/wrong-prefix")
         assert misrouted.get(key()) is None
         assert misrouted.stats()["remote_errors"] == 1
+        assert misrouted.get_many([key("a"), key("b")]) == {}
+        misrouted.put_many([(key("a"), np.arange(2.0))])
+        assert misrouted.stats()["remote_errors"] == 3
+        assert len(RemoteCacheStore(server.url)) == 0
         # The genuine service miss stays error-free.
         honest = RemoteCacheStore(server.url)
         assert honest.get(key("absent")) is None
@@ -344,11 +381,17 @@ class TestServedWorkflow:
         assert cold.cache["misses"] > 0
         assert cold.cache["remote_hits"] == 0
         assert cold.cache["remote_errors"] == 0
+        client = ServiceClient(server.url)
+        before = client.stats()["requests"]  # /stats polls are uncounted
         warm = self.run(scenario, server.url)  # brand-new enricher
         assert warm.cache["misses"] == 0
         assert warm.cache["remote_hits"] == warm.cache["hits"]
         assert warm.cache["hits"] == cold.cache["misses"]
         assert self.outcome(warm) == self.outcome(cold)
+        # One round trip per lookup_many (training, then detection),
+        # each in frames of at most DEFAULT_BATCH_SIZE keys.
+        requests = client.stats()["requests"] - before
+        assert requests <= math.ceil(warm.cache["hits"] / DEFAULT_BATCH_SIZE) + 1
 
     def test_dead_server_degrades_to_misses(self, scenario, tmp_path):
         live = CacheServiceServer(
@@ -427,6 +470,10 @@ class TestEnrichmentJobs:
         # Louvain is the only community detector: the knob is gone too.
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"community_backend": "greedy"})
+        # Every vector request is a frame of at most 256 keys, so the
+        # knob that chose the frame size is gone as well.
+        with pytest.raises(ServiceError, match="unknown config field"):
+            client.submit_job("demo", config={"cache_batch_size": 1})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"frobnicate": 1})
         # Values a job could only fail on (and that could not key a

@@ -22,7 +22,10 @@ from repro.ontology.io import write_ontology_json
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.scenarios import make_enrichment_scenario
 from repro.service.client import RemoteCacheStore, ServiceClient, ServiceError
+from repro.cli import main
+from repro.service import loadgen
 from repro.service.jobs import IdempotencyConflictError, JobManager
+from repro.service.loadgen import run_load
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -160,9 +163,9 @@ def parse_exposition(text: str) -> dict[str, dict]:
 
 class TestMetricsEndpoint:
     def test_scrape_parses_and_histograms_are_consistent(self, server):
-        store = RemoteCacheStore(server.url, batch_size=8)
+        store = RemoteCacheStore(server.url)
         store.put(("fp", "term", "cfg"), np.arange(4.0))
-        store.get(("fp", "term", "cfg"))
+        store.get(("fp", "term", "cfg"))  # a frame of one key
         store.get_many([("fp", f"t{i}", "cfg") for i in range(20)])
         client = ServiceClient(server.url)
         client.healthz()
@@ -194,20 +197,21 @@ class TestMetricsEndpoint:
             # Cumulative buckets peak at the +Inf bucket == _count.
             assert buckets
             assert max(buckets) == count
-        # The traffic above actually landed where it should.
+        # The traffic above actually landed where it should: vector
+        # ops are counted per key, and only as batch ops.
         counters = metrics["repro_cache_requests_total"]["samples"]
+        assert {
+            re.search(r'op="(\w+)"', labels)[1] for (_, labels) in counters
+        } == {"batch_get", "batch_put"}
         get_total = sum(
             value
             for (name, labels), value in counters.items()
             if 'op="batch_get"' in labels
         )
-        assert get_total == 20
-        assert (
-            metrics["repro_batch_vectors_total"]["samples"][
-                ("repro_batch_vectors_total", '{op="get"}')
-            ]
-            == 20
-        )
+        assert get_total == 21
+        vectors = metrics["repro_batch_vectors_total"]["samples"]
+        assert vectors[("repro_batch_vectors_total", '{op="get"}')] == 21
+        assert vectors[("repro_batch_vectors_total", '{op="put"}')] == 1
 
     def test_counters_exact_under_concurrent_http_clients(self, server):
         threads, per_thread = 6, 10
@@ -432,6 +436,43 @@ class TestIdempotentJobs:
             assert count == 1 and total_sum > 0
         finally:
             manager.shutdown(wait=True)
+
+
+class TestRunLoad:
+    def test_short_run_counts_the_ops_it_issued(self, server):
+        report = run_load(
+            server.url, clients=2, ops_per_client=5, batch_size=4, seed=3
+        )
+        assert report.failed_requests == 0
+        assert report.requests == 10
+        assert sum(op.count for op in report.per_op.values()) == 10
+        assert set(report.per_op) <= set(loadgen.DEFAULT_MIX)
+
+    def test_batch_size_below_one_is_rejected_before_any_client(
+        self, capsys
+    ):
+        # Nothing listens at port 1: a started client would count a
+        # failure instead of raising.
+        with pytest.raises(ValidationError, match="batch_size"):
+            run_load("http://127.0.0.1:1", clients=2, batch_size=0)
+        assert main(
+            ["loadbench", "--url", "http://127.0.0.1:1", "--batch-size", "0"]
+        ) == 2
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+
+    def test_a_client_that_crashes_fails_the_run(self, server, monkeypatch):
+        def crash(self, op, store, client):
+            raise RuntimeError("harness bug")
+
+        monkeypatch.setattr(loadgen._ClientWorker, "_issue", crash)
+        with pytest.raises(RuntimeError, match="harness bug"):
+            run_load(server.url, clients=2, ops_per_client=3)
+
+    def test_unknown_ops_are_rejected(self):
+        # The per-vector routes are gone, and so are their ops.
+        for op in ("get", "put", "frobnicate"):
+            with pytest.raises(ValidationError, match="unknown ops"):
+                run_load("http://127.0.0.1:1", mix={op: 1.0})
 
 
 class TestAccessLog:
