@@ -1,14 +1,10 @@
-"""Corpus-scale benchmark: mmap reopen and numpy Louvain.
+"""Corpus-scale benchmark: mmap reopen against a rebuild.
 
-Two claims of the scale work are measured on a synthetic
-tiny-document corpus and recorded in ``BENCH_scale.json``:
-
-* reopening a persisted :class:`~repro.corpus.index_store.IndexStore`
-  generation via mmap is at least an order of magnitude faster than
-  rebuilding the index from the documents;
-* the numpy-batched Louvain local-move sweep is at least 3x faster
-  than the plain-list sweep on a dense graph, with bit-identical
-  labels.
+One claim of the scale work is measured on a synthetic tiny-document
+corpus and recorded in ``BENCH_scale.json``: reopening a persisted
+:class:`~repro.corpus.index_store.IndexStore` generation via mmap is at
+least an order of magnitude faster than rebuilding the index from the
+documents.
 
 ``REPRO_BENCH_SCALE=small`` (default) keeps the corpus at tens of
 thousands of documents; ``paper`` runs the full 100k+ document corpus
@@ -27,7 +23,6 @@ from benchmarks.conftest import (
     print_paper_vs_measured,
     run_once,
 )
-from repro.clustering.louvain import CSRGraph, louvain_labels
 from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore
@@ -92,42 +87,6 @@ def run_index_measurements(n_docs: int, seed: int) -> dict:
     }
 
 
-def dense_graph(n_nodes: int, avg_degree: int, seed: int) -> CSRGraph:
-    """An Erdős-Rényi graph with float weights in [0.5, 1.5)."""
-    rng = np.random.default_rng(seed)
-    rows, cols = np.triu_indices(n_nodes, k=1)
-    mask = rng.random(rows.size) < avg_degree / n_nodes
-    rows, cols = rows[mask], cols[mask]
-    weights = rng.random(rows.size) + 0.5
-    return CSRGraph.from_edges(n_nodes, rows, cols, weights)
-
-
-def run_louvain_measurements(n_nodes: int, avg_degree: int, seed: int) -> dict:
-    graph = dense_graph(n_nodes, avg_degree, seed=seed)
-
-    def sweep(vectorize: bool) -> tuple[np.ndarray, float]:
-        best = float("inf")
-        labels = None
-        for __ in range(3):  # min-of-3: one number, less scheduler noise
-            started = time.perf_counter()
-            labels = louvain_labels(graph, seed=0, vectorize=vectorize)
-            best = min(best, time.perf_counter() - started)
-        return labels, best
-
-    list_labels, list_seconds = sweep(vectorize=False)
-    numpy_labels, numpy_seconds = sweep(vectorize=True)
-    assert np.array_equal(numpy_labels, list_labels), (
-        "vectorized Louvain sweep changed the labelling"
-    )
-    return {
-        "n_nodes": n_nodes,
-        "n_edges": int(graph.indices.size // 2),
-        "n_communities": int(list_labels.max()) + 1,
-        "list_sweep_seconds": list_seconds,
-        "numpy_sweep_seconds": numpy_seconds,
-    }
-
-
 def test_index_scale(benchmark, scale):
     n_docs = 120_000 if scale == "paper" else 30_000
     result = run_once(
@@ -160,35 +119,3 @@ def test_index_scale(benchmark, scale):
         f"mmap reopen is only {reopen_speedup:.1f}x faster than a rebuild"
     )
 
-
-def test_louvain_scale(benchmark, scale):
-    n_nodes = 2_000 if scale == "paper" else 1_000
-    avg_degree = 1_200 if scale == "paper" else 800
-    result = run_once(
-        benchmark,
-        run_louvain_measurements,
-        n_nodes=n_nodes,
-        avg_degree=avg_degree,
-        seed=29,
-    )
-    speedup = result["list_sweep_seconds"] / max(
-        result["numpy_sweep_seconds"], 1e-9
-    )
-    print_paper_vs_measured(
-        f"Vectorized Louvain sweep ({result['n_nodes']:,} nodes, "
-        f"{result['n_edges']:,} edges)",
-        [
-            ("plain-list sweep (s)", "-",
-             f"{result['list_sweep_seconds']:.3f}"),
-            ("numpy sweep (s)", "-", f"{result['numpy_sweep_seconds']:.3f}"),
-            ("speedup", "-", f"{speedup:.2f}x"),
-            ("communities", "-", result["n_communities"]),
-        ],
-    )
-    emit_scale_section(
-        "louvain", {**result, "numpy_vs_list_speedup": speedup}
-    )
-
-    assert speedup >= 3.0, (
-        f"numpy Louvain sweep is only {speedup:.2f}x faster"
-    )

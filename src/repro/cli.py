@@ -76,7 +76,6 @@ def _enrich_config(args: argparse.Namespace) -> EnrichmentConfig:
         skip_known_terms=not args.no_skip_known_terms,
         max_contexts_per_term=args.max_contexts,
         index_dir=args.index_dir,
-        feature_cache=not args.no_feature_cache,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
         cache_url=args.cache_url,
@@ -658,10 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--index-dir", default=None,
         help="persist the corpus index here (repro.corpus.index_store); "
         "later runs mmap-reopen it in O(1) instead of rebuilding",
-    )
-    enrich.add_argument(
-        "--no-feature-cache", action="store_true",
-        help="disable Step II feature-vector memoisation",
     )
     enrich.add_argument(
         "--cache-dir", default=None,

@@ -21,16 +21,13 @@ Louvain method (Blondel et al. 2008) directly on flat numpy CSR arrays:
 * :func:`modularity_from_labels` — the Newman-Girvan modularity of a
   labelling, matching ``networkx.algorithms.community.modularity``.
 
-Three implementations of the local-move phase produce bit-identical
-labels, and the optimiser picks one per graph and level:
+Two implementations of the local-move phase produce bit-identical
+labels, and the optimiser picks one by batch size:
 
 * the **list sweep** (:func:`_local_moves_lists`) walks one graph's
-  nodes over plain Python lists; it is the oracle and the default for
-  small graphs, for every level above 0, and for batches below
-  :data:`WAVEFRONT_MIN_GRAPHS`;
-* the **numpy sweep** (:func:`_local_moves_arrays`) batches one node's
-  neighbour weights with ``np.bincount``; it runs on wide, dense graphs
-  (see :func:`_should_vectorize`), such as the corpus scale benchmark's;
+  nodes over plain Python lists; it is the oracle, and it runs every
+  level above 0 and level 0 of a batch below
+  :data:`WAVEFRONT_MIN_GRAPHS` (a lone graph, a delta's few terms);
 * the **wavefront** (:func:`_wavefront_local_moves`) runs level 0 of a
   whole batch at once: step ``t`` moves the ``t``-th node of every
   still-sweeping graph's visit order, so per-node numpy overhead is
@@ -57,24 +54,14 @@ from repro.utils.rng import ensure_rng
 #: Minimum modularity gain for a node move to be accepted.
 DEFAULT_MIN_GAIN = 1e-12
 
-#: Auto-dispatch gate of the vectorized local-move sweep: the numpy
-#: path wins once per-node numpy call overhead (a handful of µs) is
-#: amortised over enough neighbours.  Below either bound the plain-list
-#: sweep is faster (element access on numpy arrays boxes a scalar per
-#: read, which dominates on the pipeline's few-hundred-node graphs).
-VECTORIZE_MIN_AVG_DEGREE = 32
-VECTORIZE_MIN_NODES = 64
-#: The numpy sweep's dense per-node accumulator costs ``O(n_nodes)``
-#: per visit, so it only pays off when the node count stays within a
-#: small multiple of the average degree (dense co-occurrence graphs);
-#: on sparse wide graphs the ``O(degree)`` dict sweep wins.
-VECTORIZE_MAX_NODES_PER_DEGREE = 16
 #: Level 0 of a batch runs as one wavefront across its graphs once this
-#: many graphs have edges.  Each wavefront step costs a fixed number of
-#: numpy calls, so it pays only when enough graphs share them.  Whole
-#: Step II training batches on a 2-core Xeon VM: 40 context graphs took
-#: 0.12 s against 0.08-0.10 s graph by graph, 165 graphs 0.23-0.25 s
-#: against 0.38-0.40 s, and 341 graphs 0.47-0.55 s against 0.90-0.95 s.
+#: many graphs have edges; below it every graph takes the list sweep.
+#: Each wavefront step costs a fixed number of numpy calls, so it pays
+#: only when enough graphs share them, and each sweep wins on one side.
+#: Measured on the M rung's seed-5 stream inputs on a 2-core Xeon VM
+#: (Python 3.11, numpy 2.4): a delta's 3-4 context graphs took 9-23 ms
+#: by the list sweep against 53-104 ms by the wavefront, and the
+#: 171-graph training batch 794-810 ms against 545-553 ms.
 WAVEFRONT_MIN_GRAPHS = 64
 
 
@@ -224,54 +211,6 @@ def _relabel_first_seen(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _should_vectorize(graph: CSRGraph) -> bool:
-    """True when the numpy local-move sweep beats the list sweep."""
-    n = graph.n_nodes
-    return (
-        n >= VECTORIZE_MIN_NODES
-        and graph.indices.size >= VECTORIZE_MIN_AVG_DEGREE * n
-        and n * n <= VECTORIZE_MAX_NODES_PER_DEGREE * graph.indices.size
-    )
-
-
-def _local_moves(
-    graph: CSRGraph,
-    order: np.ndarray,
-    *,
-    resolution: float,
-    min_gain: float,
-    max_sweeps: int,
-    vectorize: bool | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Phase 1: greedy node moves until no move improves modularity.
-
-    Two implementations of the identical algorithm, dispatched on graph
-    size (``vectorize=None``): a plain-list sweep for the pipeline's
-    few-hundred-node graphs, and a numpy sweep whose neighbour-weight
-    accumulation is batched per node for the wide graphs of the corpus
-    scale benchmarks.  Both perform the same IEEE-754 operations in the
-    same order (see :func:`_local_moves_arrays`), so labels are
-    **bit-identical** across paths for any seed.
-    """
-    if vectorize is None:
-        vectorize = _should_vectorize(graph)
-    if vectorize:
-        return _local_moves_arrays(
-            graph,
-            order,
-            resolution=resolution,
-            min_gain=min_gain,
-            max_sweeps=max_sweeps,
-        )
-    return _local_moves_lists(
-        graph,
-        order,
-        resolution=resolution,
-        min_gain=min_gain,
-        max_sweeps=max_sweeps,
-    )
-
-
 def _local_moves_lists(
     graph: CSRGraph,
     order: np.ndarray,
@@ -280,7 +219,12 @@ def _local_moves_lists(
     min_gain: float,
     max_sweeps: int,
 ) -> tuple[np.ndarray, bool]:
-    """The plain-list sweep: fastest at small node counts / degrees."""
+    """Phase 1 for one graph: greedy node moves until none improves modularity.
+
+    Plain Python lists, not numpy arrays: element access on an array
+    boxes a scalar per read, which dominates on the pipeline's
+    few-hundred-node graphs.  Returns ``(labels, improved)``.
+    """
     indptr = graph.indptr.tolist()
     indices = graph.indices.tolist()
     weights = graph.weights.tolist()
@@ -323,116 +267,6 @@ def _local_moves_lists(
             break
         improved = True
     return np.asarray(labels, dtype=np.int64), improved
-
-
-def _local_moves_arrays(
-    graph: CSRGraph,
-    order: np.ndarray,
-    *,
-    resolution: float,
-    min_gain: float,
-    max_sweeps: int,
-) -> tuple[np.ndarray, bool]:
-    """The numpy sweep: neighbour-weight accumulation batched per node.
-
-    Bit-parity with :func:`_local_moves_lists` is a hard contract (the
-    labels feed cached, golden-tested feature vectors), so every float
-    is produced by the same operations in the same order:
-
-    * per-community weights accumulate via ``np.bincount`` over the
-      neighbour communities — bincount's C loop walks the edge list in
-      order, adding each weight to its bin exactly like the dict
-      sweep's per-key ``+=``, so every partial sum is the same float;
-    * the sequential ``> best + min_gain`` candidate scan collapses to
-      ``np.argmax`` whenever the maximum gain is unique and
-      ``g_max > gain + min_gain`` holds for every other candidate — the
-      scan's own float comparison, so every record accepted before the
-      maximum is beaten by it when it is reached, and nothing after it
-      can displace it (testing ``gain < g_max - min_gain`` instead
-      rounds differently when the gap is ``min_gain`` itself); exact
-      ties and window hits (the only places epsilon chains or dict
-      order can change the answer) fall back to the literal sequential
-      scan;
-    * community totals live in a float64 array mutated by the same
-      scalar ``-=``/``+=`` as the list sweep (IEEE-identical).
-
-    The dense accumulator costs ``O(n)`` per visited node, which is
-    why :func:`_should_vectorize` additionally requires the graph to
-    be dense enough that ``n`` is within a small factor of the average
-    degree.
-    """
-    indptr = graph.indptr.tolist()
-    indices = graph.indices
-    weights = graph.weights
-    strengths = graph.strengths()
-    strength_list = strengths.tolist()
-    two_m = graph.total_weight()
-    n = graph.n_nodes
-    labels = np.arange(n, dtype=np.int64)
-    comm_tot = np.array(strength_list, dtype=np.float64)
-    # Rows carrying a self-loop (rare after level 0 only): just these
-    # need the neighbour mask, so the common case skips two ufunc calls.
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    loop_rows = set(rows[indices == rows].tolist())
-    visit_order = [int(i) for i in order]
-    improved = False
-    for __ in range(max_sweeps):
-        n_moved = 0
-        for i in visit_order:
-            lo, hi = indptr[i], indptr[i + 1]
-            nbr = indices[lo:hi]
-            wts = weights[lo:hi]
-            if i in loop_rows:
-                keep = nbr != i
-                nbr = nbr[keep]
-                wts = wts[keep]
-            k_i = strength_list[i]
-            current = int(labels[i])
-            comm_tot[current] -= k_i
-            scale = resolution * k_i / two_m
-            if nbr.size == 0:
-                comm_tot[current] += k_i
-                continue
-            comm = labels[nbr]
-            wsum = np.bincount(comm, weights=wts, minlength=n)
-            occ = np.bincount(comm, minlength=n)
-            gains = np.where(occ > 0, wsum - scale * comm_tot, -np.inf)
-            best_gain = (
-                float(gains[current])
-                if occ[current]
-                else 0.0 - scale * float(comm_tot[current])
-            )
-            best_comm = current
-            gains[current] = -np.inf
-            g_max = float(np.max(gains))
-            if g_max > best_gain + min_gain:
-                # Unique max with an empty epsilon window below it is
-                # provably the sequential scan's answer; anything else
-                # (an exact tie, where dict order breaks it, or a
-                # window hit, where epsilon chains can matter) replays
-                # the literal scan in first-appearance order.
-                near = int(np.count_nonzero(gains + min_gain >= g_max))
-                if near == 1:
-                    best_comm = int(np.argmax(gains))
-                    best_gain = g_max
-                else:
-                    best_comm = _literal_scan(
-                        comm.tolist(),
-                        wts.tolist(),
-                        current,
-                        best_gain,
-                        scale,
-                        comm_tot,
-                        min_gain,
-                    )
-            comm_tot[best_comm] += k_i
-            if best_comm != current:
-                labels[i] = best_comm
-                n_moved += 1
-        if n_moved == 0:
-            break
-        improved = True
-    return labels, improved
 
 
 def _aggregate(graph: CSRGraph, labels: np.ndarray) -> CSRGraph:
@@ -672,7 +506,6 @@ def _louvain_levels(
     min_gain: float,
     max_sweeps: int,
     max_levels: int,
-    vectorize: bool | None,
 ) -> np.ndarray:
     """Local moves and aggregation, level by level, for one graph.
 
@@ -686,13 +519,12 @@ def _louvain_levels(
             level_labels, improved = first_level
         else:
             order = rng.permutation(level_graph.n_nodes)
-            level_labels, improved = _local_moves(
+            level_labels, improved = _local_moves_lists(
                 level_graph,
                 order,
                 resolution=resolution,
                 min_gain=min_gain,
                 max_sweeps=max_sweeps,
-                vectorize=vectorize,
             )
         if not improved:
             break
@@ -712,17 +544,16 @@ def louvain_labels_many(
     min_gain: float = DEFAULT_MIN_GAIN,
     max_sweeps: int = 100,
     max_levels: int = 20,
-    vectorize: bool | None = None,
 ) -> list[np.ndarray]:
     """Louvain community labels for every graph of ``graphs``.
 
     Each graph's labels equal ``louvain_labels(graph, seed=seed, ...)``
-    bit for bit.  When ``vectorize`` is ``None``, ``seed`` is an int and
-    at least :data:`WAVEFRONT_MIN_GRAPHS` graphs have edges, level 0 of
-    all of them runs as one wavefront (:func:`_wavefront_local_moves`);
-    upper levels always run per graph.  Pass a :class:`CSRGraphBatch`
-    to let the wavefront read the graphs where they are; any other
-    sequence is concatenated first.
+    bit for bit.  When ``seed`` is an int and at least
+    :data:`WAVEFRONT_MIN_GRAPHS` graphs have edges, level 0 of all of
+    them runs as one wavefront (:func:`_wavefront_local_moves`); every
+    other level runs the list sweep, graph by graph.  Pass a
+    :class:`CSRGraphBatch` to let the wavefront read the graphs where
+    they are; any other sequence is concatenated first.
 
     An int (or ``None``) seed gives every graph a fresh
     ``ensure_rng(seed)``, as separate calls would, so an int seed can
@@ -735,7 +566,6 @@ def louvain_labels_many(
         min_gain=min_gain,
         max_sweeps=max_sweeps,
         max_levels=max_levels,
-        vectorize=vectorize,
     )
     views = list(graphs)
     live = [
@@ -749,8 +579,7 @@ def louvain_labels_many(
         for g, graph in enumerate(views)
     ]
     wavefront = (
-        vectorize is None
-        and max_levels > 0
+        max_levels > 0
         and max_sweeps > 0
         and isinstance(seed, (int, np.integer))
         and len(live) >= WAVEFRONT_MIN_GRAPHS
@@ -797,7 +626,6 @@ def louvain_labels(
     min_gain: float = DEFAULT_MIN_GAIN,
     max_sweeps: int = 100,
     max_levels: int = 20,
-    vectorize: bool | None = None,
 ) -> np.ndarray:
     """Community label per node via Louvain modularity optimisation.
 
@@ -817,11 +645,6 @@ def louvain_labels(
     max_sweeps / max_levels:
         Safety bounds on local-move sweeps per level and on aggregation
         levels (converges far earlier in practice).
-    vectorize:
-        Local-move implementation: ``None`` (default) picks per level
-        by graph size, ``True``/``False`` force the numpy-batched or
-        plain-list sweep.  Labels are bit-identical either way — the
-        knob is purely a speed choice (see :func:`_should_vectorize`).
     """
     return louvain_labels_many(
         [graph],
@@ -830,7 +653,6 @@ def louvain_labels(
         min_gain=min_gain,
         max_sweeps=max_sweeps,
         max_levels=max_levels,
-        vectorize=vectorize,
     )[0]
 
 

@@ -126,7 +126,8 @@ def build_polysemy_dataset(
         Optional :class:`~repro.polysemy.cache.FeatureCache`, keyed by
         each term's capped windows and document frequency: repeated
         builds (ablations, repeated training runs, a grown corpus)
-        featurise only the terms whose windows are new.
+        featurise only the terms whose windows are new.  By default a
+        fresh in-memory cache serves this build alone.
     records:
         Optional :class:`~repro.corpus.index.KeptOccurrenceRecords` at
         the extractor's window, kept by the caller across builds: it is
@@ -142,6 +143,7 @@ def build_polysemy_dataset(
 
     # One postings pass for every ontology term (per-term scans are O(n²)).
     index = index if index is not None else corpus.index()
+    cache = cache if cache is not None else FeatureCache()
     if records is None:
         records = KeptOccurrenceRecords(window=extractor.window)
     elif records.window != extractor.window:
@@ -180,28 +182,26 @@ def build_polysemy_dataset(
 
     items: dict[str, FeatureItem] = {}
     keys: dict[str, CacheKey] = {}
-    cached: dict[str, np.ndarray] = {}
-    if cache is not None:
-        # A term's context digest is kept until its records change (the
-        # cap is part of what it covers), so a grown corpus hashes the
-        # windows of its changed terms only.
-        for term in eligible:
-            kept = records.memo.get(term)
-            if kept is None or kept[0] != max_contexts:
-                items[term] = item(term)
-                __, contexts, doc_frequency = items[term]
-                kept = (max_contexts, context_digest(contexts, doc_frequency))
-                records.memo[term] = kept
-            keys[term] = FeatureCache.key(kept[1], term, extractor.spec_digest)
-        found = cache.lookup_many(list(keys.values()))
-        cached = {term: found[key] for term, key in keys.items() if key in found}
+    # A term's context digest is kept until its records change (the cap
+    # is part of what it covers), so a grown corpus hashes the windows
+    # of its changed terms only.
+    for term in eligible:
+        kept = records.memo.get(term)
+        if kept is None or kept[0] != max_contexts:
+            items[term] = item(term)
+            __, contexts, doc_frequency = items[term]
+            kept = (max_contexts, context_digest(contexts, doc_frequency))
+            records.memo[term] = kept
+        keys[term] = FeatureCache.key(kept[1], term, extractor.spec_digest)
+    found = cache.lookup_many(list(keys.values()))
+    cached = {term: found[key] for term, key in keys.items() if key in found}
     # Every miss is featurised in one batch, in ``eligible`` order.
     misses = [term for term in eligible if term not in cached]
     rows = extractor.featurise(
         [items[term] if term in items else item(term) for term in misses]
     )
     vectors = dict(zip(misses, rows, strict=True))
-    if cache is not None and misses:
+    if misses:
         cache.store_many([(keys[term], vectors[term]) for term in misses])
     for term in eligible:
         vector = cached[term] if term in cached else vectors[term]

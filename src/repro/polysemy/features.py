@@ -15,16 +15,15 @@ TF-IDF rows from segmented id counts; the graph half builds every
 context graph into one CSR batch
 (:func:`~repro.polysemy.graph_features.build_context_graphs`) and
 computes its structural features a chunk of graphs at a time.  Louvain
-communities run level 0 through one of three bit-identical sweeps (see
+communities run level 0 through one of two bit-identical sweeps (see
 :mod:`repro.clustering.louvain`):
 
 * the **wavefront** moves one node of every graph per step, and runs
   when a batch holds at least ``WAVEFRONT_MIN_GRAPHS`` (64) graphs with
   edges, as a cold training batch does;
 * the **list sweep** runs each graph on its own below that, as for a
-  single term or a small detection batch, and for every upper level;
-* the **numpy sweep** runs each graph on its own when it is wide and
-  dense, which Step II's context graphs never are.
+  single term, a small detection batch or a delta's few terms, and for
+  every upper level.
 
 The direct and graph halves run one after the other, so their
 intermediate arrays are never alive together.  Every vector is the same

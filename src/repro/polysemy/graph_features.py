@@ -25,9 +25,8 @@ statistics capture that.
   runs as one wavefront across the batch when at least
   ``WAVEFRONT_MIN_GRAPHS`` (64) graphs have edges, as in a cold
   training batch, and as the per-graph list sweep below that (a single
-  term, a small detection batch); upper levels always take the list
-  sweep, graph by graph.  The numpy sweep is for wide, dense graphs,
-  which context graphs are not.
+  term, a small detection batch, a delta's few terms); upper levels
+  always take the list sweep, graph by graph.
 
 :func:`build_context_graph` and :func:`graph_features` are batches of
 one.

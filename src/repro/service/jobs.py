@@ -61,7 +61,6 @@ _LOCKED_CONFIG_FIELDS = frozenset(
         "cache_dir",
         "cache_max_bytes",
         "cache_url",
-        "feature_cache",
         "index_dir",
     }
 )
@@ -835,7 +834,7 @@ class JobManager:
         return loaded
 
     def _config(self, overrides: dict) -> EnrichmentConfig:
-        forced: dict = {"feature_cache": True}
+        forced: dict = {}
         if self._store is not None:
             forced["cache_dir"] = str(self._store.cache_dir)
             forced["cache_max_bytes"] = self._store.max_bytes

@@ -71,19 +71,15 @@ class EnrichmentConfig:
         opened index and grows it in memory as documents are added;
         the store keeps the generation it was opened from.  Query
         results are byte-identical with and without the store.
-    feature_cache:
-        Memoise per-term feature vectors across training runs, repeated
-        ``enrich`` calls and corpus growth (keyed by a digest of the
-        term's capped windows and document frequency, the term, and a
-        digest of the extractor settings; see
-        :mod:`repro.polysemy.cache`).
     cache_dir:
-        Optional directory backing the feature cache with a persistent
-        :class:`~repro.polysemy.cache_store.DiskCacheStore`, so entries
-        survive the process and are shared between runs, CLI
+        Optional directory backing the Step II feature cache with a
+        persistent :class:`~repro.polysemy.cache_store.DiskCacheStore`,
+        so entries survive the process and are shared between runs, CLI
         invocations, and the service (see
         :mod:`repro.polysemy.cache_store`).  None (default) keeps the
-        in-memory store.  Requires ``feature_cache=True``.
+        in-memory store: an enricher always memoises per-term feature
+        vectors across training runs, repeated ``enrich`` calls and
+        corpus growth (see :mod:`repro.polysemy.cache`).
     cache_max_bytes:
         Optional size cap on the on-disk store; exceeding it evicts
         least-recently-used entries: generations of other extractor
@@ -99,7 +95,7 @@ class EnrichmentConfig:
         degrades to a clean cache miss (counted in the report's
         ``remote_errors``), never an error — a dead service costs
         recomputation, not the run.  Mutually exclusive with
-        ``cache_dir``; requires ``feature_cache=True``.
+        ``cache_dir``.
     cache_timeout:
         Per-request network timeout (seconds) of the cache service
         client.  Requires ``cache_url``.
@@ -121,7 +117,6 @@ class EnrichmentConfig:
     seed: int = 0
     skip_known_terms: bool = True
     index_dir: str | None = None
-    feature_cache: bool = True
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
     cache_url: str | None = None
@@ -151,6 +146,10 @@ class EnrichmentConfig:
             raise ValidationError(
                 f"n_candidates must be >= 1, got {self.n_candidates}"
             )
+        if self.min_term_length < 1:
+            raise ValidationError(
+                f"min_term_length must be >= 1, got {self.min_term_length}"
+            )
         if self.min_contexts < 1:
             raise ValidationError(
                 f"min_contexts must be >= 1, got {self.min_contexts}"
@@ -160,16 +159,18 @@ class EnrichmentConfig:
                 f"max_contexts_per_term ({self.max_contexts_per_term}) must "
                 f"be >= min_contexts ({self.min_contexts})"
             )
+        if self.context_window < 1:
+            raise ValidationError(
+                f"context_window must be >= 1, got {self.context_window}"
+            )
         if self.top_k_positions < 1:
             raise ValidationError(
                 f"top_k_positions must be >= 1, got {self.top_k_positions}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.index_dir is not None and not self.index_dir:
             raise ValidationError("index_dir must be a non-empty path")
-        if self.cache_dir is not None and not self.feature_cache:
-            raise ValidationError(
-                "cache_dir requires feature_cache=True"
-            )
         if self.cache_max_bytes is not None:
             if self.cache_dir is None:
                 raise ValidationError(
@@ -179,14 +180,11 @@ class EnrichmentConfig:
                 raise ValidationError(
                     f"cache_max_bytes must be >= 1, got {self.cache_max_bytes}"
                 )
-        if self.cache_url is not None:
-            if not self.feature_cache:
-                raise ValidationError("cache_url requires feature_cache=True")
-            if self.cache_dir is not None:
-                raise ValidationError(
-                    "cache_url and cache_dir are mutually exclusive "
-                    "(the service owns the disk store)"
-                )
+        if self.cache_url is not None and self.cache_dir is not None:
+            raise ValidationError(
+                "cache_url and cache_dir are mutually exclusive "
+                "(the service owns the disk store)"
+            )
         if self.cache_timeout <= 0:
             raise ValidationError(
                 f"cache_timeout must be > 0, got {self.cache_timeout}"

@@ -56,7 +56,7 @@ from repro.linkage.context import TermContextIndex
 from repro.linkage.linker import SemanticLinker
 from repro.linkage.neighborhood import TermNeighborhoods
 from repro.ontology.model import Ontology
-from repro.polysemy.cache import CacheKey, FeatureCache, context_digest
+from repro.polysemy.cache import FeatureCache, context_digest
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.service.client import RemoteCacheStore
 from repro.polysemy.dataset import PolysemyDataset, build_polysemy_dataset
@@ -188,7 +188,7 @@ class DetectStage:
         feature_extractor: PolysemyFeatureExtractor,
         *,
         trained: bool,
-        cache: FeatureCache | None = None,
+        cache: FeatureCache,
     ) -> None:
         self._detector = detector
         self._features = feature_extractor
@@ -223,20 +223,18 @@ class DetectStage:
         ``store_many``, so a remote store answers in O(batches) HTTP
         round trips rather than one per candidate.
         """
-        keys: list[CacheKey] = []
-        if self._cache is not None:
-            spec = self._features.spec_digest
-            keys = [
-                FeatureCache.key(
-                    context_digest(item.contexts, item.doc_frequency),
-                    item.candidate.term,
-                    spec,
-                )
-                for item in active
-            ]
-            found = self._cache.lookup_many(keys)
-            for item, key in zip(active, keys, strict=True):
-                item.features = found.get(key)
+        spec = self._features.spec_digest
+        keys = [
+            FeatureCache.key(
+                context_digest(item.contexts, item.doc_frequency),
+                item.candidate.term,
+                spec,
+            )
+            for item in active
+        ]
+        found = self._cache.lookup_many(keys)
+        for item, key in zip(active, keys, strict=True):
+            item.features = found.get(key)
         misses = [i for i, item in enumerate(active) if item.features is None]
         rows = self._features.featurise(
             [
@@ -250,7 +248,7 @@ class DetectStage:
         )
         for i, row in zip(misses, rows, strict=True):
             active[i].features = row
-        if self._cache is not None and misses:
+        if misses:
             self._cache.store_many([(keys[i], active[i].features) for i in misses])
 
     @staticmethod
@@ -461,20 +459,15 @@ class OntologyEnricher:
             window=cfg.context_window,
             community_seed=cfg.seed,
         )
-        if cfg.feature_cache:
-            if cfg.cache_url is not None:
-                store = RemoteCacheStore(cfg.cache_url, timeout=cfg.cache_timeout)
-            elif cache_store is not None:
-                store = cache_store
-            elif cfg.cache_dir is not None:
-                store = DiskCacheStore(
-                    cfg.cache_dir, max_bytes=cfg.cache_max_bytes
-                )
-            else:
-                store = None
-            self._feature_cache = FeatureCache(store=store)
+        if cfg.cache_url is not None:
+            store = RemoteCacheStore(cfg.cache_url, timeout=cfg.cache_timeout)
+        elif cache_store is not None:
+            store = cache_store
+        elif cfg.cache_dir is not None:
+            store = DiskCacheStore(cfg.cache_dir, max_bytes=cfg.cache_max_bytes)
         else:
-            self._feature_cache = None
+            store = None
+        self._cache = FeatureCache(store=store)
         self._detector = PolysemyDetector(
             cfg.polysemy_classifier,
             extractor=self._feature_extractor,
@@ -506,9 +499,9 @@ class OntologyEnricher:
     # -- introspection (the streaming delta path builds on these) ----------
 
     @property
-    def feature_cache(self) -> FeatureCache | None:
-        """The Step II feature cache (None when disabled)."""
-        return self._feature_cache
+    def feature_cache(self) -> FeatureCache:
+        """The Step II feature cache (in memory unless the config names a store)."""
+        return self._cache
 
     @property
     def feature_extractor(self) -> PolysemyFeatureExtractor:
@@ -547,7 +540,7 @@ class OntologyEnricher:
             min_contexts=self.config.min_contexts,
             seed=self.config.seed,
             index=index,
-            cache=self._feature_cache,
+            cache=self._cache,
             records=self._training_records,
         )
         if not _same_dataset(dataset, self._fitted_on):
@@ -570,7 +563,7 @@ class OntologyEnricher:
                 self._detector,
                 self._feature_extractor,
                 trained=self.detector_trained,
-                cache=self._feature_cache,
+                cache=self._cache,
             ),
             InduceStage(self._inducer, self._senses),
             self._link,
@@ -584,10 +577,10 @@ class OntologyEnricher:
         Pass a prebuilt ``index`` to amortise the corpus index across
         repeated ``enrich`` calls on the same corpus (it is also cached
         on the corpus itself, so the second call is cheap either way).
-        The feature cache (when enabled) also persists on the enricher,
-        so repeated calls skip Step II featurisation for unchanged
-        corpora; with ``cache_dir`` set it persists on disk, so even a
-        fresh enricher in a fresh process starts warm.
+        The feature cache also persists on the enricher, so repeated
+        calls skip Step II featurisation for unchanged corpora; with
+        ``cache_dir`` set it persists on disk, so even a fresh enricher
+        in a fresh process starts warm.
 
         With ``EnrichmentConfig(index_dir=...)`` the corpus index
         itself persists in an
@@ -600,11 +593,7 @@ class OntologyEnricher:
         the store.
         """
         timings: dict[str, float] = {}
-        cache_before = (
-            self._feature_cache.counters()
-            if self._feature_cache is not None
-            else None
-        )
+        cache_before = self._cache.counters()
         started = time.perf_counter()
         if index is None:
             index_dir = self.config.index_dir
@@ -655,24 +644,21 @@ class OntologyEnricher:
             stage.run(ctx)
             timings[stage.name] = time.perf_counter() - stage_started
         ctx.report.timings = timings
-        if self._feature_cache is not None:
-            # Hits/misses/disk_hits/evictions are this call's delta (the
-            # cache itself is cumulative across the enricher's
-            # lifetime); entries and store_bytes are the absolute state
-            # of the backing store after the call.
-            after = self._feature_cache.stats
-            ctx.report.cache = {
-                "hits": after["hits"] - cache_before["hits"],
-                "misses": after["misses"] - cache_before["misses"],
-                "disk_hits": after["disk_hits"] - cache_before["disk_hits"],
-                "evictions": after["evictions"] - cache_before["evictions"],
-                "remote_hits": (
-                    after["remote_hits"] - cache_before["remote_hits"]
-                ),
-                "remote_errors": (
-                    after["remote_errors"] - cache_before["remote_errors"]
-                ),
-                "entries": after["entries"],
-                "store_bytes": after["store_bytes"],
-            }
+        # Hits/misses/disk_hits/evictions are this call's delta (the
+        # cache itself is cumulative across the enricher's lifetime);
+        # entries and store_bytes are the absolute state of the backing
+        # store after the call.
+        after = self._cache.stats
+        ctx.report.cache = {
+            "hits": after["hits"] - cache_before["hits"],
+            "misses": after["misses"] - cache_before["misses"],
+            "disk_hits": after["disk_hits"] - cache_before["disk_hits"],
+            "evictions": after["evictions"] - cache_before["evictions"],
+            "remote_hits": after["remote_hits"] - cache_before["remote_hits"],
+            "remote_errors": (
+                after["remote_errors"] - cache_before["remote_errors"]
+            ),
+            "entries": after["entries"],
+            "store_bytes": after["store_bytes"],
+        }
         return ctx.report

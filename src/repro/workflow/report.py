@@ -112,8 +112,7 @@ class EnrichmentReport:
         persistent store), and ``evictions`` are this ``enrich``
         call's delta;
         ``entries`` and ``store_bytes`` are the absolute state of the
-        backing store after the call.  Empty when the cache is
-        disabled.
+        backing store after the call.
     detector_trained:
         Whether Step II classified with a trained polysemy detector.
         ``False`` means training fell back on degenerate data and every

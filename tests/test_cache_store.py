@@ -483,10 +483,6 @@ class TestCorruptionTolerance:
 
 
 class TestConfigWiring:
-    def test_cache_dir_requires_feature_cache(self, tmp_path):
-        with pytest.raises(ValidationError, match="cache_dir"):
-            EnrichmentConfig(cache_dir=str(tmp_path), feature_cache=False)
-
     def test_cache_max_bytes_requires_cache_dir(self):
         with pytest.raises(ValidationError, match="cache_max_bytes"):
             EnrichmentConfig(cache_max_bytes=1_000_000)

@@ -146,6 +146,45 @@ class TestEnrich:
             capsys.readouterr().err
         )
 
+    def test_no_feature_cache_flag_is_gone(self, capsys):
+        # Every enricher has a feature cache (in memory by default), so
+        # the flag that switched it off is an argparse error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "enrich", "--ontology", "o", "--corpus", "c",
+                    "--no-feature-cache",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-feature-cache" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--context-window", "0"], "context_window must be >= 1"),
+            (["--context-window", "-3"], "context_window must be >= 1"),
+            (["--min-term-length", "0"], "min_term_length must be >= 1"),
+            (["--seed", "-1"], "seed must be >= 0"),
+        ],
+    )
+    def test_values_a_run_can_only_fail_on_exit_before_any_work(
+        self, tmp_path, capsys, flags, message
+    ):
+        # Missing paths: exit 2 means the config was checked first.
+        code = main(
+            [
+                "enrich",
+                "--ontology", str(tmp_path / "missing.json"),
+                "--corpus", str(tmp_path / "missing.jsonl"),
+                *flags,
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_classifier_exits_before_any_work(self, tmp_path, capsys):
         # The ontology and corpus paths do not exist: reading either
         # would raise, so exit 2 means the config was checked first.

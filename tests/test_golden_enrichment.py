@@ -170,12 +170,16 @@ class TestGoldenEnrichment:
         } == golden["warm_cache"]
 
     def test_cache_disabled_still_matches_the_golden_report(self, scenario):
-        """The pinned output is the cache-free truth, not a cache artefact."""
+        """The default in-memory store, with no disk or served tier,
+        gives the pinned report too."""
         golden = json.loads(GOLDEN_PATH.read_text())
-        config = EnrichmentConfig(feature_cache=False, **CONFIG_KWARGS)
+        config = EnrichmentConfig(**CONFIG_KWARGS)
         enricher = OntologyEnricher(
             scenario.ontology, config=config,
             pos_lexicon=scenario.pos_lexicon,
         )
         report = enricher.enrich(scenario.corpus)
         assert_snapshot_equal(report_snapshot(report), golden["report"])
+        assert {
+            k: report.cache[k] for k in PINNED_COUNTERS
+        } == golden["cold_cache"]

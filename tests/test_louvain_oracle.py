@@ -1,12 +1,12 @@
-"""Louvain's three local-move sweeps against each other.
+"""Louvain's two local-move sweeps against each other.
 
-The list sweep is the oracle.  The numpy sweep must give the same labels
-on every graph, and ``louvain_labels_many`` the same labels as one
-``louvain_labels`` call per graph, with the level-0 wavefront forced on
-and off.  The graphs carry small integer weights, so gains tie; isolated
-nodes, weighted self-loops and disconnected parts; and ``min_gain`` 0.3
-makes candidates inside the acceptance window common, which is where
-``argmax`` and the sequential scan part ways.
+The list sweep is the oracle: ``louvain_labels_many`` must give the same
+labels as one list-swept ``louvain_labels`` call per graph, with the
+level-0 wavefront forced on and off.  The graphs carry small integer
+weights, so gains tie; isolated nodes, weighted self-loops and
+disconnected parts; and ``min_gain`` 0.3 makes candidates inside the
+acceptance window common, which is where ``argmax`` and the sequential
+scan part ways.
 """
 
 from contextlib import contextmanager
@@ -32,6 +32,12 @@ def wavefront(threshold):
         yield
     finally:
         louvain.WAVEFRONT_MIN_GRAPHS = saved
+
+
+def list_swept(graph, **options):
+    """``louvain_labels`` with every level on the list sweep."""
+    with wavefront(10**9):
+        return louvain_labels(graph, **options)
 
 
 @st.composite
@@ -75,18 +81,6 @@ SETTINGS = st.fixed_dictionaries(
 
 class TestSweepsAgree:
     @given(
-        graph=graphs(),
-        seed=st.integers(min_value=0, max_value=3),
-        options=SETTINGS,
-    )
-    @example(graph=GAP_GRAPH, seed=1, options=GAP_OPTIONS)
-    @settings(max_examples=200, deadline=None)
-    def test_numpy_sweep_matches_list_sweep(self, graph, seed, options):
-        want = louvain_labels(graph, seed=seed, vectorize=False, **options)
-        got = louvain_labels(graph, seed=seed, vectorize=True, **options)
-        assert np.array_equal(got, want)
-
-    @given(
         batch=st.lists(graphs(), max_size=6),
         seed=st.integers(min_value=0, max_value=3),
         options=SETTINGS,
@@ -95,10 +89,7 @@ class TestSweepsAgree:
     @example(batch=[GAP_GRAPH] * 2, seed=1, options=GAP_OPTIONS, threshold=1)
     @settings(max_examples=200, deadline=None)
     def test_many_matches_per_graph_calls(self, batch, seed, options, threshold):
-        want = [
-            louvain_labels(graph, seed=seed, vectorize=False, **options)
-            for graph in batch
-        ]
+        want = [list_swept(graph, seed=seed, **options) for graph in batch]
         with wavefront(threshold):
             got = louvain_labels_many(batch, seed=seed, **options)
             packed = louvain_labels_many(
@@ -157,7 +148,37 @@ class TestBatchContainer:
             keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
             weights = rng.integers(1, 4, size=keys.size).astype(np.float64)
             batch.append(CSRGraph.from_edges(n, keys // n, keys % n, weights))
-        want = [louvain_labels(graph, seed=2, vectorize=False) for graph in batch]
+        want = [list_swept(graph, seed=2) for graph in batch]
         got = louvain_labels_many(CSRGraphBatch.from_graphs(batch), seed=2)
         for labels, expected in zip(got, want, strict=True):
             assert np.array_equal(labels, expected)
+
+
+class TestDispatch:
+    @staticmethod
+    def ring(n):
+        rows = np.arange(n)
+        return CSRGraph.from_edges(n, rows, (rows + 1) % n, np.ones(n))
+
+    def test_wavefront_runs_from_the_threshold_of_live_graphs(self, monkeypatch):
+        calls = []
+        sweep = louvain._wavefront_local_moves
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(louvain, "_wavefront_local_moves", counted)
+        threshold = louvain.WAVEFRONT_MIN_GRAPHS
+        # Edgeless and empty graphs are not live: they never count.
+        idle = [
+            CSRGraph.from_edges(4, np.empty(0), np.empty(0), np.empty(0)),
+            CSRGraph.from_edges(0, np.empty(0), np.empty(0), np.empty(0)),
+        ]
+        for live, expected in [(threshold - 1, []), (threshold, [threshold])]:
+            calls.clear()
+            batch = [self.ring(5 + k % 7) for k in range(live)] + idle
+            got = louvain_labels_many(batch, seed=3)
+            assert calls == expected
+            for labels, graph in zip(got, batch, strict=True):
+                assert np.array_equal(labels, list_swept(graph, seed=3))

@@ -152,7 +152,6 @@ OTHER_CONFIG_VALUES = {
     "expand_hierarchy": st.booleans().map(lambda v: {"expand_hierarchy": v}),
     "skip_known_terms": st.booleans().map(lambda v: {"skip_known_terms": v}),
     "index_dir": st.just({"index_dir": "index"}),
-    "feature_cache": st.booleans().map(lambda v: {"feature_cache": v}),
     "cache_dir": st.just({"cache_dir": "cache"}),
     "cache_max_bytes": st.integers(1, 1 << 30).map(
         lambda v: {"cache_dir": "cache", "cache_max_bytes": v}

@@ -337,10 +337,6 @@ class TestRemoteCacheStoreProtocol:
 
 
 class TestConfigValidation:
-    def test_cache_url_requires_feature_cache(self):
-        with pytest.raises(ValidationError, match="feature_cache"):
-            EnrichmentConfig(cache_url="http://x:1", feature_cache=False)
-
     def test_cache_url_excludes_cache_dir(self, tmp_path):
         with pytest.raises(ValidationError, match="mutually exclusive"):
             EnrichmentConfig(
@@ -474,6 +470,9 @@ class TestEnrichmentJobs:
         # knob that chose the frame size is gone as well.
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"cache_batch_size": 1})
+        # Every enricher has a feature cache, so its switch is gone.
+        with pytest.raises(ServiceError, match="unknown config field"):
+            client.submit_job("demo", config={"feature_cache": False})
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"frobnicate": 1})
         # Values a job could only fail on (and that could not key a
@@ -487,6 +486,10 @@ class TestEnrichmentJobs:
             ({"polysemy_classifier": "nope"}, "polysemy_classifier must be"),
             ({"polysemy_classifier": "multinomial_nb"}, "polysemy_classifier"),
             ({"sense_algorithm": "nope"}, "sense_algorithm must be"),
+            ({"context_window": -3}, "context_window must be >= 1"),
+            ({"context_window": 0}, "context_window must be >= 1"),
+            ({"min_term_length": 0}, "min_term_length must be >= 1"),
+            ({"seed": -1}, "seed must be >= 0"),
         ]:
             with pytest.raises(ServiceError, match="400") as error:
                 client.submit_job("demo", config=config)
@@ -625,7 +628,7 @@ class TestJobsRacingDeltas:
         arrival = Document("late-1", list(scenario.corpus)[0].sentences)
 
         def cold(documents):
-            config = EnrichmentConfig(feature_cache=True, **overrides)
+            config = EnrichmentConfig(**overrides)
             enricher = OntologyEnricher(scenario.ontology, config=config)
             return comparable(enricher.enrich(Corpus(documents)).to_dict())
 
@@ -686,7 +689,7 @@ class TestFirstLoadRace:
         write_ontology_json(scenario.ontology, tmp_path / "ontology.json")
         write_corpus_jsonl(scenario.corpus, tmp_path / "corpus.jsonl")
         arrival = Document("late-1", list(scenario.corpus)[0].sentences)
-        config = EnrichmentConfig(feature_cache=True)
+        config = EnrichmentConfig()
         grown = comparable(
             OntologyEnricher(scenario.ontology, config=config)
             .enrich(Corpus([*scenario.corpus, arrival]))

@@ -135,6 +135,7 @@ class TestStageUnits:
             enricher._detector,
             enricher._feature_extractor,
             trained=False,
+            cache=enricher.feature_cache,
         ).run(ctx)
         for item in ctx.work:
             assert item.report.n_contexts >= 0
@@ -236,10 +237,6 @@ class TestFeatureCacheWiring:
         assert report.cache["remote_errors"] == 0
         assert report.cache["store_bytes"] > 0
 
-    def test_cache_disabled_reports_empty(self, scenario):
-        report = enrich(scenario, feature_cache=False)
-        assert report.cache == {}
-
     def test_repeated_enrich_hits_and_is_identical(self, scenario):
         config = EnrichmentConfig(
             n_candidates=6, min_contexts=3
@@ -252,11 +249,6 @@ class TestFeatureCacheWiring:
         second = enricher.enrich(scenario.corpus)
         assert second.cache["hits"] > first.cache["hits"]
         assert report_fingerprint(first) == report_fingerprint(second)
-
-    def test_cache_does_not_change_the_report(self, scenario):
-        cached = enrich(scenario)
-        uncached = enrich(scenario, feature_cache=False)
-        assert report_fingerprint(cached) == report_fingerprint(uncached)
 
 
 class TestTrainingFallback:
