@@ -36,6 +36,7 @@ from repro.ontology.io import read_ontology_json, write_ontology_json
 from repro.ontology.snapshot import held_out_terms
 from repro.scenarios import make_enrichment_scenario
 from repro.utils.tables import format_table
+from repro.utils.validation import check_seconds
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 
@@ -243,6 +244,16 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
     return 0
+
+
+def _seconds(text: str) -> float:
+    """argparse type of a seconds option: a finite number > 0."""
+    try:
+        return check_seconds(float(text), "seconds")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text!r}"
+        ) from None
 
 
 def _parse_scenario_specs(specs: list[str]) -> dict[str, tuple[Path, Path]]:
@@ -765,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable",
     )
     serve.add_argument(
-        "--watch-poll", type=float, default=1.0,
+        "--watch-poll", type=_seconds, default=1.0,
         help="seconds between scans of watched directories",
     )
     serve.add_argument(
@@ -847,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="only show deltas with seq greater than this",
     )
     watch.add_argument(
-        "--poll", type=float, default=2.0,
+        "--poll", type=_seconds, default=2.0,
         help="seconds between polls",
     )
     watch.add_argument(

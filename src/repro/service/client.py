@@ -52,6 +52,7 @@ from repro.service.wire import (
     encode_key_batch,
     encode_vector_batch,
 )
+from repro.utils.validation import check_seconds
 
 #: Default per-request network timeout (seconds).
 DEFAULT_TIMEOUT = 5.0
@@ -113,10 +114,8 @@ class _HttpChannel:
     """One lock-guarded, reused HTTP connection with stale-retry."""
 
     def __init__(self, base_url: str, timeout: float) -> None:
-        if timeout <= 0:
-            raise ValidationError(f"timeout must be > 0, got {timeout}")
         self.base_url = base_url
-        self.timeout = timeout
+        self.timeout = check_seconds(timeout, "timeout")
         self._host, self._port, self._prefix = _parse_base_url(base_url)
         self._lock = threading.Lock()
         self._conn: http.client.HTTPConnection | None = None
@@ -399,10 +398,12 @@ class ServiceClient:
         *,
         payload: dict | None = None,
         expect: tuple[int, ...] = (200,),
-        headers: dict[str, str] | None = None,
+        idempotency_key: str | None = None,
     ) -> dict:
         body = None
-        headers = dict(headers or {})
+        headers = {}
+        if idempotency_key is not None:
+            headers["Idempotency-Key"] = idempotency_key
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -516,15 +517,12 @@ class ServiceClient:
         idempotency_key: str | None = None,
     ) -> tuple[str, bool]:
         """``(job_id, replayed)`` of one (possibly deduplicated) submit."""
-        headers = {}
-        if idempotency_key is not None:
-            headers["Idempotency-Key"] = idempotency_key
         response = self._json(
             "POST",
             "/jobs",
             payload={"corpus": corpus, "config": config or {}},
             expect=(200, 202),  # 202 = accepted, 200 = idempotent replay
-            headers=headers,
+            idempotency_key=idempotency_key,
         )
         return str(response["job"]), bool(response.get("replayed"))
 
@@ -593,15 +591,12 @@ class ServiceClient:
             payload["config"] = config
         if mode is not None:
             payload["mode"] = mode
-        headers = {}
-        if idempotency_key is not None:
-            headers["Idempotency-Key"] = idempotency_key
         return self._json(
             "POST",
             "/recommend",
             payload=payload,
             expect=(200, 202),  # 200 = sync report / replay, 202 = queued
-            headers=headers,
+            idempotency_key=idempotency_key,
         )
 
     # -- streaming deltas ---------------------------------------------------
@@ -622,15 +617,12 @@ class ServiceClient:
         report is the :class:`~repro.workflow.streaming.ReportDiff`
         document) or read the scenario's history via :meth:`deltas`.
         """
-        headers = {}
-        if idempotency_key is not None:
-            headers["Idempotency-Key"] = idempotency_key
         response = self._json(
             "POST",
             f"/scenarios/{scenario}/documents",
             payload={"documents": documents},
             expect=(200, 202),  # 202 = accepted, 200 = idempotent replay
-            headers=headers,
+            idempotency_key=idempotency_key,
         )
         return str(response["job"]), bool(response.get("replayed"))
 

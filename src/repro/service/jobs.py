@@ -33,6 +33,7 @@ import threading
 import time
 import typing
 from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -55,11 +56,15 @@ from repro.workflow.pipeline import OntologyEnricher
 from repro.workflow.streaming import StreamingEnricher
 
 #: Config fields a job may NOT override: the service owns cache and
-#: index wiring (every job must share the server's stores).
+#: index wiring (every job must share the server's stores).  A job's
+#: ``cache_timeout`` could change nothing it does (there is no
+#: ``cache_url`` to time out), yet each value would key a kept enricher
+#: of its own that runs cold and evicts a warm one.
 _LOCKED_CONFIG_FIELDS = frozenset(
     {
         "cache_dir",
         "cache_max_bytes",
+        "cache_timeout",
         "cache_url",
         "index_dir",
     }
@@ -124,11 +129,16 @@ class IdempotencyConflictError(ValidationError):
 
 @dataclass
 class Job:
-    """One enrichment job's lifecycle record.
+    """One job's lifecycle record.
 
-    ``kind`` distinguishes full enrichment runs (``"enrich"``) from
-    streaming delta re-enrichments (``"delta"``, whose ``report`` is a
-    :meth:`~repro.workflow.streaming.ReportDiff.to_dict` document).
+    ``kind`` names the work and the shape of ``report``: a full
+    enrichment run (``"enrich"``, an
+    :meth:`~repro.workflow.report.EnrichmentReport.to_dict` document), a
+    streaming delta re-enrichment (``"delta"``, a
+    :meth:`~repro.workflow.streaming.ReportDiff.to_dict` document) or a
+    queued recommendation (``"recommend"``, a
+    :meth:`~repro.recommend.report.RecommendationReport.to_dict`
+    document).
     """
 
     job_id: str
@@ -323,10 +333,7 @@ class JobManager:
         the route).
         """
         overrides = dict(overrides or {})
-        if corpus not in self._corpora:
-            raise ValidationError(
-                f"unknown corpus {corpus!r}; registered: {self.corpora()}"
-            )
+        self._check_corpus(corpus)
         allowed = {f.name for f in fields(EnrichmentConfig)}
         for name in overrides:
             if name in _LOCKED_CONFIG_FIELDS:
@@ -338,6 +345,32 @@ class JobManager:
         # A job that can only fail is a 400 now, not a failed poll.
         _check_override_types(overrides)
         self._config(overrides)
+        return self._enqueue(
+            "enrich", corpus, overrides,
+            request={"corpus": corpus, "overrides": overrides},
+            idempotency_key=idempotency_key, work=self._enrich,
+        )
+
+    def _enqueue(
+        self,
+        kind: str,
+        corpus: str,
+        overrides: dict,
+        *,
+        request: dict,
+        idempotency_key: str | None,
+        work: Callable[[Job], dict],
+    ) -> tuple[str, bool]:
+        """Admit one validated submission; returns ``(job_id, replayed)``.
+
+        The one submission path of every job kind.  ``request`` is what
+        the ``Idempotency-Key`` fingerprints: the key on an equal
+        request replays its job, on any other request (another kind's
+        included) it raises :class:`IdempotencyConflictError`.  A new
+        job is created here, after its route's validation, so
+        ``submitted_at`` orders accepted work only; ``work`` computes
+        its report document on the pool (see :meth:`_run`).
+        """
         if idempotency_key is not None:
             if not idempotency_key:
                 raise ValidationError("Idempotency-Key must be non-empty")
@@ -346,39 +379,86 @@ class JobManager:
                     "Idempotency-Key exceeds "
                     f"{MAX_IDEMPOTENCY_KEY_LENGTH} characters"
                 )
-        fingerprint = json.dumps(
-            {"corpus": corpus, "overrides": overrides}, sort_keys=True
-        )
+        fingerprint = json.dumps(request, sort_keys=True)
         with self._lock:
-            if idempotency_key is not None:
-                known = self._idempotency.get(idempotency_key)
-                if known is not None:
-                    known_id, known_fingerprint = known
-                    if known_fingerprint != fingerprint:
-                        raise IdempotencyConflictError(
-                            f"Idempotency-Key {idempotency_key!r} was "
-                            "already used for a different submission"
-                        )
-                    if self._metrics is not None:
-                        self._metrics.job_submitted(corpus, replayed=True)
-                    return known_id, True
-            job = Job(
-                job_id=f"job-{next(self._ids):06d}",
-                corpus=corpus,
-                overrides=overrides,
-                idempotency_key=idempotency_key,
+            known = (
+                self._idempotency.get(idempotency_key) if idempotency_key else None
             )
-            self._jobs[job.job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = (
-                    job.job_id,
-                    fingerprint,
+            if known is None:
+                job = Job(
+                    job_id=f"job-{next(self._ids):06d}",
+                    corpus=corpus,
+                    overrides=overrides,
+                    kind=kind,
+                    idempotency_key=idempotency_key,
                 )
-            self._prune_finished_locked()
+                self._jobs[job.job_id] = job
+                if idempotency_key is not None:
+                    self._idempotency[idempotency_key] = (job.job_id, fingerprint)
+                self._prune_finished_locked()
+            elif known[1] != fingerprint:
+                raise IdempotencyConflictError(
+                    f"Idempotency-Key {idempotency_key!r} was "
+                    "already used for a different submission"
+                )
         if self._metrics is not None:
-            self._metrics.job_submitted(corpus, replayed=False)
-        self._pool.submit(self._run, job)
+            self._metrics.job_submitted(corpus, replayed=known is not None)
+        if known is not None:
+            return known[0], True
+        self._pool.submit(self._run, job, work)
         return job.job_id, False
+
+    def _run(self, job: Job, work: Callable[[Job], dict]) -> None:
+        """Run one queued job: mark it running, do its work, finish it.
+
+        The job's metrics (``work`` records its kind's own) land before
+        its terminal status is published, so a poller that reads
+        ``done`` or ``failed`` finds the job counted on ``/metrics``.
+        """
+        with self._lock:
+            job.status = "running"
+            job.started_at = started = time.time()
+        report: dict | None = None
+        error: str | None = None
+        try:
+            report = work(job)
+        except Exception as exc:  # noqa: BLE001 - job isolation boundary:
+            # Deliberately broad: this is the service's last line of
+            # defence around arbitrary workflow code.  A failed job must
+            # answer its poll with status="failed" and the error string,
+            # not kill the worker thread — narrowing here would turn an
+            # unanticipated exception type into a silently-hung job.
+            # The failure *is* accounted: job.error carries it to the
+            # poller and job_finished() counts it in /metrics.
+            error = f"{type(exc).__name__}: {exc}"
+        finished = time.time()
+        status = "done" if error is None else "failed"
+        if self._metrics is not None:
+            self._metrics.job_finished(
+                job.corpus, status=status, seconds=finished - started
+            )
+        with self._lock:
+            job.report = report
+            job.error = error
+            job.status = status
+            job.finished_at = finished
+
+    def _enrich(self, job: Job) -> dict:
+        """An enrich job's work: its kept enricher's report document."""
+        _, corpus = self._load(job.corpus)
+        config = self._config(job.overrides)
+        # Deltas grow this shared corpus under the same lock, and kept
+        # enrichers are only used under it.
+        with self._scenario_lock(job.corpus):
+            enricher = self._enricher(job.corpus, config)
+            try:
+                report = enricher.enrich(corpus)
+            except Exception:
+                # Never hand a failed run's enricher to a later job.
+                with self._lock:
+                    self._enrichers.pop((job.corpus, config), None)
+                raise
+        return report.to_dict()
 
     # -- streaming deltas --------------------------------------------------
 
@@ -401,53 +481,41 @@ class JobManager:
         semantics as :meth:`submit_detailed` — replaying a document
         batch must not grow the corpus twice.
         """
-        if corpus not in self._corpora:
-            raise ValidationError(
-                f"unknown corpus {corpus!r}; registered: {self.corpora()}"
-            )
+        self._check_corpus(corpus)
         parsed = self._parse_documents(documents)
-        if idempotency_key is not None:
-            if not idempotency_key:
-                raise ValidationError("Idempotency-Key must be non-empty")
-            if len(idempotency_key) > MAX_IDEMPOTENCY_KEY_LENGTH:
-                raise ValidationError(
-                    "Idempotency-Key exceeds "
-                    f"{MAX_IDEMPOTENCY_KEY_LENGTH} characters"
-                )
-        fingerprint = json.dumps(
-            {"corpus": corpus, "documents": documents}, sort_keys=True
+        return self._enqueue(
+            "delta", corpus, {"documents": [doc.doc_id for doc in parsed]},
+            request={"corpus": corpus, "documents": documents},
+            idempotency_key=idempotency_key,
+            work=lambda job: self._delta(job, parsed),
         )
-        with self._lock:
-            if idempotency_key is not None:
-                known = self._idempotency.get(idempotency_key)
-                if known is not None:
-                    known_id, known_fingerprint = known
-                    if known_fingerprint != fingerprint:
-                        raise IdempotencyConflictError(
-                            f"Idempotency-Key {idempotency_key!r} was "
-                            "already used for a different submission"
-                        )
-                    if self._metrics is not None:
-                        self._metrics.job_submitted(corpus, replayed=True)
-                    return known_id, True
-            job = Job(
-                job_id=f"job-{next(self._ids):06d}",
-                corpus=corpus,
-                overrides={"documents": [doc.doc_id for doc in parsed]},
-                kind="delta",
-                idempotency_key=idempotency_key,
-            )
-            self._jobs[job.job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = (
-                    job.job_id,
-                    fingerprint,
-                )
-            self._prune_finished_locked()
+
+    def _delta(self, job: Job, documents: list[Document]) -> dict:
+        """A delta job's work: grow the scenario, diff, keep the history."""
+        with self._scenario_lock(job.corpus):
+            streamer = self._streamer(job.corpus)
+            try:
+                diff = streamer.add_documents(documents)
+            finally:
+                snapshot = streamer.corpus.index().snapshot()
+                with self._lock:
+                    self._snapshots[job.corpus] = snapshot
+            document = diff.to_dict()
+            with self._lock:
+                seq = self._delta_seq.get(job.corpus, 0) + 1
+                self._delta_seq[job.corpus] = seq
+                document["seq"] = seq
+                document["job"] = job.job_id
+                history = self._delta_history.setdefault(job.corpus, [])
+                history.append(document)
+                del history[:-DEFAULT_MAX_DELTAS]
         if self._metrics is not None:
-            self._metrics.job_submitted(corpus, replayed=False)
-        self._pool.submit(self._run_delta, job, parsed)
-        return job.job_id, False
+            self._metrics.delta_finished(
+                job.corpus,
+                seconds=document["timings"].get("delta_total", 0.0),
+                terms_recomputed=document["n_recomputed"],
+            )
+        return document
 
     def deltas(
         self, corpus: str, *, since: int = 0
@@ -521,20 +589,8 @@ class JobManager:
         # that can only fail must be rejected at submit time (400), not
         # discovered by the poller.
         self._recommend_config(payload.get("config"))
-        corpus_label = (
-            str(payload["corpus"])
-            if payload.get("corpus") is not None
-            else "text"
-        )
-        if idempotency_key is not None:
-            if not idempotency_key:
-                raise ValidationError("Idempotency-Key must be non-empty")
-            if len(idempotency_key) > MAX_IDEMPOTENCY_KEY_LENGTH:
-                raise ValidationError(
-                    "Idempotency-Key exceeds "
-                    f"{MAX_IDEMPOTENCY_KEY_LENGTH} characters"
-                )
-        fingerprint = json.dumps({"recommend": payload}, sort_keys=True)
+        corpus = payload.get("corpus")
+        corpus_label = str(corpus) if corpus is not None else "text"
         # The job document shows the request minus the (possibly large)
         # text body, which is summarised by its size instead.
         overrides = {k: v for k, v in payload.items() if k != "text"}
@@ -542,72 +598,24 @@ class JobManager:
             overrides["text_bytes"] = len(
                 str(payload["text"]).encode("utf-8")
             )
-        with self._lock:
-            if idempotency_key is not None:
-                known = self._idempotency.get(idempotency_key)
-                if known is not None:
-                    known_id, known_fingerprint = known
-                    if known_fingerprint != fingerprint:
-                        raise IdempotencyConflictError(
-                            f"Idempotency-Key {idempotency_key!r} was "
-                            "already used for a different submission"
-                        )
-                    if self._metrics is not None:
-                        self._metrics.job_submitted(
-                            corpus_label, replayed=True
-                        )
-                    return known_id, True
-            job = Job(
-                job_id=f"job-{next(self._ids):06d}",
-                corpus=corpus_label,
-                overrides=overrides,
-                kind="recommend",
-                idempotency_key=idempotency_key,
-            )
-            self._jobs[job.job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = (
-                    job.job_id,
-                    fingerprint,
-                )
-            self._prune_finished_locked()
-        if self._metrics is not None:
-            self._metrics.job_submitted(corpus_label, replayed=False)
-        self._pool.submit(self._run_recommend, job, payload)
-        return job.job_id, False
+        return self._enqueue(
+            "recommend", corpus_label, overrides,
+            request={"recommend": payload},
+            idempotency_key=idempotency_key,
+            work=lambda job: self._recommend(job, payload),
+        )
 
-    def _run_recommend(self, job: Job, payload: dict) -> None:
-        with self._lock:
-            job.status = "running"
-            job.started_at = time.time()
-        try:
-            document = self.run_recommend(payload)
-            with self._lock:
-                job.report = document
-                job.status = "done"
-                job.finished_at = time.time()
-            if self._metrics is not None:
-                ranking = document.get("ranking", [])
-                self._metrics.recommend_finished(
-                    mode="job",
-                    seconds=(job.finished_at or 0.0)
-                    - (job.started_at or 0.0),
-                    top_scores=ranking[0]["scores"] if ranking else {},
-                )
-        except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            # Same boundary as _run: a failed recommendation answers
-            # its poll with status="failed" instead of killing the
-            # worker thread.
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.status = "failed"
-                job.finished_at = time.time()
+    def _recommend(self, job: Job, payload: dict) -> dict:
+        """A recommend job's work: the :meth:`run_recommend` document."""
+        document = self.run_recommend(payload)
         if self._metrics is not None:
-            self._metrics.job_finished(
-                job.corpus,
-                status=job.status,
-                seconds=(job.finished_at or 0.0) - (job.started_at or 0.0),
+            ranking = document.get("ranking", [])
+            self._metrics.recommend_finished(
+                mode="job",
+                seconds=time.time() - (job.started_at or 0.0),
+                top_scores=ranking[0]["scores"] if ranking else {},
             )
+        return document
 
     @staticmethod
     def _recommend_config(overrides: dict | None) -> RecommendConfig:
@@ -616,17 +624,18 @@ class JobManager:
         allowed = {f.name for f in fields(RecommendConfig)}
         for name in overrides:
             if name not in allowed:
-                raise ValidationError(
-                    f"unknown recommend config field {name!r}"
-                )
+                raise ValidationError(f"unknown recommend config field {name!r}")
         return RecommendConfig(**overrides)
 
-    def _snapshot(self, name: str) -> CorpusIndex:
-        """The scenario's corpus index as of its last whole delta (O(1))."""
+    def _check_corpus(self, name: str) -> None:
         if name not in self._corpora:
             raise ValidationError(
                 f"unknown corpus {name!r}; registered: {self.corpora()}"
             )
+
+    def _snapshot(self, name: str) -> CorpusIndex:
+        """The scenario's corpus index as of its last whole delta (O(1))."""
+        self._check_corpus(name)
         self._load(name)
         with self._lock:
             return self._snapshots[name]
@@ -714,12 +723,9 @@ class JobManager:
         with self._lock:
             enricher = self._enrichers.get(key)
             streamer = self._streamers.get(name)
-        if (
-            enricher is None
-            and streamer is not None
-            and streamer.enricher.config == config
-        ):
-            enricher = streamer.enricher
+        if enricher is None and streamer is not None:
+            if streamer.enricher.config == config:
+                enricher = streamer.enricher
         if enricher is None:
             ontology, _ = self._load(name)
             enricher = OntologyEnricher(
@@ -736,59 +742,10 @@ class JobManager:
         with self._lock:
             return self._scenario_locks.setdefault(name, threading.Lock())
 
-    def _run_delta(self, job: Job, documents: list[Document]) -> None:
-        with self._lock:
-            job.status = "running"
-            job.started_at = time.time()
-        try:
-            with self._scenario_lock(job.corpus):
-                streamer = self._streamer(job.corpus)
-                try:
-                    diff = streamer.add_documents(documents)
-                finally:
-                    snapshot = streamer.corpus.index().snapshot()
-                    with self._lock:
-                        self._snapshots[job.corpus] = snapshot
-                document = diff.to_dict()
-                with self._lock:
-                    seq = self._delta_seq.get(job.corpus, 0) + 1
-                    self._delta_seq[job.corpus] = seq
-                    document["seq"] = seq
-                    document["job"] = job.job_id
-                    history = self._delta_history.setdefault(job.corpus, [])
-                    history.append(document)
-                    del history[:-DEFAULT_MAX_DELTAS]
-            with self._lock:
-                job.report = document
-                job.status = "done"
-                job.finished_at = time.time()
-            if self._metrics is not None:
-                self._metrics.delta_finished(
-                    job.corpus,
-                    seconds=document["timings"].get("delta_total", 0.0),
-                    terms_recomputed=document["n_recomputed"],
-                )
-        except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            # Same isolation boundary as _run: a failed delta answers
-            # its poll with status="failed" instead of killing the
-            # worker thread (duplicate doc ids land here, for example).
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.status = "failed"
-                job.finished_at = time.time()
-        if self._metrics is not None:
-            self._metrics.job_finished(
-                job.corpus,
-                status=job.status,
-                seconds=(job.finished_at or 0.0) - (job.started_at or 0.0),
-            )
-
     def _prune_finished_locked(self) -> None:
         """Drop the oldest finished jobs beyond the retention cap."""
         finished = [
-            job
-            for job in self._jobs.values()
-            if job.status in ("done", "failed")
+            job for job in self._jobs.values() if job.status in ("done", "failed")
         ]
         excess = len(finished) - self._max_finished_jobs
         if excess <= 0:
@@ -841,44 +798,3 @@ class JobManager:
         if self._index_dir is not None:
             forced["index_dir"] = str(self._index_dir)
         return EnrichmentConfig(**{**overrides, **forced})
-
-    def _run(self, job: Job) -> None:
-        with self._lock:
-            job.status = "running"
-            job.started_at = time.time()
-        try:
-            _, corpus = self._load(job.corpus)
-            config = self._config(job.overrides)
-            # Deltas grow this shared corpus under the same lock, and
-            # kept enrichers are only used under it.
-            with self._scenario_lock(job.corpus):
-                enricher = self._enricher(job.corpus, config)
-                try:
-                    report = enricher.enrich(corpus)
-                except Exception:
-                    # Never hand a failed run's enricher to a later job.
-                    with self._lock:
-                        self._enrichers.pop((job.corpus, config), None)
-                    raise
-            with self._lock:
-                job.report = report.to_dict()
-                job.status = "done"
-                job.finished_at = time.time()
-        except Exception as exc:  # noqa: BLE001 - job isolation boundary:
-            # Deliberately broad: this is the service's last line of
-            # defence around arbitrary workflow code.  A failed job must
-            # answer its poll with status="failed" and the error string,
-            # not kill the worker thread — narrowing here would turn an
-            # unanticipated exception type into a silently-hung job.
-            # The failure *is* accounted: job.error carries it to the
-            # poller and job_finished() counts it in /metrics.
-            with self._lock:
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.status = "failed"
-                job.finished_at = time.time()
-        if self._metrics is not None:
-            self._metrics.job_finished(
-                job.corpus,
-                status=job.status,
-                seconds=(job.finished_at or 0.0) - (job.started_at or 0.0),
-            )

@@ -1,9 +1,9 @@
 """Many-client load generator for the cache service (``repro loadbench``).
 
-The serving layer's whole claim is "fine for >1k concurrent clients" —
-a claim only a load generator can check.  :func:`run_load` drives the
-service with N client threads, each owning its *own*
-:class:`~repro.service.client.RemoteCacheStore` +
+What the service does under concurrent clients — no failed request,
+every request seen on ``/metrics`` — only a load generator can check.
+:func:`run_load` drives the service with N client threads, each owning
+its *own* :class:`~repro.service.client.RemoteCacheStore` +
 :class:`~repro.service.client.ServiceClient` (one keep-alive
 connection per client, like real tenants), issuing a deterministic
 seeded mix of operations:

@@ -56,6 +56,7 @@ monitors (it is also what lets ``/stats`` serve a stable ``ETag``).
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import signal
@@ -353,6 +354,54 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         """
         self._read_body()
 
+    def _read_json_object(
+        self, shape_error: str, required: str | None = None
+    ) -> dict | None:
+        """The body as a JSON object holding ``required``, or None.
+
+        None means a 400 went out already: a bad length, a body that is
+        not JSON, or one that is not an object with ``required``
+        (answered with ``shape_error``).
+        """
+        body = self._read_body()
+        if body is None:
+            self._send_error_json(400, "bad Content-Length")
+            return None
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else {}
+        except (UnicodeDecodeError, ValueError):
+            self._send_error_json(400, "request body must be JSON")
+            return None
+        if not isinstance(payload, dict) or (
+            required is not None and required not in payload
+        ):
+            self._send_error_json(400, shape_error)
+            return None
+        return payload
+
+    def _answer_submission(self, submit) -> None:
+        """Call ``submit`` (a bound :class:`JobManager` submit method)
+        with the ``Idempotency-Key`` header and answer the client.
+
+        A new job is a 202.  A replay is a 200: nothing new was
+        accepted, the client is handed the job its earlier submit
+        created.  A key reused on another request is a 409, and a
+        request the manager rejects a 400.
+        """
+        try:
+            job_id, replayed = submit(
+                idempotency_key=self.headers.get("Idempotency-Key")
+            )
+        except IdempotencyConflictError as exc:
+            self._send_error_json(409, str(exc))
+            return
+        except ValidationError as exc:
+            self._send_error_json(400, str(exc))
+            return
+        self._send_json(
+            200 if replayed else 202, {"job": job_id, "replayed": replayed}
+        )
+
     # -- routing ------------------------------------------------------------
 
     def _instrumented(self, method: str, handler) -> None:
@@ -580,39 +629,19 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         """``POST /scenarios/<name>/documents``: queue a delta job."""
         self.service.count_request()
         name = route[len("/scenarios/"):-len("/documents")]
-        body = self._read_body()
-        if body is None:
-            self._send_error_json(400, "bad Content-Length")
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
-            self._send_error_json(400, "request body must be JSON")
-            return
-        if not isinstance(payload, dict) or "documents" not in payload:
-            self._send_error_json(
-                400, 'JSON body with a "documents" list required'
-            )
+        payload = self._read_json_object(
+            'JSON body with a "documents" list required', "documents"
+        )
+        if payload is None:
             return
         if name not in self.service.jobs.corpora():
             self._send_error_json(404, f"unknown scenario {name!r}")
             return
-        try:
-            job_id, replayed = self.service.jobs.submit_documents(
-                name,
-                payload["documents"],
-                idempotency_key=self.headers.get("Idempotency-Key"),
+        self._answer_submission(
+            functools.partial(
+                self.service.jobs.submit_documents, name, payload["documents"]
             )
-        except IdempotencyConflictError as exc:
-            self._send_error_json(409, str(exc))
-            return
-        except ValidationError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        if replayed:
-            self._send_json(200, {"job": job_id, "replayed": True})
-        else:
-            self._send_json(202, {"job": job_id, "replayed": False})
+        )
 
     # -- recommendation endpoint ----------------------------------------------
 
@@ -628,17 +657,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         routing.
         """
         self.service.count_request()
-        body = self._read_body()
-        if body is None:
-            self._send_error_json(400, "bad Content-Length")
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
-            self._send_error_json(400, "request body must be JSON")
-            return
-        if not isinstance(payload, dict):
-            self._send_error_json(400, "request body must be a JSON object")
+        payload = self._read_json_object("request body must be a JSON object")
+        if payload is None:
             return
         error = self._validate_recommend(payload)
         if error is not None:
@@ -667,21 +687,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
             self._send_json(200, document)
             return
-        try:
-            job_id, replayed = self.service.jobs.submit_recommend(
-                payload,
-                idempotency_key=self.headers.get("Idempotency-Key"),
-            )
-        except IdempotencyConflictError as exc:
-            self._send_error_json(409, str(exc))
-            return
-        except ValidationError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        if replayed:
-            self._send_json(200, {"job": job_id, "replayed": True})
-        else:
-            self._send_json(202, {"job": job_id, "replayed": False})
+        self._answer_submission(
+            functools.partial(self.service.jobs.submit_recommend, payload)
+        )
 
     def _validate_recommend(
         self, payload: dict
@@ -745,17 +753,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _submit_job(self) -> None:
         self.service.count_request()
-        body = self._read_body()
-        if body is None:
-            self._send_error_json(400, "bad Content-Length")
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, ValueError):
-            self._send_error_json(400, "request body must be JSON")
-            return
-        if not isinstance(payload, dict) or "corpus" not in payload:
-            self._send_error_json(400, 'JSON body with a "corpus" required')
+        payload = self._read_json_object(
+            'JSON body with a "corpus" required', "corpus"
+        )
+        if payload is None:
             return
         overrides = payload.get("config")
         if overrides is None:
@@ -763,24 +764,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(overrides, dict):
             self._send_error_json(400, '"config" must be an object')
             return
-        try:
-            job_id, replayed = self.service.jobs.submit_detailed(
-                str(payload["corpus"]),
-                overrides,
-                idempotency_key=self.headers.get("Idempotency-Key"),
+        self._answer_submission(
+            functools.partial(
+                self.service.jobs.submit_detailed, str(payload["corpus"]), overrides
             )
-        except IdempotencyConflictError as exc:
-            self._send_error_json(409, str(exc))
-            return
-        except ValidationError as exc:
-            self._send_error_json(400, str(exc))
-            return
-        if replayed:
-            # 200, not 202: nothing new was accepted — the client is
-            # being handed the job its earlier submit already created.
-            self._send_json(200, {"job": job_id, "replayed": True})
-        else:
-            self._send_json(202, {"job": job_id, "replayed": False})
+        )
 
 
 class CacheServiceServer:

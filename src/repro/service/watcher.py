@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro.errors import ValidationError
 from repro.service.jobs import JobManager
+from repro.utils.validation import check_seconds
 
 __all__ = ["DirectoryWatcher"]
 
@@ -43,7 +44,8 @@ class DirectoryWatcher:
     directory:
         Directory to poll; created if missing.
     poll_seconds:
-        Sleep between scans of the background thread.
+        Sleep between scans of the background thread: a finite number
+        of seconds, > 0.
 
     A file is picked up when its ``(mtime, size)`` is new — touching a
     file re-submits it, which the content-derived ``Idempotency-Key``
@@ -58,15 +60,11 @@ class DirectoryWatcher:
         *,
         poll_seconds: float = 1.0,
     ) -> None:
-        if poll_seconds <= 0:
-            raise ValidationError(
-                f"poll_seconds must be > 0, got {poll_seconds}"
-            )
+        self.poll_seconds = check_seconds(poll_seconds, "poll_seconds")
         self._manager = manager
         self.scenario = scenario
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.poll_seconds = poll_seconds
         self._seen: dict[str, tuple[float, int]] = {}
         self.errors: list[str] = []
         self._stop = threading.Event()

@@ -6,6 +6,7 @@ subclass) with uniform, greppable messages.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Collection
 from numbers import Integral, Real
 
@@ -19,6 +20,18 @@ def check_positive(value: float, name: str) -> float:
     if not value > 0:
         raise ValidationError(f"{name} must be > 0, got {value!r}")
     return float(value)
+
+
+def check_seconds(value: float, name: str) -> float:
+    """Require ``value`` to be a finite number of seconds, > 0.
+
+    NaN and infinities pass a bare ``<= 0`` check, then fail far from
+    the setting: socket timeouts and ``time.sleep`` raise on them, and a
+    wait of ``max(0.0, nan)`` is no wait at all.
+    """
+    if isinstance(value, Real) and not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return check_positive(value, name)
 
 
 def check_positive_int(value: int, name: str) -> int:

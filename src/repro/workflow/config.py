@@ -11,7 +11,7 @@ from repro.extraction.measures import MEASURE_NAMES
 from repro.ml import DEFAULT_CLASSIFIERS
 from repro.senses.representation import REPRESENTATION_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
-from repro.utils.validation import check_in_options
+from repro.utils.validation import check_in_options, check_seconds
 
 #: Step II classifiers the detector can fit.  Multinomial naive Bayes
 #: needs non-negative counts, and the detector standardises its
@@ -185,7 +185,4 @@ class EnrichmentConfig:
                 "cache_url and cache_dir are mutually exclusive "
                 "(the service owns the disk store)"
             )
-        if self.cache_timeout <= 0:
-            raise ValidationError(
-                f"cache_timeout must be > 0, got {self.cache_timeout}"
-            )
+        check_seconds(self.cache_timeout, "cache_timeout")

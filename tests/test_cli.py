@@ -168,6 +168,12 @@ class TestEnrich:
             (["--context-window", "-3"], "context_window must be >= 1"),
             (["--min-term-length", "0"], "min_term_length must be >= 1"),
             (["--seed", "-1"], "seed must be >= 0"),
+            # A NaN timeout crashed the first lookup with ValueError, an
+            # infinite one with OverflowError.
+            (["--cache-url", "http://h:1", "--cache-timeout", "nan"],
+             "cache_timeout must be finite"),
+            (["--cache-url", "http://h:1", "--cache-timeout", "inf"],
+             "cache_timeout must be finite"),
         ],
     )
     def test_values_a_run_can_only_fail_on_exit_before_any_work(
@@ -260,6 +266,33 @@ class TestServeAndCacheInfoParsers:
         ontology, corpus = corpora["demo"]
         assert ontology.name == "ontology.json"
         assert corpus.name == "corpus.jsonl"
+
+    def test_watch_poll_must_be_finite_before_binding(self, tmp_path, capsys):
+        # The store directory is made before the port is bound, so its
+        # absence shows the value was refused before either.
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cache-dir", str(cache_dir), "--port", "0",
+                  "--watch-poll", "nan"])
+        assert exit_info.value.code == 2
+        assert "--watch-poll" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize("seconds", ["nan", "-1", "0", "inf"])
+    def test_watch_poll_is_checked_before_connecting(
+        self, capsys, monkeypatch, seconds
+    ):
+        from repro.service import client
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("watch connected before checking --poll")
+
+        monkeypatch.setattr(client.ServiceClient, "__init__", refuse)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["watch", "--url", "http://127.0.0.1:1", "demo", "--once",
+                  "--poll", seconds])
+        assert exit_info.value.code == 2
+        assert "finite number of seconds > 0" in capsys.readouterr().err
 
     def test_enrich_cache_url_flags(self):
         args = build_parser().parse_args(

@@ -35,6 +35,7 @@ from repro.service.client import (
     ServiceError,
 )
 from repro.service.jobs import MAX_KEPT_ENRICHERS, JobManager
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import CacheServiceServer
 from repro.service.wire import (
     KEY_BATCH_MAGIC,
@@ -347,6 +348,25 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="cache_timeout"):
             EnrichmentConfig(cache_timeout=0)
 
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    def test_seconds_settings_must_be_finite(self, tmp_path, seconds):
+        # NaN and infinities pass a "<= 0" check: an infinite timeout
+        # overflowed on the first request, and a NaN poll spun the
+        # watcher without sleeping.
+        from repro.service.watcher import DirectoryWatcher
+
+        with pytest.raises(ValidationError, match="cache_timeout must be finite"):
+            EnrichmentConfig(cache_timeout=seconds)
+        for client_type in (RemoteCacheStore, ServiceClient):
+            with pytest.raises(ValidationError, match="timeout must be finite"):
+                client_type("http://127.0.0.1:1", timeout=seconds)
+        manager = JobManager()
+        try:
+            with pytest.raises(ValidationError, match="poll_seconds must be finite"):
+                DirectoryWatcher(manager, "demo", tmp_path, poll_seconds=seconds)
+        finally:
+            manager.shutdown()
+
 
 class TestServedWorkflow:
     @pytest.fixture(scope="class")
@@ -458,6 +478,10 @@ class TestEnrichmentJobs:
             client.submit_job("demo", config={"cache_dir": "/tmp/x"})
         with pytest.raises(ServiceError, match="owned by the service"):
             client.submit_job("demo", config={"index_dir": "/tmp/x"})
+        # The service's store is on disk, so a job's timeout would only
+        # key a kept enricher of its own.
+        with pytest.raises(ServiceError, match="owned by the service"):
+            client.submit_job("demo", config={"cache_timeout": 1})
         # The pipeline has no worker pools: their old knobs are unknown.
         with pytest.raises(ServiceError, match="unknown config field"):
             client.submit_job("demo", config={"n_workers": 16})
@@ -555,9 +579,10 @@ class TestEnrichmentJobs:
             manager.shutdown()
 
     def test_job_boundary_survives_exotic_exceptions(self, tmp_path):
-        """The broad except in JobManager._run is the isolation
-        boundary: any Exception subclass out of workflow code becomes a
-        pollable failure, and the worker keeps serving later jobs."""
+        """The broad except in JobManager._run, the one runner of every
+        job kind, is the isolation boundary: any Exception subclass out
+        of workflow code becomes a pollable failure, and the worker
+        keeps serving later jobs."""
 
         class ExoticError(Exception):
             pass
@@ -596,6 +621,49 @@ class TestEnrichmentJobs:
             assert calls["n"] == 2
         finally:
             manager.shutdown()
+
+    def test_metrics_land_before_the_terminal_status(self, corpus_dir):
+        """A poller that reads done or failed finds the job counted:
+        job_finished runs while the job still reads running, for every
+        job kind and on failure too."""
+        metrics = ServiceMetrics()
+        manager = JobManager(
+            {"demo": (corpus_dir / "ontology.json", corpus_dir / "corpus.jsonl")},
+            metrics=metrics,
+        )
+        finished = metrics.job_finished
+        seen = []
+
+        def spy(corpus, *, status, seconds):
+            statuses = {doc["job"]: doc["status"] for doc in manager.jobs()}
+            seen.append((status, statuses))
+            finished(corpus, status=status, seconds=seconds)
+
+        metrics.job_finished = spy
+        try:
+            ids = [
+                manager.submit("demo", {"n_candidates": 2}),
+                manager.submit_documents(
+                    "demo", [{"doc_id": "late-1", "sentences": [["zzqx"]]}]
+                )[0],
+                # Passes submission, then fails: no such corpus to read.
+                manager.submit_recommend({"corpus": "ghost"})[0],
+            ]
+            final = [
+                TestDirectoryWatcher.wait_done(manager, job_id, timeout=300)
+                for job_id in ids
+            ]
+        finally:
+            manager.shutdown(wait=True)
+        assert [document["status"] for document in final] == [
+            "done", "done", "failed"
+        ]
+        # One worker runs the jobs in submission order.
+        assert [status for status, _ in seen] == ["done", "done", "failed"]
+        assert [
+            statuses[job_id] for (_, statuses), job_id in zip(seen, ids)
+        ] == ["running"] * 3
+        assert metrics.jobs.value(corpus="ghost", status="failed") == 1
 
     def test_jobs_listing_is_newest_first(self, job_server):
         client = ServiceClient(job_server.url)

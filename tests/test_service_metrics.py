@@ -9,9 +9,11 @@ exposition parses as text format 0.0.4 with internally consistent
 histograms.
 """
 
+import http.client
 import json
 import re
 import threading
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -292,6 +294,89 @@ class TestIdempotentJobs:
         instance.start()
         yield instance
         instance.stop()
+
+    #: route -> (path, a payload, another payload), each one queues a job.
+    SUBMIT_ROUTES = {
+        "jobs": (
+            "/jobs",
+            {"corpus": "demo", "config": {"n_candidates": 2}},
+            {"corpus": "demo", "config": {"n_candidates": 3}},
+        ),
+        "documents": (
+            "/scenarios/demo/documents",
+            {"documents": [{"doc_id": "late-1", "sentences": [["zzqx"]]}]},
+            {"documents": [{"doc_id": "late-2", "sentences": [["wwvk"]]}]},
+        ),
+        "recommend": (
+            "/recommend",
+            {"corpus": "demo"},
+            {"text": "padding text", "mode": "job"},
+        ),
+    }
+
+    @staticmethod
+    def post(url, path, payload, key):
+        """``(status, body)`` of one POST carrying an Idempotency-Key."""
+        parsed = urlsplit(url)
+        connection = http.client.HTTPConnection(
+            parsed.hostname, parsed.port, timeout=30
+        )
+        try:
+            connection.request(
+                "POST", path, body=json.dumps(payload),
+                headers={"Idempotency-Key": key},
+            )
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("route", sorted(SUBMIT_ROUTES))
+    def test_idempotency_contract_of_every_submit_route(
+        self, tmp_path, corpus_dir, route
+    ):
+        instance = CacheServiceServer(
+            DiskCacheStore(tmp_path / "cache"),
+            port=0,
+            corpora={
+                "demo": (
+                    corpus_dir / "ontology.json",
+                    corpus_dir / "corpus.jsonl",
+                )
+            },
+            ontologies={"demo": corpus_dir / "ontology.json"},
+        )
+        instance.start()
+        try:
+            path, payload, other = self.SUBMIT_ROUTES[route]
+            key = f"contract-{route}"
+            status, body = self.post(instance.url, path, payload, key)
+            assert (status, body["replayed"]) == (202, False)
+            job_id = body["job"]
+            assert self.post(instance.url, path, payload, key) == (
+                200, {"job": job_id, "replayed": True},
+            )
+            status, body = self.post(instance.url, path, other, key)
+            assert status == 409 and "already used" in body["error"]
+            status, body = self.post(instance.url, path, payload, "")
+            assert status == 400 and "non-empty" in body["error"]
+            status, body = self.post(instance.url, path, payload, "k" * 201)
+            assert status == 400 and "exceeds" in body["error"]
+            # The key names one submission, whatever the route.
+            for elsewhere, (other_path, other_payload, _) in sorted(
+                self.SUBMIT_ROUTES.items()
+            ):
+                if elsewhere != route:
+                    status, body = self.post(
+                        instance.url, other_path, other_payload, key
+                    )
+                    assert status == 409, (elsewhere, body)
+            client = ServiceClient(instance.url)
+            assert client.wait_for_job(job_id, timeout=300)["status"] == "done"
+            listed = [doc["job"] for doc in client._json("GET", "/jobs")["jobs"]]
+            assert listed == [job_id]
+        finally:
+            instance.stop()
 
     def test_resubmission_returns_the_same_job_id(self, job_server):
         client = ServiceClient(job_server.url)
