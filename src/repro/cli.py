@@ -256,62 +256,48 @@ def _seconds(text: str) -> float:
         ) from None
 
 
-def _parse_scenario_specs(specs: list[str]) -> dict[str, tuple[Path, Path]]:
-    """``NAME=DIR`` specs → corpus registry (``repro generate`` layout)."""
-    corpora: dict[str, tuple[Path, Path]] = {}
-    for spec in specs:
-        name, sep, directory = spec.partition("=")
-        if not sep or not name or not directory:
-            raise SystemExit(
-                f"--scenario must look like NAME=DIR, got {spec!r}"
-            )
-        root = Path(directory)
-        corpora[name] = (root / "ontology.json", root / "corpus.jsonl")
-    return corpora
+def _named_path(form: str):
+    """argparse type of a repeatable ``NAME=PATH`` option: ``(name, Path)``.
 
+    ``form`` (say ``NAME=DIR``) names the expected shape in the error.
+    """
 
-def _parse_watch_specs(specs: list[str]) -> dict[str, Path]:
-    """``NAME=DIR`` specs → watched drop directories per scenario."""
-    watch: dict[str, Path] = {}
-    for spec in specs:
-        name, sep, directory = spec.partition("=")
-        if not sep or not name or not directory:
-            raise SystemExit(
-                f"--watch must look like NAME=DIR, got {spec!r}"
-            )
-        watch[name] = Path(directory)
-    return watch
-
-
-def _parse_ontology_specs(specs: list[str]) -> dict[str, Path]:
-    """``NAME=PATH`` specs → named ontology files (JSON or ``.obo``)."""
-    ontologies: dict[str, Path] = {}
-    for spec in specs:
-        name, sep, path = spec.partition("=")
+    def parse(text: str) -> tuple[str, Path]:
+        name, sep, path = text.partition("=")
         if not sep or not name or not path:
-            raise SystemExit(
-                f"--ontology must look like NAME=PATH, got {spec!r}"
+            raise argparse.ArgumentTypeError(
+                f"must look like {form}, got {text!r}"
             )
-        ontologies[name] = Path(path)
-    return ontologies
+        return name, Path(path)
+
+    return parse
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import ValidationError
     from repro.service.server import serve
 
-    return serve(
-        cache_dir=args.cache_dir,
-        host=args.host,
-        port=args.port,
-        cache_max_bytes=args.cache_max_bytes,
-        corpora=_parse_scenario_specs(args.scenario),
-        job_workers=args.job_workers,
-        index_dir=args.index_dir,
-        access_log=args.access_log,
-        watch=_parse_watch_specs(args.watch),
-        watch_poll_seconds=args.watch_poll,
-        ontologies=_parse_ontology_specs(args.ontology),
-    )
+    try:
+        return serve(
+            cache_dir=args.cache_dir,
+            host=args.host,
+            port=args.port,
+            cache_max_bytes=args.cache_max_bytes,
+            # A scenario directory has the `repro generate` layout.
+            corpora={
+                name: (root / "ontology.json", root / "corpus.jsonl")
+                for name, root in args.scenario
+            },
+            job_workers=args.job_workers,
+            index_dir=args.index_dir,
+            access_log=args.access_log,
+            watch=dict(args.watch),
+            watch_poll_seconds=args.watch_poll,
+            ontologies=dict(args.ontology),
+        )
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
@@ -343,7 +329,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
             min_coverage_gain=args.min_coverage_gain,
         )
         registry = OntologyRegistry()
-        for name, path in _parse_ontology_specs(args.ontology).items():
+        for name, path in dict(args.ontology).items():
             registry.register_path(name, path)
         recommender = Recommender(registry, config)
         index = None
@@ -752,6 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--scenario", action="append", default=[], metavar="NAME=DIR",
+        type=_named_path("NAME=DIR"),
         help="register a corpus for server-side enrichment jobs; DIR "
         "holds ontology.json + corpus.jsonl (the `repro generate` "
         "layout); repeatable",
@@ -771,6 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--watch", action="append", default=[], metavar="NAME=DIR",
+        type=_named_path("NAME=DIR"),
         help="poll DIR for dropped *.jsonl document files and stream "
         "them into registered scenario NAME as delta re-enrichments; "
         "repeatable",
@@ -781,6 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ontology", action="append", default=[], metavar="NAME=PATH",
+        type=_named_path("NAME=PATH"),
         help="register an ontology (JSON or .obo) as a POST /recommend "
         "candidate; repeatable",
     )
@@ -792,6 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recommend.add_argument(
         "--ontology", action="append", required=True, metavar="NAME=PATH",
+        type=_named_path("NAME=PATH"),
         help="register a candidate ontology (JSON or .obo); repeatable",
     )
     recommend.add_argument(

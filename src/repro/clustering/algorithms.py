@@ -27,7 +27,7 @@ def cluster(
     Parameters
     ----------
     matrix:
-        (n, d) dense or scipy-sparse data (rows normalised internally).
+        (n, d) array (rows normalised internally).
     k:
         Number of clusters.
     method:

@@ -37,7 +37,7 @@ def repeated_bisection(
     Parameters
     ----------
     matrix:
-        (n, d) dense or sparse data; rows normalised internally.
+        (n, d) array; rows normalised internally.
     k:
         Target number of clusters.
     refine:

@@ -67,7 +67,7 @@ def graph_cluster(
     Parameters
     ----------
     matrix:
-        (n, d) dense or sparse data.
+        (n, d) array.
     k:
         Target number of clusters.
     n_neighbors:

@@ -30,11 +30,7 @@ import math
 import numpy as np
 
 from repro.clustering.model import ClusterStats
-from repro.clustering.similarity import (
-    as_float_array,
-    cosine_similarity_matrix,
-    normalize_rows,
-)
+from repro.clustering.similarity import cosine_similarity_matrix, normalize_rows
 from repro.errors import ClusteringError
 
 #: The paper's five new indexes, in Table 2 order.
@@ -143,8 +139,7 @@ def silhouette_index(matrix, labels: np.ndarray) -> float:
 def calinski_harabasz_index(matrix, labels: np.ndarray) -> float:
     """Calinski–Harabasz (variance ratio) on unit-normalised rows (maximise)."""
     labels = np.asarray(labels)
-    unit = normalize_rows(as_float_array(matrix))
-    dense = unit.toarray() if hasattr(unit, "toarray") else unit
+    dense = normalize_rows(matrix)
     n, _ = dense.shape
     k = int(labels.max()) + 1
     if k < 2 or n <= k:
@@ -166,8 +161,7 @@ def calinski_harabasz_index(matrix, labels: np.ndarray) -> float:
 def davies_bouldin_index(matrix, labels: np.ndarray) -> float:
     """Davies–Bouldin on unit-normalised rows (minimise)."""
     labels = np.asarray(labels)
-    unit = normalize_rows(as_float_array(matrix))
-    dense = unit.toarray() if hasattr(unit, "toarray") else unit
+    dense = normalize_rows(matrix)
     k = int(labels.max()) + 1
     if k < 2:
         raise ClusteringError("Davies-Bouldin requires at least 2 clusters")

@@ -10,7 +10,6 @@ requested k is always realised.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.clustering.model import ClusterSolution
 from repro.clustering.similarity import as_float_array, normalize_rows
@@ -18,23 +17,14 @@ from repro.errors import ClusteringError
 from repro.utils.rng import ensure_rng
 
 
-def _to_dense_rows(matrix, indices) -> np.ndarray:
-    rows = matrix[indices]
-    if sp.issparse(rows):
-        return rows.toarray()
-    return np.atleast_2d(rows)
-
-
 def _plusplus_seeds(
-    unit, k: int, rng: np.random.Generator
+    unit: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """k-means++ style seeding on cosine distance (1 − similarity)."""
     n = unit.shape[0]
     first = int(rng.integers(0, n))
     seeds = [first]
-    sims = np.asarray((unit @ unit[first].T).todense()).ravel() if sp.issparse(unit) \
-        else unit @ unit[first]
-    best_sim = sims.copy()
+    best_sim = unit @ unit[first]
     while len(seeds) < k:
         dist = np.clip(1.0 - best_sim, 0.0, None)
         dist[seeds] = 0.0
@@ -46,20 +36,18 @@ def _plusplus_seeds(
             continue
         pick = int(rng.choice(n, p=dist / total))
         seeds.append(pick)
-        sims = np.asarray((unit @ unit[pick].T).todense()).ravel() if sp.issparse(unit) \
-            else unit @ unit[pick]
-        best_sim = np.maximum(best_sim, sims)
+        best_sim = np.maximum(best_sim, unit @ unit[pick])
     return np.asarray(seeds)
 
 
-def _centroids_from_labels(unit, labels: np.ndarray, k: int) -> np.ndarray:
+def _centroids_from_labels(unit: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     n_features = unit.shape[1]
     centroids = np.zeros((k, n_features))
     for i in range(k):
         members = np.where(labels == i)[0]
         if members.size == 0:
             continue
-        mean = _to_dense_rows(unit, members).mean(axis=0)
+        mean = unit[members].mean(axis=0)
         norm = np.linalg.norm(mean)
         centroids[i] = mean / norm if norm > 0 else mean
     return centroids
@@ -79,7 +67,7 @@ def spherical_kmeans(
     Parameters
     ----------
     matrix:
-        (n, d) dense or sparse; rows are L2-normalised internally.
+        (n, d) array; rows are L2-normalised internally.
     k:
         Number of clusters, ``1 <= k <= n``.
     max_iter:
@@ -107,18 +95,15 @@ def spherical_kmeans(
 
     def run(start_labels: np.ndarray | None) -> tuple[np.ndarray, float]:
         if start_labels is None:
-            seeds = _plusplus_seeds(unit, k, rng)
-            centroids = _to_dense_rows(unit, seeds)
+            centroids = unit[_plusplus_seeds(unit, k, rng)]
         else:
             centroids = _centroids_from_labels(unit, start_labels, k)
         labels = start_labels
         for _ in range(max_iter):
             sims = unit @ centroids.T
-            if sp.issparse(sims):
-                sims = sims.toarray()
-            new_labels = np.asarray(sims).argmax(axis=1)
+            new_labels = sims.argmax(axis=1)
             # Re-seed empty clusters with the globally worst-fitting object.
-            assigned_sim = np.asarray(sims)[np.arange(n), new_labels]
+            assigned_sim = sims[np.arange(n), new_labels]
             for i in range(k):
                 if not np.any(new_labels == i):
                     worst = int(np.argmin(assigned_sim))
@@ -133,7 +118,7 @@ def spherical_kmeans(
         for i in range(k):
             members = np.where(labels == i)[0]
             if members.size:
-                composite = _to_dense_rows(unit, members).sum(axis=0)
+                composite = unit[members].sum(axis=0)
                 i2 += float(np.linalg.norm(composite))
         return labels, i2
 

@@ -1,37 +1,31 @@
 """Cosine similarity kernels shared by the clustering algorithms.
 
-Everything downstream assumes **unit-norm rows**; :func:`normalize_rows`
-is the single place that normalisation happens.  With unit rows, cosine
-similarity is a plain dot product, and per-cluster statistics reduce to
-norms of composite (summed) vectors — the trick CLUTO uses to compute
-ISIM/ESIM without materialising the n×n similarity matrix.
+Inputs are dense ``(n, d)`` arrays, and every routine of
+:mod:`repro.clustering` only reads its input: Step III clusters the same
+array it later reads its top features from.  Everything downstream
+assumes **unit-norm rows**; :func:`normalize_rows` is the single place
+that normalisation happens.  With unit rows, cosine similarity is a
+plain dot product, and per-cluster statistics reduce to norms of
+composite (summed) vectors — the trick CLUTO uses to compute ISIM/ESIM
+without materialising the n×n similarity matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-
-Matrix = "np.ndarray | sp.spmatrix"
 
 
-def as_float_array(matrix) -> "np.ndarray | sp.csr_matrix":
-    """Coerce input to float64 dense ndarray or CSR sparse matrix."""
-    if sp.issparse(matrix):
-        return matrix.tocsr().astype(np.float64)
+def as_float_array(matrix) -> np.ndarray:
+    """Coerce input to a 2-D float64 ndarray (a float64 array is not copied)."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     return arr
 
 
-def normalize_rows(matrix):
+def normalize_rows(matrix) -> np.ndarray:
     """Return a copy of ``matrix`` with L2-normalised rows (zero rows kept)."""
     matrix = as_float_array(matrix)
-    if sp.issparse(matrix):
-        norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
-        norms[norms == 0.0] = 1.0
-        return (sp.diags(1.0 / norms) @ matrix).tocsr()
     norms = np.linalg.norm(matrix, axis=1)
     norms[norms == 0.0] = 1.0
     return matrix / norms[:, None]
@@ -40,17 +34,12 @@ def normalize_rows(matrix):
 def cosine_similarity_matrix(matrix) -> np.ndarray:
     """Dense n×n cosine similarity of the rows of ``matrix``."""
     unit = normalize_rows(matrix)
-    product = unit @ unit.T
-    sims = product.toarray() if sp.issparse(product) else product
-    return np.clip(sims, -1.0, 1.0)
+    return np.clip(unit @ unit.T, -1.0, 1.0)
 
 
-def composite_vector(matrix, indices: np.ndarray) -> np.ndarray:
-    """Sum of the selected rows as a dense 1-D vector (CLUTO's D_i)."""
-    rows = matrix[indices]
-    if sp.issparse(rows):
-        return np.asarray(rows.sum(axis=0)).ravel()
-    return rows.sum(axis=0)
+def composite_vector(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Sum of the selected rows as a 1-D vector (CLUTO's D_i)."""
+    return matrix[indices].sum(axis=0)
 
 
 def isim_esim(matrix, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,7 +57,7 @@ def isim_esim(matrix, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Returns arrays aligned with cluster ids ``0..k-1``.
     """
-    matrix = normalize_rows(as_float_array(matrix))
+    matrix = normalize_rows(matrix)
     labels = np.asarray(labels)
     n = matrix.shape[0]
     if labels.shape[0] != n:

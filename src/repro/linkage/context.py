@@ -12,15 +12,16 @@ occurrence of *many* terms through their postings (longest match wins at
 any single start position) instead of rescanning the documents.
 
 The space is built with numpy from segmented (term, word) counts,
-through :func:`repro.text.vectorize.unit_tfidf`, and equals
-``TfidfVectorizer(stop_language=None).fit_transform(documents).toarray()``
-over the term documents byte for byte (``tests/test_context_index_oracle.py``
-keeps that route as the reference).  It is held as CSR between builds
-and a row is densified to the full sorted vocabulary when read, so every
-cosine is the same dense dot as before.  A build whose corpus
-fingerprint, window and term list equal the last build's reuses the
-space without retrieving anything: the enricher keeps one index across
-runs, so a warm re-run of an unchanged corpus pays nothing here.
+through :func:`repro.text.vectorize.unit_tfidf`, and equals the
+scipy-sparse reference vectoriser of ``tests/context_oracles.py``,
+fitted on the term documents and densified, byte for byte
+(``tests/test_context_index_oracle.py`` compares the two).  It is held
+as CSR between builds and a row is densified to the full sorted
+vocabulary when read, so every cosine is the same dense dot as before.
+A build whose corpus fingerprint, window and term list equal the last
+build's reuses the space without retrieving anything: the enricher
+keeps one index across runs, so a warm re-run of an unchanged corpus
+pays nothing here.
 """
 
 from __future__ import annotations

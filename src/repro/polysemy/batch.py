@@ -1,24 +1,28 @@
-"""The contexts of a batch of terms, encoded once for Step II.
+"""The contexts of a batch of terms, encoded once for Steps II and III.
 
-Both halves of the feature vector read the same token ids:
+Step II's two halves of the feature vector and Step III's two context
+representations read the same token ids:
 
 * the **raw** id of a token numbers the distinct tokens of its term's
   contexts by first appearance, case-sensitively.  It is the node id of
   the term's context graph, and its counts, in id order, are the
   ``Counter`` the vocabulary size and entropy features read;
 * the **rank** of a node is the position of its lower-cased word among
-  the batch's sorted lower-cased words.  ``TfidfVectorizer`` lower-cases
-  and orders its columns by ``sorted()`` over ``str``, so a term's
-  TF-IDF columns are its distinct ranks in increasing order.
+  the batch's sorted lower-cased words.  A term's TF-IDF columns
+  (:func:`tfidf_matrices`) are its distinct ranks in increasing order:
+  lower-cased words in ``sorted()`` order over ``str``, as the reference
+  vectoriser of ``tests/context_oracles.py`` orders its columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+
+from repro.text.vectorize import unit_tfidf
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,65 @@ class ContextBatch:
             words=words,
             ranks=ranks,
         )
+
+
+def tfidf_matrices(
+    batch: ContextBatch, first: int = 0, last: int | None = None
+) -> Iterator[np.ndarray]:
+    """Dense unit-row TF-IDF matrix of each term of ``first:last``, in order.
+
+    A term's matrix has one row per context and one column per distinct
+    lower-cased word of its contexts, in rank order; each term's idf is
+    taken over its own contexts.  The floats come from
+    :func:`~repro.text.vectorize.unit_tfidf` over the (context, word)
+    counts of the whole range, which are counted at once.  A term with
+    one context gets a one-row matrix, and contexts without tokens give
+    zero rows (and zero columns when the term has no token at all).
+    """
+    last = batch.n_terms if last is None else last
+    n_contexts = batch.n_contexts[first:last]
+    c0 = int(batch.context_offsets[first])
+    c1 = int(batch.context_offsets[last])
+    t0 = int(batch.token_offsets[first])
+    t1 = int(batch.token_offsets[last])
+    node_base = np.repeat(
+        batch.node_offsets[first:last], np.diff(batch.token_offsets[first : last + 1])
+    )
+    token_rank = batch.ranks[batch.nodes[t0:t1] + node_base]
+    # Any bound above the range's ranks keys (row, rank) in sorted order.
+    n_ranks = int(token_rank.max()) + 1 if token_rank.size else 1
+    token_row = np.repeat(
+        np.arange(c1 - c0, dtype=np.int64), batch.context_lengths[c0:c1]
+    )
+    pairs, counts = np.unique(token_row * n_ranks + token_rank, return_counts=True)
+    pair_row, pair_rank = np.divmod(pairs, n_ranks)
+    row_term = np.repeat(np.arange(last - first, dtype=np.int64), n_contexts)
+    pair_term = row_term[pair_row]
+    vocabulary, column, document_frequency = np.unique(
+        pair_term * n_ranks + pair_rank, return_inverse=True, return_counts=True
+    )
+    values = unit_tfidf(
+        pair_row,
+        counts,
+        n_contexts[pair_term],
+        document_frequency[column],
+        c1 - c0,
+    )
+    row_offsets = np.zeros(last - first + 1, dtype=np.int64)
+    np.cumsum(n_contexts, out=row_offsets[1:])
+    pair_offsets = np.searchsorted(pair_row, row_offsets)
+    column_offsets = np.searchsorted(
+        vocabulary // n_ranks, np.arange(last - first + 1, dtype=np.int64)
+    )
+    for t, n in enumerate(n_contexts.tolist()):
+        p0, p1 = pair_offsets[t], pair_offsets[t + 1]
+        matrix = np.zeros(
+            (n, int(column_offsets[t + 1] - column_offsets[t])), dtype=np.float64
+        )
+        matrix[
+            pair_row[p0:p1] - row_offsets[t], column[p0:p1] - column_offsets[t]
+        ] = values[p0:p1]
+        yield matrix
 
 
 #: Context tokens per chunk of terms.  The TF-IDF counts and the graph

@@ -8,27 +8,25 @@ cleanly into two balanced groups (bisection features — the ISIM gain of a
 
 :func:`direct_feature_rows` featurises a whole
 :class:`~repro.polysemy.batch.ContextBatch`: the vocabulary counts come
-from each term's raw token ids, and every term's TF-IDF rows from
-segmented (context, rank) counts over a chunk of terms, with the
-weighting and normalisation ``TfidfVectorizer`` applies, float for float.
-Each term's rows are then densified into the matrix
-``TfidfVectorizer(stop_language=None).fit_transform(contexts).toarray()``
-would give, and the cosines and the bisection run on it.
+from each term's raw token ids, and every term's dense TF-IDF matrix
+from :func:`~repro.polysemy.batch.tfidf_matrices` over a chunk of terms,
+float for float the matrix the reference vectoriser of
+``tests/context_oracles.py`` gives.  The cosines and the bisection run
+on the matrices of the terms with at least two contexts.
 :func:`direct_features` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.clustering.kmeans import spherical_kmeans
 from repro.clustering.model import ClusterStats
 from repro.polysemy import batch as batching
-from repro.polysemy.batch import ContextBatch, chunks
-from repro.text.vectorize import unit_tfidf
+from repro.polysemy.batch import ContextBatch, chunks, tfidf_matrices
 
 #: Feature names in vector order.
 DIRECT_FEATURE_NAMES = (
@@ -44,62 +42,6 @@ DIRECT_FEATURE_NAMES = (
     "bisect_isim_ratio",
     "bisect_balance_gain",
 )
-
-
-def _tfidf_matrices(
-    batch: ContextBatch, first: int, last: int, n_ranks: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Dense unit-row TF-IDF matrix of each term of ``first:last``.
-
-    Yields ``(term, matrix)`` for the terms with at least two contexts;
-    ``n_ranks`` bounds the batch's word ranks.
-    The floats are ``TfidfVectorizer``'s, from
-    :func:`~repro.text.vectorize.unit_tfidf` over the (context, word)
-    counts, with each term's idf taken over its own contexts.
-    """
-    n_contexts = batch.n_contexts[first:last]
-    c0 = int(batch.context_offsets[first])
-    c1 = int(batch.context_offsets[last])
-    t0 = int(batch.token_offsets[first])
-    t1 = int(batch.token_offsets[last])
-    node_base = np.repeat(
-        batch.node_offsets[first:last], np.diff(batch.token_offsets[first : last + 1])
-    )
-    token_rank = batch.ranks[batch.nodes[t0:t1] + node_base]
-    token_row = np.repeat(
-        np.arange(c1 - c0, dtype=np.int64), batch.context_lengths[c0:c1]
-    )
-    pairs, counts = np.unique(token_row * n_ranks + token_rank, return_counts=True)
-    pair_row, pair_rank = np.divmod(pairs, n_ranks)
-    row_term = np.repeat(np.arange(last - first, dtype=np.int64), n_contexts)
-    pair_term = row_term[pair_row]
-    vocabulary, column, document_frequency = np.unique(
-        pair_term * n_ranks + pair_rank, return_inverse=True, return_counts=True
-    )
-    values = unit_tfidf(
-        pair_row,
-        counts,
-        n_contexts[pair_term],
-        document_frequency[column],
-        c1 - c0,
-    )
-    row_offsets = np.zeros(last - first + 1, dtype=np.int64)
-    np.cumsum(n_contexts, out=row_offsets[1:])
-    pair_offsets = np.searchsorted(pair_row, row_offsets)
-    column_offsets = np.searchsorted(
-        vocabulary // n_ranks, np.arange(last - first + 1, dtype=np.int64)
-    )
-    for t, n in enumerate(n_contexts.tolist()):
-        if n < 2:
-            continue
-        p0, p1 = pair_offsets[t], pair_offsets[t + 1]
-        matrix = np.zeros(
-            (n, int(column_offsets[t + 1] - column_offsets[t])), dtype=np.float64
-        )
-        matrix[
-            pair_row[p0:p1] - row_offsets[t], column[p0:p1] - column_offsets[t]
-        ] = values[p0:p1]
-        yield first + t, matrix
 
 
 def _cosine_and_bisection(
@@ -148,11 +90,11 @@ def direct_feature_rows(
         defaults to the term's context count.
     """
     rows = np.empty((batch.n_terms, len(DIRECT_FEATURE_NAMES)), dtype=np.float64)
-    n_ranks = int(batch.ranks.max()) + 1 if batch.ranks.size else 1
     for first, last in chunks(np.diff(batch.token_offsets), batching.CHUNK_TOKENS):
         cosine_bits = {
             t: _cosine_and_bisection(matrix)
-            for t, matrix in _tfidf_matrices(batch, first, last, n_ranks)
+            for t, matrix in enumerate(tfidf_matrices(batch, first, last), first)
+            if matrix.shape[0] >= 2
         }
         for t in range(first, last):
             term = terms[t]

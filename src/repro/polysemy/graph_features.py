@@ -165,18 +165,14 @@ def build_context_graphs(batch: ContextBatch, *, window: int = 4) -> CSRGraphBat
 
 
 def build_context_graph(
-    contexts: Sequence[Sequence[str]],
-    *,
-    window: int = 4,
-    min_weight: float = 1.0,
+    contexts: Sequence[Sequence[str]], *, window: int = 4
 ) -> ContextGraph:
     """Co-occurrence graph over the words of ``contexts``.
 
     Inside each context, every token is paired with the next
     ``window - 1`` tokens; a pair's edge weight counts its occurrences
-    and pairs of equal tokens add nothing.  When ``min_weight`` exceeds
-    1, edges weighing less are pruned together with the nodes they
-    leave isolated.  A batch of one of :func:`build_context_graphs`.
+    and pairs of equal tokens add nothing.  A batch of one of
+    :func:`build_context_graphs`.
     """
     batch = ContextBatch.encode([contexts])
     csr = build_context_graphs(batch, window=window)[0]
@@ -186,18 +182,8 @@ def build_context_graph(
     rows = all_rows[upper]
     cols = csr.indices[upper].astype(np.int64)
     weights = csr.weights[upper]
-    nodes = tuple(batch.words)
-    if min_weight > 1.0:
-        strong = weights >= min_weight
-        rows, cols, weights = rows[strong], cols[strong], weights[strong]
-        kept = np.zeros(n, dtype=bool)
-        kept[rows] = True
-        kept[cols] = True
-        renumber = np.cumsum(kept) - 1
-        rows, cols = renumber[rows], renumber[cols]
-        nodes = tuple(nodes[i] for i in np.flatnonzero(kept).tolist())
     return ContextGraph(
-        csr=CSRGraph.from_edges(len(nodes), rows, cols, weights), nodes=nodes
+        csr=CSRGraph.from_edges(n, rows, cols, weights), nodes=tuple(batch.words)
     )
 
 

@@ -5,7 +5,9 @@ Cluster a term's contexts into k groups (k from
 Step II detector called monosemous), then represent each induced concept
 by its most important features — the highest-mass words of the cluster
 centroid, exactly the "for each cluster it selects the most important
-features, which represent the induced concept" of the paper.
+features, which represent the induced concept" of the paper.  A term's
+bag-of-words rows are built once and serve the k-prediction, the final
+clustering and the top features.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 
 from repro.clustering.algorithms import cluster
 from repro.errors import ValidationError
+from repro.polysemy.batch import ContextBatch
 from repro.senses.predictor import KPrediction, SenseCountPredictor
-from repro.senses.representation import represent_contexts
-from repro.text.vectorize import TfidfVectorizer
+from repro.senses.representation import batch_and_bow, graph_smoothing
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,8 @@ class SenseInducer:
     ----------
     predictor:
         The k-predictor used for polysemic terms (paper defaults: rb
-        algorithm, f_k index, bag-of-words representation).
-    algorithm / representation:
-        Clustering setup for the final induction run (inherits the
-        predictor's choices by default).
+        algorithm, f_k index, bag-of-words representation); a forced
+        k is clustered with its algorithm and representation too.
     n_top_features:
         Words kept to describe each induced concept.
     seed:
@@ -88,15 +88,19 @@ class SenseInducer:
         self.n_top_features = n_top_features
         self._seed = seed
 
+    def _clustering_matrix(self, batch: ContextBatch, bow: np.ndarray) -> np.ndarray:
+        """The rows the predictor's representation clusters."""
+        if self.predictor.representation == "graph":
+            return graph_smoothing(batch, bow)
+        return bow
+
     def _top_features_per_cluster(
         self,
-        contexts: Sequence[Sequence[str]],
+        matrix: np.ndarray,
+        names: Sequence[str],
         labels: np.ndarray,
         k: int,
     ) -> list[tuple[str, ...]]:
-        vectorizer = TfidfVectorizer(stop_language=None)
-        matrix = vectorizer.fit_transform([list(c) for c in contexts]).toarray()
-        names = vectorizer.feature_names()
         out = []
         for sense in range(k):
             members = np.where(labels == sense)[0]
@@ -132,12 +136,18 @@ class SenseInducer:
         """
         if not contexts:
             raise ValidationError(f"term {term!r} has no contexts to induce from")
+        batch, bow = batch_and_bow(contexts)
+        # Clustering and the top features share these rows: no
+        # repro.clustering routine may write into its input.
+        bow.flags.writeable = False
         prediction: KPrediction | None = None
         if k is None:
             if not polysemic:
                 k = 1
             else:
-                prediction = self.predictor.predict(contexts)
+                prediction = self.predictor.predict_from_matrix(
+                    self._clustering_matrix(batch, bow)
+                )
                 k = prediction.k
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -148,12 +158,15 @@ class SenseInducer:
         elif prediction is not None and k in prediction.labels_by_k:
             labels = prediction.labels_by_k[k]
         else:
-            matrix = represent_contexts(contexts, self.predictor.representation)
             labels = cluster(
-                matrix, k, method=self.predictor.algorithm, seed=self._seed
+                self._clustering_matrix(batch, bow),
+                k,
+                method=self.predictor.algorithm,
+                seed=self._seed,
             ).labels
 
-        features = self._top_features_per_cluster(contexts, labels, k)
+        names = sorted({word.lower() for word in batch.words})
+        features = self._top_features_per_cluster(bow, names, labels, k)
         senses = tuple(
             InducedSense(
                 sense_id=sense,

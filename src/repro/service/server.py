@@ -929,8 +929,19 @@ def serve(
     dropped ``*.jsonl`` document files into the scenario's delta path
     (``repro serve --watch NAME=DIR``).  ``ontologies`` maps names to
     ontology files (JSON or ``.obo``) registered for ``POST
-    /recommend`` (``repro serve --ontology NAME=PATH``).
+    /recommend`` (``repro serve --ontology NAME=PATH``).  A ``watch``
+    name that ``corpora`` does not register raises
+    :class:`~repro.errors.ValidationError` before the store is opened or
+    the port bound.
     """
+    watch = watch or {}
+    registered = sorted(corpora or {})
+    for name in sorted(watch):
+        if name not in registered:
+            raise ValidationError(
+                f"--watch names unregistered scenario {name!r}; "
+                f"registered: {registered}"
+            )
     store = DiskCacheStore(cache_dir, max_bytes=cache_max_bytes)
     log_writer, log_closer = (None, lambda: None)
     if access_log is not None:
@@ -949,13 +960,7 @@ def serve(
     if watch:
         from repro.service.watcher import DirectoryWatcher
 
-        registered = set(server.service.jobs.corpora())
         for name, directory in sorted(watch.items()):
-            if name not in registered:
-                raise ValidationError(
-                    f"--watch names unregistered scenario {name!r}; "
-                    f"registered: {sorted(registered)}"
-                )
             watchers.append(
                 DirectoryWatcher(
                     server.service.jobs,

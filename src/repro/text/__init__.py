@@ -1,9 +1,10 @@
-"""Text-processing substrate: tokenisation, tagging, vectorisation, graphs.
+"""Text-processing substrate: tokenisation, tagging, TF-IDF, graphs.
 
-This subpackage stands in for the NLP toolchain (TreeTagger, sklearn
-vectorisers, BioTex's preprocessing) the paper builds on.  Everything is
-pure Python + numpy/scipy, deterministic, and language-aware for
-English, French, and Spanish — the three languages the paper targets.
+This subpackage stands in for the NLP toolchain (TreeTagger, BioTex's
+preprocessing) the paper builds on; TF-IDF weighting is one numpy
+function, :func:`repro.text.vectorize.unit_tfidf`.  Everything is pure
+Python + numpy/scipy, deterministic, and language-aware for English,
+French, and Spanish — the three languages the paper targets.
 """
 
 from repro.text.cooccurrence import CooccurrenceGraphBuilder
@@ -14,8 +15,6 @@ from repro.text.sentences import split_sentences
 from repro.text.stemming import stem, PorterStemmer
 from repro.text.stopwords import stopwords_for
 from repro.text.tokenizer import tokenize, tokenize_lower
-from repro.text.vectorize import BowVectorizer, TfidfVectorizer
-from repro.text.vocabulary import Vocabulary
 
 __all__ = [
     "CooccurrenceGraphBuilder",
@@ -31,7 +30,4 @@ __all__ = [
     "stopwords_for",
     "tokenize",
     "tokenize_lower",
-    "BowVectorizer",
-    "TfidfVectorizer",
-    "Vocabulary",
 ]

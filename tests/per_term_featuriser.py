@@ -2,7 +2,8 @@
 
 This is the code that featurised one term at a time before
 ``PolysemyFeatureExtractor.featurise`` batched it: the direct features
-through a per-term ``TfidfVectorizer``, the context graph through a
+through a per-term reference ``TfidfVectorizer``
+(``tests/context_oracles.py``), the context graph through a
 per-term dict of token ids, and the graph features through one scipy
 adjacency per graph.  ``tests/test_featurise_oracle.py`` requires the
 batch rows to equal it byte for byte, and
@@ -26,13 +27,13 @@ from repro.polysemy.graph_features import (
     _csgraph_components,
     _entropy,
 )
-from repro.text.vectorize import TfidfVectorizer
+
+from context_oracles import TfidfVectorizer
 
 
 def _context_matrix(contexts):
     """TF-IDF rows (unit norm) for the contexts; IDF damps background words."""
-    vectorizer = TfidfVectorizer(stop_language=None)
-    return vectorizer.fit_transform([list(c) for c in contexts]).toarray()
+    return TfidfVectorizer().fit_transform(contexts).toarray()
 
 
 def _cosine_and_bisection(contexts):

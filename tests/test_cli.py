@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -255,17 +256,71 @@ class TestServeAndCacheInfoParsers:
             ["serve", "--cache-dir", "x",
              "--scenario", "a=/tmp/a", "--scenario", "b=/tmp/b"]
         )
-        assert args.scenario == ["a=/tmp/a", "b=/tmp/b"]
+        assert args.scenario == [("a", Path("/tmp/a")), ("b", Path("/tmp/b"))]
 
-    def test_bad_scenario_spec_rejected(self):
-        from repro.cli import _parse_scenario_specs
+    def test_bad_scenario_spec_rejected(self, tmp_path, capsys, monkeypatch):
+        from repro.service import server
 
-        with pytest.raises(SystemExit, match="NAME=DIR"):
-            _parse_scenario_specs(["no-equals-sign"])
-        corpora = _parse_scenario_specs(["demo=/data/demo"])
-        ontology, corpus = corpora["demo"]
-        assert ontology.name == "ontology.json"
-        assert corpus.name == "corpus.jsonl"
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cache-dir", str(cache_dir), "--port", "0",
+                  "--scenario", "no-equals-sign"])
+        assert exit_info.value.code == 2
+        assert "NAME=DIR" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+        seen = {}
+        monkeypatch.setattr(
+            server, "serve", lambda **kwargs: seen.update(kwargs) or 0
+        )
+        assert main(["serve", "--cache-dir", str(cache_dir),
+                     "--scenario", "demo=/data/demo"]) == 0
+        ontology, corpus = seen["corpora"]["demo"]
+        assert ontology == Path("/data/demo/ontology.json")
+        assert corpus == Path("/data/demo/corpus.jsonl")
+
+    @pytest.mark.parametrize(
+        "argv, form",
+        [
+            (["serve", "--scenario", "bad-spec"], "NAME=DIR"),
+            (["serve", "--scenario", "=/tmp/x"], "NAME=DIR"),
+            (["serve", "--watch", "nope"], "NAME=DIR"),
+            (["serve", "--watch", "nope="], "NAME=DIR"),
+            (["serve", "--ontology", "onto.json"], "NAME=PATH"),
+            (["recommend", "--text", "-", "--ontology", "onto.json"],
+             "NAME=PATH"),
+        ],
+    )
+    def test_spec_without_name_exits_2_before_any_work(
+        self, tmp_path, capsys, argv, form
+    ):
+        cache_dir = tmp_path / "cache"
+        if argv[0] == "serve":
+            argv = [*argv, "--cache-dir", str(cache_dir), "--port", "0"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and form in err
+        assert not cache_dir.exists()
+
+    def test_watch_of_unregistered_scenario_exits_before_binding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.service import server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve opened its store before checking --watch")
+
+        monkeypatch.setattr(server, "DiskCacheStore", refuse)
+        cache_dir = tmp_path / "cache"
+        code = main(["serve", "--cache-dir", str(cache_dir), "--port", "0",
+                     "--scenario", f"demo={tmp_path / 'scenario'}",
+                     "--watch", f"nope={tmp_path / 'inbox'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'nope'" in err and "demo" in err
+        assert not cache_dir.exists()
 
     def test_watch_poll_must_be_finite_before_binding(self, tmp_path, capsys):
         # The store directory is made before the port is bound, so its

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.clustering.criterion import criterion_value
@@ -27,12 +26,6 @@ class TestNormalizeRows:
         m = np.array([[3.0, 4.0], [1.0, 0.0]])
         unit = normalize_rows(m)
         np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0)
-
-    def test_sparse_unit_norms(self):
-        m = sp.csr_matrix(np.array([[3.0, 4.0], [0.0, 2.0]]))
-        unit = normalize_rows(m)
-        norms = np.sqrt(unit.multiply(unit).sum(axis=1)).A.ravel()
-        np.testing.assert_allclose(norms, 1.0)
 
     def test_zero_rows_survive(self):
         unit = normalize_rows(np.zeros((2, 3)))
@@ -63,15 +56,6 @@ class TestCosineSimilarityMatrix:
         m = rng.normal(size=(6, 4))
         sims = cosine_similarity_matrix(m)
         np.testing.assert_allclose(sims, sims.T, atol=1e-12)
-
-    def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(1)
-        m = np.abs(rng.normal(size=(5, 8)))
-        np.testing.assert_allclose(
-            cosine_similarity_matrix(m),
-            cosine_similarity_matrix(sp.csr_matrix(m)),
-            atol=1e-12,
-        )
 
 
 class TestIsimEsim:

@@ -22,7 +22,7 @@ from graph_oracles import csr_from_networkx
 from per_term_featuriser import _binary_adjacency, _clustering_and_transitivity
 
 
-def networkx_context_graph(contexts, *, window=4, min_weight=1.0):
+def networkx_context_graph(contexts, *, window=4):
     """The networkx context-graph builder, token by token."""
     graph = nx.Graph()
     for context in contexts:
@@ -38,12 +38,6 @@ def networkx_context_graph(contexts, *, window=4, min_weight=1.0):
                     graph[left][right]["weight"] += 1.0
                 else:
                     graph.add_edge(left, right, weight=1.0)
-    if min_weight > 1.0:
-        drop = [
-            (u, v) for u, v, w in graph.edges(data="weight") if w < min_weight
-        ]
-        graph.remove_edges_from(drop)
-        graph.remove_nodes_from([n for n in graph if graph.degree(n) == 0])
     return graph
 
 
@@ -98,11 +92,9 @@ def networkx_graph_features(graph, *, seed=0):
     )
 
 
-def assert_matches_oracle(contexts, *, window, min_weight):
-    oracle = networkx_context_graph(
-        contexts, window=window, min_weight=min_weight
-    )
-    graph = build_context_graph(contexts, window=window, min_weight=min_weight)
+def assert_matches_oracle(contexts, *, window):
+    oracle = networkx_context_graph(contexts, window=window)
+    graph = build_context_graph(contexts, window=window)
     expected = csr_from_networkx(oracle, weight="weight")
     for name in ("indptr", "indices", "weights"):
         got, want = getattr(graph.csr, name), getattr(expected, name)
@@ -119,14 +111,10 @@ CONTEXTS = st.lists(st.lists(WORDS, max_size=9), max_size=8)
 
 
 class TestContextGraphMatchesNetworkx:
-    @given(
-        contexts=CONTEXTS,
-        window=st.integers(min_value=1, max_value=6),
-        min_weight=st.sampled_from([1.0, 2.0, 3.0]),
-    )
+    @given(contexts=CONTEXTS, window=st.integers(min_value=1, max_value=6))
     @settings(max_examples=150, deadline=None)
-    def test_arrays_labels_and_features(self, contexts, window, min_weight):
-        assert_matches_oracle(contexts, window=window, min_weight=min_weight)
+    def test_arrays_labels_and_features(self, contexts, window):
+        assert_matches_oracle(contexts, window=window)
 
     @pytest.mark.parametrize(
         "contexts",
@@ -139,6 +127,5 @@ class TestContextGraphMatchesNetworkx:
         ],
         ids=["no-contexts", "empty-context", "one-token", "one-word", "mixed"],
     )
-    @pytest.mark.parametrize("min_weight", [1.0, 2.0, 3.0])
-    def test_degenerate_contexts(self, contexts, min_weight):
-        assert_matches_oracle(contexts, window=4, min_weight=min_weight)
+    def test_degenerate_contexts(self, contexts):
+        assert_matches_oracle(contexts, window=4)

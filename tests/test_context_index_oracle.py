@@ -1,11 +1,11 @@
-"""Step IV's context space against its ``TfidfVectorizer`` oracle.
+"""Step IV's context space against the reference ``TfidfVectorizer``.
 
 :class:`~repro.linkage.context.TermContextIndex` builds its TF-IDF space
 with numpy from (term, word) counts, and reuses it while the corpus
 fingerprint, the window and the term list stay the same.  The oracle is
 the route it replaced: one document per term from
-:func:`~repro.linkage.context.find_occurrences`, fitted by
-``TfidfVectorizer(stop_language=None)`` and densified.  Every row and
+:func:`~repro.linkage.context.find_occurrences`, fitted by the
+reference vectoriser of ``tests/context_oracles.py`` and densified.  Every row and
 cosine must equal the oracle's bytes, a repeated build must retrieve
 nothing, a grown corpus must be read through its new documents only,
 and after any change a reused index must equal a fresh build.
@@ -19,7 +19,8 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex
 from repro.linkage.context import TermContextIndex, find_occurrences
-from repro.text.vectorize import TfidfVectorizer
+
+from context_oracles import TfidfVectorizer
 
 WORDS = ("cornea", "injury", "ulcer", "acute", "healing", "of", "the", "lens")
 
@@ -57,7 +58,7 @@ def oracle(corpus, term_list, window):
         [token for context in contexts for token in context]
         for contexts in occurrences.values()
     ]
-    matrix = TfidfVectorizer(stop_language=None).fit_transform(documents).toarray()
+    matrix = TfidfVectorizer().fit_transform(documents).toarray()
     return {
         term: (matrix[i], len(contexts))
         for i, (term, contexts) in enumerate(occurrences.items())

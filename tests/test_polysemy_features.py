@@ -147,12 +147,6 @@ class TestGraphFeatures:
         poly_vec = graph_features(build_context_graph(poly_contexts(seed=5)))
         assert poly_vec[idx] > mono_vec[idx]
 
-    def test_min_weight_pruning(self):
-        contexts = [("a", "b"), ("a", "b"), ("c", "d")]
-        graph = build_context_graph(contexts, min_weight=2.0)
-        assert edges(graph) == {frozenset(("a", "b")): 2.0}
-        assert "c" not in graph.nodes  # isolated nodes dropped after pruning
-
     def test_window_limits_edges(self):
         graph = build_context_graph([("a", "b", "c", "d", "e")], window=2)
         found = edges(graph)

@@ -1,43 +1,11 @@
-"""Tests for repro.text.vocabulary and repro.text.vectorize."""
+"""Tests for repro.text.vectorize and the TF-IDF rows built through it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import NotFittedError
-from repro.text.vectorize import BowVectorizer, TfidfVectorizer, idf_weight
-from repro.text.vocabulary import Vocabulary
-
-
-class TestVocabulary:
-    def test_add_and_lookup(self):
-        vocab = Vocabulary()
-        assert vocab.add("a") == 0
-        assert vocab.add("b") == 1
-        assert vocab.add("a") == 0  # idempotent
-        assert vocab["a"] == 0
-        assert vocab.token(1) == "b"
-        assert "a" in vocab and "z" not in vocab
-        assert len(vocab) == 2
-
-    def test_init_from_iterable_preserves_order(self):
-        vocab = Vocabulary(["x", "y", "x"])
-        assert vocab.tokens() == ["x", "y"]
-
-    def test_get_default(self):
-        vocab = Vocabulary(["x"])
-        assert vocab.get("missing") is None
-        assert vocab.get("missing", -1) == -1
-
-    def test_freeze_rejects_new(self):
-        frozen = Vocabulary(["x"]).freeze()
-        assert frozen.add("x") == 0
-        with pytest.raises(KeyError):
-            frozen.add("new")
-
-    def test_iteration(self):
-        assert list(Vocabulary(["a", "b"])) == ["a", "b"]
-
+from repro.senses.representation import bow_representation
+from repro.text.vectorize import idf_weight
 
 DOCS = [
     ["corneal", "injury", "heals"],
@@ -46,113 +14,74 @@ DOCS = [
 ]
 
 
+def columns(contexts):
+    """Column words of ``bow_representation(contexts)``: sorted lower-cased."""
+    return sorted({token.lower() for context in contexts for token in context})
+
+
 class TestBowVectorizer:
+    """Counting properties of Step III's bag-of-words rows."""
+
     def test_shape_and_counts(self):
-        vec = BowVectorizer(stop_language=None)
-        matrix = vec.fit_transform(DOCS)
-        assert matrix.shape == (3, len(vec.vocabulary_))
-        names = vec.feature_names()
+        matrix = bow_representation(DOCS)
+        names = columns(DOCS)
+        assert matrix.shape == (3, len(names))
         col = names.index("corneal")
-        assert matrix[0, col] == 1.0
+        assert matrix[0, col] > 0.0
         assert matrix[2, col] == 0.0
 
     def test_counts_repeated_tokens(self):
-        vec = BowVectorizer(stop_language=None)
-        matrix = vec.fit_transform([["a", "a", "b"]])
-        names = vec.feature_names()
-        assert matrix[0, names.index("a")] == 2.0
-
-    def test_binary_mode(self):
-        vec = BowVectorizer(stop_language=None, binary=True)
-        matrix = vec.fit_transform([["a", "a", "b"]])
-        assert matrix.max() == 1.0
-
-    def test_stopwords_removed(self):
-        vec = BowVectorizer(stop_language="en")
-        vec.fit([["the", "cornea"]])
-        assert "the" not in vec.feature_names()
-
-    def test_min_df_filters(self):
-        vec = BowVectorizer(stop_language=None, min_df=2)
-        vec.fit(DOCS)
-        names = vec.feature_names()
-        assert "corneal" in names and "injury" in names
-        assert "heals" not in names
-
-    def test_unknown_tokens_ignored_at_transform(self):
-        vec = BowVectorizer(stop_language=None)
-        vec.fit([["a"]])
-        matrix = vec.transform([["a", "zzz"]])
-        assert matrix.sum() == 1.0
-
-    def test_transform_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            BowVectorizer().transform([["a"]])
-
-    def test_normalize_rows(self):
-        vec = BowVectorizer(stop_language=None, normalize=True)
-        matrix = vec.fit_transform(DOCS)
-        norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
-        np.testing.assert_allclose(norms, 1.0)
-
-    def test_lowercase_toggle(self):
-        vec = BowVectorizer(stop_language=None, lowercase=False)
-        vec.fit([["Corneal", "corneal"]])
-        assert len(vec.feature_names()) == 2
-
-    def test_bad_min_df(self):
-        with pytest.raises(ValueError):
-            BowVectorizer(min_df=0)
+        # One context: every word has the same idf, so weights follow counts.
+        matrix = bow_representation([["a", "A", "b"]])
+        assert columns([["a", "A", "b"]]) == ["a", "b"]
+        assert matrix[0, 0] == pytest.approx(2.0 * matrix[0, 1])
 
 
 class TestTfidfVectorizer:
+    """TF-IDF properties of Step III's bag-of-words rows.
+
+    ``bow_representation`` weighs (context, word) counts through
+    ``unit_tfidf``, the TF-IDF every workflow step uses.
+    """
+
     def test_rows_unit_norm(self):
-        vec = TfidfVectorizer(stop_language=None)
-        matrix = vec.fit_transform(DOCS)
-        norms = np.sqrt(matrix.multiply(matrix).sum(axis=1)).A.ravel()
-        np.testing.assert_allclose(norms, 1.0)
+        matrix = bow_representation(DOCS)
+        np.testing.assert_allclose(np.linalg.norm(matrix, axis=1), 1.0)
 
     def test_rare_terms_outweigh_common(self):
         docs = [["common", "rare1"], ["common", "x"], ["common", "y"]]
-        vec = TfidfVectorizer(stop_language=None, normalize=False)
-        matrix = vec.fit_transform(docs)
-        names = vec.feature_names()
+        matrix = bow_representation(docs)
+        names = columns(docs)
         assert (
             matrix[0, names.index("rare1")] > matrix[0, names.index("common")]
         )
 
     def test_idf_vector_matches_formula(self):
-        vec = TfidfVectorizer(stop_language=None)
-        vec.fit(DOCS)
-        names = vec.feature_names()
-        idf = vec.idf()
-        df_corneal = 2
-        expected = np.log((1 + 3) / (1 + df_corneal)) + 1.0
-        assert idf[names.index("corneal")] == pytest.approx(expected)
-
-    def test_sublinear_tf(self):
-        docs = [["a"] * 10 + ["b"]]
-        plain = TfidfVectorizer(stop_language=None, normalize=False)
-        sub = TfidfVectorizer(stop_language=None, normalize=False, sublinear_tf=True)
-        m_plain = plain.fit_transform(docs)
-        m_sub = sub.fit_transform(docs)
-        names = plain.feature_names()
-        a = names.index("a")
-        assert m_sub[0, a] < m_plain[0, a]
+        # Every word of the first context occurs once in it, so its row is
+        # the smoothed idf of those words, scaled to unit norm.
+        matrix = bow_representation(DOCS)
+        names = columns(DOCS)
+        words = DOCS[0]
+        df = np.array([sum(w in doc for doc in DOCS) for w in words])
+        idf = np.log((1 + 3) / (1 + df)) + 1.0
+        expected = idf / np.linalg.norm(idf)
+        got = matrix[0, [names.index(w) for w in words]]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        assert np.count_nonzero(matrix[0]) == len(words)
 
     @given(
         st.lists(
-            st.lists(st.sampled_from(["t1", "t2", "t3", "t4"]), min_size=1, max_size=8),
+            st.lists(st.sampled_from(["t1", "t2", "T3", "t4"]), min_size=1, max_size=8),
             min_size=1,
             max_size=8,
         )
     )
     @settings(max_examples=30, deadline=None)
     def test_transform_is_deterministic(self, docs):
-        vec = TfidfVectorizer(stop_language=None)
-        m1 = vec.fit_transform(docs)
-        m2 = vec.transform(docs)
-        assert (m1 != m2).nnz == 0
+        first = bow_representation(docs)
+        again = bow_representation([tuple(doc) for doc in docs])
+        assert first.tobytes() == again.tobytes()
+        assert first.shape == (len(docs), len(columns(docs)))
 
 
 class TestIdfWeight:
