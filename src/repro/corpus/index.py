@@ -18,9 +18,9 @@ Its queries:
 * :meth:`contexts_for_term` — the legacy ``Corpus.contexts_for_term``
   retrieval (greedy non-overlapping matches, windows clipped at document
   boundaries) with byte-identical results;
-* :meth:`occurrence_records` — the multi-term retrieval of
-  ``linkage.context.find_occurrence_records`` (overlapping occurrences
-  allowed, longest term wins at any single start position);
+* :meth:`occurrence_records` — multi-term retrieval, the context
+  source of Steps II and IV (overlapping occurrences allowed, longest
+  term wins at any single start position);
 * :meth:`term_frequency` / :meth:`document_frequency` — counting without
   window materialisation.
 
@@ -562,11 +562,11 @@ class CorpusIndex:
     ) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
         """(doc_id, window) records of every term of ``terms``.
 
-        Exactly reproduces
-        :func:`repro.linkage.context.find_occurrence_records`: overlapping
-        occurrences of different terms are all reported, but at any single
-        start position only the longest matching term records an
-        occurrence.
+        Overlapping occurrences of different terms are all reported,
+        but at any single start position only the longest matching term
+        records an occurrence; the occurrence tokens themselves are left
+        out of the window.  ``tests/test_corpus_index.py`` keeps the
+        pre-index one-pass scan this reproduces as its oracle.
         """
         columns = self._state
         needles = _needles(terms)

@@ -13,11 +13,7 @@ graph is built.  The whole-corpus graph gives identical neighbourhoods
 and is built only by the tests, as the oracle.
 """
 
-from repro.linkage.context import (
-    TermContextIndex,
-    find_occurrence_records,
-    find_occurrences,
-)
+from repro.linkage.context import TermContextIndex
 from repro.linkage.evaluation import LinkageEvaluation, evaluate_linkage
 from repro.linkage.linker import Proposition, SemanticLinker
 from repro.linkage.neighborhood import TermNeighborhoods
@@ -33,6 +29,4 @@ __all__ = [
     "TermNeighborhoods",
     "TypedRelation",
     "evaluate_linkage",
-    "find_occurrence_records",
-    "find_occurrences",
 ]

@@ -6,10 +6,10 @@ aggregate context document per term — all tokens within ``window`` of any
 occurrence — and embeds them in a common TF-IDF space.
 
 Occurrence retrieval is served by the corpus's shared positional index
-(:class:`repro.corpus.index.CorpusIndex`): :func:`find_occurrence_records`
-delegates to :meth:`CorpusIndex.occurrence_records`, which locates every
-occurrence of *many* terms through their postings (longest match wins at
-any single start position) instead of rescanning the documents.
+(:class:`repro.corpus.index.CorpusIndex`):
+:meth:`CorpusIndex.occurrence_records` locates every occurrence of
+*many* terms through their postings (longest match wins at any single
+start position) instead of rescanning the documents.
 
 The space is built with numpy from segmented (term, word) counts,
 through :func:`repro.text.vectorize.unit_tfidf`, and equals the
@@ -26,7 +26,7 @@ pays nothing here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -36,46 +36,6 @@ from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
 from repro.errors import LinkageError
 from repro.ontology.model import normalize_term
 from repro.text.vectorize import unit_tfidf
-
-
-def find_occurrence_records(
-    corpus: Corpus,
-    terms: Iterable[str],
-    *,
-    window: int = 10,
-    index: CorpusIndex | None = None,
-) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
-    """(doc_id, window) records of every term of ``terms``.
-
-    Returns ``{normalised term: [(doc_id, window tokens), ...]}``; the
-    occurrence tokens themselves are excluded from the window (they carry
-    no disambiguation signal).  Overlapping occurrences of different terms
-    are all reported; the longest term wins at any single start position.
-
-    Pass a prebuilt ``index`` to share one :class:`CorpusIndex` across
-    callers; otherwise the corpus's cached index is used.
-    """
-    index = index if index is not None else corpus.index()
-    return index.occurrence_records(terms, window=window)
-
-
-def find_occurrences(
-    corpus: Corpus,
-    terms: Iterable[str],
-    *,
-    window: int = 10,
-    index: CorpusIndex | None = None,
-) -> dict[str, list[tuple[str, ...]]]:
-    """Context windows of every term of ``terms``.
-
-    Convenience wrapper over :func:`find_occurrence_records` that drops
-    the document ids.
-    """
-    records = find_occurrence_records(corpus, terms, window=window, index=index)
-    return {
-        term: [window_tokens for __, window_tokens in entries]
-        for term, entries in records.items()
-    }
 
 
 class TermContextIndex:

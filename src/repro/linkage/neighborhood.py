@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from repro.corpus.corpus import Corpus
 from repro.corpus.index import CorpusIndex, documents_after
 from repro.errors import LinkageError
 from repro.ontology.model import Ontology, normalize_term
@@ -218,27 +217,3 @@ class TermNeighborhoods:
         raise LinkageError(
             f"candidate {candidate!r} has no MeSH neighbourhood in the corpus"
         )
-
-
-def candidate_positions(
-    corpus: Corpus,
-    ontology: Ontology,
-    candidate: str,
-    *,
-    window: int = 8,
-    expand_hierarchy: bool = True,
-    fallback_to_all: bool = True,
-) -> list[str]:
-    """End-to-end position-set computation for one candidate term.
-
-    A one-off :meth:`TermNeighborhoods.positions` over the corpus's
-    cached index, with the candidate as the only extra known term.
-    """
-    neighborhoods = TermNeighborhoods(
-        ontology, corpus.index(), extra_terms=[candidate], window=window
-    )
-    return neighborhoods.positions(
-        candidate,
-        expand_hierarchy=expand_hierarchy,
-        fallback_to_all=fallback_to_all,
-    )

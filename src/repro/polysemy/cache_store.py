@@ -24,7 +24,7 @@ named by a hash of it::
         .last_used           # mtime stamp for LRU generation eviction
         index.jsonl          # one JSON line per entry (last write wins)
         shard-000000.bin     # packed vector bytes, appended in order
-        shard-000001.bin     # rotated once a shard passes shard_max_bytes
+        shard-000001.bin     # rotated once a shard passes its size cap
 
 Within a generation, a vector is stored by appending its raw bytes to
 the newest shard file and appending one index line (``term``,
@@ -255,9 +255,8 @@ class DiskCacheStore:
         it triggers the LRU eviction described in the module docs.  The
         newest shard of the active generation is never evicted, so the
         cap is best-effort when a single shard outgrows it.
-    shard_max_bytes:
-        Rotation size of one shard file.  Defaults to 4 MiB, scaled
-        down to ``max_bytes / 8`` under a smaller cap so shard-level
+        A shard file rotates at 4 MiB (``DEFAULT_SHARD_MAX_BYTES``),
+        or at ``max_bytes / 8`` under a smaller cap, so shard-level
         eviction stays fine-grained enough to honour it.
 
     Example
@@ -277,22 +276,14 @@ class DiskCacheStore:
         cache_dir: str | os.PathLike,
         *,
         max_bytes: int | None = None,
-        shard_max_bytes: int | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ValidationError(
                 f"max_bytes must be >= 1 or None, got {max_bytes}"
             )
-        if shard_max_bytes is None:
-            shard_max_bytes = DEFAULT_SHARD_MAX_BYTES
-            if max_bytes is not None:
-                shard_max_bytes = min(
-                    shard_max_bytes, max(1, max_bytes // 8)
-                )
-        if shard_max_bytes < 1:
-            raise ValidationError(
-                f"shard_max_bytes must be >= 1, got {shard_max_bytes}"
-            )
+        shard_max_bytes = DEFAULT_SHARD_MAX_BYTES
+        if max_bytes is not None:
+            shard_max_bytes = min(shard_max_bytes, max(1, max_bytes // 8))
         self._dir = Path(cache_dir)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._max_bytes = max_bytes

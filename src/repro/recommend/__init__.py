@@ -33,7 +33,7 @@ from repro.recommend.scoring import (
     aggregate_score,
     default_scorers,
 )
-from repro.recommend.trie import LabelTrie, naive_longest_matches
+from repro.recommend.trie import LabelTrie
 
 __all__ = [
     "CRITERIA",
@@ -57,5 +57,4 @@ __all__ = [
     "SpecializationScorer",
     "aggregate_score",
     "default_scorers",
-    "naive_longest_matches",
 ]

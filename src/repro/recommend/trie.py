@@ -7,15 +7,12 @@ unusable on large ontologies.  :class:`LabelTrie` stores every label as
 a path of tokens, so one left-to-right walk answers all starts in
 O(tokens x max_label_length), independent of the label count.
 
-:func:`naive_longest_matches` is the per-label scan kept as the
-benchmark baseline (``benchmarks/bench_recommend.py`` asserts the trie
-is >= 5x faster) and as the parity oracle in tests; production code
-never calls it.
-
-Both matchers implement the same deterministic semantics: at every
-start position the **longest** matching label wins (ties are impossible
-— equal-length matches at one start are the same token sequence), and
-overlapping matches from different starts are all reported.
+At every start position the **longest** matching label wins (ties are
+impossible — equal-length matches at one start are the same token
+sequence), and overlapping matches from different starts are all
+reported.  ``tests/test_recommend.py`` keeps the per-label scan as the
+parity oracle, and checks that building a trie and walking the input
+stays several times cheaper than that scan.
 """
 
 from __future__ import annotations
@@ -90,30 +87,3 @@ class LabelTrie:
             if best is not None:
                 out.append((start, best_len, best))
         return out
-
-
-def naive_longest_matches(
-    labels: Iterable[str], tokens: Sequence[str]
-) -> list[tuple[int, int, str]]:
-    """The O(tokens x labels) baseline with :class:`LabelTrie` semantics.
-
-    Scans the input once per label, then keeps the longest match at each
-    start — byte-identical output to
-    :meth:`LabelTrie.longest_matches`, at per-label-scan cost.
-    """
-    best: dict[int, tuple[int, str]] = {}
-    n = len(tokens)
-    for label in labels:
-        needle = label.split()
-        span = len(needle)
-        if not span or span > n:
-            continue
-        for start in range(n - span + 1):
-            if list(tokens[start : start + span]) == needle:
-                incumbent = best.get(start)
-                if incumbent is None or span > incumbent[0]:
-                    best[start] = (span, label)
-    return [
-        (start, span, label)
-        for start, (span, label) in sorted(best.items())
-    ]

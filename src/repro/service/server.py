@@ -930,7 +930,8 @@ def serve(
     (``repro serve --watch NAME=DIR``).  ``ontologies`` maps names to
     ontology files (JSON or ``.obo``) registered for ``POST
     /recommend`` (``repro serve --ontology NAME=PATH``).  A ``watch``
-    name that ``corpora`` does not register raises
+    name that ``corpora`` does not register, or a scenario or ontology
+    file that does not exist, raises
     :class:`~repro.errors.ValidationError` before the store is opened or
     the port bound.
     """
@@ -942,6 +943,13 @@ def serve(
                 f"--watch names unregistered scenario {name!r}; "
                 f"registered: {registered}"
             )
+    for name, paths in sorted((corpora or {}).items()):
+        for path in paths:
+            if not Path(path).is_file():
+                raise ValidationError(f"scenario {name!r} has no file at {path}")
+    for name, path in sorted((ontologies or {}).items()):
+        if not Path(path).is_file():
+            raise ValidationError(f"ontology {name!r} has no file at {path}")
     store = DiskCacheStore(cache_dir, max_bytes=cache_max_bytes)
     log_writer, log_closer = (None, lambda: None)
     if access_log is not None:

@@ -1,14 +1,16 @@
 """Text-processing substrate: tokenisation, tagging, TF-IDF, graphs.
 
 This subpackage stands in for the NLP toolchain (TreeTagger, BioTex's
-preprocessing) the paper builds on; TF-IDF weighting is one numpy
+preprocessing) the paper builds on.  Step I's candidates are
+POS-pattern-filtered phrases (:func:`extract_pattern_phrases`, with the
+patterns of :mod:`repro.text.patterns`); TF-IDF weighting is one numpy
 function, :func:`repro.text.vectorize.unit_tfidf`.  Everything is pure
 Python + numpy/scipy, deterministic, and language-aware for English,
 French, and Spanish — the three languages the paper targets.
 """
 
 from repro.text.cooccurrence import CooccurrenceGraphBuilder
-from repro.text.ngrams import extract_ngrams, extract_pattern_phrases
+from repro.text.ngrams import extract_pattern_phrases
 from repro.text.patterns import TermPatternMatcher, default_patterns
 from repro.text.postag import LexiconTagger, TaggedToken
 from repro.text.sentences import split_sentences
@@ -18,7 +20,6 @@ from repro.text.tokenizer import tokenize, tokenize_lower
 
 __all__ = [
     "CooccurrenceGraphBuilder",
-    "extract_ngrams",
     "extract_pattern_phrases",
     "TermPatternMatcher",
     "default_patterns",

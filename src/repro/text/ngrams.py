@@ -1,48 +1,19 @@
-"""N-gram and pattern-filtered phrase extraction.
+"""Pattern-filtered phrase extraction.
 
-Step I harvests multi-word candidate terms from text.  Two strategies are
-provided: plain n-grams (used by frequency-only baselines) and
-POS-pattern-filtered phrases (used by BioTex-style measures, which only
-keep sequences whose tag string matches a known biomedical term pattern).
+Step I harvests multi-word candidate terms from text, keeping only the
+sequences whose tag string matches a known biomedical term pattern (as
+BioTex does).  :func:`extract_pattern_phrases` is that filter over one
+tagged sentence; the harvest fold of :mod:`repro.extraction.candidates`
+finds the same windows on arrays, and ``tests/test_harvest_oracle.py``
+compares the two.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.text.postag import TaggedToken
 from repro.text.patterns import TermPatternMatcher
-from repro.text.stopwords import stopwords_for
-
-
-def extract_ngrams(
-    tokens: Sequence[str],
-    *,
-    min_n: int = 1,
-    max_n: int = 4,
-    language: str | None = "en",
-) -> list[tuple[str, ...]]:
-    """Return all n-grams of ``tokens`` with ``min_n <= n <= max_n``.
-
-    When ``language`` is given, n-grams that start or end with a stopword
-    are dropped (interior stopwords are allowed: "degeneration of retina").
-    Tokens are lower-cased.
-    """
-    if min_n < 1:
-        raise ValueError(f"min_n must be >= 1, got {min_n}")
-    if max_n < min_n:
-        raise ValueError(f"max_n ({max_n}) must be >= min_n ({min_n})")
-    stop = stopwords_for(language) if language else frozenset()
-    lower = [t.lower() for t in tokens]
-    out: list[tuple[str, ...]] = []
-    n_tokens = len(lower)
-    for n in range(min_n, max_n + 1):
-        for i in range(n_tokens - n + 1):
-            gram = tuple(lower[i : i + n])
-            if stop and (gram[0] in stop or gram[-1] in stop):
-                continue
-            out.append(gram)
-    return out
 
 
 def extract_pattern_phrases(
@@ -65,13 +36,3 @@ def extract_pattern_phrases(
             phrase = tuple(t.text.lower() for t in window)
             out.append((phrase, weight))
     return out
-
-
-def phrase_frequencies(
-    phrases: Iterable[tuple[str, ...]],
-) -> dict[tuple[str, ...], int]:
-    """Count occurrences of each phrase."""
-    counts: dict[tuple[str, ...], int] = {}
-    for phrase in phrases:
-        counts[phrase] = counts.get(phrase, 0) + 1
-    return counts

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.polysemy import cache_store
 from repro.polysemy.cache import FeatureCache
 from repro.polysemy.cache_store import (
     CacheStore,
@@ -27,6 +28,12 @@ def vector(seed: int, n: int = 23) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=n)
 
 
+@pytest.fixture()
+def small_shards(monkeypatch):
+    """Shards rotate at 256 bytes: two of the tests' 184-byte vectors each."""
+    monkeypatch.setattr(cache_store, "DEFAULT_SHARD_MAX_BYTES", 256)
+
+
 class TestProtocol:
     def test_both_backends_satisfy_the_protocol(self, tmp_path):
         assert isinstance(MemoryCacheStore(), CacheStore)
@@ -35,8 +42,6 @@ class TestProtocol:
     def test_invalid_sizes_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="max_bytes"):
             DiskCacheStore(tmp_path, max_bytes=0)
-        with pytest.raises(ValidationError, match="shard_max_bytes"):
-            DiskCacheStore(tmp_path, shard_max_bytes=0)
 
 
 class TestDiskRoundTrip:
@@ -138,8 +143,9 @@ class TestFingerprintGenerations:
 
 
 class TestShardingAndEviction:
-    def test_shards_rotate_at_the_size_cap(self, tmp_path):
-        store = DiskCacheStore(tmp_path, shard_max_bytes=256)
+    def test_shards_rotate_at_the_size_cap(self, tmp_path, small_shards):
+        store = DiskCacheStore(tmp_path)
+        assert store.describe()["shard_max_bytes"] == 256
         for i in range(8):
             store.put(key(f"term {i}"), vector(i))
         generation = next(p for p in tmp_path.iterdir() if p.is_dir())
@@ -151,9 +157,9 @@ class TestShardingAndEviction:
             )
 
     def test_size_cap_evicts_oldest_entries_first(self, tmp_path):
-        store = DiskCacheStore(
-            tmp_path, max_bytes=2_000, shard_max_bytes=256
-        )
+        # Under a 2,000-byte cap a shard rotates at 2_000 // 8 bytes.
+        store = DiskCacheStore(tmp_path, max_bytes=2_000)
+        assert store.describe()["shard_max_bytes"] == 250
         for i in range(30):
             store.put(key(f"term {i}"), vector(i))
         stats = store.stats()
@@ -200,7 +206,7 @@ class TestShardingAndEviction:
         assert survivor.get(key("read 0", spec="read-spec")) is not None
 
     def test_eviction_survives_a_reopen(self, tmp_path):
-        store = DiskCacheStore(tmp_path, max_bytes=2_000, shard_max_bytes=256)
+        store = DiskCacheStore(tmp_path, max_bytes=2_000)
         for i in range(30):
             store.put(key(f"term {i}"), vector(i))
         reopened = DiskCacheStore(tmp_path)
@@ -231,8 +237,6 @@ class TestShardingAndEviction:
         self, tmp_path, monkeypatch
     ):
         import time
-
-        from repro.polysemy import cache_store
 
         # Regression: the recency stamp used to be written once per
         # handle, so a daemon that wrote its generation at boot and
@@ -332,12 +336,12 @@ class TestIncrementalSnapshot:
         assert b"".join(parses).count(b"\n") == 4
         assert sizes == self.full_walk(tmp_path)
 
-    def test_another_handles_evictions(self, tmp_path):
+    def test_another_handles_evictions(self, tmp_path, small_shards):
         store = DiskCacheStore(tmp_path)
         self.fill(store, "own", 12)
         self.snapshot(store)
         # Stale generations go first, then the active one's old shards.
-        evicting = DiskCacheStore(tmp_path, max_bytes=3_000, shard_max_bytes=256)
+        evicting = DiskCacheStore(tmp_path, max_bytes=3_000)
         self.fill(evicting, "new", 12, specs=("s9",))
         assert evicting.stats()["evictions"] > 0
         assert self.snapshot(store) == self.full_walk(tmp_path)

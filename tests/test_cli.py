@@ -322,6 +322,35 @@ class TestServeAndCacheInfoParsers:
         assert err.startswith("error: ") and "'nope'" in err and "demo" in err
         assert not cache_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag, path, missing",
+        [
+            ("--scenario", "nonexistent", "nonexistent/ontology.json"),
+            ("--scenario", "half", "half/corpus.jsonl"),
+            ("--ontology", "missing.json", "missing.json"),
+        ],
+    )
+    def test_missing_input_file_exits_before_making_a_store(
+        self, tmp_path, capsys, monkeypatch, flag, path, missing
+    ):
+        # A scenario's files are first read by its first job, so without
+        # this check serve would boot and answer as if it were usable.
+        from repro.service import server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve opened its store before checking inputs")
+
+        monkeypatch.setattr(server, "DiskCacheStore", refuse)
+        (tmp_path / "half").mkdir()
+        (tmp_path / "half" / "ontology.json").write_text("{}")
+        cache_dir = tmp_path / "cache"
+        code = main(["serve", "--cache-dir", str(cache_dir), "--port", "0",
+                     flag, f"x={tmp_path / path}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'x'" in err and missing in err
+        assert not cache_dir.exists()
+
     def test_watch_poll_must_be_finite_before_binding(self, tmp_path, capsys):
         # The store directory is made before the port is bound, so its
         # absence shows the value was refused before either.

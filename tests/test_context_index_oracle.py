@@ -3,9 +3,9 @@
 :class:`~repro.linkage.context.TermContextIndex` builds its TF-IDF space
 with numpy from (term, word) counts, and reuses it while the corpus
 fingerprint, the window and the term list stay the same.  The oracle is
-the route it replaced: one document per term from
-:func:`~repro.linkage.context.find_occurrences`, fitted by the
-reference vectoriser of ``tests/context_oracles.py`` and densified.  Every row and
+the route it replaced: one document per term from the windows of
+:meth:`~repro.corpus.index.CorpusIndex.occurrence_records`, fitted by
+the reference vectoriser of ``tests/context_oracles.py`` and densified.  Every row and
 cosine must equal the oracle's bytes, a repeated build must retrieve
 nothing, a grown corpus must be read through its new documents only,
 and after any change a reused index must equal a fresh build.
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex
-from repro.linkage.context import TermContextIndex, find_occurrences
+from repro.linkage.context import TermContextIndex
 
 from context_oracles import TfidfVectorizer
 
@@ -53,15 +53,15 @@ def make_corpus(docs, first=0):
 
 def oracle(corpus, term_list, window):
     """``{term: (dense row, n_contexts)}`` from the vectoriser route."""
-    occurrences = find_occurrences(corpus, term_list, window=window)
+    records = corpus.index().occurrence_records(term_list, window=window)
     documents = [
-        [token for context in contexts for token in context]
-        for contexts in occurrences.values()
+        [token for __, context in entries for token in context]
+        for entries in records.values()
     ]
     matrix = TfidfVectorizer().fit_transform(documents).toarray()
     return {
-        term: (matrix[i], len(contexts))
-        for i, (term, contexts) in enumerate(occurrences.items())
+        term: (matrix[i], len(entries))
+        for i, (term, entries) in enumerate(records.items())
     }
 
 

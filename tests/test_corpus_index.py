@@ -8,17 +8,22 @@ tokens, overlapping occurrences, multi-token needles, and windows clipped
 at document boundaries.  An index extended through ``add_documents``
 must answer every query — and carry the fingerprint — of a fresh build
 over the same documents (:func:`assert_full_parity`, shared with the
-index-store suite).
+index-store suite).  Two cost floors close the file: postings lookups
+beat the scan, and growing the index by one document beats a rebuild.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.corpus.corpus import Corpus, TermContext
 from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex
 from repro.errors import CorpusError
+from repro.scenarios import make_enrichment_scenario
+
+from timing import fastest
 
 
 # -- reference (legacy) implementations -------------------------------------
@@ -451,3 +456,61 @@ class TestAllOrNothingAdds:
         # The index still works and accepts the valid part afterwards.
         index.add_documents([Document("n0", [["fine"]])])
         assert index.term_frequency("fine") == 1
+
+
+# -- cost floors ---------------------------------------------------------------
+
+
+def vocabulary_documents(n_docs, *, vocabulary=5_000, seed=23):
+    """``n_docs`` one-sentence documents of 10-15 words drawn uniformly
+    from ``vocabulary`` words: many tiny abstracts, few repeats."""
+    rng = np.random.default_rng(seed)
+    words = np.array([f"term{i:05d}" for i in range(vocabulary)])
+    lengths = rng.integers(10, 16, size=n_docs)
+    ids = rng.integers(0, vocabulary, size=int(lengths.sum()))
+    bounds = np.cumsum(lengths)
+    return [
+        Document(f"doc-{i:07d}", [words[ids[end - n : end]].tolist()])
+        for i, (n, end) in enumerate(zip(lengths.tolist(), bounds.tolist()))
+    ]
+
+
+class TestCostFloors:
+    """Speed ratios of two paths timed in one process, each at its best."""
+
+    def test_lookups_amortise_the_build_against_the_scan(self):
+        # Building the index and counting every ontology term through
+        # its postings must cost less than the pre-index document scan
+        # of each term.  ~9-14x on a 2-core Xeon VM under CPython 3.11;
+        # the floor is 1x.
+        scenario = make_enrichment_scenario(
+            seed=11, n_concepts=20, docs_per_concept=6
+        )
+        corpus, terms = scenario.corpus, scenario.ontology.terms()
+
+        def through_index():
+            index = CorpusIndex(corpus)
+            return [index.term_frequency(term) for term in terms]
+
+        def by_scan():
+            return [len(scan_contexts(corpus, term, window=1)) for term in terms]
+
+        indexed, index_seconds = fastest(through_index)
+        scanned, scan_seconds = fastest(by_scan)
+        assert indexed == scanned
+        assert any(indexed)
+        assert scan_seconds > index_seconds, (scan_seconds, index_seconds)
+
+    def test_adding_one_document_beats_a_rebuild(self):
+        # Streaming an abstract into 10,000 costs O(new tokens), not a
+        # rebuild: >= 10x cheaper at each side's best of 5.  ~80-130x on
+        # a 2-core Xeon VM under CPython 3.11.
+        documents = vocabulary_documents(10_000)
+        grown = CorpusIndex(documents[:-5])
+        arrivals = iter(documents[-5:])
+        __, add_seconds = fastest(
+            lambda: grown.add_documents([next(arrivals)]), 5
+        )
+        rebuilt, rebuild_seconds = fastest(lambda: CorpusIndex(documents), 5)
+        assert grown.fingerprint() == rebuilt.fingerprint()
+        assert rebuild_seconds >= 10 * add_seconds, (rebuild_seconds, add_seconds)

@@ -8,10 +8,10 @@ from repro.corpus.document import Document
 from repro.corpus.pubmed import PubMedSimulator, PubMedSpec
 from repro.errors import LinkageError
 from repro.lexicon import BioLexicon
-from repro.linkage.context import TermContextIndex, find_occurrences
+from repro.linkage.context import TermContextIndex
 from repro.linkage.evaluation import evaluate_linkage, gold_positions
 from repro.linkage.linker import SemanticLinker
-from repro.linkage.neighborhood import candidate_positions
+from repro.linkage.neighborhood import TermNeighborhoods
 from repro.ontology.mesh import make_eye_fragment
 from repro.ontology.generator import GeneratorSpec, OntologyGenerator
 from repro.ontology.snapshot import HeldOutTerm, held_out_terms
@@ -34,31 +34,30 @@ def simple_corpus():
 
 class TestFindOccurrences:
     def test_single_pass_finds_all_terms(self):
-        corpus = simple_corpus()
-        occurrences = find_occurrences(
-            corpus, ["corneal injuries", "eye injuries", "membrane"], window=3
+        records = simple_corpus().index().occurrence_records(
+            ["corneal injuries", "eye injuries", "membrane"], window=3
         )
-        assert len(occurrences["corneal injuries"]) == 2
-        assert len(occurrences["eye injuries"]) == 1
-        assert len(occurrences["membrane"]) == 1
+        assert [doc for doc, __ in records["corneal injuries"]] == ["d1", "d2"]
+        assert [doc for doc, __ in records["eye injuries"]] == ["d2"]
+        assert [doc for doc, __ in records["membrane"]] == ["d3"]
 
     def test_longest_match_priority(self):
         corpus = Corpus([Document("d", [["corneal", "injury", "report"]])])
-        occurrences = find_occurrences(
-            corpus, ["corneal injury", "corneal"], window=2
+        records = corpus.index().occurrence_records(
+            ["corneal injury", "corneal"], window=2
         )
-        assert len(occurrences["corneal injury"]) == 1
+        assert len(records["corneal injury"]) == 1
         # the shorter term does not also fire at the same start position
-        assert len(occurrences["corneal"]) == 0
+        assert len(records["corneal"]) == 0
 
     def test_window_excludes_occurrence_tokens(self):
         corpus = Corpus([Document("d", [["left", "corneal", "injury", "right"]])])
-        occurrences = find_occurrences(corpus, ["corneal injury"], window=2)
-        assert occurrences["corneal injury"] == [("left", "right")]
+        records = corpus.index().occurrence_records(["corneal injury"], window=2)
+        assert records["corneal injury"] == [("d", ("left", "right"))]
 
     def test_unseen_term_empty(self):
-        occurrences = find_occurrences(simple_corpus(), ["ghost term"])
-        assert occurrences["ghost term"] == []
+        records = simple_corpus().index().occurrence_records(["ghost term"])
+        assert records["ghost term"] == []
 
 
 class TestTermContextIndex:
@@ -134,15 +133,19 @@ class TestNeighborhood:
 
     def test_unseen_candidate_falls_back_to_all(self):
         onto, corpus = eye_scenario()
-        positions = candidate_positions(corpus, onto, "zzz unseen zzz")
+        neighborhoods = TermNeighborhoods(
+            onto, corpus.index(), extra_terms=["zzz unseen zzz"]
+        )
+        positions = neighborhoods.positions("zzz unseen zzz")
         assert set(positions) == set(onto.terms())
 
     def test_unseen_candidate_without_fallback_raises(self):
         onto, corpus = eye_scenario()
+        neighborhoods = TermNeighborhoods(
+            onto, corpus.index(), extra_terms=["zzz unseen zzz"]
+        )
         with pytest.raises(LinkageError):
-            candidate_positions(
-                corpus, onto, "zzz unseen zzz", fallback_to_all=False
-            )
+            neighborhoods.positions("zzz unseen zzz", fallback_to_all=False)
 
 
 class TestSemanticLinker:

@@ -16,7 +16,7 @@ from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore, MmapCorpusIndex
 from repro.extraction.extractor import BioTexExtractor
 from repro.linkage.linker import SemanticLinker
-from repro.linkage.neighborhood import TermNeighborhoods, candidate_positions
+from repro.linkage.neighborhood import TermNeighborhoods
 from repro.ontology.model import Concept, Ontology
 from repro.scenarios import make_enrichment_scenario
 from repro.text.cooccurrence import CooccurrenceGraphBuilder, TermMerger
@@ -148,12 +148,11 @@ class TestPostingsNeighborhoodsMatchGraph:
             found = mesh_neighborhood(
                 graph, ontology, candidate, expand_hierarchy=expand_hierarchy
             ) or sorted(t for t in ontology.terms() if t != candidate)
-            assert candidate_positions(
-                corpus,
-                ontology,
-                candidate,
-                window=window,
-                expand_hierarchy=expand_hierarchy,
+            neighborhoods = TermNeighborhoods(
+                ontology, corpus.index(), extra_terms=[candidate], window=window
+            )
+            assert neighborhoods.positions(
+                candidate, expand_hierarchy=expand_hierarchy
             ) == found, candidate
 
     def test_term_held_as_one_token(self):

@@ -12,7 +12,6 @@ from repro.clustering.model import ClusterStats
 from repro.clustering.similarity import normalize_rows
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.linkage.context import find_occurrences
 from repro.ontology.generator import GeneratorSpec, OntologyGenerator
 from repro.ontology.io import ontology_from_json, ontology_to_json
 from repro.ontology.snapshot import snapshot_before
@@ -138,12 +137,10 @@ class TestRetrievalConsistency:
     def test_find_occurrences_matches_contexts_for_term(self, sentences, window):
         corpus = Corpus([Document("d0", sentences)])
         term = sentences[0][0]
-        via_batch = find_occurrences(corpus, [term], window=window)[term]
+        via_batch = corpus.index().occurrence_records([term], window=window)[term]
         via_single = corpus.contexts_for_term(term, window=window)
         # single-token terms cannot overlap, so both retrievals agree
-        assert len(via_batch) == len(via_single)
-        for batch_ctx, single_ctx in zip(via_batch, via_single):
-            assert batch_ctx == single_ctx.tokens
+        assert via_batch == [(c.doc_id, c.tokens) for c in via_single]
 
 
 # -- cache-store strategies ---------------------------------------------------

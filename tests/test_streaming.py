@@ -8,6 +8,7 @@ a from-scratch run over the grown corpus.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.corpus.document import Document
 from repro.errors import CorpusError, ValidationError
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.scenarios import make_enrichment_scenario
+from repro.text.postag import LexiconTagger
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 from repro.workflow.report import EnrichmentReport, TermReport
@@ -64,12 +66,16 @@ def story():
     )
     baseline = streamer.baseline()
     target_term = sorted(scenario.ontology.terms())[0]
-    quiet = streamer.add_documents([unrelated_document()])
+    with mock.patch.object(
+        LexiconTagger, "tag", autospec=True, side_effect=LexiconTagger.tag
+    ) as tag:
+        quiet = streamer.add_documents([unrelated_document()])
     loud = streamer.add_documents([mentioning_document(target_term)])
     return {
         "streamer": streamer,
         "baseline": baseline,
         "quiet": quiet,
+        "quiet_tagged": [list(call.args[1]) for call in tag.call_args_list],
         "loud": loud,
         "target_term": target_term,
     }
@@ -83,6 +89,14 @@ class TestDeltaRecomputation:
         assert quiet.n_recomputed == 0
         assert quiet.cache["misses"] == 0
         assert quiet.cache["hits"] > 0
+
+    def test_quiet_delta_tags_only_its_own_sentences(self, story):
+        """Step I reads the arriving text once, never the corpus again.
+
+        One ``tag`` call per sentence of the new document: a delta's
+        cost follows what arrived, not the corpus it joins.
+        """
+        assert story["quiet_tagged"] == unrelated_document().sentences
 
     def test_loud_delta_recomputes_only_the_mentioned_term(self, story):
         """Exactly the perturbed term misses; the rest stay warm."""

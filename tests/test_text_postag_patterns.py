@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.ngrams import extract_ngrams, extract_pattern_phrases, phrase_frequencies
+from repro.text.ngrams import extract_pattern_phrases
 from repro.text.patterns import TermPattern, TermPatternMatcher, default_patterns
 from repro.text.postag import COARSE_TAGS, LexiconTagger, TaggedToken
 
@@ -129,31 +129,6 @@ class TestPatterns:
 
 
 class TestNgrams:
-    def test_all_ngrams_no_stop_filter(self):
-        grams = extract_ngrams(["a", "b", "c"], min_n=1, max_n=2, language=None)
-        assert ("a",) in grams and ("a", "b") in grams and ("b", "c") in grams
-
-    def test_stopword_edges_dropped(self):
-        grams = extract_ngrams(["the", "corneal", "injury"], min_n=2, max_n=2)
-        assert ("the", "corneal") not in grams
-        assert ("corneal", "injury") in grams
-
-    def test_interior_stopword_kept(self):
-        grams = extract_ngrams(
-            ["degeneration", "of", "retina"], min_n=3, max_n=3
-        )
-        assert ("degeneration", "of", "retina") in grams
-
-    def test_lowercasing(self):
-        grams = extract_ngrams(["Corneal", "Injury"], min_n=2, max_n=2)
-        assert ("corneal", "injury") in grams
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            extract_ngrams(["a"], min_n=0)
-        with pytest.raises(ValueError):
-            extract_ngrams(["a"], min_n=2, max_n=1)
-
     def test_pattern_phrases(self):
         tagger = LexiconTagger({"corneal": "ADJ", "injury": "NOUN", "heals": "VERB"})
         tagged = tagger.tag(["corneal", "injury", "heals"])
@@ -163,7 +138,3 @@ class TestNgrams:
         assert ("corneal", "injury") in texts
         assert ("injury",) in texts
         assert ("corneal", "injury", "heals") not in texts
-
-    def test_phrase_frequencies(self):
-        counts = phrase_frequencies([("a",), ("a",), ("b",)])
-        assert counts == {("a",): 2, ("b",): 1}
