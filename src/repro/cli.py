@@ -36,17 +36,25 @@ from repro.ontology.io import read_ontology_json, write_ontology_json
 from repro.ontology.snapshot import held_out_terms
 from repro.scenarios import make_enrichment_scenario
 from repro.utils.tables import format_table
-from repro.utils.validation import check_seconds
+from repro.utils.validation import check_positive_int, check_seconds
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    scenario = make_enrichment_scenario(
-        seed=args.seed,
-        n_concepts=args.concepts,
-        docs_per_concept=args.docs_per_concept,
-    )
+    from repro.errors import ValidationError
+
+    try:
+        scenario = make_enrichment_scenario(
+            seed=args.seed,
+            n_concepts=args.concepts,
+            docs_per_concept=args.docs_per_concept,
+        )
+    except ValidationError as exc:
+        # A size the generator cannot build (one concept, say): nothing
+        # is written yet.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     write_ontology_json(scenario.ontology, out / "ontology.json")
@@ -150,6 +158,13 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.start_year > args.end_year:
+        print(
+            f"error: --start-year {args.start_year} is after "
+            f"--end-year {args.end_year}",
+            file=sys.stderr,
+        )
+        return 2
     ontology = read_ontology_json(args.ontology)
     corpus = read_corpus_jsonl(args.corpus)
     held = held_out_terms(ontology, args.start_year, args.end_year)
@@ -244,6 +259,29 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
     return 0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count option: an integer >= 1."""
+    try:
+        return check_positive_int(int(text), "count")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        ) from None
+
+
+def _port(text: str) -> int:
+    """argparse type of a listen port: 0 (ephemeral) to 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port number from 0 to 65535, got {text!r}"
+        )
+    return value
 
 
 def _seconds(text: str) -> float:
@@ -545,37 +583,15 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        lint_project,
-        load_baseline,
-        render_json,
-        render_text,
-        save_baseline,
-    )
+    from repro.analysis import lint_project, render_text
     from repro.errors import ValidationError
 
-    root = Path(args.root)
     try:
-        baseline = (
-            load_baseline(args.baseline)
-            if args.baseline is not None
-            else None
-        )
-        result = lint_project(root, baseline=baseline)
+        result = lint_project(Path(args.root))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline is not None:
-        save_baseline(result.findings, args.write_baseline)
-        print(
-            f"wrote {len(result.findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result))
+    print(render_text(result))
     return 0 if result.clean else 1
 
 
@@ -589,8 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="generate a synthetic scenario")
     generate.add_argument("--output", required=True, help="output directory")
-    generate.add_argument("--concepts", type=int, default=60)
-    generate.add_argument("--docs-per-concept", type=int, default=6)
+    generate.add_argument("--concepts", type=_positive_int, default=60)
+    generate.add_argument("--docs-per-concept", type=_positive_int, default=6)
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(fn=_cmd_generate)
 
@@ -685,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     link.add_argument("--ontology", required=True)
     link.add_argument("--corpus", required=True)
     link.add_argument("--term", required=True)
-    link.add_argument("--top-k", type=int, default=10)
+    link.add_argument("--top-k", type=_positive_int, default=10)
     link.set_defaults(fn=_cmd_link)
 
     evaluate = sub.add_parser("evaluate", help="run the Table 4 protocol")
@@ -693,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--corpus", required=True)
     evaluate.add_argument("--start-year", type=int, default=2009)
     evaluate.add_argument("--end-year", type=int, default=2015)
-    evaluate.add_argument("--max-terms", type=int, default=None)
+    evaluate.add_argument("--max-terms", type=_positive_int, default=None)
     evaluate.set_defaults(fn=_cmd_evaluate)
 
     index = sub.add_parser(
@@ -725,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8750,
+        "--port", type=_port, default=8750,
         help="listen port (0 picks an ephemeral port)",
     )
     serve.add_argument(
@@ -744,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         "layout); repeatable",
     )
     serve.add_argument(
-        "--job-workers", type=int, default=1,
+        "--job-workers", type=_positive_int, default=1,
         help="concurrent server-side enrichment jobs",
     )
     serve.add_argument(
@@ -910,18 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--root", default=".",
         help="project root (must contain src/; default: cwd)",
-    )
-    lint.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON of grandfathered findings to ignore",
-    )
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="write current findings as a baseline and exit 0",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
     )
     lint.set_defaults(fn=_cmd_lint)
     return parser

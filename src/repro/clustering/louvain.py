@@ -180,24 +180,6 @@ class CSRGraphBatch(Sequence):
             weights=self.weights[lo:hi],
         )
 
-    @classmethod
-    def from_graphs(cls, graphs: Sequence[CSRGraph]) -> "CSRGraphBatch":
-        """Concatenate ``graphs`` (copies their arrays)."""
-        sizes = np.array([graph.n_nodes for graph in graphs], dtype=np.int64)
-        node_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=node_offsets[1:])
-        degrees = [np.diff(graph.indptr) for graph in graphs]
-        indptr = np.zeros(int(node_offsets[-1]) + 1, dtype=np.int64)
-        if degrees:
-            np.cumsum(np.concatenate(degrees), out=indptr[1:])
-        empty_i, empty_w = np.empty(0, np.int64), np.empty(0, np.float64)
-        return cls(
-            indptr=indptr,
-            indices=np.concatenate([g.indices for g in graphs] or [empty_i]),
-            weights=np.concatenate([g.weights for g in graphs] or [empty_w]),
-            node_offsets=node_offsets,
-        )
-
 
 def _relabel_first_seen(labels: np.ndarray) -> np.ndarray:
     """Relabel to 0..k-1 in order of first appearance (deterministic)."""
@@ -548,12 +530,12 @@ def louvain_labels_many(
     """Louvain community labels for every graph of ``graphs``.
 
     Each graph's labels equal ``louvain_labels(graph, seed=seed, ...)``
-    bit for bit.  When ``seed`` is an int and at least
+    bit for bit.  When ``graphs`` is a :class:`CSRGraphBatch` (as Step
+    II's batches are), ``seed`` is an int and at least
     :data:`WAVEFRONT_MIN_GRAPHS` graphs have edges, level 0 of all of
-    them runs as one wavefront (:func:`_wavefront_local_moves`); every
-    other level runs the list sweep, graph by graph.  Pass a
-    :class:`CSRGraphBatch` to let the wavefront read the graphs where
-    they are; any other sequence is concatenated first.
+    them runs as one wavefront (:func:`_wavefront_local_moves`), which
+    reads the graphs where they are; every other level, and every level
+    of any other sequence, runs the list sweep, graph by graph.
 
     An int (or ``None``) seed gives every graph a fresh
     ``ensure_rng(seed)``, as separate calls would, so an int seed can
@@ -579,7 +561,8 @@ def louvain_labels_many(
         for g, graph in enumerate(views)
     ]
     wavefront = (
-        max_levels > 0
+        isinstance(graphs, CSRGraphBatch)
+        and max_levels > 0
         and max_sweeps > 0
         and isinstance(seed, (int, np.integer))
         and len(live) >= WAVEFRONT_MIN_GRAPHS
@@ -588,22 +571,18 @@ def louvain_labels_many(
         for g in live:
             out[g] = _louvain_levels(views[g], ensure_rng(seed), None, **settings)
         return out
-    if isinstance(graphs, CSRGraphBatch):
-        batch, batch_ids = graphs, np.asarray(live, dtype=np.int64)
-    else:
-        batch = CSRGraphBatch.from_graphs([views[g] for g in live])
-        batch_ids = np.arange(len(live), dtype=np.int64)
+    batch_ids = np.asarray(live, dtype=np.int64)
     # Level 0's visit orders, as batch node ids.  A generator per graph
     # would hold ~5 KB each, so each graph's is recreated from the int
     # seed for the upper levels instead.
     visit = np.concatenate(
         [
             ensure_rng(seed).permutation(views[g].n_nodes) + first
-            for g, first in zip(live, batch.node_offsets[batch_ids].tolist())
+            for g, first in zip(live, graphs.node_offsets[batch_ids].tolist())
         ]
     )
     first_levels = _wavefront_local_moves(
-        batch,
+        graphs,
         batch_ids,
         [views[g] for g in live],
         visit,

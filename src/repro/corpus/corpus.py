@@ -1,22 +1,20 @@
 """The Corpus container and term-context retrieval.
 
 Steps II–IV all start from "the context of a term in the corpus": token
-windows around the term's occurrences.  :meth:`Corpus.contexts_for_term`
-is the single implementation of that retrieval, so polysemy features,
-sense induction, and semantic linkage agree on what a context is.
-
-Retrieval is served by a positional inverted index
-(:class:`repro.corpus.index.CorpusIndex`) built lazily on first use and
-cached, so repeated term lookups cost postings traversal instead of full
-document scans.  :meth:`Corpus.add` grows the cached index in place
-(O(new tokens)) instead of discarding it — an index adopted from an
-on-disk store included — so a growing document stream never pays a
-full rebuild.
+windows around the term's occurrences.  Every such question goes to the
+corpus's positional inverted index (:meth:`Corpus.index`, a
+:class:`repro.corpus.index.CorpusIndex`), so polysemy features, sense
+induction, and semantic linkage agree on what a context is.  The index
+is built lazily on first use and cached, so repeated term lookups cost
+postings traversal instead of full document scans.  :meth:`Corpus.add`
+grows the cached index in place (O(new tokens)) instead of discarding
+it — an index adopted from an on-disk store included — so a growing
+document stream never pays a full rebuild.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -155,14 +153,6 @@ class Corpus:
         """Total token count over all documents."""
         return sum(doc.n_tokens() for doc in self._documents)
 
-    def token_documents(self) -> list[list[str]]:
-        """Flat token list per document (the vectoriser input shape)."""
-        return [doc.tokens() for doc in self._documents]
-
-    def sentence_documents(self) -> list[list[str]]:
-        """All sentences of the corpus as independent token lists."""
-        return [s for doc in self._documents for s in doc.sentences]
-
     # -- term occurrence retrieval ------------------------------------------
 
     def index(self) -> "CorpusIndex":
@@ -177,28 +167,3 @@ class Corpus:
 
             self._index = CorpusIndex(self)
         return self._index
-
-    def contexts_for_term(
-        self,
-        term: str | Sequence[str],
-        *,
-        window: int = 10,
-    ) -> list[TermContext]:
-        """Token windows around each occurrence of ``term``.
-
-        Parameters
-        ----------
-        term:
-            The term as a string (split on spaces) or a token sequence.
-        window:
-            Number of tokens kept on each side of the occurrence.
-        """
-        return self.index().contexts_for_term(term, window=window)
-
-    def term_frequency(self, term: str | Sequence[str]) -> int:
-        """Number of occurrences of ``term`` in the corpus."""
-        return self.index().term_frequency(term)
-
-    def document_frequency(self, term: str | Sequence[str]) -> int:
-        """Number of documents containing ``term`` at least once."""
-        return self.index().document_frequency(term)

@@ -15,9 +15,10 @@ Its queries:
 
 * :meth:`phrase_occurrences` — every (overlapping) start position of a
   token phrase, located through the phrase's rarest token;
-* :meth:`contexts_for_term` — the legacy ``Corpus.contexts_for_term``
-  retrieval (greedy non-overlapping matches, windows clipped at document
-  boundaries) with byte-identical results;
+* :meth:`contexts_for_term` — single-term retrieval (greedy
+  non-overlapping matches, windows clipped at document boundaries),
+  byte-identical to a per-document scan (the oracle of
+  ``tests/test_corpus_index.py``);
 * :meth:`occurrence_records` — multi-term retrieval, the context
   source of Steps II and IV (overlapping occurrences allowed, longest
   term wins at any single start position);
@@ -512,7 +513,7 @@ class CorpusIndex:
         docs, starts = _occurrences(self._state, _checked_needle(term))
         return list(zip(docs.tolist(), starts.tolist()))
 
-    # -- the legacy single-term retrieval -----------------------------------
+    # -- the single-term retrieval ------------------------------------------
 
     def contexts_for_term(
         self,
@@ -522,10 +523,9 @@ class CorpusIndex:
     ) -> list[TermContext]:
         """Token windows around each occurrence of ``term``.
 
-        Exactly reproduces the document-scan semantics of
-        :meth:`repro.corpus.corpus.Corpus.contexts_for_term`: matches are
-        consumed greedily left to right (an occurrence may not overlap
-        the previous one), and windows clip at document boundaries.
+        Matches are consumed greedily left to right (an occurrence may
+        not overlap the previous one), and windows clip at document
+        boundaries, exactly as a scan of each document would.
         """
         needle = _checked_needle(term)
         if window < 1:

@@ -12,7 +12,6 @@ from repro.eval.experiments import (
     SenseNumberResult,
     Table1Result,
     Table3Result,
-    TermExtractionResult,
 )
 from repro.linkage.evaluation import LinkageEvaluation
 from repro.utils.tables import format_table
@@ -125,17 +124,3 @@ def render_polysemy_detection(results: dict[str, float]) -> str:
         f"measured {best:.3f}",
     ]
     return "\n".join(lines)
-
-
-def render_term_extraction(result: TermExtractionResult) -> str:
-    """The E6 measure-comparison table."""
-    ks = sorted(next(iter(result.precision.values())))
-    rows = [
-        [measure] + [f"{curve[k]:.3f}" for k in ks]
-        for measure, curve in result.precision.items()
-    ]
-    return format_table(
-        ["measure"] + [f"P@{k}" for k in ks],
-        rows,
-        title="Step I substrate — extraction measures (companion paper [4])",
-    )

@@ -9,7 +9,7 @@ of them over the :mod:`repro.text` substrate.
 """
 
 from repro.extraction.candidates import ExtractionContext, harvest_candidates
-from repro.extraction.evaluation import precision_at_k, reference_terms_from_ontology
+from repro.extraction.evaluation import reference_terms_from_ontology
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.extraction.measures import MEASURE_NAMES, compute_measure
 
@@ -20,6 +20,5 @@ __all__ = [
     "RankedTerm",
     "compute_measure",
     "harvest_candidates",
-    "precision_at_k",
     "reference_terms_from_ontology",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.errors import ExtractionError
 from repro.extraction.extractor import RankedTerm
 from repro.ontology.model import Ontology, normalize_term
 
@@ -18,22 +17,6 @@ from repro.ontology.model import Ontology, normalize_term
 def reference_terms_from_ontology(ontology: Ontology) -> set[str]:
     """Every (normalised) term string of ``ontology`` as the gold set."""
     return set(ontology.terms())
-
-
-def precision_at_k(
-    ranked: Sequence[RankedTerm],
-    reference: Iterable[str],
-    k: int,
-) -> float:
-    """Fraction of the top-``k`` ranked terms present in ``reference``."""
-    if k < 1:
-        raise ExtractionError(f"k must be >= 1, got {k}")
-    reference_set = {normalize_term(t) for t in reference}
-    top = ranked[:k]
-    if not top:
-        return 0.0
-    hits = sum(1 for t in top if normalize_term(t.term) in reference_set)
-    return hits / len(top)
 
 
 def precision_curve(

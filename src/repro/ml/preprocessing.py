@@ -38,33 +38,3 @@ class StandardScaler:
     def fit_transform(self, X) -> np.ndarray:
         """Fit on ``X`` and return its standardised copy."""
         return self.fit(X).transform(X)
-
-
-class MinMaxScaler:
-    """Per-feature rescaling to [0, 1] (constant features map to 0)."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, X) -> "MinMaxScaler":
-        """Learn per-feature min and range."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValidationError(f"X must be 2-D, got shape {X.shape}")
-        self.min_ = X.min(axis=0)
-        span = X.max(axis=0) - self.min_
-        span[span == 0.0] = 1.0
-        self.range_ = span
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Rescale ``X`` with the fitted min/range."""
-        if self.min_ is None:
-            raise NotFittedError("MinMaxScaler must be fitted before transform")
-        X = np.asarray(X, dtype=np.float64)
-        return (X - self.min_) / self.range_
-
-    def fit_transform(self, X) -> np.ndarray:
-        """Fit on ``X`` and return its rescaled copy."""
-        return self.fit(X).transform(X)

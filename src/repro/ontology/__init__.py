@@ -16,12 +16,7 @@ from repro.ontology.io import (
     read_ontology_json,
     write_ontology_json,
 )
-from repro.ontology.mesh import (
-    MeshOntologyBuilder,
-    assign_tree_numbers,
-    make_eye_fragment,
-    make_mesh_like_ontology,
-)
+from repro.ontology.mesh import assign_tree_numbers, make_eye_fragment
 from repro.ontology.model import Concept, Ontology
 from repro.ontology.snapshot import held_out_terms, snapshot_before
 from repro.ontology.stats import PolysemyStatistics, polysemy_histogram
@@ -34,7 +29,6 @@ from repro.ontology.umls import (
 __all__ = [
     "Concept",
     "GeneratorSpec",
-    "MeshOntologyBuilder",
     "Ontology",
     "OntologyGenerator",
     "PolysemyProfile",
@@ -43,7 +37,6 @@ __all__ = [
     "assign_tree_numbers",
     "held_out_terms",
     "make_eye_fragment",
-    "make_mesh_like_ontology",
     "ontology_from_json",
     "ontology_from_obo",
     "ontology_to_json",

@@ -1,52 +1,14 @@
 """MeSH-flavoured ontologies.
 
-Adds the MeSH-specific dressing on top of the generic generator —
-descriptor-style ids (``D######``), tree numbers assigned along the
-hierarchy — and hand-builds the small *real* MeSH fragment around
-"corneal injuries" that the paper uses as its running example (Table 3).
+Adds the MeSH-specific dressing to a generated ontology — tree numbers
+assigned along the hierarchy (:func:`assign_tree_numbers`) — and
+hand-builds the small *real* MeSH fragment around "corneal injuries"
+that the paper uses as its running example (Table 3).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.lexicon import BioLexicon
-from repro.ontology.generator import GeneratorSpec, OntologyGenerator
 from repro.ontology.model import Concept, Ontology
-
-
-class MeshOntologyBuilder:
-    """Build MeSH-like ontologies: generated at scale, or the real fragment.
-
-    Parameters
-    ----------
-    spec:
-        Structure of the generated part (see :class:`GeneratorSpec`).
-    lexicon / seed:
-        Shared naming lexicon and RNG seed, as in
-        :class:`~repro.ontology.generator.OntologyGenerator`.
-    """
-
-    def __init__(
-        self,
-        spec: GeneratorSpec | None = None,
-        *,
-        lexicon: BioLexicon | None = None,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        self.spec = spec if spec is not None else GeneratorSpec()
-        self._generator = OntologyGenerator(self.spec, lexicon=lexicon, seed=seed)
-
-    @property
-    def lexicon(self) -> BioLexicon:
-        """The naming lexicon (shared with the corpus generator)."""
-        return self._generator.lexicon
-
-    def build(self, name: str = "mesh-like") -> Ontology:
-        """Generate the ontology, then add MeSH descriptor tree numbers."""
-        onto = self._generator.generate(name)
-        assign_tree_numbers(onto)
-        return onto
 
 
 def assign_tree_numbers(ontology: Ontology) -> None:
@@ -69,21 +31,6 @@ def assign_tree_numbers(ontology: Ontology) -> None:
 
     for root_idx, root in enumerate(ontology.roots(), start=1):
         visit(root, f"C{root_idx:02d}")
-
-
-def make_mesh_like_ontology(
-    n_concepts: int = 300,
-    *,
-    seed: int | np.random.Generator | None = None,
-    polysemy_histogram: dict[int, int] | None = None,
-    lexicon: BioLexicon | None = None,
-) -> Ontology:
-    """Convenience one-call generated MeSH-like ontology."""
-    spec = GeneratorSpec(
-        n_concepts=n_concepts,
-        polysemy_histogram=polysemy_histogram or {},
-    )
-    return MeshOntologyBuilder(spec, lexicon=lexicon, seed=seed).build()
 
 
 def make_eye_fragment() -> Ontology:

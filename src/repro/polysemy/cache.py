@@ -95,10 +95,10 @@ class FeatureCache:
     >>> cache = FeatureCache()
     >>> digest = context_digest([("acute", "pain")], 1)
     >>> key = FeatureCache.key(digest, "heart attack", "spec")
-    >>> cache.lookup(key) is None
-    True
-    >>> cache.store(key, np.zeros(3))
-    >>> cache.lookup(key).shape
+    >>> cache.lookup_many([key])
+    {}
+    >>> cache.store_many([(key, np.zeros(3))])
+    >>> cache.lookup_many([key])[key].shape
     (3,)
     >>> cache.stats["hits"], cache.stats["misses"]
     (1, 1)
@@ -122,29 +122,17 @@ class FeatureCache:
         """Assemble the canonical cache key (see the module docs)."""
         return (context_digest, term, spec_digest)
 
-    def lookup(self, key: CacheKey) -> np.ndarray | None:
-        """The cached vector for ``key`` (counted as a hit or a miss).
-
-        The returned array is shared storage — treat it as read-only.
-        """
-        with self._lock:
-            vector = self._store.get(key)
-            if vector is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-            return vector
-
     def lookup_many(self, keys: list[CacheKey]) -> dict[CacheKey, np.ndarray]:
         """Found vectors for ``keys`` (absent keys simply missing).
 
-        The batched counterpart of :meth:`lookup`: a backend with a
-        native bulk path (``get_many`` — the served
-        :class:`~repro.service.client.RemoteCacheStore` coalesces it
-        into O(batches) HTTP round trips instead of O(keys)) is called
-        once; any other backend is probed per key under the one lock.
-        Counting matches ``len(keys)`` sequential lookups exactly: one
-        hit or miss per *requested occurrence* (duplicates included).
+        The returned arrays are shared storage — treat them as
+        read-only.  A backend with a native bulk path (``get_many`` —
+        the served :class:`~repro.service.client.RemoteCacheStore`
+        coalesces it into O(batches) HTTP round trips instead of
+        O(keys)) is called once; any other backend is probed per key
+        under the one lock.
+        Every *requested occurrence* counts one hit or one miss
+        (duplicates included).
         """
         with self._lock:
             bulk = getattr(self._store, "get_many", None)
@@ -164,15 +152,10 @@ class FeatureCache:
                     self._misses += 1
             return found
 
-    def store(self, key: CacheKey, vector: np.ndarray) -> None:
-        """Memoise ``vector`` under ``key`` (overwrites silently)."""
-        with self._lock:
-            self._store.put(key, vector)
-
     def store_many(
         self, entries: list[tuple[CacheKey, np.ndarray]]
     ) -> None:
-        """Memoise every ``(key, vector)`` (batched :meth:`store`).
+        """Memoise every ``(key, vector)`` (an existing key is overwritten).
 
         Like :meth:`lookup_many`, a backend exposing ``put_many`` gets
         the whole list in one call (batched uploads on the served

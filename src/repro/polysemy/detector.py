@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus.corpus import Corpus
 from repro.errors import NotFittedError
 from repro.ml import make_classifier
 from repro.ml.base import BaseClassifier, clone
@@ -61,11 +60,6 @@ class PolysemyDetector:
         if self._fitted is None or self._scaler is None:
             raise NotFittedError("PolysemyDetector must be fitted first")
         return self._fitted.predict(self._scaler.transform(X))
-
-    def is_polysemic(self, term: str, corpus: Corpus) -> bool:
-        """Classify one term by extracting its features from ``corpus``."""
-        vector = self.extractor.features_from_corpus(term, corpus)
-        return bool(self.predict_features(vector[None, :])[0] == 1)
 
     def cross_validate_f1(
         self,

@@ -44,9 +44,6 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex
-from repro.errors import CorpusError
 from repro.polysemy.batch import ContextBatch
 from repro.polysemy.direct_features import (
     DIRECT_FEATURE_NAMES,
@@ -177,28 +174,4 @@ class PolysemyFeatureExtractor:
         doc_frequency: int | None = None,
     ) -> np.ndarray:
         """Feature vector from pre-retrieved ``contexts`` (a batch of one)."""
-        return self.featurise([(term, contexts, doc_frequency)])[0]
-
-    def features_from_corpus(
-        self,
-        term: str,
-        corpus: Corpus,
-        *,
-        index: CorpusIndex | None = None,
-    ) -> np.ndarray:
-        """Retrieve the term's contexts through the index and featurise.
-
-        Pass a prebuilt ``index`` to share one
-        :class:`~repro.corpus.index.CorpusIndex` across extractors
-        (defaults to the corpus's cached index).
-
-        Raises :class:`~repro.errors.CorpusError` when the term never
-        occurs — a candidate without context cannot be classified.
-        """
-        index = index if index is not None else corpus.index()
-        occurrences = index.contexts_for_term(term, window=self.window)
-        if not occurrences:
-            raise CorpusError(f"term {term!r} has no context in the corpus")
-        contexts = [ctx.tokens for ctx in occurrences]
-        doc_frequency = len({ctx.doc_id for ctx in occurrences})
         return self.featurise([(term, contexts, doc_frequency)])[0]

@@ -44,7 +44,7 @@ def build_term_graph(corpus, ontology, candidate, *, window=8, stop_language=Non
     builder = CooccurrenceGraphBuilder(
         window=window, stop_language=stop_language, terms=term_tuples
     )
-    __, neighbours = builder.build(corpus.token_documents())
+    __, neighbours = builder.build([document.tokens() for document in corpus])
     return neighbours
 
 

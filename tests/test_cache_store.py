@@ -365,8 +365,8 @@ class TestIncrementalSnapshot:
     def test_counters_touch_no_filesystem(self, tmp_path, monkeypatch):
         store = DiskCacheStore(tmp_path)
         cache = FeatureCache(store)
-        cache.store(key("term"), vector(0))
-        cache.lookup(key("term"))
+        cache.store_many([(key("term"), vector(0))])
+        cache.lookup_many([key("term")])
 
         def no_filesystem(*args, **kwargs):
             raise AssertionError("counters() touched the filesystem")

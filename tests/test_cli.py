@@ -57,6 +57,24 @@ class TestGenerate:
         assert code == 0
         assert (target / "ontology.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--concepts", "--docs-per-concept"])
+    def test_zero_sizes_exit_2_before_writing(self, tmp_path, capsys, flag):
+        target = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", "--output", str(target), flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be an integer >= 1" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_size_the_generator_refuses_exits_2_before_writing(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "out"
+        code = main(["generate", "--output", str(target), "--concepts", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: n_roots must be in")
+        assert not target.exists()
+
 
 class TestLinkAndEvaluate:
     def test_link_prints_table(self, scenario_dir, capsys):
@@ -100,6 +118,46 @@ class TestLinkAndEvaluate:
             ]
         )
         assert code == 1
+
+    # The input paths do not exist: reading either would raise, so
+    # exit 2 means the value was refused before any file was read.
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("evaluate", "--max-terms", "0"),
+            ("evaluate", "--max-terms", "-3"),
+            ("link", "--top-k", "0"),
+        ],
+    )
+    def test_bad_counts_exit_2_before_reading(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        term = ["--term", "x"] if command == "link" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                command,
+                "--ontology", str(tmp_path / "missing.json"),
+                "--corpus", str(tmp_path / "missing.jsonl"),
+                *term,
+                flag, value,
+            ])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be an integer >= 1" in capsys.readouterr().err
+
+    def test_reversed_years_exit_2_before_reading(self, tmp_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--ontology", str(tmp_path / "missing.json"),
+                "--corpus", str(tmp_path / "missing.jsonl"),
+                "--start-year", "2020",
+                "--end-year", "2010",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --start-year 2020 is after --end-year 2010\n"
+        )
 
 
 class TestEnrich:
@@ -250,6 +308,30 @@ class TestServeAndCacheInfoParsers:
     def test_serve_requires_cache_dir(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--port", "70000"),
+            ("--port", "65536"),
+            ("--port", "-1"),
+            ("--port", "http"),
+            ("--job-workers", "0"),
+        ],
+    )
+    def test_bad_numbers_exit_2_before_making_a_store(
+        self, tmp_path, capsys, flag, value
+    ):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cache-dir", str(cache_dir), flag, value])
+        assert exit_info.value.code == 2
+        message = {
+            "--port": "must be a port number from 0 to 65535",
+            "--job-workers": "must be an integer >= 1",
+        }[flag]
+        assert f"{flag}: {message}" in capsys.readouterr().err
+        assert not cache_dir.exists()
 
     def test_serve_scenarios_are_repeatable(self):
         args = build_parser().parse_args(

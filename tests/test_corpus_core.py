@@ -49,8 +49,6 @@ class TestCorpus:
     def test_token_counts(self):
         corpus = Corpus([Document("a", [["x", "y"], ["z"]])])
         assert corpus.n_tokens() == 3
-        assert corpus.token_documents() == [["x", "y", "z"]]
-        assert corpus.sentence_documents() == [["x", "y"], ["z"]]
 
 
 class TestContextsForTerm:
@@ -64,52 +62,52 @@ class TestContextsForTerm:
         )
 
     def test_single_token_term(self):
-        contexts = self.make().contexts_for_term("injury", window=2)
+        contexts = self.make().index().contexts_for_term("injury", window=2)
         assert len(contexts) == 2
         docs = {c.doc_id for c in contexts}
         assert docs == {"d1", "d2"}
 
     def test_multiword_term(self):
-        contexts = self.make().contexts_for_term("corneal injury", window=2)
+        contexts = self.make().index().contexts_for_term("corneal injury", window=2)
         assert len(contexts) == 1
         assert contexts[0].tokens == ("the", "heals", "fast")
 
     def test_term_itself_excluded_from_context(self):
-        contexts = self.make().contexts_for_term("injury", window=5)
+        contexts = self.make().index().contexts_for_term("injury", window=5)
         for ctx in contexts:
             assert "injury" not in ctx.tokens or ctx.doc_id == "d1"
 
     def test_window_clipping_at_document_edges(self):
-        contexts = self.make().contexts_for_term("injury", window=50)
+        contexts = self.make().index().contexts_for_term("injury", window=50)
         d2 = [c for c in contexts if c.doc_id == "d2"][0]
         assert d2.tokens == ("report", "filed")
 
     def test_token_sequence_input(self):
-        contexts = self.make().contexts_for_term(["Corneal", "Injury"], window=1)
+        contexts = self.make().index().contexts_for_term(["Corneal", "Injury"], window=1)
         assert len(contexts) == 1
 
     def test_position_recorded(self):
-        contexts = self.make().contexts_for_term("corneal injury", window=1)
+        contexts = self.make().index().contexts_for_term("corneal injury", window=1)
         assert contexts[0].position == 1
 
     def test_overlapping_occurrences_step_over(self):
         corpus = Corpus([Document("d", [["a", "a", "a"]])])
-        contexts = corpus.contexts_for_term("a a", window=1)
+        contexts = corpus.index().contexts_for_term("a a", window=1)
         assert len(contexts) == 1  # consumed pairwise, not overlapping
 
     def test_frequencies(self):
         corpus = self.make()
-        assert corpus.term_frequency("injury") == 2
-        assert corpus.document_frequency("injury") == 2
-        assert corpus.term_frequency("missing") == 0
+        assert corpus.index().term_frequency("injury") == 2
+        assert corpus.index().document_frequency("injury") == 2
+        assert corpus.index().term_frequency("missing") == 0
 
     def test_empty_term_raises(self):
         with pytest.raises(CorpusError):
-            self.make().contexts_for_term("")
+            self.make().index().contexts_for_term("")
 
     def test_bad_window_raises(self):
         with pytest.raises(CorpusError):
-            self.make().contexts_for_term("injury", window=0)
+            self.make().index().contexts_for_term("injury", window=0)
 
     def test_context_is_frozen(self):
         ctx = TermContext("d", ("a",), 0)

@@ -180,9 +180,9 @@ class TestRandomizedParity:
         rng = random.Random(seed)
         corpus = random_corpus(rng)
         for term in random_terms(rng, n_terms=4):
-            assert corpus.contexts_for_term(term, window=3) == \
+            assert corpus.index().contexts_for_term(term, window=3) == \
                 scan_contexts(corpus, term, window=3)
-            assert corpus.term_frequency(term) == \
+            assert corpus.index().term_frequency(term) == \
                 len(scan_contexts(corpus, term, window=1))
 
 
@@ -325,14 +325,14 @@ class TestCorpusIndexCache:
         patched = corpus.index()
         assert patched is first  # extended, not rebuilt
         assert patched.n_documents() == 2
-        assert corpus.term_frequency("a") == 2
+        assert patched.term_frequency("a") == 2
         assert patched.fingerprint() == CorpusIndex(corpus).fingerprint()
 
     def test_add_before_first_index_builds_covering_index(self):
         corpus = Corpus([Document("d1", [["a"]])])
         corpus.add(Document("d2", [["a", "b"]]))
         assert corpus.index().n_documents() == 2
-        assert corpus.term_frequency("a") == 2
+        assert corpus.index().term_frequency("a") == 2
 
     def test_add_duplicate_id_raises_identical_error(self):
         corpus = Corpus([Document("d1", [["a"]])])

@@ -64,11 +64,11 @@ class TestDegenerateCorpora:
     def test_corpus_of_empty_documents(self):
         corpus = Corpus([Document("d1", []), Document("d2", [])])
         assert corpus.n_tokens() == 0
-        assert corpus.contexts_for_term("anything") == []
+        assert corpus.index().contexts_for_term("anything") == []
 
     def test_single_token_documents(self):
         corpus = Corpus([Document(f"d{i}", [["solo"]]) for i in range(3)])
-        contexts = corpus.contexts_for_term("solo", window=5)
+        contexts = corpus.index().contexts_for_term("solo", window=5)
         assert len(contexts) == 3
         assert all(ctx.tokens == () for ctx in contexts)
 

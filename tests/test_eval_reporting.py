@@ -5,14 +5,12 @@ import pytest
 from repro.eval.experiments import (
     SenseNumberResult,
     Table3Result,
-    TermExtractionResult,
 )
 from repro.eval.reporting import (
     render_polysemy_detection,
     render_sense_number,
     render_table3,
     render_table4,
-    render_term_extraction,
 )
 from repro.linkage.evaluation import LinkageEvaluation, TermLinkageOutcome
 from repro.linkage.linker import Proposition
@@ -80,12 +78,3 @@ class TestRenderOthers:
         svm_line = next(i for i, l in enumerate(lines) if "svm" in l)
         assert forest_line < svm_line
         assert "0.98" in text  # paper headline
-
-    def test_term_extraction_table(self):
-        result = TermExtractionResult(
-            precision={"lidf_value": {10: 0.6, 50: 0.8}},
-            n_candidates={"lidf_value": 100},
-        )
-        text = render_term_extraction(result)
-        assert "P@10" in text and "P@50" in text
-        assert "0.600" in text

@@ -28,6 +28,7 @@ def examples_on_path(monkeypatch):
             "cache_service",
             "large_corpus",
             "recommend",
+            "reproduce_paper",
         }:
             del sys.modules[name]
 
@@ -118,3 +119,14 @@ class TestExamples:
         assert "winner: full" in out
         assert "full ontology wins on detail+specialization: True" in out
         assert "flat adds no coverage: True" in out
+
+    def test_reproduce_paper(self, capsys):
+        out = run_example("reproduce_paper", capsys)
+        for header in (
+            "E1 — Table 1: polysemy statistics",
+            "E2 — §3(i): number-of-senses prediction",
+            'E3 — Table 3: positioning "corneal injuries"',
+            "E4 — Table 4: linkage precision",
+            "E5 — §2(II): polysemy detection F-measure",
+        ):
+            assert header in out

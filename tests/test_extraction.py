@@ -9,7 +9,6 @@ from repro.corpus.document import Document
 from repro.errors import ExtractionError
 from repro.extraction.candidates import harvest_candidates
 from repro.extraction.evaluation import (
-    precision_at_k,
     precision_curve,
     reference_terms_from_ontology,
 )
@@ -225,21 +224,17 @@ class TestEvaluation:
     def test_precision_at_k(self):
         ranked = self.make_ranked()
         reference = {"corneal injury", "wound healing"}
-        p_all = precision_at_k(ranked, reference, k=len(ranked))
-        assert 0 < p_all <= 1.0
-        p2 = precision_at_k(ranked, reference, k=2)
-        assert p2 >= p_all  # good measures front-load correct terms
+        curve = precision_curve(ranked, reference, ks=(len(ranked), 2))
+        assert 0 < curve[len(ranked)] <= 1.0
+        # good measures front-load correct terms
+        assert curve[2] >= curve[len(ranked)]
 
     def test_precision_k_beyond_list(self):
         ranked = self.make_ranked()
-        assert precision_at_k(ranked, {"corneal injury"}, k=1000) <= 1.0
+        assert precision_curve(ranked, {"corneal injury"}, ks=(1000,))[1000] <= 1.0
 
     def test_precision_empty_list(self):
-        assert precision_at_k([], {"x"}, k=5) == 0.0
-
-    def test_bad_k(self):
-        with pytest.raises(ExtractionError):
-            precision_at_k(self.make_ranked(), set(), k=0)
+        assert precision_curve([], {"x"}, ks=(5,)) == {5: 0.0}
 
     def test_precision_curve_monotone_ks(self):
         ranked = self.make_ranked()

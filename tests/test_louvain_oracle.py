@@ -34,6 +34,22 @@ def wavefront(threshold):
         louvain.WAVEFRONT_MIN_GRAPHS = saved
 
 
+def as_batch(graphs):
+    """``graphs`` concatenated into one :class:`CSRGraphBatch` (copies)."""
+    sizes = np.array([graph.n_nodes for graph in graphs], dtype=np.int64)
+    node_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=node_offsets[1:])
+    indptr = np.zeros(int(node_offsets[-1]) + 1, dtype=np.int64)
+    if graphs:
+        np.cumsum(np.concatenate([np.diff(g.indptr) for g in graphs]), out=indptr[1:])
+    return CSRGraphBatch(
+        indptr=indptr,
+        indices=np.concatenate([g.indices for g in graphs] or [np.empty(0, np.int64)]),
+        weights=np.concatenate([g.weights for g in graphs] or [np.empty(0)]),
+        node_offsets=node_offsets,
+    )
+
+
 def list_swept(graph, **options):
     """``louvain_labels`` with every level on the list sweep."""
     with wavefront(10**9):
@@ -92,9 +108,7 @@ class TestSweepsAgree:
         want = [list_swept(graph, seed=seed, **options) for graph in batch]
         with wavefront(threshold):
             got = louvain_labels_many(batch, seed=seed, **options)
-            packed = louvain_labels_many(
-                CSRGraphBatch.from_graphs(batch), seed=seed, **options
-            )
+            packed = louvain_labels_many(as_batch(batch), seed=seed, **options)
         assert len(got) == len(packed) == len(batch)
         for labels, same, expected in zip(got, packed, want, strict=True):
             assert np.array_equal(labels, expected)
@@ -124,7 +138,7 @@ class TestBatchContainer:
         graph = CSRGraph.from_edges(
             3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
         )
-        batch = CSRGraphBatch.from_graphs([graph, graph])
+        batch = as_batch([graph, graph])
         second = batch[1]
         assert np.shares_memory(second.weights, batch.weights)
         assert np.array_equal(second.indptr, graph.indptr)
@@ -149,7 +163,7 @@ class TestBatchContainer:
             weights = rng.integers(1, 4, size=keys.size).astype(np.float64)
             batch.append(CSRGraph.from_edges(n, keys // n, keys % n, weights))
         want = [list_swept(graph, seed=2) for graph in batch]
-        got = louvain_labels_many(CSRGraphBatch.from_graphs(batch), seed=2)
+        got = louvain_labels_many(as_batch(batch), seed=2)
         for labels, expected in zip(got, want, strict=True):
             assert np.array_equal(labels, expected)
 
@@ -178,7 +192,10 @@ class TestDispatch:
         for live, expected in [(threshold - 1, []), (threshold, [threshold])]:
             calls.clear()
             batch = [self.ring(5 + k % 7) for k in range(live)] + idle
-            got = louvain_labels_many(batch, seed=3)
+            got = louvain_labels_many(as_batch(batch), seed=3)
             assert calls == expected
+            calls.clear()
+            louvain_labels_many(batch, seed=3)  # a list: the list sweep only
+            assert calls == []
             for labels, graph in zip(got, batch, strict=True):
                 assert np.array_equal(labels, list_swept(graph, seed=3))

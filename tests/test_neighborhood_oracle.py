@@ -47,7 +47,7 @@ def oracle(ontology, corpus, known_terms, *, window, expand_hierarchy):
         stop_language=None,
         terms=[tuple(term.split()) for term in sorted(known_terms)],
     )
-    __, graph = builder.build(corpus.token_documents())
+    __, graph = builder.build([document.tokens() for document in corpus])
 
     def positions(term):
         found = mesh_neighborhood(

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ValidationError
 from repro.lexicon import BioLexicon
 from repro.ontology.generator import GeneratorSpec, OntologyGenerator
-from repro.ontology.mesh import (
-    MeshOntologyBuilder,
-    assign_tree_numbers,
-    make_eye_fragment,
-    make_mesh_like_ontology,
-)
+from repro.ontology.mesh import assign_tree_numbers, make_eye_fragment
 from repro.ontology.stats import polysemy_histogram
 from repro.ontology.umls import (
     PAPER_TABLE1,
@@ -113,14 +108,22 @@ class TestOntologyGenerator:
         assert len(onto) == n
 
 
+def mesh_like(n_concepts, seed):
+    """A generated ontology dressed with MeSH tree numbers."""
+    spec = GeneratorSpec(n_concepts=n_concepts, polysemy_histogram={})
+    onto = OntologyGenerator(spec, seed=seed).generate("mesh-like")
+    assign_tree_numbers(onto)
+    return onto
+
+
 class TestMesh:
     def test_tree_numbers_assigned_everywhere(self):
-        onto = make_mesh_like_ontology(n_concepts=40, seed=0)
+        onto = mesh_like(40, seed=0)
         for concept in onto:
             assert concept.tree_numbers
 
     def test_tree_numbers_extend_fathers(self):
-        onto = make_mesh_like_ontology(n_concepts=40, seed=1)
+        onto = mesh_like(40, seed=1)
         for cid in onto.concept_ids():
             for father in onto.fathers(cid):
                 father_numbers = onto.concept(father).tree_numbers
@@ -131,13 +134,8 @@ class TestMesh:
                     for son in son_numbers
                 )
 
-    def test_builder_exposes_lexicon(self):
-        builder = MeshOntologyBuilder(GeneratorSpec(n_concepts=5), seed=0)
-        builder.build()
-        assert builder.lexicon.pos_lexicon
-
     def test_reassignment_resets(self):
-        onto = make_mesh_like_ontology(n_concepts=10, seed=2)
+        onto = mesh_like(10, seed=2)
         before = {c.concept_id: list(c.tree_numbers) for c in onto}
         assign_tree_numbers(onto)
         after = {c.concept_id: list(c.tree_numbers) for c in onto}

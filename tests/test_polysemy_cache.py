@@ -11,6 +11,7 @@ from repro.clustering.algorithms import ALGORITHM_NAMES
 from repro.clustering.indexes import index_names
 from repro.corpus.corpus import Corpus, Document
 from repro.extraction.measures import MEASURE_NAMES
+from repro.ml import DEFAULT_CLASSIFIERS
 from repro.ontology.model import Ontology
 from repro.polysemy.cache import FeatureCache, context_digest
 from repro.polysemy.cache_store import MemoryCacheStore
@@ -19,7 +20,7 @@ from repro.polysemy.features import PolysemyFeatureExtractor
 from repro.scenarios import make_enrichment_scenario
 from repro.senses.representation import REPRESENTATION_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
-from repro.workflow.config import FITTABLE_CLASSIFIERS, EnrichmentConfig
+from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 
 
@@ -27,9 +28,9 @@ class TestFeatureCache:
     def test_miss_then_hit(self):
         cache = FeatureCache()
         key = FeatureCache.key("corpus", "term", "config")
-        assert cache.lookup(key) is None
-        cache.store(key, np.arange(3.0))
-        np.testing.assert_array_equal(cache.lookup(key), np.arange(3.0))
+        assert cache.lookup_many([key]) == {}
+        cache.store_many([(key, np.arange(3.0))])
+        np.testing.assert_array_equal(cache.lookup_many([key])[key], np.arange(3.0))
         stats = cache.stats
         assert (stats["hits"], stats["misses"], stats["entries"]) == (1, 1, 1)
         assert stats["disk_hits"] == 0 and stats["evictions"] == 0
@@ -57,9 +58,9 @@ class TestFeatureCache:
         store = CountingStore()
         cache = FeatureCache(store)
         key = FeatureCache.key("corpus", "term", "config")
-        cache.lookup(key)
-        cache.store(key, np.arange(3.0))
-        cache.lookup(key)
+        cache.lookup_many([key])
+        cache.store_many([(key, np.arange(3.0))])
+        cache.lookup_many([key])
         counters = cache.counters()
         assert (store.lens, store.sizes) == (0, 0)
         stats = cache.stats
@@ -70,16 +71,19 @@ class TestFeatureCache:
 
     def test_distinct_key_components_do_not_collide(self):
         cache = FeatureCache()
-        cache.store(FeatureCache.key("c1", "t", "f"), np.zeros(1))
-        assert cache.lookup(FeatureCache.key("c2", "t", "f")) is None
-        assert cache.lookup(FeatureCache.key("c1", "t2", "f")) is None
-        assert cache.lookup(FeatureCache.key("c1", "t", "f2")) is None
-        assert cache.lookup(FeatureCache.key("c1", "t", "f")) is not None
+        stored = FeatureCache.key("c1", "t", "f")
+        cache.store_many([(stored, np.zeros(1))])
+        others = [
+            FeatureCache.key("c2", "t", "f"),
+            FeatureCache.key("c1", "t2", "f"),
+            FeatureCache.key("c1", "t", "f2"),
+        ]
+        assert list(cache.lookup_many([*others, stored])) == [stored]
 
     def test_clear_resets_everything(self):
         cache = FeatureCache()
-        cache.store(FeatureCache.key("c", "t", "f"), np.zeros(2))
-        cache.lookup(FeatureCache.key("c", "t", "f"))
+        cache.store_many([(FeatureCache.key("c", "t", "f"), np.zeros(2))])
+        cache.lookup_many([FeatureCache.key("c", "t", "f")])
         cache.clear()
         assert len(cache) == 0
         stats = cache.stats
@@ -133,7 +137,7 @@ OTHER_CONFIG_VALUES = {
     "n_candidates": st.integers(1, 100).map(lambda v: {"n_candidates": v}),
     "min_term_length": st.integers(1, 4).map(lambda v: {"min_term_length": v}),
     "min_contexts": st.integers(1, 80).map(lambda v: {"min_contexts": v}),
-    "polysemy_classifier": st.sampled_from(FITTABLE_CLASSIFIERS).map(
+    "polysemy_classifier": st.sampled_from(DEFAULT_CLASSIFIERS).map(
         lambda v: {"polysemy_classifier": v}
     ),
     "sense_algorithm": st.sampled_from(ALGORITHM_NAMES).map(

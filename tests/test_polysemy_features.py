@@ -5,7 +5,6 @@ import pytest
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
-from repro.errors import CorpusError
 from repro.polysemy.direct_features import DIRECT_FEATURE_NAMES, direct_features
 from repro.polysemy.features import ALL_FEATURE_NAMES, PolysemyFeatureExtractor
 from repro.polysemy.graph_features import (
@@ -177,10 +176,10 @@ class TestExtractor:
             ]
         )
         extractor = PolysemyFeatureExtractor()
-        vec = extractor.features_from_corpus("target", corpus)
+        found = corpus.index().contexts_for_term("target", window=extractor.window)
+        vec = extractor.features_from_contexts(
+            "target",
+            [context.tokens for context in found],
+            doc_frequency=len({context.doc_id for context in found}),
+        )
         assert vec.shape == (23,)
-
-    def test_missing_term_raises(self):
-        corpus = Corpus([Document("d", [["nothing", "here"]])])
-        with pytest.raises(CorpusError, match="no context"):
-            PolysemyFeatureExtractor().features_from_corpus("ghost", corpus)

@@ -138,7 +138,7 @@ class TestRetrievalConsistency:
         corpus = Corpus([Document("d0", sentences)])
         term = sentences[0][0]
         via_batch = corpus.index().occurrence_records([term], window=window)[term]
-        via_single = corpus.contexts_for_term(term, window=window)
+        via_single = corpus.index().contexts_for_term(term, window=window)
         # single-token terms cannot overlap, so both retrievals agree
         assert via_batch == [(c.doc_id, c.tokens) for c in via_single]
 

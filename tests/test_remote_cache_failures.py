@@ -148,8 +148,8 @@ class TestServerDown:
         cache = FeatureCache(
             store=RemoteCacheStore(f"http://127.0.0.1:{port}", timeout=0.5)
         )
-        assert cache.lookup(key()) is None
-        cache.store(key(), np.arange(3.0))
+        assert cache.lookup_many([key()]) == {}
+        cache.store_many([(key(), np.arange(3.0))])
         stats = cache.stats
         assert stats["misses"] == 1
         assert stats["hits"] == 0

@@ -326,9 +326,9 @@ class TestRemoteCacheStoreProtocol:
 
     def test_feature_cache_merges_remote_counters(self, server):
         cache = FeatureCache(store=RemoteCacheStore(server.url))
-        assert cache.lookup(key()) is None
-        cache.store(key(), np.arange(3.0))
-        assert cache.lookup(key()) is not None
+        assert cache.lookup_many([key()]) == {}
+        cache.store_many([(key(), np.arange(3.0))])
+        assert key() in cache.lookup_many([key()])
         stats = cache.stats
         assert stats["hits"] == 1
         assert stats["misses"] == 1
