@@ -24,8 +24,9 @@ Findings can be suppressed per line with a justified pragma::
 
     risky_line()  # repro-lint: disable=RL002 - callers count the None
 
-Every other finding fails the run: the CI gate runs ``repro lint``
-bare, so the repo itself must stay clean.
+or grandfathered in a baseline file (``repro lint --baseline PATH``);
+the CI gate runs with an **empty** baseline, so the repo itself must
+stay clean.
 """
 
 from repro.analysis.engine import (
@@ -35,7 +36,10 @@ from repro.analysis.engine import (
     Project,
     default_rules,
     lint_project,
+    load_baseline,
+    render_json,
     render_text,
+    save_baseline,
 )
 
 __all__ = [
@@ -45,5 +49,8 @@ __all__ = [
     "Project",
     "default_rules",
     "lint_project",
+    "load_baseline",
+    "render_json",
     "render_text",
+    "save_baseline",
 ]

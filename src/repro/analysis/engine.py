@@ -1,22 +1,27 @@
-"""The lint engine: project model, pragmas, and the runner.
+"""The lint engine: project model, pragmas, baseline, and the runner.
 
 The engine is deliberately small: it loads every ``src/`` module (and
 the ``tests/`` modules some rules cross-reference) into a
-:class:`Project`, hands that to each :class:`Rule`, and drops the raw
-findings a pragma suppresses: a ``# repro-lint: disable=RL001`` comment
-on the flagged line silences that rule there; anything after the rule
-ids is a free-form justification (and writing one is the convention).
-Every other finding is reported, so a clean run means a clean tree.
+:class:`Project`, hands that to each :class:`Rule`, and post-processes
+the raw findings through two suppression layers:
 
-Everything is stdlib-only (``ast``), so the linter runs in every
-environment the library itself runs in.
+* **pragmas** — a ``# repro-lint: disable=RL001`` comment on the
+  flagged line silences that rule there; anything after the rule ids
+  is a free-form justification (and writing one is the convention);
+* **baseline** — a JSON file of grandfathered findings matched by
+  ``(rule, path, message)`` (line numbers are ignored so unrelated
+  edits above a finding do not resurrect it).
+
+Everything is stdlib-only (``ast`` + ``json``), so the linter runs in
+every environment the library itself runs in.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +35,10 @@ __all__ = [
     "Rule",
     "default_rules",
     "lint_project",
+    "load_baseline",
+    "render_json",
     "render_text",
+    "save_baseline",
 ]
 
 #: ``# repro-lint: disable=RL001,RL002 - optional justification``
@@ -56,6 +64,21 @@ class Finding:
     line: int
     message: str
     hint: str = ""
+
+    @property
+    def baseline_key(self) -> tuple[str, str, str]:
+        """Identity used for baseline matching (line numbers excluded)."""
+        return (self.rule, self.path, self.message)
+
+    def to_dict(self) -> dict[str, object]:
+        """JSON-ready representation (the ``--format json`` shape)."""
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "line": self.line,
+            "message": self.message,
+            "hint": self.hint,
+        }
 
 
 class ModuleSource:
@@ -166,8 +189,8 @@ class Rule:
     """Base class of every lint rule.
 
     Subclasses set :attr:`rule_id`/:attr:`title`/:attr:`hint` and
-    implement :meth:`check`, yielding raw findings; pragma filtering
-    happens in the engine, not in rules.
+    implement :meth:`check`, yielding raw findings; pragma and baseline
+    filtering happen in the engine, not in rules.
     """
 
     rule_id: str = "RL999"
@@ -193,14 +216,15 @@ class Rule:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run after pragma filtering."""
+    """Outcome of one lint run after pragma/baseline filtering."""
 
-    findings: list[Finding] = field(default_factory=list)  #: reported findings
+    findings: list[Finding] = field(default_factory=list)  #: new findings
     suppressed: int = 0  #: pragma-silenced findings
+    baselined: int = 0  #: grandfathered findings
 
     @property
     def clean(self) -> bool:
-        """True when no finding remains."""
+        """True when no *new* findings remain."""
         return not self.findings
 
 
@@ -237,11 +261,14 @@ def lint_project(
     root: str | Path,
     *,
     rules: Sequence[Rule] | None = None,
+    baseline: set[tuple[str, str, str]] | None = None,
     project: Project | None = None,
 ) -> LintResult:
     """Run ``rules`` over the project at ``root``; filtered result.
 
-    Pass ``project`` to reuse an already-loaded tree (tests do).
+    ``baseline`` holds grandfathered :attr:`Finding.baseline_key`
+    identities (see :func:`load_baseline`); pass ``project`` to reuse
+    an already-loaded tree (tests do).
     """
     if project is None:
         project = Project.load(root)
@@ -259,9 +286,71 @@ def lint_project(
             finding.rule, finding.line
         ):
             result.suppressed += 1
+        elif baseline and finding.baseline_key in baseline:
+            result.baselined += 1
         else:
             result.findings.append(finding)
     return result
+
+
+# -- baseline ---------------------------------------------------------------
+
+_BASELINE_VERSION = 1
+
+
+def load_baseline(path: str | Path) -> set[tuple[str, str, str]]:
+    """The grandfathered finding identities stored at ``path``."""
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"unreadable baseline {path}: {exc}") from exc
+    if (
+        not isinstance(document, dict)
+        or document.get("version") != _BASELINE_VERSION
+        or not isinstance(document.get("findings"), list)
+    ):
+        raise ValidationError(
+            f"baseline {path} is not a version-{_BASELINE_VERSION} "
+            "repro-lint baseline"
+        )
+    baseline: set[tuple[str, str, str]] = set()
+    for entry in document["findings"]:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"malformed baseline entry: {entry!r}")
+        try:
+            baseline.add(
+                (
+                    str(entry["rule"]),
+                    str(entry["path"]),
+                    str(entry["message"]),
+                )
+            )
+        except KeyError as exc:
+            raise ValidationError(
+                f"baseline entry missing {exc}: {entry!r}"
+            ) from exc
+    return baseline
+
+
+def save_baseline(findings: Iterable[Finding], path: str | Path) -> None:
+    """Persist ``findings`` as a baseline file (sorted, stable)."""
+    entries = sorted(
+        {
+            (f.rule, f.path, f.message)
+            for f in findings
+        }
+    )
+    document = {
+        "version": _BASELINE_VERSION,
+        "findings": [
+            {"rule": rule, "path": relpath, "message": message}
+            for rule, relpath, message in entries
+        ],
+    }
+    Path(path).write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
 
 
 # -- output -----------------------------------------------------------------
@@ -279,7 +368,19 @@ def render_text(result: LintResult) -> str:
             lines.append(f"    hint: {finding.hint}")
     summary = (
         f"{len(result.findings)} finding(s), "
-        f"{result.suppressed} suppressed by pragma"
+        f"{result.suppressed} suppressed by pragma, "
+        f"{result.baselined} baselined"
     )
     lines.append(summary)
     return "\n".join(lines)
+
+
+def render_json(result: LintResult) -> str:
+    """Machine-readable report (``repro lint --format json``)."""
+    document = {
+        "findings": [finding.to_dict() for finding in result.findings],
+        "suppressed": result.suppressed,
+        "baselined": result.baselined,
+        "clean": result.clean,
+    }
+    return json.dumps(document, indent=2, sort_keys=True)

@@ -583,15 +583,37 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import lint_project, render_text
+    from repro.analysis import (
+        lint_project,
+        load_baseline,
+        render_json,
+        render_text,
+        save_baseline,
+    )
     from repro.errors import ValidationError
 
+    root = Path(args.root)
     try:
-        result = lint_project(Path(args.root))
+        baseline = (
+            load_baseline(args.baseline)
+            if args.baseline is not None
+            else None
+        )
+        result = lint_project(root, baseline=baseline)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_text(result))
+    if args.write_baseline is not None:
+        save_baseline(result.findings, args.write_baseline)
+        print(
+            f"wrote {len(result.findings)} finding(s) to "
+            f"{args.write_baseline}"
+        )
+        return 0
+    if args.format == "json":
+        print(render_json(result))
+    else:
+        print(render_text(result))
     return 0 if result.clean else 1
 
 
@@ -926,6 +948,18 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--root", default=".",
         help="project root (must contain src/; default: cwd)",
+    )
+    lint.add_argument(
+        "--baseline", default=None,
+        help="baseline JSON of grandfathered findings to ignore",
+    )
+    lint.add_argument(
+        "--write-baseline", default=None, metavar="PATH",
+        help="write current findings as a baseline and exit 0",
+    )
+    lint.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report format (default: text)",
     )
     lint.set_defaults(fn=_cmd_lint)
     return parser

@@ -5,21 +5,25 @@ software: rb, rbr, direct, agglo, graph" and builds five new internal
 indexes (its Table 2) from CLUTO's per-cluster ISIM/ESIM statistics.
 CLUTO is a closed binary, so this subpackage re-implements:
 
-* cosine similarity and the ISIM/ESIM cluster statistics
-  (:mod:`repro.clustering.similarity`);
+* the cosine I2 criterion and ISIM/ESIM cluster statistics
+  (:mod:`repro.clustering.similarity`, :mod:`repro.clustering.criterion`);
 * the five algorithms (:mod:`repro.clustering.algorithms` registry);
-  rb/rbr and direct optimise CLUTO's I2 criterion through spherical
-  k-means (:mod:`repro.clustering.kmeans`);
 * the paper's indexes a_k..f_k plus classic baselines
   (:mod:`repro.clustering.indexes`).
-
-Step III sees no gold labels, so only internal indexes score a
-clustering.
 """
 
 from repro.clustering.agglomerative import agglomerative_cluster
 from repro.clustering.algorithms import ALGORITHM_NAMES, cluster
 from repro.clustering.bisecting import repeated_bisection
+from repro.clustering.criterion import criterion_value
+from repro.clustering.external import (
+    EXTERNAL_INDEXES,
+    adjusted_rand_index,
+    compute_external_index,
+    normalized_mutual_information,
+    purity,
+    rand_index,
+)
 from repro.clustering.graphclust import graph_cluster
 from repro.clustering.indexes import (
     INDEX_DIRECTIONS,
@@ -44,17 +48,24 @@ __all__ = [
     "CSRGraph",
     "ClusterSolution",
     "ClusterStats",
+    "EXTERNAL_INDEXES",
     "INDEX_DIRECTIONS",
     "PAPER_INDEXES",
+    "adjusted_rand_index",
     "agglomerative_cluster",
     "cluster",
+    "compute_external_index",
     "compute_index",
     "cosine_similarity_matrix",
+    "criterion_value",
     "graph_cluster",
     "index_names",
     "louvain_labels",
     "modularity_from_labels",
     "normalize_rows",
+    "normalized_mutual_information",
+    "purity",
+    "rand_index",
     "repeated_bisection",
     "spherical_kmeans",
 ]

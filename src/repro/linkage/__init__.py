@@ -11,22 +11,22 @@ from the corpus postings (:class:`TermNeighborhoods`): the documents
 that mention the candidate are merged and windowed, and no whole-corpus
 graph is built.  The whole-corpus graph gives identical neighbourhoods
 and is built only by the tests, as the oracle.
-
-Step IV is statistical only: a proposition is a position and its
-context cosine.  Typing the relation it would add (synonym, hyperonym,
-hyponym), the paper's future work, is not implemented.
 """
 
 from repro.linkage.context import TermContextIndex
 from repro.linkage.evaluation import LinkageEvaluation, evaluate_linkage
 from repro.linkage.linker import Proposition, SemanticLinker
 from repro.linkage.neighborhood import TermNeighborhoods
+from repro.linkage.relations import RELATION_TYPES, RelationTyper, TypedRelation
 
 __all__ = [
     "LinkageEvaluation",
     "Proposition",
+    "RELATION_TYPES",
+    "RelationTyper",
     "SemanticLinker",
     "TermContextIndex",
     "TermNeighborhoods",
+    "TypedRelation",
     "evaluate_linkage",
 ]

@@ -1,11 +1,58 @@
-"""Stratified k-fold splits (the detector's cross-validation folds)."""
+"""Train/test splitting and stratified cross-validation."""
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.ml.base import BaseClassifier, clone
+from repro.ml.metrics import accuracy_score
 from repro.utils.rng import ensure_rng
+
+
+def train_test_split(
+    X,
+    y,
+    *,
+    test_size: float = 0.25,
+    stratify: bool = True,
+    seed: int | np.random.Generator | None = None,
+):
+    """Split (X, y) into train and test partitions.
+
+    Returns ``X_train, X_test, y_train, y_test``.  With ``stratify`` the
+    per-class proportions are preserved (each class contributes at least
+    one sample to each side when it has two or more).
+    """
+    X = np.asarray(X)
+    y = np.asarray(y)
+    if X.shape[0] != y.shape[0]:
+        raise ValidationError("X and y must have the same number of samples")
+    if not 0.0 < test_size < 1.0:
+        raise ValidationError(f"test_size must be in (0, 1), got {test_size}")
+    rng = ensure_rng(seed)
+    n = X.shape[0]
+
+    if stratify:
+        test_idx: list[int] = []
+        for label in np.unique(y):
+            members = np.where(y == label)[0]
+            members = members[rng.permutation(members.size)]
+            n_test = int(round(test_size * members.size))
+            if members.size >= 2:
+                n_test = min(max(n_test, 1), members.size - 1)
+            test_idx.extend(members[:n_test].tolist())
+        test_mask = np.zeros(n, dtype=bool)
+        test_mask[test_idx] = True
+    else:
+        order = rng.permutation(n)
+        n_test = max(1, int(round(test_size * n)))
+        test_mask = np.zeros(n, dtype=bool)
+        test_mask[order[:n_test]] = True
+
+    return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
 
 def stratified_kfold_indices(
@@ -41,3 +88,28 @@ def stratified_kfold_indices(
         train_idx = np.where(fold_of != fold)[0]
         folds.append((train_idx, test_idx))
     return folds
+
+
+def cross_validate(
+    estimator: BaseClassifier,
+    X,
+    y,
+    *,
+    n_splits: int = 10,
+    scorer: Callable[[np.ndarray, np.ndarray], float] = accuracy_score,
+    seed: int | np.random.Generator | None = None,
+) -> np.ndarray:
+    """Per-fold scores of ``estimator`` under stratified k-fold CV.
+
+    A fresh clone is fitted per fold; ``scorer(y_true, y_pred)`` defaults
+    to accuracy (pass an F1 lambda for the paper's headline metric).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    scores = []
+    for train_idx, test_idx in stratified_kfold_indices(y, n_splits, seed=seed):
+        model = clone(estimator)
+        model.fit(X[train_idx], y[train_idx])
+        predictions = model.predict(X[test_idx])
+        scores.append(scorer(y[test_idx], predictions))
+    return np.asarray(scores, dtype=np.float64)

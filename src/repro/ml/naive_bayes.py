@@ -1,9 +1,10 @@
-"""Gaussian naive Bayes for continuous features."""
+"""Naive Bayes classifiers: Gaussian (continuous) and multinomial (counts)."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.ml.base import BaseClassifier
 
 
@@ -56,6 +57,55 @@ class GaussianNB(BaseClassifier):
         self._require_fitted()
         X = self._check_X(X)
         jll = self._joint_log_likelihood(X)
+        jll -= jll.max(axis=1, keepdims=True)
+        proba = np.exp(jll)
+        return proba / proba.sum(axis=1, keepdims=True)
+
+
+class MultinomialNB(BaseClassifier):
+    """Multinomial naive Bayes for non-negative count-like features.
+
+    Parameters
+    ----------
+    alpha:
+        Laplace/Lidstone smoothing constant.
+    """
+
+    def __init__(self, alpha: float = 1.0) -> None:
+        if alpha <= 0:
+            raise ValidationError(f"alpha must be > 0, got {alpha}")
+        self.alpha = alpha
+        self.classes_ = None
+        self.feature_log_prob_: np.ndarray | None = None
+        self.class_log_prior_: np.ndarray | None = None
+
+    def fit(self, X, y) -> "MultinomialNB":
+        """Estimate smoothed per-class feature log-probabilities."""
+        X, y = self._check_X_y(X, y)
+        if np.any(X < 0):
+            raise ValidationError("MultinomialNB requires non-negative features")
+        encoded = self._encode_labels(y)
+        n_classes = self.classes_.shape[0]
+        counts = np.zeros(n_classes)
+        totals = np.zeros((n_classes, X.shape[1]))
+        for i in range(n_classes):
+            rows = X[encoded == i]
+            counts[i] = rows.shape[0]
+            totals[i] = rows.sum(axis=0)
+        smoothed = totals + self.alpha
+        self.feature_log_prob_ = np.log(
+            smoothed / smoothed.sum(axis=1, keepdims=True)
+        )
+        self.class_log_prior_ = np.log(counts / counts.sum())
+        return self
+
+    def predict_proba(self, X) -> np.ndarray:
+        """Posterior class probabilities."""
+        self._require_fitted()
+        X = self._check_X(X)
+        if np.any(X < 0):
+            raise ValidationError("MultinomialNB requires non-negative features")
+        jll = X @ self.feature_log_prob_.T + self.class_log_prior_
         jll -= jll.max(axis=1, keepdims=True)
         proba = np.exp(jll)
         return proba / proba.sum(axis=1, keepdims=True)

@@ -172,6 +172,19 @@ class Ontology:
         """Concepts without fathers (sorted)."""
         return sorted(cid for cid, f in self._fathers.items() if not f)
 
+    def ancestors(self, concept_id: str) -> set[str]:
+        """All transitive fathers of ``concept_id``."""
+        out: set[str] = set()
+        stack = list(self._fathers.get(concept_id, ()))
+        self.concept(concept_id)
+        while stack:
+            node = stack.pop()
+            if node in out:
+                continue
+            out.add(node)
+            stack.extend(self._fathers.get(node, ()))
+        return out
+
     def depth(self, concept_id: str) -> int:
         """Length of the shortest father-chain from a root to the concept."""
         self.concept(concept_id)
@@ -218,6 +231,21 @@ class Ontology:
         return sorted(
             term for term, cids in self._term_index.items() if len(cids) >= 2
         )
+
+    def remove_term(self, term: str) -> None:
+        """Remove a term string from the index and its concepts' synonym lists.
+
+        Used by Step IV evaluation: the candidate term must not be findable
+        in the ontology it is being positioned into.  Removing a concept's
+        *preferred* term keeps the concept but drops the name from lookup.
+        """
+        norm = normalize_term(term)
+        cids = self._term_index.pop(norm, set())
+        for cid in cids:
+            concept = self._concepts[cid]
+            concept.synonyms = [
+                s for s in concept.synonyms if normalize_term(s) != norm
+            ]
 
     # -- neighbourhood used by Step IV ----------------------------------------
 

@@ -1,21 +1,23 @@
-"""Shared low-level helpers: RNG plumbing, validation, table rendering
-and Zipf weights."""
+"""Shared low-level helpers: RNG plumbing, validation, table rendering."""
 
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.tables import format_table
 from repro.utils.validation import (
+    check_fraction,
     check_in_options,
     check_positive,
     check_positive_int,
 )
-from repro.utils.zipf import zipf_weights
+from repro.utils.zipf import zipf_weights, zipf_sample
 
 __all__ = [
     "ensure_rng",
     "spawn_rng",
     "format_table",
+    "check_fraction",
     "check_in_options",
     "check_positive",
     "check_positive_int",
     "zipf_weights",
+    "zipf_sample",
 ]

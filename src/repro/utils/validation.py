@@ -43,6 +43,20 @@ def check_positive_int(value: int, name: str) -> int:
     return int(value)
 
 
+def check_fraction(value: float, name: str, *, inclusive: bool = True) -> float:
+    """Require ``value`` to lie in ``[0, 1]`` (or ``(0, 1)`` if not inclusive)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+    value = float(value)
+    if inclusive:
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
+    else:
+        if not 0.0 < value < 1.0:
+            raise ValidationError(f"{name} must be in (0, 1), got {value!r}")
+    return value
+
+
 def check_in_options(value: str, name: str, options: Collection[str]) -> str:
     """Require ``value`` to be one of ``options``."""
     if value not in options:

@@ -1,4 +1,4 @@
-"""Zipf / power-law weights used by the synthetic-data generators.
+"""Zipf / power-law sampling helpers used by the synthetic-data generators.
 
 Natural-language token frequencies are famously Zipfian; the corpus and
 terminology generators use these helpers so the synthetic PubMed corpus has
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -22,3 +23,16 @@ def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
     weights = ranks**-exponent
     weights /= weights.sum()
     return weights
+
+
+def zipf_sample(
+    n_items: int,
+    size: int,
+    *,
+    exponent: float = 1.0,
+    seed: int | np.random.Generator | None = None,
+) -> np.ndarray:
+    """Sample ``size`` item indices in ``[0, n_items)`` with Zipf weights."""
+    rng = ensure_rng(seed)
+    weights = zipf_weights(n_items, exponent)
+    return rng.choice(n_items, size=size, p=weights)

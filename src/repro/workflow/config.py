@@ -13,6 +13,13 @@ from repro.senses.representation import REPRESENTATION_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
 from repro.utils.validation import check_in_options, check_seconds
 
+#: Step II classifiers the detector can fit.  Multinomial naive Bayes
+#: needs non-negative counts, and the detector standardises its
+#: features, so it can never fit.
+FITTABLE_CLASSIFIERS = tuple(
+    name for name in DEFAULT_CLASSIFIERS if name != "multinomial_nb"
+)
+
 
 @dataclass(frozen=True)
 class EnrichmentConfig:
@@ -39,7 +46,7 @@ class EnrichmentConfig:
         signal for polysemy detection or linkage).
     polysemy_classifier:
         Step II classifier registry name (one of
-        :data:`repro.ml.DEFAULT_CLASSIFIERS`).
+        :data:`FITTABLE_CLASSIFIERS`).
     sense_algorithm / sense_index / sense_representation:
         Step III clustering algorithm, internal index, and context
         representation (paper defaults: rb + f_k + bag-of-words).
@@ -124,7 +131,7 @@ class EnrichmentConfig:
         check_in_options(
             self.polysemy_classifier,
             "polysemy_classifier",
-            DEFAULT_CLASSIFIERS,
+            FITTABLE_CLASSIFIERS,
         )
         check_in_options(
             self.sense_algorithm, "sense_algorithm", ALGORITHM_NAMES

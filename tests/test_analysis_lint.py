@@ -1,17 +1,26 @@
-"""The repro.analysis lint engine: rules, pragmas, CLI.
+"""The repro.analysis lint engine: rules, pragmas, baseline, CLI.
 
 Each RL rule is demonstrated against a mini-project fixture under
 ``tests/fixtures/lint/<rule>/`` that seeds deliberate violations next
 to the clean patterns the rule must *not* flag; the engine-level tests
-cover pragma suppression, the report summary and the CLI exit codes.
-Finally, the repository lints itself clean — the gate CI enforces.
+cover pragma suppression, baseline round-trips, the JSON report shape,
+and the CLI exit codes.  Finally, the repository lints itself with an
+empty baseline — the gate CI enforces.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_project, render_text
+from repro.analysis import (
+    Finding,
+    lint_project,
+    load_baseline,
+    render_json,
+    render_text,
+    save_baseline,
+)
 from repro.cli import main as cli_main
 from repro.errors import ValidationError
 
@@ -128,6 +137,39 @@ class TestConfigDrift:
 
 
 class TestEngine:
+    def test_baseline_roundtrip_grandfathers_findings(self, tmp_path):
+        first = findings_for("rl001")
+        assert not first.clean
+        baseline_path = tmp_path / "baseline.json"
+        save_baseline(first.findings, baseline_path)
+        second = findings_for(
+            "rl001", baseline=load_baseline(baseline_path)
+        )
+        assert second.clean
+        assert second.baselined == len(first.findings)
+
+    def test_baseline_matches_by_identity_not_line(self, tmp_path):
+        first = findings_for("rl001")
+        baseline_path = tmp_path / "baseline.json"
+        save_baseline(first.findings, baseline_path)
+        baseline = load_baseline(baseline_path)
+        shifted = Finding(
+            rule=first.findings[0].rule,
+            path=first.findings[0].path,
+            line=first.findings[0].line + 40,  # unrelated edits above
+            message=first.findings[0].message,
+        )
+        assert shifted.baseline_key in baseline
+
+    def test_malformed_baseline_is_a_validation_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 99, "findings": []}')
+        with pytest.raises(ValidationError):
+            load_baseline(bad)
+        bad.write_text("not json")
+        with pytest.raises(ValidationError):
+            load_baseline(bad)
+
     def test_missing_src_is_a_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             lint_project(tmp_path)
@@ -139,33 +181,55 @@ class TestEngine:
         assert [f.rule for f in result.findings] == ["RL000"]
         assert "does not parse" in result.findings[0].message
 
+    def test_render_json_shape(self):
+        document = json.loads(render_json(findings_for("rl002")))
+        assert set(document) == {
+            "findings", "suppressed", "baselined", "clean",
+        }
+        assert document["suppressed"] == 1
+        assert document["clean"] is False
+        (finding,) = document["findings"]
+        assert set(finding) == {"rule", "path", "line", "message", "hint"}
+        assert finding["rule"] == "RL002"
+        assert finding["path"] == "src/net.py"
+
     def test_findings_are_sorted_and_summarised(self):
         result = findings_for("rl003")
         keys = [(f.path, f.line, f.rule) for f in result.findings]
         assert keys == sorted(keys)
         assert render_text(result).splitlines()[-1] == (
-            "3 finding(s), 0 suppressed by pragma"
+            "3 finding(s), 0 suppressed by pragma, 0 baselined"
         )
 
 
 class TestCli:
-    def test_exit_one_on_findings(self, capsys):
-        assert cli_main(["lint", "--root", str(FIXTURES / "rl001")]) == 1
-        assert "2 finding(s)" in capsys.readouterr().out
+    def test_exit_one_on_findings_zero_when_baselined(
+        self, tmp_path, capsys
+    ):
+        root = str(FIXTURES / "rl001")
+        assert cli_main(["lint", "--root", root]) == 1
+        baseline = tmp_path / "baseline.json"
+        assert (
+            cli_main(
+                ["lint", "--root", root, "--write-baseline", str(baseline)]
+            )
+            == 0
+        )
+        assert (
+            cli_main(
+                ["lint", "--root", root, "--baseline", str(baseline)]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "0 finding(s)" in out
+        assert "2 baselined" in out
 
     def test_json_format_and_usage_errors(self, tmp_path, capsys):
-        # One text report and no baseline: every finding fails the run,
-        # so the flags of a JSON report or a baseline are argparse errors.
         root = str(FIXTURES / "rl002")
-        for flag, value in [
-            ("--format", "json"),
-            ("--baseline", "lint-baseline.json"),
-            ("--write-baseline", "lint-baseline.json"),
-        ]:
-            with pytest.raises(SystemExit) as exit_info:
-                cli_main(["lint", "--root", root, flag, value])
-            assert exit_info.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert cli_main(["lint", "--root", root, "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["clean"] is False
         assert cli_main(["lint", "--root", str(tmp_path)]) == 2
         assert "no src/ directory" in capsys.readouterr().err
 

@@ -130,20 +130,14 @@ class TestRepeatedBisection:
         assert repeated_bisection(matrix, 2, refine=True, seed=0).algorithm == "rbr"
 
     def test_rbr_criterion_at_least_rb(self):
-        def i2(matrix, labels) -> float:
-            """CLUTO's I2: the summed norms of the clusters' composite
-            (summed-row) vectors."""
-            return float(
-                sum(
-                    np.linalg.norm(matrix[labels == c].sum(axis=0))
-                    for c in np.unique(labels)
-                )
-            )
+        from repro.clustering.criterion import criterion_value
 
         matrix, __ = blobs(k=4, n_per=8, noise=0.3, seed=8)
         rb = repeated_bisection(matrix, 4, refine=False, seed=3)
         rbr = repeated_bisection(matrix, 4, refine=True, seed=3)
-        assert i2(matrix, rbr.labels) >= i2(matrix, rb.labels) - 1e-9
+        i2_rb = criterion_value(matrix, rb.labels, "i2")
+        i2_rbr = criterion_value(matrix, rbr.labels, "i2")
+        assert i2_rbr >= i2_rb - 1e-9
 
     def test_impossible_k(self):
         matrix = np.tile([1.0, 0.0], (3, 1))

@@ -1,31 +1,119 @@
-"""The clustering substrate against gold senses (external validation)."""
+"""Tests for repro.clustering.external (purity, Rand, ARI, NMI)."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.clustering.external import (
+    EXTERNAL_INDEXES,
+    adjusted_rand_index,
+    compute_external_index,
+    contingency_table,
+    normalized_mutual_information,
+    purity,
+    rand_index,
+)
+from repro.errors import ClusteringError
+
+PERFECT = (np.array([0, 0, 1, 1]), np.array([5, 5, 9, 9]))
+RANDOMISH = (np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
 
 
-def adjusted_rand_index(labels_pred, labels_true) -> float:
-    """Hubert-Arabie adjusted Rand index of two labelings of one sample."""
-    __, pred = np.unique(labels_pred, return_inverse=True)
-    __, true = np.unique(labels_true, return_inverse=True)
-    table = np.zeros((pred.max() + 1, true.max() + 1))
-    np.add.at(table, (pred, true), 1.0)
+class TestContingency:
+    def test_counts(self):
+        table = contingency_table([0, 0, 1], ["a", "b", "b"])
+        np.testing.assert_array_equal(table, [[1, 1], [0, 1]])
 
-    def pairs(counts) -> float:
-        counts = np.asarray(counts, dtype=np.float64)
-        return float((counts * (counts - 1) / 2.0).sum())
+    def test_misaligned_raises(self):
+        with pytest.raises(ClusteringError):
+            contingency_table([0, 1], [0])
 
-    index = pairs(table)
-    rows, cols = pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
-    expected = rows * cols / pairs([len(pred)])
-    maximum = (rows + cols) / 2.0
-    return (index - expected) / (maximum - expected)
+    def test_empty_raises(self):
+        with pytest.raises(ClusteringError):
+            contingency_table([], [])
+
+
+class TestPurity:
+    def test_perfect(self):
+        assert purity(*PERFECT) == 1.0
+
+    def test_merged_clusters(self):
+        assert purity([0, 0, 0, 0], [0, 0, 1, 1]) == 0.5
+
+    def test_singletons_always_pure(self):
+        assert purity([0, 1, 2, 3], [0, 0, 1, 1]) == 1.0
+
+
+class TestRand:
+    def test_perfect(self):
+        assert rand_index(*PERFECT) == 1.0
+
+    def test_label_permutation_invariant(self):
+        a = np.array([0, 0, 1, 1, 2])
+        b = np.array([2, 2, 0, 0, 1])
+        assert rand_index(a, b) == 1.0
+
+    def test_known_value(self):
+        # pairs: (0,1) agree-same, (2,3) agree-diff... compute directly
+        value = rand_index([0, 0, 1, 1], [0, 1, 0, 1])
+        assert value == pytest.approx(1 / 3)
+
+
+class TestAri:
+    def test_perfect(self):
+        assert adjusted_rand_index(*PERFECT) == pytest.approx(1.0)
+
+    def test_random_near_zero(self):
+        rng = np.random.default_rng(0)
+        pred = rng.integers(0, 3, size=300)
+        true = rng.integers(0, 3, size=300)
+        assert abs(adjusted_rand_index(pred, true)) < 0.1
+
+    def test_worse_than_chance_negative(self):
+        # systematic disagreement on balanced data
+        pred = np.array([0, 1] * 10)
+        true = np.array([0, 0, 1, 1] * 5)
+        assert adjusted_rand_index(pred, true) <= 0.05
+
+
+class TestNmi:
+    def test_perfect(self):
+        assert normalized_mutual_information(*PERFECT) == pytest.approx(1.0)
+
+    def test_independent_near_zero(self):
+        rng = np.random.default_rng(1)
+        pred = rng.integers(0, 4, size=500)
+        true = rng.integers(0, 4, size=500)
+        assert normalized_mutual_information(pred, true) < 0.1
+
+    def test_single_cluster_each(self):
+        assert normalized_mutual_information([0, 0], [1, 1]) == 1.0
+
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=50))
+    @settings(max_examples=25, deadline=None)
+    def test_bounded(self, labels):
+        pred = np.array(labels)
+        rng = np.random.default_rng(7)
+        true = rng.integers(0, 3, size=len(labels))
+        value = normalized_mutual_information(pred, true)
+        assert 0.0 <= value <= 1.0
+
+
+class TestDispatch:
+    def test_all_names(self):
+        for name in EXTERNAL_INDEXES:
+            value = compute_external_index(name, *PERFECT)
+            assert value == pytest.approx(1.0)
+
+    def test_unknown(self):
+        with pytest.raises(ClusteringError):
+            compute_external_index("f1", *PERFECT)
 
 
 class TestSubstrateValidation:
     def test_algorithms_recover_gold_senses(self):
-        """The adjusted Rand index against the gold senses confirms the
-        clustering substrate works on simulated MSH-WSD entities —
-        independent of any internal index."""
+        """External indexes confirm the clustering substrate works on
+        simulated MSH-WSD entities — independent of any internal index."""
         from repro.clustering.algorithms import cluster
         from repro.corpus.mshwsd import MshWsdSimulator
         from repro.senses.representation import bow_representation

@@ -1,9 +1,10 @@
-"""Tests for repro.clustering.similarity and model."""
+"""Tests for repro.clustering.similarity, model, criterion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clustering.criterion import criterion_value
 from repro.clustering.model import ClusterSolution, ClusterStats, relabel_contiguous
 from repro.clustering.similarity import (
     cosine_similarity_matrix,
@@ -139,3 +140,44 @@ class TestClusterModel:
         labels, k = relabel_contiguous(np.array([5, 5, 9, 5, 2]))
         np.testing.assert_array_equal(labels, [0, 0, 1, 0, 2])
         assert k == 3
+
+
+class TestCriterion:
+    def test_i2_prefers_true_split(self):
+        m = two_blob_matrix(4)
+        good = np.array([0] * 4 + [1] * 4)
+        bad = np.array([0, 1] * 4)
+        assert criterion_value(m, good, "i2") > criterion_value(m, bad, "i2")
+
+    def test_i2_value_on_perfect_clusters(self):
+        m = two_blob_matrix(3)
+        labels = np.array([0] * 3 + [1] * 3)
+        # Each composite vector has norm 3 → I2 = 6.
+        assert criterion_value(m, labels, "i2") == pytest.approx(6.0)
+
+    def test_i1_equals_n_for_perfect_clusters(self):
+        m = two_blob_matrix(3)
+        labels = np.array([0] * 3 + [1] * 3)
+        assert criterion_value(m, labels, "i1") == pytest.approx(6.0)
+
+    def test_e1_lower_for_better_split(self):
+        m = two_blob_matrix(4)
+        good = np.array([0] * 4 + [1] * 4)
+        bad = np.array([0, 1] * 4)
+        assert criterion_value(m, good, "e1") < criterion_value(m, bad, "e1")
+
+    def test_h2_is_ratio(self):
+        m = two_blob_matrix(2)
+        labels = np.array([0, 0, 1, 1])
+        h2 = criterion_value(m, labels, "h2")
+        i2 = criterion_value(m, labels, "i2")
+        e1 = criterion_value(m, labels, "e1")
+        assert h2 == pytest.approx(i2 / e1)
+
+    def test_unknown_criterion(self):
+        with pytest.raises(ClusteringError):
+            criterion_value(two_blob_matrix(2), np.zeros(4, dtype=int), "x9")
+
+    def test_length_mismatch(self):
+        with pytest.raises(ClusteringError):
+            criterion_value(two_blob_matrix(2), np.zeros(3, dtype=int), "i2")

@@ -19,13 +19,12 @@ from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore
 from repro.errors import ValidationError
-from repro.ml import DEFAULT_CLASSIFIERS
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.polysemy.dataset import PolysemyDataset
 from repro.polysemy.detector import PolysemyDetector
 from repro.scenarios import make_enrichment_scenario
 from repro.senses.induction import SenseInducer
-from repro.workflow.config import EnrichmentConfig
+from repro.workflow.config import FITTABLE_CLASSIFIERS, EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 from repro.workflow.streaming import StreamingEnricher
 
@@ -258,7 +257,7 @@ def _datasets():
 
 
 class TestBatchVerdicts:
-    @pytest.mark.parametrize("name", DEFAULT_CLASSIFIERS)
+    @pytest.mark.parametrize("name", FITTABLE_CLASSIFIERS)
     @settings(max_examples=20, deadline=None)
     @given(drawn=_datasets())
     @example(drawn=_tied_rows())

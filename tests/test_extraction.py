@@ -236,6 +236,12 @@ class TestEvaluation:
     def test_precision_empty_list(self):
         assert precision_curve([], {"x"}, ks=(5,)) == {5: 0.0}
 
+    def test_bad_k(self):
+        with pytest.raises(ExtractionError):
+            precision_curve(self.make_ranked(), set(), ks=(10, 0))
+        with pytest.raises(ExtractionError):
+            precision_curve(self.make_ranked(), set(), ks=(-3,))
+
     def test_precision_curve_monotone_ks(self):
         ranked = self.make_ranked()
         curve = precision_curve(ranked, {"corneal injury"}, ks=(1, 2, 4))

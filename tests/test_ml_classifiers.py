@@ -35,11 +35,16 @@ def xor_data(n_per=60, seed=0):
 @pytest.mark.parametrize("name", DEFAULT_CLASSIFIERS)
 class TestClassifierContract:
     def _fit(self, name, X, y):
-        return make_classifier(name, seed=0).fit(X, y), X
+        model = make_classifier(name, seed=0)
+        if name == "multinomial_nb":
+            X = np.abs(X)  # multinomial needs non-negative features
+        return model.fit(X, y), X
 
     def test_fit_returns_self(self, name):
         X, y = gaussian_blobs()
         model = make_classifier(name, seed=0)
+        if name == "multinomial_nb":
+            X = np.abs(X)
         assert model.fit(X, y) is model
 
     def test_separable_blobs_high_accuracy(self, name):
@@ -52,6 +57,8 @@ class TestClassifierContract:
         X, y = gaussian_blobs(seed=2)
         labels = np.where(y == 0, "mono", "poly")
         model = make_classifier(name, seed=0)
+        if name == "multinomial_nb":
+            X = np.abs(X)
         model.fit(X, labels)
         predictions = model.predict(X)
         assert set(predictions.tolist()) <= {"mono", "poly"}
@@ -69,7 +76,7 @@ class TestClassifierContract:
     def test_rejects_single_class(self, name):
         X, __ = gaussian_blobs()
         with pytest.raises(ValidationError):
-            make_classifier(name, seed=0).fit(X, np.zeros(X.shape[0]))
+            make_classifier(name, seed=0).fit(np.abs(X), np.zeros(X.shape[0]))
 
     def test_rejects_nan(self, name):
         X, y = gaussian_blobs()
@@ -86,6 +93,8 @@ class TestClassifierContract:
 
     def test_deterministic_given_seed(self, name):
         X, y = gaussian_blobs(seed=3)
+        if name == "multinomial_nb":
+            X = np.abs(X)
         a = make_classifier(name, seed=0).fit(X, y).predict(X)
         b = make_classifier(name, seed=0).fit(X, y).predict(X)
         np.testing.assert_array_equal(a, b)
@@ -97,11 +106,13 @@ class TestClassifierContract:
         assert accuracy > 0.85, f"{name} 3-class accuracy {accuracy}"
 
 
-@pytest.mark.parametrize("name", ["gaussian_nb", "logistic", "tree", "forest", "knn"])
+@pytest.mark.parametrize("name", ["gaussian_nb", "multinomial_nb", "logistic", "tree", "forest", "knn"])
 class TestPredictProba:
     def test_rows_sum_to_one(self, name):
         X, y = gaussian_blobs(seed=5)
         model = make_classifier(name, seed=0)
+        if name == "multinomial_nb":
+            X = np.abs(X)
         model.fit(X, y)
         proba = model.predict_proba(X)
         assert proba.shape == (X.shape[0], 2)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NotFittedError, ValidationError
+from repro.ml.knn import KNeighborsClassifier
+from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import (
     accuracy_score,
     confusion_matrix,
@@ -13,7 +15,11 @@ from repro.ml.metrics import (
     precision_score,
     recall_score,
 )
-from repro.ml.model_selection import stratified_kfold_indices
+from repro.ml.model_selection import (
+    cross_validate,
+    stratified_kfold_indices,
+    train_test_split,
+)
 from repro.ml.preprocessing import StandardScaler
 
 
@@ -79,6 +85,38 @@ class TestMetrics:
         assert 0.0 <= f <= 1.0
 
 
+class TestTrainTestSplit:
+    def test_sizes(self):
+        X = np.arange(40).reshape(20, 2)
+        y = np.array([0] * 10 + [1] * 10)
+        X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_size=0.3, seed=0)
+        assert X_te.shape[0] == 6
+        assert X_tr.shape[0] == 14
+        assert y_tr.shape[0] == 14 and y_te.shape[0] == 6
+
+    def test_stratification_preserves_classes(self):
+        X = np.zeros((30, 1))
+        y = np.array([0] * 27 + [1] * 3)
+        __, __, y_tr, y_te = train_test_split(X, y, test_size=0.25, seed=1)
+        assert set(np.unique(y_te)) == {0, 1}
+        assert set(np.unique(y_tr)) == {0, 1}
+
+    def test_deterministic(self):
+        X = np.arange(20).reshape(10, 2)
+        y = np.array([0, 1] * 5)
+        a = train_test_split(X, y, seed=3)
+        b = train_test_split(X, y, seed=3)
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_bad_test_size(self):
+        with pytest.raises(ValidationError):
+            train_test_split(np.zeros((4, 1)), np.array([0, 1, 0, 1]), test_size=0.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError):
+            train_test_split(np.zeros((4, 1)), np.array([0, 1]))
+
+
 class TestStratifiedKfold:
     def test_folds_partition_everything(self):
         y = np.array([0] * 20 + [1] * 10)
@@ -104,6 +142,31 @@ class TestStratifiedKfold:
     def test_min_splits(self):
         with pytest.raises(ValidationError):
             stratified_kfold_indices(np.array([0, 1]), n_splits=1)
+
+
+class TestCrossValidate:
+    def test_scores_shape_and_range(self):
+        rng = np.random.default_rng(0)
+        X = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(4, 1, (30, 3))])
+        y = np.array([0] * 30 + [1] * 30)
+        scores = cross_validate(LogisticRegression(), X, y, n_splits=5, seed=0)
+        assert scores.shape == (5,)
+        assert np.all((scores >= 0) & (scores <= 1))
+        assert scores.mean() > 0.9
+
+    def test_custom_scorer(self):
+        rng = np.random.default_rng(1)
+        X = np.vstack([rng.normal(0, 1, (20, 2)), rng.normal(5, 1, (20, 2))])
+        y = np.array([0] * 20 + [1] * 20)
+        scores = cross_validate(
+            KNeighborsClassifier(n_neighbors=3),
+            X,
+            y,
+            n_splits=4,
+            scorer=lambda t, p: f1_score(t, p),
+            seed=0,
+        )
+        assert scores.mean() > 0.9
 
 
 class TestScalers:

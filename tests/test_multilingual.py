@@ -1,11 +1,14 @@
 """Multilingual behaviour: the paper targets English, French, and Spanish."""
 
+import pytest
+
 from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
 from repro.extraction.candidates import harvest_candidates
 from repro.text.ngrams import extract_pattern_phrases
 from repro.text.patterns import TermPatternMatcher, default_patterns
 from repro.text.postag import LexiconTagger
+from repro.text.stemming import stem
 from repro.text.stopwords import stopwords_for
 from repro.text.tokenizer import tokenize_lower
 
@@ -75,6 +78,17 @@ class TestSpanishPipeline:
 
 
 class TestStemConsistencyAcrossLanguages:
+    @pytest.mark.parametrize(
+        ("language", "a", "b"),
+        [
+            ("en", "injuries", "injury"),
+            ("fr", "maladies", "maladie"),
+            ("es", "enfermedades", "enfermedad"),
+        ],
+    )
+    def test_singular_plural_conflate(self, language, a, b):
+        assert stem(a, language) == stem(b, language)
+
     def test_stopword_inventories_disjoint_enough(self):
         en = stopwords_for("en")
         fr = stopwords_for("fr")

@@ -134,6 +134,11 @@ class TestMesh:
                     for son in son_numbers
                 )
 
+    def test_builder_exposes_lexicon(self):
+        generator = OntologyGenerator(GeneratorSpec(n_concepts=5), seed=0)
+        generator.generate("mesh-like")
+        assert generator.lexicon.pos_lexicon
+
     def test_reassignment_resets(self):
         onto = mesh_like(10, seed=2)
         before = {c.concept_id: list(c.tree_numbers) for c in onto}

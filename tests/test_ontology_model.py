@@ -57,6 +57,9 @@ class TestOntologyStructure:
     def test_roots(self):
         assert small_ontology().roots() == ["R"]
 
+    def test_ancestors(self):
+        assert small_ontology().ancestors("C") == {"A", "B", "R"}
+
     def test_depth(self):
         onto = small_ontology()
         assert onto.depth("R") == 0
@@ -120,6 +123,20 @@ class TestTermIndex:
 
     def test_sense_count_unknown_is_zero(self):
         assert small_ontology().sense_count("zzz") == 0
+
+    def test_remove_term_drops_from_index_and_synonyms(self):
+        onto = small_ontology()
+        onto.remove_term("corneal injury")
+        assert not onto.has_term("corneal injury")
+        assert "corneal injury" not in onto.concept("C").synonyms
+        # concept itself survives with its preferred term
+        assert onto.has_term("corneal injuries")
+
+    def test_remove_preferred_term_keeps_concept(self):
+        onto = small_ontology()
+        onto.remove_term("corneal injuries")
+        assert not onto.has_term("corneal injuries")
+        assert "C" in onto
 
     def test_terms_sorted_unique(self):
         terms = small_ontology().terms()

@@ -11,7 +11,6 @@ from repro.clustering.algorithms import ALGORITHM_NAMES
 from repro.clustering.indexes import index_names
 from repro.corpus.corpus import Corpus, Document
 from repro.extraction.measures import MEASURE_NAMES
-from repro.ml import DEFAULT_CLASSIFIERS
 from repro.ontology.model import Ontology
 from repro.polysemy.cache import FeatureCache, context_digest
 from repro.polysemy.cache_store import MemoryCacheStore
@@ -20,7 +19,7 @@ from repro.polysemy.features import PolysemyFeatureExtractor
 from repro.scenarios import make_enrichment_scenario
 from repro.senses.representation import REPRESENTATION_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
-from repro.workflow.config import EnrichmentConfig
+from repro.workflow.config import FITTABLE_CLASSIFIERS, EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
 
 
@@ -137,7 +136,7 @@ OTHER_CONFIG_VALUES = {
     "n_candidates": st.integers(1, 100).map(lambda v: {"n_candidates": v}),
     "min_term_length": st.integers(1, 4).map(lambda v: {"min_term_length": v}),
     "min_contexts": st.integers(1, 80).map(lambda v: {"min_contexts": v}),
-    "polysemy_classifier": st.sampled_from(DEFAULT_CLASSIFIERS).map(
+    "polysemy_classifier": st.sampled_from(FITTABLE_CLASSIFIERS).map(
         lambda v: {"polysemy_classifier": v}
     ),
     "sense_algorithm": st.sampled_from(ALGORITHM_NAMES).map(

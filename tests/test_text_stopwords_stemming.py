@@ -1,8 +1,10 @@
-"""Tests for repro.text.stopwords."""
+"""Tests for repro.text.stopwords and repro.text.stemming."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ValidationError
+from repro.text.stemming import PorterStemmer, stem
 from repro.text.stopwords import SUPPORTED_LANGUAGES, is_stopword, stopwords_for
 
 
@@ -40,3 +42,99 @@ class TestStopwords:
         en = stopwords_for("en")
         for word in ("cornea", "injury", "disease", "protein"):
             assert word not in en
+
+
+class TestPorterStemmer:
+    @pytest.mark.parametrize(
+        ("word", "expected"),
+        [
+            ("caresses", "caress"),
+            ("ponies", "poni"),
+            ("ties", "ti"),
+            ("caress", "caress"),
+            ("cats", "cat"),
+            ("feed", "feed"),
+            ("agreed", "agre"),
+            ("plastered", "plaster"),
+            ("motoring", "motor"),
+            ("sing", "sing"),
+            ("conflated", "conflat"),
+            ("troubled", "troubl"),
+            ("sized", "size"),
+            ("hopping", "hop"),
+            ("tanned", "tan"),
+            ("falling", "fall"),
+            ("hissing", "hiss"),
+            ("fizzed", "fizz"),
+            ("failing", "fail"),
+            ("filing", "file"),
+            ("happy", "happi"),
+            ("sky", "sky"),
+            ("relational", "relat"),
+            ("conditional", "condit"),
+            ("rational", "ration"),
+            ("valenci", "valenc"),
+            ("digitizer", "digit"),
+            ("operator", "oper"),
+            ("feudalism", "feudal"),
+            ("decisiveness", "decis"),
+            ("hopefulness", "hope"),
+            ("formaliti", "formal"),
+            ("formative", "form"),
+            ("formalize", "formal"),
+            ("electriciti", "electr"),
+            ("electrical", "electr"),
+            ("hopeful", "hope"),
+            ("goodness", "good"),
+            ("revival", "reviv"),
+            ("allowance", "allow"),
+            ("inference", "infer"),
+            ("airliner", "airlin"),
+            ("adoption", "adopt"),
+            ("irritant", "irrit"),
+            ("replacement", "replac"),
+            ("adjustment", "adjust"),
+            ("dependent", "depend"),
+            ("activate", "activ"),
+            ("effective", "effect"),
+            ("probate", "probat"),
+            ("rate", "rate"),
+            ("controll", "control"),
+            ("roll", "roll"),
+        ],
+    )
+    def test_porter_reference_vectors(self, word, expected):
+        assert PorterStemmer().stem(word) == expected
+
+    def test_short_words_untouched(self):
+        assert stem("is") == "is"
+        assert stem("at") == "at"
+
+    def test_biomedical_variants_conflate(self):
+        assert stem("injuries") == stem("injury")
+        assert stem("diseases") == stem("disease")
+
+    @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=30))
+    def test_idempotent_on_output_length(self, word):
+        # Stemming never lengthens a word and always returns lowercase.
+        out = stem(word)
+        assert len(out) <= len(word) + 1  # +1 for the rare "+e" restores
+        assert out == out.lower()
+
+
+class TestLightStemmers:
+    def test_french_plural(self):
+        assert stem("maladies", "fr") == stem("maladie", "fr")
+
+    def test_french_derivation(self):
+        assert stem("traitements", "fr") == stem("traitement", "fr")
+
+    def test_spanish_plural(self):
+        assert stem("enfermedades", "es") == stem("enfermedad", "es")
+
+    def test_spanish_short_word_untouched(self):
+        assert stem("ojo", "es") == "ojo"
+
+    def test_unknown_language_raises(self):
+        with pytest.raises(ValidationError):
+            stem("word", "pt")

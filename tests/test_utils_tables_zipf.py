@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.tables import format_table
-from repro.utils.zipf import zipf_weights
+from repro.utils.zipf import zipf_sample, zipf_weights
 
 
 class TestFormatTable:
@@ -51,6 +51,18 @@ class TestZipf:
         flat = zipf_weights(100, exponent=0.5)
         steep = zipf_weights(100, exponent=2.0)
         assert steep[0] > flat[0]
+
+    def test_sample_range_and_reproducibility(self):
+        a = zipf_sample(20, 100, seed=5)
+        b = zipf_sample(20, 100, seed=5)
+        np.testing.assert_array_equal(a, b)
+        assert a.min() >= 0 and a.max() < 20
+
+    def test_sample_follows_head(self):
+        sample = zipf_sample(1000, 5000, exponent=1.5, seed=0)
+        # Rank-0 item should be sampled far more often than rank-500.
+        counts = np.bincount(sample, minlength=1000)
+        assert counts[0] > counts[500]
 
     def test_bad_n_raises(self):
         with pytest.raises(Exception):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.utils.validation import (
+    check_fraction,
     check_in_options,
     check_positive,
     check_positive_int,
@@ -46,6 +47,23 @@ class TestCheckPositiveInt:
     def test_rejects_bool(self):
         with pytest.raises(ValidationError):
             check_positive_int(True, "k")
+
+
+class TestCheckFraction:
+    def test_bounds_inclusive(self):
+        assert check_fraction(0.0, "p") == 0.0
+        assert check_fraction(1.0, "p") == 1.0
+
+    def test_bounds_exclusive(self):
+        with pytest.raises(ValidationError):
+            check_fraction(0.0, "p", inclusive=False)
+        with pytest.raises(ValidationError):
+            check_fraction(1.0, "p", inclusive=False)
+        assert check_fraction(0.5, "p", inclusive=False) == 0.5
+
+    def test_out_of_range(self):
+        with pytest.raises(ValidationError):
+            check_fraction(1.5, "p")
 
 
 class TestCheckInOptions:
