@@ -249,16 +249,14 @@ def _structure(
 def _all_community_labels(
     graphs: CSRGraphBatch, seed: int | np.random.Generator | None
 ) -> dict[int, np.ndarray]:
-    """Louvain labels of every graph with edges, by graph index."""
+    """Louvain labels of every graph with edges, by graph index.
+
+    Graphs without edges have no entries and stay out of Louvain, so
+    the batch goes in as it is, with no copy.
+    """
+    labels = community.louvain_labels_many(graphs, seed=seed)
     sizes = np.diff(graphs.indptr[graphs.node_offsets])
-    with_edges = np.flatnonzero(sizes >= 2).tolist()
-    if np.count_nonzero(sizes) == len(with_edges):
-        # Graphs without edges have no entries and stay out of Louvain,
-        # so the batch goes in as it is, with no copy.
-        labels = community.louvain_labels_many(graphs, seed=seed)
-        return {g: labels[g] for g in with_edges}
-    labels = community.louvain_labels_many([graphs[g] for g in with_edges], seed=seed)
-    return dict(zip(with_edges, labels, strict=True))
+    return {g: labels[g] for g in np.flatnonzero(sizes).tolist()}
 
 
 def graph_feature_rows(

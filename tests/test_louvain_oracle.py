@@ -1,8 +1,9 @@
 """Louvain's two local-move sweeps against each other.
 
 The list sweep is the oracle: ``louvain_labels_many`` must give the same
-labels as one list-swept ``louvain_labels`` call per graph, with the
-level-0 wavefront forced on and off.  The graphs carry small integer
+labels as one ``louvain_labels`` call per graph (a one-graph list, which
+never takes the wavefront), with the level-0 wavefront forced on and
+off.  The graphs carry small integer
 weights, so gains tie; isolated nodes, weighted self-loops and
 disconnected parts; and ``min_gain`` 0.3 makes candidates inside the
 acceptance window common, which is where ``argmax`` and the sequential
@@ -48,12 +49,6 @@ def as_batch(graphs):
         weights=np.concatenate([g.weights for g in graphs] or [np.empty(0)]),
         node_offsets=node_offsets,
     )
-
-
-def list_swept(graph, **options):
-    """``louvain_labels`` with every level on the list sweep."""
-    with wavefront(10**9):
-        return louvain_labels(graph, **options)
 
 
 @st.composite
@@ -105,7 +100,7 @@ class TestSweepsAgree:
     @example(batch=[GAP_GRAPH] * 2, seed=1, options=GAP_OPTIONS, threshold=1)
     @settings(max_examples=200, deadline=None)
     def test_many_matches_per_graph_calls(self, batch, seed, options, threshold):
-        want = [list_swept(graph, seed=seed, **options) for graph in batch]
+        want = [louvain_labels(graph, seed=seed, **options) for graph in batch]
         with wavefront(threshold):
             got = louvain_labels_many(batch, seed=seed, **options)
             packed = louvain_labels_many(as_batch(batch), seed=seed, **options)
@@ -123,14 +118,20 @@ class TestSweepsAgree:
     def test_shared_generator_is_consumed_graph_by_graph(
         self, batch, seed, options
     ):
+        # A batch at threshold 1 would take the wavefront but for the
+        # shared generator, so it checks that guard; a list never does.
         rng = np.random.default_rng(seed)
         want = [louvain_labels(graph, seed=rng, **options) for graph in batch]
         with wavefront(1):
             got = louvain_labels_many(
                 batch, seed=np.random.default_rng(seed), **options
             )
-        for labels, expected in zip(got, want, strict=True):
+            packed = louvain_labels_many(
+                as_batch(batch), seed=np.random.default_rng(seed), **options
+            )
+        for labels, same, expected in zip(got, packed, want, strict=True):
             assert np.array_equal(labels, expected)
+            assert np.array_equal(same, expected)
 
 
 class TestBatchContainer:
@@ -162,7 +163,7 @@ class TestBatchContainer:
             keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
             weights = rng.integers(1, 4, size=keys.size).astype(np.float64)
             batch.append(CSRGraph.from_edges(n, keys // n, keys % n, weights))
-        want = [list_swept(graph, seed=2) for graph in batch]
+        want = [louvain_labels(graph, seed=2) for graph in batch]
         got = louvain_labels_many(as_batch(batch), seed=2)
         for labels, expected in zip(got, want, strict=True):
             assert np.array_equal(labels, expected)
@@ -198,4 +199,4 @@ class TestDispatch:
             louvain_labels_many(batch, seed=3)  # a list: the list sweep only
             assert calls == []
             for labels, graph in zip(got, batch, strict=True):
-                assert np.array_equal(labels, list_swept(graph, seed=3))
+                assert np.array_equal(labels, louvain_labels(graph, seed=3))
