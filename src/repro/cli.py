@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 from repro.corpus.io import read_corpus_jsonl, write_corpus_jsonl
+from repro.errors import LinkageError
 from repro.extraction.measures import MEASURE_NAMES
 from repro.text.stopwords import SUPPORTED_LANGUAGES
 from repro.linkage.evaluation import evaluate_linkage, gold_positions
@@ -136,7 +137,12 @@ def _cmd_link(args: argparse.Namespace) -> int:
     ontology = read_ontology_json(args.ontology)
     corpus = read_corpus_jsonl(args.corpus)
     linker = SemanticLinker(ontology, corpus, top_k=args.top_k)
-    propositions = linker.propose(args.term)
+    try:
+        propositions = linker.propose(args.term)
+    except LinkageError as exc:
+        # A term with nothing to compare (no context, no position).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     concept_ids = ontology.concepts_for_term(args.term)
     gold = (
         gold_positions(ontology, concept_ids[0], args.term)

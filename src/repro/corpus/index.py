@@ -42,9 +42,10 @@ state it was taken at however the index grows.  Mutating a
 :class:`Document` in place is still not detected.
 
 :class:`KeptOccurrenceRecords` keeps one term list's
-:meth:`~CorpusIndex.occurrence_records` as the corpus grows: a corpus
-that extends the kept one along the fingerprint chain is read only
-through its new documents, whichever index object serves it.
+:meth:`~CorpusIndex.occurrence_records` as the corpus grows, and
+:class:`KeptTermContexts` each term's :meth:`~CorpusIndex.contexts_for_term`:
+a corpus that extends the kept one along the fingerprint chain is read
+only through its new documents, whichever index object serves it.
 """
 
 from __future__ import annotations
@@ -747,3 +748,82 @@ class KeptOccurrenceRecords:
         self._fingerprint = index.fingerprint()
         self._n_documents = index.n_documents()
         return changed
+
+
+class KeptTermContexts:
+    """Each term's :meth:`CorpusIndex.contexts_for_term`, kept as it grows.
+
+    A term's contexts in one document depend only on that document:
+    matches are consumed greedily within the document, and windows clip
+    at its boundaries.  So the contexts over a grown corpus are the old
+    contexts followed by the new documents' contexts.
+
+    :meth:`update` brings the contexts to an index and a term list.
+    ``contexts`` then equals ``{term: index.contexts_for_term(term,
+    window=window)}`` over exactly the terms of that update.  ``memo``
+    holds what a caller derives from one term's contexts (Step II
+    detection keeps each candidate's capped windows, document frequency
+    and context digest there): :meth:`update` drops the entry of every
+    term whose contexts changed or left.
+
+    Example
+    -------
+    >>> from repro.corpus.corpus import Corpus
+    >>> from repro.corpus.document import Document
+    >>> corpus = Corpus([Document("a", [["corneal", "injury", "heals"]])])
+    >>> kept = KeptTermContexts(window=2)
+    >>> kept.update(corpus, corpus.index(), ["injury"])
+    >>> corpus.add(Document("b", [["old", "injury"]]))
+    >>> kept.update(corpus, corpus.index(), ["injury"])
+    >>> [(c.doc_id, c.tokens) for c in kept.contexts["injury"]]
+    [('a', ('corneal', 'heals')), ('b', ('old',))]
+    """
+
+    def __init__(self, *, window: int = 10) -> None:
+        self.window = window
+        self.contexts: dict[str, list[TermContext]] = {}
+        self.memo: dict[str, object] = {}
+        # The chain point the contexts cover: None before the first update.
+        self._fingerprint: str | None = None
+        self._n_documents = 0
+
+    def update(
+        self,
+        corpus: "Sequence[Document]",
+        index: CorpusIndex,
+        terms: Iterable[str],
+    ) -> None:
+        """Bring the contexts to ``index`` and ``terms``.
+
+        ``corpus`` holds ``index``'s documents in order.  When the chain
+        from the kept fingerprint through the documents past the kept
+        point reaches ``index.fingerprint()``, a kept term is read only
+        through an index of those documents, and an unchanged corpus is
+        not read at all.  A term new to the list, and every term of any
+        other index (the first one included), is retrieved over
+        ``index``.
+        """
+        added = documents_after(corpus, index, self._fingerprint, self._n_documents)
+        kept = {} if added is None else self.contexts
+        delta = CorpusIndex(added) if added else None
+        contexts: dict[str, list[TermContext]] = {}
+        changed: set[str] = set()
+        for term in dict.fromkeys(terms):
+            found = kept.get(term)
+            if found is None:
+                found = index.contexts_for_term(term, window=self.window)
+                changed.add(term)
+            elif delta is not None:
+                grown = delta.contexts_for_term(term, window=self.window)
+                if grown:
+                    found = found + grown
+                    changed.add(term)
+            contexts[term] = found
+        self.contexts = contexts
+        self.memo = {
+            term: value
+            for term, value in self.memo.items()
+            if term in contexts and term not in changed
+        }
+        self._fingerprint = index.fingerprint()
+        self._n_documents = index.n_documents()

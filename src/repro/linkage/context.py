@@ -19,14 +19,15 @@ fitted on the term documents and densified, byte for byte
 as CSR between builds and a row is densified to the full sorted
 vocabulary when read, so every cosine is the same dense dot as before.
 A build whose corpus fingerprint, window and term list equal the last
-build's reuses the space without retrieving anything: the enricher
-keeps one index across runs, so a warm re-run of an unchanged corpus
-pays nothing here.
+build's reuses the space without retrieving anything, and every cosine
+:meth:`TermContextIndex.cosines` computes is kept until the space is
+rebuilt: the enricher keeps one index across runs, so a warm re-run of
+an unchanged corpus pays nothing here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 import numpy as np
@@ -55,9 +56,11 @@ class TermContextIndex:
     -----
     ``build(terms)`` retrieves contexts through the positional index and
     fits the TF-IDF space; ``vector(term)`` then returns the unit-norm
-    aggregate context vector, and ``cosine(a, b)`` the similarity of two
-    terms.  :meth:`attach` points a kept index at the current corpus;
-    its next build reuses the space if nothing it depends on changed.
+    aggregate context vector, ``cosine(a, b)`` the similarity of two
+    terms, and ``cosines(term, positions)`` the kept similarities of a
+    term to each of many.  :meth:`attach` points a kept index at the
+    current corpus; its next build reuses the space if nothing it
+    depends on changed.
     """
 
     def __init__(
@@ -84,6 +87,9 @@ class TermContextIndex:
         self._indices = np.zeros(0, dtype=np.int64)
         self._data = np.zeros(0, dtype=np.float64)
         self._n_words = 0
+        # Every (term, position) cosine :meth:`cosines` computed over
+        # the current space; None for a position without contexts.
+        self._cosines: dict[tuple[str, str], float | None] = {}
 
     def attach(
         self, corpus: Corpus, *, window: int, index: CorpusIndex | None = None
@@ -217,6 +223,7 @@ class TermContextIndex:
         self._indptr = np.concatenate(([0], np.cumsum(lengths)))
         self._n_words = n_words
         self._rows = {term: row for row, term in enumerate(terms)}
+        self._cosines = {}
 
     def _require_built(self) -> dict[str, int]:
         if self._rows is None:
@@ -246,3 +253,33 @@ class TermContextIndex:
     def cosine(self, term_a: str, term_b: str) -> float:
         """Cosine similarity between two indexed terms' contexts."""
         return float(self.vector(term_a) @ self.vector(term_b))
+
+    def cosines(self, term: str, positions: Iterable[str]) -> list[tuple[str, float]]:
+        """``(position, cosine)`` of normalised ``term`` to each position.
+
+        ``term`` itself and positions without contexts are left out.
+        Each answer is kept until the space is rebuilt, a position
+        without contexts included, so asking again on an unchanged
+        space computes nothing; a miss is :meth:`cosine`'s dense dot,
+        bit for bit.
+        """
+        self._require_built()
+        memo = self._cosines
+        vector = None
+        scored = []
+        for position in positions:
+            if position == term:
+                continue
+            pair = (term, position)
+            if pair in memo:
+                cosine = memo[pair]
+            else:
+                cosine = None
+                if self.n_contexts(position):
+                    if vector is None:
+                        vector = self.vector(term)
+                    cosine = float(vector @ self.vector(position))
+                memo[pair] = cosine
+            if cosine is not None:
+                scored.append((position, cosine))
+        return scored

@@ -205,12 +205,7 @@ class SemanticLinker:
         positions = self.positions_for(key)
         if not positions:
             raise LinkageError(f"no candidate positions for {candidate!r}")
-        vector = index.vector(key)
-        scored = []
-        for position in positions:
-            if position == key or index.n_contexts(position) == 0:
-                continue
-            scored.append((position, float(vector @ index.vector(position))))
+        scored = index.cosines(key, positions)
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return [
             Proposition(

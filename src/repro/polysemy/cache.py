@@ -178,9 +178,10 @@ class FeatureCache:
     def stats(self) -> dict[str, int]:
         """Counters since creation.
 
-        ``hits``/``misses`` count lookups through this cache,
-        ``entries`` the backend's current size, and the backend's own
-        counters (``disk_hits``/``evictions``/``store_bytes``, plus
+        ``hits``/``misses`` count lookups through this cache, and the
+        backend's :meth:`~repro.polysemy.cache_store.CacheStore.stats`
+        (its sizes ``entries``/``store_bytes``, read in one call, and
+        its counters ``disk_hits``/``evictions``, plus
         ``remote_hits``/``remote_errors`` for the served backend) are
         merged in; the keys are uniform across backends, zero-filled
         where a backend has no such notion.
@@ -189,10 +190,9 @@ class FeatureCache:
             stats = {
                 "hits": self._hits,
                 "misses": self._misses,
-                "entries": len(self._store),
                 **self._store.stats(),
             }
-            for key in (*_EVENT_COUNTERS, "store_bytes"):
+            for key in (*_EVENT_COUNTERS, "entries", "store_bytes"):
                 stats.setdefault(key, 0)
             return stats
 
@@ -200,7 +200,7 @@ class FeatureCache:
         """:attr:`stats` without the sizes, for diffing around a run.
 
         ``entries`` and ``store_bytes`` are left out: neither is diffed,
-        and measuring them means scanning a disk store or asking a
+        and measuring them can mean scanning a disk store or asking a
         served one, while these counters live in memory.
         """
         with self._lock:

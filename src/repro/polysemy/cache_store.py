@@ -43,11 +43,20 @@ digest) are never opened again and age out by LRU.
 Reads take no lock: the index is re-parsed incrementally when it grows,
 torn trailing lines are skipped until complete, and every blob is
 validated by length and CRC-32 before it is returned — a truncated or
-corrupted entry is a *miss*, never a crash or a wrong vector.  A handle
-keeps a view of every generation it has seen, so a size snapshot
-(``len(store)``, ``store_bytes``) costs one directory scan plus one
-``stat`` per generation while nothing changed, and otherwise parses only
-the index bytes appended since the last one.
+corrupted entry is a *miss*, never a crash or a wrong vector.
+
+The sizes (``len(store)``, ``store_bytes``) cost no system call while
+nothing changed.  ``cache_dir/.changes`` holds a counter, mapped into
+every handle's memory, that a store adds one to under ``flock`` as it
+starts and as it finishes each write, eviction or clear.  A handle
+keeps the sizes it measured while the counter reads what it read before
+measuring them, and adds its own writes to them as it makes them (when
+no other store changed anything since).  Otherwise it measures again:
+one directory scan plus one ``stat`` per generation, walking only
+generations whose index changed and parsing only the index bytes
+appended since the last measure.  A change made by anything but a
+store (a hand-deleted shard) shows in the sizes after the next change
+another store makes.
 
 ``max_bytes`` caps the whole store, evicted in two steps.  Least
 recently *used* generations go first (whole directories; reads and
@@ -70,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import shutil
 import threading
@@ -143,7 +153,8 @@ class CacheStore(Protocol):
         no filesystem or network access."""
 
     def stats(self) -> dict[str, int]:
-        """:meth:`counters` plus the absolute ``store_bytes``."""
+        """:meth:`counters` plus the absolute sizes, ``entries`` (as
+        ``len``) and ``store_bytes``, measured together."""
 
 
 class MemoryCacheStore:
@@ -174,6 +185,7 @@ class MemoryCacheStore:
     def stats(self) -> dict[str, int]:
         return {
             **self.counters(),
+            "entries": len(self._entries),
             "store_bytes": sum(v.nbytes for v in self._entries.values()),
         }
 
@@ -297,6 +309,14 @@ class DiskCacheStore:
         # walk.  Concurrent writers make it drift low, so the cap is
         # best-effort between walks.
         self._size_estimate: int | None = None
+        # (entries, store_bytes) as of change count ``_sizes_seen``.
+        self._sizes: tuple[int, int] | None = None
+        self._sizes_seen: int | None = None
+        # The shared change counter (8 bytes, little-endian), mapped by
+        # the first measure or change; a handle that only describes the
+        # store never makes it.
+        self._changes_path = self._dir / ".changes"
+        self._changes: mmap.mmap | None = None
 
     @property
     def cache_dir(self) -> Path:
@@ -334,6 +354,7 @@ class DiskCacheStore:
                 # Truncated/corrupt/evicted payload: a miss, never a
                 # wrong vector.  Drop the dangling index entry locally.
                 generation.entries.pop(entry_key, None)
+                self._sizes = None
                 return None
             self._disk_hits += 1
             generation.memo[entry_key] = vector
@@ -352,33 +373,37 @@ class DiskCacheStore:
         blob = vector.tobytes()
         with self._lock:
             generation = self._generation(spec, create=True)
-            for attempt in (0, 1):
-                try:
-                    written = self._write_entry(
-                        generation, term, context, vector, blob
-                    )
-                    break
-                except FileNotFoundError:
-                    # Another store's eviction dropped our generation
-                    # directory mid-write; recreate it and retry once
-                    # (the refresh inside notices the vanished index
-                    # and resets this handle's stale state).
-                    if attempt:
-                        raise
-                    generation.path.mkdir(parents=True, exist_ok=True)
+            with self._changing() as added:
+                for attempt in (0, 1):
+                    try:
+                        added += self._write_entry(
+                            generation, term, context, vector, blob
+                        )
+                        break
+                    except FileNotFoundError:
+                        # Another store's eviction dropped our
+                        # generation directory mid-write; recreate it
+                        # and retry once (the refresh inside notices the
+                        # vanished index and resets this handle's stale
+                        # state).
+                        if attempt:
+                            raise
+                        generation.path.mkdir(parents=True, exist_ok=True)
             if self._max_bytes is not None and self._size_estimate is not None:
-                self._size_estimate += written
+                self._size_estimate += added[1]
             self._maybe_evict(generation)
 
     def _write_entry(
         self, generation: _Generation, term: str, context: str,
         vector: np.ndarray, blob: bytes,
-    ) -> int:
-        """Append one entry under the generation's flock; bytes added."""
+    ) -> tuple[int, int]:
+        """Append one entry under the generation's flock; the entries
+        (0 for an overwrite) and bytes it added."""
         with _flocked(generation.lock_path):
             # Catch up with concurrent writers first so our own index
             # append lands after everything already on disk.
             self._refresh_index(generation)
+            new = (term, context) not in generation.entries
             shard_no, offset = self._append_blob(generation, blob)
             record = {
                 "term": term,
@@ -425,17 +450,18 @@ class DiskCacheStore:
             )
             generation.memo[term, context] = vector
             self._touch(generation)
-            return len(blob) + len(payload)
+            return int(new), len(blob) + len(payload)
 
     def __len__(self) -> int:
-        return self._snapshot()[0]
+        return self._measured()[0]
 
     def clear(self) -> None:
-        with self._lock:
+        with self._lock, self._changing():
             for child in self._dir.iterdir():
                 if child.is_dir():
                     shutil.rmtree(child, ignore_errors=True)
-                else:
+                elif child != self._changes_path:
+                    # The counter stays: other handles have it mapped.
                     child.unlink(missing_ok=True)
             self._generations.clear()
             self._disk_hits = 0
@@ -448,7 +474,8 @@ class DiskCacheStore:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {**self.counters(), "store_bytes": self._snapshot()[1]}
+            entries, store_bytes = self._measured()
+            return {**self.counters(), "entries": entries, "store_bytes": store_bytes}
 
     def describe(self) -> dict:
         """The store's on-disk layout (``repro cache-info``'s payload).
@@ -506,6 +533,90 @@ class DiskCacheStore:
             generation = _Generation(path)
             self._generations[name] = generation
         return generation
+
+    # -- sizes ------------------------------------------------------------
+
+    def _counter(self) -> mmap.mmap | None:
+        """The shared change counter, mapped on first use (None when it
+        cannot be: no ``fcntl``, or a directory this process cannot
+        write)."""
+        if self._changes is not None or fcntl is None:
+            return self._changes
+        try:
+            fd = os.open(self._changes_path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError:
+            return None
+        try:
+            # Growing a file to the size it has already is a no-op, so
+            # two handles creating the counter at once both keep it.
+            if os.fstat(fd).st_size < 8:
+                os.ftruncate(fd, 8)
+            self._changes = mmap.mmap(fd, 8)
+        except (OSError, ValueError):
+            pass
+        finally:
+            os.close(fd)
+        return self._changes
+
+    def _bump(self) -> int | None:
+        """Add one to the shared change counter; its value before, or
+        None without a counter."""
+        counter = self._counter()
+        if counter is None:
+            return None
+        try:
+            with _flocked(self._changes_path):
+                value = int.from_bytes(counter[:8], "little")
+                counter[:8] = (value + 1).to_bytes(8, "little")
+        except OSError:
+            return None  # the root went away under us
+        return value
+
+    @contextmanager
+    def _changing(self):
+        """Bracket one change on disk with bumps of the change counter.
+
+        Yields a list the change extends with the ``(entries, bytes)``
+        it added.  When it does and no other store changed anything
+        since the kept sizes were measured, they grow by that much and
+        hold while the counter reads what this change's two bumps left
+        (another store's change in between moves it past that).
+        Otherwise (an eviction, a clear, a failed write) they are
+        measured again at the next read.  A writer killed mid-change
+        has made the first bump, so every handle measures what it left.
+        """
+        started = self._bump()
+        added: list[int] = []
+        try:
+            yield added
+        finally:
+            self._bump()
+            if (
+                added
+                and self._sizes is not None
+                and started is not None
+                and started == self._sizes_seen
+            ):
+                entries, store_bytes = self._sizes
+                self._sizes = (entries + added[0], store_bytes + added[1])
+                self._sizes_seen = started + 2
+            else:
+                self._sizes = None
+
+    def _measured(self) -> tuple[int, int]:
+        """``(entries, store_bytes)``: the kept sizes while the change
+        counter reads what it did when they were measured (no system
+        call), else a fresh :meth:`_snapshot`."""
+        with self._lock:
+            counter = self._counter()
+            seen = None if counter is None else int.from_bytes(counter[:8], "little")
+            if self._sizes is None or seen is None or seen != self._sizes_seen:
+                # The counter is read before measuring: a change that
+                # lands during the walk moves it, so the next read
+                # measures again.
+                self._sizes = self._snapshot()
+                self._sizes_seen = seen
+            return self._sizes
 
     def _snapshot(self) -> tuple[int, int]:
         """``(entries, store_bytes)`` over every generation on disk.
@@ -775,6 +886,11 @@ class DiskCacheStore:
         self._size_estimate = total
         if total <= self._max_bytes:
             return
+        with self._changing():
+            self._evict(active, total)
+
+    def _evict(self, active: _Generation, total: int) -> None:
+        """Evict until the store's ``total`` bytes fit the cap."""
         # 1. Whole stale generations, least recently used first (reads
         #    and writes both refresh the stamp).  The active generation
         #    (the one just written) is never a victim.

@@ -88,6 +88,14 @@ class ServiceError(ValidationError):
     """
 
 
+def _count(document: dict, name: str) -> int:
+    """``document[name]`` as an int; 0 when it is missing or no count."""
+    try:
+        return int(document.get(name, 0) or 0)
+    except (TypeError, ValueError):
+        return 0
+
+
 def _parse_base_url(base_url: str) -> tuple[str, int, str]:
     """``(host, port, path_prefix)`` of a service base URL."""
     parsed = urlsplit(base_url if "//" in base_url else f"http://{base_url}")
@@ -311,13 +319,7 @@ class RemoteCacheStore:
                 self._error()
 
     def __len__(self) -> int:
-        stats = self._fetch_json("/stats")
-        if stats is None:
-            return 0
-        try:
-            return int(stats["entries"])
-        except (KeyError, TypeError, ValueError):
-            return 0
+        return self.stats()["entries"]
 
     def clear(self) -> None:
         result = self._channel.request("POST", "/cache/clear")
@@ -347,13 +349,15 @@ class RemoteCacheStore:
             }
 
     def stats(self) -> dict[str, int]:
-        """:meth:`counters` plus the server's absolute store size
-        (``store_bytes``; 0 when it is unreachable — stats polling
-        never counts as a failure)."""
+        """:meth:`counters` plus the server's absolute sizes, ``entries``
+        and ``store_bytes``, from one ``GET /stats`` (each 0 when the
+        server is unreachable or does not say — stats polling never
+        counts as a failure)."""
         remote = self._fetch_json("/stats") or {}
         return {
             **self.counters(),
-            "store_bytes": int(remote.get("store_bytes", 0) or 0),
+            "entries": _count(remote, "entries"),
+            "store_bytes": _count(remote, "store_bytes"),
         }
 
     # -- shared JSON plumbing ---------------------------------------------

@@ -199,11 +199,7 @@ class CacheService:
                 "vector_puts": self._vector_puts,
                 "vector_hits": self._vector_hits,
             }
-        return {
-            "entries": len(self.store),
-            **self.store.stats(),
-            **traffic,
-        }
+        return {**self.store.stats(), **traffic}
 
     def stats_payload(self) -> tuple[bytes, str]:
         """``(serialized /stats body, ETag)``, cached per version.

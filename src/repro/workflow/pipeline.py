@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.corpus.corpus import Corpus
-from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
+from repro.corpus.corpus import Corpus, TermContext
+from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords, KeptTermContexts
 from repro.errors import CorpusError, LinkageError, ValidationError
 from repro.extraction.extractor import BioTexExtractor, RankedTerm
 from repro.linkage.context import TermContextIndex
@@ -86,6 +86,9 @@ class CandidateWork:
         was skipped.
     doc_frequency:
         Distinct documents the candidate occurs in.
+    context_digest:
+        The :func:`~repro.polysemy.cache.context_digest` of ``contexts``
+        and ``doc_frequency`` (keys Steps II and III).
     features:
         The Step II feature vector (looked up in the
         :class:`~repro.polysemy.cache.FeatureCache` under its contexts'
@@ -97,6 +100,7 @@ class CandidateWork:
     report: TermReport
     contexts: list[tuple[str, ...]] | None = None
     doc_frequency: int = 0
+    context_digest: str | None = None
     features: np.ndarray | None = None
 
     @property
@@ -178,7 +182,16 @@ class ExtractStage:
 
 
 class DetectStage:
-    """Step II: materialise contexts, featurise in one batch, classify each."""
+    """Step II: materialise contexts, featurise in one batch, classify each.
+
+    The stage keeps its candidates' contexts along the corpus
+    fingerprint chain (:class:`~repro.corpus.index.KeptTermContexts`),
+    with the capped windows, document frequency and context digest
+    derived from them, so a run on an unchanged corpus reads and hashes
+    no window, and a grown corpus is read only through its new
+    documents.  A run under another window or cap starts over.  An
+    enricher keeps one stage across its runs.
+    """
 
     name = "detect"
 
@@ -192,15 +205,15 @@ class DetectStage:
     ) -> None:
         self._detector = detector
         self._features = feature_extractor
-        self._trained = trained
+        self.trained = trained
         self._cache = cache
+        self._kept = KeptTermContexts()
+        self._cap: int | None = None
 
     def run(self, ctx: PipelineContext) -> None:
-        cfg = ctx.config
-        for item in ctx.work:
-            self._materialise(ctx.index, cfg, item)
+        self._materialise(ctx)
         active = [item for item in ctx.work if item.contexts is not None]
-        if not self._trained:
+        if not self.trained:
             for item in active:
                 item.report.polysemic = False
             return
@@ -225,11 +238,7 @@ class DetectStage:
         """
         spec = self._features.spec_digest
         keys = [
-            FeatureCache.key(
-                context_digest(item.contexts, item.doc_frequency),
-                item.candidate.term,
-                spec,
-            )
+            FeatureCache.key(item.context_digest, item.candidate.term, spec)
             for item in active
         ]
         found = self._cache.lookup_many(keys)
@@ -251,31 +260,45 @@ class DetectStage:
         if misses:
             self._cache.store_many([(keys[i], active[i].features) for i in misses])
 
-    @staticmethod
-    def _materialise(
-        index: CorpusIndex, cfg: EnrichmentConfig, item: CandidateWork
-    ) -> None:
-        """Retrieve ``item``'s capped contexts, or mark it skipped."""
-        occurrences = index.contexts_for_term(
-            item.candidate.term, window=cfg.context_window
-        )
-        item.report.n_contexts = len(occurrences)
-        if len(occurrences) < cfg.min_contexts:
-            item.report.skipped_reason = (
-                f"only {len(occurrences)} contexts "
-                f"(< {cfg.min_contexts})"
-            )
-            return
-        # Cap very frequent candidates: the per-candidate clustering
-        # and graph features are superlinear in the context count.
+    def _materialise(self, ctx: PipelineContext) -> None:
+        """Give each candidate its capped contexts, or mark it skipped."""
+        cfg = ctx.config
         cap = cfg.max_contexts_per_term
-        if len(occurrences) > cap:
-            step = len(occurrences) / cap
-            occurrences = [occurrences[int(i * step)] for i in range(cap)]
-        # Document frequency over the kept occurrences (they are what the
-        # feature vector sees).
-        item.doc_frequency = len({c.doc_id for c in occurrences})
-        item.contexts = [ctx_.tokens for ctx_ in occurrences]
+        if (self._kept.window, self._cap) != (cfg.context_window, cap):
+            self._kept = KeptTermContexts(window=cfg.context_window)
+            self._cap = cap
+        kept = self._kept
+        kept.update(ctx.corpus, ctx.index, [item.candidate.term for item in ctx.work])
+        for item in ctx.work:
+            term = item.candidate.term
+            occurrences = kept.contexts[term]
+            item.report.n_contexts = len(occurrences)
+            if len(occurrences) < cfg.min_contexts:
+                item.report.skipped_reason = (
+                    f"only {len(occurrences)} contexts "
+                    f"(< {cfg.min_contexts})"
+                )
+                continue
+            capped = kept.memo.get(term)
+            if capped is None:
+                capped = kept.memo[term] = _capped(occurrences, cap)
+            item.contexts, item.doc_frequency, item.context_digest = capped
+
+
+def _capped(
+    occurrences: list[TermContext], cap: int
+) -> tuple[list[tuple[str, ...]], int, str]:
+    """A candidate's windows under ``cap``, their document frequency and digest."""
+    # Cap very frequent candidates: the per-candidate clustering and
+    # graph features are superlinear in the context count.
+    if len(occurrences) > cap:
+        step = len(occurrences) / cap
+        occurrences = [occurrences[int(i * step)] for i in range(cap)]
+    # Document frequency over the kept occurrences (they are what the
+    # feature vector sees).
+    doc_frequency = len({c.doc_id for c in occurrences})
+    contexts = [c.tokens for c in occurrences]
+    return contexts, doc_frequency, context_digest(contexts, doc_frequency)
 
 
 def _same_dataset(a: PolysemyDataset, b: PolysemyDataset | None) -> bool:
@@ -291,8 +314,8 @@ def _same_dataset(a: PolysemyDataset, b: PolysemyDataset | None) -> bool:
     )
 
 
-#: A Step III memo key: (term, Step II verdict, the contexts).
-SenseKey = tuple[str, bool, tuple[tuple[str, ...], ...]]
+#: A Step III memo key: (term, Step II verdict, the contexts' digest).
+SenseKey = tuple[str, bool, str]
 
 
 class InduceStage:
@@ -301,8 +324,9 @@ class InduceStage:
     ``memo`` is the enricher's Step III memo.  Induction is a pure
     function of (term, contexts, verdict) under the inducer's fixed
     settings (its RNG is re-seeded on every call), so a candidate whose
-    key the memo holds reuses that result.  After the run the memo holds
-    exactly this run's keys, so it never outgrows one batch.
+    key the memo holds reuses that result; the key names the contexts
+    by the digest Step II keys its vectors with.  After the run the
+    memo holds exactly this run's keys, so it never outgrows one batch.
     """
 
     name = "induce"
@@ -321,7 +345,7 @@ class InduceStage:
             if item.contexts is None:
                 continue
             polysemic = bool(item.report.polysemic)
-            key = (item.candidate.term, polysemic, tuple(item.contexts))
+            key = (item.candidate.term, polysemic, item.context_digest)
             senses = self._memo.get(key)
             if senses is None:
                 senses = self._inducer.induce(
@@ -492,9 +516,19 @@ class OntologyEnricher:
         )
         self._fitted_on: PolysemyDataset | None = None
         self._senses: dict[SenseKey, SenseInductionResult] = {}
-        # Step IV's stage, which keeps the context space and the
-        # neighbourhoods across runs (made by the first that links).
+        # The stages, kept across runs: Step II's keeps its candidates'
+        # contexts, and Step IV's the context space and neighbourhoods
+        # (made by the first run that links).
+        self._extract = ExtractStage(self._extractor)
+        self._detect = DetectStage(
+            self._detector,
+            self._feature_extractor,
+            trained=False,
+            cache=self._cache,
+        )
+        self._induce = InduceStage(self._inducer, self._senses)
         self._link = LinkStage()
+        self._index_dir = None if cfg.index_dir is None else Path(cfg.index_dir)
 
     # -- introspection (the streaming delta path builds on these) ----------
 
@@ -555,19 +589,11 @@ class OntologyEnricher:
         """The pipeline's stages, in execution order.
 
         Exposed so callers can run or instrument stages individually;
-        :meth:`enrich` composes exactly this list.
+        :meth:`enrich` composes exactly this list.  The enricher keeps
+        the stage objects (and what they keep) across runs.
         """
-        return [
-            ExtractStage(self._extractor),
-            DetectStage(
-                self._detector,
-                self._feature_extractor,
-                trained=self.detector_trained,
-                cache=self._cache,
-            ),
-            InduceStage(self._inducer, self._senses),
-            self._link,
-        ]
+        self._detect.trained = self.detector_trained
+        return [self._extract, self._detect, self._induce, self._link]
 
     def enrich(
         self, corpus: Corpus, *, index: CorpusIndex | None = None
@@ -596,11 +622,10 @@ class OntologyEnricher:
         cache_before = self._cache.counters()
         started = time.perf_counter()
         if index is None:
-            index_dir = self.config.index_dir
+            index_dir = self._index_dir
             remembered = corpus.index_store
             if index_dir is None or (
-                remembered is not None
-                and remembered.directory == Path(index_dir)
+                remembered is not None and remembered.directory == index_dir
             ):
                 index = corpus.index()
             else:

@@ -111,6 +111,12 @@ class TestDiskStoreUnderContention:
             assert got is not None, f"lost entry: {term}"
             assert got.tobytes() == expected_vector(term).tobytes()
         assert fresh.stats()["disk_hits"] == len(universe)
+        # The shared handle's sizes took in the other processes' writes.
+        assert len(shared) == len(universe)
+        assert (
+            shared.stats()["store_bytes"]
+            == DiskCacheStore(tmp_path).describe()["store_bytes"]
+        )
 
         # Monotonically consistent stats: neither the hit counter nor
         # the entry count ever moved backwards while hammering.

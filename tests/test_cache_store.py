@@ -1,7 +1,11 @@
 """DiskCacheStore behaviour: layout, sharing, eviction, corruption, wiring."""
 
 import json
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 from unittest.mock import ANY
 
 import numpy as np
@@ -18,6 +22,9 @@ from repro.polysemy.cache_store import (
 from repro.scenarios import make_enrichment_scenario
 from repro.workflow.config import EnrichmentConfig
 from repro.workflow.pipeline import OntologyEnricher
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def key(term: str, context: str = "context-digest", spec: str = "spec-digest"):
@@ -90,6 +97,7 @@ class TestDiskRoundTrip:
         assert store.stats() == {
             "disk_hits": 0,
             "evictions": 0,
+            "entries": 0,
             "store_bytes": 0,
         }
 
@@ -322,6 +330,71 @@ class TestIncrementalSnapshot:
         sizes = self.snapshot(store)
         assert parses == []
         assert sizes == self.full_walk(tmp_path)
+
+    @staticmethod
+    def forbid_system_calls(monkeypatch):
+        def system_call(*args, **kwargs):
+            raise AssertionError("measuring the sizes made a system call")
+
+        import os
+
+        for name in ("scandir", "stat", "open", "fstat", "listdir"):
+            monkeypatch.setattr(os, name, system_call)
+
+    def test_unchanged_sizes_cost_no_system_call(self, tmp_path, monkeypatch):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 6)
+        self.fill(DiskCacheStore(tmp_path), "other", 4, specs=("s2", "s3"))
+        cache = FeatureCache(store)
+        first = self.snapshot(store)
+        assert first == self.full_walk(tmp_path)
+        self.forbid_system_calls(monkeypatch)
+        assert self.snapshot(store) == first
+        stats = cache.stats
+        assert (stats["entries"], stats["store_bytes"]) == first
+
+    def test_own_writes_keep_the_sizes_without_a_system_call(
+        self, tmp_path, monkeypatch
+    ):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 3)
+        self.snapshot(store)
+        self.fill(store, "more", 5, specs=("s0", "s4"))
+        # An overwrite adds bytes but no entry.
+        store.put(key("own 0", spec="s0"), vector(99))
+        expected = self.full_walk(tmp_path)
+        self.forbid_system_calls(monkeypatch)
+        assert self.snapshot(store) == expected
+
+    def test_a_writer_killed_mid_write_is_measured(self, tmp_path):
+        store = DiskCacheStore(tmp_path)
+        self.fill(store, "own", 3)
+        self.snapshot(store)
+        # Another process dies in the middle of a put: its blob is
+        # written and its index line torn.
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from repro.polysemy.cache_store import DiskCacheStore\n"
+            "def die(self, generation, blob):\n"
+            "    with open(generation.shard_path(0), 'ab') as fh:\n"
+            "        fh.write(blob)\n"
+            "    with open(generation.index_path, 'ab') as fh:\n"
+            "        fh.write(b'{\"term\": \"kil')\n"
+            "    os._exit(3)\n"
+            "DiskCacheStore._append_blob = die\n"
+            "DiskCacheStore(sys.argv[1]).put(\n"
+            "    ('context', 'killed', 's0'), np.zeros(5))\n"
+        )
+        died = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            check=False,
+        )
+        assert died.returncode == 3
+        assert self.snapshot(store) == self.full_walk(tmp_path)
+        self.fill(store, "after", 2)
+        assert self.snapshot(store) == self.full_walk(tmp_path)
 
     def test_another_handles_appends_parse_only_the_new_bytes(
         self, tmp_path, parses

@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +99,28 @@ class TestLinkAndEvaluate:
         assert code == 0
         assert "Propositions" in out
         assert "cosine" in out
+
+    def test_link_without_context_prints_error(self, scenario_dir):
+        # In a process of its own, as a user runs it: an uncaught
+        # LinkageError would print a traceback there.
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "link",
+                "--ontology", str(scenario_dir / "ontology.json"),
+                "--corpus", str(scenario_dir / "corpus.jsonl"),
+                "--term", "zzzq",
+            ],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr == (
+            "error: candidate 'zzzq' has no context in the corpus\n"
+        )
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
 
     def test_evaluate_runs(self, scenario_dir, capsys):
         code = main(

@@ -19,13 +19,17 @@ from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex
 from repro.corpus.index_store import IndexStore
 from repro.errors import ValidationError
+from repro.linkage.context import TermContextIndex
+from repro.linkage.linker import SemanticLinker
+from repro.polysemy import cache as cache_module
 from repro.polysemy.cache_store import DiskCacheStore
 from repro.polysemy.dataset import PolysemyDataset
 from repro.polysemy.detector import PolysemyDetector
 from repro.scenarios import make_enrichment_scenario
 from repro.senses.induction import SenseInducer
 from repro.workflow.config import FITTABLE_CLASSIFIERS, EnrichmentConfig
-from repro.workflow.pipeline import OntologyEnricher
+from repro.workflow import pipeline as pipeline_module
+from repro.workflow.pipeline import OntologyEnricher, PipelineContext
 from repro.workflow.streaming import StreamingEnricher
 
 
@@ -294,6 +298,122 @@ class TestBatchVerdicts:
         ).enrich(scenario.corpus)
         examined = [row for row in report.terms if row.polysemic is not None]
         assert calls == [len(examined)]
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Record the calls to the per-candidate work a kept enricher skips.
+
+    ``contexts_for_term`` records ``(documents indexed, term)``.
+    """
+    calls = {"contexts_for_term": [], "context_digest": 0, "vector": 0}
+    contexts_for_term = CorpusIndex.contexts_for_term
+    digest = cache_module.context_digest
+    vector = TermContextIndex.vector
+
+    def counting_contexts(index, term, *, window=10):
+        calls["contexts_for_term"].append((index.n_documents(), term))
+        return contexts_for_term(index, term, window=window)
+
+    def counting_digest(contexts, doc_frequency):
+        calls["context_digest"] += 1
+        return digest(contexts, doc_frequency)
+
+    def counting_vector(space, term):
+        calls["vector"] += 1
+        return vector(space, term)
+
+    monkeypatch.setattr(CorpusIndex, "contexts_for_term", counting_contexts)
+    monkeypatch.setattr(cache_module, "context_digest", counting_digest)
+    monkeypatch.setattr(pipeline_module, "context_digest", counting_digest)
+    monkeypatch.setattr(TermContextIndex, "vector", counting_vector)
+    return calls
+
+
+class TestKeptCandidateWork:
+    def test_warm_rerun_reads_hashes_and_computes_nothing(
+        self, scenario, counted, induced
+    ):
+        enricher = OntologyEnricher(
+            scenario.ontology, pos_lexicon=scenario.pos_lexicon
+        )
+        first = enricher.enrich(scenario.corpus)
+        assert counted["contexts_for_term"] and counted["vector"] and induced
+        counted.update(contexts_for_term=[], context_digest=0, vector=0)
+        del induced[:]
+        second = enricher.enrich(scenario.corpus)
+        assert counted == {"contexts_for_term": [], "context_digest": 0, "vector": 0}
+        assert induced == []
+        assert comparable(second) == comparable(first)
+
+    # Abstract 7 brings one candidate new to the run, abstract 9 none.
+    @pytest.mark.parametrize("source", [7, 9])
+    def test_delta_retrieves_only_new_candidates_over_the_grown_index(
+        self, scenario, counted, source
+    ):
+        documents = list(scenario.corpus)
+        streamer = StreamingEnricher(
+            scenario.ontology, Corpus(documents), pos_lexicon=scenario.pos_lexicon
+        )
+        before = [row.term for row in streamer.baseline().terms]
+        del counted["contexts_for_term"][:]
+        streamer.add_documents([Document("late-1", documents[source].sentences)])
+        after = [row.term for row in streamer.report.terms]
+        grown = len(documents) + 1
+        retrieved = counted["contexts_for_term"]
+        assert {n for n, __ in retrieved} <= {1, grown}
+        assert sorted(t for n, t in retrieved if n == grown) == sorted(
+            set(after) - set(before)
+        )
+        # The kept contexts hold only this run's candidates.
+        assert set(streamer.enricher._detect._kept.contexts) == set(after)
+        fresh = OntologyEnricher(
+            scenario.ontology, pos_lexicon=scenario.pos_lexicon
+        ).enrich(Corpus([*documents, Document("late-1", documents[source].sentences)]))
+        assert comparable(streamer.report) == comparable(fresh)
+
+    def test_cosines_after_a_delta_equal_a_fresh_linker(self, scenario):
+        documents = list(scenario.corpus)
+        streamer = StreamingEnricher(
+            scenario.ontology, Corpus(documents), pos_lexicon=scenario.pos_lexicon
+        )
+        base = streamer.baseline()
+        arrival = Document("late-1", documents[9].sentences)
+        streamer.add_documents([arrival])
+        report = streamer.report
+        grown = Corpus([*documents, arrival])
+        enricher = OntologyEnricher(
+            scenario.ontology, pos_lexicon=scenario.pos_lexicon
+        )
+        config = enricher.config
+        ctx = PipelineContext(
+            corpus=grown, ontology=scenario.ontology, config=config, index=grown.index()
+        )
+        enricher.stages()[0].run(ctx)
+        linker = SemanticLinker(
+            scenario.ontology,
+            grown,
+            extra_terms=[candidate.term for candidate in ctx.ranked],
+            window=config.context_window,
+            top_k=config.top_k_positions,
+            expand_hierarchy=config.expand_hierarchy,
+        )
+
+        def cosines(row):
+            return [(p.term, p.cosine.hex()) for p in row.propositions]
+
+        linked = [row for row in report.terms if row.propositions]
+        assert linked
+        for row in linked:
+            assert cosines(row) == [
+                (p.term, p.cosine.hex()) for p in linker.propose(row.term)
+            ]
+        # The delta moved the space: some cosine changed, and the kept
+        # cosines are only those of the rebuilt space.
+        earlier = {row.term: cosines(row) for row in base.terms if row.propositions}
+        assert any(earlier.get(row.term) != cosines(row) for row in linked)
+        space = streamer.enricher._link.context_index
+        assert {term for term, __ in space._cosines} <= {row.term for row in linked}
 
 
 class TestAdoptedIndexReuse:

@@ -31,10 +31,21 @@ from repro.corpus.corpus import Corpus
 from repro.corpus.document import Document
 from repro.corpus.index import CorpusIndex, KeptOccurrenceRecords
 from repro.corpus.index_store import IndexStore
+from repro.extraction.extractor import RankedTerm
 from repro.linkage.context import TermContextIndex
+from repro.ontology.model import Ontology
+from repro.polysemy.cache import FeatureCache, context_digest
+from repro.polysemy.detector import PolysemyDetector
+from repro.polysemy.features import PolysemyFeatureExtractor
 from repro.scenarios import make_enrichment_scenario
 from repro.workflow.config import EnrichmentConfig
-from repro.workflow.pipeline import OntologyEnricher
+from repro.workflow.pipeline import (
+    CandidateWork,
+    DetectStage,
+    OntologyEnricher,
+    PipelineContext,
+)
+from repro.workflow.report import TermReport
 from repro.workflow.streaming import StreamingEnricher
 from test_context_index_oracle import assert_matches_oracle
 
@@ -273,3 +284,110 @@ class TestDeltaReadsOnlyTheDelta:
         assert len(whole) == 1
         assert {term.split()[0] for term in whole[0]} == touched
         assert len(whole[0]) < len(after)
+
+
+def candidates(term_list):
+    """One Step I candidate per term, in order."""
+    return [
+        CandidateWork(
+            candidate=RankedTerm(
+                term=term, tokens=tuple(term.split()), score=1.0, frequency=1,
+                rank=rank,
+            ),
+            report=TermReport(term=term, extraction_score=1.0, extraction_rank=rank),
+        )
+        for rank, term in enumerate(term_list, start=1)
+    ]
+
+
+class TestKeptContexts:
+    """Step II's kept candidate contexts against a fresh retrieval.
+
+    After every update the kept contexts must equal
+    ``index.contexts_for_term``, and each candidate's capped windows,
+    document frequency and digest what the stride cap derives from
+    those fresh contexts.
+    """
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(
+        base=batches,
+        term_list=terms.filter(bool),
+        window=windows,
+        cap=st.integers(min_value=1, max_value=5),
+        updates=steps,
+        drop=st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kept_contexts_equal_a_fresh_retrieval(
+        self, kind, base, term_list, window, cap, updates, drop
+    ):
+        config = EnrichmentConfig(
+            context_window=window, min_contexts=1, max_contexts_per_term=cap
+        )
+        stage = DetectStage(
+            PolysemyDetector(),
+            PolysemyFeatureExtractor(window=window),
+            trained=False,
+            cache=FeatureCache(),
+        )
+        corpus = Corpus(documents(base, 0))
+        with indexer(kind) as index_of:
+
+            def check(corpus, term_list):
+                index = index_of(list(corpus))
+                before = dict(stage._kept.contexts)
+                derived = dict(stage._kept.memo)
+                ctx = PipelineContext(
+                    corpus=corpus,
+                    ontology=Ontology(),
+                    config=config,
+                    index=index,
+                    work=candidates(term_list),
+                )
+                stage.run(ctx)
+                kept = stage._kept
+                fresh = {
+                    term: index.contexts_for_term(term, window=window)
+                    for term in term_list
+                }
+                assert kept.contexts == fresh
+                # A derivation kept from an earlier run is one of a term
+                # whose contexts did not change.
+                for term, value in kept.memo.items():
+                    if derived.get(term) is value:
+                        assert before[term] == fresh[term]
+                for item in ctx.work:
+                    occurrences = fresh[item.candidate.term]
+                    assert item.report.n_contexts == len(occurrences)
+                    if not occurrences:
+                        assert item.contexts is None
+                        continue
+                    if len(occurrences) > cap:
+                        step = len(occurrences) / cap
+                        occurrences = [occurrences[int(i * step)] for i in range(cap)]
+                    windows_ = [c.tokens for c in occurrences]
+                    frequency = len({c.doc_id for c in occurrences})
+                    assert item.contexts == windows_
+                    assert item.doc_frequency == frequency
+                    assert item.context_digest == context_digest(windows_, frequency)
+
+            check(corpus, term_list)
+            # One document at a time, then whole batches, each with an
+            # optional change of the candidate list.
+            for doc in documents(updates[0][0][:1], len(corpus)):
+                corpus.add(doc)
+                check(corpus, term_list)
+            for batch, edited in updates:
+                for doc in documents(batch, len(corpus)):
+                    if doc.doc_id not in {d.doc_id for d in corpus}:
+                        corpus.add(doc)
+                term_list = term_list if edited is None else edited or term_list
+                check(corpus, term_list)
+            # A corpus that does not extend the kept one: a document
+            # dropped, then an unrelated corpus.
+            docs = list(corpus)
+            if docs:
+                del docs[drop % len(docs)]
+                check(Corpus(docs), term_list)
+            check(Corpus(documents([[["the", "lens", "of", "acute", "ulcer"]]], 50)), term_list)
